@@ -2,15 +2,13 @@
 P(T1 > T2 | Z1, Z2) from possibly right-censored two-sample data."""
 
 from .survival import (
-    Observation,
     SurvivalCurve,
     TwoSampleDataset,
     kaplan_meier,
     leave_one_out_km,
     theta_integral,
-    left_limit,
 )
-from .pseudo import PseudoMatrix, pseudo_matrix, theta_hat, marginal_means
+from .pseudo import PseudoMatrix, pseudo_matrix, theta_hat
 from .gee import (
     Link,
     IDENTITY,

@@ -59,6 +59,8 @@ class AnalysisConfig:
             raise ConfigFailure(f"alpha must be in (0, 1), got {self.alpha}")
         if self.B < 1:
             raise ConfigFailure(f"B must be >= 1, got {self.B}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigFailure(f"seed must be >= 0, got {self.seed}")
         if not self.tau > 0:
             raise ConfigFailure(f"tau must be positive, got {self.tau}")
         if self.link not in LINKS:
@@ -84,9 +86,12 @@ class AnalysisConfig:
 
 def _parse_float(text, row, column):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseFailure(f"row {row}, column {column!r}: not a number: {text!r}")
+    if not np.isfinite(value):
+        raise ParseFailure(f"row {row}, column {column!r}: not a finite number: {text!r}")
+    return value
 
 
 def ingest_csv(path, config: AnalysisConfig) -> TwoSampleDataset:
@@ -188,13 +193,37 @@ def _coefficient_names(config: AnalysisConfig):
     )
 
 
-def cmd_fit(args) -> int:
-    config = _build_config(args, require_seed=args.bootstrap is not None)
+def _prepare(args, resample=True, same_covariates=False):
+    """Shared preamble of fit, test and predict.
+
+    Builds the configuration, ingests the CSV, creates the output directory
+    and the fit spec.  With ``resample`` a seed is required and the bootstrap
+    is run; its base fit must converge.  Returns
+    (config, data, out_dir, spec, ensemble).
+    """
+    config = _build_config(args, require_seed=resample)
+    if same_covariates and config.covariates1 != config.covariates2:
+        raise ConfigFailure(
+            "predict uses each subject's covariates for both groups; "
+            "covariates1 and covariates2 must name the same columns"
+        )
     data = ingest_csv(args.data, config)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = FitSpec(link=LINKS[config.link], strict_singular=config.strict_singular)
-    result = spec.fit(data)
+    ensemble = None
+    if resample:
+        ensemble = bootstrap(data, spec=spec, B=config.B, seed=config.seed)
+        if not ensemble.base_fit.converged:
+            raise RuntimeError(f"fit did not converge: {ensemble.base_fit.message}")
+    return config, data, out_dir, spec, ensemble
+
+
+def cmd_fit(args) -> int:
+    config, data, out_dir, spec, ensemble = _prepare(
+        args, resample=args.bootstrap is not None
+    )
+    result = spec.fit(data) if ensemble is None else ensemble.base_fit
     if not result.converged:
         log.error("fit did not converge: %s", result.message)
         return EXIT_CONVERGENCE
@@ -203,8 +232,7 @@ def cmd_fit(args) -> int:
     rows = [{"coefficient": name, "estimate": b} for name, b in zip(names, result.beta)]
     header = ["coefficient", "estimate"]
 
-    if config.seed is not None and args.bootstrap is not None:
-        ensemble = bootstrap(data, spec=spec, B=config.B, seed=config.seed)
+    if ensemble is not None:
         header += [
             "se_emp", "se_iqr", "se_mad",
             "ci_emp_low", "ci_emp_high", "ci_iqr_low", "ci_iqr_high",
@@ -240,12 +268,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_test(args) -> int:
-    config = _build_config(args, require_seed=True)
-    data = ingest_csv(args.data, config)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    spec = FitSpec(link=LINKS[config.link], strict_singular=config.strict_singular)
-    ensemble = bootstrap(data, spec=spec, B=config.B, seed=config.seed)
+    config, data, out_dir, _, ensemble = _prepare(args)
     names = _coefficient_names(config)
     out_path = out_dir / "tests.csv"
     methods = ("emp", "iqr", "mad", "quantile") if config.method == "all" else (config.method,)
@@ -269,24 +292,13 @@ def cmd_test(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    config = _build_config(args, require_seed=True)
-    if config.covariates1 != config.covariates2:
-        raise ConfigFailure(
-            "predict uses each subject's covariates for both groups; "
-            "covariates1 and covariates2 must name the same columns"
-        )
-    data = ingest_csv(args.data, config)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    spec = FitSpec(link=LINKS[config.link], strict_singular=config.strict_singular)
-    ensemble = bootstrap(data, spec=spec, B=config.B, seed=config.seed)
-    if not ensemble.base_fit.converged:
-        return EXIT_CONVERGENCE
+    config, data, out_dir, _, ensemble = _prepare(args, same_covariates=True)
     S1 = kaplan_meier(data.times1, data.events1)
     S2 = kaplan_meier(data.times2, data.events2)
     correction = tie_correction_term(S1, S2, data.tau)
     ci_method = "quantile" if config.method == "quantile" else "emp"
-    tie_corrected = config.link == "identity"
+    # the additive tie correction exists for the identity link only
+    link_correction = correction if config.link == "identity" else None
 
     out_path = out_dir / "predictions.csv"
     Z_all = np.vstack((data.covariates1, data.covariates2))
@@ -299,9 +311,7 @@ def cmd_predict(args) -> int:
         for i, z in enumerate(Z_all):
             pred = predict_with_ci(
                 ensemble.base_fit, ensemble, z, z,
-                link=LINKS[config.link],
-                correction=correction if tie_corrected else None,
-                tie_corrected=tie_corrected,
+                link=LINKS[config.link], correction=link_correction,
                 alpha=config.alpha, method=ci_method,
             )
             writer.writerow(

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .pseudo import PseudoMatrix
+from .pseudo import PseudoMatrix, _indicator_matrix
 from .survival import TwoSampleDataset
 
 __all__ = [
@@ -291,6 +291,20 @@ def fit(
     return solve_newton(matrix, Z1, Z2, link, warm_start_identity=True)
 
 
+def _shared_row_column_meat(R, Z1, Z2):
+    """Covariance blocks of pair contributions R[i1,i2] * z sharing a row
+    (same group-1 subject) or a column (same group-2 subject)."""
+    n1, n2 = R.shape
+    rs = R.sum(axis=1)
+    cs = R.sum(axis=0)
+    m = np.concatenate(([R.sum()], Z1.T @ rs, Z2.T @ cs)) / (n1 * n2)
+    U = np.concatenate((rs[:, None], rs[:, None] * Z1, R @ Z2), axis=1)
+    V = np.concatenate((cs[:, None], R.T @ Z1, cs[:, None] * Z2), axis=1)
+    omega1 = U.T @ U / (n1 * n2**2) - np.outer(m, m)
+    omega2 = V.T @ V / (n1**2 * n2) - np.outer(m, m)
+    return omega1, omega2
+
+
 def sandwich_covariance_uncensored(
     data: TwoSampleDataset, beta=None, Z1=None, Z2=None
 ) -> np.ndarray:
@@ -313,21 +327,14 @@ def sandwich_covariance_uncensored(
     Z1 = data.covariates1 if Z1 is None else np.atleast_2d(np.asarray(Z1, dtype=float))
     Z2 = data.covariates2 if Z2 is None else np.atleast_2d(np.asarray(Z2, dtype=float))
     n1, n2 = data.n1, data.n2
-    D = ((data.times1[:, None] > data.times2[None, :]) & (data.times2[None, :] < data.tau)).astype(float)
+    D = _indicator_matrix(data)
     if beta is None:
         matrix = PseudoMatrix(values=D, theta_hat=float(D.mean()))
         beta = solve_closed_form_identity(matrix, Z1, Z2).beta
     beta = np.asarray(beta, dtype=float)
     R = D - _linear_predictor(beta, Z1, Z2)
 
-    rs = R.sum(axis=1)
-    cs = R.sum(axis=0)
-    m = np.concatenate(([R.sum()], Z1.T @ rs, Z2.T @ cs)) / (n1 * n2)
-
-    U = np.concatenate((rs[:, None], rs[:, None] * Z1, R @ Z2), axis=1)
-    V = np.concatenate((cs[:, None], R.T @ Z1, cs[:, None] * Z2), axis=1)
-    omega1 = U.T @ U / (n1 * n2**2) - np.outer(m, m)
-    omega2 = V.T @ V / (n1**2 * n2) - np.outer(m, m)
+    omega1, omega2 = _shared_row_column_meat(R, Z1, Z2)
     lam = n1 / (n1 + n2)
     omega = (1.0 - lam) * omega1 + lam * omega2
 
@@ -335,22 +342,3 @@ def sandwich_covariance_uncensored(
     Sigma_inv = np.linalg.pinv(Sigma)
     cov = Sigma_inv @ omega @ Sigma_inv.T * (n1 + n2) / (n1 * n2)
     return 0.5 * (cov + cov.T)
-
-
-def omega_components_uncensored(data: TwoSampleDataset):
-    """Empirical covariance building blocks (same-pair, shared-row, shared-column)."""
-    if not data.uncensored:
-        raise ValueError("omega components are defined for fully observed data only")
-    Z1, Z2 = data.covariates1, data.covariates2
-    n1, n2 = data.n1, data.n2
-    D = ((data.times1[:, None] > data.times2[None, :]) & (data.times2[None, :] < data.tau)).astype(float)
-    rs = D.sum(axis=1)
-    cs = D.sum(axis=0)
-    m = np.concatenate(([D.sum()], Z1.T @ rs, Z2.T @ cs)) / (n1 * n2)
-    B = _paired_quadratic(D, Z1, Z2)
-    omega0 = B / (n1 * n2) - np.outer(m, m)
-    U = np.concatenate((rs[:, None], rs[:, None] * Z1, D @ Z2), axis=1)
-    V = np.concatenate((cs[:, None], D.T @ Z1, cs[:, None] * Z2), axis=1)
-    omega1 = U.T @ U / (n1 * n2**2) - np.outer(m, m)
-    omega2 = V.T @ V / (n1**2 * n2) - np.outer(m, m)
-    return omega0, omega1, omega2

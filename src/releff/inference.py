@@ -8,7 +8,7 @@ identical no matter in which order replicates are computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,7 +22,6 @@ __all__ = [
     "FitSpec",
     "BootstrapEnsemble",
     "TestReport",
-    "fit_dataset",
     "bootstrap",
     "test_coefficient",
     "warp_speed",
@@ -41,19 +40,14 @@ class FitSpec:
     """Everything needed to refit the model on a resampled dataset."""
 
     link: gee.Link = gee.IDENTITY
-    pseudo_method: str = "auto"
     strict_singular: bool = False
 
     def fit(self, data: TwoSampleDataset) -> gee.FitResult:
-        pm = pseudo_matrix(data, method=self.pseudo_method)
+        pm = pseudo_matrix(data)
         return gee.fit(
             pm, data.covariates1, data.covariates2, self.link,
             strict_singular=self.strict_singular,
         )
-
-
-def fit_dataset(data: TwoSampleDataset, spec: FitSpec | None = None) -> gee.FitResult:
-    return (spec or FitSpec()).fit(data)
 
 
 @dataclass

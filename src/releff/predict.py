@@ -80,20 +80,19 @@ def predict_probability(
     z2,
     link: Link = IDENTITY,
     correction: Optional[float] = None,
-    tie_corrected: bool = True,
 ) -> Prediction:
     """Point prediction of the conditional ordering probability.
 
-    With ``tie_corrected=True`` (identity link only, correction required) the
-    prediction is correction + beta1'z1 + beta2'z2: the correction replaces
-    the intercept of the fitted linear model.  Otherwise it is mu(beta'z).
+    With a tie ``correction`` (identity link only) the prediction is
+    correction + beta1'z1 + beta2'z2: the correction replaces the intercept
+    of the fitted linear model.  Without one it is mu(beta'z).
     Out-of-range values are flagged, never clamped.
     """
     if not fit.converged:
         raise ValueError("cannot predict from a non-converged fit")
     z1 = np.atleast_1d(np.asarray(z1, dtype=float))
     z2 = np.atleast_1d(np.asarray(z2, dtype=float))
-    if tie_corrected and correction is not None:
+    if correction is not None:
         if link.name != "identity":
             raise ValueError("the additive tie correction is defined for the identity link only")
         point = correction + _slope_contribution(fit, z1, z2)
@@ -112,7 +111,6 @@ def predict_with_ci(
     z2,
     link: Link = IDENTITY,
     correction: Optional[float] = None,
-    tie_corrected: bool = True,
     alpha: float = 0.05,
     method: str = "emp",
 ) -> Prediction:
@@ -121,9 +119,7 @@ def predict_with_ci(
     Only the uncertainty of beta1'z1 + beta2'z2 is propagated; the tie
     correction (and the intercept in plain mode) is treated as fixed.
     """
-    pred = predict_probability(
-        fit, z1, z2, link=link, correction=correction, tie_corrected=tie_corrected
-    )
+    pred = predict_probability(fit, z1, z2, link=link, correction=correction)
     z1 = pred.z1
     z2 = pred.z2
     p1, p2 = z1.size, z2.size

@@ -18,7 +18,7 @@ import numpy as np
 
 from .survival import TwoSampleDataset, kaplan_meier, leave_one_out_km, theta_integral
 
-__all__ = ["PseudoMatrix", "theta_hat", "pseudo_matrix", "marginal_means"]
+__all__ = ["PseudoMatrix", "theta_hat", "pseudo_matrix"]
 
 
 @dataclass(frozen=True)
@@ -56,39 +56,21 @@ def theta_hat(data: TwoSampleDataset) -> float:
     return theta_integral(S1, S2, data.tau)
 
 
-def marginal_means(matrix: PseudoMatrix):
-    return matrix.row_means, matrix.col_means, matrix.grand_mean
-
-
-def pseudo_matrix(data: TwoSampleDataset, method: str = "auto") -> PseudoMatrix:
+def pseudo_matrix(data: TwoSampleDataset) -> PseudoMatrix:
     """Build the pseudo-observation matrix.
 
-    method:
-      * ``"auto"``       - pair indicators when no subject is censored
-                           (exact by inclusion-exclusion), else ``"stieltjes"``.
-      * ``"indicator"``  - pair indicators; only valid on fully observed data.
-      * ``"stieltjes"``  - shared-grid evaluation of all leave-one-out curves.
-      * ``"brute"``      - per-pair re-estimation of all four curves (slow;
-                           kept as an independent oracle).
+    On fully observed data the entries are the pair indicators (exact by
+    inclusion-exclusion); under censoring all leave-one-out curves are
+    evaluated on a shared grid of group-2 event times.
     """
     if data.n1 < 2 or data.n2 < 2:
         raise ValueError("pseudo-observations need at least 2 subjects per group")
-    if method == "auto":
-        method = "indicator" if data.uncensored else "stieltjes"
-    if method == "indicator":
-        if not data.uncensored:
-            raise ValueError("indicator method requires fully observed data")
-        values = _indicator_matrix(data)
-    elif method == "stieltjes":
-        values = _stieltjes_matrix(data)
-    elif method == "brute":
-        values = _brute_matrix(data)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    values = _indicator_matrix(data) if data.uncensored else _stieltjes_matrix(data)
     return PseudoMatrix(values=values, theta_hat=theta_hat(data))
 
 
 def _indicator_matrix(data: TwoSampleDataset) -> np.ndarray:
+    """Pair indicators 1{T1 > T2, T2 < tau}."""
     t1 = data.times1[:, None]
     t2 = data.times2[None, :]
     return ((t1 > t2) & (t2 < data.tau)).astype(float)
@@ -144,25 +126,3 @@ def _stieltjes_matrix(data: TwoSampleDataset) -> np.ndarray:
         - n1 * (n2 - 1) * th2[None, :]
         + (n1 - 1) * (n2 - 1) * th12
     )
-
-
-def _brute_matrix(data: TwoSampleDataset) -> np.ndarray:
-    n1, n2, tau = data.n1, data.n2, data.tau
-    S1 = kaplan_meier(data.times1, data.events1)
-    S2 = kaplan_meier(data.times2, data.events2)
-    th = theta_integral(S1, S2, tau)
-    values = np.empty((n1, n2))
-    for i1 in range(n1):
-        S1_red = leave_one_out_km(data.times1, data.events1, i1)
-        th1 = theta_integral(S1_red, S2, tau)
-        for i2 in range(n2):
-            S2_red = leave_one_out_km(data.times2, data.events2, i2)
-            th2 = theta_integral(S1, S2_red, tau)
-            th12 = theta_integral(S1_red, S2_red, tau)
-            values[i1, i2] = (
-                n1 * n2 * th
-                - (n1 - 1) * n2 * th1
-                - n1 * (n2 - 1) * th2
-                + (n1 - 1) * (n2 - 1) * th12
-            )
-    return values

@@ -9,11 +9,9 @@ coefficient of each group at the 5% level.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .inference import FitSpec, WarpSpeedResult, warp_speed
 from .survival import TwoSampleDataset
@@ -29,7 +27,6 @@ __all__ = [
     "warp_speed_harness",
     "run_scenario",
     "censoring_rate",
-    "scenario_from_json",
     "write_result_rows",
 ]
 
@@ -96,16 +93,6 @@ def make_scenario(scenario_id: str, setting: str, n1: int, n2: int, censored: bo
         gamma10=g10, gamma20=g20,
         gamma1=np.asarray(g1, dtype=float), gamma2=np.asarray(g2, dtype=float),
         k1=k1, k2=k2,
-    )
-
-
-def scenario_from_json(path) -> Scenario:
-    """Load a scenario from a JSON configuration file."""
-    with open(path) as fh:
-        cfg = json.load(fh)
-    return make_scenario(
-        scenario_id=cfg["scenario"], setting=cfg["setting"],
-        n1=int(cfg["n1"]), n2=int(cfg["n2"]), censored=bool(cfg["censored"]),
     )
 
 
@@ -203,19 +190,6 @@ def true_theta_weibull_equal_shapes(
     lam1, lam2 = np.exp(eta1), np.exp(eta2)
     joint_surv = np.exp(-(tau**k) * (lam1**-k + lam2**-k))
     return float((1.0 - joint_surv) * logistic)
-
-
-def true_theta_weibull_numeric(lam1, k1, lam2, k2, tau=np.inf) -> float:
-    """Quadrature of -int S1 dS2; independent of the closed form above."""
-
-    def integrand(u):
-        s1 = np.exp(-((u / lam1) ** k1))
-        f2 = k2 * u ** (k2 - 1) / lam2**k2 * np.exp(-((u / lam2) ** k2))
-        return s1 * f2
-
-    upper = min(tau, max(lam1, lam2) * 60.0)
-    val, _ = quad(integrand, 0.0, upper, limit=400)
-    return float(val)
 
 
 def warp_speed_harness(

@@ -8,37 +8,17 @@ when that observation is censored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Observation",
     "SurvivalCurve",
     "TwoSampleDataset",
     "kaplan_meier",
     "leave_one_out_km",
     "theta_integral",
-    "left_limit",
 ]
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One subject: observed time, event flag and covariate vector."""
-
-    time: float
-    status: int = 1
-    covariates: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    def __post_init__(self):
-        if self.status not in (0, 1):
-            raise ValueError(f"status must be 0 or 1, got {self.status}")
-        if not np.isfinite(self.time):
-            raise ValueError(f"time must be finite, got {self.time}")
-        object.__setattr__(
-            self, "covariates", np.atleast_1d(np.asarray(self.covariates, dtype=float))
-        )
 
 
 @dataclass(frozen=True)
@@ -147,18 +127,6 @@ class TwoSampleDataset:
     def uncensored(self) -> bool:
         return bool(np.all(self.events1 == 1) and np.all(self.events2 == 1))
 
-    @classmethod
-    def from_observations(cls, group1, group2, tau=np.inf):
-        def unpack(group):
-            times = np.array([o.time for o in group])
-            events = np.array([o.status for o in group], dtype=float)
-            Z = np.vstack([o.covariates for o in group]) if group else np.empty((0, 0))
-            return times, events, Z
-
-        t1, e1, z1 = unpack(list(group1))
-        t2, e2, z2 = unpack(list(group2))
-        return cls(t1, e1, z1, t2, e2, z2, tau=tau)
-
 
 def kaplan_meier(times, events=None) -> SurvivalCurve:
     """Product-limit estimator; ``events=None`` means fully observed.
@@ -209,8 +177,3 @@ def theta_integral(S1: SurvivalCurve, S2: SurvivalCurve, tau: float = np.inf) ->
     if not np.any(mask):
         return 0.0
     return float(np.dot(S1(jt[mask]), delta[mask]))
-
-
-def left_limit(S: SurvivalCurve, t) -> float:
-    """Left-hand limit S(t-)."""
-    return S.left_limit(t)

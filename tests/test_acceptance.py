@@ -21,18 +21,18 @@ from releff.gee import (
 )
 from releff.inference import FitSpec
 from releff.predict import Prediction, classify, tie_correction_term
-from releff.pseudo import pseudo_matrix
+from releff.pseudo import _stieltjes_matrix, pseudo_matrix
 from releff.sim import (
     censoring_rate,
     make_scenario,
     simulate_dataset,
     true_theta_weibull_equal_shapes,
-    true_theta_weibull_numeric,
     warp_speed_harness,
 )
 from releff.survival import TwoSampleDataset, kaplan_meier
 
 from conftest import random_dataset
+from oracles import brute_matrix, true_theta_weibull_numeric
 
 
 def report(name, ok, detail):
@@ -49,9 +49,9 @@ def test_criterion_01_uncensored_reduction():
         n1 = int(rng.integers(2, 31))
         n2 = int(rng.integers(2, 31))
         data = random_dataset(rng, n1, n2, censored=False)
-        pm = pseudo_matrix(data, method="stieltjes")
+        values = _stieltjes_matrix(data)
         indicator = (data.times1[:, None] > data.times2[None, :]).astype(float)
-        worst = max(worst, float(np.max(np.abs(pm.values - indicator))))
+        worst = max(worst, float(np.max(np.abs(values - indicator))))
     elapsed = time.time() - t0
     report(
         "uncensored entries reduce to pair indicators",
@@ -68,9 +68,8 @@ def test_criterion_02_censored_oracle_equivalence():
         n1 = int(rng.integers(3, 16))
         n2 = int(rng.integers(3, 16))
         data = random_dataset(rng, n1, n2, censored=True)
-        fast = pseudo_matrix(data, method="stieltjes")
-        slow = pseudo_matrix(data, method="brute")
-        worst = max(worst, float(np.max(np.abs(fast.values - slow.values))))
+        fast = _stieltjes_matrix(data)
+        worst = max(worst, float(np.max(np.abs(fast - brute_matrix(data)))))
     elapsed = time.time() - t0
     report(
         "censored matrix equals per-pair recomputation oracle",

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from releff import cli
 from releff.cli import (
     EXIT_CONFIG,
+    EXIT_CONVERGENCE,
     EXIT_OK,
     EXIT_PARSE,
     AnalysisConfig,
@@ -14,6 +16,8 @@ from releff.cli import (
     ingest_csv,
     main,
 )
+from releff.gee import FitResult
+from releff.inference import BootstrapEnsemble
 
 
 def write_csv(path, rows, header=("group", "time", "status")):
@@ -71,6 +75,13 @@ class TestConfig:
         with pytest.raises(ConfigFailure):
             AnalysisConfig.from_file(cfg)
 
+    def test_negative_seed_rejected(self, four_row_csv, tmp_path):
+        with pytest.raises(ConfigFailure, match="seed"):
+            AnalysisConfig(seed=-3)
+        rc = main(["test", "--data", str(four_row_csv), "--tau", "10",
+                   "--seed", "-3", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+
 
 class TestIngest:
     def test_four_row_fixture(self, four_row_csv):
@@ -95,6 +106,23 @@ class TestIngest:
         write_csv(path, [[1, -1.0, 0], [1, 2.0, 1], [2, 1.0, 1], [2, 2.0, 1]])
         with pytest.raises(ParseFailure, match="negative"):
             ingest_csv(path, AnalysisConfig(tau=5.0))
+
+    @pytest.mark.parametrize("time, age, column", [
+        ("nan", "0.2", "time"), ("inf", "0.2", "time"), ("2.0", "-inf", "age"),
+    ])
+    def test_non_finite_values_rejected(self, tmp_path, time, age, column):
+        path = tmp_path / "bad.csv"
+        write_csv(
+            path,
+            [[1, 3.0, 1, 0.1], [1, time, 1, age], [1, 5.0, 0, 0.3],
+             [2, 1.0, 1, 0.4], [2, 2.0, 1, 0.5], [2, 4.0, 0, 0.6]],
+            header=("group", "time", "status", "age"),
+        )
+        config = AnalysisConfig(tau=9.0, covariates1=["age"], covariates2=["age"])
+        with pytest.raises(ParseFailure, match=rf"row 3, column '{column}'.*finite"):
+            ingest_csv(path, config)
+        assert main(["fit", "--data", str(path), "--cov1", "age", "--cov2", "age",
+                     "--out-dir", str(tmp_path / "out")]) == EXIT_PARSE
 
     def test_missing_required_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -200,6 +228,22 @@ class TestCommands:
         assert main(["fit", "--data", str(four_row_csv), "--alpha", "2"]) == EXIT_CONFIG
         assert main(["simulate", "--scenario", "i", "--seed", "1",
                      "--reps", "5000", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_nonconverged_base_fit_exits_convergence(self, covariate_csv, tmp_path,
+                                                     monkeypatch):
+        stalled = FitResult(beta=np.zeros(3), converged=False, iterations=50,
+                            gradient_norm=1.0, method="newton", message="stalled")
+
+        def fake_bootstrap(data, spec=None, B=2000, seed=0):
+            return BootstrapEnsemble(replicates=np.zeros((B, 3)), B=B, seed=seed,
+                                     base_fit=stalled)
+
+        monkeypatch.setattr(cli, "bootstrap", fake_bootstrap)
+        for command in ("test", "predict"):
+            rc = main([command, "--data", str(covariate_csv), "--tau", "4",
+                       "--cov1", "age", "--cov2", "age", "--out-dir", str(tmp_path),
+                       "--seed", "2", "--bootstrap", "5"])
+            assert rc == EXIT_CONVERGENCE, command
 
     def test_predict_requires_matching_columns(self, covariate_csv, tmp_path):
         rc = main(["predict", "--data", str(covariate_csv), "--tau", "4",

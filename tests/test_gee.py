@@ -6,17 +6,18 @@ from releff.gee import (
     IDENTITY,
     LOGIT,
     Link,
+    _paired_quadratic,
+    _shared_row_column_meat,
     design_second_moment,
     estimating_function,
     fit,
     jacobian,
     objective,
-    omega_components_uncensored,
     sandwich_covariance_uncensored,
     solve_closed_form_identity,
     solve_newton,
 )
-from releff.pseudo import pseudo_matrix
+from releff.pseudo import _indicator_matrix, pseudo_matrix
 
 
 def instance(rng, n1=12, n2=10, p1=2, p2=2, censored=True):
@@ -219,7 +220,9 @@ class TestSandwich:
         o0 = o0 / (n1 * n2) - np.outer(m, m)
         o1 = o1 / (n1 * n2**2) - np.outer(m, m)
         o2 = o2 / (n1**2 * n2) - np.outer(m, m)
-        got0, got1, got2 = omega_components_uncensored(data)
+        # the production blocks with raw indicators in place of residuals
+        got0 = _paired_quadratic(D, Z1, Z2) / (n1 * n2) - np.outer(m, m)
+        got1, got2 = _shared_row_column_meat(D, Z1, Z2)
         np.testing.assert_allclose(got0, o0, atol=1e-12)
         np.testing.assert_allclose(got1, o1, atol=1e-12)
         np.testing.assert_allclose(got2, o2, atol=1e-12)
@@ -235,7 +238,9 @@ class TestSandwich:
             np.full(6, 10.0) + rng.uniform(0, 1, 6), np.ones(6), Z1,
             rng.uniform(0, 1, 5), np.ones(5), Z2,
         )
-        o0, _, _ = omega_components_uncensored(data)
+        D = _indicator_matrix(data)
+        np.testing.assert_array_equal(D, 1.0)
         m = np.concatenate(([1.0], Z1.mean(axis=0), Z2.mean(axis=0)))
+        o0 = _paired_quadratic(D, Z1, Z2) / D.size - np.outer(m, m)
         expected = design_second_moment(Z1, Z2) - np.outer(m, m)
         np.testing.assert_allclose(o0, expected, atol=1e-12)

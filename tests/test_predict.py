@@ -80,7 +80,7 @@ class TestPredictProbability:
 
     def test_plain_mode_uses_link(self):
         fit = fixed_fit([0.0, 1.0, 0.0])
-        pred = predict_probability(fit, [0.0], [0.0], link=LOGIT, tie_corrected=False)
+        pred = predict_probability(fit, [0.0], [0.0], link=LOGIT)
         assert pred.point == pytest.approx(0.5)
 
     def test_out_of_range_flagged_not_clamped(self):
@@ -151,7 +151,7 @@ class TestPredictWithCI:
         data = TwoSampleDataset(T1, np.ones(n), Z1, T2, np.ones(n), Z2)
         fit = FitSpec().fit(data)
         z0 = 0.5
-        pred = predict_probability(fit, [z0], [z0], tie_corrected=False).point
+        pred = predict_probability(fit, [z0], [z0]).point
         sel1 = np.abs(Z1[:, 0] - z0) < 0.1
         sel2 = np.abs(Z2[:, 0] - z0) < 0.1
         freq = np.mean(T1[sel1][:, None] > T2[sel2][None, :])

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_dataset
-from releff.pseudo import pseudo_matrix, theta_hat
+from oracles import brute_matrix
+from releff.pseudo import _indicator_matrix, _stieltjes_matrix, pseudo_matrix, theta_hat
 from releff.survival import TwoSampleDataset, kaplan_meier
 
 
@@ -37,32 +40,24 @@ def test_uncensored_marginals_match_km_curves(rng):
 def test_stieltjes_matches_indicator_on_uncensored(rng):
     for _ in range(20):
         data = random_dataset(rng, rng.integers(2, 15), rng.integers(2, 15), censored=False)
-        fast = pseudo_matrix(data, method="indicator")
-        slow = pseudo_matrix(data, method="stieltjes")
-        np.testing.assert_allclose(fast.values, slow.values, atol=1e-10)
+        np.testing.assert_allclose(_indicator_matrix(data), _stieltjes_matrix(data), atol=1e-10)
 
 
 def test_stieltjes_matches_indicator_with_finite_tau(rng):
     data = random_dataset(rng, 8, 8, censored=False, tau=1.0)
-    fast = pseudo_matrix(data, method="indicator")
-    slow = pseudo_matrix(data, method="stieltjes")
-    np.testing.assert_allclose(fast.values, slow.values, atol=1e-10)
+    np.testing.assert_allclose(_indicator_matrix(data), _stieltjes_matrix(data), atol=1e-10)
 
 
 def test_censored_matches_brute_oracle(rng):
     for _ in range(8):
         data = random_dataset(rng, rng.integers(3, 9), rng.integers(3, 9), censored=True)
-        fast = pseudo_matrix(data, method="stieltjes")
-        slow = pseudo_matrix(data, method="brute")
-        np.testing.assert_allclose(fast.values, slow.values, atol=1e-10)
+        np.testing.assert_allclose(_stieltjes_matrix(data), brute_matrix(data), atol=1e-10)
 
 
 def test_censored_five_by_five_entrywise(rng):
     data = make([1.0, 2.0, 3.0, 4.0, 5.0], [1, 1, 0, 1, 1],
                 [0.5, 1.5, 2.5, 3.5, 4.5], [1, 0, 1, 1, 1])
-    fast = pseudo_matrix(data, method="stieltjes")
-    slow = pseudo_matrix(data, method="brute")
-    np.testing.assert_allclose(fast.values, slow.values, atol=1e-10)
+    np.testing.assert_allclose(_stieltjes_matrix(data), brute_matrix(data), atol=1e-10)
 
 
 def test_entries_exceed_unit_interval_and_are_not_clipped(rng):
@@ -83,15 +78,26 @@ def test_group2_all_censored_gives_zero(rng):
     np.testing.assert_allclose(pm.values, 0.0)
 
 
-def test_indicator_method_rejects_censoring(rng):
-    data = random_dataset(rng, 5, 5, censored=True)
-    if data.uncensored:  # pragma: no cover - extremely unlikely draw
-        pytest.skip("draw happened to be uncensored")
-    with pytest.raises(ValueError):
-        pseudo_matrix(data, method="indicator")
+@st.composite
+def heavy_tie_datasets(draw):
+    """Times on a grid of 5 integers, so event and censoring times tie often;
+    tau is either infinite or one of the observed times."""
+    sample = st.lists(
+        st.tuples(st.integers(1, 5), st.integers(0, 1)), min_size=2, max_size=8
+    )
+    group1 = draw(sample)
+    group2 = draw(sample)
+    observed = sorted({t for t, _ in group1 + group2})
+    tau = draw(st.one_of(st.just(np.inf), st.sampled_from(observed)))
+    (t1, e1), (t2, e2) = zip(*group1), zip(*group2)
+    return make(list(t1), list(e1), list(t2), list(e2), tau=float(tau))
 
 
-def test_unknown_method(rng):
-    data = random_dataset(rng, 4, 4, censored=False)
-    with pytest.raises(ValueError):
-        pseudo_matrix(data, method="magic")
+@given(heavy_tie_datasets())
+@settings(max_examples=150, deadline=None)
+# every subject still at risk at the last time has an event (r - d = 0 there)
+@example(make([1, 2, 2], [1, 1, 1], [1, 2, 2], [0, 1, 1]))
+# censored at an event time in both groups, tau cutting at a tied time
+@example(make([2, 2, 3, 4], [1, 0, 1, 0], [1, 2, 2, 3], [1, 1, 0, 1], tau=2.0))
+def test_stieltjes_matches_brute_oracle_under_heavy_ties(data):
+    np.testing.assert_allclose(_stieltjes_matrix(data), brute_matrix(data), atol=1e-10)

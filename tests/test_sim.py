@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -12,12 +10,12 @@ from releff.sim import (
     gen_event_times,
     make_scenario,
     run_scenario,
-    scenario_from_json,
     simulate_dataset,
     true_theta_weibull_equal_shapes,
-    true_theta_weibull_numeric,
     warp_speed_harness,
 )
+
+from oracles import true_theta_weibull_numeric
 
 
 class TestScenarioDefinitions:
@@ -49,15 +47,6 @@ class TestScenarioDefinitions:
             make_scenario("v", "I", 10, 10, False)
         with pytest.raises(ValueError):
             make_scenario("i", "III", 10, 10, False)
-
-    def test_scenario_from_json(self, tmp_path):
-        cfg = tmp_path / "scenario.json"
-        cfg.write_text(json.dumps(
-            {"scenario": "ii", "setting": "I", "n1": 40, "n2": 60, "censored": True}
-        ))
-        sc = scenario_from_json(cfg)
-        assert sc.scenario_id == "ii" and sc.setting == "I"
-        assert (sc.n1, sc.n2, sc.censored) == (40, 60, True)
 
 
 class TestCovariateDesigns:

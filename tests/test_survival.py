@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from releff.survival import (
-    Observation,
     SurvivalCurve,
     TwoSampleDataset,
     kaplan_meier,
@@ -162,17 +161,3 @@ class TestTwoSampleDataset:
             TwoSampleDataset([-1, 2], [1, 0], np.zeros((2, 0)), [1, 2], [1, 1], np.zeros((2, 0)))
         d = TwoSampleDataset([-1, 2], [1, 1], np.zeros((2, 0)), [1, 2], [1, 1], np.zeros((2, 0)))
         assert d.uncensored
-
-    def test_from_observations(self):
-        g1 = [Observation(3.0, 1, [0.1]), Observation(5.0, 1, [0.2])]
-        g2 = [Observation(1.0, 0, [0.3]), Observation(4.0, 1, [0.4])]
-        d = TwoSampleDataset.from_observations(g1, g2, tau=6.0)
-        assert d.n1 == d.n2 == 2
-        assert d.p1 == d.p2 == 1
-        assert not d.uncensored
-
-    def test_observation_validation(self):
-        with pytest.raises(ValueError):
-            Observation(np.inf, 1)
-        with pytest.raises(ValueError):
-            Observation(1.0, 2)
