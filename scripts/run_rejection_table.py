@@ -1,8 +1,9 @@
 """Rejection-rate study across scenarios, settings, and sample sizes.
 
 Produces one CSV row per (scenario, setting, sizes, censoring, hypothesis)
-combination with the four bootstrap-test rejection rates, mirroring the
-layout used by `releff simulate`.  Quick by default; pass --reps 10000 with
+combination with the four bootstrap-test rejection rates, the number of
+failed Monte Carlo runs and the degenerate-scale flag, mirroring the layout
+used by `releff simulate`.  Quick by default; pass --reps 10000 with
 --long-run for a full-scale run (hours, not minutes).
 """
 
@@ -10,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from releff.sim import make_scenario, run_scenario, write_result_rows
+from releff.sim import check_reps, make_scenario, run_scenario, write_result_rows
 
 SIZES = [(40, 60), (50, 50), (80, 50)]
 GRID = [("i", "I"), ("i", "II"), ("ii", "I"), ("ii", "II"),
@@ -25,8 +26,10 @@ def main(argv=None):
     ap.add_argument("--long-run", action="store_true")
     ap.add_argument("--out", default="rejection_table.csv")
     args = ap.parse_args(argv)
-    if args.reps > 2000 and not args.long_run:
-        ap.error("--reps above 2000 requires --long-run")
+    try:
+        check_reps(args.reps, args.long_run)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     rows = []
     for scenario_id, setting in GRID:
@@ -39,7 +42,8 @@ def main(argv=None):
                     f"{r['scenario']:>3} {r['setting']:>2} ({n1},{n2}) "
                     f"{r['hypothesis']}: emp={r['rate_emp']:.3f} "
                     f"iqr={r['rate_iqr']:.3f} mad={r['rate_mad']:.3f} "
-                    f"quant={r['rate_quantile']:.3f}"
+                    f"quant={r['rate_quantile']:.3f} "
+                    f"failed={r['failed']} degenerate={r['degenerate']}"
                 )
     write_result_rows(rows, Path(args.out))
     print(f"wrote {args.out}")

@@ -5,7 +5,6 @@ from .survival import (
     SurvivalCurve,
     TwoSampleDataset,
     kaplan_meier,
-    leave_one_out_km,
     theta_integral,
 )
 from .pseudo import PseudoMatrix, pseudo_matrix, theta_hat

@@ -22,7 +22,7 @@ from .gee import LINKS, sandwich_covariance_uncensored
 from .inference import FitSpec, bootstrap, test_coefficient
 from .predict import predict_with_ci, tie_correction_term
 from .pseudo import pseudo_matrix
-from .sim import make_scenario, run_scenario, write_result_rows
+from .sim import check_reps, make_scenario, run_scenario, write_result_rows
 from .survival import TwoSampleDataset, kaplan_meier
 
 log = logging.getLogger("releff")
@@ -44,7 +44,7 @@ class ConfigFailure(Exception):
 @dataclass
 class AnalysisConfig:
     link: str = "identity"
-    tau: float = float("inf")
+    tau: float | None = None      # None: the largest observed time; inf: no horizon
     B: int = 2000
     alpha: float = 0.05
     seed: int | None = None
@@ -61,7 +61,7 @@ class AnalysisConfig:
             raise ConfigFailure(f"B must be >= 1, got {self.B}")
         if self.seed is not None and self.seed < 0:
             raise ConfigFailure(f"seed must be >= 0, got {self.seed}")
-        if not self.tau > 0:
+        if self.tau is not None and not self.tau > 0:
             raise ConfigFailure(f"tau must be positive, got {self.tau}")
         if self.link not in LINKS:
             raise ConfigFailure(f"unknown link {self.link!r}; available: {sorted(LINKS)}")
@@ -151,7 +151,7 @@ def ingest_csv(path, config: AnalysisConfig) -> TwoSampleDataset:
     ):
         raise ParseFailure("negative times require fully observed data")
     tau = config.tau
-    if np.isinf(tau):
+    if tau is None:
         tau = float(max(t1.max(), t2.max()))
         log.warning("tau not set; defaulting to the largest observed time %.6g", tau)
     z1 = np.array(groups[1]["z"]) if config.covariates1 else np.empty((t1.size, 0))
@@ -172,10 +172,17 @@ def _sha256(path) -> str:
 
 
 def write_manifest(out_dir: Path, command: str, config: AnalysisConfig,
-                   inputs=(), outputs=()):
+                   inputs=(), outputs=(), data=None, ensemble=None):
+    """Record the command, its configuration and what the run actually used:
+    the horizon of ``data`` and the failure count of the bootstrap ``ensemble``."""
     lines = [f"command={command}", f"version={__version__}"]
     for key, value in asdict(config).items():
         lines.append(f"config.{key}={value}")
+    if data is not None:
+        lines.append(f"data.tau={data.tau}")
+    if ensemble is not None:
+        lines.append(f"bootstrap.failed={ensemble.failed}")
+        lines.append(f"bootstrap.unreliable={ensemble.unreliable}")
     for p in inputs:
         lines.append(f"input.{Path(p).name}.sha256={_sha256(p)}")
     for p in outputs:
@@ -216,6 +223,9 @@ def _prepare(args, resample=True, same_covariates=False):
         ensemble = bootstrap(data, spec=spec, B=config.B, seed=config.seed)
         if not ensemble.base_fit.converged:
             raise RuntimeError(f"fit did not converge: {ensemble.base_fit.message}")
+        if ensemble.unreliable:
+            log.warning("bootstrap unreliable: %d of %d replicates failed",
+                        ensemble.failed, ensemble.B)
     return config, data, out_dir, spec, ensemble
 
 
@@ -262,7 +272,8 @@ def cmd_fit(args) -> int:
         writer = csv.DictWriter(fh, fieldnames=header)
         writer.writeheader()
         writer.writerows(rows)
-    write_manifest(out_dir, "fit", config, inputs=[args.data], outputs=[out_path])
+    write_manifest(out_dir, "fit", config, inputs=[args.data], outputs=[out_path],
+                   data=data, ensemble=ensemble)
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -286,7 +297,8 @@ def cmd_test(args) -> int:
             for method in methods:
                 scale, ci, reject = per_method[method]
                 writer.writerow([name, rep.estimate, method, scale, ci[0], ci[1], reject])
-    write_manifest(out_dir, "test", config, inputs=[args.data], outputs=[out_path])
+    write_manifest(out_dir, "test", config, inputs=[args.data], outputs=[out_path],
+                   data=data, ensemble=ensemble)
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -318,7 +330,8 @@ def cmd_predict(args) -> int:
                 [i, pred.point, pred.ci_low, pred.ci_high, pred.classification,
                  pred.out_of_range, correction]
             )
-    write_manifest(out_dir, "predict", config, inputs=[args.data], outputs=[out_path])
+    write_manifest(out_dir, "predict", config, inputs=[args.data], outputs=[out_path],
+                   data=data, ensemble=ensemble)
     print(f"wrote {out_path} (tie correction {correction:.4f})")
     return EXIT_OK
 
@@ -327,10 +340,10 @@ def cmd_simulate(args) -> int:
     config = _build_config(args, require_seed=True, need_data=False)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.reps > 2000 and not args.long_run:
-        raise ConfigFailure(
-            f"--reps {args.reps} exceeds 2000; pass --long-run for full-scale studies"
-        )
+    try:
+        check_reps(args.reps, args.long_run)
+    except ValueError as exc:
+        raise ConfigFailure(str(exc)) from exc
     scenario = make_scenario(args.scenario, args.setting, args.n1, args.n2, args.censored)
     rows, result = run_scenario(scenario, M=args.reps, seed=config.seed, alpha=config.alpha)
     out_path = out_dir / "rejection_rates.csv"
@@ -386,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--data", help="input CSV (group,time,status,covariates)")
         p.add_argument("--out-dir", dest="out_dir", help="output directory")
         p.add_argument("--seed", type=int)
-        p.add_argument("--tau", type=float)
+        p.add_argument("--tau", type=float,
+                       help="horizon; inf for none (default: the largest observed time)")
         p.add_argument("--link", choices=sorted(LINKS))
         p.add_argument("--bootstrap", type=int, help="number of bootstrap replicates")
         p.add_argument("--alpha", type=float)

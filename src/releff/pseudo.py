@@ -8,6 +8,13 @@ variants dropping subject i1 from group 1, subject i2 from group 2, or both:
 On fully observed data every entry reduces to the pair indicator
 1{T1 > T2, T2 < tau}.  Entries may fall outside [0, 1] under censoring and
 are never clipped.
+
+Under censoring every leave-one-out Kaplan-Meier curve of a group comes from
+one cumulative product (the fast jackknife of Andersen & Perme, 2010):
+dropping subject i lowers the at-risk count at each distinct event time up
+to t_i by one and the death count at t_i by its event flag, so the full
+curve and all n leave-one-out curves are the rows of one (n+1, K) cumprod
+over the group's K distinct event times.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .survival import TwoSampleDataset, kaplan_meier, leave_one_out_km, theta_integral
+from .survival import TwoSampleDataset, kaplan_meier, theta_integral
 
 __all__ = ["PseudoMatrix", "theta_hat", "pseudo_matrix"]
 
@@ -65,8 +72,9 @@ def pseudo_matrix(data: TwoSampleDataset) -> PseudoMatrix:
     """
     if data.n1 < 2 or data.n2 < 2:
         raise ValueError("pseudo-observations need at least 2 subjects per group")
-    values = _indicator_matrix(data) if data.uncensored else _stieltjes_matrix(data)
-    return PseudoMatrix(values=values, theta_hat=theta_hat(data))
+    if data.uncensored:
+        return PseudoMatrix(values=_indicator_matrix(data), theta_hat=theta_hat(data))
+    return _stieltjes_matrix(data)
 
 
 def _indicator_matrix(data: TwoSampleDataset) -> np.ndarray:
@@ -76,53 +84,50 @@ def _indicator_matrix(data: TwoSampleDataset) -> np.ndarray:
     return ((t1 > t2) & (t2 < data.tau)).astype(float)
 
 
-def _curve_deltas_on_grid(curve, grid: np.ndarray, tau: float) -> np.ndarray:
-    """Scatter a curve's jump sizes below tau onto positions of ``grid``.
+def _leave_one_out_curves(times: np.ndarray, events: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Full and leave-one-out Kaplan-Meier curves of one group on ``grid``.
 
-    Every jump time of a (leave-one-out) group-2 curve is a distinct
-    uncensored time of the full group-2 sample, so it is present in ``grid``.
+    Row 0 is the full-sample curve and row i+1 the curve without subject i,
+    each evaluated right-continuously at ``grid``; shape (n+1, grid.size).
     """
-    out = np.zeros(grid.size)
-    jt = curve.jump_times
-    delta = curve.jumps()
-    mask = jt < tau
-    if np.any(mask):
-        idx = np.searchsorted(grid, jt[mask])
-        out[idx] = delta[mask]
-    return out
+    event_times = np.unique(times[events == 1])
+    at_risk_each = times[:, None] >= event_times            # (n, K)
+    dies_each = (times[:, None] == event_times) & (events[:, None] == 1)
+    kept = np.zeros((1, event_times.size), dtype=bool)      # row 0 drops nobody
+    at_risk = at_risk_each.sum(axis=0) - np.vstack((kept, at_risk_each))
+    deaths = dies_each.sum(axis=0) - np.vstack((kept, dies_each))
+    # an empty risk set (the dropped subject alone at the largest time) has
+    # no deaths either and leaves the curve unchanged
+    hazard = np.divide(deaths, at_risk, out=np.zeros(at_risk.shape), where=at_risk > 0)
+    curves = np.hstack((np.ones((times.size + 1, 1)), np.cumprod(1.0 - hazard, axis=1)))
+    return curves[:, np.searchsorted(event_times, grid, side="right")]
 
 
-def _stieltjes_matrix(data: TwoSampleDataset) -> np.ndarray:
+def _stieltjes_matrix(data: TwoSampleDataset) -> PseudoMatrix:
     n1, n2, tau = data.n1, data.n2, data.tau
     grid = np.unique(data.times2[data.events2 == 1])
     grid = grid[grid < tau]
 
     if grid.size == 0:
         # no group-2 jumps below tau anywhere: all Stieltjes sums vanish
-        return np.zeros((n1, n2))
+        return PseudoMatrix(values=np.zeros((n1, n2)), theta_hat=0.0)
 
-    S1_full = kaplan_meier(data.times1, data.events1)
-    F1 = np.empty((n1 + 1, grid.size))
-    F1[0] = S1_full(grid)
-    for i1 in range(n1):
-        F1[i1 + 1] = leave_one_out_km(data.times1, data.events1, i1)(grid)
-
-    S2_full = kaplan_meier(data.times2, data.events2)
-    d_full = _curve_deltas_on_grid(S2_full, grid, tau)
-    D2 = np.empty((n2, grid.size))
-    for i2 in range(n2):
-        D2[i2] = _curve_deltas_on_grid(
-            leave_one_out_km(data.times2, data.events2, i2), grid, tau
-        )
+    F1 = _leave_one_out_curves(data.times1, data.events1, grid)
+    # every group-2 jump below tau, with or without a subject, lies on the
+    # grid, so the jump at grid[k] is the step from the value at grid[k-1]
+    S2 = _leave_one_out_curves(data.times2, data.events2, grid)
+    D2 = np.hstack((np.ones((n2 + 1, 1)), S2[:, :-1])) - S2
+    d_full = D2[0]
 
     th = float(F1[0] @ d_full)
     th1 = F1[1:] @ d_full            # (n1,)
-    th2 = D2 @ F1[0]                 # (n2,)
-    th12 = F1[1:] @ D2.T             # (n1, n2)
+    th2 = D2[1:] @ F1[0]             # (n2,)
+    th12 = F1[1:] @ D2[1:].T         # (n1, n2)
 
-    return (
+    values = (
         n1 * n2 * th
         - (n1 - 1) * n2 * th1[:, None]
         - n1 * (n2 - 1) * th2[None, :]
         + (n1 - 1) * (n2 - 1) * th12
     )
+    return PseudoMatrix(values=values, theta_hat=th)

@@ -3,7 +3,8 @@
 Event times are Weibull with subject-specific scale exp(g0 + g'Z) and a
 group-specific shape; censoring times are uniform on [0, b_j].  Scenario
 runs report rejection rates of the bootstrap tests for the first covariate
-coefficient of each group at the 5% level.
+coefficient of each group at the 5% level, with the number of failed Monte
+Carlo runs and whether a bootstrap scale was degenerate.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "warp_speed_harness",
     "run_scenario",
     "censoring_rate",
+    "check_reps",
     "write_result_rows",
 ]
 
@@ -208,7 +210,21 @@ def warp_speed_harness(
 RESULT_FIELDS = [
     "scenario", "setting", "n1", "n2", "censored", "hypothesis",
     "rate_emp", "rate_iqr", "rate_mad", "rate_quantile",
+    "failed", "degenerate",
 ]
+
+# larger Monte Carlo studies take hours and must be asked for with --long-run
+MAX_REPS_WITHOUT_LONG_RUN = 2000
+
+
+def check_reps(reps: int, long_run: bool) -> None:
+    """Raise ValueError for more than MAX_REPS_WITHOUT_LONG_RUN runs unless
+    ``long_run`` is set."""
+    if reps > MAX_REPS_WITHOUT_LONG_RUN and not long_run:
+        raise ValueError(
+            f"--reps {reps} exceeds {MAX_REPS_WITHOUT_LONG_RUN}; "
+            "pass --long-run for full-scale studies"
+        )
 
 
 def run_scenario(scenario: Scenario, M: int, seed: int = 0, alpha: float = 0.05):
@@ -228,6 +244,8 @@ def run_scenario(scenario: Scenario, M: int, seed: int = 0, alpha: float = 0.05)
             "rate_iqr": result.rejection_rates["iqr"][idx],
             "rate_mad": result.rejection_rates["mad"][idx],
             "rate_quantile": result.rejection_rates["quantile"][idx],
+            "failed": result.failed,
+            "degenerate": result.degenerate,
         })
     return rows, result
 

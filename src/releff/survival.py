@@ -16,7 +16,6 @@ __all__ = [
     "SurvivalCurve",
     "TwoSampleDataset",
     "kaplan_meier",
-    "leave_one_out_km",
     "theta_integral",
 ]
 
@@ -151,18 +150,6 @@ def kaplan_meier(times, events=None) -> SurvivalCurve:
     has_event = deaths > 0
     factors = 1.0 - deaths[has_event] / at_risk[has_event]
     return SurvivalCurve(uniq[has_event], np.cumprod(factors))
-
-
-def leave_one_out_km(times, events, index: int) -> SurvivalCurve:
-    """Kaplan-Meier estimate with the indexed subject removed."""
-    t = np.asarray(times, dtype=float)
-    if t.size < 2:
-        raise ValueError("leave-one-out requires at least 2 subjects")
-    if not 0 <= index < t.size:
-        raise IndexError(f"index {index} out of range for sample of size {t.size}")
-    e = np.ones_like(t) if events is None else np.asarray(events, dtype=float)
-    keep = np.arange(t.size) != index
-    return kaplan_meier(t[keep], e[keep])
 
 
 def theta_integral(S1: SurvivalCurve, S2: SurvivalCurve, tau: float = np.inf) -> float:

@@ -2,14 +2,26 @@
 
 Each oracle recomputes a quantity from its definition, independently of the
 fast path in ``releff``: the pseudo-observation matrix by re-estimating all
-four Kaplan-Meier curves per pair, and the Weibull relative effect by
-numerical quadrature.
+four Kaplan-Meier curves per pair (each leave-one-out curve by refitting the
+reduced sample), and the Weibull relative effect by numerical quadrature.
 """
 
 import numpy as np
 from scipy.integrate import quad
 
-from releff.survival import TwoSampleDataset, kaplan_meier, leave_one_out_km, theta_integral
+from releff.survival import SurvivalCurve, TwoSampleDataset, kaplan_meier, theta_integral
+
+
+def leave_one_out_km(times, events, index: int) -> SurvivalCurve:
+    """Kaplan-Meier estimate with the indexed subject removed."""
+    t = np.asarray(times, dtype=float)
+    if t.size < 2:
+        raise ValueError("leave-one-out requires at least 2 subjects")
+    if not 0 <= index < t.size:
+        raise IndexError(f"index {index} out of range for sample of size {t.size}")
+    e = np.ones_like(t) if events is None else np.asarray(events, dtype=float)
+    keep = np.arange(t.size) != index
+    return kaplan_meier(t[keep], e[keep])
 
 
 def brute_matrix(data: TwoSampleDataset) -> np.ndarray:

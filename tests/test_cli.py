@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -162,6 +163,27 @@ class TestIngest:
         assert data.tau == 5.0
         assert "largest observed time" in caplog.text
 
+    def test_unset_tau_recorded_as_used(self, four_row_csv, tmp_path):
+        out = tmp_path / "out"
+        assert main(["fit", "--data", str(four_row_csv), "--out-dir", str(out)]) == EXIT_OK
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert "config.tau=None" in manifest
+        assert "data.tau=5.0" in manifest
+
+    def test_explicit_inf_tau_means_no_horizon(self, four_row_csv, tmp_path, caplog):
+        with caplog.at_level("WARNING", logger="releff"):
+            data = ingest_csv(four_row_csv, AnalysisConfig(tau=float("inf")))
+        assert np.isinf(data.tau)
+        assert "largest observed time" not in caplog.text
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau": "inf"}))
+        for name, flags in (("flag", ["--tau", "inf"]), ("file", ["--config", str(cfg)])):
+            out = tmp_path / name
+            rc = main(["fit", "--data", str(four_row_csv), "--out-dir", str(out)] + flags)
+            assert rc == EXIT_OK
+            manifest = (out / "manifest.txt").read_text().splitlines()
+            assert "data.tau=inf" in manifest, name
+
 
 class TestCommands:
     def test_fit_four_rows_intercept_only(self, four_row_csv, tmp_path):
@@ -220,6 +242,7 @@ class TestCommands:
         with open(out / "rejection_rates.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["hypothesis"] for r in rows] == ["H0(1)", "H0(2)"]
+        assert [(r["failed"], r["degenerate"]) for r in rows] == [("0", "False")] * 2
         assert (out / "estimates.csv").exists()
 
     def test_exit_codes_distinct(self, four_row_csv, tmp_path):
@@ -244,6 +267,31 @@ class TestCommands:
                        "--cov1", "age", "--cov2", "age", "--out-dir", str(tmp_path),
                        "--seed", "2", "--bootstrap", "5"])
             assert rc == EXIT_CONVERGENCE, command
+
+    def test_unreliable_bootstrap_warns_and_is_recorded(self, covariate_csv, tmp_path,
+                                                       monkeypatch, caplog):
+        real_bootstrap = cli.bootstrap
+
+        def fake_bootstrap(data, spec=None, B=2000, seed=0):
+            ensemble = real_bootstrap(data, spec=spec, B=B, seed=seed)
+            replicates = ensemble.replicates.copy()
+            replicates[:2] = np.nan
+            return dataclasses.replace(ensemble, replicates=replicates, failed=2,
+                                       unreliable=True)
+
+        monkeypatch.setattr(cli, "bootstrap", fake_bootstrap)
+        for command in ("fit", "test", "predict"):
+            out = tmp_path / command
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="releff"):
+                rc = main([command, "--data", str(covariate_csv), "--tau", "4",
+                           "--cov1", "age", "--cov2", "age", "--out-dir", str(out),
+                           "--seed", "2", "--bootstrap", "10"])
+            assert rc == EXIT_OK, command
+            assert "bootstrap unreliable: 2 of 10 replicates failed" in caplog.text, command
+            manifest = (out / "manifest.txt").read_text().splitlines()
+            assert "bootstrap.failed=2" in manifest, command
+            assert "bootstrap.unreliable=True" in manifest, command
 
     def test_predict_requires_matching_columns(self, covariate_csv, tmp_path):
         rc = main(["predict", "--data", str(covariate_csv), "--tau", "4",

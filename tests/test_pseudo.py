@@ -4,8 +4,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dataset
-from oracles import brute_matrix
-from releff.pseudo import _indicator_matrix, _stieltjes_matrix, pseudo_matrix, theta_hat
+from oracles import brute_matrix, leave_one_out_km
+from releff.pseudo import (
+    _indicator_matrix,
+    _leave_one_out_curves,
+    _stieltjes_matrix,
+    pseudo_matrix,
+    theta_hat,
+)
 from releff.survival import TwoSampleDataset, kaplan_meier
 
 
@@ -40,24 +46,28 @@ def test_uncensored_marginals_match_km_curves(rng):
 def test_stieltjes_matches_indicator_on_uncensored(rng):
     for _ in range(20):
         data = random_dataset(rng, rng.integers(2, 15), rng.integers(2, 15), censored=False)
-        np.testing.assert_allclose(_indicator_matrix(data), _stieltjes_matrix(data), atol=1e-10)
+        np.testing.assert_allclose(
+            _indicator_matrix(data), _stieltjes_matrix(data).values, atol=1e-10
+        )
 
 
 def test_stieltjes_matches_indicator_with_finite_tau(rng):
     data = random_dataset(rng, 8, 8, censored=False, tau=1.0)
-    np.testing.assert_allclose(_indicator_matrix(data), _stieltjes_matrix(data), atol=1e-10)
+    np.testing.assert_allclose(
+        _indicator_matrix(data), _stieltjes_matrix(data).values, atol=1e-10
+    )
 
 
 def test_censored_matches_brute_oracle(rng):
     for _ in range(8):
         data = random_dataset(rng, rng.integers(3, 9), rng.integers(3, 9), censored=True)
-        np.testing.assert_allclose(_stieltjes_matrix(data), brute_matrix(data), atol=1e-10)
+        np.testing.assert_allclose(_stieltjes_matrix(data).values, brute_matrix(data), atol=1e-10)
 
 
 def test_censored_five_by_five_entrywise(rng):
     data = make([1.0, 2.0, 3.0, 4.0, 5.0], [1, 1, 0, 1, 1],
                 [0.5, 1.5, 2.5, 3.5, 4.5], [1, 0, 1, 1, 1])
-    np.testing.assert_allclose(_stieltjes_matrix(data), brute_matrix(data), atol=1e-10)
+    np.testing.assert_allclose(_stieltjes_matrix(data).values, brute_matrix(data), atol=1e-10)
 
 
 def test_entries_exceed_unit_interval_and_are_not_clipped(rng):
@@ -100,4 +110,27 @@ def heavy_tie_datasets(draw):
 # censored at an event time in both groups, tau cutting at a tied time
 @example(make([2, 2, 3, 4], [1, 0, 1, 0], [1, 2, 2, 3], [1, 1, 0, 1], tau=2.0))
 def test_stieltjes_matches_brute_oracle_under_heavy_ties(data):
-    np.testing.assert_allclose(_stieltjes_matrix(data), brute_matrix(data), atol=1e-10)
+    np.testing.assert_allclose(_stieltjes_matrix(data).values, brute_matrix(data), atol=1e-10)
+
+
+@given(heavy_tie_datasets())
+@settings(max_examples=150, deadline=None)
+# every subject still at risk at the last time has an event (r - d = 0 there)
+@example(make([1, 2, 2], [1, 1, 1], [1, 2, 2], [0, 1, 1]))
+# the largest time is held by one subject, so dropping it empties the risk set
+@example(make([1, 2, 3], [1, 0, 1], [1, 3, 3], [1, 1, 0]))
+# a subject censored at an event time in both groups
+@example(make([2, 2, 3, 4], [1, 0, 1, 0], [1, 2, 2, 3], [1, 1, 0, 1]))
+# tau on a tied time
+@example(make([2, 2, 3, 4], [1, 0, 1, 0], [1, 2, 2, 3], [1, 1, 0, 1], tau=2.0))
+def test_leave_one_out_curves_match_refitted_curves(data):
+    grid = np.arange(0.5, 6.0, 0.5)
+    grid = grid[grid < data.tau]
+    for times, events in ((data.times1, data.events1), (data.times2, data.events2)):
+        curves = _leave_one_out_curves(times, events, grid)
+        assert curves.shape == (times.size + 1, grid.size)
+        np.testing.assert_allclose(curves[0], kaplan_meier(times, events)(grid), atol=1e-12)
+        for i in range(times.size):
+            np.testing.assert_allclose(
+                curves[i + 1], leave_one_out_km(times, events, i)(grid), atol=1e-12
+            )

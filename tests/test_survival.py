@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import leave_one_out_km
+from releff.pseudo import _leave_one_out_curves
 from releff.survival import (
     SurvivalCurve,
     TwoSampleDataset,
     kaplan_meier,
-    leave_one_out_km,
     theta_integral,
 )
 
@@ -89,20 +90,20 @@ class TestKaplanMeier:
 
 class TestLeaveOneOut:
     def test_dropping_only_censored_subject(self):
-        S = leave_one_out_km([1, 2, 3], [1, 0, 1], 1)
-        full = kaplan_meier([1, 3])
-        np.testing.assert_array_equal(S.jump_times, full.jump_times)
-        np.testing.assert_array_equal(S.values, full.values)
+        grid = np.array([0.5, 1.0, 2.0, 3.0, 4.0])
+        curves = _leave_one_out_curves(np.array([1.0, 2, 3]), np.array([1.0, 0, 1]), grid)
+        np.testing.assert_array_equal(curves[2], kaplan_meier([1, 3])(grid))
 
     def test_matches_direct_recomputation(self, rng):
         times = rng.uniform(0, 4, 12)
         events = (rng.uniform(size=12) < 0.7).astype(float)
         grid = np.linspace(-1, 5, 200)
+        curves = _leave_one_out_curves(times, events, grid)
+        np.testing.assert_allclose(curves[0], kaplan_meier(times, events)(grid))
         for i in range(12):
-            fast = leave_one_out_km(times, events, i)
             keep = np.arange(12) != i
             slow = kaplan_meier(times[keep], events[keep])
-            np.testing.assert_allclose(fast(grid), slow(grid))
+            np.testing.assert_allclose(curves[i + 1], slow(grid))
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
