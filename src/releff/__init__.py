@@ -30,8 +30,10 @@ from .inference import (
 )
 from .predict import (
     Prediction,
+    Predictions,
     tie_correction_term,
     predict_probability,
+    predict_profiles,
     predict_with_ci,
     classify,
 )

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .gee import LINKS, sandwich_covariance_uncensored
-from .inference import FitSpec, bootstrap, test_coefficient
-from .predict import predict_with_ci, tie_correction_term
+from .inference import METHODS, FitSpec, bootstrap, test_coefficient
+from .predict import predict_profiles, tie_correction_term
 from .pseudo import pseudo_matrix
 from .sim import check_reps, make_scenario, run_scenario, write_result_rows
 from .survival import TwoSampleDataset, kaplan_meier
@@ -65,7 +65,7 @@ class AnalysisConfig:
             raise ConfigFailure(f"tau must be positive, got {self.tau}")
         if self.link not in LINKS:
             raise ConfigFailure(f"unknown link {self.link!r}; available: {sorted(LINKS)}")
-        if self.method not in ("emp", "iqr", "mad", "quantile", "all"):
+        if self.method not in (*METHODS, "all"):
             raise ConfigFailure(f"unknown inference method {self.method!r}")
 
     @classmethod
@@ -172,17 +172,26 @@ def _sha256(path) -> str:
 
 
 def write_manifest(out_dir: Path, command: str, config: AnalysisConfig,
-                   inputs=(), outputs=(), data=None, ensemble=None):
+                   inputs=(), outputs=(), data=None, ensemble=None, fit=None,
+                   predictions=None):
     """Record the command, its configuration and what the run actually used:
-    the horizon of ``data`` and the failure count of the bootstrap ``ensemble``."""
+    the horizon of ``data``, the failure count of the bootstrap ``ensemble``,
+    how the base ``fit`` was solved and how many ``predictions`` fell outside
+    [0, 1]."""
     lines = [f"command={command}", f"version={__version__}"]
     for key, value in asdict(config).items():
         lines.append(f"config.{key}={value}")
     if data is not None:
         lines.append(f"data.tau={data.tau}")
+    if fit is not None:
+        lines.append(f"fit.iterations={fit.iterations}")
+        lines.append(f"fit.gradient_norm={fit.gradient_norm!r}")
+        lines.append(f"fit.used_pinv={fit.used_pinv}")
     if ensemble is not None:
         lines.append(f"bootstrap.failed={ensemble.failed}")
         lines.append(f"bootstrap.unreliable={ensemble.unreliable}")
+    if predictions is not None:
+        lines.append(f"predict.out_of_range={int(np.sum(predictions.out_of_range))}")
     for p in inputs:
         lines.append(f"input.{Path(p).name}.sha256={_sha256(p)}")
     for p in outputs:
@@ -243,23 +252,18 @@ def cmd_fit(args) -> int:
     header = ["coefficient", "estimate"]
 
     if ensemble is not None:
-        header += [
-            "se_emp", "se_iqr", "se_mad",
-            "ci_emp_low", "ci_emp_high", "ci_iqr_low", "ci_iqr_high",
-            "ci_mad_low", "ci_mad_high", "ci_quantile_low", "ci_quantile_high",
-            "reject_emp", "reject_iqr", "reject_mad", "reject_quantile",
-        ]
+        header += (
+            [f"se_{m}" for m in METHODS if m != "quantile"]
+            + [f"ci_{m}_{end}" for m in METHODS for end in ("low", "high")]
+            + [f"reject_{m}" for m in METHODS]
+        )
         for k, row in enumerate(rows):
             rep = test_coefficient(ensemble, k, alpha=config.alpha)
-            row.update({
-                "se_emp": rep.scale_emp, "se_iqr": rep.scale_iqr, "se_mad": rep.scale_mad,
-                "ci_emp_low": rep.ci_emp[0], "ci_emp_high": rep.ci_emp[1],
-                "ci_iqr_low": rep.ci_iqr[0], "ci_iqr_high": rep.ci_iqr[1],
-                "ci_mad_low": rep.ci_mad[0], "ci_mad_high": rep.ci_mad[1],
-                "ci_quantile_low": rep.ci_quantile[0], "ci_quantile_high": rep.ci_quantile[1],
-                "reject_emp": rep.reject_emp, "reject_iqr": rep.reject_iqr,
-                "reject_mad": rep.reject_mad, "reject_quantile": rep.reject_quantile,
-            })
+            for m, (scale, ci, reject) in rep.by_method().items():
+                if scale is not None:
+                    row[f"se_{m}"] = scale
+                row[f"ci_{m}_low"], row[f"ci_{m}_high"] = ci
+                row[f"reject_{m}"] = reject
     elif data.uncensored and config.link == "identity":
         cov = sandwich_covariance_uncensored(data)
         header += ["se_sandwich"]
@@ -273,7 +277,7 @@ def cmd_fit(args) -> int:
         writer.writeheader()
         writer.writerows(rows)
     write_manifest(out_dir, "fit", config, inputs=[args.data], outputs=[out_path],
-                   data=data, ensemble=ensemble)
+                   data=data, ensemble=ensemble, fit=result)
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -282,23 +286,18 @@ def cmd_test(args) -> int:
     config, data, out_dir, _, ensemble = _prepare(args)
     names = _coefficient_names(config)
     out_path = out_dir / "tests.csv"
-    methods = ("emp", "iqr", "mad", "quantile") if config.method == "all" else (config.method,)
+    methods = METHODS if config.method == "all" else (config.method,)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["coefficient", "estimate", "method", "scale", "ci_low", "ci_high", "reject"])
         for k, name in enumerate(names):
             rep = test_coefficient(ensemble, k, alpha=config.alpha)
-            per_method = {
-                "emp": (rep.scale_emp, rep.ci_emp, rep.reject_emp),
-                "iqr": (rep.scale_iqr, rep.ci_iqr, rep.reject_iqr),
-                "mad": (rep.scale_mad, rep.ci_mad, rep.reject_mad),
-                "quantile": ("", rep.ci_quantile, rep.reject_quantile),
-            }
+            per_method = rep.by_method()
             for method in methods:
-                scale, ci, reject = per_method[method]
+                scale, ci, reject = per_method[method]   # csv writes None as ""
                 writer.writerow([name, rep.estimate, method, scale, ci[0], ci[1], reject])
     write_manifest(out_dir, "test", config, inputs=[args.data], outputs=[out_path],
-                   data=data, ensemble=ensemble)
+                   data=data, ensemble=ensemble, fit=ensemble.base_fit)
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -314,24 +313,23 @@ def cmd_predict(args) -> int:
 
     out_path = out_dir / "predictions.csv"
     Z_all = np.vstack((data.covariates1, data.covariates2))
+    preds = predict_profiles(
+        ensemble.base_fit, ensemble, Z_all, Z_all,
+        link=LINKS[config.link], correction=link_correction,
+        alpha=config.alpha, method=ci_method,
+    )
+    columns = zip(preds.point.tolist(), preds.ci_low.tolist(), preds.ci_high.tolist(),
+                  preds.classification.tolist(), preds.out_of_range.tolist())
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["subject", "probability", "ci_low", "ci_high", "classification",
              "out_of_range", "tie_correction"]
         )
-        for i, z in enumerate(Z_all):
-            pred = predict_with_ci(
-                ensemble.base_fit, ensemble, z, z,
-                link=LINKS[config.link], correction=link_correction,
-                alpha=config.alpha, method=ci_method,
-            )
-            writer.writerow(
-                [i, pred.point, pred.ci_low, pred.ci_high, pred.classification,
-                 pred.out_of_range, correction]
-            )
+        for i, row in enumerate(columns):
+            writer.writerow([i, *row, correction])
     write_manifest(out_dir, "predict", config, inputs=[args.data], outputs=[out_path],
-                   data=data, ensemble=ensemble)
+                   data=data, ensemble=ensemble, fit=ensemble.base_fit, predictions=preds)
     print(f"wrote {out_path} (tie correction {correction:.4f})")
     return EXIT_OK
 
@@ -404,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--link", choices=sorted(LINKS))
         p.add_argument("--bootstrap", type=int, help="number of bootstrap replicates")
         p.add_argument("--alpha", type=float)
-        p.add_argument("--method", choices=["emp", "iqr", "mad", "quantile", "all"])
+        p.add_argument("--method", choices=[*METHODS, "all"])
         p.add_argument("--cov1", type=_csv_list, help="group-1 covariate columns, comma separated")
         p.add_argument("--cov2", type=_csv_list, help="group-2 covariate columns, comma separated")
         p.add_argument("--strict-singular", dest="strict_singular", action="store_const", const=True)

@@ -10,6 +10,7 @@ closed-form linear solve; other links go through a damped Newton iteration.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -17,6 +18,8 @@ import numpy as np
 
 from .pseudo import PseudoMatrix, _indicator_matrix
 from .survival import TwoSampleDataset
+
+log = logging.getLogger("releff")
 
 __all__ = [
     "Link",
@@ -62,7 +65,30 @@ class Link:
 
 
 def _expit(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=float)))
+    # in place after the first product: one temporary, the same arithmetic
+    # as 0.5 * (1 + tanh(x / 2))
+    p = np.multiply(x, 0.5, out=np.empty(np.shape(x)))
+    np.tanh(p, out=p)
+    p += 1.0
+    p *= 0.5
+    return p
+
+
+def _expit_prime(x):
+    p = _expit(x)
+    d = 1.0 - p
+    d *= p
+    return d
+
+
+def _expit_double_prime(x):
+    p = _expit(x)
+    d = 1.0 - p
+    d *= p
+    p *= -2.0
+    p += 1.0
+    d *= p
+    return d
 
 
 IDENTITY = Link(
@@ -74,8 +100,8 @@ IDENTITY = Link(
 
 LOGIT = Link(
     mu=_expit,
-    mu_prime=lambda x: _expit(x) * (1.0 - _expit(x)),
-    mu_double_prime=lambda x: _expit(x) * (1.0 - _expit(x)) * (1.0 - 2.0 * _expit(x)),
+    mu_prime=_expit_prime,
+    mu_double_prime=_expit_double_prime,
     name="logit",
 )
 
@@ -128,34 +154,49 @@ def _paired_quadratic(G, Z1, Z2):
     return np.vstack((top, mid, bot))
 
 
-def estimating_function(beta, matrix: np.ndarray, Z1, Z2, link: Link) -> np.ndarray:
-    """Normalized score U(beta); zero at the fitted coefficients."""
+def _prepared(beta, matrix, Z1, Z2):
     beta = np.asarray(beta, dtype=float)
     matrix = np.asarray(matrix, dtype=float)
     Z1 = np.atleast_2d(np.asarray(Z1, dtype=float))
     Z2 = np.atleast_2d(np.asarray(Z2, dtype=float))
     _check_dims(beta, matrix, Z1, Z2)
-    n1, n2 = matrix.shape
+    return beta, matrix, Z1, Z2
+
+
+def _link_terms(beta, matrix, Z1, Z2, link: Link):
+    """eta = beta'z, the residual matrix - mu(eta) and mu'(eta), each n1 x n2."""
     eta = _linear_predictor(beta, Z1, Z2)
-    W = link.mu_prime(eta) * (matrix - link.mu(eta))
-    u0 = W.sum()
-    u1 = Z1.T @ W.sum(axis=1)
-    u2 = Z2.T @ W.sum(axis=0)
-    return np.concatenate(([u0], u1, u2)) / (n1 * n2)
+    residual = matrix - link.mu(eta)
+    return eta, residual, link.mu_prime(eta)
+
+
+def _score(residual, mu_prime, Z1, Z2):
+    n1, n2 = residual.shape
+    W = mu_prime * residual
+    return np.concatenate(([W.sum()], Z1.T @ W.sum(axis=1), Z2.T @ W.sum(axis=0))) / (n1 * n2)
+
+
+def _jacobian_from_terms(eta, residual, mu_prime, Z1, Z2, link: Link):
+    """Jacobian from ``_link_terms``; overwrites ``mu_prime``."""
+    n1, n2 = residual.shape
+    G = link.mu_double_prime(eta)
+    G *= residual
+    mu_prime *= mu_prime
+    G -= mu_prime
+    return _paired_quadratic(G, Z1, Z2) / (n1 * n2)
+
+
+def estimating_function(beta, matrix: np.ndarray, Z1, Z2, link: Link) -> np.ndarray:
+    """Normalized score U(beta); zero at the fitted coefficients."""
+    beta, matrix, Z1, Z2 = _prepared(beta, matrix, Z1, Z2)
+    _, residual, mu_prime = _link_terms(beta, matrix, Z1, Z2, link)
+    return _score(residual, mu_prime, Z1, Z2)
 
 
 def jacobian(beta, matrix: np.ndarray, Z1, Z2, link: Link) -> np.ndarray:
     """Analytic Jacobian of ``estimating_function``; symmetric."""
-    beta = np.asarray(beta, dtype=float)
-    matrix = np.asarray(matrix, dtype=float)
-    Z1 = np.atleast_2d(np.asarray(Z1, dtype=float))
-    Z2 = np.atleast_2d(np.asarray(Z2, dtype=float))
-    _check_dims(beta, matrix, Z1, Z2)
-    n1, n2 = matrix.shape
-    eta = _linear_predictor(beta, Z1, Z2)
-    mp = link.mu_prime(eta)
-    G = link.mu_double_prime(eta) * (matrix - link.mu(eta)) - mp * mp
-    return _paired_quadratic(G, Z1, Z2) / (n1 * n2)
+    beta, matrix, Z1, Z2 = _prepared(beta, matrix, Z1, Z2)
+    return _jacobian_from_terms(*_link_terms(beta, matrix, Z1, Z2, link), Z1, Z2, link)
 
 
 def objective(beta, matrix: np.ndarray, Z1, Z2, link: Link) -> float:
@@ -247,13 +288,26 @@ def solve_newton(
     else:
         beta = np.zeros(p)
 
+    values = matrix.values
+    _check_dims(beta, values, Z1, Z2)
+
+    def evaluate(b):
+        terms = _link_terms(b, values, Z1, Z2, link)
+        U = _score(terms[1], terms[2], Z1, Z2)
+        return U, float(np.max(np.abs(U))), terms
+
+    # One link evaluation per iterate: the score comes from its terms, and
+    # so does the Jacobian of an accepted iterate that must take another
+    # step.  The terms are dropped at once, so no two iterates' n1 x n2
+    # arrays are alive together.
     used_pinv = False
-    U = estimating_function(beta, matrix.values, Z1, Z2, link)
-    norm = float(np.max(np.abs(U)))
+    U, norm, terms = evaluate(beta)
+    if not norm < tol:
+        J = _jacobian_from_terms(*terms, Z1, Z2, link)
+    del terms
     for it in range(1, max_iter + 1):
         if norm < tol:
             return FitResult(beta, True, it - 1, norm, "newton", used_pinv=used_pinv)
-        J = jacobian(beta, matrix.values, Z1, Z2, link)
         try:
             step = np.linalg.solve(J, -U)
         except np.linalg.LinAlgError:
@@ -263,11 +317,15 @@ def solve_newton(
         improved = False
         for _ in range(max_halvings + 1):
             cand = beta + scale * step
-            U_cand = estimating_function(cand, matrix.values, Z1, Z2, link)
-            cand_norm = float(np.max(np.abs(U_cand)))
+            U_cand, cand_norm, terms = evaluate(cand)
             if np.isfinite(cand_norm) and cand_norm < norm:
                 beta, U, norm = cand, U_cand, cand_norm
+                if not norm < tol and it < max_iter:
+                    J = _jacobian_from_terms(*terms, Z1, Z2, link)
                 improved = True
+            del terms
+            if improved:
+                log.debug("newton iterate %d: norm %.3e, step scale %g", it, norm, scale)
                 break
             scale *= 0.5
         if not improved:

@@ -19,6 +19,7 @@ from .pseudo import pseudo_matrix
 from .survival import TwoSampleDataset
 
 __all__ = [
+    "METHODS",
     "FitSpec",
     "BootstrapEnsemble",
     "TestReport",
@@ -30,6 +31,9 @@ __all__ = [
 # normal-consistency constants: q75 - q25 and 1/qnorm(0.75) of N(0,1)
 IQR_TO_SD = 1.349
 MAD_TO_SD = 1.4826
+
+# the four coefficient tests: three scale-based, one percentile
+METHODS = ("emp", "iqr", "mad", "quantile")
 
 # more than this fraction of failed replicates marks the ensemble unreliable
 MAX_FAILURE_FRACTION = 0.05
@@ -104,7 +108,7 @@ def bootstrap(
         idx1, idx2 = resample_indices(rng, data.n1, data.n2)
         try:
             result = spec.fit(_resampled(data, idx1, idx2))
-        except (ValueError, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:   # a singular design under strict_singular
             failed += 1
             continue
         if result.converged:
@@ -136,6 +140,16 @@ class TestReport:
     ci_mad: tuple
     ci_quantile: tuple
     degenerate: bool = False
+
+    def by_method(self) -> dict:
+        """Method name -> (scale, CI, reject flag), in the order of
+        ``METHODS``; the percentile test has no scale (None)."""
+        return {
+            "emp": (self.scale_emp, self.ci_emp, self.reject_emp),
+            "iqr": (self.scale_iqr, self.ci_iqr, self.reject_iqr),
+            "mad": (self.scale_mad, self.ci_mad, self.reject_mad),
+            "quantile": (None, self.ci_quantile, self.reject_quantile),
+        }
 
 
 def scale_estimates(values: np.ndarray):
@@ -229,7 +243,7 @@ def warp_speed(
             base = spec.fit(data)
             idx1, idx2 = resample_indices(rng, data.n1, data.n2)
             star = spec.fit(_resampled(data, idx1, idx2))
-        except (ValueError, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:   # a singular design under strict_singular
             failed += 1
             continue
         if not (base.converged and star.converged):
@@ -247,7 +261,7 @@ def warp_speed(
     coefficients = list(coefficients)
 
     z = float(norm.ppf(1 - alpha / 2))
-    rates = {name: np.full(p, np.nan) for name in ("emp", "iqr", "mad", "quantile")}
+    rates = {name: np.full(p, np.nan) for name in METHODS}
     degenerate = False
     for k in coefficients:
         emp, iqr, mad = scale_estimates(centered[:, k])

@@ -67,13 +67,15 @@ def pseudo_matrix(data: TwoSampleDataset) -> PseudoMatrix:
     """Build the pseudo-observation matrix.
 
     On fully observed data the entries are the pair indicators (exact by
-    inclusion-exclusion); under censoring all leave-one-out curves are
-    evaluated on a shared grid of group-2 event times.
+    inclusion-exclusion), whose mean is the plug-in estimate; under censoring
+    all leave-one-out curves are evaluated on a shared grid of group-2 event
+    times.
     """
     if data.n1 < 2 or data.n2 < 2:
         raise ValueError("pseudo-observations need at least 2 subjects per group")
     if data.uncensored:
-        return PseudoMatrix(values=_indicator_matrix(data), theta_hat=theta_hat(data))
+        values = _indicator_matrix(data)
+        return PseudoMatrix(values=values, theta_hat=float(values.mean()))
     return _stieltjes_matrix(data)
 
 

@@ -3,12 +3,17 @@
 Each oracle recomputes a quantity from its definition, independently of the
 fast path in ``releff``: the pseudo-observation matrix by re-estimating all
 four Kaplan-Meier curves per pair (each leave-one-out curve by refitting the
-reduced sample), and the Weibull relative effect by numerical quadrature.
+reduced sample), the Weibull relative effect by numerical quadrature, and the
+damped Newton fit by re-evaluating the public estimating function and
+Jacobian at every iterate, and the prediction interval one profile at a time.
 """
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.stats import norm
 
+from releff.gee import FitResult, estimating_function, jacobian, solve_closed_form_identity
+from releff.inference import scale_estimates
 from releff.survival import SurvivalCurve, TwoSampleDataset, kaplan_meier, theta_integral
 
 
@@ -58,3 +63,70 @@ def true_theta_weibull_numeric(lam1, k1, lam2, k2, tau=np.inf) -> float:
     upper = min(tau, max(lam1, lam2) * 60.0)
     val, _ = quad(integrand, 0.0, upper, limit=400)
     return float(val)
+
+
+def newton_fit(matrix, Z1, Z2, link, x0=None, tol=1e-10, max_iter=50, max_halvings=10,
+               warm_start_identity=False) -> FitResult:
+    """Damped Newton iteration calling ``estimating_function`` for every
+    candidate and ``jacobian`` for every step."""
+    Z1 = np.atleast_2d(np.asarray(Z1, dtype=float))
+    Z2 = np.atleast_2d(np.asarray(Z2, dtype=float))
+    p = 1 + Z1.shape[1] + Z2.shape[1]
+    if x0 is not None:
+        beta = np.asarray(x0, dtype=float).copy()
+    elif warm_start_identity:
+        beta = solve_closed_form_identity(matrix, Z1, Z2).beta
+    else:
+        beta = np.zeros(p)
+
+    used_pinv = False
+    U = estimating_function(beta, matrix.values, Z1, Z2, link)
+    norm = float(np.max(np.abs(U)))
+    for it in range(1, max_iter + 1):
+        if norm < tol:
+            return FitResult(beta, True, it - 1, norm, "newton", used_pinv=used_pinv)
+        J = jacobian(beta, matrix.values, Z1, Z2, link)
+        try:
+            step = np.linalg.solve(J, -U)
+        except np.linalg.LinAlgError:
+            step = np.linalg.pinv(J) @ (-U)
+            used_pinv = True
+        scale = 1.0
+        improved = False
+        for _ in range(max_halvings + 1):
+            cand = beta + scale * step
+            U_cand = estimating_function(cand, matrix.values, Z1, Z2, link)
+            cand_norm = float(np.max(np.abs(U_cand)))
+            if np.isfinite(cand_norm) and cand_norm < norm:
+                beta, U, norm = cand, U_cand, cand_norm
+                improved = True
+                break
+            scale *= 0.5
+        if not improved:
+            return FitResult(beta, False, it, norm, "newton", used_pinv=used_pinv,
+                             message="line search stalled")
+    converged = norm < tol
+    return FitResult(beta, converged, max_iter, norm, "newton", used_pinv=used_pinv,
+                     message="" if converged else "max iterations reached")
+
+
+def prediction_interval(fit, ensemble, z1, z2, link, correction=None, alpha=0.05,
+                        method="emp"):
+    """Point prediction and bootstrap CI (point, low, high) of one profile,
+    from the replicate contributions beta1*'z1 + beta2*'z2 of that profile."""
+    z1 = np.atleast_1d(np.asarray(z1, dtype=float))
+    z2 = np.atleast_1d(np.asarray(z2, dtype=float))
+    p1, p2 = z1.size, z2.size
+    b0, b1, b2 = fit.beta[0], fit.beta[1 : 1 + p1], fit.beta[1 + p1 : 1 + p1 + p2]
+    base = float(b1 @ z1 + b2 @ z2)
+    if correction is not None:
+        point = correction + base
+    else:
+        point = float(link.mu(b0 + b1 @ z1 + b2 @ z2))
+    reps = ensemble.replicates[ensemble.ok]
+    slopes = reps[:, 1 : 1 + p1] @ z1 + reps[:, 1 + p1 : 1 + p1 + p2] @ z2
+    if method == "emp":
+        half = float(norm.ppf(1 - alpha / 2)) * scale_estimates(slopes)[0]
+        return point, point - half, point + half
+    q_lo, q_hi = np.quantile(slopes - base, [alpha / 2, 1 - alpha / 2])
+    return point, point - float(q_hi), point - float(q_lo)

@@ -17,8 +17,8 @@ from releff.cli import (
     ingest_csv,
     main,
 )
-from releff.gee import FitResult
-from releff.inference import BootstrapEnsemble
+from releff.gee import LINKS, FitResult
+from releff.inference import BootstrapEnsemble, FitSpec
 
 
 def write_csv(path, rows, header=("group", "time", "status")):
@@ -292,6 +292,40 @@ class TestCommands:
             manifest = (out / "manifest.txt").read_text().splitlines()
             assert "bootstrap.failed=2" in manifest, command
             assert "bootstrap.unreliable=True" in manifest, command
+
+    def test_manifest_records_base_fit_and_out_of_range(self, covariate_csv, tmp_path):
+        config = AnalysisConfig(covariates1=["age"], covariates2=["age"], tau=4.0)
+        data = ingest_csv(covariate_csv, config)
+        for command, link in (("fit", "logit"), ("test", "logit"), ("predict", "identity")):
+            out = tmp_path / command
+            rc = main([command, "--data", str(covariate_csv), "--tau", "4", "--link", link,
+                       "--cov1", "age", "--cov2", "age", "--out-dir", str(out),
+                       "--seed", "2", "--bootstrap", "10"])
+            assert rc == EXIT_OK, command
+            manifest = (out / "manifest.txt").read_text().splitlines()
+            base = FitSpec(link=LINKS[link]).fit(data)
+            assert f"fit.iterations={base.iterations}" in manifest, command
+            assert f"fit.gradient_norm={base.gradient_norm!r}" in manifest, command
+            assert "fit.used_pinv=False" in manifest, command
+        with open(tmp_path / "predict" / "predictions.csv") as fh:
+            flagged = sum(r["out_of_range"] == "True" for r in csv.DictReader(fh))
+        assert f"predict.out_of_range={flagged}" in manifest
+
+    def test_fit_and_test_tables_agree_per_method(self, covariate_csv, tmp_path):
+        argv = ["--data", str(covariate_csv), "--tau", "4", "--cov1", "age", "--cov2", "age",
+                "--seed", "2", "--bootstrap", "30"]
+        assert main(["fit", *argv, "--out-dir", str(tmp_path / "fit")]) == EXIT_OK
+        assert main(["test", *argv, "--out-dir", str(tmp_path / "test")]) == EXIT_OK
+        with open(tmp_path / "fit" / "coefficients.csv") as fh:
+            coefficients = {r["coefficient"]: r for r in csv.DictReader(fh)}
+        with open(tmp_path / "test" / "tests.csv") as fh:
+            tests = list(csv.DictReader(fh))
+        assert len(tests) == 4 * len(coefficients)
+        for r in tests:
+            row, m = coefficients[r["coefficient"]], r["method"]
+            assert r["scale"] == ("" if m == "quantile" else row[f"se_{m}"])
+            assert (r["ci_low"], r["ci_high"]) == (row[f"ci_{m}_low"], row[f"ci_{m}_high"])
+            assert r["reject"] == row[f"reject_{m}"]
 
     def test_predict_requires_matching_columns(self, covariate_csv, tmp_path):
         rc = main(["predict", "--data", str(covariate_csv), "--tau", "4",

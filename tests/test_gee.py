@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_dataset
+from oracles import newton_fit
 from releff.gee import (
     IDENTITY,
     LOGIT,
@@ -181,6 +186,74 @@ class TestSolvers:
                                + res.beta[2] * Z2[:, 0][None, :])))
         assert np.all((mu > 0) & (mu < 1))
         np.testing.assert_allclose(res.beta, [0.0, k * g1, -k * g2], atol=0.1)
+
+
+def assert_same_fit(got, want):
+    np.testing.assert_allclose(got.beta, want.beta, rtol=0, atol=1e-12)
+    assert (got.iterations, got.converged, got.used_pinv, got.message) == (
+        want.iterations, want.converged, want.used_pinv, want.message)
+
+
+class TestNewtonMatchesOracle:
+    """``solve_newton`` reuses one link evaluation per iterate; the oracle
+    re-evaluates the public estimating function and Jacobian instead."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n1=st.integers(3, 25),
+        n2=st.integers(3, 25),
+        censored=st.booleans(),
+        link=st.sampled_from([IDENTITY, LOGIT]),
+        warm=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_data(self, seed, n1, n2, censored, link, warm):
+        rng = np.random.default_rng(seed)
+        pm, Z1, Z2 = instance(rng, n1, n2, censored=censored)
+        assert_same_fit(
+            solve_newton(pm, Z1, Z2, link, warm_start_identity=warm),
+            newton_fit(pm, Z1, Z2, link, warm_start_identity=warm),
+        )
+
+    def test_duplicate_column_takes_pinv_step(self, rng):
+        pm, Z1, Z2 = instance(rng)
+        Z1zero = np.column_stack((Z1, np.zeros(pm.n1)))
+        Z1dup = np.column_stack((Z1, Z1[:, 0]))
+        for Z in (Z1zero, Z1dup):
+            got = solve_newton(pm, Z, Z2, LOGIT)
+            assert got.used_pinv
+            assert_same_fit(got, newton_fit(pm, Z, Z2, LOGIT))
+
+    def test_iteration_cap(self, rng):
+        pm, Z1, Z2 = instance(rng)
+        got = solve_newton(pm, Z1, Z2, LOGIT, max_iter=1)
+        assert not got.converged and got.message == "max iterations reached"
+        assert_same_fit(got, newton_fit(pm, Z1, Z2, LOGIT, max_iter=1))
+
+    def test_accepted_iterates_logged_at_debug(self, rng, caplog):
+        pm, Z1, Z2 = instance(rng)
+        with caplog.at_level("DEBUG", logger="releff"):
+            res = solve_newton(pm, Z1, Z2, LOGIT)
+        lines = [r.getMessage() for r in caplog.records if r.name == "releff"]
+        assert len(lines) == res.iterations
+        assert lines[0].startswith("newton iterate 1: norm ")
+        assert "step scale" in lines[-1]
+
+    def test_peak_memory_of_a_logit_fit(self):
+        # five n1 x n2 arrays above the held pseudo matrix: eta, residual and
+        # mu' of the iterate in hand plus two temporaries of mu''; keeping an
+        # accepted iterate's arrays alive across the line search needs seven
+        data = random_dataset(np.random.default_rng(3), 200, 200, censored=True, tau=2.0)
+        pm = pseudo_matrix(data)
+        tracemalloc.start()
+        try:
+            res = solve_newton(pm, data.covariates1, data.covariates2, LOGIT,
+                               warm_start_identity=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.converged and res.iterations >= 2
+        assert peak <= 5.1 * pm.values.nbytes
 
 
 class TestSandwich:

@@ -187,3 +187,49 @@ def test_bootstrap_empirical_sd_tracks_monte_carlo_sd():
     ens = bootstrap(data, spec=spec, B=400, seed=9)
     boot_sd = test_coefficient(ens, 1).scale_emp
     assert boot_sd == pytest.approx(mc_sd, rel=0.3)
+
+
+def raising_on_calls(monkeypatch, exc, calls):
+    """Make ``pseudo_matrix``, as ``inference`` calls it, raise ``exc`` on
+    the given 0-based call numbers and work normally otherwise."""
+    from releff import inference
+
+    real = inference.pseudo_matrix
+    seen = []
+
+    def flaky(data):
+        seen.append(None)
+        if len(seen) - 1 in calls:
+            raise exc("injected")
+        return real(data)
+
+    monkeypatch.setattr(inference, "pseudo_matrix", flaky)
+
+
+def test_error_inside_a_bootstrap_refit_propagates(monkeypatch, rng):
+    data = random_dataset(rng, 10, 10, censored=True)
+    raising_on_calls(monkeypatch, ValueError, {3})
+    with pytest.raises(ValueError, match="injected"):
+        bootstrap(data, B=10, seed=0)
+
+
+def test_singular_bootstrap_refit_counts_as_failed(monkeypatch, rng):
+    data = random_dataset(rng, 10, 10, censored=True)
+    raising_on_calls(monkeypatch, np.linalg.LinAlgError, {3, 7})   # call 0 is the base fit
+    ens = bootstrap(data, B=10, seed=0)
+    assert ens.failed == 2
+    assert ens.ok.tolist() == [True, True, False, True, True, True, False, True, True, True]
+
+
+def test_error_inside_a_warp_speed_fit_propagates(monkeypatch, rng):
+    raising_on_calls(monkeypatch, ValueError, {5})
+    with pytest.raises(ValueError, match="injected"):
+        warp_speed(lambda r: random_dataset(r, 10, 10, censored=False), M=5, seed=0)
+
+
+def test_singular_warp_speed_fit_counts_as_failed(monkeypatch, rng):
+    # each run fits its dataset, then one resample: calls 2m and 2m + 1
+    raising_on_calls(monkeypatch, np.linalg.LinAlgError, {1, 4})
+    res = warp_speed(lambda r: random_dataset(r, 10, 10, censored=False), M=5, seed=0)
+    assert res.failed == 2
+    assert res.estimates.shape == (3, 5)

@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dataset
+from oracles import prediction_interval
 from releff.gee import FitResult, IDENTITY, LOGIT
-from releff.inference import bootstrap
+from releff.inference import BootstrapEnsemble, FitSpec, bootstrap
 from releff.predict import (
     Prediction,
     classify,
     predict_probability,
+    predict_profiles,
     predict_with_ci,
     tie_correction_term,
 )
@@ -156,3 +158,39 @@ class TestPredictWithCI:
         sel2 = np.abs(Z2[:, 0] - z0) < 0.1
         freq = np.mean(T1[sel1][:, None] > T2[sel2][None, :])
         assert pred == pytest.approx(freq, abs=0.05)
+
+
+class TestPredictProfiles:
+    @pytest.mark.parametrize("method", ["emp", "quantile"])
+    @pytest.mark.parametrize(
+        "link, correction", [(IDENTITY, 0.37), (IDENTITY, None), (LOGIT, None)]
+    )
+    def test_batch_matches_each_row(self, rng, method, link, correction):
+        data = random_dataset(rng, 25, 20, p1=2, p2=1, censored=True, tau=3.0)
+        ens = bootstrap(data, spec=FitSpec(link=link), B=60, seed=5)
+        Z1, Z2 = data.covariates1[:20], data.covariates2
+        batch = predict_profiles(ens.base_fit, ens, Z1, Z2, link=link,
+                                 correction=correction, method=method)
+        assert batch.point.shape == batch.ci_low.shape == batch.ci_high.shape == (20,)
+        for i in range(20):
+            row = predict_with_ci(ens.base_fit, ens, Z1[i], Z2[i], link=link,
+                                  correction=correction, method=method)
+            got = [batch.point[i], batch.ci_low[i], batch.ci_high[i]]
+            np.testing.assert_allclose(got, [row.point, row.ci_low, row.ci_high],
+                                       rtol=0, atol=1e-12)
+            want = prediction_interval(ens.base_fit, ens, Z1[i], Z2[i], link,
+                                       correction=correction, method=method)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert batch.out_of_range[i] == row.out_of_range
+            assert batch.classification[i] == row.classification
+
+    def test_out_of_range_and_labels(self):
+        fit = fixed_fit([0.0, 1.0, 0.0])
+        # identical replicates: zero spread, so each CI is its point
+        ens = BootstrapEnsemble(replicates=np.tile(fit.beta, (2, 1)), B=2, seed=0, base_fit=fit)
+        Z = np.array([[-0.3], [0.1], [0.8]])
+        batch = predict_profiles(fit, ens, Z, Z, correction=0.0)
+        np.testing.assert_array_equal(batch.out_of_range, [True, False, False])
+        np.testing.assert_array_equal(
+            batch.classification, ["control-benefit", "control-benefit", "intervention-benefit"]
+        )

@@ -89,12 +89,10 @@ def test_group2_all_censored_gives_zero(rng):
 
 
 @st.composite
-def heavy_tie_datasets(draw):
+def heavy_tie_datasets(draw, status=st.integers(0, 1)):
     """Times on a grid of 5 integers, so event and censoring times tie often;
     tau is either infinite or one of the observed times."""
-    sample = st.lists(
-        st.tuples(st.integers(1, 5), st.integers(0, 1)), min_size=2, max_size=8
-    )
+    sample = st.lists(st.tuples(st.integers(1, 5), status), min_size=2, max_size=8)
     group1 = draw(sample)
     group2 = draw(sample)
     observed = sorted({t for t, _ in group1 + group2})
@@ -134,3 +132,12 @@ def test_leave_one_out_curves_match_refitted_curves(data):
             np.testing.assert_allclose(
                 curves[i + 1], leave_one_out_km(times, events, i)(grid), atol=1e-12
             )
+
+
+@given(heavy_tie_datasets(status=st.just(1)))
+@settings(max_examples=150, deadline=None)
+# tau on a tied time shared by both groups
+@example(make([1, 2, 2, 3], [1, 1, 1, 1], [2, 2, 3], [1, 1, 1], tau=2.0))
+def test_uncensored_theta_hat_is_indicator_mean(data):
+    assert data.uncensored
+    assert pseudo_matrix(data).theta_hat == pytest.approx(theta_hat(data), abs=1e-12)
