@@ -4,7 +4,8 @@ Produces one CSV row per (scenario, setting, sizes, censoring, hypothesis)
 combination with the four bootstrap-test rejection rates, the number of
 failed Monte Carlo runs and the degenerate-scale flag, mirroring the layout
 used by `releff simulate`.  Quick by default; pass --reps 10000 with
---long-run for a full-scale run (hours, not minutes).
+--long-run for a full-scale run (minutes: --reps 200 takes about 4 s per
+censoring half on a 2-vCPU Xeon VM).
 """
 
 import argparse

@@ -11,11 +11,13 @@ import csv
 import hashlib
 import json
 import logging
+import platform
 import sys
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .gee import LINKS, sandwich_covariance_uncensored
@@ -101,44 +103,11 @@ def ingest_csv(path, config: AnalysisConfig) -> TwoSampleDataset:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ParseFailure(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseFailure(f"{path}: empty file, header row required")
-        required = {"group", "time", "status"}
-        missing = required - set(reader.fieldnames)
-        if missing:
-            raise ParseFailure(f"{path}: missing required columns {sorted(missing)}")
-        groups = {1: {"t": [], "e": [], "z": []}, 2: {"t": [], "e": [], "z": []}}
-        dropped = []
-        for row_no, row in enumerate(reader, start=2):   # 1-based incl. header
-            if row["group"] not in ("1", "2"):
-                raise ParseFailure(
-                    f"row {row_no}, column 'group': expected 1 or 2, got {row['group']!r}"
-                )
-            g = int(row["group"])
-            cov_cols = config.covariates1 if g == 1 else config.covariates2
-            for col in cov_cols:
-                if col not in row:
-                    raise ParseFailure(f"missing covariate column {col!r}")
-            used = ["time", "status"] + list(cov_cols)
-            if any(row[c] is None or row[c].strip() == "" for c in used):
-                dropped.append(row_no)
-                continue
-            time = _parse_float(row["time"], row_no, "time")
-            if row["status"] not in ("0", "1"):
-                raise ParseFailure(
-                    f"row {row_no}, column 'status': expected 0 or 1, got {row['status']!r}"
-                )
-            status = int(row["status"])
-            if status == 0 and time < 0:
-                raise ParseFailure(
-                    f"row {row_no}, column 'time': negative time on a censored record"
-                )
-            z = [_parse_float(row[c], row_no, c) for c in cov_cols]
-            groups[g]["t"].append(time)
-            groups[g]["e"].append(float(status))
-            groups[g]["z"].append(z)
+    try:
+        with fh:
+            groups, dropped = _read_groups(path, fh, config)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseFailure(f"{path}: not a readable UTF-8 CSV file: {exc}") from exc
     if dropped:
         log.warning("dropped %d incomplete rows: %s", len(dropped), dropped)
     for g in (1, 2):
@@ -153,6 +122,10 @@ def ingest_csv(path, config: AnalysisConfig) -> TwoSampleDataset:
     tau = config.tau
     if tau is None:
         tau = float(max(t1.max(), t2.max()))
+        if not tau > 0:
+            raise ParseFailure(
+                f"the largest observed time {tau:.6g} cannot serve as the horizon; set --tau"
+            )
         log.warning("tau not set; defaulting to the largest observed time %.6g", tau)
     z1 = np.array(groups[1]["z"]) if config.covariates1 else np.empty((t1.size, 0))
     z2 = np.array(groups[2]["z"]) if config.covariates2 else np.empty((t2.size, 0))
@@ -161,6 +134,49 @@ def ingest_csv(path, config: AnalysisConfig) -> TwoSampleDataset:
         t2, np.array(groups[2]["e"]), z2,
         tau=tau,
     )
+
+
+def _read_groups(path, fh, config: AnalysisConfig):
+    """Per-group times, status and covariate rows of an open CSV file, and
+    the numbers of the rows dropped as incomplete."""
+    reader = csv.DictReader(fh)
+    if reader.fieldnames is None:
+        raise ParseFailure(f"{path}: empty file, header row required")
+    required = {"group", "time", "status"}
+    missing = required - set(reader.fieldnames)
+    if missing:
+        raise ParseFailure(f"{path}: missing required columns {sorted(missing)}")
+    groups = {1: {"t": [], "e": [], "z": []}, 2: {"t": [], "e": [], "z": []}}
+    dropped = []
+    for row_no, row in enumerate(reader, start=2):   # 1-based incl. header
+        if row["group"] not in ("1", "2"):
+            raise ParseFailure(
+                f"row {row_no}, column 'group': expected 1 or 2, got {row['group']!r}"
+            )
+        g = int(row["group"])
+        cov_cols = config.covariates1 if g == 1 else config.covariates2
+        for col in cov_cols:
+            if col not in row:
+                raise ParseFailure(f"missing covariate column {col!r}")
+        used = ["time", "status"] + list(cov_cols)
+        if any(row[c] is None or row[c].strip() == "" for c in used):
+            dropped.append(row_no)
+            continue
+        time = _parse_float(row["time"], row_no, "time")
+        if row["status"] not in ("0", "1"):
+            raise ParseFailure(
+                f"row {row_no}, column 'status': expected 0 or 1, got {row['status']!r}"
+            )
+        status = int(row["status"])
+        if status == 0 and time < 0:
+            raise ParseFailure(
+                f"row {row_no}, column 'time': negative time on a censored record"
+            )
+        z = [_parse_float(row[c], row_no, c) for c in cov_cols]
+        groups[g]["t"].append(time)
+        groups[g]["e"].append(float(status))
+        groups[g]["z"].append(z)
+    return groups, dropped
 
 
 def _sha256(path) -> str:
@@ -173,12 +189,16 @@ def _sha256(path) -> str:
 
 def write_manifest(out_dir: Path, command: str, config: AnalysisConfig,
                    inputs=(), outputs=(), data=None, ensemble=None, fit=None,
-                   predictions=None):
-    """Record the command, its configuration and what the run actually used:
-    the horizon of ``data``, the failure count of the bootstrap ``ensemble``,
-    how the base ``fit`` was solved and how many ``predictions`` fell outside
-    [0, 1]."""
-    lines = [f"command={command}", f"version={__version__}"]
+                   predictions=None, montecarlo=None):
+    """Record the command, the library versions, its configuration and what
+    the run actually used: the horizon of ``data``, the failures by cause of
+    the bootstrap ``ensemble`` or of the ``montecarlo`` runs, how the base
+    ``fit`` was solved and how many ``predictions`` fell outside [0, 1]."""
+    lines = [
+        f"command={command}", f"version={__version__}",
+        f"python={platform.python_version()}", f"numpy={np.__version__}",
+        f"scipy={scipy.__version__}",
+    ]
     for key, value in asdict(config).items():
         lines.append(f"config.{key}={value}")
     if data is not None:
@@ -187,9 +207,15 @@ def write_manifest(out_dir: Path, command: str, config: AnalysisConfig,
         lines.append(f"fit.iterations={fit.iterations}")
         lines.append(f"fit.gradient_norm={fit.gradient_norm!r}")
         lines.append(f"fit.used_pinv={fit.used_pinv}")
+    for prefix, runs in (("bootstrap", ensemble), ("montecarlo", montecarlo)):
+        if runs is not None:
+            lines.append(f"{prefix}.failed={runs.failed}")
+            lines.append(f"{prefix}.singular={runs.singular}")
+            lines.append(f"{prefix}.nonconverged={runs.nonconverged}")
     if ensemble is not None:
-        lines.append(f"bootstrap.failed={ensemble.failed}")
         lines.append(f"bootstrap.unreliable={ensemble.unreliable}")
+    if montecarlo is not None:
+        lines.append(f"montecarlo.degenerate={montecarlo.degenerate}")
     if predictions is not None:
         lines.append(f"predict.out_of_range={int(np.sum(predictions.out_of_range))}")
     for p in inputs:
@@ -350,7 +376,8 @@ def cmd_simulate(args) -> int:
     np.savetxt(dump_path, result.estimates, delimiter=",",
                header=",".join(f"beta{k}" for k in range(result.estimates.shape[1])),
                comments="")
-    write_manifest(out_dir, "simulate", config, outputs=[out_path, dump_path])
+    write_manifest(out_dir, "simulate", config, outputs=[out_path, dump_path],
+                   montecarlo=result)
     print(f"wrote {out_path}")
     return EXIT_OK
 

@@ -4,8 +4,11 @@ The coefficient vector beta = (beta0, beta1, beta2) solves
 
     0 = U(beta) = (1/(n1*n2)) * sum_{i1,i2} z * mu'(eta) * (pseudo - mu(eta)),
 
-with z = (1, Z1[i1], Z2[i2]) and eta = beta' z.  The identity link admits a
-closed-form linear solve; other links go through a damped Newton iteration.
+with z = (1, Z1[i1], Z2[i2]) and eta = beta' z.  For the identity link U is
+psi - Sigma beta, where Sigma is the pair average of z z' and psi that of
+z * pseudo, which needs only the grand, row and column means of the pseudo
+matrix; ``solve_identity`` solves it for a stack of datasets at once.  Other
+links go through a damped Newton iteration on the full matrix.
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ __all__ = [
     "IDENTITY",
     "LOGIT",
     "FitResult",
+    "IdentityFits",
     "estimating_function",
     "jacobian",
     "objective",
     "solve_closed_form_identity",
+    "solve_identity",
     "solve_newton",
     "fit",
     "sandwich_covariance_uncensored",
@@ -211,55 +216,99 @@ def objective(beta, matrix: np.ndarray, Z1, Z2, link: Link) -> float:
 
 
 def design_second_moment(Z1, Z2) -> np.ndarray:
-    """Average over all pairs of the outer product of (1, z1, z2)."""
+    """Average over all pairs of the outer product of (1, z1, z2); leading
+    axes of Z1 (..., n1, p1) and Z2 (..., n2, p2) index datasets."""
     Z1 = np.atleast_2d(np.asarray(Z1, dtype=float))
     Z2 = np.atleast_2d(np.asarray(Z2, dtype=float))
-    n1, n2 = Z1.shape[0], Z2.shape[0]
-    m1 = Z1.mean(axis=0)
-    m2 = Z2.mean(axis=0)
-    S11 = Z1.T @ Z1 / n1
-    S22 = Z2.T @ Z2 / n2
-    top = np.concatenate(([1.0], m1, m2))
-    mid = np.concatenate((m1[:, None], S11, np.outer(m1, m2)), axis=1)
-    bot = np.concatenate((m2[:, None], np.outer(m2, m1), S22), axis=1)
-    return np.vstack((top, mid, bot))
+    n1, p1 = Z1.shape[-2:]
+    n2, p2 = Z2.shape[-2:]
+    m1 = Z1.mean(axis=-2)
+    m2 = Z2.mean(axis=-2)
+    g1 = slice(1, 1 + p1)
+    g2 = slice(1 + p1, 1 + p1 + p2)
+    out = np.empty(m1.shape[:-1] + (1 + p1 + p2, 1 + p1 + p2))
+    out[..., 0, 0] = 1.0
+    out[..., 0, g1] = out[..., g1, 0] = m1
+    out[..., 0, g2] = out[..., g2, 0] = m2
+    out[..., g1, g1] = np.swapaxes(Z1, -1, -2) @ Z1 / n1
+    out[..., g2, g2] = np.swapaxes(Z2, -1, -2) @ Z2 / n2
+    cross = m1[..., :, None] * m2[..., None, :]
+    out[..., g1, g2] = cross
+    out[..., g2, g1] = np.swapaxes(cross, -1, -2)
+    return out
 
 
-def _solve_maybe_pinv(A, b, strict=False):
-    p = A.shape[0]
-    if np.linalg.matrix_rank(A) < p:
-        if strict:
+@dataclass(frozen=True)
+class IdentityFits:
+    """Closed-form identity-link fits of N datasets, one row each."""
+
+    beta: np.ndarray            # (N, p); NaN where ``singular``
+    gradient_norm: np.ndarray   # (N,) max |psi - Sigma beta|, the exact |U(beta)|
+    used_pinv: np.ndarray       # (N,) singular design solved by pseudo-inverse
+    singular: np.ndarray        # (N,) singular design left unsolved (strict)
+
+    def result(self, k: int = 0) -> FitResult:
+        """Fit k as a FitResult; LinAlgError if its design was refused."""
+        if self.singular[k]:
             raise np.linalg.LinAlgError("design second-moment matrix is singular")
-        return np.linalg.pinv(A) @ b, True
-    return np.linalg.solve(A, b), False
+        used_pinv = bool(self.used_pinv[k])
+        return FitResult(
+            beta=self.beta[k],
+            converged=True,
+            iterations=0,
+            gradient_norm=float(self.gradient_norm[k]),
+            method="closed-form",
+            used_pinv=used_pinv,
+            message="singular design, pseudo-inverse used" if used_pinv else "",
+        )
+
+
+def solve_identity(row_means, col_means, Z1, Z2, strict_singular: bool = False) -> IdentityFits:
+    """Exact identity-link solutions of N datasets from their pseudo-matrix
+    marginals: row means (N, n1), column means (N, n2), covariates (N, n1, p1)
+    and (N, n2, p2).
+
+    A rank-deficient design is solved by pseudo-inverse, or with
+    ``strict_singular`` left unsolved and flagged.
+    """
+    n1, n2 = row_means.shape[-1], col_means.shape[-1]
+    Sigma = design_second_moment(Z1, Z2)
+    psi = np.concatenate(
+        (
+            row_means.mean(axis=-1, keepdims=True),
+            (row_means[:, None, :] @ Z1)[:, 0] / n1,
+            (col_means[:, None, :] @ Z2)[:, 0] / n2,
+        ),
+        axis=-1,
+    )
+    deficient = np.linalg.matrix_rank(Sigma) < psi.shape[-1]
+    beta = np.full(psi.shape, np.nan)
+    full = ~deficient
+    if full.any():
+        beta[full] = np.linalg.solve(Sigma[full], psi[full][..., None])[..., 0]
+    used_pinv = deficient & (not strict_singular)
+    if used_pinv.any():
+        beta[used_pinv] = (np.linalg.pinv(Sigma[used_pinv]) @ psi[used_pinv][..., None])[..., 0]
+    residual = psi - (Sigma @ beta[..., None])[..., 0]
+    return IdentityFits(
+        beta=beta,
+        gradient_norm=np.max(np.abs(residual), axis=-1),
+        used_pinv=used_pinv,
+        singular=deficient & strict_singular,
+    )
 
 
 def solve_closed_form_identity(
     matrix: PseudoMatrix, Z1, Z2, strict_singular: bool = False
 ) -> FitResult:
-    """Exact identity-link solution of the estimating equation."""
+    """Exact identity-link solution from the marginals of ``matrix``."""
     Z1 = np.atleast_2d(np.asarray(Z1, dtype=float))
     Z2 = np.atleast_2d(np.asarray(Z2, dtype=float))
-    n1, n2 = matrix.n1, matrix.n2
-    Sigma = design_second_moment(Z1, Z2)
-    psi = np.concatenate(
-        (
-            [matrix.grand_mean],
-            Z1.T @ matrix.row_means / n1,
-            Z2.T @ matrix.col_means / n2,
-        )
+    fits = solve_identity(
+        matrix.row_means[None], matrix.col_means[None], Z1[None], Z2[None],
+        strict_singular=strict_singular,
     )
-    beta, used_pinv = _solve_maybe_pinv(Sigma, psi, strict=strict_singular)
-    grad = estimating_function(beta, matrix.values, Z1, Z2, IDENTITY)
-    return FitResult(
-        beta=beta,
-        converged=True,
-        iterations=0,
-        gradient_norm=float(np.max(np.abs(grad))),
-        method="closed-form",
-        used_pinv=used_pinv,
-        message="singular design, pseudo-inverse used" if used_pinv else "",
-    )
+    return fits.result(0)
 
 
 def solve_newton(

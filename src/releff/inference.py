@@ -3,19 +3,27 @@
 Subjects are resampled with replacement within each group.  Replicate b of
 a run with seed s uses an RNG stream derived from (s, b), so results are
 identical no matter in which order replicates are computed.
+
+Bootstrap replicates and warp-speed Monte Carlo runs are fitted in chunks:
+the resampled (and simulated) datasets of a chunk are stacked on a leading
+axis and, for the identity link, fitted by one ``pseudo_marginals`` and one
+``gee.solve_identity`` call.  Other links fit the chunk's datasets one by
+one through the full pseudo matrix.  A chunk holds at most
+``STACK_ELEMENTS // (n1 + n2 + 2)`` datasets, so memory does not grow with
+B or M.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.stats import norm
 
 from . import gee
-from .pseudo import pseudo_matrix
+from .pseudo import pseudo_marginals, pseudo_matrix
 from .survival import TwoSampleDataset
 
 __all__ = [
@@ -38,6 +46,54 @@ METHODS = ("emp", "iqr", "mad", "quantile")
 # more than this fraction of failed replicates marks the ensemble unreliable
 MAX_FAILURE_FRACTION = 0.05
 
+# element budget of one stacked fit: a chunk holds at most
+# STACK_ELEMENTS // (n1 + n2 + 2) datasets (40 at n1 = n2 = 50)
+STACK_ELEMENTS = 1 << 12
+
+
+def _chunk_size(n1: int, n2: int) -> int:
+    return max(1, STACK_ELEMENTS // (n1 + n2 + 2))
+
+
+@dataclass(frozen=True)
+class _Stack:
+    """N datasets of one shape, each field of ``TwoSampleDataset`` stacked
+    on a leading axis: times and events (N, n), covariates (N, n, p), tau (N,)."""
+
+    times1: np.ndarray
+    events1: np.ndarray
+    covariates1: np.ndarray
+    times2: np.ndarray
+    events2: np.ndarray
+    covariates2: np.ndarray
+    tau: np.ndarray
+
+    @classmethod
+    def of(cls, datasets) -> "_Stack":
+        return cls(*(np.stack([getattr(d, f.name) for d in datasets]) for f in fields(cls)))
+
+    def __len__(self) -> int:
+        return self.tau.shape[0]
+
+    def resampled(self, idx1: np.ndarray, idx2: np.ndarray) -> "_Stack":
+        """Dataset k resampled with rows idx1[k] and idx2[k]; a stack of one
+        dataset is resampled once per row of idx1 and idx2."""
+        def take(values, idx):
+            return np.take_along_axis(values, idx.reshape(idx.shape + (1,) * (values.ndim - 2)),
+                                      axis=1)
+
+        return _Stack(
+            take(self.times1, idx1), take(self.events1, idx1), take(self.covariates1, idx1),
+            take(self.times2, idx2), take(self.events2, idx2), take(self.covariates2, idx2),
+            np.broadcast_to(self.tau, idx1.shape[:1]),
+        )
+
+    def dataset(self, k: int) -> TwoSampleDataset:
+        return TwoSampleDataset(
+            self.times1[k], self.events1[k], self.covariates1[k],
+            self.times2[k], self.events2[k], self.covariates2[k], tau=float(self.tau[k]),
+        )
+
 
 @dataclass(frozen=True)
 class FitSpec:
@@ -47,11 +103,44 @@ class FitSpec:
     strict_singular: bool = False
 
     def fit(self, data: TwoSampleDataset) -> gee.FitResult:
-        pm = pseudo_matrix(data)
+        """Fit one dataset; a singular design under ``strict_singular``
+        raises LinAlgError."""
+        if self.link.name == "identity":
+            return self._identity(_Stack.of([data])).result(0)
         return gee.fit(
-            pm, data.covariates1, data.covariates2, self.link,
+            pseudo_matrix(data), data.covariates1, data.covariates2, self.link,
             strict_singular=self.strict_singular,
         )
+
+    def _identity(self, stack: _Stack) -> gee.IdentityFits:
+        m = pseudo_marginals(stack.times1, stack.events1, stack.times2, stack.events2, stack.tau)
+        return gee.solve_identity(
+            m.row_means, m.col_means, stack.covariates1, stack.covariates2,
+            strict_singular=self.strict_singular,
+        )
+
+    def _fit_stack(self, stack: _Stack):
+        """Coefficients (N, p) of every dataset in ``stack``, NaN where the
+        fit failed, and the failed rows by cause: (beta, singular,
+        nonconverged).  A LinAlgError of one fit marks it singular."""
+        if self.link.name == "identity":
+            fits = self._identity(stack)
+            return fits.beta, fits.singular, np.zeros(len(stack), dtype=bool)
+        p = 1 + stack.covariates1.shape[2] + stack.covariates2.shape[2]
+        beta = np.full((len(stack), p), np.nan)
+        singular = np.zeros(len(stack), dtype=bool)
+        nonconverged = np.zeros(len(stack), dtype=bool)
+        for k in range(len(stack)):
+            try:
+                result = self.fit(stack.dataset(k))
+            except np.linalg.LinAlgError:
+                singular[k] = True
+                continue
+            if result.converged:
+                beta[k] = result.beta
+            else:
+                nonconverged[k] = True
+        return beta, singular, nonconverged
 
 
 @dataclass
@@ -60,8 +149,10 @@ class BootstrapEnsemble:
     B: int
     seed: int
     base_fit: gee.FitResult
-    failed: int = 0
+    failed: int = 0               # singular + nonconverged
     unreliable: bool = False
+    singular: int = 0             # refits with a singular design (strict_singular)
+    nonconverged: int = 0         # refits that did not converge
 
     @property
     def ok(self) -> np.ndarray:
@@ -81,14 +172,6 @@ def resample_indices(rng: np.random.Generator, n1: int, n2: int):
     return rng.integers(0, n1, size=n1), rng.integers(0, n2, size=n2)
 
 
-def _resampled(data: TwoSampleDataset, idx1, idx2) -> TwoSampleDataset:
-    return TwoSampleDataset(
-        data.times1[idx1], data.events1[idx1], data.covariates1[idx1],
-        data.times2[idx2], data.events2[idx2], data.covariates2[idx2],
-        tau=data.tau,
-    )
-
-
 def bootstrap(
     data: TwoSampleDataset,
     spec: FitSpec | None = None,
@@ -100,26 +183,25 @@ def bootstrap(
         raise ValueError("B must be at least 1")
     spec = spec or FitSpec()
     base = spec.fit(data)
-    p = base.beta.size
-    replicates = np.full((B, p), np.nan)
-    failed = 0
-    for b in range(B):
-        rng = _replicate_rng(seed, b)
-        idx1, idx2 = resample_indices(rng, data.n1, data.n2)
-        try:
-            result = spec.fit(_resampled(data, idx1, idx2))
-        except np.linalg.LinAlgError:   # a singular design under strict_singular
-            failed += 1
-            continue
-        if result.converged:
-            replicates[b] = result.beta
-        else:
-            failed += 1
+    whole = _Stack.of([data])
+    replicates = np.full((B, base.beta.size), np.nan)
+    singular = nonconverged = 0
+    step = _chunk_size(data.n1, data.n2)
+    for start in range(0, B, step):
+        draws = [resample_indices(_replicate_rng(seed, b), data.n1, data.n2)
+                 for b in range(start, min(start + step, B))]
+        idx1, idx2 = (np.stack(idx) for idx in zip(*draws))
+        beta, sing, nonconv = spec._fit_stack(whole.resampled(idx1, idx2))
+        replicates[start : start + len(draws)] = beta
+        singular += int(sing.sum())
+        nonconverged += int(nonconv.sum())
+    failed = singular + nonconverged
     if failed == B:
         raise RuntimeError("all bootstrap replicates failed to converge")
     return BootstrapEnsemble(
         replicates=replicates, B=B, seed=seed, base_fit=base,
         failed=failed, unreliable=failed > MAX_FAILURE_FRACTION * B,
+        singular=singular, nonconverged=nonconverged,
     )
 
 
@@ -210,10 +292,31 @@ def test_coefficient(
 @dataclass
 class WarpSpeedResult:
     rejection_rates: dict          # test name -> array over coefficients
-    estimates: np.ndarray          # (M, p)
+    estimates: np.ndarray          # (M_ok, p)
     centered_replicates: np.ndarray  # (M_ok, p)
     degenerate: bool = False
-    failed: int = 0
+    failed: int = 0                # singular + nonconverged
+    singular: int = 0              # runs with a singular design (strict_singular)
+    nonconverged: int = 0          # runs whose base fit or refit did not converge
+
+
+def _run_chunks(make_dataset, M: int, seed: int):
+    """The Monte Carlo runs (dataset, idx1, idx2) in order, in lists of one
+    dataset shape and at most one chunk long.  Run m draws its dataset and
+    then its resample from the stream (seed, m)."""
+    chunk, shape = [], None
+    for m in range(M):
+        rng = _replicate_rng(seed, m)
+        data = make_dataset(rng)
+        idx1, idx2 = resample_indices(rng, data.n1, data.n2)
+        if chunk and ((data.n1, data.n2, data.p1, data.p2) != shape
+                      or len(chunk) == _chunk_size(data.n1, data.n2)):
+            yield chunk
+            chunk = []
+        chunk.append((data, idx1, idx2))
+        shape = (data.n1, data.n2, data.p1, data.p2)
+    if chunk:
+        yield chunk
 
 
 def warp_speed(
@@ -228,33 +331,32 @@ def warp_speed(
 
     The centered replicates from all Monte Carlo runs are pooled to estimate
     the bootstrap scales and quantiles, which are then applied to each run's
-    estimate.
+    estimate.  A run fails when its base fit or its refit has a singular
+    design (under ``strict_singular``) or does not converge.
     """
     if M < 1:
         raise ValueError("M must be at least 1")
     spec = spec or FitSpec()
     estimates = []
     centered = []
-    failed = 0
-    for m in range(M):
-        rng = _replicate_rng(seed, m)
-        data = make_dataset(rng)
-        try:
-            base = spec.fit(data)
-            idx1, idx2 = resample_indices(rng, data.n1, data.n2)
-            star = spec.fit(_resampled(data, idx1, idx2))
-        except np.linalg.LinAlgError:   # a singular design under strict_singular
-            failed += 1
-            continue
-        if not (base.converged and star.converged):
-            failed += 1
-            continue
-        estimates.append(base.beta)
-        centered.append(star.beta - base.beta)
-    if not estimates:
+    singular = nonconverged = 0
+    for runs in _run_chunks(make_dataset, M, seed):
+        datasets, idx1, idx2 = zip(*runs)
+        stack = _Stack.of(datasets)
+        base, base_singular, base_nonconv = spec._fit_stack(stack)
+        star, star_singular, star_nonconv = spec._fit_stack(
+            stack.resampled(np.stack(idx1), np.stack(idx2)))
+        sing = base_singular | star_singular
+        nonconv = (base_nonconv | star_nonconv) & ~sing
+        ok = ~(sing | nonconv)
+        singular += int(sing.sum())
+        nonconverged += int(nonconv.sum())
+        estimates.append(base[ok])
+        centered.append(star[ok] - base[ok])
+    estimates = np.concatenate(estimates)
+    centered = np.concatenate(centered)
+    if not len(estimates):
         raise RuntimeError("all Monte Carlo runs failed")
-    estimates = np.asarray(estimates)
-    centered = np.asarray(centered)
     p = estimates.shape[1]
     if coefficients is None:
         coefficients = range(p)
@@ -278,5 +380,7 @@ def warp_speed(
         estimates=estimates,
         centered_replicates=centered,
         degenerate=degenerate,
-        failed=failed,
+        failed=singular + nonconverged,
+        singular=singular,
+        nonconverged=nonconverged,
     )

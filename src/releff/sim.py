@@ -98,6 +98,20 @@ def make_scenario(scenario_id: str, setting: str, n1: int, n2: int, censored: bo
     )
 
 
+def _normal_factor(cov) -> np.ndarray:
+    """F with F @ F.T = cov, from the SVD as Generator.multivariate_normal
+    takes it, so rng.standard_normal((n, 2)) @ F.T draws the same numbers."""
+    u, s, _ = np.linalg.svd(np.asarray(cov, dtype=float))
+    return u * np.sqrt(s)
+
+
+# the bivariate-normal blocks of the p = 4 designs, one per group
+_NORMAL_FACTORS = {
+    1: _normal_factor([[1.0, 0.2], [0.2, 1.0]]),
+    2: _normal_factor([[1.1, 0.3], [0.3, 1.1]]),
+}
+
+
 def _bernoulli(rng, prob):
     return (rng.uniform(size=prob.shape) < prob).astype(float)
 
@@ -113,14 +127,12 @@ def gen_covariates(group: int, p: int, n: int, rng: np.random.Generator) -> np.n
         z2 = _bernoulli(rng, 0.7 - 0.05 * np.sign(z1))
         return np.column_stack((z1, z2))
     if group == 1 and p == 4:
-        cov = np.array([[1.0, 0.2], [0.2, 1.0]])
-        z12 = rng.multivariate_normal(np.zeros(2), cov, size=n)
+        z12 = rng.standard_normal((n, 2)) @ _NORMAL_FACTORS[1].T
         z3 = _bernoulli(rng, np.full(n, 0.4))
         z4 = _bernoulli(rng, np.full(n, 0.6))
         return np.column_stack((z12, z3, z4))
     if group == 2 and p == 4:
-        cov = np.array([[1.1, 0.3], [0.3, 1.1]])
-        z12 = rng.multivariate_normal(np.zeros(2), cov, size=n)
+        z12 = rng.standard_normal((n, 2)) @ _NORMAL_FACTORS[2].T
         prob = 0.5 + 0.1 * np.sign(z12[:, 0])
         z3 = _bernoulli(rng, prob)
         z4 = _bernoulli(rng, prob)
@@ -213,7 +225,7 @@ RESULT_FIELDS = [
     "failed", "degenerate",
 ]
 
-# larger Monte Carlo studies take hours and must be asked for with --long-run
+# larger Monte Carlo studies take minutes and must be asked for with --long-run
 MAX_REPS_WITHOUT_LONG_RUN = 2000
 
 

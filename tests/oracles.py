@@ -5,15 +5,26 @@ fast path in ``releff``: the pseudo-observation matrix by re-estimating all
 four Kaplan-Meier curves per pair (each leave-one-out curve by refitting the
 reduced sample), the Weibull relative effect by numerical quadrature, and the
 damped Newton fit by re-evaluating the public estimating function and
-Jacobian at every iterate, and the prediction interval one profile at a time.
+Jacobian at every iterate, the prediction interval one profile at a time,
+and the warp-speed Monte Carlo engine one run and one full pseudo matrix
+at a time.
 """
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from releff import gee
 from releff.gee import FitResult, estimating_function, jacobian, solve_closed_form_identity
-from releff.inference import scale_estimates
+from releff.inference import (
+    METHODS,
+    FitSpec,
+    WarpSpeedResult,
+    _replicate_rng,
+    resample_indices,
+    scale_estimates,
+)
+from releff.pseudo import pseudo_matrix
 from releff.survival import SurvivalCurve, TwoSampleDataset, kaplan_meier, theta_integral
 
 
@@ -130,3 +141,62 @@ def prediction_interval(fit, ensemble, z1, z2, link, correction=None, alpha=0.05
         return point, point - half, point + half
     q_lo, q_hi = np.quantile(slopes - base, [alpha / 2, 1 - alpha / 2])
     return point, point - float(q_hi), point - float(q_lo)
+
+
+def resampled(data: TwoSampleDataset, idx1, idx2) -> TwoSampleDataset:
+    """The dataset with group-1 rows idx1 and group-2 rows idx2."""
+    return TwoSampleDataset(
+        data.times1[idx1], data.events1[idx1], data.covariates1[idx1],
+        data.times2[idx2], data.events2[idx2], data.covariates2[idx2],
+        tau=data.tau,
+    )
+
+
+def matrix_fit(spec: FitSpec, data: TwoSampleDataset) -> FitResult:
+    """One dataset fitted through its full pseudo-observation matrix."""
+    return gee.fit(pseudo_matrix(data), data.covariates1, data.covariates2, spec.link,
+                   strict_singular=spec.strict_singular)
+
+
+def warp_speed(make_dataset, M, seed=0, spec=None, coefficients=None, alpha=0.05):
+    """Warp-speed Monte Carlo one run at a time: fit the run's dataset, draw
+    one resample from the same stream and fit it, each through the full
+    pseudo matrix."""
+    spec = spec or FitSpec()
+    estimates = []
+    centered = []
+    failed = 0
+    for m in range(M):
+        rng = _replicate_rng(seed, m)
+        data = make_dataset(rng)
+        try:
+            base = matrix_fit(spec, data)
+            idx1, idx2 = resample_indices(rng, data.n1, data.n2)
+            star = matrix_fit(spec, resampled(data, idx1, idx2))
+        except np.linalg.LinAlgError:
+            failed += 1
+            continue
+        if not (base.converged and star.converged):
+            failed += 1
+            continue
+        estimates.append(base.beta)
+        centered.append(star.beta - base.beta)
+    estimates = np.asarray(estimates)
+    centered = np.asarray(centered)
+    p = estimates.shape[1]
+    coefficients = range(p) if coefficients is None else coefficients
+    z = float(norm.ppf(1 - alpha / 2))
+    rates = {name: np.full(p, np.nan) for name in METHODS}
+    degenerate = False
+    for k in coefficients:
+        emp, iqr, mad = scale_estimates(centered[:, k])
+        est = estimates[:, k]
+        if emp <= 0 or iqr <= 0 or mad <= 0:
+            degenerate = True
+        for name, scale in (("emp", emp), ("iqr", iqr), ("mad", mad)):
+            if scale > 0:
+                rates[name][k] = float(np.mean(np.abs(est) / scale > z))
+        q_lo, q_hi = np.quantile(centered[:, k], [alpha / 2, 1 - alpha / 2])
+        rates["quantile"][k] = float(np.mean((est < q_lo) | (est > q_hi)))
+    return WarpSpeedResult(rejection_rates=rates, estimates=estimates,
+                           centered_replicates=centered, degenerate=degenerate, failed=failed)

@@ -1,9 +1,15 @@
 import csv
 import dataclasses
 import json
+import platform
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from releff import cli
 from releff.cli import (
@@ -18,7 +24,7 @@ from releff.cli import (
     main,
 )
 from releff.gee import LINKS, FitResult
-from releff.inference import BootstrapEnsemble, FitSpec
+from releff.inference import BootstrapEnsemble, FitSpec, bootstrap
 
 
 def write_csv(path, rows, header=("group", "time", "status")):
@@ -163,6 +169,21 @@ class TestIngest:
         assert data.tau == 5.0
         assert "largest observed time" in caplog.text
 
+    def test_non_positive_default_tau_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "negative.csv"
+        write_csv(path, [[1, -3.0, 1], [1, -1.0, 1], [2, -2.0, 1], [2, 0.0, 1]])
+        with pytest.raises(ParseFailure, match="horizon"):
+            ingest_csv(path, AnalysisConfig())
+        assert main(["fit", "--data", str(path), "--out-dir", str(tmp_path)]) == EXIT_PARSE
+        assert main(["fit", "--data", str(path), "--tau", "1",
+                     "--out-dir", str(tmp_path)]) == EXIT_OK
+
+    def test_undecodable_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"group,time,status\n1,1.0,1\n1,2.0,1\n2,\xe9,1\n2,3.0,1\n")
+        with pytest.raises(ParseFailure, match="UTF-8"):
+            ingest_csv(path, AnalysisConfig())
+
     def test_unset_tau_recorded_as_used(self, four_row_csv, tmp_path):
         out = tmp_path / "out"
         assert main(["fit", "--data", str(four_row_csv), "--out-dir", str(out)]) == EXIT_OK
@@ -244,6 +265,57 @@ class TestCommands:
         assert [r["hypothesis"] for r in rows] == ["H0(1)", "H0(2)"]
         assert [(r["failed"], r["degenerate"]) for r in rows] == [("0", "False")] * 2
         assert (out / "estimates.csv").exists()
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        for line in ("montecarlo.failed=0", "montecarlo.singular=0",
+                     "montecarlo.nonconverged=0", "montecarlo.degenerate=False"):
+            assert line in manifest
+
+    def test_simulate_manifest_records_degenerate_runs(self, tmp_path, monkeypatch):
+        from releff import sim
+
+        real = sim.run_scenario
+
+        def degenerate(*args, **kwargs):
+            rows, result = real(*args, **kwargs)
+            return rows, dataclasses.replace(result, degenerate=True, failed=3, singular=3)
+
+        monkeypatch.setattr(cli, "run_scenario", degenerate)
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", "i", "--n1", "10", "--n2", "10",
+                     "--reps", "100", "--seed", "0", "--out-dir", str(out)]) == EXIT_OK
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        for line in ("montecarlo.failed=3", "montecarlo.singular=3",
+                     "montecarlo.nonconverged=0", "montecarlo.degenerate=True"):
+            assert line in manifest
+
+    def test_manifest_records_library_versions(self, four_row_csv, tmp_path):
+        assert main(["fit", "--data", str(four_row_csv), "--out-dir", str(tmp_path)]) == EXIT_OK
+        manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+        for line in (f"python={platform.python_version()}", f"numpy={np.__version__}",
+                     f"scipy={scipy.__version__}"):
+            assert line in manifest
+
+    def test_manifest_records_bootstrap_failures_by_cause(self, tmp_path):
+        # a binary covariate in groups of 6: some resamples make it constant,
+        # a singular design that --strict-singular refuses
+        rng = np.random.default_rng(5)
+        rows = [[g, f"{t:.4f}", 1, int(z)] for g in (1, 2)
+                for t, z in zip(rng.weibull(2, 6), [0, 1, 0, 1, 1, 0])]
+        path = tmp_path / "binary.csv"
+        write_csv(path, rows, header=("group", "time", "status", "flag"))
+        config = AnalysisConfig(tau=9.0, covariates1=["flag"], covariates2=["flag"])
+        want = bootstrap(ingest_csv(path, config), spec=FitSpec(strict_singular=True),
+                         B=40, seed=3)
+        assert want.singular > 0
+        for command in ("fit", "test", "predict"):
+            out = tmp_path / command
+            assert main([command, "--data", str(path), "--tau", "9", "--cov1", "flag",
+                         "--cov2", "flag", "--strict-singular", "--seed", "3",
+                         "--bootstrap", "40", "--out-dir", str(out)]) == EXIT_OK, command
+            manifest = (out / "manifest.txt").read_text().splitlines()
+            assert f"bootstrap.failed={want.failed}" in manifest, command
+            assert f"bootstrap.singular={want.singular}" in manifest, command
+            assert "bootstrap.nonconverged=0" in manifest, command
 
     def test_exit_codes_distinct(self, four_row_csv, tmp_path):
         assert main(["fit", "--data", str(tmp_path / "nope.csv")]) == EXIT_PARSE
@@ -332,3 +404,50 @@ class TestCommands:
                    "--cov1", "age", "--cov2", "", "--out-dir", str(tmp_path),
                    "--seed", "2", "--bootstrap", "10"])
         assert rc == EXIT_CONFIG
+
+
+_GARBAGE = st.one_of(
+    st.sampled_from(["", " ", "2", "-1", "1.0", "nan", "inf", "-inf", "NaN", "1e999", "x",
+                     "1,5", '"', "0x1"]),
+    st.text(max_size=6),
+)
+_PLAUSIBLE = {
+    "group": st.sampled_from(["1", "2"]),
+    "time": st.floats(min_value=0.0, max_value=10.0).map(repr),
+    "status": st.sampled_from(["0", "1", "1"]),
+    "age": st.floats(min_value=-3.0, max_value=3.0).map(repr),
+    "junk": st.text(max_size=4),
+}
+
+
+@st.composite
+def garbage_csv(draw):
+    """Plausible rows under a header that usually has every column, then a
+    few garbage cells and a ragged row or two."""
+    columns = draw(st.permutations(list(_PLAUSIBLE)))
+    if draw(st.integers(0, 4)) == 0:
+        columns.remove(draw(st.sampled_from(["group", "time", "status", "age"])))
+    rows = [[draw(_PLAUSIBLE[c]) for c in columns] for _ in range(draw(st.integers(4, 12)))]
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(_GARBAGE)
+    for _ in range(draw(st.integers(0, 4)) // 3):
+        row = draw(st.sampled_from(rows))
+        row.append("extra") if draw(st.booleans()) else row.pop()
+    return columns, rows
+
+
+@given(garbage_csv(), st.sampled_from([[], ["--cov1", "age", "--cov2", "age"]]))
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_fit_on_garbage_csv_exits_cleanly(table, covariates):
+    header, rows = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "garbage.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        rc = main(["fit", "--data", str(path), "--out-dir", str(Path(tmp) / "out"),
+                   *covariates])
+    assert rc in (EXIT_OK, EXIT_PARSE, EXIT_CONFIG)

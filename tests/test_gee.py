@@ -20,6 +20,7 @@ from releff.gee import (
     objective,
     sandwich_covariance_uncensored,
     solve_closed_form_identity,
+    solve_identity,
     solve_newton,
 )
 from releff.pseudo import _indicator_matrix, pseudo_matrix
@@ -186,6 +187,40 @@ class TestSolvers:
                                + res.beta[2] * Z2[:, 0][None, :])))
         assert np.all((mu > 0) & (mu < 1))
         np.testing.assert_allclose(res.beta, [0.0, k * g1, -k * g2], atol=0.1)
+
+
+class TestSolveIdentity:
+    def stack(self, rng, count=6):
+        pms, Z1s, Z2s = zip(*(instance(rng) for _ in range(count)))
+        Z1s, Z2s = np.stack(Z1s), np.stack(Z2s)
+        # one dataset with a duplicated group-1 covariate: a singular design
+        Z1s[2, :, 1] = Z1s[2, :, 0]
+        rows = np.stack([pm.row_means for pm in pms])
+        cols = np.stack([pm.col_means for pm in pms])
+        return pms, rows, cols, Z1s, Z2s
+
+    def test_rows_match_single_fits_and_report_the_exact_gradient(self, rng):
+        pms, rows, cols, Z1s, Z2s = self.stack(rng)
+        fits = solve_identity(rows, cols, Z1s, Z2s)
+        assert fits.used_pinv.tolist() == [k == 2 for k in range(6)]
+        for k, pm in enumerate(pms):
+            single = solve_closed_form_identity(pm, Z1s[k], Z2s[k])
+            np.testing.assert_allclose(fits.beta[k], single.beta, rtol=0, atol=1e-12)
+            u = estimating_function(fits.beta[k], pm.values, Z1s[k], Z2s[k], IDENTITY)
+            assert fits.gradient_norm[k] == pytest.approx(np.max(np.abs(u)), abs=1e-13)
+
+    def test_strict_singular_leaves_only_singular_rows_unsolved(self, rng):
+        _, rows, cols, Z1s, Z2s = self.stack(rng)
+        loose = solve_identity(rows, cols, Z1s, Z2s)
+        strict = solve_identity(rows, cols, Z1s, Z2s, strict_singular=True)
+        assert strict.singular.tolist() == [k == 2 for k in range(6)]
+        assert not strict.used_pinv.any()
+        assert np.isnan(strict.beta[2]).all()
+        keep = np.arange(6) != 2
+        np.testing.assert_array_equal(strict.beta[keep], loose.beta[keep])
+        with pytest.raises(np.linalg.LinAlgError):
+            strict.result(2)
+        assert strict.result(0).method == "closed-form"
 
 
 def assert_same_fit(got, want):

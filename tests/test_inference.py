@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+import oracles
 from conftest import random_dataset
-from releff.gee import FitResult
+from oracles import resampled
+from releff.gee import IDENTITY, LOGIT, FitResult
 from releff.inference import (
     BootstrapEnsemble,
     FitSpec,
@@ -12,7 +16,6 @@ from releff.inference import (
     warp_speed,
     _replicate_rng,
     resample_indices,
-    _resampled,
 )
 from releff.inference import test_coefficient as coefficient_report
 
@@ -54,7 +57,7 @@ def test_single_replicate_matches_manual_refit(rng):
     spec = FitSpec()
     ens = bootstrap(data, spec=spec, B=1, seed=3)
     idx1, idx2 = resample_indices(_replicate_rng(3, 0), data.n1, data.n2)
-    manual = spec.fit(_resampled(data, idx1, idx2))
+    manual = spec.fit(resampled(data, idx1, idx2))
     np.testing.assert_allclose(ens.replicates[0], manual.beta)
 
 
@@ -189,47 +192,165 @@ def test_bootstrap_empirical_sd_tracks_monte_carlo_sd():
     assert boot_sd == pytest.approx(mc_sd, rel=0.3)
 
 
-def raising_on_calls(monkeypatch, exc, calls):
-    """Make ``pseudo_matrix``, as ``inference`` calls it, raise ``exc`` on
-    the given 0-based call numbers and work normally otherwise."""
+def raising_on_calls(monkeypatch, name, calls, exc=ValueError):
+    """Make ``inference.<name>`` raise ``exc`` on the given 0-based call
+    numbers and work normally otherwise."""
     from releff import inference
 
-    real = inference.pseudo_matrix
+    real = getattr(inference, name)
     seen = []
 
-    def flaky(data):
+    def flaky(*args, **kwargs):
         seen.append(None)
         if len(seen) - 1 in calls:
             raise exc("injected")
-        return real(data)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(inference, "pseudo_matrix", flaky)
+    monkeypatch.setattr(inference, name, flaky)
+
+
+def degenerate_resamples(monkeypatch, draws):
+    """Make the given 0-based resample draws take group-1 subject 0 n1
+    times, so the resampled group-1 covariates are constant and the design
+    is singular."""
+    from releff import inference
+
+    real = inference.resample_indices
+    seen = []
+
+    def draw(rng, n1, n2):
+        idx1, idx2 = real(rng, n1, n2)
+        seen.append(None)
+        if len(seen) - 1 in draws:
+            idx1 = np.zeros_like(idx1)
+        return idx1, idx2
+
+    monkeypatch.setattr(inference, "resample_indices", draw)
 
 
 def test_error_inside_a_bootstrap_refit_propagates(monkeypatch, rng):
     data = random_dataset(rng, 10, 10, censored=True)
-    raising_on_calls(monkeypatch, ValueError, {3})
-    with pytest.raises(ValueError, match="injected"):
-        bootstrap(data, B=10, seed=0)
+    # identity refits run as one stacked call per chunk (call 0 is the base
+    # fit); logit refits build one pseudo matrix each
+    for name, link, call in (("pseudo_marginals", IDENTITY, 1), ("pseudo_matrix", LOGIT, 3)):
+        with monkeypatch.context() as patch:
+            raising_on_calls(patch, name, {call})
+            with pytest.raises(ValueError, match="injected"):
+                bootstrap(data, spec=FitSpec(link=link), B=10, seed=0)
 
 
 def test_singular_bootstrap_refit_counts_as_failed(monkeypatch, rng):
     data = random_dataset(rng, 10, 10, censored=True)
-    raising_on_calls(monkeypatch, np.linalg.LinAlgError, {3, 7})   # call 0 is the base fit
-    ens = bootstrap(data, B=10, seed=0)
-    assert ens.failed == 2
+    degenerate_resamples(monkeypatch, {2, 6})
+    ens = bootstrap(data, spec=FitSpec(strict_singular=True), B=10, seed=0)
+    assert (ens.failed, ens.singular, ens.nonconverged) == (2, 2, 0)
     assert ens.ok.tolist() == [True, True, False, True, True, True, False, True, True, True]
 
 
+def test_nonconverged_bootstrap_refit_counts_as_failed(monkeypatch, rng):
+    from releff import gee
+
+    data = random_dataset(rng, 10, 10, censored=True)
+    real = gee.solve_newton
+    seen = []
+
+    def stalling(*args, **kwargs):
+        seen.append(None)
+        result = real(*args, **kwargs)
+        if len(seen) - 1 in {3, 7}:     # call 0 is the base fit
+            result.converged = False
+        return result
+
+    spec = FitSpec(link=LOGIT)
+    unpatched = bootstrap(data, spec=spec, B=10, seed=0)
+    monkeypatch.setattr(gee, "solve_newton", stalling)
+    ens = bootstrap(data, spec=spec, B=10, seed=0)
+    stalled = np.isin(np.arange(10), [2, 6])
+    assert ens.ok.tolist() == (unpatched.ok & ~stalled).tolist()
+    assert (ens.failed, ens.singular, ens.nonconverged) == (10 - ens.ok.sum(), 0, ens.failed)
+
+
 def test_error_inside_a_warp_speed_fit_propagates(monkeypatch, rng):
-    raising_on_calls(monkeypatch, ValueError, {5})
+    # call 0 fits the chunk's datasets, call 1 their resamples
+    raising_on_calls(monkeypatch, "pseudo_marginals", {1})
     with pytest.raises(ValueError, match="injected"):
         warp_speed(lambda r: random_dataset(r, 10, 10, censored=False), M=5, seed=0)
 
 
 def test_singular_warp_speed_fit_counts_as_failed(monkeypatch, rng):
-    # each run fits its dataset, then one resample: calls 2m and 2m + 1
-    raising_on_calls(monkeypatch, np.linalg.LinAlgError, {1, 4})
-    res = warp_speed(lambda r: random_dataset(r, 10, 10, censored=False), M=5, seed=0)
-    assert res.failed == 2
+    # run 0's resample and run 2's own dataset have singular designs
+    degenerate_resamples(monkeypatch, {0})
+    made = []
+
+    def make(r):
+        data = random_dataset(r, 10, 10, censored=False)
+        made.append(None)
+        if len(made) == 3:
+            data.covariates1[:, 0] = 1.0
+        return data
+
+    res = warp_speed(make, M=5, seed=0, spec=FitSpec(strict_singular=True))
+    assert (res.failed, res.singular, res.nonconverged) == (2, 2, 0)
     assert res.estimates.shape == (3, 5)
+
+
+def oracle_cases():
+    """(make_dataset, spec) pairs: censored and uncensored identity fits, a
+    finite horizon, logit, and a design that is often singular."""
+    def binary(r):
+        data = random_dataset(r, 6, 6, p1=1, p2=1, censored=True)
+        return TwoSampleDataset(data.times1, data.events1, r.integers(0, 2, (6, 1)),
+                                data.times2, data.events2, data.covariates2)
+
+    return [
+        (lambda r: random_dataset(r, 12, 9, censored=True), FitSpec()),
+        (lambda r: random_dataset(r, 12, 9, censored=False), FitSpec()),
+        (lambda r: random_dataset(r, 8, 11, censored=True, tau=1.0), FitSpec()),
+        (lambda r: random_dataset(r, 10, 10, censored=True), FitSpec(link=LOGIT)),
+        (binary, FitSpec(strict_singular=True)),
+    ]
+
+
+def test_warp_speed_matches_per_run_oracle():
+    for make, spec in oracle_cases():
+        got = warp_speed(make, M=60, seed=4, spec=spec)
+        want = oracles.warp_speed(make, M=60, seed=4, spec=spec)
+        assert got.failed == want.failed
+        assert got.degenerate == want.degenerate
+        np.testing.assert_allclose(got.estimates, want.estimates, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(got.centered_replicates, want.centered_replicates,
+                                   rtol=0, atol=1e-10)
+        for name in want.rejection_rates:
+            np.testing.assert_array_equal(got.rejection_rates[name], want.rejection_rates[name])
+    # the often-singular design did fail some runs, and by cause
+    assert got.failed > 0 and got.singular == got.failed
+
+
+def test_bootstrap_matches_per_replicate_refits():
+    for make, spec in oracle_cases()[:4]:
+        data = make(np.random.default_rng(8))
+        ens = bootstrap(data, spec=spec, B=30, seed=2)
+        for b in range(30):
+            idx1, idx2 = resample_indices(_replicate_rng(2, b), data.n1, data.n2)
+            want = oracles.matrix_fit(spec, resampled(data, idx1, idx2))
+            want = want.beta if want.converged else np.full(want.beta.shape, np.nan)
+            np.testing.assert_allclose(ens.replicates[b], want, rtol=0, atol=1e-10)
+
+
+def test_warp_speed_memory_does_not_grow_with_runs():
+    def make(r):
+        return random_dataset(r, 10, 10, censored=True)
+
+    def peak(M):
+        tracemalloc.start()
+        try:
+            res = warp_speed(make, M=M, seed=1)
+            return tracemalloc.get_traced_memory()[1], res
+        finally:
+            tracemalloc.stop()
+
+    small, _ = peak(200)
+    large, res = peak(2000)
+    # beyond the (M, p) results themselves, which warp_speed returns
+    results = res.estimates.nbytes + res.centered_replicates.nbytes
+    assert large - small < 2 * results

@@ -9,6 +9,7 @@ from releff.pseudo import (
     _indicator_matrix,
     _leave_one_out_curves,
     _stieltjes_matrix,
+    pseudo_marginals,
     pseudo_matrix,
     theta_hat,
 )
@@ -141,3 +142,46 @@ def test_leave_one_out_curves_match_refitted_curves(data):
 def test_uncensored_theta_hat_is_indicator_mean(data):
     assert data.uncensored
     assert pseudo_matrix(data).theta_hat == pytest.approx(theta_hat(data), abs=1e-12)
+
+
+def stacked_marginals(datasets):
+    stack = [np.stack([getattr(d, name) for d in datasets])
+             for name in ("times1", "events1", "times2", "events2")]
+    return pseudo_marginals(*stack, np.array([d.tau for d in datasets]))
+
+
+def assert_marginals_match_matrix(m, k, data):
+    pm = pseudo_matrix(data)
+    np.testing.assert_allclose(m.row_means[k], pm.values.mean(axis=1), rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(m.col_means[k], pm.values.mean(axis=0), rtol=1e-9, atol=1e-12)
+    assert m.theta_hat[k] == pytest.approx(pm.theta_hat, rel=1e-9, abs=1e-12)
+
+
+@given(st.one_of(heavy_tie_datasets(), heavy_tie_datasets(status=st.just(1))))
+@settings(max_examples=200, deadline=None)
+# every subject still at risk at the last time has an event (r - d = 0 there)
+@example(make([1, 2, 2], [1, 1, 1], [1, 2, 2], [0, 1, 1]))
+# the last group-1 subject alone has an event there, so S1 ends at 0
+@example(make([1, 2, 3], [1, 1, 1], [1, 3, 4], [1, 1, 1]))
+# the largest time is held by one censored subject
+@example(make([1, 2, 3], [1, 0, 0], [1, 3, 3], [1, 1, 0]))
+# censored at an event time in both groups, tau on a tied time
+@example(make([2, 2, 3, 4], [1, 0, 1, 0], [1, 2, 2, 3], [1, 1, 0, 1], tau=2.0))
+# fully observed with tau on a time shared by both groups
+@example(make([1, 2, 2, 3], [1, 1, 1, 1], [2, 2, 3], [1, 1, 1], tau=2.0))
+def test_marginals_match_pseudo_matrix_under_heavy_ties(data):
+    assert_marginals_match_matrix(stacked_marginals([data]), 0, data)
+
+
+def test_stacked_marginals_match_each_pseudo_matrix(rng):
+    datasets = []
+    for k in range(24):
+        data = random_dataset(rng, 9, 6, censored=k % 3 > 0, tau=(np.inf, 1.0)[k % 2])
+        # round so that times tie within and across groups
+        datasets.append(TwoSampleDataset(
+            np.round(data.times1, 1), data.events1, data.covariates1,
+            np.round(data.times2, 1), data.events2, data.covariates2, tau=data.tau))
+    m = stacked_marginals(datasets)
+    assert m.row_means.shape == (24, 9) and m.col_means.shape == (24, 6)
+    for k, data in enumerate(datasets):
+        assert_marginals_match_matrix(m, k, data)

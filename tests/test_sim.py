@@ -50,6 +50,17 @@ class TestScenarioDefinitions:
 
 
 class TestCovariateDesigns:
+    def test_bivariate_normal_blocks_match_multivariate_normal(self):
+        # the p = 4 designs draw their normal block as the same numbers
+        # Generator.multivariate_normal would
+        for group, cov in ((1, [[1.0, 0.2], [0.2, 1.0]]), (2, [[1.1, 0.3], [0.3, 1.1]])):
+            for seed in range(6):
+                for n in (1, 7, 50):
+                    got = gen_covariates(group, 4, n, np.random.default_rng(seed))[:, :2]
+                    want = np.random.default_rng(seed).multivariate_normal(
+                        np.zeros(2), np.array(cov), size=n)
+                    assert np.array_equal(got, want), (group, seed, n)
+
     def test_group1_p2_bernoulli_is_sign_balanced(self):
         rng = np.random.default_rng(0)
         Z = gen_covariates(1, 2, 100_000, rng)
