@@ -7,7 +7,7 @@ from .survival import (
     kaplan_meier,
     theta_integral,
 )
-from .pseudo import PseudoMatrix, pseudo_matrix, theta_hat
+from .pseudo import PseudoMatrix, pseudo_matrix
 from .gee import (
     Link,
     IDENTITY,
@@ -28,15 +28,7 @@ from .inference import (
     test_coefficient,
     warp_speed,
 )
-from .predict import (
-    Prediction,
-    Predictions,
-    tie_correction_term,
-    predict_probability,
-    predict_profiles,
-    predict_with_ci,
-    classify,
-)
+from .predict import Predictions, tie_correction_term, predict_profiles
 from .sim import (
     Scenario,
     make_scenario,

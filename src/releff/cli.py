@@ -23,7 +23,6 @@ from . import __version__
 from .gee import LINKS, sandwich_covariance_uncensored
 from .inference import METHODS, FitSpec, bootstrap, test_coefficient
 from .predict import predict_profiles, tie_correction_term
-from .pseudo import pseudo_matrix
 from .sim import check_reps, make_scenario, run_scenario, write_result_rows
 from .survival import TwoSampleDataset, kaplan_meier
 
@@ -33,6 +32,11 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_CONVERGENCE = 3
 EXIT_CONFIG = 4
+
+# the logit fit holds about five n1 x n2 float arrays at once (the pseudo
+# matrix and Newton's eta, residual, mu' and a temporary of mu''); a larger
+# working set is refused before any fit
+LOGIT_WORKING_SET_BYTES = 2 << 30
 
 
 class ParseFailure(Exception):
@@ -239,9 +243,11 @@ def _prepare(args, resample=True, same_covariates=False):
     """Shared preamble of fit, test and predict.
 
     Builds the configuration, ingests the CSV, creates the output directory
-    and the fit spec.  With ``resample`` a seed is required and the bootstrap
-    is run; its base fit must converge.  Returns
-    (config, data, out_dir, spec, ensemble).
+    and fits the model.  With ``resample`` a seed is required and the
+    bootstrap is run, and the base fit is its ``base_fit``.  The base fit
+    must converge to finite coefficients.  Returns
+    (config, data, out_dir, ensemble, fit); ``ensemble`` is None without
+    ``resample``.
     """
     config = _build_config(args, require_seed=resample)
     if same_covariates and config.covariates1 != config.covariates2:
@@ -250,29 +256,39 @@ def _prepare(args, resample=True, same_covariates=False):
             "covariates1 and covariates2 must name the same columns"
         )
     data = ingest_csv(args.data, config)
+    working_set = 5 * 8 * data.n1 * data.n2
+    if config.link == "logit" and working_set > LOGIT_WORKING_SET_BYTES:
+        raise ConfigFailure(
+            f"the logit link needs about {working_set / 2**30:.2f} GiB of working memory "
+            f"for n1 = {data.n1}, n2 = {data.n2}; the limit is "
+            f"{LOGIT_WORKING_SET_BYTES / 2**30:.2f} GiB"
+        )
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = FitSpec(link=LINKS[config.link], strict_singular=config.strict_singular)
     ensemble = None
     if resample:
         ensemble = bootstrap(data, spec=spec, B=config.B, seed=config.seed)
-        if not ensemble.base_fit.converged:
-            raise RuntimeError(f"fit did not converge: {ensemble.base_fit.message}")
-        if ensemble.unreliable:
-            log.warning("bootstrap unreliable: %d of %d replicates failed",
-                        ensemble.failed, ensemble.B)
-    return config, data, out_dir, spec, ensemble
+        fit = ensemble.base_fit
+    else:
+        fit = spec.fit(data)
+    if not fit.converged:
+        raise RuntimeError(f"fit did not converge: {fit.message}")
+    if not np.all(np.isfinite(fit.beta)):
+        raise RuntimeError(
+            "fit has non-finite coefficients; covariates this large in magnitude "
+            "overflow the design moments, so rescale them"
+        )
+    if ensemble is not None and ensemble.unreliable:
+        log.warning("bootstrap unreliable: %d of %d replicates failed",
+                    ensemble.failed, ensemble.B)
+    return config, data, out_dir, ensemble, fit
 
 
 def cmd_fit(args) -> int:
-    config, data, out_dir, spec, ensemble = _prepare(
+    config, data, out_dir, ensemble, result = _prepare(
         args, resample=args.bootstrap is not None
     )
-    result = spec.fit(data) if ensemble is None else ensemble.base_fit
-    if not result.converged:
-        log.error("fit did not converge: %s", result.message)
-        return EXIT_CONVERGENCE
-
     names = _coefficient_names(config)
     rows = [{"coefficient": name, "estimate": b} for name, b in zip(names, result.beta)]
     header = ["coefficient", "estimate"]
@@ -294,6 +310,8 @@ def cmd_fit(args) -> int:
         cov = sandwich_covariance_uncensored(data)
         header += ["se_sandwich"]
         ses = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        if not np.all(np.isfinite(ses)):
+            raise RuntimeError("the sandwich standard errors are not finite")
         for row, se in zip(rows, ses):
             row["se_sandwich"] = se
 
@@ -309,7 +327,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_test(args) -> int:
-    config, data, out_dir, _, ensemble = _prepare(args)
+    config, data, out_dir, ensemble, fit = _prepare(args)
     names = _coefficient_names(config)
     out_path = out_dir / "tests.csv"
     methods = METHODS if config.method == "all" else (config.method,)
@@ -323,13 +341,13 @@ def cmd_test(args) -> int:
                 scale, ci, reject = per_method[method]   # csv writes None as ""
                 writer.writerow([name, rep.estimate, method, scale, ci[0], ci[1], reject])
     write_manifest(out_dir, "test", config, inputs=[args.data], outputs=[out_path],
-                   data=data, ensemble=ensemble, fit=ensemble.base_fit)
+                   data=data, ensemble=ensemble, fit=fit)
     print(f"wrote {out_path}")
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
-    config, data, out_dir, _, ensemble = _prepare(args, same_covariates=True)
+    config, data, out_dir, ensemble, fit = _prepare(args, same_covariates=True)
     S1 = kaplan_meier(data.times1, data.events1)
     S2 = kaplan_meier(data.times2, data.events2)
     correction = tie_correction_term(S1, S2, data.tau)
@@ -340,7 +358,7 @@ def cmd_predict(args) -> int:
     out_path = out_dir / "predictions.csv"
     Z_all = np.vstack((data.covariates1, data.covariates2))
     preds = predict_profiles(
-        ensemble.base_fit, ensemble, Z_all, Z_all,
+        fit, ensemble, Z_all, Z_all,
         link=LINKS[config.link], correction=link_correction,
         alpha=config.alpha, method=ci_method,
     )
@@ -355,7 +373,7 @@ def cmd_predict(args) -> int:
         for i, row in enumerate(columns):
             writer.writerow([i, *row, correction])
     write_manifest(out_dir, "predict", config, inputs=[args.data], outputs=[out_path],
-                   data=data, ensemble=ensemble, fit=ensemble.base_fit, predictions=preds)
+                   data=data, ensemble=ensemble, fit=fit, predictions=preds)
     print(f"wrote {out_path} (tie correction {correction:.4f})")
     return EXIT_OK
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "IdentityFits",
     "estimating_function",
     "jacobian",
-    "objective",
     "solve_closed_form_identity",
     "solve_identity",
     "solve_newton",
@@ -120,7 +119,6 @@ class FitResult:
     iterations: int
     gradient_norm: float
     method: str
-    covariance: Optional[np.ndarray] = None
     used_pinv: bool = False
     message: str = ""
 
@@ -202,17 +200,6 @@ def jacobian(beta, matrix: np.ndarray, Z1, Z2, link: Link) -> np.ndarray:
     """Analytic Jacobian of ``estimating_function``; symmetric."""
     beta, matrix, Z1, Z2 = _prepared(beta, matrix, Z1, Z2)
     return _jacobian_from_terms(*_link_terms(beta, matrix, Z1, Z2, link), Z1, Z2, link)
-
-
-def objective(beta, matrix: np.ndarray, Z1, Z2, link: Link) -> float:
-    """Potential whose gradient is the estimating function."""
-    beta = np.asarray(beta, dtype=float)
-    matrix = np.asarray(matrix, dtype=float)
-    Z1 = np.atleast_2d(np.asarray(Z1, dtype=float))
-    Z2 = np.atleast_2d(np.asarray(Z2, dtype=float))
-    eta = _linear_predictor(beta, Z1, Z2)
-    mu = link.mu(eta)
-    return float(np.mean((matrix - 0.5 * mu) * mu))
 
 
 def design_second_moment(Z1, Z2) -> np.ndarray:
@@ -320,7 +307,6 @@ def solve_newton(
     tol: float = 1e-10,
     max_iter: int = 50,
     max_halvings: int = 10,
-    warm_start_identity: bool = False,
 ) -> FitResult:
     """Damped Newton iteration on the estimating function.
 
@@ -332,8 +318,6 @@ def solve_newton(
     p = 1 + Z1.shape[1] + Z2.shape[1]
     if x0 is not None:
         beta = np.asarray(x0, dtype=float).copy()
-    elif warm_start_identity:
-        beta = solve_closed_form_identity(matrix, Z1, Z2).beta
     else:
         beta = np.zeros(p)
 
@@ -392,10 +376,11 @@ def solve_newton(
 def fit(
     matrix: PseudoMatrix, Z1, Z2, link: Link = IDENTITY, strict_singular: bool = False
 ) -> FitResult:
-    """Dispatch: closed form for the identity link, Newton otherwise."""
+    """Dispatch: closed form for the identity link, otherwise Newton started
+    at the identity-link solution."""
     if link.name == "identity":
         return solve_closed_form_identity(matrix, Z1, Z2, strict_singular=strict_singular)
-    return solve_newton(matrix, Z1, Z2, link, warm_start_identity=True)
+    return solve_newton(matrix, Z1, Z2, link, x0=solve_closed_form_identity(matrix, Z1, Z2).beta)
 
 
 def _shared_row_column_meat(R, Z1, Z2):
@@ -412,9 +397,7 @@ def _shared_row_column_meat(R, Z1, Z2):
     return omega1, omega2
 
 
-def sandwich_covariance_uncensored(
-    data: TwoSampleDataset, beta=None, Z1=None, Z2=None
-) -> np.ndarray:
+def sandwich_covariance_uncensored(data: TwoSampleDataset) -> np.ndarray:
     """Plug-in asymptotic covariance of the identity-link coefficients.
 
     Valid only on fully observed data, where each pair contribution is the
@@ -431,14 +414,11 @@ def sandwich_covariance_uncensored(
             "analytic covariance requires fully observed data; "
             "use bootstrap inference under censoring"
         )
-    Z1 = data.covariates1 if Z1 is None else np.atleast_2d(np.asarray(Z1, dtype=float))
-    Z2 = data.covariates2 if Z2 is None else np.atleast_2d(np.asarray(Z2, dtype=float))
+    Z1, Z2 = data.covariates1, data.covariates2
     n1, n2 = data.n1, data.n2
     D = _indicator_matrix(data)
-    if beta is None:
-        matrix = PseudoMatrix(values=D, theta_hat=float(D.mean()))
-        beta = solve_closed_form_identity(matrix, Z1, Z2).beta
-    beta = np.asarray(beta, dtype=float)
+    matrix = PseudoMatrix(values=D, theta_hat=float(D.mean()))
+    beta = solve_closed_form_identity(matrix, Z1, Z2).beta
     R = D - _linear_predictor(beta, Z1, Z2)
 
     omega1, omega2 = _shared_row_column_meat(R, Z1, Z2)

@@ -23,29 +23,7 @@ from .gee import FitResult, Link, IDENTITY
 from .inference import BootstrapEnsemble
 from .survival import SurvivalCurve
 
-__all__ = [
-    "Prediction",
-    "Predictions",
-    "tie_correction_term",
-    "predict_probability",
-    "predict_profiles",
-    "predict_with_ci",
-    "classify",
-]
-
-
-@dataclass
-class Prediction:
-    z1: np.ndarray
-    z2: np.ndarray
-    point: float
-    ci_low: Optional[float] = None
-    ci_high: Optional[float] = None
-    out_of_range: bool = False
-
-    @property
-    def classification(self) -> str:
-        return classify(self)
+__all__ = ["Predictions", "tie_correction_term", "predict_profiles"]
 
 
 def tie_correction_term(S1: SurvivalCurve, S2: SurvivalCurve, tau: float) -> float:
@@ -65,38 +43,6 @@ def tie_correction_term(S1: SurvivalCurve, S2: SurvivalCurve, tau: float) -> flo
     return 0.5 * (plateau + joint)
 
 
-def _out_of_range(point):
-    return ~((point >= 0.0) & (point <= 1.0))
-
-
-def _labels(ci_low, ci_high):
-    """Benefit label from the CI position relative to 1/2."""
-    return np.where(
-        ci_low > 0.5, "intervention-benefit",
-        np.where(ci_high < 0.5, "control-benefit", "indeterminate"),
-    )
-
-
-def _split(beta: np.ndarray, p1: int, p2: int):
-    return beta[0], beta[1 : 1 + p1], beta[1 + p1 : 1 + p1 + p2]
-
-
-def _points(fit: FitResult, Z1: np.ndarray, Z2: np.ndarray, link: Link,
-            correction: Optional[float]):
-    """Covariate contributions beta1'z1 + beta2'z2 and point predictions
-    for profile rows (Z1[i], Z2[i])."""
-    if not fit.converged:
-        raise ValueError("cannot predict from a non-converged fit")
-    b0, b1, b2 = _split(fit.beta, Z1.shape[1], Z2.shape[1])
-    s1, s2 = Z1 @ b1, Z2 @ b2
-    slope = s1 + s2
-    if correction is not None:
-        if link.name != "identity":
-            raise ValueError("the additive tie correction is defined for the identity link only")
-        return slope, correction + slope
-    return slope, link.mu(b0 + s1 + s2)   # summed in the order of beta'z
-
-
 @dataclass
 class Predictions:
     """Predictions with bootstrap CIs for N profiles, one entry per row."""
@@ -107,33 +53,16 @@ class Predictions:
 
     @property
     def out_of_range(self) -> np.ndarray:
-        return _out_of_range(self.point)
+        """Points outside [0, 1], NaN included; they are flagged, never clamped."""
+        return ~((self.point >= 0.0) & (self.point <= 1.0))
 
     @property
     def classification(self) -> np.ndarray:
-        return _labels(self.ci_low, self.ci_high)
-
-
-def predict_probability(
-    fit: FitResult,
-    z1,
-    z2,
-    link: Link = IDENTITY,
-    correction: Optional[float] = None,
-) -> Prediction:
-    """Point prediction of the conditional ordering probability.
-
-    With a tie ``correction`` (identity link only) the prediction is
-    correction + beta1'z1 + beta2'z2: the correction replaces the intercept
-    of the fitted linear model.  Without one it is mu(beta'z).
-    Out-of-range values are flagged, never clamped.
-    """
-    z1 = np.atleast_1d(np.asarray(z1, dtype=float))
-    z2 = np.atleast_1d(np.asarray(z2, dtype=float))
-    _, point = _points(fit, z1[None, :], z2[None, :], link, correction)
-    return Prediction(
-        z1=z1, z2=z2, point=float(point[0]), out_of_range=bool(_out_of_range(point[0]))
-    )
+        """Benefit label from the CI position relative to 1/2."""
+        return np.where(
+            self.ci_low > 0.5, "intervention-benefit",
+            np.where(self.ci_high < 0.5, "control-benefit", "indeterminate"),
+        )
 
 
 def predict_profiles(
@@ -149,6 +78,10 @@ def predict_profiles(
     """Predictions with bootstrap CIs for the profiles (Z1[i], Z2[i]), given
     as (N, p1) and (N, p2) arrays.
 
+    With a tie ``correction`` (identity link only) the point prediction is
+    correction + beta1'z1 + beta2'z2: the correction replaces the intercept
+    of the fitted linear model.  Without one it is mu(beta'z).
+
     Only the uncertainty of beta1'z1 + beta2'z2 is propagated; the tie
     correction (and the intercept in plain mode) is treated as fixed.  The
     CI is point +- z * SD of the replicate contributions (``emp``) or the
@@ -156,10 +89,19 @@ def predict_profiles(
     """
     if method not in ("emp", "quantile"):
         raise ValueError(f"unknown CI method {method!r}")
+    if not fit.converged:
+        raise ValueError("cannot predict from a non-converged fit")
+    if correction is not None and link.name != "identity":
+        raise ValueError("the additive tie correction is defined for the identity link only")
     Z1 = np.asarray(Z1, dtype=float)
     Z2 = np.asarray(Z2, dtype=float)
-    base_slope, point = _points(fit, Z1, Z2, link, correction)
     p1, p2 = Z1.shape[1], Z2.shape[1]
+    s1, s2 = Z1 @ fit.beta[1 : 1 + p1], Z2 @ fit.beta[1 + p1 : 1 + p1 + p2]
+    base_slope = s1 + s2
+    if correction is not None:
+        point = correction + base_slope
+    else:
+        point = link.mu(fit.beta[0] + s1 + s2)   # summed in the order of beta'z
     reps = ensemble.replicates[ensemble.ok]
     slopes = reps[:, 1 : 1 + p1] @ Z1.T + reps[:, 1 + p1 : 1 + p1 + p2] @ Z2.T  # (B_ok, N)
     if method == "emp":
@@ -168,32 +110,3 @@ def predict_profiles(
         return Predictions(point=point, ci_low=point - half, ci_high=point + half)
     q_lo, q_hi = np.quantile(slopes - base_slope, [alpha / 2, 1 - alpha / 2], axis=0)
     return Predictions(point=point, ci_low=point - q_hi, ci_high=point - q_lo)
-
-
-def predict_with_ci(
-    fit: FitResult,
-    ensemble: BootstrapEnsemble,
-    z1,
-    z2,
-    link: Link = IDENTITY,
-    correction: Optional[float] = None,
-    alpha: float = 0.05,
-    method: str = "emp",
-) -> Prediction:
-    """``predict_profiles`` for the single profile (z1, z2)."""
-    z1 = np.atleast_1d(np.asarray(z1, dtype=float))
-    z2 = np.atleast_1d(np.asarray(z2, dtype=float))
-    batch = predict_profiles(fit, ensemble, z1[None, :], z2[None, :], link=link,
-                             correction=correction, alpha=alpha, method=method)
-    return Prediction(
-        z1=z1, z2=z2, point=float(batch.point[0]),
-        ci_low=float(batch.ci_low[0]), ci_high=float(batch.ci_high[0]),
-        out_of_range=bool(batch.out_of_range[0]),
-    )
-
-
-def classify(prediction: Prediction) -> str:
-    """Benefit label from the CI position relative to 1/2."""
-    if prediction.ci_low is None or prediction.ci_high is None:
-        raise ValueError("classification requires a confidence interval")
-    return str(_labels(prediction.ci_low, prediction.ci_high))

@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .survival import TwoSampleDataset, kaplan_meier, theta_integral
+from .survival import TwoSampleDataset
 
-__all__ = ["PseudoMatrix", "PseudoMarginals", "theta_hat", "pseudo_matrix", "pseudo_marginals"]
+__all__ = ["PseudoMatrix", "PseudoMarginals", "pseudo_matrix", "pseudo_marginals"]
 
 
 @dataclass(frozen=True)
@@ -69,13 +69,6 @@ class PseudoMatrix:
     @property
     def grand_mean(self) -> float:
         return float(self.values.mean())
-
-
-def theta_hat(data: TwoSampleDataset) -> float:
-    """Plug-in estimate of P(min(T1,tau) > min(T2,tau)) from the KM curves."""
-    S1 = kaplan_meier(data.times1, data.events1)
-    S2 = kaplan_meier(data.times2, data.events2)
-    return theta_integral(S1, S2, data.tau)
 
 
 def pseudo_matrix(data: TwoSampleDataset) -> PseudoMatrix:

@@ -1,13 +1,14 @@
 """Slow reference implementations that the production code is checked against.
 
 Each oracle recomputes a quantity from its definition, independently of the
-fast path in ``releff``: the pseudo-observation matrix by re-estimating all
-four Kaplan-Meier curves per pair (each leave-one-out curve by refitting the
-reduced sample), the Weibull relative effect by numerical quadrature, and the
-damped Newton fit by re-evaluating the public estimating function and
-Jacobian at every iterate, the prediction interval one profile at a time,
-and the warp-speed Monte Carlo engine one run and one full pseudo matrix
-at a time.
+fast path in ``releff``: the plug-in estimate from the two Kaplan-Meier
+curves, the pseudo-observation matrix by re-estimating all four Kaplan-Meier
+curves per pair (each leave-one-out curve by refitting the reduced sample),
+the potential whose gradient is the estimating function, the Weibull
+relative effect by numerical quadrature, and the damped Newton fit by
+re-evaluating the public estimating function and Jacobian at every iterate,
+the prediction interval one profile at a time, and the warp-speed Monte
+Carlo engine one run and one full pseudo matrix at a time.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from releff import gee
-from releff.gee import FitResult, estimating_function, jacobian, solve_closed_form_identity
+from releff.gee import FitResult, estimating_function, jacobian
 from releff.inference import (
     METHODS,
     FitSpec,
@@ -26,6 +27,13 @@ from releff.inference import (
 )
 from releff.pseudo import pseudo_matrix
 from releff.survival import SurvivalCurve, TwoSampleDataset, kaplan_meier, theta_integral
+
+
+def theta_hat(data: TwoSampleDataset) -> float:
+    """Plug-in estimate of P(min(T1,tau) > min(T2,tau)) from the KM curves."""
+    S1 = kaplan_meier(data.times1, data.events1)
+    S2 = kaplan_meier(data.times2, data.events2)
+    return theta_integral(S1, S2, data.tau)
 
 
 def leave_one_out_km(times, events, index: int) -> SurvivalCurve:
@@ -63,6 +71,18 @@ def brute_matrix(data: TwoSampleDataset) -> np.ndarray:
     return values
 
 
+def objective(beta, matrix, Z1, Z2, link) -> float:
+    """Potential whose gradient is the estimating function: the pair mean of
+    (pseudo - mu / 2) * mu at eta = beta'z."""
+    beta = np.asarray(beta, dtype=float)
+    Z1 = np.atleast_2d(np.asarray(Z1, dtype=float))
+    Z2 = np.atleast_2d(np.asarray(Z2, dtype=float))
+    p1 = Z1.shape[1]
+    eta = beta[0] + (Z1 @ beta[1 : 1 + p1])[:, None] + (Z2 @ beta[1 + p1 :])[None, :]
+    mu = link.mu(eta)
+    return float(np.mean((np.asarray(matrix, dtype=float) - 0.5 * mu) * mu))
+
+
 def true_theta_weibull_numeric(lam1, k1, lam2, k2, tau=np.inf) -> float:
     """Quadrature of -int S1 dS2 for Weibull scales lam_j and shapes k_j."""
 
@@ -76,8 +96,8 @@ def true_theta_weibull_numeric(lam1, k1, lam2, k2, tau=np.inf) -> float:
     return float(val)
 
 
-def newton_fit(matrix, Z1, Z2, link, x0=None, tol=1e-10, max_iter=50, max_halvings=10,
-               warm_start_identity=False) -> FitResult:
+def newton_fit(matrix, Z1, Z2, link, x0=None, tol=1e-10, max_iter=50,
+               max_halvings=10) -> FitResult:
     """Damped Newton iteration calling ``estimating_function`` for every
     candidate and ``jacobian`` for every step."""
     Z1 = np.atleast_2d(np.asarray(Z1, dtype=float))
@@ -85,8 +105,6 @@ def newton_fit(matrix, Z1, Z2, link, x0=None, tol=1e-10, max_iter=50, max_halvin
     p = 1 + Z1.shape[1] + Z2.shape[1]
     if x0 is not None:
         beta = np.asarray(x0, dtype=float).copy()
-    elif warm_start_identity:
-        beta = solve_closed_form_identity(matrix, Z1, Z2).beta
     else:
         beta = np.zeros(p)
 

@@ -14,13 +14,12 @@ from releff.gee import (
     LOGIT,
     estimating_function,
     jacobian,
-    objective,
     sandwich_covariance_uncensored,
     solve_closed_form_identity,
     solve_newton,
 )
 from releff.inference import FitSpec
-from releff.predict import Prediction, classify, tie_correction_term
+from releff.predict import Predictions, tie_correction_term
 from releff.pseudo import _stieltjes_matrix, pseudo_matrix
 from releff.sim import (
     censoring_rate,
@@ -32,7 +31,7 @@ from releff.sim import (
 from releff.survival import TwoSampleDataset, kaplan_meier
 
 from conftest import random_dataset
-from oracles import brute_matrix, true_theta_weibull_numeric
+from oracles import brute_matrix, objective, true_theta_weibull_numeric
 
 
 def report(name, ok, detail):
@@ -216,7 +215,7 @@ def test_criterion_09_sandwich_coverage():
         rng = np.random.default_rng(np.random.SeedSequence(109, spawn_key=(m,)))
         data = simulate_dataset(sc, rng)
         fit = spec.fit(data)
-        se = float(np.sqrt(sandwich_covariance_uncensored(data, beta=fit.beta)[1, 1]))
+        se = float(np.sqrt(sandwich_covariance_uncensored(data)[1, 1]))
         hits += abs(fit.beta[1]) <= z * se
     coverage = hits / M
     report(
@@ -263,11 +262,10 @@ def test_criterion_11_tie_correction_and_classification():
         ((0.5, 0.9), "indeterminate"),
         ((0.1, 0.5), "indeterminate"),
     ]
-    ok_rule = all(
-        classify(Prediction(z1=np.zeros(1), z2=np.zeros(1),
-                            point=0.5, ci_low=lo, ci_high=hi)) == label
-        for (lo, hi), label in rules
-    )
+    intervals, labels = zip(*rules)
+    lo, hi = np.array(intervals).T
+    fixtures = Predictions(point=np.full(len(rules), 0.5), ci_low=lo, ci_high=hi)
+    ok_rule = fixtures.classification.tolist() == list(labels)
     report(
         "tie correction bounded; classification rule exact",
         ok_range and ok_rule,

@@ -399,6 +399,61 @@ class TestCommands:
             assert (r["ci_low"], r["ci_high"]) == (row[f"ci_{m}_low"], row[f"ci_{m}_high"])
             assert r["reject"] == row[f"reject_{m}"]
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("command", [
+        ["fit"], ["fit", "--bootstrap", "5"], ["test", "--bootstrap", "5"],
+        ["predict", "--bootstrap", "5"],
+    ], ids=["fit", "fit-bootstrap", "test", "predict"])
+    def test_non_finite_fit_exits_convergence(self, tmp_path, caplog, command):
+        # covariates near 1e200 overflow the design second moments to inf
+        path = tmp_path / "huge.csv"
+        write_csv(path, [[1, 1.0, 1, 1e200], [1, 2.0, 1, 2e200], [1, 3.0, 0, 3e200],
+                         [2, 1.5, 1, 1e200], [2, 2.5, 1, 2.5e200], [2, 0.5, 1, 3e200]],
+                  header=("group", "time", "status", "age"))
+        out = tmp_path / "out"
+        with caplog.at_level("ERROR", logger="releff"):
+            rc = main([*command, "--data", str(path), "--cov1", "age", "--cov2", "age",
+                       "--seed", "1", "--out-dir", str(out)])
+        assert rc == EXIT_CONVERGENCE
+        assert "non-finite coefficients" in caplog.text
+        assert not list(out.glob("*.csv"))
+
+    def test_non_finite_sandwich_se_exits_convergence(self, four_row_csv, tmp_path,
+                                                      monkeypatch, caplog):
+        monkeypatch.setattr(cli, "sandwich_covariance_uncensored",
+                            lambda data: np.full((1, 1), np.inf))
+        out = tmp_path / "out"
+        with caplog.at_level("ERROR", logger="releff"):
+            rc = main(["fit", "--data", str(four_row_csv), "--tau", "10",
+                       "--out-dir", str(out)])
+        assert rc == EXIT_CONVERGENCE
+        assert "standard errors are not finite" in caplog.text
+        assert not (out / "coefficients.csv").exists()
+
+    def test_logit_working_set_refused_before_any_fit(self, covariate_csv, tmp_path,
+                                                      monkeypatch, caplog):
+        needed = 5 * 8 * 20 * 22
+        argv = ["--data", str(covariate_csv), "--tau", "4", "--cov1", "age", "--cov2", "age",
+                "--seed", "2", "--bootstrap", "5"]
+        monkeypatch.setattr(cli, "LOGIT_WORKING_SET_BYTES", needed)
+        assert main(["test", "--link", "logit", *argv,
+                     "--out-dir", str(tmp_path / "at_limit")]) == EXIT_OK
+
+        def no_fit(*args, **kwargs):
+            pytest.fail("a fit ran although the working set was refused")
+
+        monkeypatch.setattr(cli, "LOGIT_WORKING_SET_BYTES", needed - 1)
+        monkeypatch.setattr(cli, "bootstrap", no_fit)
+        monkeypatch.setattr(FitSpec, "fit", no_fit)
+        for command in ("fit", "test"):
+            out = tmp_path / command
+            caplog.clear()
+            with caplog.at_level("ERROR", logger="releff"):
+                rc = main([command, "--link", "logit", *argv, "--out-dir", str(out)])
+            assert rc == EXIT_CONFIG, command
+            assert "n1 = 20, n2 = 22" in caplog.text, command
+            assert not out.exists(), command
+
     def test_predict_requires_matching_columns(self, covariate_csv, tmp_path):
         rc = main(["predict", "--data", str(covariate_csv), "--tau", "4",
                    "--cov1", "age", "--cov2", "", "--out-dir", str(tmp_path),
@@ -437,10 +492,15 @@ def garbage_csv(draw):
     return columns, rows
 
 
-@given(garbage_csv(), st.sampled_from([[], ["--cov1", "age", "--cov2", "age"]]))
+_COMMANDS = [["fit"], ["test", "--seed", "1", "--bootstrap", "5"],
+             ["predict", "--seed", "1", "--bootstrap", "5"]]
+
+
+@given(garbage_csv(), st.sampled_from([[], ["--cov1", "age", "--cov2", "age"]]),
+       st.sampled_from(_COMMANDS))
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-def test_fit_on_garbage_csv_exits_cleanly(table, covariates):
+def test_fit_on_garbage_csv_exits_cleanly(table, covariates, command):
     header, rows = table
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "garbage.csv"
@@ -448,6 +508,6 @@ def test_fit_on_garbage_csv_exits_cleanly(table, covariates):
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
-        rc = main(["fit", "--data", str(path), "--out-dir", str(Path(tmp) / "out"),
+        rc = main([*command, "--data", str(path), "--out-dir", str(Path(tmp) / "out"),
                    *covariates])
-    assert rc in (EXIT_OK, EXIT_PARSE, EXIT_CONFIG)
+    assert rc in (EXIT_OK, EXIT_PARSE, EXIT_CONVERGENCE, EXIT_CONFIG)

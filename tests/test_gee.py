@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dataset
-from oracles import newton_fit
+from oracles import newton_fit, objective
 from releff.gee import (
     IDENTITY,
     LOGIT,
@@ -17,7 +17,6 @@ from releff.gee import (
     estimating_function,
     fit,
     jacobian,
-    objective,
     sandwich_covariance_uncensored,
     solve_closed_form_identity,
     solve_identity,
@@ -245,10 +244,8 @@ class TestNewtonMatchesOracle:
     def test_random_data(self, seed, n1, n2, censored, link, warm):
         rng = np.random.default_rng(seed)
         pm, Z1, Z2 = instance(rng, n1, n2, censored=censored)
-        assert_same_fit(
-            solve_newton(pm, Z1, Z2, link, warm_start_identity=warm),
-            newton_fit(pm, Z1, Z2, link, warm_start_identity=warm),
-        )
+        x0 = solve_closed_form_identity(pm, Z1, Z2).beta if warm else None
+        assert_same_fit(solve_newton(pm, Z1, Z2, link, x0=x0), newton_fit(pm, Z1, Z2, link, x0=x0))
 
     def test_duplicate_column_takes_pinv_step(self, rng):
         pm, Z1, Z2 = instance(rng)
@@ -282,8 +279,7 @@ class TestNewtonMatchesOracle:
         pm = pseudo_matrix(data)
         tracemalloc.start()
         try:
-            res = solve_newton(pm, data.covariates1, data.covariates2, LOGIT,
-                               warm_start_identity=True)
+            res = fit(pm, data.covariates1, data.covariates2, LOGIT)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -7,20 +7,20 @@ from conftest import random_dataset
 from oracles import prediction_interval
 from releff.gee import FitResult, IDENTITY, LOGIT
 from releff.inference import BootstrapEnsemble, FitSpec, bootstrap
-from releff.predict import (
-    Prediction,
-    classify,
-    predict_probability,
-    predict_profiles,
-    predict_with_ci,
-    tie_correction_term,
-)
-from releff.survival import kaplan_meier
+from releff.predict import Predictions, predict_profiles, tie_correction_term
+from releff.survival import TwoSampleDataset, kaplan_meier
 
 
 def fixed_fit(beta):
     return FitResult(beta=np.asarray(beta, dtype=float), converged=True,
                      iterations=0, gradient_norm=0.0, method="closed-form")
+
+
+def point_prediction(fit, z1, z2, link=IDENTITY, correction=None):
+    """The point prediction of the single profile (z1, z2), from an ensemble
+    whose replicates all equal the fit."""
+    ens = BootstrapEnsemble(replicates=np.tile(fit.beta, (2, 1)), B=2, seed=0, base_fit=fit)
+    return predict_profiles(fit, ens, [z1], [z2], link=link, correction=correction)
 
 
 class TestTieCorrection:
@@ -61,40 +61,42 @@ class TestTieCorrection:
 
 
 class TestPredictProbability:
+    """Point predictions of one profile through ``predict_profiles``."""
+
     def test_requires_converged_fit(self):
         bad = FitResult(beta=np.zeros(3), converged=False, iterations=50,
                         gradient_norm=1.0, method="newton")
         with pytest.raises(ValueError):
-            predict_probability(bad, [0.0], [0.0])
+            point_prediction(bad, [0.0], [0.0])
 
     def test_reduced_convention_at_zero_covariates(self):
         fit = fixed_fit([0.2, 0.3, -0.1])
-        pred = predict_probability(fit, [0.0], [0.0], correction=0.36)
-        assert pred.point == pytest.approx(0.36)
+        pred = point_prediction(fit, [0.0], [0.0], correction=0.36)
+        assert pred.point[0] == pytest.approx(0.36)
 
     def test_constant_when_slopes_cancel(self, rng):
         fit = fixed_fit([0.1, 0.25, -0.25])
         vals = [
-            predict_probability(fit, [z], [z], correction=0.3).point
+            point_prediction(fit, [z], [z], correction=0.3).point[0]
             for z in rng.standard_normal(100)
         ]
         np.testing.assert_allclose(vals, 0.3, atol=1e-12)
 
     def test_plain_mode_uses_link(self):
         fit = fixed_fit([0.0, 1.0, 0.0])
-        pred = predict_probability(fit, [0.0], [0.0], link=LOGIT)
-        assert pred.point == pytest.approx(0.5)
+        pred = point_prediction(fit, [0.0], [0.0], link=LOGIT)
+        assert pred.point[0] == pytest.approx(0.5)
 
     def test_out_of_range_flagged_not_clamped(self):
         fit = fixed_fit([0.9, 0.5, 0.0])
-        pred = predict_probability(fit, [1.0], [1.0], correction=0.9)
-        assert pred.point > 1.0
-        assert pred.out_of_range
+        pred = point_prediction(fit, [1.0], [1.0], correction=0.9)
+        assert pred.point[0] > 1.0
+        assert pred.out_of_range[0]
 
     def test_correction_rejected_for_nonidentity(self):
         fit = fixed_fit([0.0, 0.1, 0.1])
         with pytest.raises(ValueError):
-            predict_probability(fit, [1.0], [1.0], link=LOGIT, correction=0.3)
+            point_prediction(fit, [1.0], [1.0], link=LOGIT, correction=0.3)
 
 
 class TestClassify:
@@ -106,19 +108,15 @@ class TestClassify:
             ((0.50, 0.60), "indeterminate"),   # boundary touches 0.5
             ((0.40, 0.50), "indeterminate"),
         ]
-        for (lo, hi), expected in cases:
-            pred = Prediction(z1=np.zeros(1), z2=np.zeros(1), point=(lo + hi) / 2,
-                              ci_low=lo, ci_high=hi)
-            assert classify(pred) == expected
-            assert pred.classification == expected
-
-    def test_requires_interval(self):
-        pred = Prediction(z1=np.zeros(1), z2=np.zeros(1), point=0.6)
-        with pytest.raises(ValueError):
-            classify(pred)
+        intervals, expected = zip(*cases)
+        lo, hi = np.array(intervals).T
+        preds = Predictions(point=(lo + hi) / 2, ci_low=lo, ci_high=hi)
+        assert preds.classification.tolist() == list(expected)
 
 
 class TestPredictWithCI:
+    """Predictions with CIs of one profile through ``predict_profiles``."""
+
     def test_interval_brackets_point(self, rng):
         data = random_dataset(rng, 20, 20, censored=True, tau=3.0)
         ens = bootstrap(data, B=80, seed=4)
@@ -126,17 +124,17 @@ class TestPredictWithCI:
         S2 = kaplan_meier(data.times2, data.events2)
         corr = tie_correction_term(S1, S2, data.tau)
         for method in ("emp", "quantile"):
-            pred = predict_with_ci(ens.base_fit, ens, [0.3, -0.2], [0.3, -0.2],
-                                   correction=corr, method=method)
-            assert pred.ci_low < pred.ci_high
-            assert pred.ci_low < pred.point + 1e-9
+            pred = predict_profiles(ens.base_fit, ens, [[0.3, -0.2]], [[0.3, -0.2]],
+                                    correction=corr, method=method)
+            assert pred.ci_low[0] < pred.ci_high[0]
+            assert pred.ci_low[0] < pred.point[0] + 1e-9
 
     def test_unknown_method(self, rng):
         data = random_dataset(rng, 10, 10, censored=False)
         ens = bootstrap(data, B=20, seed=0)
         with pytest.raises(ValueError):
-            predict_with_ci(ens.base_fit, ens, [0.0, 0.0], [0.0, 0.0],
-                            correction=0.3, method="bc_a")
+            predict_profiles(ens.base_fit, ens, [[0.0, 0.0]], [[0.0, 0.0]],
+                             correction=0.3, method="bc_a")
 
     def test_large_sample_prediction_tracks_conditional_frequency(self):
         # logistic-regime data with a strong covariate effect: binned empirical
@@ -147,13 +145,10 @@ class TestPredictWithCI:
         Z2 = rng.uniform(-1, 1, (n, 1))
         T1 = np.exp(g * Z1[:, 0]) * rng.weibull(k, n)
         T2 = np.exp(-g * Z2[:, 0]) * rng.weibull(k, n)
-        from releff.inference import FitSpec
-        from releff.survival import TwoSampleDataset
-
         data = TwoSampleDataset(T1, np.ones(n), Z1, T2, np.ones(n), Z2)
         fit = FitSpec().fit(data)
         z0 = 0.5
-        pred = predict_probability(fit, [z0], [z0]).point
+        pred = point_prediction(fit, [z0], [z0]).point[0]
         sel1 = np.abs(Z1[:, 0] - z0) < 0.1
         sel2 = np.abs(Z2[:, 0] - z0) < 0.1
         freq = np.mean(T1[sel1][:, None] > T2[sel2][None, :])
@@ -173,16 +168,16 @@ class TestPredictProfiles:
                                  correction=correction, method=method)
         assert batch.point.shape == batch.ci_low.shape == batch.ci_high.shape == (20,)
         for i in range(20):
-            row = predict_with_ci(ens.base_fit, ens, Z1[i], Z2[i], link=link,
-                                  correction=correction, method=method)
+            row = predict_profiles(ens.base_fit, ens, Z1[i : i + 1], Z2[i : i + 1], link=link,
+                                   correction=correction, method=method)
             got = [batch.point[i], batch.ci_low[i], batch.ci_high[i]]
-            np.testing.assert_allclose(got, [row.point, row.ci_low, row.ci_high],
+            np.testing.assert_allclose(got, [row.point[0], row.ci_low[0], row.ci_high[0]],
                                        rtol=0, atol=1e-12)
             want = prediction_interval(ens.base_fit, ens, Z1[i], Z2[i], link,
                                        correction=correction, method=method)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-            assert batch.out_of_range[i] == row.out_of_range
-            assert batch.classification[i] == row.classification
+            assert batch.out_of_range[i] == row.out_of_range[0]
+            assert batch.classification[i] == row.classification[0]
 
     def test_out_of_range_and_labels(self):
         fit = fixed_fit([0.0, 1.0, 0.0])

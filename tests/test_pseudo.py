@@ -4,14 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dataset
-from oracles import brute_matrix, leave_one_out_km
+from oracles import brute_matrix, leave_one_out_km, theta_hat
 from releff.pseudo import (
     _indicator_matrix,
     _leave_one_out_curves,
     _stieltjes_matrix,
     pseudo_marginals,
     pseudo_matrix,
-    theta_hat,
 )
 from releff.survival import TwoSampleDataset, kaplan_meier
 
