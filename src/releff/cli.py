@@ -21,7 +21,7 @@ import scipy
 
 from . import __version__
 from .gee import LINKS, sandwich_covariance_uncensored
-from .inference import METHODS, FitSpec, bootstrap, test_coefficient
+from .inference import METHODS, FitSpec, bootstrap, require_finite, test_coefficient
 from .predict import predict_profiles, tie_correction_term
 from .sim import check_reps, make_scenario, run_scenario, write_result_rows
 from .survival import TwoSampleDataset, kaplan_meier
@@ -34,9 +34,11 @@ EXIT_CONVERGENCE = 3
 EXIT_CONFIG = 4
 
 # the logit fit holds about five n1 x n2 float arrays at once (the pseudo
-# matrix and Newton's eta, residual, mu' and a temporary of mu''); a larger
-# working set is refused before any fit
-LOGIT_WORKING_SET_BYTES = 2 << 30
+# matrix and Newton's eta, residual, mu' and a temporary of mu''), the
+# uncensored sandwich covariance about three (the indicator matrix, the
+# linear predictor and the residual); a larger working set is refused
+# before any fit
+WORKING_SET_BYTES = 2 << 30
 
 
 class ParseFailure(Exception):
@@ -239,6 +241,23 @@ def _coefficient_names(config: AnalysisConfig):
     )
 
 
+def _check_working_set(config: AnalysisConfig, data: TwoSampleDataset, sandwich: bool):
+    """Refuse a logit fit, or an uncensored identity fit whose ``sandwich``
+    covariance is asked for, that needs more than WORKING_SET_BYTES."""
+    if config.link == "logit":
+        what, working_set = "the logit link", 5 * 8 * data.n1 * data.n2
+    elif sandwich and data.uncensored:
+        what, working_set = "the sandwich covariance", 3 * 8 * data.n1 * data.n2
+    else:
+        return
+    if working_set > WORKING_SET_BYTES:
+        raise ConfigFailure(
+            f"{what} needs about {working_set / 2**30:.2f} GiB of working memory "
+            f"for n1 = {data.n1}, n2 = {data.n2}; the limit is "
+            f"{WORKING_SET_BYTES / 2**30:.2f} GiB"
+        )
+
+
 def _prepare(args, resample=True, same_covariates=False):
     """Shared preamble of fit, test and predict.
 
@@ -256,13 +275,7 @@ def _prepare(args, resample=True, same_covariates=False):
             "covariates1 and covariates2 must name the same columns"
         )
     data = ingest_csv(args.data, config)
-    working_set = 5 * 8 * data.n1 * data.n2
-    if config.link == "logit" and working_set > LOGIT_WORKING_SET_BYTES:
-        raise ConfigFailure(
-            f"the logit link needs about {working_set / 2**30:.2f} GiB of working memory "
-            f"for n1 = {data.n1}, n2 = {data.n2}; the limit is "
-            f"{LOGIT_WORKING_SET_BYTES / 2**30:.2f} GiB"
-        )
+    _check_working_set(config, data, sandwich=not resample)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = FitSpec(link=LINKS[config.link], strict_singular=config.strict_singular)
@@ -274,11 +287,7 @@ def _prepare(args, resample=True, same_covariates=False):
         fit = spec.fit(data)
     if not fit.converged:
         raise RuntimeError(f"fit did not converge: {fit.message}")
-    if not np.all(np.isfinite(fit.beta)):
-        raise RuntimeError(
-            "fit has non-finite coefficients; covariates this large in magnitude "
-            "overflow the design moments, so rescale them"
-        )
+    require_finite(fit)
     if ensemble is not None and ensemble.unreliable:
         log.warning("bootstrap unreliable: %d of %d replicates failed",
                     ensemble.failed, ensemble.B)

@@ -250,13 +250,24 @@ class IdentityFits:
         )
 
 
+def _rank(Sigma: np.ndarray) -> np.ndarray:
+    """Ranks of a stack of symmetric matrices, as ``np.linalg.matrix_rank``
+    counts them (singular values above max * size * eps), from the
+    eigenvalues, whose magnitudes are the singular values of a symmetric
+    matrix."""
+    lam = np.abs(np.linalg.eigvalsh(Sigma))
+    tol = lam.max(axis=-1, keepdims=True) * Sigma.shape[-1] * np.finfo(Sigma.dtype).eps
+    return np.count_nonzero(lam > tol, axis=-1)
+
+
 def solve_identity(row_means, col_means, Z1, Z2, strict_singular: bool = False) -> IdentityFits:
     """Exact identity-link solutions of N datasets from their pseudo-matrix
     marginals: row means (N, n1), column means (N, n2), covariates (N, n1, p1)
     and (N, n2, p2).
 
     A rank-deficient design is solved by pseudo-inverse, or with
-    ``strict_singular`` left unsolved and flagged.
+    ``strict_singular`` left unsolved and flagged.  A design whose second
+    moments overflow is left unsolved: its coefficients are NaN.
     """
     n1, n2 = row_means.shape[-1], col_means.shape[-1]
     Sigma = design_second_moment(Z1, Z2)
@@ -268,9 +279,11 @@ def solve_identity(row_means, col_means, Z1, Z2, strict_singular: bool = False) 
         ),
         axis=-1,
     )
-    deficient = np.linalg.matrix_rank(Sigma) < psi.shape[-1]
+    finite = np.isfinite(Sigma).all(axis=(-2, -1))
+    deficient = np.zeros(finite.shape, dtype=bool)
+    deficient[finite] = _rank(Sigma[finite]) < psi.shape[-1]
     beta = np.full(psi.shape, np.nan)
-    full = ~deficient
+    full = finite & ~deficient
     if full.any():
         beta[full] = np.linalg.solve(Sigma[full], psi[full][..., None])[..., 0]
     used_pinv = deficient & (not strict_singular)

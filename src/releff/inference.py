@@ -10,14 +10,15 @@ axis and, for the identity link, fitted by one ``pseudo_marginals`` and one
 ``gee.solve_identity`` call.  Other links fit the chunk's datasets one by
 one through the full pseudo matrix.  A chunk holds at most
 ``STACK_ELEMENTS // (n1 + n2 + 2)`` datasets, so memory does not grow with
-B or M.
+B or M.  Warp-speed runs are simulated straight into a chunk's stacked
+arrays by a chunk simulator; no dataset object is built per run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Optional
+from typing import Optional, Protocol, Sequence
 
 import numpy as np
 from scipy.stats import norm
@@ -28,10 +29,12 @@ from .survival import TwoSampleDataset
 
 __all__ = [
     "METHODS",
+    "DatasetStack",
     "FitSpec",
     "BootstrapEnsemble",
     "TestReport",
     "bootstrap",
+    "require_finite",
     "test_coefficient",
     "warp_speed",
 ]
@@ -56,7 +59,7 @@ def _chunk_size(n1: int, n2: int) -> int:
 
 
 @dataclass(frozen=True)
-class _Stack:
+class DatasetStack:
     """N datasets of one shape, each field of ``TwoSampleDataset`` stacked
     on a leading axis: times and events (N, n), covariates (N, n, p), tau (N,)."""
 
@@ -69,20 +72,20 @@ class _Stack:
     tau: np.ndarray
 
     @classmethod
-    def of(cls, datasets) -> "_Stack":
+    def of(cls, datasets) -> "DatasetStack":
         return cls(*(np.stack([getattr(d, f.name) for d in datasets]) for f in fields(cls)))
 
     def __len__(self) -> int:
         return self.tau.shape[0]
 
-    def resampled(self, idx1: np.ndarray, idx2: np.ndarray) -> "_Stack":
+    def resampled(self, idx1: np.ndarray, idx2: np.ndarray) -> "DatasetStack":
         """Dataset k resampled with rows idx1[k] and idx2[k]; a stack of one
         dataset is resampled once per row of idx1 and idx2."""
         def take(values, idx):
             return np.take_along_axis(values, idx.reshape(idx.shape + (1,) * (values.ndim - 2)),
                                       axis=1)
 
-        return _Stack(
+        return DatasetStack(
             take(self.times1, idx1), take(self.events1, idx1), take(self.covariates1, idx1),
             take(self.times2, idx2), take(self.events2, idx2), take(self.covariates2, idx2),
             np.broadcast_to(self.tau, idx1.shape[:1]),
@@ -106,41 +109,46 @@ class FitSpec:
         """Fit one dataset; a singular design under ``strict_singular``
         raises LinAlgError."""
         if self.link.name == "identity":
-            return self._identity(_Stack.of([data])).result(0)
+            return self._identity(DatasetStack.of([data])).result(0)
         return gee.fit(
             pseudo_matrix(data), data.covariates1, data.covariates2, self.link,
             strict_singular=self.strict_singular,
         )
 
-    def _identity(self, stack: _Stack) -> gee.IdentityFits:
+    def _identity(self, stack: DatasetStack) -> gee.IdentityFits:
         m = pseudo_marginals(stack.times1, stack.events1, stack.times2, stack.events2, stack.tau)
         return gee.solve_identity(
             m.row_means, m.col_means, stack.covariates1, stack.covariates2,
             strict_singular=self.strict_singular,
         )
 
-    def _fit_stack(self, stack: _Stack):
+    def _fit_stack(self, stack: DatasetStack):
         """Coefficients (N, p) of every dataset in ``stack``, NaN where the
         fit failed, and the failed rows by cause: (beta, singular,
-        nonconverged).  A LinAlgError of one fit marks it singular."""
+        nonconverged).  A LinAlgError of one fit marks it singular; a fit
+        with non-finite coefficients counts as not converged."""
         if self.link.name == "identity":
             fits = self._identity(stack)
-            return fits.beta, fits.singular, np.zeros(len(stack), dtype=bool)
-        p = 1 + stack.covariates1.shape[2] + stack.covariates2.shape[2]
-        beta = np.full((len(stack), p), np.nan)
-        singular = np.zeros(len(stack), dtype=bool)
-        nonconverged = np.zeros(len(stack), dtype=bool)
-        for k in range(len(stack)):
-            try:
-                result = self.fit(stack.dataset(k))
-            except np.linalg.LinAlgError:
-                singular[k] = True
-                continue
-            if result.converged:
-                beta[k] = result.beta
-            else:
-                nonconverged[k] = True
-        return beta, singular, nonconverged
+            beta, singular = fits.beta, fits.singular
+            nonconverged = np.zeros(len(stack), dtype=bool)
+        else:
+            p = 1 + stack.covariates1.shape[2] + stack.covariates2.shape[2]
+            beta = np.full((len(stack), p), np.nan)
+            singular = np.zeros(len(stack), dtype=bool)
+            nonconverged = np.zeros(len(stack), dtype=bool)
+            for k in range(len(stack)):
+                try:
+                    result = self.fit(stack.dataset(k))
+                except np.linalg.LinAlgError:
+                    singular[k] = True
+                    continue
+                if result.converged:
+                    beta[k] = result.beta
+                else:
+                    nonconverged[k] = True
+        non_finite = ~(singular | nonconverged | np.isfinite(beta).all(axis=1))
+        beta[non_finite] = np.nan
+        return beta, singular, nonconverged | non_finite
 
 
 @dataclass
@@ -152,7 +160,7 @@ class BootstrapEnsemble:
     failed: int = 0               # singular + nonconverged
     unreliable: bool = False
     singular: int = 0             # refits with a singular design (strict_singular)
-    nonconverged: int = 0         # refits that did not converge
+    nonconverged: int = 0         # refits that did not converge to finite coefficients
 
     @property
     def ok(self) -> np.ndarray:
@@ -161,6 +169,15 @@ class BootstrapEnsemble:
     @property
     def centered(self) -> np.ndarray:
         return self.replicates[self.ok] - self.base_fit.beta
+
+
+def require_finite(fit: gee.FitResult) -> None:
+    """Raise RuntimeError when ``fit`` has a non-finite coefficient."""
+    if not np.all(np.isfinite(fit.beta)):
+        raise RuntimeError(
+            "fit has non-finite coefficients; covariates this large in magnitude "
+            "overflow the design moments, so rescale them"
+        )
 
 
 def _replicate_rng(seed: int, b: int) -> np.random.Generator:
@@ -183,7 +200,8 @@ def bootstrap(
         raise ValueError("B must be at least 1")
     spec = spec or FitSpec()
     base = spec.fit(data)
-    whole = _Stack.of([data])
+    require_finite(base)
+    whole = DatasetStack.of([data])
     replicates = np.full((B, base.beta.size), np.nan)
     singular = nonconverged = 0
     step = _chunk_size(data.n1, data.n2)
@@ -297,30 +315,33 @@ class WarpSpeedResult:
     degenerate: bool = False
     failed: int = 0                # singular + nonconverged
     singular: int = 0              # runs with a singular design (strict_singular)
-    nonconverged: int = 0          # runs whose base fit or refit did not converge
+    nonconverged: int = 0          # runs whose base fit or refit did not converge to
+                                   # finite coefficients
 
 
-def _run_chunks(make_dataset, M: int, seed: int):
-    """The Monte Carlo runs (dataset, idx1, idx2) in order, in lists of one
-    dataset shape and at most one chunk long.  Run m draws its dataset and
-    then its resample from the stream (seed, m)."""
-    chunk, shape = [], None
-    for m in range(M):
-        rng = _replicate_rng(seed, m)
-        data = make_dataset(rng)
-        idx1, idx2 = resample_indices(rng, data.n1, data.n2)
-        if chunk and ((data.n1, data.n2, data.p1, data.p2) != shape
-                      or len(chunk) == _chunk_size(data.n1, data.n2)):
-            yield chunk
-            chunk = []
-        chunk.append((data, idx1, idx2))
-        shape = (data.n1, data.n2, data.p1, data.p2)
-    if chunk:
-        yield chunk
+class ChunkSimulator(Protocol):
+    """Simulates Monte Carlo datasets of one shape straight into a stack."""
+
+    n1: int
+    n2: int
+
+    def simulate(self, rngs: Sequence[np.random.Generator]) -> DatasetStack:
+        """Dataset k of the stack drawn from ``rngs[k]`` alone."""
+
+
+def _simulated_chunk(simulator: ChunkSimulator, seed: int, runs: range):
+    """The datasets of Monte Carlo runs ``runs`` as one stack, with each
+    run's resample (idx1, idx2).  Run m draws its dataset and then its
+    resample from the stream (seed, m)."""
+    rngs = [_replicate_rng(seed, m) for m in runs]
+    stack = simulator.simulate(rngs)
+    draws = [resample_indices(rng, simulator.n1, simulator.n2) for rng in rngs]
+    idx1, idx2 = (np.stack(idx) for idx in zip(*draws))
+    return stack, idx1, idx2
 
 
 def warp_speed(
-    make_dataset: Callable[[np.random.Generator], TwoSampleDataset],
+    simulator: ChunkSimulator,
     M: int,
     seed: int = 0,
     spec: FitSpec | None = None,
@@ -332,7 +353,8 @@ def warp_speed(
     The centered replicates from all Monte Carlo runs are pooled to estimate
     the bootstrap scales and quantiles, which are then applied to each run's
     estimate.  A run fails when its base fit or its refit has a singular
-    design (under ``strict_singular``) or does not converge.
+    design (under ``strict_singular``), does not converge or has non-finite
+    coefficients.
     """
     if M < 1:
         raise ValueError("M must be at least 1")
@@ -340,12 +362,11 @@ def warp_speed(
     estimates = []
     centered = []
     singular = nonconverged = 0
-    for runs in _run_chunks(make_dataset, M, seed):
-        datasets, idx1, idx2 = zip(*runs)
-        stack = _Stack.of(datasets)
+    step = _chunk_size(simulator.n1, simulator.n2)
+    for start in range(0, M, step):
+        stack, idx1, idx2 = _simulated_chunk(simulator, seed, range(start, min(start + step, M)))
         base, base_singular, base_nonconv = spec._fit_stack(stack)
-        star, star_singular, star_nonconv = spec._fit_stack(
-            stack.resampled(np.stack(idx1), np.stack(idx2)))
+        star, star_singular, star_nonconv = spec._fit_stack(stack.resampled(idx1, idx2))
         sing = base_singular | star_singular
         nonconv = (base_nonconv | star_nonconv) & ~sing
         ok = ~(sing | nonconv)

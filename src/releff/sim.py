@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import FitSpec, WarpSpeedResult, warp_speed
+from .inference import DatasetStack, FitSpec, WarpSpeedResult, warp_speed
 from .survival import TwoSampleDataset
 
 __all__ = [
@@ -82,6 +82,44 @@ class Scenario:
         """Positions of the first covariate coefficient of each group in beta."""
         return 1, 1 + self.p
 
+    def simulate(self, rngs) -> DatasetStack:
+        """One dataset per generator, straight into a stack: the chunk
+        simulator of ``warp_speed``.
+
+        Dataset k takes its draws from ``rngs[k]`` in the order group-1
+        covariates, group-2 covariates, T1, T2 and, censored, C1 and C2, and
+        makes four generator calls: consecutive uniform draws are one
+        ``random`` call (``uniform(0, b)`` is ``b * random()`` bit for bit).
+        Every transform then runs once on the whole chunk.
+        """
+        N, n1, n2, p = len(rngs), self.n1, self.n2, self.p
+        (block1, k1), (block2, k2) = _draws(1, p), _draws(2, p)
+        normal1 = np.empty((N, n1) + block1)
+        uniform1 = np.empty((N, k1, n1))
+        normal2 = np.empty((N, n2) + block2)
+        # group 2's Bernoulli uniforms, then those of T1, T2 and maybe C1, C2
+        times = (2 if self.censored else 1) * (n1 + n2)
+        uniform2 = np.empty((N, k2 * n2 + times))
+        for rng, a, b, c, d in zip(rngs, normal1, uniform1, normal2, uniform2):
+            rng.standard_normal(out=a)
+            rng.random(out=b)
+            rng.standard_normal(out=c)
+            rng.random(out=d)
+        Z1 = _covariates(1, p, normal1, uniform1)
+        Z2 = _covariates(2, p, normal2, uniform2[:, : k2 * n2].reshape(N, k2, n2))
+        u = uniform2[:, k2 * n2 :]
+        T1 = _event_times(self.gamma10, self.gamma1, self.k1, Z1, u[:, :n1])
+        T2 = _event_times(self.gamma20, self.gamma2, self.k2, Z2, u[:, n1 : n1 + n2])
+        if self.censored:
+            C1 = self.censor_bounds[0] * u[:, n1 + n2 : 2 * n1 + n2]
+            C2 = self.censor_bounds[1] * u[:, 2 * n1 + n2 :]
+            X1, d1 = np.minimum(T1, C1), (T1 <= C1).astype(float)
+            X2, d2 = np.minimum(T2, C2), (T2 <= C2).astype(float)
+        else:
+            X1, d1 = T1, np.ones((N, n1))
+            X2, d2 = T2, np.ones((N, n2))
+        return DatasetStack(X1, d1, Z1, X2, d2, Z2, np.full(N, self.tau))
+
 
 def make_scenario(scenario_id: str, setting: str, n1: int, n2: int, censored: bool) -> Scenario:
     if scenario_id not in _SCENARIO_GAMMAS:
@@ -112,62 +150,64 @@ _NORMAL_FACTORS = {
 }
 
 
-def _bernoulli(rng, prob):
-    return (rng.uniform(size=prob.shape) < prob).astype(float)
+# Per subject, each covariate design draws a block of standard normals (a
+# plain vector, or two columns for the bivariate-normal block of p = 4) and
+# then its Bernoulli uniforms: {(group, p): (normal block shape, uniforms)}.
+_DRAWS = {(1, 2): ((), 1), (2, 2): ((), 1), (1, 4): ((2,), 2), (2, 4): ((2,), 2)}
+
+
+def _draws(group: int, p: int):
+    if (group, p) not in _DRAWS:
+        raise ValueError(f"no covariate design for group {group}, p={p}")
+    return _DRAWS[group, p]
+
+
+def _covariates(group: int, p: int, normal: np.ndarray, uniform: np.ndarray) -> np.ndarray:
+    """Covariates (N, n, p) of one group from its standard normals, (N, n)
+    or (N, n, 2), and its Bernoulli uniforms (N, k, n)."""
+    Z = np.empty(normal.shape[:2] + (p,))
+    if p == 2:
+        Z[..., 0] = normal if group == 1 else normal * _var_to_sd(1.2)
+        prob = (0.5 + 0.1 * np.sign(Z[..., 0]) if group == 1
+                else 0.7 - 0.05 * np.sign(Z[..., 0]))
+        Z[..., 1] = uniform[:, 0] < prob
+    else:
+        Z[..., :2] = normal @ _NORMAL_FACTORS[group].T
+        prob = (0.4, 0.6) if group == 1 else (0.5 + 0.1 * np.sign(Z[..., 0]),) * 2
+        Z[..., 2] = uniform[:, 0] < prob[0]
+        Z[..., 3] = uniform[:, 1] < prob[1]
+    return Z
+
+
+def _event_times(gamma0, gamma, shape, Z, u) -> np.ndarray:
+    """Inverse-transform Weibull times with scale exp(gamma0 + gamma'Z) from
+    uniforms ``u`` shaped like Z without its last axis."""
+    scale = np.exp(gamma0 + Z @ np.asarray(gamma, dtype=float))
+    return scale * (-np.log(u)) ** (1.0 / shape)
 
 
 def gen_covariates(group: int, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw covariates for one group; see the design constants above."""
-    if group == 1 and p == 2:
-        z1 = rng.standard_normal(n)
-        z2 = _bernoulli(rng, 0.5 + 0.1 * np.sign(z1))
-        return np.column_stack((z1, z2))
-    if group == 2 and p == 2:
-        z1 = rng.standard_normal(n) * _var_to_sd(1.2)
-        z2 = _bernoulli(rng, 0.7 - 0.05 * np.sign(z1))
-        return np.column_stack((z1, z2))
-    if group == 1 and p == 4:
-        z12 = rng.standard_normal((n, 2)) @ _NORMAL_FACTORS[1].T
-        z3 = _bernoulli(rng, np.full(n, 0.4))
-        z4 = _bernoulli(rng, np.full(n, 0.6))
-        return np.column_stack((z12, z3, z4))
-    if group == 2 and p == 4:
-        z12 = rng.standard_normal((n, 2)) @ _NORMAL_FACTORS[2].T
-        prob = 0.5 + 0.1 * np.sign(z12[:, 0])
-        z3 = _bernoulli(rng, prob)
-        z4 = _bernoulli(rng, prob)
-        return np.column_stack((z12, z3, z4))
-    raise ValueError(f"no covariate design for group {group}, p={p}")
+    block, k = _draws(group, p)
+    normal = rng.standard_normal((1, n) + block)
+    return _covariates(group, p, normal, rng.random((1, k, n)))[0]
 
 
 def gen_event_times(gamma0, gamma, shape, Z, rng: np.random.Generator) -> np.ndarray:
     """Inverse-transform Weibull draws with scale exp(gamma0 + gamma'Z)."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    scale = np.exp(gamma0 + Z @ np.asarray(gamma, dtype=float))
-    u = rng.uniform(size=scale.shape)
-    return scale * (-np.log(u)) ** (1.0 / shape)
+    return _event_times(gamma0, gamma, shape, Z, rng.random(Z.shape[0]))
 
 
 def gen_censoring(bound: float, n: int, rng: np.random.Generator) -> np.ndarray:
     if not bound > 0:
         raise ValueError("censoring bound must be positive")
-    return rng.uniform(0.0, bound, size=n)
+    return bound * rng.random(n)
 
 
 def simulate_dataset(scenario: Scenario, rng: np.random.Generator) -> TwoSampleDataset:
-    Z1 = gen_covariates(1, scenario.p, scenario.n1, rng)
-    Z2 = gen_covariates(2, scenario.p, scenario.n2, rng)
-    T1 = gen_event_times(scenario.gamma10, scenario.gamma1, scenario.k1, Z1, rng)
-    T2 = gen_event_times(scenario.gamma20, scenario.gamma2, scenario.k2, Z2, rng)
-    if scenario.censored:
-        C1 = gen_censoring(scenario.censor_bounds[0], scenario.n1, rng)
-        C2 = gen_censoring(scenario.censor_bounds[1], scenario.n2, rng)
-        X1, d1 = np.minimum(T1, C1), (T1 <= C1).astype(float)
-        X2, d2 = np.minimum(T2, C2), (T2 <= C2).astype(float)
-    else:
-        X1, d1 = T1, np.ones(scenario.n1)
-        X2, d2 = T2, np.ones(scenario.n2)
-    return TwoSampleDataset(X1, d1, Z1, X2, d2, Z2, tau=scenario.tau)
+    """One dataset of ``scenario``: ``Scenario.simulate`` on one generator."""
+    return scenario.simulate([rng]).dataset(0)
 
 
 def censoring_rate(scenario: Scenario, group: int, n: int, seed: int = 0) -> float:
@@ -213,7 +253,7 @@ def warp_speed_harness(
     if M < 100:
         raise ValueError("need at least 100 Monte Carlo runs for stable rates")
     return warp_speed(
-        lambda rng: simulate_dataset(scenario, rng),
+        scenario,
         M=M, seed=seed, spec=FitSpec(),
         coefficients=scenario.coefficient_indices, alpha=alpha,
     )

@@ -7,9 +7,14 @@ curves per pair (each leave-one-out curve by refitting the reduced sample),
 the potential whose gradient is the estimating function, the Weibull
 relative effect by numerical quadrature, and the damped Newton fit by
 re-evaluating the public estimating function and Jacobian at every iterate,
-the prediction interval one profile at a time, and the warp-speed Monte
-Carlo engine one run and one full pseudo matrix at a time.
+the prediction interval one profile at a time, the warp-speed Monte
+Carlo engine one run and one full pseudo matrix at a time, and a scenario
+dataset one generator call per draw.  ``PerRun`` turns a per-dataset maker
+into the chunk simulator ``inference.warp_speed`` takes.
 """
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -19,6 +24,7 @@ from releff import gee
 from releff.gee import FitResult, estimating_function, jacobian
 from releff.inference import (
     METHODS,
+    DatasetStack,
     FitSpec,
     WarpSpeedResult,
     _replicate_rng,
@@ -26,6 +32,7 @@ from releff.inference import (
     scale_estimates,
 )
 from releff.pseudo import pseudo_matrix
+from releff.sim import Scenario
 from releff.survival import SurvivalCurve, TwoSampleDataset, kaplan_meier, theta_integral
 
 
@@ -179,7 +186,8 @@ def matrix_fit(spec: FitSpec, data: TwoSampleDataset) -> FitResult:
 def warp_speed(make_dataset, M, seed=0, spec=None, coefficients=None, alpha=0.05):
     """Warp-speed Monte Carlo one run at a time: fit the run's dataset, draw
     one resample from the same stream and fit it, each through the full
-    pseudo matrix."""
+    pseudo matrix; a run fails on a singular design, a fit that does not
+    converge or non-finite coefficients."""
     spec = spec or FitSpec()
     estimates = []
     centered = []
@@ -194,7 +202,8 @@ def warp_speed(make_dataset, M, seed=0, spec=None, coefficients=None, alpha=0.05
         except np.linalg.LinAlgError:
             failed += 1
             continue
-        if not (base.converged and star.converged):
+        if not (base.converged and star.converged
+                and np.isfinite(base.beta).all() and np.isfinite(star.beta).all()):
             failed += 1
             continue
         estimates.append(base.beta)
@@ -218,3 +227,53 @@ def warp_speed(make_dataset, M, seed=0, spec=None, coefficients=None, alpha=0.05
         rates["quantile"][k] = float(np.mean((est < q_lo) | (est > q_hi)))
     return WarpSpeedResult(rejection_rates=rates, estimates=estimates,
                            centered_replicates=centered, degenerate=degenerate, failed=failed)
+
+
+@dataclass(frozen=True)
+class PerRun:
+    """Chunk simulator from a per-dataset maker: ``make_dataset(rng)`` once
+    per generator, the datasets (each n1 + n2 subjects) stacked."""
+
+    make_dataset: Callable[[np.random.Generator], TwoSampleDataset]
+    n1: int
+    n2: int
+
+    def simulate(self, rngs) -> DatasetStack:
+        return DatasetStack.of([self.make_dataset(rng) for rng in rngs])
+
+
+_BIVARIATE_NORMAL = {1: [[1.0, 0.2], [0.2, 1.0]], 2: [[1.1, 0.3], [0.3, 1.1]]}
+
+
+def _covariates(group, p, n, rng):
+    """One group's covariates, one generator call per draw."""
+    if p == 2:
+        sd = 1.0 if group == 1 else np.sqrt(1.2)
+        z1 = rng.standard_normal(n) * sd
+        prob = 0.5 + 0.1 * np.sign(z1) if group == 1 else 0.7 - 0.05 * np.sign(z1)
+        return np.column_stack((z1, rng.uniform(size=n) < prob))
+    z12 = rng.multivariate_normal(np.zeros(2), np.array(_BIVARIATE_NORMAL[group]), size=n)
+    prob = (0.4, 0.6) if group == 1 else (0.5 + 0.1 * np.sign(z12[:, 0]),) * 2
+    z3 = rng.uniform(size=n) < prob[0]
+    z4 = rng.uniform(size=n) < prob[1]
+    return np.column_stack((z12, z3, z4))
+
+
+def simulate_dataset(scenario: Scenario, rng) -> TwoSampleDataset:
+    """A scenario dataset drawn one generator call per draw: the group-1 and
+    group-2 covariates, then Weibull T1 and T2 by inversion, then uniform
+    censoring C1 and C2."""
+    Z1 = _covariates(1, scenario.p, scenario.n1, rng)
+    Z2 = _covariates(2, scenario.p, scenario.n2, rng)
+    T1 = (np.exp(scenario.gamma10 + Z1 @ scenario.gamma1)
+          * (-np.log(rng.uniform(size=scenario.n1))) ** (1.0 / scenario.k1))
+    T2 = (np.exp(scenario.gamma20 + Z2 @ scenario.gamma2)
+          * (-np.log(rng.uniform(size=scenario.n2))) ** (1.0 / scenario.k2))
+    if not scenario.censored:
+        return TwoSampleDataset(T1, np.ones(scenario.n1), Z1, T2, np.ones(scenario.n2), Z2,
+                                tau=scenario.tau)
+    C1 = rng.uniform(0.0, scenario.censor_bounds[0], size=scenario.n1)
+    C2 = rng.uniform(0.0, scenario.censor_bounds[1], size=scenario.n2)
+    return TwoSampleDataset(np.minimum(T1, C1), (T1 <= C1).astype(float), Z1,
+                            np.minimum(T2, C2), (T2 <= C2).astype(float), Z2,
+                            tau=scenario.tau)

@@ -435,14 +435,14 @@ class TestCommands:
         needed = 5 * 8 * 20 * 22
         argv = ["--data", str(covariate_csv), "--tau", "4", "--cov1", "age", "--cov2", "age",
                 "--seed", "2", "--bootstrap", "5"]
-        monkeypatch.setattr(cli, "LOGIT_WORKING_SET_BYTES", needed)
+        monkeypatch.setattr(cli, "WORKING_SET_BYTES", needed)
         assert main(["test", "--link", "logit", *argv,
                      "--out-dir", str(tmp_path / "at_limit")]) == EXIT_OK
 
         def no_fit(*args, **kwargs):
             pytest.fail("a fit ran although the working set was refused")
 
-        monkeypatch.setattr(cli, "LOGIT_WORKING_SET_BYTES", needed - 1)
+        monkeypatch.setattr(cli, "WORKING_SET_BYTES", needed - 1)
         monkeypatch.setattr(cli, "bootstrap", no_fit)
         monkeypatch.setattr(FitSpec, "fit", no_fit)
         for command in ("fit", "test"):
@@ -453,6 +453,33 @@ class TestCommands:
             assert rc == EXIT_CONFIG, command
             assert "n1 = 20, n2 = 22" in caplog.text, command
             assert not out.exists(), command
+
+    def test_sandwich_working_set_refused_before_any_fit(self, covariate_csv, tmp_path,
+                                                         monkeypatch, caplog):
+        # fully observed identity fit without --bootstrap: the sandwich
+        # covariance holds about three n1 x n2 arrays
+        needed = 3 * 8 * 20 * 22
+        argv = ["fit", "--data", str(covariate_csv), "--tau", "4", "--cov1", "age",
+                "--cov2", "age"]
+        monkeypatch.setattr(cli, "WORKING_SET_BYTES", needed)
+        assert main([*argv, "--out-dir", str(tmp_path / "at_limit")]) == EXIT_OK
+
+        monkeypatch.setattr(cli, "WORKING_SET_BYTES", needed - 1)
+        # with a bootstrap instead of the sandwich the fit is not refused
+        assert main([*argv, "--seed", "2", "--bootstrap", "5",
+                     "--out-dir", str(tmp_path / "bootstrap")]) == EXIT_OK
+
+        def no_fit(*args, **kwargs):
+            pytest.fail("a fit ran although the working set was refused")
+
+        monkeypatch.setattr(FitSpec, "fit", no_fit)
+        monkeypatch.setattr(cli, "sandwich_covariance_uncensored", no_fit)
+        out = tmp_path / "refused"
+        with caplog.at_level("ERROR", logger="releff"):
+            rc = main([*argv, "--out-dir", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "sandwich covariance" in caplog.text and "n1 = 20, n2 = 22" in caplog.text
+        assert not out.exists()
 
     def test_predict_requires_matching_columns(self, covariate_csv, tmp_path):
         rc = main(["predict", "--data", str(covariate_csv), "--tau", "4",

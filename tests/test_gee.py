@@ -222,6 +222,51 @@ class TestSolveIdentity:
         assert strict.result(0).method == "closed-form"
 
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n1=st.integers(2, 12),
+        n2=st.integers(2, 12),
+        p1=st.integers(2, 4),
+        p2=st.integers(0, 4),
+        binary=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rank_decisions_match_matrix_rank(self, seed, n1, n2, p1, p2, binary):
+        # eight designs per draw; the odd ones are made rank-deficient, the
+        # even ones are random and may be deficient too (few rows or binary
+        # columns)
+        rng = np.random.default_rng(seed)
+        if binary:
+            Z1 = rng.integers(0, 2, (8, n1, p1)).astype(float)
+            Z2 = rng.integers(0, 2, (8, n2, p2)).astype(float)
+        else:
+            Z1 = rng.standard_normal((8, n1, p1))
+            Z2 = rng.standard_normal((8, n2, p2))
+        Z1[1, :, 0] = 3.0                    # a constant column
+        Z1[3, :, -1] = 2.0 * Z1[3, :, 0]     # a multiple of another column
+        Z1[5, :, 0] = 0.0                    # an all-zero column
+        Z1[7] = Z1[7, :1]                    # one subject repeated
+        rows, cols = rng.random((8, n1)), rng.random((8, n2))
+        p = 1 + p1 + p2
+        deficient = np.linalg.matrix_rank(design_second_moment(Z1, Z2)) < p
+        assert deficient[1::2].all()
+        loose = solve_identity(rows, cols, Z1, Z2)
+        strict = solve_identity(rows, cols, Z1, Z2, strict_singular=True)
+        assert loose.used_pinv.tolist() == deficient.tolist()
+        assert not loose.singular.any()
+        assert strict.singular.tolist() == deficient.tolist()
+        assert not strict.used_pinv.any()
+
+    def test_overflowing_design_is_left_unsolved(self):
+        Z1 = np.array([[[1e200], [2e200], [3e200]], [[0.1], [0.5], [0.2]]])
+        Z2 = np.array([[[1e200], [2.5e200], [3e200]], [[0.3], [0.9], [0.4]]])
+        rows, cols = np.full((2, 3), 0.5), np.full((2, 3), 0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fits = solve_identity(rows, cols, Z1, Z2)
+        assert np.isnan(fits.beta[0]).all() and np.isfinite(fits.beta[1]).all()
+        assert not fits.used_pinv.any() and not fits.singular.any()
+
+
 def assert_same_fit(got, want):
     np.testing.assert_allclose(got.beta, want.beta, rtol=0, atol=1e-12)
     assert (got.iterations, got.converged, got.used_pinv, got.message) == (

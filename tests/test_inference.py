@@ -6,7 +6,7 @@ from scipy.stats import norm
 
 import oracles
 from conftest import random_dataset
-from oracles import resampled
+from oracles import PerRun, resampled
 from releff.gee import IDENTITY, LOGIT, FitResult
 from releff.inference import (
     BootstrapEnsemble,
@@ -157,7 +157,7 @@ def test_warp_speed_flags_degenerate_dgp():
         np.full(4, 2.0), np.ones(4), np.zeros((4, 0)),
         np.full(4, 1.0), np.ones(4), np.zeros((4, 0)),
     )
-    res = warp_speed(lambda rng: data, M=30, seed=0)
+    res = warp_speed(PerRun(lambda rng: data, 4, 4), M=30, seed=0)
     assert res.degenerate
     assert res.estimates.shape == (30, 1)
     np.testing.assert_allclose(res.centered_replicates, 0.0)
@@ -167,7 +167,7 @@ def test_warp_speed_pools_centered_replicates(rng):
     def make(r):
         return random_dataset(r, 12, 12, censored=False)
 
-    res = warp_speed(make, M=60, seed=5, coefficients=[1])
+    res = warp_speed(PerRun(make, 12, 12), M=60, seed=5, coefficients=[1])
     assert res.failed == 0
     assert np.isfinite(res.rejection_rates["emp"][1])
     assert np.isnan(res.rejection_rates["emp"][0])  # not requested
@@ -274,7 +274,8 @@ def test_error_inside_a_warp_speed_fit_propagates(monkeypatch, rng):
     # call 0 fits the chunk's datasets, call 1 their resamples
     raising_on_calls(monkeypatch, "pseudo_marginals", {1})
     with pytest.raises(ValueError, match="injected"):
-        warp_speed(lambda r: random_dataset(r, 10, 10, censored=False), M=5, seed=0)
+        warp_speed(PerRun(lambda r: random_dataset(r, 10, 10, censored=False), 10, 10),
+                   M=5, seed=0)
 
 
 def test_singular_warp_speed_fit_counts_as_failed(monkeypatch, rng):
@@ -289,32 +290,89 @@ def test_singular_warp_speed_fit_counts_as_failed(monkeypatch, rng):
             data.covariates1[:, 0] = 1.0
         return data
 
-    res = warp_speed(make, M=5, seed=0, spec=FitSpec(strict_singular=True))
+    res = warp_speed(PerRun(make, 10, 10), M=5, seed=0, spec=FitSpec(strict_singular=True))
     assert (res.failed, res.singular, res.nonconverged) == (2, 2, 0)
     assert res.estimates.shape == (3, 5)
 
 
+def test_overflowing_base_fit_stops_the_bootstrap_before_any_refit(monkeypatch):
+    # covariates near 1e200 overflow the design moments: the base fit is NaN
+    data = TwoSampleDataset(
+        [1.0, 2.0, 3.0], [1, 1, 0], [[1e200], [2e200], [3e200]],
+        [1.5, 2.5, 0.5], [1, 1, 1], [[1e200], [2.5e200], [3e200]],
+    )
+
+    def no_refit(*args, **kwargs):
+        pytest.fail("a refit ran after a non-finite base fit")
+
+    monkeypatch.setattr(FitSpec, "_fit_stack", no_refit)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match="non-finite coefficients"):
+            bootstrap(data, B=20, seed=0)
+
+
+def non_finite_rows(monkeypatch, calls, row):
+    """Make ``row`` of the given 0-based ``gee.solve_identity`` calls
+    infinite, as an overflowing design would."""
+    from releff import gee
+
+    real = gee.solve_identity
+    seen = []
+
+    def overflowing(*args, **kwargs):
+        fits = real(*args, **kwargs)
+        seen.append(None)
+        if len(seen) - 1 in calls:
+            fits.beta[row] = np.inf
+        return fits
+
+    monkeypatch.setattr(gee, "solve_identity", overflowing)
+
+
+def test_non_finite_bootstrap_refit_counts_as_failed(monkeypatch, rng):
+    data = random_dataset(rng, 10, 10, censored=True)
+    non_finite_rows(monkeypatch, {1}, 3)        # call 0 is the base fit
+    ens = bootstrap(data, B=10, seed=0)
+    assert (ens.failed, ens.singular, ens.nonconverged) == (1, 0, 1)
+    assert ens.ok.tolist() == [k != 3 for k in range(10)]
+    assert np.isnan(ens.replicates[3]).all()
+
+
+def test_non_finite_warp_speed_fit_counts_as_failed(monkeypatch):
+    # run 1's own fit (call 0) and run 3's refit (call 1) are not finite
+    make = PerRun(lambda r: random_dataset(r, 10, 10, censored=False), 10, 10)
+    want = warp_speed(make, M=5, seed=0)
+    non_finite_rows(monkeypatch, {0}, 1)
+    non_finite_rows(monkeypatch, {1}, 3)
+    res = warp_speed(make, M=5, seed=0)
+    assert (res.failed, res.singular, res.nonconverged) == (2, 0, 2)
+    np.testing.assert_array_equal(res.estimates, want.estimates[[0, 2, 4]])
+    assert np.isfinite(res.centered_replicates).all()
+
+
 def oracle_cases():
-    """(make_dataset, spec) pairs: censored and uncensored identity fits, a
-    finite horizon, logit, and a design that is often singular."""
+    """(simulator, spec) pairs with per-dataset makers: censored and
+    uncensored identity fits, a finite horizon, logit, and a design that is
+    often singular."""
     def binary(r):
         data = random_dataset(r, 6, 6, p1=1, p2=1, censored=True)
         return TwoSampleDataset(data.times1, data.events1, r.integers(0, 2, (6, 1)),
                                 data.times2, data.events2, data.covariates2)
 
     return [
-        (lambda r: random_dataset(r, 12, 9, censored=True), FitSpec()),
-        (lambda r: random_dataset(r, 12, 9, censored=False), FitSpec()),
-        (lambda r: random_dataset(r, 8, 11, censored=True, tau=1.0), FitSpec()),
-        (lambda r: random_dataset(r, 10, 10, censored=True), FitSpec(link=LOGIT)),
-        (binary, FitSpec(strict_singular=True)),
+        (PerRun(lambda r: random_dataset(r, 12, 9, censored=True), 12, 9), FitSpec()),
+        (PerRun(lambda r: random_dataset(r, 12, 9, censored=False), 12, 9), FitSpec()),
+        (PerRun(lambda r: random_dataset(r, 8, 11, censored=True, tau=1.0), 8, 11), FitSpec()),
+        (PerRun(lambda r: random_dataset(r, 10, 10, censored=True), 10, 10),
+         FitSpec(link=LOGIT)),
+        (PerRun(binary, 6, 6), FitSpec(strict_singular=True)),
     ]
 
 
 def test_warp_speed_matches_per_run_oracle():
-    for make, spec in oracle_cases():
-        got = warp_speed(make, M=60, seed=4, spec=spec)
-        want = oracles.warp_speed(make, M=60, seed=4, spec=spec)
+    for simulator, spec in oracle_cases():
+        got = warp_speed(simulator, M=60, seed=4, spec=spec)
+        want = oracles.warp_speed(simulator.make_dataset, M=60, seed=4, spec=spec)
         assert got.failed == want.failed
         assert got.degenerate == want.degenerate
         np.testing.assert_allclose(got.estimates, want.estimates, rtol=0, atol=1e-10)
@@ -327,8 +385,8 @@ def test_warp_speed_matches_per_run_oracle():
 
 
 def test_bootstrap_matches_per_replicate_refits():
-    for make, spec in oracle_cases()[:4]:
-        data = make(np.random.default_rng(8))
+    for simulator, spec in oracle_cases()[:4]:
+        data = simulator.make_dataset(np.random.default_rng(8))
         ens = bootstrap(data, spec=spec, B=30, seed=2)
         for b in range(30):
             idx1, idx2 = resample_indices(_replicate_rng(2, b), data.n1, data.n2)
@@ -344,7 +402,7 @@ def test_warp_speed_memory_does_not_grow_with_runs():
     def peak(M):
         tracemalloc.start()
         try:
-            res = warp_speed(make, M=M, seed=1)
+            res = warp_speed(PerRun(make, 10, 10), M=M, seed=1)
             return tracemalloc.get_traced_memory()[1], res
         finally:
             tracemalloc.stop()

@@ -1,7 +1,19 @@
+import json
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from releff.inference import FitSpec
+import oracles
+from releff.inference import (
+    DatasetStack,
+    FitSpec,
+    _replicate_rng,
+    _simulated_chunk,
+    resample_indices,
+    warp_speed,
+)
 from releff.sim import (
     SHAPES,
     censoring_rate,
@@ -16,6 +28,8 @@ from releff.sim import (
 )
 
 from oracles import true_theta_weibull_numeric
+
+REFERENCES = Path(__file__).resolve().parents[1] / "bench" / "references"
 
 
 class TestScenarioDefinitions:
@@ -197,3 +211,69 @@ class TestScenarioRunner:
             slopes.append([fit.beta[1], fit.beta[3]])
         med = np.median(slopes, axis=0)
         np.testing.assert_allclose(med, 0.0, atol=0.03)
+
+
+class TestStackSimulation:
+    """A chunk is simulated straight into stacked arrays; each run keeps its
+    stream and draw order."""
+
+    @pytest.mark.parametrize("censored", [True, False], ids=["censored", "uncensored"])
+    @pytest.mark.parametrize("setting", ["I", "II"])
+    @pytest.mark.parametrize("scenario_id", ["i", "ii", "iii", "iv"])
+    def test_chunks_match_per_run_datasets_and_resamples(self, scenario_id, setting, censored):
+        sc = make_scenario(scenario_id, setting, 13, 17, censored)
+        for size in (1, 7, 40):
+            runs = range(5, 5 + size)
+            stack, idx1, idx2 = _simulated_chunk(sc, 7, runs)
+            for k, m in enumerate(runs):
+                rng = _replicate_rng(7, m)
+                data = simulate_dataset(sc, rng)
+                want1, want2 = resample_indices(rng, sc.n1, sc.n2)
+                drawn = oracles.simulate_dataset(sc, _replicate_rng(7, m))
+                for f in fields(DatasetStack):
+                    got = getattr(stack, f.name)[k]
+                    assert np.array_equal(got, getattr(data, f.name)), (size, m, f.name)
+                    assert np.array_equal(got, getattr(drawn, f.name)), (size, m, f.name)
+                assert np.array_equal(idx1[k], want1) and np.array_equal(idx2[k], want2)
+
+    def test_gen_functions_are_the_draw_by_draw_process(self):
+        sc = make_scenario("iv", "I", 9, 11, censored=True)
+        rng = np.random.default_rng(3)
+        Z1 = gen_covariates(1, 4, 9, rng)
+        Z2 = gen_covariates(2, 4, 11, rng)
+        T1 = gen_event_times(sc.gamma10, sc.gamma1, sc.k1, Z1, rng)
+        T2 = gen_event_times(sc.gamma20, sc.gamma2, sc.k2, Z2, rng)
+        C1 = gen_censoring(sc.censor_bounds[0], 9, rng)
+        C2 = gen_censoring(sc.censor_bounds[1], 11, rng)
+        want = oracles.simulate_dataset(sc, np.random.default_rng(3))
+        assert np.array_equal(Z1, want.covariates1) and np.array_equal(Z2, want.covariates2)
+        assert np.array_equal(np.minimum(T1, C1), want.times1)
+        assert np.array_equal(np.minimum(T2, C2), want.times2)
+        assert np.array_equal(T1 <= C1, want.events1 == 1)
+
+    def test_scenario_warp_speed_matches_per_run_oracle(self):
+        for censored in (True, False):
+            sc = make_scenario("ii", "I", 20, 15, censored)
+            got = warp_speed(sc, M=90, seed=11)
+            want = oracles.warp_speed(lambda r: oracles.simulate_dataset(sc, r), M=90, seed=11)
+            assert got.failed == want.failed
+            np.testing.assert_allclose(got.estimates, want.estimates, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(got.centered_replicates, want.centered_replicates,
+                                       rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("name, censored", [("mc_censored", True), ("mc_uncensored", False)])
+def test_run_scenario_matches_pinned_benchmark_reference(name, censored):
+    # the benchmark's pinned Monte Carlo cases, checked to its tolerance
+    ref = json.loads((REFERENCES / f"{name}.json").read_text())
+    sc = make_scenario("iv", "II", 50, 50, censored)
+    rows, result = run_scenario(sc, M=ref["M"], seed=ref["seed"])
+    assert result.failed == ref["failed"]
+    assert len(rows) == len(ref["rows"])
+    for got, want in zip(rows, ref["rows"]):
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert got[key] == pytest.approx(value, rel=0, abs=1e-8), key
+            else:
+                assert got[key] == value, key
+    np.testing.assert_allclose(result.estimates, ref["estimates"], rtol=0, atol=1e-8)
