@@ -33,8 +33,8 @@ EXIT_PARSE = 2
 EXIT_CONVERGENCE = 3
 EXIT_CONFIG = 4
 
-# the logit fit holds about five n1 x n2 float arrays at once (the pseudo
-# matrix and Newton's eta, residual, mu' and a temporary of mu''), the
+# the logit fit holds five n1 x n2 float arrays (the pseudo matrix and the
+# four buffers of Newton's workspace: mu, residual, mu' and scratch), the
 # uncensored sandwich covariance about three (the indicator matrix, the
 # linear predictor and the residual); a larger working set is refused
 # before any fit

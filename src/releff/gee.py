@@ -8,7 +8,12 @@ with z = (1, Z1[i1], Z2[i2]) and eta = beta' z.  For the identity link U is
 psi - Sigma beta, where Sigma is the pair average of z z' and psi that of
 z * pseudo, which needs only the grand, row and column means of the pseudo
 matrix; ``solve_identity`` solves it for a stack of datasets at once.  Other
-links go through a damped Newton iteration on the full matrix.
+links go through a damped Newton iteration on the full matrix.  Each Newton
+fit allocates one workspace of four n1 x n2 buffers (mu, the residual, mu'
+and a scratch array) and evaluates every line-search candidate and every
+Jacobian in place in them.  For the logit link a candidate takes one exp:
+mu = 1 / (1 + exp(-eta)), then mu' = mu (1 - mu) and mu'' = mu' (1 - 2 mu)
+follow from mu.
 """
 
 from __future__ import annotations
@@ -68,14 +73,16 @@ class Link:
             raise ValueError(f"link {self.name!r}: mu_prime must be positive")
 
 
-def _expit(x):
-    # in place after the first product: one temporary, the same arithmetic
-    # as 0.5 * (1 + tanh(x / 2))
-    p = np.multiply(x, 0.5, out=np.empty(np.shape(x)))
-    np.tanh(p, out=p)
-    p += 1.0
-    p *= 0.5
-    return p
+def _expit(x, out=None):
+    """1 / (1 + exp(-x)) with one exp, into ``out`` if given (``x`` itself may
+    be ``out``).  exp(-x) overflows to inf for x below about -709, which gives
+    the correct limit 0, so that overflow is not warned about."""
+    out = np.empty(np.shape(x)) if out is None else out
+    with np.errstate(over="ignore"):
+        np.negative(x, out=out)
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def _expit_prime(x):
@@ -123,13 +130,20 @@ class FitResult:
     message: str = ""
 
 
-def _linear_predictor(beta, Z1, Z2):
+def _linear_predictor(beta, Z1, Z2, out=None):
+    """eta = beta'z for every pair, into ``out``: the group-1 part
+    a = b0 + Z1 b1 plus the group-2 part b = Z2 b2, written as the rank-2
+    product (a, 1)(1, b)'.  Its products are by 1, so it rounds as the
+    broadcast sum a + b does, and one BLAS call writes it several times
+    faster."""
     p1 = Z1.shape[1]
     p2 = Z2.shape[1]
     b0 = beta[0]
     b1 = beta[1 : 1 + p1]
     b2 = beta[1 + p1 : 1 + p1 + p2]
-    return b0 + (Z1 @ b1)[:, None] + (Z2 @ b2)[None, :]
+    left = np.column_stack((b0 + Z1 @ b1, np.ones(Z1.shape[0])))
+    right = np.vstack((np.ones(Z2.shape[0]), Z2 @ b2))
+    return np.matmul(left, right, out=out)
 
 
 def _check_dims(beta, matrix, Z1, Z2):
@@ -141,11 +155,15 @@ def _check_dims(beta, matrix, Z1, Z2):
         raise ValueError(f"beta must have length {p}, got {beta.shape}")
 
 
+def _margins(A):
+    """Row and column sums of A, as BLAS matrix-vector products."""
+    return A @ np.ones(A.shape[1]), np.ones(A.shape[0]) @ A
+
+
 def _paired_quadratic(G, Z1, Z2):
     """sum_{i1,i2} G[i1,i2] * z z' for z = (1, Z1[i1], Z2[i2]), unnormalized."""
-    rs = G.sum(axis=1)
-    cs = G.sum(axis=0)
-    s = G.sum()
+    rs, cs = _margins(G)
+    s = rs.sum()
     a1 = Z1.T @ rs
     a2 = Z2.T @ cs
     B11 = (Z1 * rs[:, None]).T @ Z1
@@ -166,40 +184,70 @@ def _prepared(beta, matrix, Z1, Z2):
     return beta, matrix, Z1, Z2
 
 
-def _link_terms(beta, matrix, Z1, Z2, link: Link):
-    """eta = beta'z, the residual matrix - mu(eta) and mu'(eta), each n1 x n2."""
-    eta = _linear_predictor(beta, Z1, Z2)
-    residual = matrix - link.mu(eta)
-    return eta, residual, link.mu_prime(eta)
+class _Workspace:
+    """The four n1 x n2 buffers of one fit (mu, the residual Y - mu, mu' and
+    a scratch array), allocated once and overwritten in place by every
+    evaluation.
 
+    ``score(beta)`` leaves the terms of beta in the buffers and ``jacobian()``
+    reads them, so it is the Jacobian at the beta scored last.  For the logit
+    link mu takes one exp and mu', mu'' follow from mu; other links go
+    through their ``Link`` functions.
+    """
 
-def _score(residual, mu_prime, Z1, Z2):
-    n1, n2 = residual.shape
-    W = mu_prime * residual
-    return np.concatenate(([W.sum()], Z1.T @ W.sum(axis=1), Z2.T @ W.sum(axis=0))) / (n1 * n2)
+    def __init__(self, values, Z1, Z2, link: Link):
+        self.values, self.Z1, self.Z2, self.link = values, Z1, Z2, link
+        self.mu, self.residual, self.mu_prime, self.scratch = np.empty((4,) + values.shape)
+        self.beta = None
 
+    def score(self, beta) -> np.ndarray:
+        """Normalized score U(beta)."""
+        mu, mu_prime = self.mu, self.mu_prime
+        eta = _linear_predictor(beta, self.Z1, self.Z2, out=mu)
+        if self.link is LOGIT:
+            _expit(eta, out=mu)
+            np.subtract(1.0, mu, out=mu_prime)
+            mu_prime *= mu
+        else:
+            mu_prime[...] = self.link.mu_prime(eta)
+            mu[...] = self.link.mu(eta)
+        np.subtract(self.values, mu, out=self.residual)
+        W = np.multiply(mu_prime, self.residual, out=self.scratch)
+        rs, cs = _margins(W)
+        self.beta = beta
+        return np.concatenate(([rs.sum()], self.Z1.T @ rs, self.Z2.T @ cs)) / W.size
 
-def _jacobian_from_terms(eta, residual, mu_prime, Z1, Z2, link: Link):
-    """Jacobian from ``_link_terms``; overwrites ``mu_prime``."""
-    n1, n2 = residual.shape
-    G = link.mu_double_prime(eta)
-    G *= residual
-    mu_prime *= mu_prime
-    G -= mu_prime
-    return _paired_quadratic(G, Z1, Z2) / (n1 * n2)
+    def jacobian(self) -> np.ndarray:
+        """Jacobian of U at the beta scored last: the pair mean of
+        (mu'' * residual - mu'^2) z z'."""
+        G = self.scratch
+        if self.link is LOGIT:
+            # mu'' = mu' (1 - 2 mu), so G = mu' ((1 - 2 mu) residual - mu')
+            np.multiply(self.mu, -2.0, out=G)
+            G += 1.0
+            G *= self.residual
+            G -= self.mu_prime
+            G *= self.mu_prime
+        else:
+            eta = _linear_predictor(self.beta, self.Z1, self.Z2, out=G)
+            G[...] = self.link.mu_double_prime(eta)
+            G *= self.residual
+            G -= self.mu_prime**2
+        return _paired_quadratic(G, self.Z1, self.Z2) / G.size
 
 
 def estimating_function(beta, matrix: np.ndarray, Z1, Z2, link: Link) -> np.ndarray:
     """Normalized score U(beta); zero at the fitted coefficients."""
     beta, matrix, Z1, Z2 = _prepared(beta, matrix, Z1, Z2)
-    _, residual, mu_prime = _link_terms(beta, matrix, Z1, Z2, link)
-    return _score(residual, mu_prime, Z1, Z2)
+    return _Workspace(matrix, Z1, Z2, link).score(beta)
 
 
 def jacobian(beta, matrix: np.ndarray, Z1, Z2, link: Link) -> np.ndarray:
     """Analytic Jacobian of ``estimating_function``; symmetric."""
     beta, matrix, Z1, Z2 = _prepared(beta, matrix, Z1, Z2)
-    return _jacobian_from_terms(*_link_terms(beta, matrix, Z1, Z2, link), Z1, Z2, link)
+    workspace = _Workspace(matrix, Z1, Z2, link)
+    workspace.score(beta)
+    return workspace.jacobian()
 
 
 def design_second_moment(Z1, Z2) -> np.ndarray:
@@ -336,21 +384,19 @@ def solve_newton(
 
     values = matrix.values
     _check_dims(beta, values, Z1, Z2)
+    workspace = _Workspace(values, Z1, Z2, link)
 
     def evaluate(b):
-        terms = _link_terms(b, values, Z1, Z2, link)
-        U = _score(terms[1], terms[2], Z1, Z2)
-        return U, float(np.max(np.abs(U))), terms
+        U = workspace.score(b)
+        return U, float(np.max(np.abs(U)))
 
-    # One link evaluation per iterate: the score comes from its terms, and
-    # so does the Jacobian of an accepted iterate that must take another
-    # step.  The terms are dropped at once, so no two iterates' n1 x n2
-    # arrays are alive together.
+    # Every candidate overwrites the workspace, and a line search stops at
+    # the first accepted candidate, so the Jacobian of an accepted iterate
+    # that must take another step is read from the buffers it left.
     used_pinv = False
-    U, norm, terms = evaluate(beta)
+    U, norm = evaluate(beta)
     if not norm < tol:
-        J = _jacobian_from_terms(*terms, Z1, Z2, link)
-    del terms
+        J = workspace.jacobian()
     for it in range(1, max_iter + 1):
         if norm < tol:
             return FitResult(beta, True, it - 1, norm, "newton", used_pinv=used_pinv)
@@ -363,14 +409,12 @@ def solve_newton(
         improved = False
         for _ in range(max_halvings + 1):
             cand = beta + scale * step
-            U_cand, cand_norm, terms = evaluate(cand)
+            U_cand, cand_norm = evaluate(cand)
             if np.isfinite(cand_norm) and cand_norm < norm:
                 beta, U, norm = cand, U_cand, cand_norm
                 if not norm < tol and it < max_iter:
-                    J = _jacobian_from_terms(*terms, Z1, Z2, link)
+                    J = workspace.jacobian()
                 improved = True
-            del terms
-            if improved:
                 log.debug("newton iterate %d: norm %.3e, step scale %g", it, norm, scale)
                 break
             scale *= 0.5

@@ -132,14 +132,13 @@ def _stieltjes_matrix(data: TwoSampleDataset) -> PseudoMatrix:
     th = float(F1[0] @ d_full)
     th1 = F1[1:] @ d_full            # (n1,)
     th2 = D2[1:] @ F1[0]             # (n2,)
-    th12 = F1[1:] @ D2[1:].T         # (n1, n2)
 
-    values = (
-        n1 * n2 * th
-        - (n1 - 1) * n2 * th1[:, None]
-        - n1 * (n2 - 1) * th2[None, :]
-        + (n1 - 1) * (n2 - 1) * th12
-    )
+    # the (n1, n2) product th12 becomes the matrix: scaled, then the row and
+    # column terms added in place
+    values = F1[1:] @ D2[1:].T
+    values *= (n1 - 1) * (n2 - 1)
+    values += (n1 * n2 * th - (n1 - 1) * n2 * th1)[:, None]
+    values -= (n1 * (n2 - 1) * th2)[None, :]
     return PseudoMatrix(values=values, theta_hat=th)
 
 

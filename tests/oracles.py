@@ -5,8 +5,10 @@ fast path in ``releff``: the plug-in estimate from the two Kaplan-Meier
 curves, the pseudo-observation matrix by re-estimating all four Kaplan-Meier
 curves per pair (each leave-one-out curve by refitting the reduced sample),
 the potential whose gradient is the estimating function, the Weibull
-relative effect by numerical quadrature, and the damped Newton fit by
-re-evaluating the public estimating function and Jacobian at every iterate,
+relative effect by numerical quadrature, the estimating function and its
+Jacobian over an explicit design with one row per pair and with every link
+term from the ``Link`` functions, the damped Newton fit by re-evaluating the
+public estimating function and Jacobian at every iterate,
 the prediction interval one profile at a time, the warp-speed Monte
 Carlo engine one run and one full pseudo matrix at a time, and a scenario
 dataset one generator call per draw.  ``PerRun`` turns a per-dataset maker
@@ -21,7 +23,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from releff import gee
-from releff.gee import FitResult, estimating_function, jacobian
+from releff.gee import FitResult
 from releff.inference import (
     METHODS,
     DatasetStack,
@@ -90,6 +92,29 @@ def objective(beta, matrix, Z1, Z2, link) -> float:
     return float(np.mean((np.asarray(matrix, dtype=float) - 0.5 * mu) * mu))
 
 
+def _pair_design(Z1, Z2) -> np.ndarray:
+    """One row z = (1, Z1[i1], Z2[i2]) per pair, pairs in row-major order."""
+    n1, n2 = Z1.shape[0], Z2.shape[0]
+    return np.column_stack((np.ones(n1 * n2), np.repeat(Z1, n2, axis=0), np.tile(Z2, (n1, 1))))
+
+
+def score(beta, matrix, Z1, Z2, link) -> np.ndarray:
+    """Pair mean of z * mu'(eta) * (pseudo - mu(eta)) at eta = beta'z."""
+    X = _pair_design(Z1, Z2)
+    eta = X @ beta
+    residual = np.ravel(matrix) - link.mu(eta)
+    return X.T @ (link.mu_prime(eta) * residual) / eta.size
+
+
+def jacobian(beta, matrix, Z1, Z2, link) -> np.ndarray:
+    """Pair mean of (mu''(eta) * (pseudo - mu(eta)) - mu'(eta)^2) * z z'."""
+    X = _pair_design(Z1, Z2)
+    eta = X @ beta
+    residual = np.ravel(matrix) - link.mu(eta)
+    G = link.mu_double_prime(eta) * residual - link.mu_prime(eta) ** 2
+    return (X * G[:, None]).T @ X / eta.size
+
+
 def true_theta_weibull_numeric(lam1, k1, lam2, k2, tau=np.inf) -> float:
     """Quadrature of -int S1 dS2 for Weibull scales lam_j and shapes k_j."""
 
@@ -105,8 +130,8 @@ def true_theta_weibull_numeric(lam1, k1, lam2, k2, tau=np.inf) -> float:
 
 def newton_fit(matrix, Z1, Z2, link, x0=None, tol=1e-10, max_iter=50,
                max_halvings=10) -> FitResult:
-    """Damped Newton iteration calling ``estimating_function`` for every
-    candidate and ``jacobian`` for every step."""
+    """Damped Newton iteration calling ``gee.estimating_function`` for every
+    candidate and ``gee.jacobian`` for every step."""
     Z1 = np.atleast_2d(np.asarray(Z1, dtype=float))
     Z2 = np.atleast_2d(np.asarray(Z2, dtype=float))
     p = 1 + Z1.shape[1] + Z2.shape[1]
@@ -116,12 +141,12 @@ def newton_fit(matrix, Z1, Z2, link, x0=None, tol=1e-10, max_iter=50,
         beta = np.zeros(p)
 
     used_pinv = False
-    U = estimating_function(beta, matrix.values, Z1, Z2, link)
+    U = gee.estimating_function(beta, matrix.values, Z1, Z2, link)
     norm = float(np.max(np.abs(U)))
     for it in range(1, max_iter + 1):
         if norm < tol:
             return FitResult(beta, True, it - 1, norm, "newton", used_pinv=used_pinv)
-        J = jacobian(beta, matrix.values, Z1, Z2, link)
+        J = gee.jacobian(beta, matrix.values, Z1, Z2, link)
         try:
             step = np.linalg.solve(J, -U)
         except np.linalg.LinAlgError:
@@ -131,7 +156,7 @@ def newton_fit(matrix, Z1, Z2, link, x0=None, tol=1e-10, max_iter=50,
         improved = False
         for _ in range(max_halvings + 1):
             cand = beta + scale * step
-            U_cand = estimating_function(cand, matrix.values, Z1, Z2, link)
+            U_cand = gee.estimating_function(cand, matrix.values, Z1, Z2, link)
             cand_norm = float(np.max(np.abs(U_cand)))
             if np.isfinite(cand_norm) and cand_norm < norm:
                 beta, U, norm = cand, U_cand, cand_norm

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dataset
+import oracles
 from oracles import newton_fit, objective
 from releff.gee import (
     IDENTITY,
@@ -22,7 +24,10 @@ from releff.gee import (
     solve_identity,
     solve_newton,
 )
+from releff.inference import BootstrapEnsemble
+from releff.predict import predict_profiles
 from releff.pseudo import _indicator_matrix, pseudo_matrix
+from releff.survival import TwoSampleDataset
 
 
 def instance(rng, n1=12, n2=10, p1=2, p2=2, censored=True):
@@ -44,6 +49,27 @@ class TestLinks:
     def test_shipped_links_validate(self):
         IDENTITY.validate()
         LOGIT.validate()
+
+    def test_logit_overflow_is_quiet_and_finite(self):
+        # the pair indicator is 1 only in the column of the earliest group-2
+        # time and there only for the group-1 rows beyond it: the data are
+        # separated, and the fit ends with eta below -900 on some pairs,
+        # where exp(-eta) overflows to inf for mu = 0
+        Z1 = np.array([[-0.7], [-0.5], [-1.1], [0.4]])
+        Z2 = np.array([[-0.4], [0.9], [1.0]])
+        data = TwoSampleDataset(np.array([0.35, 0.25, 0.15, 0.45]), np.ones(4), Z1,
+                                np.array([0.7, 0.6, 0.2]), np.ones(3), Z2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit(pseudo_matrix(data), Z1, Z2, LOGIT)
+            ens = BootstrapEnsemble(replicates=np.tile(res.beta, (2, 1)), B=2, seed=0,
+                                    base_fit=res)
+            pred = predict_profiles(res, ens, [[-1.1], [0.4]], [[-0.4], [2.5]], link=LOGIT)
+        assert res.converged and np.isfinite(res.beta).all()
+        eta = res.beta @ [[1.0, 1.0], [-1.1, 0.4], [-0.4, 2.5]]
+        assert eta[0] < -800 and eta[1] > 800
+        np.testing.assert_array_equal(pred.point, [0.0, 1.0])
+        assert np.isfinite(pred.ci_low).all() and np.isfinite(pred.ci_high).all()
 
     def test_inconsistent_link_caught(self):
         bad = Link(
@@ -114,6 +140,34 @@ class TestJacobian:
         np.testing.assert_allclose(J, J.T, atol=1e-12)
 
 
+class TestWorkspaceMatchesOracle:
+    """The in-place workspace against U and J recomputed from the ``Link``
+    functions over an explicit pair design."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n1=st.integers(3, 25),
+        n2=st.integers(3, 25),
+        censored=st.booleans(),
+        link=st.sampled_from([IDENTITY, LOGIT]),
+        warm=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_score_and_jacobian(self, seed, n1, n2, censored, link, warm):
+        rng = np.random.default_rng(seed)
+        pm, Z1, Z2 = instance(rng, n1, n2, censored=censored)
+        # Newton's two starts; the warm one is also the identity-link root,
+        # where U cancels to rounding level, hence the absolute tolerance
+        beta = solve_closed_form_identity(pm, Z1, Z2).beta if warm else np.zeros(5)
+        for b in (beta, beta + rng.uniform(-0.5, 0.5, 5)):
+            np.testing.assert_allclose(
+                estimating_function(b, pm.values, Z1, Z2, link),
+                oracles.score(b, pm.values, Z1, Z2, link), rtol=1e-10, atol=1e-13)
+            np.testing.assert_allclose(
+                jacobian(b, pm.values, Z1, Z2, link),
+                oracles.jacobian(b, pm.values, Z1, Z2, link), rtol=1e-10, atol=1e-13)
+
+
 class TestSolvers:
     def test_closed_form_equals_newton(self, rng):
         for censored in (False, True):
@@ -176,8 +230,6 @@ class TestSolvers:
         Z2 = rng.standard_normal((n, 1))
         T1 = np.exp(g1 * Z1[:, 0]) * rng.weibull(k, n)
         T2 = np.exp(g2 * Z2[:, 0]) * rng.weibull(k, n)
-        from releff.survival import TwoSampleDataset
-
         data = TwoSampleDataset(T1, np.ones(n), Z1, T2, np.ones(n), Z2)
         pm = pseudo_matrix(data)
         res = fit(pm, Z1, Z2, LOGIT)
@@ -317,9 +369,9 @@ class TestNewtonMatchesOracle:
         assert "step scale" in lines[-1]
 
     def test_peak_memory_of_a_logit_fit(self):
-        # five n1 x n2 arrays above the held pseudo matrix: eta, residual and
-        # mu' of the iterate in hand plus two temporaries of mu''; keeping an
-        # accepted iterate's arrays alive across the line search needs seven
+        # the four n1 x n2 buffers of the fit's workspace (mu, residual, mu'
+        # and scratch) above the held pseudo matrix; no candidate and no
+        # Jacobian allocates an n1 x n2 array of its own
         data = random_dataset(np.random.default_rng(3), 200, 200, censored=True, tau=2.0)
         pm = pseudo_matrix(data)
         tracemalloc.start()
@@ -329,7 +381,7 @@ class TestNewtonMatchesOracle:
         finally:
             tracemalloc.stop()
         assert res.converged and res.iterations >= 2
-        assert peak <= 5.1 * pm.values.nbytes
+        assert peak <= 4.2 * pm.values.nbytes
 
 
 class TestSandwich:
@@ -381,8 +433,6 @@ class TestSandwich:
         # same-pair block reduces to the design's second-moment dispersion
         Z1 = rng.standard_normal((6, 2))
         Z2 = rng.standard_normal((5, 2))
-        from releff.survival import TwoSampleDataset
-
         data = TwoSampleDataset(
             np.full(6, 10.0) + rng.uniform(0, 1, 6), np.ones(6), Z1,
             rng.uniform(0, 1, 5), np.ones(5), Z2,
