@@ -7,7 +7,7 @@ from .survival import (
     kaplan_meier,
     theta_integral,
 )
-from .pseudo import PseudoMatrix, pseudo_matrix
+from .pseudo import pseudo_matrix
 from .gee import (
     Link,
     IDENTITY,
@@ -15,9 +15,7 @@ from .gee import (
     FitResult,
     estimating_function,
     jacobian,
-    solve_closed_form_identity,
     solve_newton,
-    fit,
     sandwich_covariance_uncensored,
 )
 from .inference import (

@@ -132,7 +132,8 @@ def ingest_csv(path, config: AnalysisConfig) -> TwoSampleDataset:
             raise ParseFailure(
                 f"the largest observed time {tau:.6g} cannot serve as the horizon; set --tau"
             )
-        log.warning("tau not set; defaulting to the largest observed time %.6g", tau)
+        log.warning("tau not set; defaulting to the largest observed time %.6g "
+                    "(a group-2 event at exactly tau is not counted)", tau)
     z1 = np.array(groups[1]["z"]) if config.covariates1 else np.empty((t1.size, 0))
     z2 = np.array(groups[2]["z"]) if config.covariates2 else np.empty((t2.size, 0))
     return TwoSampleDataset(

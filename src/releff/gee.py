@@ -8,8 +8,10 @@ with z = (1, Z1[i1], Z2[i2]) and eta = beta' z.  For the identity link U is
 psi - Sigma beta, where Sigma is the pair average of z z' and psi that of
 z * pseudo, which needs only the grand, row and column means of the pseudo
 matrix; ``solve_identity`` solves it for a stack of datasets at once.  Other
-links go through a damped Newton iteration on the full matrix.  Each Newton
-fit allocates one workspace of four n1 x n2 buffers (mu, the residual, mu'
+links go through ``solve_newton``, a damped Newton iteration on the full
+matrix.  ``inference.FitSpec.fit`` is the one place that picks the solver,
+and it starts Newton at the identity-link solution.  Each Newton fit
+allocates one workspace of four n1 x n2 buffers (mu, the residual, mu'
 and a scratch array) and evaluates every line-search candidate and every
 Jacobian in place in them.  For the logit link a candidate takes one exp:
 mu = 1 / (1 + exp(-eta)), then mu' = mu (1 - mu) and mu'' = mu' (1 - 2 mu)
@@ -24,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pseudo import PseudoMatrix, _indicator_matrix
+from .pseudo import _indicator_matrix
 from .survival import TwoSampleDataset
 
 log = logging.getLogger("releff")
@@ -37,10 +39,8 @@ __all__ = [
     "IdentityFits",
     "estimating_function",
     "jacobian",
-    "solve_closed_form_identity",
     "solve_identity",
     "solve_newton",
-    "fit",
     "sandwich_covariance_uncensored",
     "design_second_moment",
 ]
@@ -346,21 +346,8 @@ def solve_identity(row_means, col_means, Z1, Z2, strict_singular: bool = False) 
     )
 
 
-def solve_closed_form_identity(
-    matrix: PseudoMatrix, Z1, Z2, strict_singular: bool = False
-) -> FitResult:
-    """Exact identity-link solution from the marginals of ``matrix``."""
-    Z1 = np.atleast_2d(np.asarray(Z1, dtype=float))
-    Z2 = np.atleast_2d(np.asarray(Z2, dtype=float))
-    fits = solve_identity(
-        matrix.row_means[None], matrix.col_means[None], Z1[None], Z2[None],
-        strict_singular=strict_singular,
-    )
-    return fits.result(0)
-
-
 def solve_newton(
-    matrix: PseudoMatrix,
+    matrix: np.ndarray,
     Z1,
     Z2,
     link: Link,
@@ -369,7 +356,8 @@ def solve_newton(
     max_iter: int = 50,
     max_halvings: int = 10,
 ) -> FitResult:
-    """Damped Newton iteration on the estimating function.
+    """Damped Newton iteration on the estimating function of the n1 x n2
+    pseudo-observation array ``matrix``.
 
     Non-convergence is reported honestly: the last iterate is returned with
     ``converged=False``.
@@ -382,9 +370,8 @@ def solve_newton(
     else:
         beta = np.zeros(p)
 
-    values = matrix.values
-    _check_dims(beta, values, Z1, Z2)
-    workspace = _Workspace(values, Z1, Z2, link)
+    _check_dims(beta, matrix, Z1, Z2)
+    workspace = _Workspace(matrix, Z1, Z2, link)
 
     def evaluate(b):
         U = workspace.score(b)
@@ -430,16 +417,6 @@ def solve_newton(
     )
 
 
-def fit(
-    matrix: PseudoMatrix, Z1, Z2, link: Link = IDENTITY, strict_singular: bool = False
-) -> FitResult:
-    """Dispatch: closed form for the identity link, otherwise Newton started
-    at the identity-link solution."""
-    if link.name == "identity":
-        return solve_closed_form_identity(matrix, Z1, Z2, strict_singular=strict_singular)
-    return solve_newton(matrix, Z1, Z2, link, x0=solve_closed_form_identity(matrix, Z1, Z2).beta)
-
-
 def _shared_row_column_meat(R, Z1, Z2):
     """Covariance blocks of pair contributions R[i1,i2] * z sharing a row
     (same group-1 subject) or a column (same group-2 subject)."""
@@ -474,8 +451,7 @@ def sandwich_covariance_uncensored(data: TwoSampleDataset) -> np.ndarray:
     Z1, Z2 = data.covariates1, data.covariates2
     n1, n2 = data.n1, data.n2
     D = _indicator_matrix(data)
-    matrix = PseudoMatrix(values=D, theta_hat=float(D.mean()))
-    beta = solve_closed_form_identity(matrix, Z1, Z2).beta
+    beta = solve_identity(D.mean(axis=1)[None], D.mean(axis=0)[None], Z1[None], Z2[None]).beta[0]
     R = D - _linear_predictor(beta, Z1, Z2)
 
     omega1, omega2 = _shared_row_column_meat(R, Z1, Z2)

@@ -100,7 +100,11 @@ class DatasetStack:
 
 @dataclass(frozen=True)
 class FitSpec:
-    """Everything needed to refit the model on a resampled dataset."""
+    """Everything needed to refit the model on a resampled dataset.
+
+    ``fit`` is the one link dispatch: the identity link in closed form from
+    the pseudo-matrix marginals, any other by ``gee.solve_newton`` on the
+    full matrix, started at that matrix's identity-link solution."""
 
     link: gee.Link = gee.IDENTITY
     strict_singular: bool = False
@@ -110,10 +114,13 @@ class FitSpec:
         raises LinAlgError."""
         if self.link.name == "identity":
             return self._identity(DatasetStack.of([data])).result(0)
-        return gee.fit(
-            pseudo_matrix(data), data.covariates1, data.covariates2, self.link,
+        matrix = pseudo_matrix(data)
+        Z1, Z2 = data.covariates1, data.covariates2
+        start = gee.solve_identity(
+            matrix.mean(axis=1)[None], matrix.mean(axis=0)[None], Z1[None], Z2[None],
             strict_singular=self.strict_singular,
-        )
+        ).result(0)
+        return gee.solve_newton(matrix, Z1, Z2, self.link, x0=start.beta)
 
     def _identity(self, stack: DatasetStack) -> gee.IdentityFits:
         m = pseudo_marginals(stack.times1, stack.events1, stack.times2, stack.events2, stack.tau)

@@ -9,27 +9,24 @@ On fully observed data every entry reduces to the pair indicator
 1{T1 > T2, T2 < tau}.  Entries may fall outside [0, 1] under censoring and
 are never clipped.
 
-Under censoring every leave-one-out Kaplan-Meier curve of a group comes from
-one cumulative product (the fast jackknife of Andersen & Perme, 2010):
-dropping subject i lowers the at-risk count at each distinct event time up
-to t_i by one and the death count at t_i by its event flag, so the full
-curve and all n leave-one-out curves are the rows of one (n+1, K) cumprod
-over the group's K distinct event times.
+Under censoring all leave-one-out Kaplan-Meier curves of a group come from
+two prefix products (the fast jackknife of Andersen & Perme, 2010).  Sort a
+group by time, events before censorings at a tied time, and give each
+subject its own product-limit factor: position j has 1 - e_j / (n - j) in
+the full sample and 1 - e_j / (n - 1 - j) with one earlier subject dropped
+(at a tied time the per-subject factors multiply to the usual 1 - d / r).
+With P_c and L_c the products of the first c factors of each kind, the
+curve without the subject at position i, after c positions, is L_c for
+c <= i and L_i * P_c / P_{i+1} beyond.  Only P_n can vanish (the last
+subject alone at risk has an event), and it is a denominator only for
+i = n - 1, where the ratio is an empty product, 1.
 
-The identity-link fit needs only the matrix's row and column means, and
-those follow from the same leave-one-out structure without any n1 x n2 or
-(n+1) x K array.  Sort a group by time, events before censorings at a tied
-time, and give each subject its own product-limit factor: position j has
-1 - e_j / (n - j) in the full sample and 1 - e_j / (n - 1 - j) with one
-earlier subject dropped (at a tied time the per-subject factors multiply to
-the usual 1 - d / r).  With P_c and L_c the products of the first c factors
-of each kind, the curve without the subject at position i, after c
-positions, is L_c for c <= i and L_i * P_c / P_{i+1} beyond.  Only P_n can
-vanish (the last subject alone at risk has an event), and it is a
-denominator only for i = n - 1, where the ratio is an empty product, 1.
-Every sum over the leave-one-out curves is therefore a prefix or suffix sum,
-O(n log n) per dataset, and ``pseudo_marginals`` computes them for a stack
-of datasets at once.
+This one engine serves both consumers.  ``pseudo_matrix`` gathers the curves
+at the K group-2 event times below tau and combines them in one (n1, K) by
+(K, n2) matrix product.  The identity-link fit needs only the matrix's row
+and column means; every sum over the leave-one-out curves is a prefix or
+suffix sum, so ``pseudo_marginals`` computes them in O(n log n) per dataset,
+for a stack of datasets at once, without any n1 x n2 array.
 """
 
 from __future__ import annotations
@@ -40,50 +37,20 @@ import numpy as np
 
 from .survival import TwoSampleDataset
 
-__all__ = ["PseudoMatrix", "PseudoMarginals", "pseudo_matrix", "pseudo_marginals"]
+__all__ = ["PseudoMarginals", "pseudo_matrix", "pseudo_marginals"]
 
 
-@dataclass(frozen=True)
-class PseudoMatrix:
-    """n1 x n2 pseudo-observation array with marginal means."""
-
-    values: np.ndarray
-    theta_hat: float
-
-    @property
-    def n1(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n2(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def row_means(self) -> np.ndarray:
-        return self.values.mean(axis=1)
-
-    @property
-    def col_means(self) -> np.ndarray:
-        return self.values.mean(axis=0)
-
-    @property
-    def grand_mean(self) -> float:
-        return float(self.values.mean())
-
-
-def pseudo_matrix(data: TwoSampleDataset) -> PseudoMatrix:
-    """Build the pseudo-observation matrix.
+def pseudo_matrix(data: TwoSampleDataset) -> np.ndarray:
+    """The n1 x n2 pseudo-observation matrix.
 
     On fully observed data the entries are the pair indicators (exact by
-    inclusion-exclusion), whose mean is the plug-in estimate; under censoring
-    all leave-one-out curves are evaluated on a shared grid of group-2 event
-    times.
+    inclusion-exclusion); under censoring all leave-one-out curves are
+    evaluated on a shared grid of group-2 event times.
     """
     if data.n1 < 2 or data.n2 < 2:
         raise ValueError("pseudo-observations need at least 2 subjects per group")
     if data.uncensored:
-        values = _indicator_matrix(data)
-        return PseudoMatrix(values=values, theta_hat=float(values.mean()))
+        return _indicator_matrix(data)
     return _stieltjes_matrix(data)
 
 
@@ -94,38 +61,19 @@ def _indicator_matrix(data: TwoSampleDataset) -> np.ndarray:
     return ((t1 > t2) & (t2 < data.tau)).astype(float)
 
 
-def _leave_one_out_curves(times: np.ndarray, events: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Full and leave-one-out Kaplan-Meier curves of one group on ``grid``.
-
-    Row 0 is the full-sample curve and row i+1 the curve without subject i,
-    each evaluated right-continuously at ``grid``; shape (n+1, grid.size).
-    """
-    event_times = np.unique(times[events == 1])
-    at_risk_each = times[:, None] >= event_times            # (n, K)
-    dies_each = (times[:, None] == event_times) & (events[:, None] == 1)
-    kept = np.zeros((1, event_times.size), dtype=bool)      # row 0 drops nobody
-    at_risk = at_risk_each.sum(axis=0) - np.vstack((kept, at_risk_each))
-    deaths = dies_each.sum(axis=0) - np.vstack((kept, dies_each))
-    # an empty risk set (the dropped subject alone at the largest time) has
-    # no deaths either and leaves the curve unchanged
-    hazard = np.divide(deaths, at_risk, out=np.zeros(at_risk.shape), where=at_risk > 0)
-    curves = np.hstack((np.ones((times.size + 1, 1)), np.cumprod(1.0 - hazard, axis=1)))
-    return curves[:, np.searchsorted(event_times, grid, side="right")]
-
-
-def _stieltjes_matrix(data: TwoSampleDataset) -> PseudoMatrix:
+def _stieltjes_matrix(data: TwoSampleDataset) -> np.ndarray:
     n1, n2, tau = data.n1, data.n2, data.tau
     grid = np.unique(data.times2[data.events2 == 1])
     grid = grid[grid < tau]
 
     if grid.size == 0:
         # no group-2 jumps below tau anywhere: all Stieltjes sums vanish
-        return PseudoMatrix(values=np.zeros((n1, n2)), theta_hat=0.0)
+        return np.zeros((n1, n2))
 
-    F1 = _leave_one_out_curves(data.times1, data.events1, grid)
+    F1 = _SortedLeaveOneOut(data.times1, data.events1).curves(grid)
     # every group-2 jump below tau, with or without a subject, lies on the
     # grid, so the jump at grid[k] is the step from the value at grid[k-1]
-    S2 = _leave_one_out_curves(data.times2, data.events2, grid)
+    S2 = _SortedLeaveOneOut(data.times2, data.events2).curves(grid)
     D2 = np.hstack((np.ones((n2 + 1, 1)), S2[:, :-1])) - S2
     d_full = D2[0]
 
@@ -139,7 +87,7 @@ def _stieltjes_matrix(data: TwoSampleDataset) -> PseudoMatrix:
     values *= (n1 - 1) * (n2 - 1)
     values += (n1 * n2 * th - (n1 - 1) * n2 * th1)[:, None]
     values -= (n1 * (n2 - 1) * th2)[None, :]
-    return PseudoMatrix(values=values, theta_hat=th)
+    return values
 
 
 @dataclass(frozen=True)
@@ -160,7 +108,8 @@ def _cumprod_from_one(factors: np.ndarray) -> np.ndarray:
 
 class _SortedLeaveOneOut:
     """The full and leave-one-out Kaplan-Meier curves of one group in each of
-    N datasets, kept as the prefix products P and L of the module docstring.
+    N datasets, kept as the prefix products P and L of the module docstring;
+    times and events are (N, n), or (n,) for one dataset.
 
     Column c of a curve is its value after the first c sorted positions; row
     i of the implied (n, n+1) matrix G is the curve without the subject at
@@ -176,6 +125,21 @@ class _SortedLeaveOneOut:
         self.P = _cumprod_from_one(1.0 - e / (n - j))
         # L uses the factor at j only for j < i <= n - 1, never the last one
         self.L = _cumprod_from_one(1.0 - e / np.maximum(n - 1 - j, 1))
+
+    def curves(self, grid: np.ndarray) -> np.ndarray:
+        """Full and leave-one-out curves of one dataset (1-D times) at
+        ``grid``, right-continuous, shape (n+1, grid.size): row 0 is the
+        full-sample curve and row i+1 the curve without input subject i."""
+        P, L, n = self.P, self.L, self.n
+        c = np.searchsorted(self.times, grid, side="right")
+        i = np.arange(n)[:, None]
+        # P_{i+1} = 0 only for i = n - 1, where the ratio is an empty product
+        beyond = (c > i) & (i < n - 1)
+        ratio = np.divide(P[c], P[1:, None], out=np.ones(beyond.shape), where=beyond)
+        out = np.empty((n + 1, c.size))
+        out[0] = P[c]
+        out[1 + self.order] = L[np.minimum(c, i)] * ratio
+        return out
 
     def row_sums(self, W: np.ndarray) -> np.ndarray:
         """sum_c G[i, c] * W[c] for every left-out position i; W is (N, n+1)."""

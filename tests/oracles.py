@@ -8,7 +8,9 @@ the potential whose gradient is the estimating function, the Weibull
 relative effect by numerical quadrature, the estimating function and its
 Jacobian over an explicit design with one row per pair and with every link
 term from the ``Link`` functions, the damped Newton fit by re-evaluating the
-public estimating function and Jacobian at every iterate,
+public estimating function and Jacobian at every iterate, the identity-link
+fit from the means of the full pseudo matrix and the fit of one dataset
+through that matrix,
 the prediction interval one profile at a time, the warp-speed Monte
 Carlo engine one run and one full pseudo matrix at a time, and a scenario
 dataset one generator call per draw.  ``PerRun`` turns a per-dataset maker
@@ -141,12 +143,12 @@ def newton_fit(matrix, Z1, Z2, link, x0=None, tol=1e-10, max_iter=50,
         beta = np.zeros(p)
 
     used_pinv = False
-    U = gee.estimating_function(beta, matrix.values, Z1, Z2, link)
+    U = gee.estimating_function(beta, matrix, Z1, Z2, link)
     norm = float(np.max(np.abs(U)))
     for it in range(1, max_iter + 1):
         if norm < tol:
             return FitResult(beta, True, it - 1, norm, "newton", used_pinv=used_pinv)
-        J = gee.jacobian(beta, matrix.values, Z1, Z2, link)
+        J = gee.jacobian(beta, matrix, Z1, Z2, link)
         try:
             step = np.linalg.solve(J, -U)
         except np.linalg.LinAlgError:
@@ -156,7 +158,7 @@ def newton_fit(matrix, Z1, Z2, link, x0=None, tol=1e-10, max_iter=50,
         improved = False
         for _ in range(max_halvings + 1):
             cand = beta + scale * step
-            U_cand = gee.estimating_function(cand, matrix.values, Z1, Z2, link)
+            U_cand = gee.estimating_function(cand, matrix, Z1, Z2, link)
             cand_norm = float(np.max(np.abs(U_cand)))
             if np.isfinite(cand_norm) and cand_norm < norm:
                 beta, U, norm = cand, U_cand, cand_norm
@@ -202,10 +204,23 @@ def resampled(data: TwoSampleDataset, idx1, idx2) -> TwoSampleDataset:
     )
 
 
+def identity_fit(matrix, Z1, Z2, strict_singular=False) -> FitResult:
+    """Closed-form identity-link fit from the row and column means of a full
+    pseudo matrix; LinAlgError for a design refused under ``strict_singular``."""
+    return gee.solve_identity(matrix.mean(axis=1)[None], matrix.mean(axis=0)[None],
+                              Z1[None], Z2[None], strict_singular=strict_singular).result(0)
+
+
 def matrix_fit(spec: FitSpec, data: TwoSampleDataset) -> FitResult:
-    """One dataset fitted through its full pseudo-observation matrix."""
-    return gee.fit(pseudo_matrix(data), data.covariates1, data.covariates2, spec.link,
-                   strict_singular=spec.strict_singular)
+    """One dataset fitted through its full pseudo-observation matrix: the
+    identity link in closed form from the matrix's means, any other link by
+    Newton started at that closed form."""
+    matrix = pseudo_matrix(data)
+    start = identity_fit(matrix, data.covariates1, data.covariates2, spec.strict_singular)
+    if spec.link.name == "identity":
+        return start
+    return gee.solve_newton(matrix, data.covariates1, data.covariates2, spec.link,
+                            x0=start.beta)
 
 
 def warp_speed(make_dataset, M, seed=0, spec=None, coefficients=None, alpha=0.05):

@@ -15,7 +15,6 @@ from releff.gee import (
     estimating_function,
     jacobian,
     sandwich_covariance_uncensored,
-    solve_closed_form_identity,
     solve_newton,
 )
 from releff.inference import FitSpec
@@ -31,7 +30,7 @@ from releff.sim import (
 from releff.survival import TwoSampleDataset, kaplan_meier
 
 from conftest import random_dataset
-from oracles import brute_matrix, objective, true_theta_weibull_numeric
+from oracles import brute_matrix, identity_fit, objective, true_theta_weibull_numeric
 
 
 def report(name, ok, detail):
@@ -48,7 +47,7 @@ def test_criterion_01_uncensored_reduction():
         n1 = int(rng.integers(2, 31))
         n2 = int(rng.integers(2, 31))
         data = random_dataset(rng, n1, n2, censored=False)
-        values = _stieltjes_matrix(data).values
+        values = _stieltjes_matrix(data)
         indicator = (data.times1[:, None] > data.times2[None, :]).astype(float)
         worst = max(worst, float(np.max(np.abs(values - indicator))))
     elapsed = time.time() - t0
@@ -67,7 +66,7 @@ def test_criterion_02_censored_oracle_equivalence():
         n1 = int(rng.integers(3, 16))
         n2 = int(rng.integers(3, 16))
         data = random_dataset(rng, n1, n2, censored=True)
-        fast = _stieltjes_matrix(data).values
+        fast = _stieltjes_matrix(data)
         worst = max(worst, float(np.max(np.abs(fast - brute_matrix(data)))))
     elapsed = time.time() - t0
     report(
@@ -86,7 +85,7 @@ def test_criterion_03_closed_form_vs_newton():
             censored=bool(trial % 2),
         )
         pm = pseudo_matrix(data)
-        cf = solve_closed_form_identity(pm, data.covariates1, data.covariates2)
+        cf = identity_fit(pm, data.covariates1, data.covariates2)
         nt = solve_newton(pm, data.covariates1, data.covariates2, IDENTITY)
         assert nt.converged
         worst = max(worst, float(np.max(np.abs(cf.beta - nt.beta))))
@@ -107,20 +106,20 @@ def test_criterion_04_gradient_and_jacobian_checks():
         pm = pseudo_matrix(data)
         Z1, Z2 = data.covariates1, data.covariates2
         beta = rng.uniform(-0.5, 0.5, 5)
-        u = estimating_function(beta, pm.values, Z1, Z2, LOGIT)
-        J = jacobian(beta, pm.values, Z1, Z2, LOGIT)
+        u = estimating_function(beta, pm, Z1, Z2, LOGIT)
+        J = jacobian(beta, pm, Z1, Z2, LOGIT)
         fd_u = np.zeros(5)
         fd_J = np.zeros((5, 5))
         for k in range(5):
             e = np.zeros(5)
             e[k] = h
             fd_u[k] = (
-                objective(beta + e, pm.values, Z1, Z2, LOGIT)
-                - objective(beta - e, pm.values, Z1, Z2, LOGIT)
+                objective(beta + e, pm, Z1, Z2, LOGIT)
+                - objective(beta - e, pm, Z1, Z2, LOGIT)
             ) / (2 * h)
             fd_J[:, k] = (
-                estimating_function(beta + e, pm.values, Z1, Z2, LOGIT)
-                - estimating_function(beta - e, pm.values, Z1, Z2, LOGIT)
+                estimating_function(beta + e, pm, Z1, Z2, LOGIT)
+                - estimating_function(beta - e, pm, Z1, Z2, LOGIT)
             ) / (2 * h)
         scale_u = max(1.0, float(np.max(np.abs(u))))
         scale_J = max(1.0, float(np.max(np.abs(J))))

@@ -25,6 +25,9 @@ from releff.cli import (
 )
 from releff.gee import LINKS, FitResult
 from releff.inference import BootstrapEnsemble, FitSpec, bootstrap
+from releff.predict import tie_correction_term
+from releff.pseudo import pseudo_marginals, pseudo_matrix
+from releff.survival import kaplan_meier, theta_integral
 
 
 def write_csv(path, rows, header=("group", "time", "status")):
@@ -168,6 +171,32 @@ class TestIngest:
             data = ingest_csv(four_row_csv, AnalysisConfig())
         assert data.tau == 5.0
         assert "largest observed time" in caplog.text
+
+    def test_default_tau_drops_a_group2_event_there(self, tmp_path, caplog):
+        # the largest observed time 4 is a group-2 event, a group-1 event and
+        # a group-1 censoring
+        path = tmp_path / "tied.csv"
+        write_csv(path, [[1, 1.0, 1], [1, 4.0, 1], [1, 4.0, 0], [2, 2.0, 1], [2, 4.0, 1]])
+        with caplog.at_level("WARNING", logger="releff"):
+            data = ingest_csv(path, AnalysisConfig())
+        assert data.tau == 4.0
+        assert "event at exactly tau is not counted" in caplog.text
+        S1 = kaplan_meier(data.times1, data.events1)
+        S2 = kaplan_meier(data.times2, data.events2)
+        # theta-hat, the pseudo matrix and its marginals leave out the jump of
+        # S2 at tau (counted, theta-hat would be 1/2): they equal their values
+        # at a horizon below it
+        below = dataclasses.replace(data, tau=3.5)
+        assert theta_integral(S1, S2, data.tau) == pytest.approx(1 / 3)
+        np.testing.assert_array_equal(pseudo_matrix(data), pseudo_matrix(below))
+        assert not np.array_equal(pseudo_matrix(data),
+                                  pseudo_matrix(dataclasses.replace(data, tau=np.inf)))
+        m = pseudo_marginals(data.times1[None], data.events1[None], data.times2[None],
+                             data.events2[None], np.array([data.tau]))
+        assert m.theta_hat[0] == pytest.approx(1 / 3)
+        # the tie correction counts the common jump at tau: half of
+        # dS1(4) dS2(4) = (1/3)(1/2), where leaving it out would give 0
+        assert tie_correction_term(S1, S2, data.tau) == pytest.approx(1 / 12)
 
     def test_non_positive_default_tau_is_a_parse_error(self, tmp_path):
         path = tmp_path / "negative.csv"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_dataset
 import oracles
-from oracles import newton_fit, objective
+from oracles import identity_fit, newton_fit, objective
 from releff.gee import (
     IDENTITY,
     LOGIT,
@@ -17,14 +17,12 @@ from releff.gee import (
     _shared_row_column_meat,
     design_second_moment,
     estimating_function,
-    fit,
     jacobian,
     sandwich_covariance_uncensored,
-    solve_closed_form_identity,
     solve_identity,
     solve_newton,
 )
-from releff.inference import BootstrapEnsemble
+from releff.inference import BootstrapEnsemble, FitSpec
 from releff.predict import predict_profiles
 from releff.pseudo import _indicator_matrix, pseudo_matrix
 from releff.survival import TwoSampleDataset
@@ -61,7 +59,7 @@ class TestLinks:
                                 np.array([0.7, 0.6, 0.2]), np.ones(3), Z2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = fit(pseudo_matrix(data), Z1, Z2, LOGIT)
+            res = FitSpec(link=LOGIT).fit(data)
             ens = BootstrapEnsemble(replicates=np.tile(res.beta, (2, 1)), B=2, seed=0,
                                     base_fit=res)
             pred = predict_profiles(res, ens, [[-1.1], [0.4]], [[-0.4], [2.5]], link=LOGIT)
@@ -85,56 +83,56 @@ class TestLinks:
 class TestEstimatingFunction:
     def test_scalar_root_is_grand_mean(self, rng):
         pm, _, _ = instance(rng, p1=0, p2=0)
-        Z1 = np.zeros((pm.n1, 0))
-        Z2 = np.zeros((pm.n2, 0))
-        u = estimating_function(np.array([pm.grand_mean]), pm.values, Z1, Z2, IDENTITY)
+        Z1 = np.zeros((pm.shape[0], 0))
+        Z2 = np.zeros((pm.shape[1], 0))
+        u = estimating_function(np.array([pm.mean()]), pm, Z1, Z2, IDENTITY)
         assert abs(u[0]) < 1e-12
 
     def test_zero_at_closed_form_solution(self, rng):
         pm, Z1, Z2 = instance(rng)
-        beta = solve_closed_form_identity(pm, Z1, Z2).beta
-        u = estimating_function(beta, pm.values, Z1, Z2, IDENTITY)
+        beta = identity_fit(pm, Z1, Z2).beta
+        u = estimating_function(beta, pm, Z1, Z2, IDENTITY)
         assert np.max(np.abs(u)) < 1e-10
 
     def test_matches_gradient_of_potential(self, rng):
         for link in (IDENTITY, LOGIT):
             pm, Z1, Z2 = instance(rng)
             beta = rng.uniform(-0.5, 0.5, 5)
-            u = estimating_function(beta, pm.values, Z1, Z2, link)
-            g = fd_gradient(lambda b: objective(b, pm.values, Z1, Z2, link), beta)
+            u = estimating_function(beta, pm, Z1, Z2, link)
+            g = fd_gradient(lambda b: objective(b, pm, Z1, Z2, link), beta)
             np.testing.assert_allclose(u, g, rtol=1e-6, atol=1e-8)
 
     def test_dimension_mismatch(self, rng):
         pm, Z1, Z2 = instance(rng)
         with pytest.raises(ValueError):
-            estimating_function(np.zeros(3), pm.values, Z1, Z2, IDENTITY)
+            estimating_function(np.zeros(3), pm, Z1, Z2, IDENTITY)
 
 
 class TestJacobian:
     def test_identity_is_negative_design_moment(self, rng):
         pm, Z1, Z2 = instance(rng)
-        J = jacobian(rng.uniform(-1, 1, 5), pm.values, Z1, Z2, IDENTITY)
+        J = jacobian(rng.uniform(-1, 1, 5), pm, Z1, Z2, IDENTITY)
         np.testing.assert_allclose(J, -design_second_moment(Z1, Z2), atol=1e-12)
 
     def test_scalar_identity_is_minus_one(self, rng):
         pm, _, _ = instance(rng, p1=0, p2=0)
-        Z1 = np.zeros((pm.n1, 0))
-        Z2 = np.zeros((pm.n2, 0))
-        J = jacobian(np.array([0.3]), pm.values, Z1, Z2, IDENTITY)
+        Z1 = np.zeros((pm.shape[0], 0))
+        Z2 = np.zeros((pm.shape[1], 0))
+        J = jacobian(np.array([0.3]), pm, Z1, Z2, IDENTITY)
         assert J[0, 0] == pytest.approx(-1.0)
 
     def test_logit_matches_finite_differences(self, rng):
         pm, Z1, Z2 = instance(rng)
         beta = rng.uniform(-0.5, 0.5, 5)
-        J = jacobian(beta, pm.values, Z1, Z2, LOGIT)
+        J = jacobian(beta, pm, Z1, Z2, LOGIT)
         h = 1e-6
         fd = np.zeros_like(J)
         for k in range(5):
             e = np.zeros(5)
             e[k] = h
             fd[:, k] = (
-                estimating_function(beta + e, pm.values, Z1, Z2, LOGIT)
-                - estimating_function(beta - e, pm.values, Z1, Z2, LOGIT)
+                estimating_function(beta + e, pm, Z1, Z2, LOGIT)
+                - estimating_function(beta - e, pm, Z1, Z2, LOGIT)
             ) / (2 * h)
         np.testing.assert_allclose(J, fd, rtol=1e-5, atol=1e-8)
         np.testing.assert_allclose(J, J.T, atol=1e-12)
@@ -158,21 +156,21 @@ class TestWorkspaceMatchesOracle:
         pm, Z1, Z2 = instance(rng, n1, n2, censored=censored)
         # Newton's two starts; the warm one is also the identity-link root,
         # where U cancels to rounding level, hence the absolute tolerance
-        beta = solve_closed_form_identity(pm, Z1, Z2).beta if warm else np.zeros(5)
+        beta = identity_fit(pm, Z1, Z2).beta if warm else np.zeros(5)
         for b in (beta, beta + rng.uniform(-0.5, 0.5, 5)):
             np.testing.assert_allclose(
-                estimating_function(b, pm.values, Z1, Z2, link),
-                oracles.score(b, pm.values, Z1, Z2, link), rtol=1e-10, atol=1e-13)
+                estimating_function(b, pm, Z1, Z2, link),
+                oracles.score(b, pm, Z1, Z2, link), rtol=1e-10, atol=1e-13)
             np.testing.assert_allclose(
-                jacobian(b, pm.values, Z1, Z2, link),
-                oracles.jacobian(b, pm.values, Z1, Z2, link), rtol=1e-10, atol=1e-13)
+                jacobian(b, pm, Z1, Z2, link),
+                oracles.jacobian(b, pm, Z1, Z2, link), rtol=1e-10, atol=1e-13)
 
 
 class TestSolvers:
     def test_closed_form_equals_newton(self, rng):
         for censored in (False, True):
             pm, Z1, Z2 = instance(rng, censored=censored)
-            cf = solve_closed_form_identity(pm, Z1, Z2)
+            cf = identity_fit(pm, Z1, Z2)
             nt = solve_newton(pm, Z1, Z2, IDENTITY)
             assert nt.converged
             np.testing.assert_allclose(cf.beta, nt.beta, atol=1e-8)
@@ -184,30 +182,30 @@ class TestSolvers:
 
     def test_scalar_logit_root_inverts_grand_mean(self, rng):
         pm, _, _ = instance(rng, censored=False, p1=0, p2=0)
-        Z1 = np.zeros((pm.n1, 0))
-        Z2 = np.zeros((pm.n2, 0))
-        assert 0 < pm.grand_mean < 1
+        Z1 = np.zeros((pm.shape[0], 0))
+        Z2 = np.zeros((pm.shape[1], 0))
+        assert 0 < pm.mean() < 1
         nt = solve_newton(pm, Z1, Z2, LOGIT)
         assert nt.converged
         mu = 1 / (1 + np.exp(-nt.beta[0]))
-        assert mu == pytest.approx(pm.grand_mean, abs=1e-9)
+        assert mu == pytest.approx(pm.mean(), abs=1e-9)
 
     def test_duplicate_column_flags_pinv(self, rng):
         pm, Z1, Z2 = instance(rng)
         Z1dup = np.column_stack((Z1, Z1[:, 0]))
-        res = solve_closed_form_identity(pm, Z1dup, Z2)
+        res = identity_fit(pm, Z1dup, Z2)
         assert res.used_pinv
         assert "pseudo-inverse" in res.message
         with pytest.raises(np.linalg.LinAlgError):
-            solve_closed_form_identity(pm, Z1dup, Z2, strict_singular=True)
+            identity_fit(pm, Z1dup, Z2, strict_singular=True)
 
     def test_affine_shift_leaves_fit_invariant(self, rng):
         pm, Z1, Z2 = instance(rng)
-        base = solve_closed_form_identity(pm, Z1, Z2)
+        base = identity_fit(pm, Z1, Z2)
         c = 2.7
         shifted = Z1.copy()
         shifted[:, 0] += c
-        moved = solve_closed_form_identity(pm, shifted, Z2)
+        moved = identity_fit(pm, shifted, Z2)
         # only the intercept absorbs the shift
         assert moved.beta[0] == pytest.approx(base.beta[0] - c * base.beta[1], abs=1e-8)
         np.testing.assert_allclose(moved.beta[1:], base.beta[1:], atol=1e-8)
@@ -216,9 +214,9 @@ class TestSolvers:
         np.testing.assert_allclose(mu_base, mu_moved, atol=1e-8)
 
     def test_fit_dispatches(self, rng):
-        pm, Z1, Z2 = instance(rng)
-        assert fit(pm, Z1, Z2, IDENTITY).method == "closed-form"
-        assert fit(pm, Z1, Z2, LOGIT).method == "newton"
+        data = random_dataset(rng, 12, 10, censored=True)
+        assert FitSpec(link=IDENTITY).fit(data).method == "closed-form"
+        assert FitSpec(link=LOGIT).fit(data).method == "newton"
 
     def test_logit_recovers_limiting_logistic_model(self):
         # equal Weibull shapes with tau = inf induce an exact logistic model
@@ -231,8 +229,7 @@ class TestSolvers:
         T1 = np.exp(g1 * Z1[:, 0]) * rng.weibull(k, n)
         T2 = np.exp(g2 * Z2[:, 0]) * rng.weibull(k, n)
         data = TwoSampleDataset(T1, np.ones(n), Z1, T2, np.ones(n), Z2)
-        pm = pseudo_matrix(data)
-        res = fit(pm, Z1, Z2, LOGIT)
+        res = FitSpec(link=LOGIT).fit(data)
         assert res.converged
         mu = 1 / (1 + np.exp(-(res.beta[0] + res.beta[1] * Z1[:, 0][:, None]
                                + res.beta[2] * Z2[:, 0][None, :])))
@@ -246,8 +243,8 @@ class TestSolveIdentity:
         Z1s, Z2s = np.stack(Z1s), np.stack(Z2s)
         # one dataset with a duplicated group-1 covariate: a singular design
         Z1s[2, :, 1] = Z1s[2, :, 0]
-        rows = np.stack([pm.row_means for pm in pms])
-        cols = np.stack([pm.col_means for pm in pms])
+        rows = np.stack([pm.mean(axis=1) for pm in pms])
+        cols = np.stack([pm.mean(axis=0) for pm in pms])
         return pms, rows, cols, Z1s, Z2s
 
     def test_rows_match_single_fits_and_report_the_exact_gradient(self, rng):
@@ -255,9 +252,9 @@ class TestSolveIdentity:
         fits = solve_identity(rows, cols, Z1s, Z2s)
         assert fits.used_pinv.tolist() == [k == 2 for k in range(6)]
         for k, pm in enumerate(pms):
-            single = solve_closed_form_identity(pm, Z1s[k], Z2s[k])
+            single = identity_fit(pm, Z1s[k], Z2s[k])
             np.testing.assert_allclose(fits.beta[k], single.beta, rtol=0, atol=1e-12)
-            u = estimating_function(fits.beta[k], pm.values, Z1s[k], Z2s[k], IDENTITY)
+            u = estimating_function(fits.beta[k], pm, Z1s[k], Z2s[k], IDENTITY)
             assert fits.gradient_norm[k] == pytest.approx(np.max(np.abs(u)), abs=1e-13)
 
     def test_strict_singular_leaves_only_singular_rows_unsolved(self, rng):
@@ -341,12 +338,12 @@ class TestNewtonMatchesOracle:
     def test_random_data(self, seed, n1, n2, censored, link, warm):
         rng = np.random.default_rng(seed)
         pm, Z1, Z2 = instance(rng, n1, n2, censored=censored)
-        x0 = solve_closed_form_identity(pm, Z1, Z2).beta if warm else None
+        x0 = identity_fit(pm, Z1, Z2).beta if warm else None
         assert_same_fit(solve_newton(pm, Z1, Z2, link, x0=x0), newton_fit(pm, Z1, Z2, link, x0=x0))
 
     def test_duplicate_column_takes_pinv_step(self, rng):
         pm, Z1, Z2 = instance(rng)
-        Z1zero = np.column_stack((Z1, np.zeros(pm.n1)))
+        Z1zero = np.column_stack((Z1, np.zeros(pm.shape[0])))
         Z1dup = np.column_stack((Z1, Z1[:, 0]))
         for Z in (Z1zero, Z1dup):
             got = solve_newton(pm, Z, Z2, LOGIT)
@@ -376,12 +373,13 @@ class TestNewtonMatchesOracle:
         pm = pseudo_matrix(data)
         tracemalloc.start()
         try:
-            res = fit(pm, data.covariates1, data.covariates2, LOGIT)
+            Z1, Z2 = data.covariates1, data.covariates2
+            res = solve_newton(pm, Z1, Z2, LOGIT, x0=identity_fit(pm, Z1, Z2).beta)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert res.converged and res.iterations >= 2
-        assert peak <= 4.2 * pm.values.nbytes
+        assert peak <= 4.2 * pm.nbytes
 
 
 class TestSandwich:

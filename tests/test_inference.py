@@ -247,6 +247,29 @@ def test_singular_bootstrap_refit_counts_as_failed(monkeypatch, rng):
     assert ens.ok.tolist() == [True, True, False, True, True, True, False, True, True, True]
 
 
+def test_strict_singular_logit_fit_is_refused(rng):
+    # a second group-1 covariate twice the first: the design is singular
+    data = random_dataset(rng, 10, 10, p1=1, censored=True)
+    z = data.covariates1
+    collinear = TwoSampleDataset(data.times1, data.events1, np.column_stack((z, 2 * z)),
+                                 data.times2, data.events2, data.covariates2)
+    with pytest.raises(np.linalg.LinAlgError):
+        FitSpec(link=LOGIT, strict_singular=True).fit(collinear)
+    assert FitSpec(link=LOGIT).fit(collinear).used_pinv
+
+
+def test_singular_logit_bootstrap_refit_counts_as_failed(monkeypatch, rng):
+    data = random_dataset(rng, 10, 10, censored=True)
+    spec = FitSpec(link=LOGIT, strict_singular=True)
+    unpatched = bootstrap(data, spec=spec, B=10, seed=0)
+    degenerate_resamples(monkeypatch, {2, 6})
+    ens = bootstrap(data, spec=spec, B=10, seed=0)
+    forced = np.isin(np.arange(10), [2, 6])
+    assert ens.singular == 2
+    assert ens.ok.tolist() == (unpatched.ok & ~forced).tolist()
+    assert ens.nonconverged == unpatched.nonconverged - int((~unpatched.ok & forced).sum())
+
+
 def test_nonconverged_bootstrap_refit_counts_as_failed(monkeypatch, rng):
     from releff import gee
 

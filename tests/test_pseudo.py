@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from conftest import random_dataset
 from oracles import brute_matrix, leave_one_out_km, theta_hat
 from releff.pseudo import (
+    _SortedLeaveOneOut,
     _indicator_matrix,
-    _leave_one_out_curves,
     _stieltjes_matrix,
     pseudo_marginals,
     pseudo_matrix,
@@ -23,15 +23,15 @@ def make(t1, e1, t2, e2, tau=np.inf):
 def test_two_by_two_indicator_matrix():
     data = make([3.0, 5.0], [1, 1], [1.0, 4.0], [1, 1])
     pm = pseudo_matrix(data)
-    np.testing.assert_allclose(pm.values, [[1.0, 0.0], [1.0, 1.0]])
-    assert pm.theta_hat == pytest.approx(0.75)
-    assert pm.grand_mean == pytest.approx(pm.theta_hat)
+    np.testing.assert_allclose(pm, [[1.0, 0.0], [1.0, 1.0]])
+    assert pm.mean() == pytest.approx(0.75)
+    assert pm.mean() == pytest.approx(theta_hat(data))
 
 
 def test_uncensored_entries_binary(rng):
     data = random_dataset(rng, 12, 9, censored=False)
     pm = pseudo_matrix(data)
-    assert np.all(np.isin(pm.values, (0.0, 1.0)))
+    assert np.all(np.isin(pm, (0.0, 1.0)))
 
 
 def test_uncensored_marginals_match_km_curves(rng):
@@ -39,35 +39,35 @@ def test_uncensored_marginals_match_km_curves(rng):
     pm = pseudo_matrix(data)
     S1 = kaplan_meier(data.times1)
     S2 = kaplan_meier(data.times2)
-    np.testing.assert_allclose(pm.row_means, 1.0 - S2.left_limit(data.times1), atol=1e-12)
-    np.testing.assert_allclose(pm.col_means, S1(data.times2), atol=1e-12)
+    np.testing.assert_allclose(pm.mean(axis=1), 1.0 - S2.left_limit(data.times1), atol=1e-12)
+    np.testing.assert_allclose(pm.mean(axis=0), S1(data.times2), atol=1e-12)
 
 
 def test_stieltjes_matches_indicator_on_uncensored(rng):
     for _ in range(20):
         data = random_dataset(rng, rng.integers(2, 15), rng.integers(2, 15), censored=False)
         np.testing.assert_allclose(
-            _indicator_matrix(data), _stieltjes_matrix(data).values, atol=1e-10
+            _indicator_matrix(data), _stieltjes_matrix(data), atol=1e-10
         )
 
 
 def test_stieltjes_matches_indicator_with_finite_tau(rng):
     data = random_dataset(rng, 8, 8, censored=False, tau=1.0)
     np.testing.assert_allclose(
-        _indicator_matrix(data), _stieltjes_matrix(data).values, atol=1e-10
+        _indicator_matrix(data), _stieltjes_matrix(data), atol=1e-10
     )
 
 
 def test_censored_matches_brute_oracle(rng):
     for _ in range(8):
         data = random_dataset(rng, rng.integers(3, 9), rng.integers(3, 9), censored=True)
-        np.testing.assert_allclose(_stieltjes_matrix(data).values, brute_matrix(data), atol=1e-10)
+        np.testing.assert_allclose(_stieltjes_matrix(data), brute_matrix(data), atol=1e-10)
 
 
 def test_censored_five_by_five_entrywise(rng):
     data = make([1.0, 2.0, 3.0, 4.0, 5.0], [1, 1, 0, 1, 1],
                 [0.5, 1.5, 2.5, 3.5, 4.5], [1, 0, 1, 1, 1])
-    np.testing.assert_allclose(_stieltjes_matrix(data).values, brute_matrix(data), atol=1e-10)
+    np.testing.assert_allclose(_stieltjes_matrix(data), brute_matrix(data), atol=1e-10)
 
 
 def test_entries_exceed_unit_interval_and_are_not_clipped(rng):
@@ -75,7 +75,7 @@ def test_entries_exceed_unit_interval_and_are_not_clipped(rng):
     for seed in range(40):
         data = random_dataset(np.random.default_rng(seed), 8, 8, censored=True)
         pm = pseudo_matrix(data)
-        if pm.values.min() < -1e-6 or pm.values.max() > 1 + 1e-6:
+        if pm.min() < -1e-6 or pm.max() > 1 + 1e-6:
             found = True
             break
     assert found, "expected at least one censored dataset with out-of-range entries"
@@ -85,7 +85,7 @@ def test_group2_all_censored_gives_zero(rng):
     data = make([1.0, 2.0, 3.0], [1, 1, 1], [0.5, 0.6], [0, 0])
     pm = pseudo_matrix(data)
     assert theta_hat(data) == 0.0
-    np.testing.assert_allclose(pm.values, 0.0)
+    np.testing.assert_allclose(pm, 0.0)
 
 
 @st.composite
@@ -108,7 +108,7 @@ def heavy_tie_datasets(draw, status=st.integers(0, 1)):
 # censored at an event time in both groups, tau cutting at a tied time
 @example(make([2, 2, 3, 4], [1, 0, 1, 0], [1, 2, 2, 3], [1, 1, 0, 1], tau=2.0))
 def test_stieltjes_matches_brute_oracle_under_heavy_ties(data):
-    np.testing.assert_allclose(_stieltjes_matrix(data).values, brute_matrix(data), atol=1e-10)
+    np.testing.assert_allclose(_stieltjes_matrix(data), brute_matrix(data), atol=1e-10)
 
 
 @given(heavy_tie_datasets())
@@ -125,7 +125,7 @@ def test_leave_one_out_curves_match_refitted_curves(data):
     grid = np.arange(0.5, 6.0, 0.5)
     grid = grid[grid < data.tau]
     for times, events in ((data.times1, data.events1), (data.times2, data.events2)):
-        curves = _leave_one_out_curves(times, events, grid)
+        curves = _SortedLeaveOneOut(times, events).curves(grid)
         assert curves.shape == (times.size + 1, grid.size)
         np.testing.assert_allclose(curves[0], kaplan_meier(times, events)(grid), atol=1e-12)
         for i in range(times.size):
@@ -140,7 +140,7 @@ def test_leave_one_out_curves_match_refitted_curves(data):
 @example(make([1, 2, 2, 3], [1, 1, 1, 1], [2, 2, 3], [1, 1, 1], tau=2.0))
 def test_uncensored_theta_hat_is_indicator_mean(data):
     assert data.uncensored
-    assert pseudo_matrix(data).theta_hat == pytest.approx(theta_hat(data), abs=1e-12)
+    assert pseudo_matrix(data).mean() == pytest.approx(theta_hat(data), abs=1e-12)
 
 
 def stacked_marginals(datasets):
@@ -151,9 +151,9 @@ def stacked_marginals(datasets):
 
 def assert_marginals_match_matrix(m, k, data):
     pm = pseudo_matrix(data)
-    np.testing.assert_allclose(m.row_means[k], pm.values.mean(axis=1), rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(m.col_means[k], pm.values.mean(axis=0), rtol=1e-9, atol=1e-12)
-    assert m.theta_hat[k] == pytest.approx(pm.theta_hat, rel=1e-9, abs=1e-12)
+    np.testing.assert_allclose(m.row_means[k], pm.mean(axis=1), rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(m.col_means[k], pm.mean(axis=0), rtol=1e-9, atol=1e-12)
+    assert m.theta_hat[k] == pytest.approx(theta_hat(data), rel=1e-9, abs=1e-12)
 
 
 @given(st.one_of(heavy_tie_datasets(), heavy_tie_datasets(status=st.just(1))))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import leave_one_out_km
-from releff.pseudo import _leave_one_out_curves
+from releff.pseudo import _SortedLeaveOneOut
 from releff.survival import (
     SurvivalCurve,
     TwoSampleDataset,
@@ -91,14 +91,14 @@ class TestKaplanMeier:
 class TestLeaveOneOut:
     def test_dropping_only_censored_subject(self):
         grid = np.array([0.5, 1.0, 2.0, 3.0, 4.0])
-        curves = _leave_one_out_curves(np.array([1.0, 2, 3]), np.array([1.0, 0, 1]), grid)
+        curves = _SortedLeaveOneOut(np.array([1.0, 2, 3]), np.array([1.0, 0, 1])).curves(grid)
         np.testing.assert_array_equal(curves[2], kaplan_meier([1, 3])(grid))
 
     def test_matches_direct_recomputation(self, rng):
         times = rng.uniform(0, 4, 12)
         events = (rng.uniform(size=12) < 0.7).astype(float)
         grid = np.linspace(-1, 5, 200)
-        curves = _leave_one_out_curves(times, events, grid)
+        curves = _SortedLeaveOneOut(times, events).curves(grid)
         np.testing.assert_allclose(curves[0], kaplan_meier(times, events)(grid))
         for i in range(12):
             keep = np.arange(12) != i
