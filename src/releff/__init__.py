@@ -9,9 +9,9 @@ from .survival import (
 )
 from .pseudo import pseudo_matrix
 from .gee import (
-    Link,
     IDENTITY,
     LOGIT,
+    LINKS,
     FitResult,
     estimating_function,
     jacobian,

@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import platform
 import sys
 from dataclasses import dataclass, field, asdict
@@ -20,7 +21,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .gee import LINKS, sandwich_covariance_uncensored
+from .gee import IDENTITY, LINKS, LOGIT, sandwich_covariance_uncensored
 from .inference import METHODS, FitSpec, bootstrap, require_finite, test_coefficient
 from .predict import predict_profiles, tie_correction_term
 from .sim import check_reps, make_scenario, run_scenario, write_result_rows
@@ -51,7 +52,7 @@ class ConfigFailure(Exception):
 
 @dataclass
 class AnalysisConfig:
-    link: str = "identity"
+    link: str = IDENTITY
     tau: float | None = None      # None: the largest observed time; inf: no horizon
     B: int = 2000
     alpha: float = 0.05
@@ -245,7 +246,7 @@ def _coefficient_names(config: AnalysisConfig):
 def _check_working_set(config: AnalysisConfig, data: TwoSampleDataset, sandwich: bool):
     """Refuse a logit fit, or an uncensored identity fit whose ``sandwich``
     covariance is asked for, that needs more than WORKING_SET_BYTES."""
-    if config.link == "logit":
+    if config.link == LOGIT:
         what, working_set = "the logit link", 5 * 8 * data.n1 * data.n2
     elif sandwich and data.uncensored:
         what, working_set = "the sandwich covariance", 3 * 8 * data.n1 * data.n2
@@ -259,27 +260,31 @@ def _check_working_set(config: AnalysisConfig, data: TwoSampleDataset, sandwich:
         )
 
 
-def _prepare(args, resample=True, same_covariates=False):
+def _prepare(args, resample=True, predict=False):
     """Shared preamble of fit, test and predict.
 
     Builds the configuration, ingests the CSV, creates the output directory
     and fits the model.  With ``resample`` a seed is required and the
     bootstrap is run, and the base fit is its ``base_fit``.  The base fit
-    must converge to finite coefficients.  Returns
+    must converge to finite coefficients.  For ``predict`` both groups must
+    name the same covariate columns and the horizon must be finite.  Returns
     (config, data, out_dir, ensemble, fit); ``ensemble`` is None without
     ``resample``.
     """
     config = _build_config(args, require_seed=resample)
-    if same_covariates and config.covariates1 != config.covariates2:
+    if predict and config.covariates1 != config.covariates2:
         raise ConfigFailure(
             "predict uses each subject's covariates for both groups; "
             "covariates1 and covariates2 must name the same columns"
         )
+    if predict and config.tau == math.inf:
+        raise ConfigFailure("predict needs a finite horizon for the tie correction; "
+                            "set a finite --tau")
     data = ingest_csv(args.data, config)
     _check_working_set(config, data, sandwich=not resample)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec = FitSpec(link=LINKS[config.link], strict_singular=config.strict_singular)
+    spec = FitSpec(link=config.link, strict_singular=config.strict_singular)
     ensemble = None
     if resample:
         ensemble = bootstrap(data, spec=spec, B=config.B, seed=config.seed)
@@ -297,7 +302,7 @@ def _prepare(args, resample=True, same_covariates=False):
 
 def cmd_fit(args) -> int:
     config, data, out_dir, ensemble, result = _prepare(
-        args, resample=args.bootstrap is not None
+        args, resample=args.B is not None
     )
     names = _coefficient_names(config)
     rows = [{"coefficient": name, "estimate": b} for name, b in zip(names, result.beta)]
@@ -311,12 +316,12 @@ def cmd_fit(args) -> int:
         )
         for k, row in enumerate(rows):
             rep = test_coefficient(ensemble, k, alpha=config.alpha)
-            for m, (scale, ci, reject) in rep.by_method().items():
+            for m, (scale, ci, reject) in rep.decisions.items():
                 if scale is not None:
                     row[f"se_{m}"] = scale
                 row[f"ci_{m}_low"], row[f"ci_{m}_high"] = ci
                 row[f"reject_{m}"] = reject
-    elif data.uncensored and config.link == "identity":
+    elif data.uncensored and config.link == IDENTITY:
         cov = sandwich_covariance_uncensored(data)
         header += ["se_sandwich"]
         ses = np.sqrt(np.maximum(np.diag(cov), 0.0))
@@ -346,9 +351,8 @@ def cmd_test(args) -> int:
         writer.writerow(["coefficient", "estimate", "method", "scale", "ci_low", "ci_high", "reject"])
         for k, name in enumerate(names):
             rep = test_coefficient(ensemble, k, alpha=config.alpha)
-            per_method = rep.by_method()
             for method in methods:
-                scale, ci, reject = per_method[method]   # csv writes None as ""
+                scale, ci, reject = rep.decisions[method]   # csv writes None as ""
                 writer.writerow([name, rep.estimate, method, scale, ci[0], ci[1], reject])
     write_manifest(out_dir, "test", config, inputs=[args.data], outputs=[out_path],
                    data=data, ensemble=ensemble, fit=fit)
@@ -357,19 +361,19 @@ def cmd_test(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    config, data, out_dir, ensemble, fit = _prepare(args, same_covariates=True)
+    config, data, out_dir, ensemble, fit = _prepare(args, predict=True)
     S1 = kaplan_meier(data.times1, data.events1)
     S2 = kaplan_meier(data.times2, data.events2)
     correction = tie_correction_term(S1, S2, data.tau)
     ci_method = "quantile" if config.method == "quantile" else "emp"
     # the additive tie correction exists for the identity link only
-    link_correction = correction if config.link == "identity" else None
+    link_correction = correction if config.link == IDENTITY else None
 
     out_path = out_dir / "predictions.csv"
     Z_all = np.vstack((data.covariates1, data.covariates2))
     preds = predict_profiles(
         fit, ensemble, Z_all, Z_all,
-        link=LINKS[config.link], correction=link_correction,
+        link=config.link, correction=link_correction,
         alpha=config.alpha, method=ci_method,
     )
     columns = zip(preds.point.tolist(), preds.ci_low.tolist(), preds.ci_high.tolist(),
@@ -390,13 +394,13 @@ def cmd_predict(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _build_config(args, require_seed=True, need_data=False)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         check_reps(args.reps, args.long_run)
+        scenario = make_scenario(args.scenario, args.setting, args.n1, args.n2, args.censored)
     except ValueError as exc:
         raise ConfigFailure(str(exc)) from exc
-    scenario = make_scenario(args.scenario, args.setting, args.n1, args.n2, args.censored)
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows, result = run_scenario(scenario, M=args.reps, seed=config.seed, alpha=config.alpha)
     out_path = out_dir / "rejection_rates.csv"
     write_result_rows(rows, out_path)
@@ -415,18 +419,10 @@ def _build_config(args, require_seed=False, need_data=True) -> AnalysisConfig:
         config = AnalysisConfig.from_file(args.config)
     else:
         config = AnalysisConfig()
-    overrides = {}
-    for attr, key in (
-        ("tau", "tau"), ("link", "link"), ("bootstrap", "B"),
-        ("alpha", "alpha"), ("seed", "seed"), ("method", "method"),
-        ("out_dir", "out_dir"), ("cov1", "covariates1"), ("cov2", "covariates2"),
-        ("strict_singular", "strict_singular"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
-    merged = {**asdict(config), **overrides}
-    config = AnalysisConfig(**merged)
+    # every option that overrides the configuration has its field as dest
+    overrides = {key: getattr(args, key) for key in AnalysisConfig.__dataclass_fields__
+                 if getattr(args, key, None) is not None}
+    config = AnalysisConfig(**{**asdict(config), **overrides})
     if require_seed and config.seed is None:
         raise ConfigFailure("a seed is required for this command (use --seed)")
     if need_data and not getattr(args, "data", None):
@@ -454,12 +450,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--tau", type=float,
                        help="horizon; inf for none (default: the largest observed time)")
-        p.add_argument("--link", choices=sorted(LINKS))
-        p.add_argument("--bootstrap", type=int, help="number of bootstrap replicates")
+        p.add_argument("--link", choices=LINKS)
+        p.add_argument("--bootstrap", dest="B", type=int, help="number of bootstrap replicates")
         p.add_argument("--alpha", type=float)
         p.add_argument("--method", choices=[*METHODS, "all"])
-        p.add_argument("--cov1", type=_csv_list, help="group-1 covariate columns, comma separated")
-        p.add_argument("--cov2", type=_csv_list, help="group-2 covariate columns, comma separated")
+        p.add_argument("--cov1", dest="covariates1", type=_csv_list,
+                       help="group-1 covariate columns, comma separated")
+        p.add_argument("--cov2", dest="covariates2", type=_csv_list,
+                       help="group-2 covariate columns, comma separated")
         p.add_argument("--strict-singular", dest="strict_singular", action="store_const", const=True)
 
     p_fit = sub.add_parser("fit", help="fit the model, optionally with bootstrap SEs")

@@ -7,10 +7,11 @@ The coefficient vector beta = (beta0, beta1, beta2) solves
 with z = (1, Z1[i1], Z2[i2]) and eta = beta' z.  For the identity link U is
 psi - Sigma beta, where Sigma is the pair average of z z' and psi that of
 z * pseudo, which needs only the grand, row and column means of the pseudo
-matrix; ``solve_identity`` solves it for a stack of datasets at once.  Other
-links go through ``solve_newton``, a damped Newton iteration on the full
-matrix.  ``inference.FitSpec.fit`` is the one place that picks the solver,
-and it starts Newton at the identity-link solution.  Each Newton fit
+matrix; ``solve_identity`` solves it for a stack of datasets at once.  The
+logit link goes through ``solve_newton``, a damped Newton iteration on the
+full matrix.  A link is one of the two names in ``LINKS``.
+``inference.FitSpec.fit`` is the one place that picks the solver, and it
+starts Newton at the identity-link solution.  Each Newton fit
 allocates one workspace of four n1 x n2 buffers (mu, the residual, mu'
 and a scratch array) and evaluates every line-search candidate and every
 Jacobian in place in them.  For the logit link a candidate takes one exp:
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -32,9 +32,10 @@ from .survival import TwoSampleDataset
 log = logging.getLogger("releff")
 
 __all__ = [
-    "Link",
     "IDENTITY",
     "LOGIT",
+    "LINKS",
+    "check_link",
     "FitResult",
     "IdentityFits",
     "estimating_function",
@@ -44,33 +45,6 @@ __all__ = [
     "sandwich_covariance_uncensored",
     "design_second_moment",
 ]
-
-
-@dataclass(frozen=True)
-class Link:
-    """Strictly increasing inverse link with its first two derivatives."""
-
-    mu: Callable[[np.ndarray], np.ndarray]
-    mu_prime: Callable[[np.ndarray], np.ndarray]
-    mu_double_prime: Callable[[np.ndarray], np.ndarray]
-    name: str = "custom"
-
-    def validate(self, grid=None, rtol=1e-6):
-        """Check derivative consistency by central finite differences."""
-        if grid is None:
-            grid = np.linspace(-3.0, 3.0, 25)
-        grid = np.asarray(grid, dtype=float)
-        h = 1e-5
-        fd1 = (self.mu(grid + h) - self.mu(grid - h)) / (2 * h)
-        fd2 = (self.mu_prime(grid + h) - self.mu_prime(grid - h)) / (2 * h)
-        scale1 = np.maximum(np.abs(fd1), 1e-8)
-        scale2 = np.maximum(np.abs(self.mu_double_prime(grid)), 1.0)
-        if np.any(np.abs(self.mu_prime(grid) - fd1) / scale1 > rtol * 100):
-            raise ValueError(f"link {self.name!r}: mu_prime inconsistent with mu")
-        if np.any(np.abs(self.mu_double_prime(grid) - fd2) / scale2 > rtol * 100):
-            raise ValueError(f"link {self.name!r}: mu_double_prime inconsistent with mu_prime")
-        if np.any(self.mu_prime(grid) <= 0):
-            raise ValueError(f"link {self.name!r}: mu_prime must be positive")
 
 
 def _expit(x, out=None):
@@ -85,38 +59,16 @@ def _expit(x, out=None):
     return np.reciprocal(out, out=out)
 
 
-def _expit_prime(x):
-    p = _expit(x)
-    d = 1.0 - p
-    d *= p
-    return d
+# the two links, by name: mu(eta) = eta or 1 / (1 + exp(-eta))
+IDENTITY = "identity"
+LOGIT = "logit"
+LINKS = (IDENTITY, LOGIT)
 
 
-def _expit_double_prime(x):
-    p = _expit(x)
-    d = 1.0 - p
-    d *= p
-    p *= -2.0
-    p += 1.0
-    d *= p
-    return d
-
-
-IDENTITY = Link(
-    mu=lambda x: np.asarray(x, dtype=float),
-    mu_prime=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-    mu_double_prime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    name="identity",
-)
-
-LOGIT = Link(
-    mu=_expit,
-    mu_prime=_expit_prime,
-    mu_double_prime=_expit_double_prime,
-    name="logit",
-)
-
-LINKS = {"identity": IDENTITY, "logit": LOGIT}
+def check_link(link: str) -> None:
+    """Raise ValueError unless ``link`` is one of LINKS."""
+    if link not in LINKS:
+        raise ValueError(f"unknown link {link!r}; available: {list(LINKS)}")
 
 
 @dataclass
@@ -190,38 +142,36 @@ class _Workspace:
     evaluation.
 
     ``score(beta)`` leaves the terms of beta in the buffers and ``jacobian()``
-    reads them, so it is the Jacobian at the beta scored last.  For the logit
-    link mu takes one exp and mu', mu'' follow from mu; other links go
-    through their ``Link`` functions.
+    reads them, so it is the Jacobian at the beta scored last.  For the
+    identity link mu = eta, mu' = 1 and mu'' = 0; for the logit link mu takes
+    one exp and mu', mu'' follow from mu.
     """
 
-    def __init__(self, values, Z1, Z2, link: Link):
+    def __init__(self, values, Z1, Z2, link: str):
+        check_link(link)
         self.values, self.Z1, self.Z2, self.link = values, Z1, Z2, link
         self.mu, self.residual, self.mu_prime, self.scratch = np.empty((4,) + values.shape)
-        self.beta = None
 
     def score(self, beta) -> np.ndarray:
         """Normalized score U(beta)."""
         mu, mu_prime = self.mu, self.mu_prime
         eta = _linear_predictor(beta, self.Z1, self.Z2, out=mu)
-        if self.link is LOGIT:
+        if self.link == LOGIT:
             _expit(eta, out=mu)
             np.subtract(1.0, mu, out=mu_prime)
             mu_prime *= mu
         else:
-            mu_prime[...] = self.link.mu_prime(eta)
-            mu[...] = self.link.mu(eta)
+            mu_prime.fill(1.0)
         np.subtract(self.values, mu, out=self.residual)
         W = np.multiply(mu_prime, self.residual, out=self.scratch)
         rs, cs = _margins(W)
-        self.beta = beta
         return np.concatenate(([rs.sum()], self.Z1.T @ rs, self.Z2.T @ cs)) / W.size
 
     def jacobian(self) -> np.ndarray:
         """Jacobian of U at the beta scored last: the pair mean of
         (mu'' * residual - mu'^2) z z'."""
         G = self.scratch
-        if self.link is LOGIT:
+        if self.link == LOGIT:
             # mu'' = mu' (1 - 2 mu), so G = mu' ((1 - 2 mu) residual - mu')
             np.multiply(self.mu, -2.0, out=G)
             G += 1.0
@@ -229,20 +179,17 @@ class _Workspace:
             G -= self.mu_prime
             G *= self.mu_prime
         else:
-            eta = _linear_predictor(self.beta, self.Z1, self.Z2, out=G)
-            G[...] = self.link.mu_double_prime(eta)
-            G *= self.residual
-            G -= self.mu_prime**2
+            G.fill(-1.0)
         return _paired_quadratic(G, self.Z1, self.Z2) / G.size
 
 
-def estimating_function(beta, matrix: np.ndarray, Z1, Z2, link: Link) -> np.ndarray:
+def estimating_function(beta, matrix: np.ndarray, Z1, Z2, link: str) -> np.ndarray:
     """Normalized score U(beta); zero at the fitted coefficients."""
     beta, matrix, Z1, Z2 = _prepared(beta, matrix, Z1, Z2)
     return _Workspace(matrix, Z1, Z2, link).score(beta)
 
 
-def jacobian(beta, matrix: np.ndarray, Z1, Z2, link: Link) -> np.ndarray:
+def jacobian(beta, matrix: np.ndarray, Z1, Z2, link: str) -> np.ndarray:
     """Analytic Jacobian of ``estimating_function``; symmetric."""
     beta, matrix, Z1, Z2 = _prepared(beta, matrix, Z1, Z2)
     workspace = _Workspace(matrix, Z1, Z2, link)
@@ -350,7 +297,7 @@ def solve_newton(
     matrix: np.ndarray,
     Z1,
     Z2,
-    link: Link,
+    link: str,
     x0=None,
     tol: float = 1e-10,
     max_iter: int = 50,
@@ -360,7 +307,7 @@ def solve_newton(
     pseudo-observation array ``matrix``.
 
     Non-convergence is reported honestly: the last iterate is returned with
-    ``converged=False``.
+    ``converged=False``.  A link not in LINKS raises ValueError.
     """
     Z1 = np.atleast_2d(np.asarray(Z1, dtype=float))
     Z2 = np.atleast_2d(np.asarray(Z2, dtype=float))

@@ -7,18 +7,22 @@ identical no matter in which order replicates are computed.
 Bootstrap replicates and warp-speed Monte Carlo runs are fitted in chunks:
 the resampled (and simulated) datasets of a chunk are stacked on a leading
 axis and, for the identity link, fitted by one ``pseudo_marginals`` and one
-``gee.solve_identity`` call.  Other links fit the chunk's datasets one by
-one through the full pseudo matrix.  A chunk holds at most
+``gee.solve_identity`` call.  The logit link fits the chunk's datasets one
+by one through the full pseudo matrix.  A chunk holds at most
 ``STACK_ELEMENTS // (n1 + n2 + 2)`` datasets, so memory does not grow with
 B or M.  Warp-speed runs are simulated straight into a chunk's stacked
 arrays by a chunk simulator; no dataset object is built per run.
+
+``decide`` turns one coefficient's centered replicates into the four test
+decisions; ``test_coefficient`` applies it to one estimate and
+``warp_speed`` to the estimates of all runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 from scipy.stats import norm
@@ -34,6 +38,7 @@ __all__ = [
     "BootstrapEnsemble",
     "TestReport",
     "bootstrap",
+    "decide",
     "require_finite",
     "test_coefficient",
     "warp_speed",
@@ -103,16 +108,20 @@ class FitSpec:
     """Everything needed to refit the model on a resampled dataset.
 
     ``fit`` is the one link dispatch: the identity link in closed form from
-    the pseudo-matrix marginals, any other by ``gee.solve_newton`` on the
-    full matrix, started at that matrix's identity-link solution."""
+    the pseudo-matrix marginals, the logit link by ``gee.solve_newton`` on
+    the full matrix, started at that matrix's identity-link solution.  A
+    link not in ``gee.LINKS`` raises ValueError."""
 
-    link: gee.Link = gee.IDENTITY
+    link: str = gee.IDENTITY
     strict_singular: bool = False
+
+    def __post_init__(self):
+        gee.check_link(self.link)
 
     def fit(self, data: TwoSampleDataset) -> gee.FitResult:
         """Fit one dataset; a singular design under ``strict_singular``
         raises LinAlgError."""
-        if self.link.name == "identity":
+        if self.link == gee.IDENTITY:
             return self._identity(DatasetStack.of([data])).result(0)
         matrix = pseudo_matrix(data)
         Z1, Z2 = data.covariates1, data.covariates2
@@ -134,7 +143,7 @@ class FitSpec:
         fit failed, and the failed rows by cause: (beta, singular,
         nonconverged).  A LinAlgError of one fit marks it singular; a fit
         with non-finite coefficients counts as not converged."""
-        if self.link.name == "identity":
+        if self.link == gee.IDENTITY:
             fits = self._identity(stack)
             beta, singular = fits.beta, fits.singular
             nonconverged = np.zeros(len(stack), dtype=bool)
@@ -235,28 +244,8 @@ class TestReport:
     coefficient: int
     estimate: float
     alpha: float
-    scale_emp: float
-    scale_iqr: float
-    scale_mad: float
-    reject_emp: Optional[bool]
-    reject_iqr: Optional[bool]
-    reject_mad: Optional[bool]
-    reject_quantile: bool
-    ci_emp: tuple
-    ci_iqr: tuple
-    ci_mad: tuple
-    ci_quantile: tuple
-    degenerate: bool = False
-
-    def by_method(self) -> dict:
-        """Method name -> (scale, CI, reject flag), in the order of
-        ``METHODS``; the percentile test has no scale (None)."""
-        return {
-            "emp": (self.scale_emp, self.ci_emp, self.reject_emp),
-            "iqr": (self.scale_iqr, self.ci_iqr, self.reject_iqr),
-            "mad": (self.scale_mad, self.ci_mad, self.reject_mad),
-            "quantile": (None, self.ci_quantile, self.reject_quantile),
-        }
+    decisions: dict               # method -> (scale, ci, reject), see ``decide``
+    degenerate: bool = False      # the empirical SD is not positive
 
 
 def scale_estimates(values: np.ndarray):
@@ -269,11 +258,31 @@ def scale_estimates(values: np.ndarray):
     return emp, iqr, mad
 
 
-def _scale_decision(estimate, scale, z):
-    if scale <= 0:
-        return None, (math.nan, math.nan)
-    reject = bool(abs(estimate) / scale > z)
-    return reject, (estimate - z * scale, estimate + z * scale)
+def decide(estimates, centered: np.ndarray, alpha: float = 0.05) -> dict:
+    """The four bootstrap tests of H0: beta = 0 at ``estimates`` (one float
+    or an array) from the 1-D centered replicates of that coefficient.
+
+    Returns method -> (scale, (ci_low, ci_high), reject) in the order of
+    METHODS.  A scale-based test rejects when |estimate| / scale > z, with
+    the interval estimate +- z * scale; at a scale <= 0 it decides nothing
+    (reject None, the interval NaN).  The percentile test has no scale
+    (None): with q_lo, q_hi the alpha/2 and 1 - alpha/2 quantiles of the
+    centered replicates it rejects when estimate < q_lo or estimate > q_hi,
+    with the interval (estimate - q_hi, estimate - q_lo).  For one float the
+    flags are bools, for an array boolean arrays.
+    """
+    z = float(norm.ppf(1 - alpha / 2))
+    decisions = {}
+    for name, scale in zip(METHODS, scale_estimates(centered)):
+        if scale <= 0:
+            decisions[name] = (scale, (math.nan, math.nan), None)
+        else:
+            ci = (estimates - z * scale, estimates + z * scale)
+            decisions[name] = (scale, ci, abs(estimates) / scale > z)
+    q_lo, q_hi = np.quantile(centered, [alpha / 2, 1 - alpha / 2]).tolist()
+    reject = (estimates < q_lo) | (estimates > q_hi)
+    decisions["quantile"] = (None, (estimates - q_hi, estimates - q_lo), reject)
+    return decisions
 
 
 def test_coefficient(
@@ -286,31 +295,13 @@ def test_coefficient(
     reps = ensemble.replicates[ensemble.ok][:, coefficient]
     if reps.size == 0:
         raise RuntimeError("no successful bootstrap replicates")
-    centered = reps - estimate
-    emp, iqr, mad = scale_estimates(reps)
-    z = float(norm.ppf(1 - alpha / 2))
-    reject_emp, ci_emp = _scale_decision(estimate, emp, z)
-    reject_iqr, ci_iqr = _scale_decision(estimate, iqr, z)
-    reject_mad, ci_mad = _scale_decision(estimate, mad, z)
-    q_lo, q_hi = np.quantile(centered, [alpha / 2, 1 - alpha / 2])
-    reject_quantile = bool(estimate < q_lo or estimate > q_hi)
-    ci_quantile = (estimate - float(q_hi), estimate - float(q_lo))
+    decisions = decide(estimate, reps - estimate, alpha)
     return TestReport(
         coefficient=coefficient,
         estimate=estimate,
         alpha=alpha,
-        scale_emp=emp,
-        scale_iqr=iqr,
-        scale_mad=mad,
-        reject_emp=reject_emp,
-        reject_iqr=reject_iqr,
-        reject_mad=reject_mad,
-        reject_quantile=reject_quantile,
-        ci_emp=ci_emp,
-        ci_iqr=ci_iqr,
-        ci_mad=ci_mad,
-        ci_quantile=ci_quantile,
-        degenerate=emp <= 0,
+        decisions=decisions,
+        degenerate=decisions["emp"][0] <= 0,
     )
 
 
@@ -319,7 +310,7 @@ class WarpSpeedResult:
     rejection_rates: dict          # test name -> array over coefficients
     estimates: np.ndarray          # (M_ok, p)
     centered_replicates: np.ndarray  # (M_ok, p)
-    degenerate: bool = False
+    degenerate: bool = False       # a pooled scale of a tested coefficient is <= 0
     failed: int = 0                # singular + nonconverged
     singular: int = 0              # runs with a singular design (strict_singular)
     nonconverged: int = 0          # runs whose base fit or refit did not converge to
@@ -388,21 +379,14 @@ def warp_speed(
     p = estimates.shape[1]
     if coefficients is None:
         coefficients = range(p)
-    coefficients = list(coefficients)
-
-    z = float(norm.ppf(1 - alpha / 2))
     rates = {name: np.full(p, np.nan) for name in METHODS}
     degenerate = False
     for k in coefficients:
-        emp, iqr, mad = scale_estimates(centered[:, k])
-        est = estimates[:, k]
-        if emp <= 0 or iqr <= 0 or mad <= 0:
-            degenerate = True
-        for name, scale in (("emp", emp), ("iqr", iqr), ("mad", mad)):
-            if scale > 0:
-                rates[name][k] = float(np.mean(np.abs(est) / scale > z))
-        q_lo, q_hi = np.quantile(centered[:, k], [alpha / 2, 1 - alpha / 2])
-        rates["quantile"][k] = float(np.mean((est < q_lo) | (est > q_hi)))
+        for name, (_, _, reject) in decide(estimates[:, k], centered[:, k], alpha).items():
+            if reject is None:
+                degenerate = True
+            else:
+                rates[name][k] = float(np.mean(reject))
     return WarpSpeedResult(
         rejection_rates=rates,
         estimates=estimates,

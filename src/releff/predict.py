@@ -7,8 +7,8 @@ two orderings:
     0.5 * [ S1(tau) * S2(tau) + sum_{t <= tau} dS1(t) * dS2(t) ].
 
 It is defined for the identity link, where it enters the prediction
-additively; for other links only the plain model prediction mu(beta'z) is
-offered.
+additively; for the logit link only the plain model prediction mu(beta'z)
+is offered.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 from scipy.stats import norm
 
-from .gee import FitResult, Link, IDENTITY
+from .gee import IDENTITY, LOGIT, FitResult, _expit, check_link
 from .inference import BootstrapEnsemble
 from .survival import SurvivalCurve
 
@@ -70,7 +70,7 @@ def predict_profiles(
     ensemble: BootstrapEnsemble,
     Z1,
     Z2,
-    link: Link = IDENTITY,
+    link: str = IDENTITY,
     correction: Optional[float] = None,
     alpha: float = 0.05,
     method: str = "emp",
@@ -86,12 +86,14 @@ def predict_profiles(
     correction (and the intercept in plain mode) is treated as fixed.  The
     CI is point +- z * SD of the replicate contributions (``emp``) or the
     basic bootstrap interval of their centered quantiles (``quantile``).
+    A link not in ``gee.LINKS`` raises ValueError.
     """
     if method not in ("emp", "quantile"):
         raise ValueError(f"unknown CI method {method!r}")
     if not fit.converged:
         raise ValueError("cannot predict from a non-converged fit")
-    if correction is not None and link.name != "identity":
+    check_link(link)
+    if correction is not None and link != IDENTITY:
         raise ValueError("the additive tie correction is defined for the identity link only")
     Z1 = np.asarray(Z1, dtype=float)
     Z2 = np.asarray(Z2, dtype=float)
@@ -101,7 +103,9 @@ def predict_profiles(
     if correction is not None:
         point = correction + base_slope
     else:
-        point = link.mu(fit.beta[0] + s1 + s2)   # summed in the order of beta'z
+        point = fit.beta[0] + s1 + s2   # summed in the order of beta'z
+        if link == LOGIT:
+            point = _expit(point)
     reps = ensemble.replicates[ensemble.ok]
     slopes = reps[:, 1 : 1 + p1] @ Z1.T + reps[:, 1 + p1 : 1 + p1 + p2] @ Z2.T  # (B_ok, N)
     if method == "emp":

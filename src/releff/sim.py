@@ -126,6 +126,8 @@ def make_scenario(scenario_id: str, setting: str, n1: int, n2: int, censored: bo
         raise ValueError(f"unknown scenario {scenario_id!r}")
     if setting not in SHAPES:
         raise ValueError(f"unknown setting {setting!r}")
+    if min(n1, n2) < 2:
+        raise ValueError(f"each group needs at least 2 subjects, got n1 = {n1}, n2 = {n2}")
     _, g10, g20, g1, g2 = _SCENARIO_GAMMAS[scenario_id]
     k1, k2 = SHAPES[setting]
     return Scenario(
@@ -250,8 +252,8 @@ def warp_speed_harness(
     scenario: Scenario, M: int, seed: int = 0, alpha: float = 0.05
 ) -> WarpSpeedResult:
     """Warp-speed Monte Carlo: one bootstrap replicate per simulated dataset."""
-    if M < 100:
-        raise ValueError("need at least 100 Monte Carlo runs for stable rates")
+    if M < MIN_REPS:
+        raise ValueError(f"need at least {MIN_REPS} Monte Carlo runs for stable rates")
     return warp_speed(
         scenario,
         M=M, seed=seed, spec=FitSpec(),
@@ -265,13 +267,17 @@ RESULT_FIELDS = [
     "failed", "degenerate",
 ]
 
-# larger Monte Carlo studies take minutes and must be asked for with --long-run
+# fewer Monte Carlo runs give no stable rates; larger studies take minutes
+# and must be asked for with --long-run
+MIN_REPS = 100
 MAX_REPS_WITHOUT_LONG_RUN = 2000
 
 
 def check_reps(reps: int, long_run: bool) -> None:
-    """Raise ValueError for more than MAX_REPS_WITHOUT_LONG_RUN runs unless
-    ``long_run`` is set."""
+    """Raise ValueError for fewer than MIN_REPS runs, or for more than
+    MAX_REPS_WITHOUT_LONG_RUN unless ``long_run`` is set."""
+    if reps < MIN_REPS:
+        raise ValueError(f"--reps {reps} is below {MIN_REPS}; rates need at least that many runs")
     if reps > MAX_REPS_WITHOUT_LONG_RUN and not long_run:
         raise ValueError(
             f"--reps {reps} exceeds {MAX_REPS_WITHOUT_LONG_RUN}; "

@@ -6,8 +6,9 @@ curves, the pseudo-observation matrix by re-estimating all four Kaplan-Meier
 curves per pair (each leave-one-out curve by refitting the reduced sample),
 the potential whose gradient is the estimating function, the Weibull
 relative effect by numerical quadrature, the estimating function and its
-Jacobian over an explicit design with one row per pair and with every link
-term from the ``Link`` functions, the damped Newton fit by re-evaluating the
+Jacobian over an explicit design with one row per pair and with mu, mu'
+and mu'' of each link from ``LINK_TERMS``, a table of its own built on
+``scipy.special.expit``, the damped Newton fit by re-evaluating the
 public estimating function and Jacobian at every iterate, the identity-link
 fit from the means of the full pseudo matrix and the fit of one dataset
 through that matrix,
@@ -22,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import expit
 from scipy.stats import norm
 
 from releff import gee
@@ -82,6 +84,19 @@ def brute_matrix(data: TwoSampleDataset) -> np.ndarray:
     return values
 
 
+def _logit_terms(eta):
+    mu = expit(eta)
+    d1 = mu * (1.0 - mu)
+    return mu, d1, d1 * (1.0 - 2.0 * mu)
+
+
+# link name -> eta -> (mu, mu', mu''), independent of ``releff.gee``
+LINK_TERMS = {
+    "identity": lambda eta: (eta, np.ones_like(eta), np.zeros_like(eta)),
+    "logit": _logit_terms,
+}
+
+
 def objective(beta, matrix, Z1, Z2, link) -> float:
     """Potential whose gradient is the estimating function: the pair mean of
     (pseudo - mu / 2) * mu at eta = beta'z."""
@@ -90,7 +105,7 @@ def objective(beta, matrix, Z1, Z2, link) -> float:
     Z2 = np.atleast_2d(np.asarray(Z2, dtype=float))
     p1 = Z1.shape[1]
     eta = beta[0] + (Z1 @ beta[1 : 1 + p1])[:, None] + (Z2 @ beta[1 + p1 :])[None, :]
-    mu = link.mu(eta)
+    mu = LINK_TERMS[link](eta)[0]
     return float(np.mean((np.asarray(matrix, dtype=float) - 0.5 * mu) * mu))
 
 
@@ -104,16 +119,16 @@ def score(beta, matrix, Z1, Z2, link) -> np.ndarray:
     """Pair mean of z * mu'(eta) * (pseudo - mu(eta)) at eta = beta'z."""
     X = _pair_design(Z1, Z2)
     eta = X @ beta
-    residual = np.ravel(matrix) - link.mu(eta)
-    return X.T @ (link.mu_prime(eta) * residual) / eta.size
+    mu, d1, _ = LINK_TERMS[link](eta)
+    return X.T @ (d1 * (np.ravel(matrix) - mu)) / eta.size
 
 
 def jacobian(beta, matrix, Z1, Z2, link) -> np.ndarray:
     """Pair mean of (mu''(eta) * (pseudo - mu(eta)) - mu'(eta)^2) * z z'."""
     X = _pair_design(Z1, Z2)
     eta = X @ beta
-    residual = np.ravel(matrix) - link.mu(eta)
-    G = link.mu_double_prime(eta) * residual - link.mu_prime(eta) ** 2
+    mu, d1, d2 = LINK_TERMS[link](eta)
+    G = d2 * (np.ravel(matrix) - mu) - d1**2
     return (X * G[:, None]).T @ X / eta.size
 
 
@@ -185,7 +200,7 @@ def prediction_interval(fit, ensemble, z1, z2, link, correction=None, alpha=0.05
     if correction is not None:
         point = correction + base
     else:
-        point = float(link.mu(b0 + b1 @ z1 + b2 @ z2))
+        point = float(LINK_TERMS[link](b0 + b1 @ z1 + b2 @ z2)[0])
     reps = ensemble.replicates[ensemble.ok]
     slopes = reps[:, 1 : 1 + p1] @ z1 + reps[:, 1 + p1 : 1 + p1 + p2] @ z2
     if method == "emp":
@@ -213,11 +228,11 @@ def identity_fit(matrix, Z1, Z2, strict_singular=False) -> FitResult:
 
 def matrix_fit(spec: FitSpec, data: TwoSampleDataset) -> FitResult:
     """One dataset fitted through its full pseudo-observation matrix: the
-    identity link in closed form from the matrix's means, any other link by
+    identity link in closed form from the matrix's means, the logit link by
     Newton started at that closed form."""
     matrix = pseudo_matrix(data)
     start = identity_fit(matrix, data.covariates1, data.covariates2, spec.strict_singular)
-    if spec.link.name == "identity":
+    if spec.link == "identity":
         return start
     return gee.solve_newton(matrix, data.covariates1, data.covariates2, spec.link,
                             x0=start.beta)

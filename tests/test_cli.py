@@ -23,7 +23,7 @@ from releff.cli import (
     ingest_csv,
     main,
 )
-from releff.gee import LINKS, FitResult
+from releff.gee import FitResult
 from releff.inference import BootstrapEnsemble, FitSpec, bootstrap
 from releff.predict import tie_correction_term
 from releff.pseudo import pseudo_marginals, pseudo_matrix
@@ -404,7 +404,7 @@ class TestCommands:
                        "--seed", "2", "--bootstrap", "10"])
             assert rc == EXIT_OK, command
             manifest = (out / "manifest.txt").read_text().splitlines()
-            base = FitSpec(link=LINKS[link]).fit(data)
+            base = FitSpec(link=link).fit(data)
             assert f"fit.iterations={base.iterations}" in manifest, command
             assert f"fit.gradient_norm={base.gradient_norm!r}" in manifest, command
             assert "fit.used_pinv=False" in manifest, command
@@ -508,6 +508,38 @@ class TestCommands:
             rc = main([*argv, "--out-dir", str(out)])
         assert rc == EXIT_CONFIG
         assert "sandwich covariance" in caplog.text and "n1 = 20, n2 = 22" in caplog.text
+        assert not out.exists()
+
+    def test_predict_infinite_tau_refused_before_any_fit(self, covariate_csv, tmp_path,
+                                                         monkeypatch, caplog):
+        # the tie correction needs a finite horizon
+        def no_fit(*args, **kwargs):
+            pytest.fail("a fit ran although the horizon was refused")
+
+        monkeypatch.setattr(cli, "bootstrap", no_fit)
+        out = tmp_path / "out"
+        with caplog.at_level("ERROR", logger="releff"):
+            rc = main(["predict", "--data", str(covariate_csv), "--tau", "inf", "--cov1", "age",
+                       "--cov2", "age", "--seed", "2", "--bootstrap", "5",
+                       "--out-dir", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "finite horizon" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--reps", "10"], "below 100"),
+        (["--n1", "0"], "at least 2 subjects"),
+        (["--n1", "-3"], "at least 2 subjects"),
+        (["--n1", "1"], "at least 2 subjects"),
+        (["--n2", "1"], "at least 2 subjects"),
+    ], ids=["reps-10", "n1-0", "n1-negative", "n1-1", "n2-1"])
+    def test_simulate_refuses_too_few_runs_or_subjects(self, tmp_path, caplog, flags, message):
+        out = tmp_path / "out"
+        with caplog.at_level("ERROR", logger="releff"):
+            rc = main(["simulate", "--scenario", "i", "--n1", "10", "--n2", "10",
+                       "--reps", "100", *flags, "--seed", "0", "--out-dir", str(out)])
+        assert rc == EXIT_CONFIG
+        assert message in caplog.text
         assert not out.exists()
 
     def test_predict_requires_matching_columns(self, covariate_csv, tmp_path):

@@ -12,7 +12,6 @@ from oracles import identity_fit, newton_fit, objective
 from releff.gee import (
     IDENTITY,
     LOGIT,
-    Link,
     _paired_quadratic,
     _shared_row_column_meat,
     design_second_moment,
@@ -44,10 +43,6 @@ def fd_gradient(f, x, h=1e-6):
 
 
 class TestLinks:
-    def test_shipped_links_validate(self):
-        IDENTITY.validate()
-        LOGIT.validate()
-
     def test_logit_overflow_is_quiet_and_finite(self):
         # the pair indicator is 1 only in the column of the earliest group-2
         # time and there only for the group-1 rows beyond it: the data are
@@ -69,15 +64,18 @@ class TestLinks:
         np.testing.assert_array_equal(pred.point, [0.0, 1.0])
         assert np.isfinite(pred.ci_low).all() and np.isfinite(pred.ci_high).all()
 
-    def test_inconsistent_link_caught(self):
-        bad = Link(
-            mu=lambda x: np.asarray(x, dtype=float) ** 2,
-            mu_prime=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            mu_double_prime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            name="broken",
-        )
-        with pytest.raises(ValueError):
-            bad.validate()
+    def test_unknown_link_refused(self, rng):
+        data = random_dataset(rng, 8, 6, censored=True)
+        pm, Z1, Z2 = pseudo_matrix(data), data.covariates1, data.covariates2
+        fit = identity_fit(pm, Z1, Z2)
+        ens = BootstrapEnsemble(replicates=np.tile(fit.beta, (2, 1)), B=2, seed=0, base_fit=fit)
+        for refused in (
+            lambda: FitSpec(link="probit"),
+            lambda: solve_newton(pm, Z1, Z2, "probit"),
+            lambda: predict_profiles(fit, ens, Z1, Z1, link="probit"),
+        ):
+            with pytest.raises(ValueError, match="unknown link 'probit'"):
+                refused()
 
 
 class TestEstimatingFunction:
@@ -139,8 +137,8 @@ class TestJacobian:
 
 
 class TestWorkspaceMatchesOracle:
-    """The in-place workspace against U and J recomputed from the ``Link``
-    functions over an explicit pair design."""
+    """The in-place workspace against U and J recomputed from the oracle's
+    own link terms over an explicit pair design."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),

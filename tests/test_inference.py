@@ -69,13 +69,13 @@ def test_degenerate_groups_give_zero_spread():
     ens = bootstrap(data, B=20, seed=0)
     assert np.allclose(ens.replicates, ens.base_fit.beta)
     rep = test_coefficient(ens, 0)
-    assert rep.scale_emp == 0.0
-    assert rep.reject_emp is None and rep.reject_mad is None
+    scale, (lo, hi), reject = rep.decisions["emp"]
+    assert scale == 0.0 and reject is None and np.isnan([lo, hi]).all()
+    assert rep.decisions["mad"][2] is None
     assert rep.degenerate
     # centered quantiles collapse to 0, so the estimate 1 lands in a tail
     # while the percentile CI is the width-zero point at the estimate
-    assert rep.reject_quantile
-    assert rep.ci_quantile == (1.0, 1.0)
+    assert rep.decisions["quantile"] == (None, (1.0, 1.0), True)
 
 
 def test_degenerate_null_estimate_never_rejected():
@@ -87,7 +87,7 @@ def test_degenerate_null_estimate_never_rejected():
     ens = bootstrap(data, B=20, seed=0)
     rep = test_coefficient(ens, 0)
     assert rep.estimate == 0.0
-    assert not rep.reject_quantile
+    assert not rep.decisions["quantile"][2]
 
 
 def test_scale_estimates_on_normal_replicates():
@@ -104,8 +104,10 @@ def test_quantile_ci_formula():
     rep = test_coefficient(ens, 0, alpha=0.10)
     centered = reps - 1.0
     q_lo, q_hi = np.quantile(centered, [0.05, 0.95])
-    assert rep.ci_quantile == pytest.approx((1.0 - q_hi, 1.0 - q_lo))
-    assert rep.reject_quantile == bool(1.0 < q_lo or 1.0 > q_hi)
+    scale, ci, reject = rep.decisions["quantile"]
+    assert scale is None
+    assert ci == pytest.approx((1.0 - q_hi, 1.0 - q_lo))
+    assert reject == bool(1.0 < q_lo or 1.0 > q_hi)
 
 
 def test_scale_reject_flag_matches_definition():
@@ -114,10 +116,10 @@ def test_scale_reject_flag_matches_definition():
     ens = synthetic_ensemble(reps, beta=[0.5])
     rep = test_coefficient(ens, 0, alpha=0.05)
     z = norm.ppf(0.975)
-    assert rep.reject_emp == (abs(0.5) / rep.scale_emp > z)
-    lo, hi = rep.ci_emp
-    assert lo == pytest.approx(0.5 - z * rep.scale_emp)
-    assert hi == pytest.approx(0.5 + z * rep.scale_emp)
+    scale, (lo, hi), reject = rep.decisions["emp"]
+    assert reject == (abs(0.5) / scale > z)
+    assert lo == pytest.approx(0.5 - z * scale)
+    assert hi == pytest.approx(0.5 + z * scale)
 
 
 def test_rejection_monotone_in_alpha():
@@ -127,8 +129,8 @@ def test_rejection_monotone_in_alpha():
     previous = False
     for alpha in (0.01, 0.05, 0.10, 0.20, 0.40):
         rep = test_coefficient(ens, 0, alpha=alpha)
-        assert not (previous and not rep.reject_emp)
-        previous = previous or rep.reject_emp
+        assert not (previous and not rep.decisions["emp"][2])
+        previous = previous or rep.decisions["emp"][2]
 
 
 def test_failed_replicates_are_nan_and_flagged():
@@ -140,7 +142,7 @@ def test_failed_replicates_are_nan_and_flagged():
     assert ens.ok.tolist() == [True, False, True]
     assert ens.centered.shape == (2, 2)
     rep = test_coefficient(ens, 0)
-    assert np.isfinite(rep.scale_emp)
+    assert np.isfinite(rep.decisions["emp"][0])
 
 
 def test_bootstrap_alpha_validation(rng):
@@ -188,7 +190,7 @@ def test_bootstrap_empirical_sd_tracks_monte_carlo_sd():
 
     data = simulate_dataset(sc, np.random.default_rng(123))
     ens = bootstrap(data, spec=spec, B=400, seed=9)
-    boot_sd = test_coefficient(ens, 1).scale_emp
+    boot_sd = test_coefficient(ens, 1).decisions["emp"][0]
     assert boot_sd == pytest.approx(mc_sd, rel=0.3)
 
 

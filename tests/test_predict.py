@@ -158,7 +158,8 @@ class TestPredictWithCI:
 class TestPredictProfiles:
     @pytest.mark.parametrize("method", ["emp", "quantile"])
     @pytest.mark.parametrize(
-        "link, correction", [(IDENTITY, 0.37), (IDENTITY, None), (LOGIT, None)]
+        "link, correction", [(IDENTITY, 0.37), (IDENTITY, None), (LOGIT, None)],
+        ids=["link0-0.37", "link1-None", "link2-None"],
     )
     def test_batch_matches_each_row(self, rng, method, link, correction):
         data = random_dataset(rng, 25, 20, p1=2, p2=1, censored=True, tau=3.0)
