@@ -12,6 +12,8 @@ import hashlib
 import json
 import logging
 import math
+import numbers
+import os
 import platform
 import sys
 from dataclasses import dataclass, field, asdict
@@ -21,7 +23,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .gee import IDENTITY, LINKS, LOGIT, sandwich_covariance_uncensored
+from .gee import IDENTITY, LINKS, LOGIT, logit_working_set, sandwich_covariance_uncensored
 from .inference import METHODS, FitSpec, bootstrap, require_finite, test_coefficient
 from .predict import predict_profiles, tie_correction_term
 from .sim import check_reps, make_scenario, run_scenario, write_result_rows
@@ -34,11 +36,11 @@ EXIT_PARSE = 2
 EXIT_CONVERGENCE = 3
 EXIT_CONFIG = 4
 
-# the logit fit holds five n1 x n2 float arrays (the pseudo matrix and the
-# four buffers of Newton's workspace: mu, residual, mu' and scratch), the
-# uncensored sandwich covariance about three (the indicator matrix, the
-# linear predictor and the residual); a larger working set is refused
-# before any fit
+# the logit fit holds one n1 x n2 float array, the pseudo matrix, and the
+# three block buffers of Newton's evaluator (``gee.logit_working_set``), the
+# uncensored sandwich covariance about three n1 x n2 arrays (the indicator
+# matrix, the linear predictor and the residual); a larger working set is
+# refused before any fit
 WORKING_SET_BYTES = 2 << 30
 
 
@@ -64,6 +66,7 @@ class AnalysisConfig:
     out_dir: str = "."
 
     def __post_init__(self):
+        self._check_types()
         if not 0 < self.alpha < 1:
             raise ConfigFailure(f"alpha must be in (0, 1), got {self.alpha}")
         if self.B < 1:
@@ -76,6 +79,32 @@ class AnalysisConfig:
             raise ConfigFailure(f"unknown link {self.link!r}; available: {sorted(LINKS)}")
         if self.method not in (*METHODS, "all"):
             raise ConfigFailure(f"unknown inference method {self.method!r}")
+
+    def _check_types(self):
+        """ConfigFailure for a value of the wrong type, e.g. from a JSON file."""
+        def integer(x):
+            return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+        def real(x):
+            return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+        def names(x):
+            return isinstance(x, (list, tuple)) and all(isinstance(c, str) for c in x)
+
+        for name, ok, what in (
+            ("link", isinstance(self.link, str), "a string"),
+            ("tau", self.tau is None or real(self.tau), "a number"),
+            ("B", integer(self.B), "an integer"),
+            ("alpha", real(self.alpha), "a number"),
+            ("seed", self.seed is None or integer(self.seed), "an integer"),
+            ("method", isinstance(self.method, str), "a string"),
+            ("covariates1", names(self.covariates1), "a list of column names"),
+            ("covariates2", names(self.covariates2), "a list of column names"),
+            ("strict_singular", isinstance(self.strict_singular, bool), "true or false"),
+            ("out_dir", isinstance(self.out_dir, (str, os.PathLike)), "a path"),
+        ):
+            if not ok:
+                raise ConfigFailure(f"{name} must be {what}, got {getattr(self, name)!r}")
 
     @classmethod
     def from_file(cls, path) -> "AnalysisConfig":
@@ -98,7 +127,7 @@ def _parse_float(text, row, column):
         value = float(text)
     except ValueError:
         raise ParseFailure(f"row {row}, column {column!r}: not a number: {text!r}")
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ParseFailure(f"row {row}, column {column!r}: not a finite number: {text!r}")
     return value
 
@@ -122,7 +151,7 @@ def ingest_csv(path, config: AnalysisConfig) -> TwoSampleDataset:
             raise ParseFailure(f"group {g} has fewer than 2 usable rows")
     t1 = np.array(groups[1]["t"])
     t2 = np.array(groups[2]["t"])
-    if any(t < 0 for t in np.concatenate((t1, t2))) and (
+    if (np.concatenate((t1, t2)) < 0).any() and (
         0.0 in groups[1]["e"] or 0.0 in groups[2]["e"]
     ):
         raise ParseFailure("negative times require fully observed data")
@@ -146,41 +175,56 @@ def ingest_csv(path, config: AnalysisConfig) -> TwoSampleDataset:
 
 def _read_groups(path, fh, config: AnalysisConfig):
     """Per-group times, status and covariate rows of an open CSV file, and
-    the numbers of the rows dropped as incomplete."""
-    reader = csv.DictReader(fh)
-    if reader.fieldnames is None:
+    the numbers of the rows dropped as incomplete.
+
+    Rows are numbered from 1 at the header, blank lines not counted; a cell
+    beyond the end of a short row is missing, and of two columns with the
+    same name the last one is read.
+    """
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None:
         raise ParseFailure(f"{path}: empty file, header row required")
     required = {"group", "time", "status"}
-    missing = required - set(reader.fieldnames)
+    missing = required - set(header)
     if missing:
         raise ParseFailure(f"{path}: missing required columns {sorted(missing)}")
+    index = {name: k for k, name in enumerate(header)}
+    i_group, i_time, i_status = index["group"], index["time"], index["status"]
+    covariates = {1: config.covariates1, 2: config.covariates2}
+    absent = {g: [c for c in cols if c not in index] for g, cols in covariates.items()}
+    cov_index = {g: [index.get(c) for c in cols] for g, cols in covariates.items()}
     groups = {1: {"t": [], "e": [], "z": []}, 2: {"t": [], "e": [], "z": []}}
     dropped = []
-    for row_no, row in enumerate(reader, start=2):   # 1-based incl. header
-        if row["group"] not in ("1", "2"):
-            raise ParseFailure(
-                f"row {row_no}, column 'group': expected 1 or 2, got {row['group']!r}"
-            )
-        g = int(row["group"])
-        cov_cols = config.covariates1 if g == 1 else config.covariates2
-        for col in cov_cols:
-            if col not in row:
-                raise ParseFailure(f"missing covariate column {col!r}")
-        used = ["time", "status"] + list(cov_cols)
-        if any(row[c] is None or row[c].strip() == "" for c in used):
+    row_no = 1
+    for row in reader:
+        if not row:
+            continue
+        row_no += 1
+        if len(row) < len(header):
+            row += [None] * (len(header) - len(row))
+        label = row[i_group]
+        if label not in ("1", "2"):
+            raise ParseFailure(f"row {row_no}, column 'group': expected 1 or 2, got {label!r}")
+        g = int(label)
+        if absent[g]:
+            raise ParseFailure(f"missing covariate column {absent[g][0]!r}")
+        time, status = row[i_time], row[i_status]
+        cells = [row[k] for k in cov_index[g]]
+        if any(c is None or c.strip() == "" for c in (time, status, *cells)):
             dropped.append(row_no)
             continue
-        time = _parse_float(row["time"], row_no, "time")
-        if row["status"] not in ("0", "1"):
+        time = _parse_float(time, row_no, "time")
+        if status not in ("0", "1"):
             raise ParseFailure(
-                f"row {row_no}, column 'status': expected 0 or 1, got {row['status']!r}"
+                f"row {row_no}, column 'status': expected 0 or 1, got {status!r}"
             )
-        status = int(row["status"])
+        status = int(status)
         if status == 0 and time < 0:
             raise ParseFailure(
                 f"row {row_no}, column 'time': negative time on a censored record"
             )
-        z = [_parse_float(row[c], row_no, c) for c in cov_cols]
+        z = [_parse_float(c, row_no, name) for c, name in zip(cells, covariates[g])]
         groups[g]["t"].append(time)
         groups[g]["e"].append(float(status))
         groups[g]["z"].append(z)
@@ -247,7 +291,7 @@ def _check_working_set(config: AnalysisConfig, data: TwoSampleDataset, sandwich:
     """Refuse a logit fit, or an uncensored identity fit whose ``sandwich``
     covariance is asked for, that needs more than WORKING_SET_BYTES."""
     if config.link == LOGIT:
-        what, working_set = "the logit link", 5 * 8 * data.n1 * data.n2
+        what, working_set = "the logit link", logit_working_set(data.n1, data.n2)
     elif sandwich and data.uncensored:
         what, working_set = "the sandwich covariance", 3 * 8 * data.n1 * data.n2
     else:

@@ -11,12 +11,15 @@ matrix; ``solve_identity`` solves it for a stack of datasets at once.  The
 logit link goes through ``solve_newton``, a damped Newton iteration on the
 full matrix.  A link is one of the two names in ``LINKS``.
 ``inference.FitSpec.fit`` is the one place that picks the solver, and it
-starts Newton at the identity-link solution.  Each Newton fit
-allocates one workspace of four n1 x n2 buffers (mu, the residual, mu'
-and a scratch array) and evaluates every line-search candidate and every
-Jacobian in place in them.  For the logit link a candidate takes one exp:
-mu = 1 / (1 + exp(-eta)), then mu' = mu (1 - mu) and mu'' = mu' (1 - 2 mu)
-follow from mu.
+starts Newton at the identity-link solution.  Every Newton candidate is
+evaluated as (U, J) in one sweep over row blocks of the pseudo matrix, with
+three block buffers of at most BLOCK_ELEMENTS each, allocated once per fit;
+no other n1 x n2 array is held.  For the logit link exp(-eta) factors as
+u[i1] v[i2], so a candidate takes n1 + n2 exps, and 1 + exp(-eta) is one
+rank-2 BLAS product per block; mu = 1 / (1 + exp(-eta)), then mu' = mu (1 - mu)
+and mu'' = mu' (1 - 2 mu) follow from mu.  A candidate whose balanced factors
+would leave exp(+-EXP_FACTOR_LIMIT), which only a saturated fit reaches,
+takes one exp per pair instead.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "jacobian",
     "solve_identity",
     "solve_newton",
+    "logit_working_set",
     "sandwich_covariance_uncensored",
     "design_second_moment",
 ]
@@ -82,20 +86,18 @@ class FitResult:
     message: str = ""
 
 
-def _linear_predictor(beta, Z1, Z2, out=None):
-    """eta = beta'z for every pair, into ``out``: the group-1 part
-    a = b0 + Z1 b1 plus the group-2 part b = Z2 b2, written as the rank-2
-    product (a, 1)(1, b)'.  Its products are by 1, so it rounds as the
-    broadcast sum a + b does, and one BLAS call writes it several times
-    faster."""
+def _group_parts(beta, Z1, Z2):
+    """The two parts of eta = a[i1] + b[i2]: a = b0 + Z1 b1 and b = Z2 b2."""
     p1 = Z1.shape[1]
-    p2 = Z2.shape[1]
-    b0 = beta[0]
-    b1 = beta[1 : 1 + p1]
-    b2 = beta[1 + p1 : 1 + p1 + p2]
-    left = np.column_stack((b0 + Z1 @ b1, np.ones(Z1.shape[0])))
-    right = np.vstack((np.ones(Z2.shape[0]), Z2 @ b2))
-    return np.matmul(left, right, out=out)
+    return beta[0] + Z1 @ beta[1 : 1 + p1], Z2 @ beta[1 + p1 : 1 + p1 + Z2.shape[1]]
+
+
+def _linear_predictor(beta, Z1, Z2):
+    """eta = beta'z for every pair, as the rank-2 product (a, 1)(1, b)'.
+    Its products are by 1, so it rounds as the broadcast sum a + b does, and
+    one BLAS call writes it several times faster."""
+    a, b = _group_parts(beta, Z1, Z2)
+    return np.column_stack((a, np.ones(a.size))) @ np.vstack((np.ones(b.size), b))
 
 
 def _check_dims(beta, matrix, Z1, Z2):
@@ -107,23 +109,18 @@ def _check_dims(beta, matrix, Z1, Z2):
         raise ValueError(f"beta must have length {p}, got {beta.shape}")
 
 
-def _margins(A):
-    """Row and column sums of A, as BLAS matrix-vector products."""
-    return A @ np.ones(A.shape[1]), np.ones(A.shape[0]) @ A
-
-
-def _paired_quadratic(G, Z1, Z2):
-    """sum_{i1,i2} G[i1,i2] * z z' for z = (1, Z1[i1], Z2[i2]), unnormalized."""
-    rs, cs = _margins(G)
+def _paired_quadratic(rs, cs, cross, Z1, Z2):
+    """sum_{i1,i2} G[i1,i2] * z z' for z = (1, Z1[i1], Z2[i2]), unnormalized,
+    from the row sums ``rs``, the column sums ``cs`` and ``cross`` = Z1' G Z2
+    of G."""
     s = rs.sum()
     a1 = Z1.T @ rs
     a2 = Z2.T @ cs
     B11 = (Z1 * rs[:, None]).T @ Z1
     B22 = (Z2 * cs[:, None]).T @ Z2
-    B12 = Z1.T @ G @ Z2
     top = np.concatenate(([s], a1, a2))
-    mid = np.concatenate((a1[:, None], B11, B12), axis=1)
-    bot = np.concatenate((a2[:, None], B12.T, B22), axis=1)
+    mid = np.concatenate((a1[:, None], B11, cross), axis=1)
+    bot = np.concatenate((a2[:, None], cross.T, B22), axis=1)
     return np.vstack((top, mid, bot))
 
 
@@ -136,65 +133,117 @@ def _prepared(beta, matrix, Z1, Z2):
     return beta, matrix, Z1, Z2
 
 
-class _Workspace:
-    """The four n1 x n2 buffers of one fit (mu, the residual Y - mu, mu' and
-    a scratch array), allocated once and overwritten in place by every
-    evaluation.
+# elements of one block buffer: a block is as many whole rows of the pseudo
+# matrix as fit, at least one
+BLOCK_ELEMENTS = 1 << 15
+# the logit link factors exp(-eta) while every factor's exponent stays
+# within +-EXP_FACTOR_LIMIT, so that products of two factors neither
+# overflow nor underflow
+EXP_FACTOR_LIMIT = 300.0
 
-    ``score(beta)`` leaves the terms of beta in the buffers and ``jacobian()``
-    reads them, so it is the Jacobian at the beta scored last.  For the
-    identity link mu = eta, mu' = 1 and mu'' = 0; for the logit link mu takes
-    one exp and mu', mu'' follow from mu.
+
+def _block_rows(n1, n2):
+    """Rows of one block: as many as BLOCK_ELEMENTS holds, at least one."""
+    return min(n1, max(1, BLOCK_ELEMENTS // n2))
+
+
+def logit_working_set(n1, n2) -> int:
+    """Bytes of the float arrays of size n1 x n2 or smaller that a logit fit
+    holds: the pseudo matrix and the three block buffers of its evaluator."""
+    return 8 * n2 * (n1 + 3 * _block_rows(n1, n2))
+
+
+def _exp_factors(a, b):
+    """u, v with u[i1] v[i2] = exp(-(a[i1] + b[i2])): u = exp(-(a - d)) and
+    v = exp(-(b + d)), with the shift d that balances the largest exponent
+    of the two.  None when that exponent exceeds EXP_FACTOR_LIMIT (or is not
+    finite)."""
+    high = np.maximum(a.max(), -b.min())
+    low = np.maximum(-a.min(), b.max())
+    if not high + low <= 2.0 * EXP_FACTOR_LIMIT:
+        return None
+    d = 0.5 * (high - low)
+    return np.exp(-(a - d)), np.exp(-(b + d))
+
+
+class _Evaluator:
+    """Score and Jacobian of one pseudo matrix Y at any beta, in one sweep
+    over row blocks of Y.
+
+    A block of k rows lives in three k x n2 buffers, allocated once: mu',
+    W = mu' (Y - mu) and G = mu' ((1 - 2 mu)(Y - mu) - mu'), the Jacobian
+    weight, which first holds mu.  The sweep accumulates the row and column
+    sums of W and G and Z1' G; nothing of size n1 x n2 is allocated.  The
+    identity link has mu = eta, mu' = 1 and G = -1.
     """
 
     def __init__(self, values, Z1, Z2, link: str):
         check_link(link)
+        n1, n2 = values.shape
         self.values, self.Z1, self.Z2, self.link = values, Z1, Z2, link
-        self.mu, self.residual, self.mu_prime, self.scratch = np.empty((4,) + values.shape)
+        self.X1 = np.column_stack((np.ones(n1), Z1))
+        self.blocks = np.empty((3, _block_rows(n1, n2), n2))
+        self.row_sums = np.empty((2, n1))   # of W and G
+        self.ones = np.ones(max(n1, n2))
 
-    def score(self, beta) -> np.ndarray:
-        """Normalized score U(beta)."""
-        mu, mu_prime = self.mu, self.mu_prime
-        eta = _linear_predictor(beta, self.Z1, self.Z2, out=mu)
-        if self.link == LOGIT:
-            _expit(eta, out=mu)
-            np.subtract(1.0, mu, out=mu_prime)
-            mu_prime *= mu
+    def evaluate(self, beta):
+        """(U, J): the normalized score and its Jacobian at beta."""
+        values, Z1, Z2, X1 = self.values, self.Z1, self.Z2, self.X1
+        n1, n2 = values.shape
+        ones = self.ones
+        a, b = _group_parts(beta, Z1, Z2)
+        factors = _exp_factors(a, b) if self.link == LOGIT else None
+        if factors is None:
+            # eta, as the rank-2 product (a, 1)(1, b)'
+            left = np.column_stack((a, ones[:n1]))
+            right = np.vstack((ones[:n2], b))
         else:
-            mu_prime.fill(1.0)
-        np.subtract(self.values, mu, out=self.residual)
-        W = np.multiply(mu_prime, self.residual, out=self.scratch)
-        rs, cs = _margins(W)
-        return np.concatenate(([rs.sum()], self.Z1.T @ rs, self.Z2.T @ cs)) / W.size
-
-    def jacobian(self) -> np.ndarray:
-        """Jacobian of U at the beta scored last: the pair mean of
-        (mu'' * residual - mu'^2) z z'."""
-        G = self.scratch
-        if self.link == LOGIT:
-            # mu'' = mu' (1 - 2 mu), so G = mu' ((1 - 2 mu) residual - mu')
-            np.multiply(self.mu, -2.0, out=G)
-            G += 1.0
-            G *= self.residual
-            G -= self.mu_prime
-            G *= self.mu_prime
-        else:
-            G.fill(-1.0)
-        return _paired_quadratic(G, self.Z1, self.Z2) / G.size
+            # 1 + exp(-eta), as the rank-2 product (u, 1)(v, 1)'
+            u, v = factors
+            left = np.column_stack((u, ones[:n1]))
+            right = np.vstack((v, ones[:n2]))
+        rs_w, rs_g = self.row_sums
+        cs_w = np.zeros(n2)
+        x1_g = np.zeros((X1.shape[1], n2))   # X1' G: the column sums of G, then Z1' G
+        rows = self.blocks.shape[1]
+        for start in range(0, n1, rows):
+            stop = min(start + rows, n1)
+            W, G, mu_prime = self.blocks[:, : stop - start]
+            Y = values[start:stop]
+            np.matmul(left[start:stop], right, out=G)
+            if self.link == IDENTITY:
+                np.subtract(Y, G, out=W)
+                G.fill(-1.0)
+            else:
+                mu = _expit(G, out=G) if factors is None else np.reciprocal(G, out=G)
+                np.subtract(1.0, mu, out=mu_prime)
+                mu_prime *= mu
+                residual = np.subtract(Y, mu, out=W)
+                mu *= -2.0
+                mu += 1.0
+                mu *= residual
+                mu -= mu_prime
+                mu *= mu_prime
+                W *= mu_prime
+            np.matmul(W, ones[:n2], out=rs_w[start:stop])
+            np.matmul(G, ones[:n2], out=rs_g[start:stop])
+            cs_w += ones[: stop - start] @ W
+            x1_g += X1[start:stop].T @ G
+        U = np.concatenate(([rs_w.sum()], Z1.T @ rs_w, Z2.T @ cs_w))
+        J = _paired_quadratic(rs_g, x1_g[0], x1_g[1:] @ Z2, Z1, Z2)
+        return U / values.size, J / values.size
 
 
 def estimating_function(beta, matrix: np.ndarray, Z1, Z2, link: str) -> np.ndarray:
     """Normalized score U(beta); zero at the fitted coefficients."""
     beta, matrix, Z1, Z2 = _prepared(beta, matrix, Z1, Z2)
-    return _Workspace(matrix, Z1, Z2, link).score(beta)
+    return _Evaluator(matrix, Z1, Z2, link).evaluate(beta)[0]
 
 
 def jacobian(beta, matrix: np.ndarray, Z1, Z2, link: str) -> np.ndarray:
     """Analytic Jacobian of ``estimating_function``; symmetric."""
     beta, matrix, Z1, Z2 = _prepared(beta, matrix, Z1, Z2)
-    workspace = _Workspace(matrix, Z1, Z2, link)
-    workspace.score(beta)
-    return workspace.jacobian()
+    return _Evaluator(matrix, Z1, Z2, link).evaluate(beta)[1]
 
 
 def design_second_moment(Z1, Z2) -> np.ndarray:
@@ -318,19 +367,11 @@ def solve_newton(
         beta = np.zeros(p)
 
     _check_dims(beta, matrix, Z1, Z2)
-    workspace = _Workspace(matrix, Z1, Z2, link)
+    evaluator = _Evaluator(matrix, Z1, Z2, link)
 
-    def evaluate(b):
-        U = workspace.score(b)
-        return U, float(np.max(np.abs(U)))
-
-    # Every candidate overwrites the workspace, and a line search stops at
-    # the first accepted candidate, so the Jacobian of an accepted iterate
-    # that must take another step is read from the buffers it left.
     used_pinv = False
-    U, norm = evaluate(beta)
-    if not norm < tol:
-        J = workspace.jacobian()
+    U, J = evaluator.evaluate(beta)
+    norm = float(np.max(np.abs(U)))
     for it in range(1, max_iter + 1):
         if norm < tol:
             return FitResult(beta, True, it - 1, norm, "newton", used_pinv=used_pinv)
@@ -343,11 +384,10 @@ def solve_newton(
         improved = False
         for _ in range(max_halvings + 1):
             cand = beta + scale * step
-            U_cand, cand_norm = evaluate(cand)
+            U_cand, J_cand = evaluator.evaluate(cand)
+            cand_norm = float(np.max(np.abs(U_cand)))
             if np.isfinite(cand_norm) and cand_norm < norm:
-                beta, U, norm = cand, U_cand, cand_norm
-                if not norm < tol and it < max_iter:
-                    J = workspace.jacobian()
+                beta, U, J, norm = cand, U_cand, J_cand, cand_norm
                 improved = True
                 log.debug("newton iterate %d: norm %.3e, step scale %g", it, norm, scale)
                 break

@@ -84,8 +84,10 @@ def predict_profiles(
 
     Only the uncertainty of beta1'z1 + beta2'z2 is propagated; the tie
     correction (and the intercept in plain mode) is treated as fixed.  The
-    CI is point +- z * SD of the replicate contributions (``emp``) or the
-    basic bootstrap interval of their centered quantiles (``quantile``).
+    CI is built on the scale of beta'z: there it is the center +- z * SD of
+    the replicate contributions (``emp``) or the basic bootstrap interval of
+    their centered quantiles (``quantile``).  For the logit link the point
+    and both ends are then mapped through mu, so they lie in [0, 1].
     A link not in ``gee.LINKS`` raises ValueError.
     """
     if method not in ("emp", "quantile"):
@@ -101,16 +103,18 @@ def predict_profiles(
     s1, s2 = Z1 @ fit.beta[1 : 1 + p1], Z2 @ fit.beta[1 + p1 : 1 + p1 + p2]
     base_slope = s1 + s2
     if correction is not None:
-        point = correction + base_slope
+        center = correction + base_slope
     else:
-        point = fit.beta[0] + s1 + s2   # summed in the order of beta'z
-        if link == LOGIT:
-            point = _expit(point)
+        center = fit.beta[0] + s1 + s2   # summed in the order of beta'z
     reps = ensemble.replicates[ensemble.ok]
     slopes = reps[:, 1 : 1 + p1] @ Z1.T + reps[:, 1 + p1 : 1 + p1 + p2] @ Z2.T  # (B_ok, N)
     if method == "emp":
-        sd = np.std(slopes, axis=0, ddof=1) if slopes.shape[0] > 1 else np.zeros(point.shape)
+        sd = np.std(slopes, axis=0, ddof=1) if slopes.shape[0] > 1 else np.zeros(center.shape)
         half = float(norm.ppf(1 - alpha / 2)) * sd
-        return Predictions(point=point, ci_low=point - half, ci_high=point + half)
-    q_lo, q_hi = np.quantile(slopes - base_slope, [alpha / 2, 1 - alpha / 2], axis=0)
-    return Predictions(point=point, ci_low=point - q_hi, ci_high=point - q_lo)
+        low, high = center - half, center + half
+    else:
+        q_lo, q_hi = np.quantile(slopes - base_slope, [alpha / 2, 1 - alpha / 2], axis=0)
+        low, high = center - q_hi, center - q_lo
+    if link == LOGIT:
+        center, low, high = _expit(center), _expit(low), _expit(high)
+    return Predictions(point=center, ci_low=low, ci_high=high)

@@ -12,7 +12,8 @@ and mu'' of each link from ``LINK_TERMS``, a table of its own built on
 public estimating function and Jacobian at every iterate, the identity-link
 fit from the means of the full pseudo matrix and the fit of one dataset
 through that matrix,
-the prediction interval one profile at a time, the warp-speed Monte
+the prediction interval one profile at a time (on the scale of beta'z,
+then mapped through mu), the warp-speed Monte
 Carlo engine one run and one full pseudo matrix at a time, and a scenario
 dataset one generator call per draw.  ``PerRun`` turns a per-dataset maker
 into the chunk simulator ``inference.warp_speed`` takes.
@@ -190,24 +191,28 @@ def newton_fit(matrix, Z1, Z2, link, x0=None, tol=1e-10, max_iter=50,
 
 def prediction_interval(fit, ensemble, z1, z2, link, correction=None, alpha=0.05,
                         method="emp"):
-    """Point prediction and bootstrap CI (point, low, high) of one profile,
-    from the replicate contributions beta1*'z1 + beta2*'z2 of that profile."""
+    """Point prediction and bootstrap CI (point, low, high) of one profile:
+    the interval of beta'z from the replicate contributions
+    beta1*'z1 + beta2*'z2 of that profile, with the point and both ends
+    mapped through the link's mu."""
     z1 = np.atleast_1d(np.asarray(z1, dtype=float))
     z2 = np.atleast_1d(np.asarray(z2, dtype=float))
     p1, p2 = z1.size, z2.size
     b0, b1, b2 = fit.beta[0], fit.beta[1 : 1 + p1], fit.beta[1 + p1 : 1 + p1 + p2]
     base = float(b1 @ z1 + b2 @ z2)
     if correction is not None:
-        point = correction + base
+        center = correction + base
     else:
-        point = float(LINK_TERMS[link](b0 + b1 @ z1 + b2 @ z2)[0])
+        center = float(b0 + b1 @ z1 + b2 @ z2)
     reps = ensemble.replicates[ensemble.ok]
     slopes = reps[:, 1 : 1 + p1] @ z1 + reps[:, 1 + p1 : 1 + p1 + p2] @ z2
     if method == "emp":
         half = float(norm.ppf(1 - alpha / 2)) * scale_estimates(slopes)[0]
-        return point, point - half, point + half
-    q_lo, q_hi = np.quantile(slopes - base, [alpha / 2, 1 - alpha / 2])
-    return point, point - float(q_hi), point - float(q_lo)
+        low, high = center - half, center + half
+    else:
+        q_lo, q_hi = np.quantile(slopes - base, [alpha / 2, 1 - alpha / 2])
+        low, high = center - float(q_hi), center - float(q_lo)
+    return tuple(float(LINK_TERMS[link](x)[0]) for x in (center, low, high))
 
 
 def resampled(data: TwoSampleDataset, idx1, idx2) -> TwoSampleDataset:

@@ -93,6 +93,33 @@ class TestConfig:
         assert rc == EXIT_CONFIG
 
 
+    @pytest.mark.parametrize("raw, key", [
+        ({"B": "ten"}, "B"),
+        ({"B": True}, "B"),
+        ({"alpha": "0.1"}, "alpha"),
+        ({"seed": 1.5}, "seed"),
+        ({"tau": "2"}, "tau"),
+        ({"link": 1}, "link"),
+        ({"method": None}, "method"),
+        ({"covariates1": "age"}, "covariates1"),
+        ({"covariates2": ["age", 3]}, "covariates2"),
+        ({"strict_singular": "yes"}, "strict_singular"),
+        ({"out_dir": 5}, "out_dir"),
+    ], ids=["B-string", "B-bool", "alpha-string", "seed-float", "tau-string", "link-number",
+            "method-null", "covariates1-string", "covariates2-number", "strict_singular-string",
+            "out_dir-number"])
+    def test_value_of_wrong_type_exits_config(self, four_row_csv, tmp_path, caplog, raw, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, **raw}))
+        out = tmp_path / "out"
+        with caplog.at_level("ERROR", logger="releff"):
+            rc = main(["test", "--data", str(four_row_csv), "--tau", "10",
+                       "--config", str(cfg), "--out-dir", str(out)])
+        assert rc == EXIT_CONFIG
+        assert f"configuration error: {key} must be " in caplog.text
+        assert not out.exists()
+
+
 class TestIngest:
     def test_four_row_fixture(self, four_row_csv):
         data = ingest_csv(four_row_csv, AnalysisConfig(tau=10.0))
@@ -133,6 +160,20 @@ class TestIngest:
             ingest_csv(path, config)
         assert main(["fit", "--data", str(path), "--cov1", "age", "--cov2", "age",
                      "--out-dir", str(tmp_path / "out")]) == EXIT_PARSE
+
+    def test_blank_lines_are_not_counted_and_short_rows_are_dropped(self, tmp_path, caplog):
+        path = tmp_path / "gaps.csv"
+        path.write_text("group,time,status,age\n1,3.0,1,0.1\n\n1,4.0,1\n1,5.0,0,0.3\n\n"
+                        "2,1.0,1,0.4\n2,2.0\n2,6.0,1,0.5,extra\n2,7.0,1,0.6\n")
+        config = AnalysisConfig(tau=9.0, covariates1=["age"], covariates2=["age"])
+        with caplog.at_level("WARNING", logger="releff"):
+            data = ingest_csv(path, config)
+        assert "dropped 2 incomplete rows: [3, 6]" in caplog.text
+        assert (data.n1, data.n2) == (2, 3)
+        np.testing.assert_array_equal(data.covariates2[:, 0], [0.4, 0.5, 0.6])
+        path.write_text("group,time,status\n1,3.0,1\n\n1,4.0,1\n\n7\n")
+        with pytest.raises(ParseFailure, match=r"^row 4, column 'group': expected 1 or 2, got '7'$"):
+            ingest_csv(path, AnalysisConfig(tau=9.0))
 
     def test_missing_required_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -461,7 +502,9 @@ class TestCommands:
 
     def test_logit_working_set_refused_before_any_fit(self, covariate_csv, tmp_path,
                                                       monkeypatch, caplog):
-        needed = 5 * 8 * 20 * 22
+        # the pseudo matrix and three block buffers, which at 20 x 22 hold
+        # all 20 rows each
+        needed = 4 * 8 * 20 * 22
         argv = ["--data", str(covariate_csv), "--tau", "4", "--cov1", "age", "--cov2", "age",
                 "--seed", "2", "--bootstrap", "5"]
         monkeypatch.setattr(cli, "WORKING_SET_BYTES", needed)

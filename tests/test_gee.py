@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import random_dataset
 import oracles
 from oracles import identity_fit, newton_fit, objective
+from releff import gee
 from releff.gee import (
     IDENTITY,
     LOGIT,
@@ -31,6 +32,11 @@ def instance(rng, n1=12, n2=10, p1=2, p2=2, censored=True):
     data = random_dataset(rng, n1, n2, p1, p2, censored=censored)
     pm = pseudo_matrix(data)
     return pm, data.covariates1, data.covariates2
+
+
+def paired_quadratic(G, Z1, Z2):
+    """The production pair sum of G * z z' from G's margins and Z1' G Z2."""
+    return _paired_quadratic(G.sum(axis=1), G.sum(axis=0), Z1.T @ G @ Z2, Z1, Z2)
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -137,8 +143,9 @@ class TestJacobian:
 
 
 class TestWorkspaceMatchesOracle:
-    """The in-place workspace against U and J recomputed from the oracle's
-    own link terms over an explicit pair design."""
+    """The blocked evaluator behind ``estimating_function`` and ``jacobian``
+    against U and J recomputed from the oracle's own link terms over an
+    explicit pair design."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -364,11 +371,13 @@ class TestNewtonMatchesOracle:
         assert "step scale" in lines[-1]
 
     def test_peak_memory_of_a_logit_fit(self):
-        # the four n1 x n2 buffers of the fit's workspace (mu, residual, mu'
-        # and scratch) above the held pseudo matrix; no candidate and no
-        # Jacobian allocates an n1 x n2 array of its own
-        data = random_dataset(np.random.default_rng(3), 200, 200, censored=True, tau=2.0)
+        # above the held pseudo matrix: the evaluator's three block buffers
+        # (40 of the 800 rows each here) and vectors of length n1 or n2; no
+        # candidate and no Jacobian allocates an n1 x n2 array of its own
+        n = 800
+        data = random_dataset(np.random.default_rng(3), n, n, censored=True, tau=2.0)
         pm = pseudo_matrix(data)
+        blocks = 3 * 8 * gee.BLOCK_ELEMENTS
         tracemalloc.start()
         try:
             Z1, Z2 = data.covariates1, data.covariates2
@@ -377,7 +386,61 @@ class TestNewtonMatchesOracle:
         finally:
             tracemalloc.stop()
         assert res.converged and res.iterations >= 2
-        assert peak <= 4.2 * pm.nbytes
+        assert blocks <= 0.2 * pm.nbytes
+        assert peak <= blocks + 16 * 8 * (n + n)
+
+
+class TestBlockedEvaluator:
+    """The row-blocked evaluator against the oracle's U and J across block
+    boundaries and on both sides of the factored exp's limit."""
+
+    @pytest.mark.parametrize("link", [IDENTITY, LOGIT])
+    @pytest.mark.parametrize("n1", [3, 4, 11], ids=["below-one-block", "one-block",
+                                                   "blocks-and-remainder"])
+    def test_block_boundaries(self, monkeypatch, rng, n1, link):
+        n2 = 7
+        monkeypatch.setattr(gee, "BLOCK_ELEMENTS", 4 * n2)   # blocks of 4 rows
+        pm, Z1, Z2 = instance(rng, n1, n2)
+        beta = identity_fit(pm, Z1, Z2).beta + rng.uniform(-0.5, 0.5, 5)
+        evaluator = gee._Evaluator(pm, Z1, Z2, link)
+        assert evaluator.blocks.shape == (3, min(n1, 4), n2)
+        U, J = evaluator.evaluate(beta)
+        np.testing.assert_allclose(U, oracles.score(beta, pm, Z1, Z2, link),
+                                   rtol=1e-10, atol=1e-13)
+        np.testing.assert_allclose(J, oracles.jacobian(beta, pm, Z1, Z2, link),
+                                   rtol=1e-10, atol=1e-13)
+
+    @pytest.mark.parametrize("beta, factored", [
+        ([0.0, 599.3, 1.0], True),
+        ([0.0, 599.7, 1.0], False),
+        ([-900.0, 1800.0, 1.0], False),
+    ], ids=["factored-just-below", "per-pair-just-above", "separated"])
+    def test_both_exp_branches(self, rng, beta, factored):
+        # a = b0 + b1 Z1 spans [0, b1] or [-900, 900] and b = Z2 [-0.5, 0.5],
+        # so the balanced factor exponent is (b1 + 0.5) / 2: 299.9 or 300.1
+        # against the limit 300, and 900.5 on separated data; the rows with
+        # a near 0 keep mu' well away from 0
+        Z1 = np.array([[0.0], [0.002], [0.01], [0.5], [1.0]])
+        Z2 = np.array([[-0.5], [-0.1], [0.2], [0.5]])
+        beta = np.array(beta)
+        Y = rng.uniform(-0.5, 1.5, (5, 4))
+        a, b = gee._group_parts(beta, Z1, Z2)
+        assert (gee._exp_factors(a, b) is not None) == factored
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            U, J = gee._Evaluator(Y, Z1, Z2, LOGIT).evaluate(beta)
+        np.testing.assert_allclose(U, oracles.score(beta, Y, Z1, Z2, LOGIT), rtol=1e-10, atol=0)
+        np.testing.assert_allclose(J, oracles.jacobian(beta, Y, Z1, Z2, LOGIT),
+                                   rtol=1e-10, atol=0)
+
+
+    def test_factors_balance_an_offset_between_the_groups(self):
+        # uncentered covariates: a and b near +-750, beyond the range of exp,
+        # while eta = a + b is small; the balancing shift keeps u and v finite
+        a = 750.0 + np.array([0.0, 0.3, 1.0])
+        b = -750.0 + np.array([-0.5, 0.2])
+        u, v = gee._exp_factors(a, b)
+        np.testing.assert_allclose(np.outer(u, v), np.exp(-(a[:, None] + b)), rtol=1e-12)
 
 
 class TestSandwich:
@@ -418,7 +481,7 @@ class TestSandwich:
         o1 = o1 / (n1 * n2**2) - np.outer(m, m)
         o2 = o2 / (n1**2 * n2) - np.outer(m, m)
         # the production blocks with raw indicators in place of residuals
-        got0 = _paired_quadratic(D, Z1, Z2) / (n1 * n2) - np.outer(m, m)
+        got0 = paired_quadratic(D, Z1, Z2) / (n1 * n2) - np.outer(m, m)
         got1, got2 = _shared_row_column_meat(D, Z1, Z2)
         np.testing.assert_allclose(got0, o0, atol=1e-12)
         np.testing.assert_allclose(got1, o1, atol=1e-12)
@@ -436,6 +499,6 @@ class TestSandwich:
         D = _indicator_matrix(data)
         np.testing.assert_array_equal(D, 1.0)
         m = np.concatenate(([1.0], Z1.mean(axis=0), Z2.mean(axis=0)))
-        o0 = _paired_quadratic(D, Z1, Z2) / D.size - np.outer(m, m)
+        o0 = paired_quadratic(D, Z1, Z2) / D.size - np.outer(m, m)
         expected = design_second_moment(Z1, Z2) - np.outer(m, m)
         np.testing.assert_allclose(o0, expected, atol=1e-12)

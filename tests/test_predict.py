@@ -180,6 +180,18 @@ class TestPredictProfiles:
             assert batch.out_of_range[i] == row.out_of_range[0]
             assert batch.classification[i] == row.classification[0]
 
+    @pytest.mark.parametrize("method", ["emp", "quantile"])
+    def test_logit_intervals_lie_in_unit_interval_and_contain_point(self, method):
+        # built on beta'z and mapped through expit; built as a probability
+        # +- a log-odds spread, 90% (emp) and 82% (quantile) of them left [0, 1]
+        data = random_dataset(np.random.default_rng(7), 30, 30, p1=2, p2=2, censored=True)
+        ens = bootstrap(data, spec=FitSpec(link=LOGIT), B=40, seed=3)
+        Z = np.vstack((data.covariates1, data.covariates2))
+        pred = predict_profiles(ens.base_fit, ens, Z, Z, link=LOGIT, method=method)
+        assert (0.0 <= pred.ci_low).all() and (pred.ci_high <= 1.0).all()
+        assert (pred.ci_low <= pred.point).all() and (pred.point <= pred.ci_high).all()
+        assert not pred.out_of_range.any()
+
     def test_out_of_range_and_labels(self):
         fit = fixed_fit([0.0, 1.0, 0.0])
         # identical replicates: zero spread, so each CI is its point
