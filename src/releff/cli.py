@@ -36,11 +36,12 @@ EXIT_PARSE = 2
 EXIT_CONVERGENCE = 3
 EXIT_CONFIG = 4
 
-# the logit fit holds one n1 x n2 float array, the pseudo matrix, and the
-# three block buffers of Newton's evaluator (``gee.logit_working_set``), the
-# uncensored sandwich covariance about three n1 x n2 arrays (the indicator
-# matrix, the linear predictor and the residual); a larger working set is
-# refused before any fit
+# a logit fit peaks while it builds the pseudo matrix, at up to three
+# n x K or n1 x n2 float arrays under censoring (K the group-2 jump grid),
+# or then holds the matrix and the three block buffers of Newton's evaluator
+# (``gee.logit_working_set``); the uncensored sandwich covariance holds about
+# three n1 x n2 arrays (the indicator matrix, the linear predictor and the
+# residual); a larger working set is refused before any fit
 WORKING_SET_BYTES = 2 << 30
 
 
@@ -291,7 +292,7 @@ def _check_working_set(config: AnalysisConfig, data: TwoSampleDataset, sandwich:
     """Refuse a logit fit, or an uncensored identity fit whose ``sandwich``
     covariance is asked for, that needs more than WORKING_SET_BYTES."""
     if config.link == LOGIT:
-        what, working_set = "the logit link", logit_working_set(data.n1, data.n2)
+        what, working_set = "the logit link", logit_working_set(data)
     elif sandwich and data.uncensored:
         what, working_set = "the sandwich covariance", 3 * 8 * data.n1 * data.n2
     else:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pseudo import _indicator_matrix
+from .pseudo import _indicator_matrix, matrix_working_set
 from .survival import TwoSampleDataset
 
 log = logging.getLogger("releff")
@@ -92,12 +92,12 @@ def _group_parts(beta, Z1, Z2):
     return beta[0] + Z1 @ beta[1 : 1 + p1], Z2 @ beta[1 + p1 : 1 + p1 + Z2.shape[1]]
 
 
-def _linear_predictor(beta, Z1, Z2):
-    """eta = beta'z for every pair, as the rank-2 product (a, 1)(1, b)'.
-    Its products are by 1, so it rounds as the broadcast sum a + b does, and
-    one BLAS call writes it several times faster."""
-    a, b = _group_parts(beta, Z1, Z2)
-    return np.column_stack((a, np.ones(a.size))) @ np.vstack((np.ones(b.size), b))
+def _eta_factors(a, b):
+    """(left, right) with left @ right = eta = a[i1] + b[i2], the rank-2
+    factors (a, 1) and (1, b)'.  Their products are by 1, so the product
+    rounds as the broadcast sum a + b does, and one BLAS call writes it
+    several times faster."""
+    return np.column_stack((a, np.ones(a.size))), np.vstack((np.ones(b.size), b))
 
 
 def _check_dims(beta, matrix, Z1, Z2):
@@ -147,10 +147,16 @@ def _block_rows(n1, n2):
     return min(n1, max(1, BLOCK_ELEMENTS // n2))
 
 
-def logit_working_set(n1, n2) -> int:
-    """Bytes of the float arrays of size n1 x n2 or smaller that a logit fit
-    holds: the pseudo matrix and the three block buffers of its evaluator."""
-    return 8 * n2 * (n1 + 3 * _block_rows(n1, n2))
+def logit_working_set(data: TwoSampleDataset) -> int:
+    """Bytes of the float arrays that a logit fit of ``data`` holds at its
+    peak: building the pseudo matrix (``pseudo.matrix_working_set``), or
+    then the matrix and the three block buffers of its evaluator, whichever
+    is larger, plus 64 vectors of length n1 + n2.  A bootstrap replicate of
+    ``data`` has the same sizes and no larger jump grid, so it needs no
+    more."""
+    n1, n2 = data.n1, data.n2
+    newton = 8 * n2 * (n1 + 3 * _block_rows(n1, n2))
+    return max(matrix_working_set(data), newton) + 64 * 8 * (n1 + n2)
 
 
 def _exp_factors(a, b):
@@ -194,9 +200,7 @@ class _Evaluator:
         a, b = _group_parts(beta, Z1, Z2)
         factors = _exp_factors(a, b) if self.link == LOGIT else None
         if factors is None:
-            # eta, as the rank-2 product (a, 1)(1, b)'
-            left = np.column_stack((a, ones[:n1]))
-            right = np.vstack((ones[:n2], b))
+            left, right = _eta_factors(a, b)
         else:
             # 1 + exp(-eta), as the rank-2 product (u, 1)(v, 1)'
             u, v = factors
@@ -439,7 +443,8 @@ def sandwich_covariance_uncensored(data: TwoSampleDataset) -> np.ndarray:
     n1, n2 = data.n1, data.n2
     D = _indicator_matrix(data)
     beta = solve_identity(D.mean(axis=1)[None], D.mean(axis=0)[None], Z1[None], Z2[None]).beta[0]
-    R = D - _linear_predictor(beta, Z1, Z2)
+    left, right = _eta_factors(*_group_parts(beta, Z1, Z2))
+    R = D - left @ right
 
     omega1, omega2 = _shared_row_column_meat(R, Z1, Z2)
     lam = n1 / (n1 + n2)

@@ -23,10 +23,12 @@ i = n - 1, where the ratio is an empty product, 1.
 
 This one engine serves both consumers.  ``pseudo_matrix`` gathers the curves
 at the K group-2 event times below tau and combines them in one (n1, K) by
-(K, n2) matrix product.  The identity-link fit needs only the matrix's row
-and column means; every sum over the leave-one-out curves is a prefix or
-suffix sum, so ``pseudo_marginals`` computes them in O(n log n) per dataset,
-for a stack of datasets at once, without any n1 x n2 array.
+(K, n2) matrix product; it writes the leave-one-out curves in row blocks,
+and ``matrix_working_set`` counts what the build holds at its peak.  The
+identity-link fit needs only the matrix's row and column means; every sum
+over the leave-one-out curves is a prefix or suffix sum, so
+``pseudo_marginals`` computes them in O(n log n) per dataset, for a stack
+of datasets at once, without any n1 x n2 array.
 """
 
 from __future__ import annotations
@@ -37,7 +39,10 @@ import numpy as np
 
 from .survival import TwoSampleDataset
 
-__all__ = ["PseudoMarginals", "pseudo_matrix", "pseudo_marginals"]
+__all__ = ["PseudoMarginals", "pseudo_matrix", "pseudo_marginals", "matrix_working_set"]
+
+# entries of one row block of leave-one-out curves in ``pseudo_matrix``
+CURVE_BLOCK_ELEMENTS = 1 << 15
 
 
 def pseudo_matrix(data: TwoSampleDataset) -> np.ndarray:
@@ -61,10 +66,34 @@ def _indicator_matrix(data: TwoSampleDataset) -> np.ndarray:
     return ((t1 > t2) & (t2 < data.tau)).astype(float)
 
 
-def _stieltjes_matrix(data: TwoSampleDataset) -> np.ndarray:
-    n1, n2, tau = data.n1, data.n2, data.tau
+def _jump_grid(data: TwoSampleDataset) -> np.ndarray:
+    """The distinct group-2 event times below tau."""
     grid = np.unique(data.times2[data.events2 == 1])
-    grid = grid[grid < tau]
+    return grid[grid < data.tau]
+
+
+def matrix_working_set(data: TwoSampleDataset) -> int:
+    """Bytes of the float arrays that ``pseudo_matrix(data)`` holds at its
+    peak, the returned matrix included.
+
+    Fully observed data take the matrix and two boolean n1 x n2 arrays.
+    Under censoring, with K the size of the jump grid, the group-1 curves
+    (n1 + 1, K) are held throughout; then either the group-2 curves and
+    their jumps, each (n2 + 1, K), or the jumps and the matrix; and the
+    row blocks of ``_SortedLeaveOneOut.curves``, at most five of
+    CURVE_BLOCK_ELEMENTS each.
+    """
+    n1, n2 = data.n1, data.n2
+    if data.uncensored:
+        return 10 * n1 * n2
+    K = _jump_grid(data).size
+    held = (n1 + 1) * K + (n2 + 1) * K + max((n2 + 1) * K, n1 * n2)
+    return 8 * (held + 5 * CURVE_BLOCK_ELEMENTS)
+
+
+def _stieltjes_matrix(data: TwoSampleDataset) -> np.ndarray:
+    n1, n2 = data.n1, data.n2
+    grid = _jump_grid(data)
 
     if grid.size == 0:
         # no group-2 jumps below tau anywhere: all Stieltjes sums vanish
@@ -74,7 +103,10 @@ def _stieltjes_matrix(data: TwoSampleDataset) -> np.ndarray:
     # every group-2 jump below tau, with or without a subject, lies on the
     # grid, so the jump at grid[k] is the step from the value at grid[k-1]
     S2 = _SortedLeaveOneOut(data.times2, data.events2).curves(grid)
-    D2 = np.hstack((np.ones((n2 + 1, 1)), S2[:, :-1])) - S2
+    D2 = np.empty_like(S2)
+    np.subtract(1.0, S2[:, 0], out=D2[:, 0])
+    np.subtract(S2[:, :-1], S2[:, 1:], out=D2[:, 1:])
+    del S2
     d_full = D2[0]
 
     th = float(F1[0] @ d_full)
@@ -129,16 +161,21 @@ class _SortedLeaveOneOut:
     def curves(self, grid: np.ndarray) -> np.ndarray:
         """Full and leave-one-out curves of one dataset (1-D times) at
         ``grid``, right-continuous, shape (n+1, grid.size): row 0 is the
-        full-sample curve and row i+1 the curve without input subject i."""
+        full-sample curve and row i+1 the curve without input subject i.
+        The leave-one-out rows are built in blocks of sorted positions,
+        each of at most CURVE_BLOCK_ELEMENTS entries."""
         P, L, n = self.P, self.L, self.n
         c = np.searchsorted(self.times, grid, side="right")
-        i = np.arange(n)[:, None]
-        # P_{i+1} = 0 only for i = n - 1, where the ratio is an empty product
-        beyond = (c > i) & (i < n - 1)
-        ratio = np.divide(P[c], P[1:, None], out=np.ones(beyond.shape), where=beyond)
+        Pc = P[c]
         out = np.empty((n + 1, c.size))
-        out[0] = P[c]
-        out[1 + self.order] = L[np.minimum(c, i)] * ratio
+        out[0] = Pc
+        rows = max(1, CURVE_BLOCK_ELEMENTS // max(c.size, 1))
+        for start in range(0, n, rows):
+            i = np.arange(start, min(start + rows, n))[:, None]
+            # P_{i+1} = 0 only for i = n - 1, where the ratio is an empty product
+            beyond = (c > i) & (i < n - 1)
+            ratio = np.divide(Pc, P[i + 1], out=np.ones(beyond.shape), where=beyond)
+            out[1 + self.order[start : start + rows]] = L[np.minimum(c, i)] * ratio
         return out
 
     def row_sums(self, W: np.ndarray) -> np.ndarray:

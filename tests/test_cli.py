@@ -11,7 +11,7 @@ import scipy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from releff import cli
+from releff import cli, gee
 from releff.cli import (
     EXIT_CONFIG,
     EXIT_CONVERGENCE,
@@ -502,9 +502,11 @@ class TestCommands:
 
     def test_logit_working_set_refused_before_any_fit(self, covariate_csv, tmp_path,
                                                       monkeypatch, caplog):
-        # the pseudo matrix and three block buffers, which at 20 x 22 hold
-        # all 20 rows each
-        needed = 4 * 8 * 20 * 22
+        # fully observed: the pseudo matrix and three block buffers, which
+        # at 20 x 22 hold all 20 rows each, and 64 vectors of length 42
+        config = AnalysisConfig(tau=4.0, covariates1=["age"], covariates2=["age"])
+        needed = gee.logit_working_set(ingest_csv(covariate_csv, config))
+        assert needed == 4 * 8 * 20 * 22 + 64 * 8 * 42
         argv = ["--data", str(covariate_csv), "--tau", "4", "--cov1", "age", "--cov2", "age",
                 "--seed", "2", "--bootstrap", "5"]
         monkeypatch.setattr(cli, "WORKING_SET_BYTES", needed)

@@ -389,6 +389,24 @@ class TestNewtonMatchesOracle:
         assert blocks <= 0.2 * pm.nbytes
         assert peak <= blocks + 16 * 8 * (n + n)
 
+    @pytest.mark.parametrize("n1, n2, censored", [
+        (400, 400, True), (120, 720, True), (720, 120, True), (400, 400, False),
+    ], ids=["censored", "censored-wide", "censored-tall", "uncensored"])
+    def test_working_set_bounds_the_whole_fit(self, n1, n2, censored):
+        # the guard's figure covers the build of the pseudo matrix too, whose
+        # leave-one-out curves take several (n + 1) x K arrays; about 0.8 of
+        # the group-2 times here are distinct events (K ~ n2)
+        data = random_dataset(np.random.default_rng(5), n1, n2, censored=censored)
+        tracemalloc.start()
+        try:
+            res = FitSpec(link=LOGIT).fit(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+        figure = gee.logit_working_set(data)
+        assert 0.5 * figure <= peak <= figure
+
 
 class TestBlockedEvaluator:
     """The row-blocked evaluator against the oracle's U and J across block

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_dataset
 from oracles import brute_matrix, leave_one_out_km, theta_hat
+from releff import pseudo
 from releff.pseudo import (
     _SortedLeaveOneOut,
     _indicator_matrix,
@@ -132,6 +133,20 @@ def test_leave_one_out_curves_match_refitted_curves(data):
             np.testing.assert_allclose(
                 curves[i + 1], leave_one_out_km(times, events, i)(grid), atol=1e-12
             )
+
+
+@pytest.mark.parametrize("rows", [1, 4, 11], ids=["row-per-block", "blocks-and-remainder",
+                                                "one-block"])
+def test_curves_in_row_blocks_match_refitted_curves(monkeypatch, rng, rows):
+    data = random_dataset(rng, 11, 9, censored=True)
+    grid = np.sort(data.times2)
+    monkeypatch.setattr(pseudo, "CURVE_BLOCK_ELEMENTS", rows * grid.size)
+    curves = _SortedLeaveOneOut(data.times1, data.events1).curves(grid)
+    for i in range(data.n1):
+        np.testing.assert_allclose(
+            curves[i + 1], leave_one_out_km(data.times1, data.events1, i)(grid), atol=1e-12
+        )
+    np.testing.assert_allclose(_stieltjes_matrix(data), brute_matrix(data), atol=1e-10)
 
 
 @given(heavy_tie_datasets(status=st.just(1)))
