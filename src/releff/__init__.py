@@ -1,20 +1,13 @@
 """Distribution-free regression for the relative treatment effect
 P(T1 > T2 | Z1, Z2) from possibly right-censored two-sample data."""
 
-from .survival import (
-    SurvivalCurve,
-    TwoSampleDataset,
-    kaplan_meier,
-    theta_integral,
-)
-from .pseudo import pseudo_matrix
+from .survival import TwoSampleDataset
+from .pseudo import pseudo_matrix, tie_correction_term
 from .gee import (
     IDENTITY,
     LOGIT,
     LINKS,
     FitResult,
-    estimating_function,
-    jacobian,
     solve_newton,
     sandwich_covariance_uncensored,
 )
@@ -26,7 +19,7 @@ from .inference import (
     test_coefficient,
     warp_speed,
 )
-from .predict import Predictions, tie_correction_term, predict_profiles
+from .predict import Predictions, predict_profiles
 from .sim import (
     Scenario,
     make_scenario,

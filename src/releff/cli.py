@@ -25,9 +25,10 @@ import scipy
 from . import __version__
 from .gee import IDENTITY, LINKS, LOGIT, logit_working_set, sandwich_covariance_uncensored
 from .inference import METHODS, FitSpec, bootstrap, require_finite, test_coefficient
-from .predict import predict_profiles, tie_correction_term
+from .predict import predict_profiles
+from .pseudo import tie_correction_term
 from .sim import check_reps, make_scenario, run_scenario, write_result_rows
-from .survival import TwoSampleDataset, kaplan_meier
+from .survival import TwoSampleDataset
 
 log = logging.getLogger("releff")
 
@@ -114,6 +115,8 @@ class AnalysisConfig:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigFailure(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigFailure(f"config {path} must hold a JSON object")
         if "tau" in raw and raw["tau"] == "inf":
             raw["tau"] = float("inf")
         known = set(cls.__dataclass_fields__)
@@ -137,7 +140,8 @@ def ingest_csv(path, config: AnalysisConfig) -> TwoSampleDataset:
     """Read a two-group dataset; rows with missing used values are dropped
     with row-numbered diagnostics."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        # utf-8-sig drops the byte-order mark that spreadsheet programs write
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ParseFailure(f"cannot open {path}: {exc}") from exc
     try:
@@ -407,9 +411,7 @@ def cmd_test(args) -> int:
 
 def cmd_predict(args) -> int:
     config, data, out_dir, ensemble, fit = _prepare(args, predict=True)
-    S1 = kaplan_meier(data.times1, data.events1)
-    S2 = kaplan_meier(data.times2, data.events2)
-    correction = tie_correction_term(S1, S2, data.tau)
+    correction = tie_correction_term(data)
     ci_method = "quantile" if config.method == "quantile" else "emp"
     # the additive tie correction exists for the identity link only
     link_correction = correction if config.link == IDENTITY else None

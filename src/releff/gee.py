@@ -41,8 +41,6 @@ __all__ = [
     "check_link",
     "FitResult",
     "IdentityFits",
-    "estimating_function",
-    "jacobian",
     "solve_identity",
     "solve_newton",
     "logit_working_set",
@@ -122,15 +120,6 @@ def _paired_quadratic(rs, cs, cross, Z1, Z2):
     mid = np.concatenate((a1[:, None], B11, cross), axis=1)
     bot = np.concatenate((a2[:, None], cross.T, B22), axis=1)
     return np.vstack((top, mid, bot))
-
-
-def _prepared(beta, matrix, Z1, Z2):
-    beta = np.asarray(beta, dtype=float)
-    matrix = np.asarray(matrix, dtype=float)
-    Z1 = np.atleast_2d(np.asarray(Z1, dtype=float))
-    Z2 = np.atleast_2d(np.asarray(Z2, dtype=float))
-    _check_dims(beta, matrix, Z1, Z2)
-    return beta, matrix, Z1, Z2
 
 
 # elements of one block buffer: a block is as many whole rows of the pseudo
@@ -236,18 +225,6 @@ class _Evaluator:
         U = np.concatenate(([rs_w.sum()], Z1.T @ rs_w, Z2.T @ cs_w))
         J = _paired_quadratic(rs_g, x1_g[0], x1_g[1:] @ Z2, Z1, Z2)
         return U / values.size, J / values.size
-
-
-def estimating_function(beta, matrix: np.ndarray, Z1, Z2, link: str) -> np.ndarray:
-    """Normalized score U(beta); zero at the fitted coefficients."""
-    beta, matrix, Z1, Z2 = _prepared(beta, matrix, Z1, Z2)
-    return _Evaluator(matrix, Z1, Z2, link).evaluate(beta)[0]
-
-
-def jacobian(beta, matrix: np.ndarray, Z1, Z2, link: str) -> np.ndarray:
-    """Analytic Jacobian of ``estimating_function``; symmetric."""
-    beta, matrix, Z1, Z2 = _prepared(beta, matrix, Z1, Z2)
-    return _Evaluator(matrix, Z1, Z2, link).evaluate(beta)[1]
 
 
 def design_second_moment(Z1, Z2) -> np.ndarray:

@@ -1,14 +1,9 @@
 """Tie-corrected probability predictions and benefit classification.
 
-The tie correction splits the estimated probability of a tie (exact ties at
-common jump times plus joint survival past the horizon) evenly between the
-two orderings:
-
-    0.5 * [ S1(tau) * S2(tau) + sum_{t <= tau} dS1(t) * dS2(t) ].
-
-It is defined for the identity link, where it enters the prediction
-additively; for the logit link only the plain model prediction mu(beta'z)
-is offered.
+The tie correction, half the estimated probability of a tie, comes from
+``pseudo.tie_correction_term``.  It is defined for the identity link, where
+it enters the prediction additively; for the logit link only the plain model
+prediction mu(beta'z) is offered.
 """
 
 from __future__ import annotations
@@ -21,26 +16,8 @@ from scipy.stats import norm
 
 from .gee import IDENTITY, LOGIT, FitResult, _expit, check_link
 from .inference import BootstrapEnsemble
-from .survival import SurvivalCurve
 
-__all__ = ["Predictions", "tie_correction_term", "predict_profiles"]
-
-
-def tie_correction_term(S1: SurvivalCurve, S2: SurvivalCurve, tau: float) -> float:
-    """Half the estimated tie probability at horizon ``tau``.
-
-    Jump products are summed over common jump times t <= tau (boundary
-    inclusive), unlike the open-interval convention of the main estimator.
-    """
-    if not np.isfinite(tau):
-        raise ValueError("tie correction requires a finite horizon")
-    plateau = float(S1(tau)) * float(S2(tau))
-    t1, d1 = S1.jump_times, S1.jumps()
-    t2, d2 = S2.jump_times, S2.jumps()
-    common, i1, i2 = np.intersect1d(t1, t2, return_indices=True)
-    keep = common <= tau
-    joint = float(np.dot(d1[i1[keep]], d2[i2[keep]])) if np.any(keep) else 0.0
-    return 0.5 * (plateau + joint)
+__all__ = ["Predictions", "predict_profiles"]
 
 
 @dataclass

@@ -21,14 +21,16 @@ c <= i and L_i * P_c / P_{i+1} beyond.  Only P_n can vanish (the last
 subject alone at risk has an event), and it is a denominator only for
 i = n - 1, where the ratio is an empty product, 1.
 
-This one engine serves both consumers.  ``pseudo_matrix`` gathers the curves
-at the K group-2 event times below tau and combines them in one (n1, K) by
-(K, n2) matrix product; it writes the leave-one-out curves in row blocks,
-and ``matrix_working_set`` counts what the build holds at its peak.  The
-identity-link fit needs only the matrix's row and column means; every sum
-over the leave-one-out curves is a prefix or suffix sum, so
+This one engine serves all three consumers.  ``pseudo_matrix`` gathers the
+curves at the K group-2 event times below tau and combines them in one
+(n1, K) by (K, n2) matrix product; it writes the leave-one-out curves in row
+blocks, and ``matrix_working_set`` counts what the build holds at its peak.
+The identity-link fit needs only the matrix's row and column means; every
+sum over the leave-one-out curves is a prefix or suffix sum, so
 ``pseudo_marginals`` computes them in O(n log n) per dataset, for a stack
-of datasets at once, without any n1 x n2 array.
+of datasets at once, without any n1 x n2 array.  ``tie_correction_term``
+reads only the full-sample curves P: S(t) is P after the positions with
+times <= t, S(t-) P before the first position at t.
 """
 
 from __future__ import annotations
@@ -39,7 +41,13 @@ import numpy as np
 
 from .survival import TwoSampleDataset
 
-__all__ = ["PseudoMarginals", "pseudo_matrix", "pseudo_marginals", "matrix_working_set"]
+__all__ = [
+    "PseudoMarginals",
+    "pseudo_matrix",
+    "pseudo_marginals",
+    "matrix_working_set",
+    "tie_correction_term",
+]
 
 # entries of one row block of leave-one-out curves in ``pseudo_matrix``
 CURVE_BLOCK_ELEMENTS = 1 << 15
@@ -178,6 +186,11 @@ class _SortedLeaveOneOut:
             out[1 + self.order[start : start + rows]] = L[np.minimum(c, i)] * ratio
         return out
 
+    def curve(self, t, side: str = "right"):
+        """The full-sample curve of one dataset at t: S(t), or S(t-) with
+        side="left"."""
+        return self.P[np.searchsorted(self.times, t, side=side)]
+
     def row_sums(self, W: np.ndarray) -> np.ndarray:
         """sum_c G[i, c] * W[c] for every left-out position i; W is (N, n+1)."""
         P, L, n = self.P, self.L, self.n
@@ -245,3 +258,25 @@ def pseudo_marginals(times1, events1, times2, events2, tau) -> PseudoMarginals:
     col_means = np.empty_like(cols)
     np.put_along_axis(col_means, g2.order, cols, axis=-1)
     return PseudoMarginals(row_means=row_means, col_means=col_means, theta_hat=th)
+
+
+def tie_correction_term(data: TwoSampleDataset) -> float:
+    """Half the estimated tie probability at the horizon tau, exact ties at
+    common jump times plus joint survival past tau, split evenly between the
+    two orderings:
+
+        0.5 * [ S1(tau) * S2(tau) + sum_{t <= tau} dS1(t) * dS2(t) ].
+
+    Unlike the open interval of the main estimator, the jump sum includes
+    t = tau.  An infinite horizon raises ValueError.
+    """
+    tau = data.tau
+    if not np.isfinite(tau):
+        raise ValueError("tie correction requires a finite horizon")
+    S1 = _SortedLeaveOneOut(data.times1, data.events1)
+    S2 = _SortedLeaveOneOut(data.times2, data.events2)
+    # group 2 jumps by exactly 0 at a time where it has no event
+    t = np.unique(data.times1[(data.events1 == 1) & (data.times1 <= tau)])
+    plateau = S1.curve(tau) * S2.curve(tau)
+    joint = (S1.curve(t, "left") - S1.curve(t)) @ (S2.curve(t, "left") - S2.curve(t))
+    return 0.5 * float(plateau + joint)

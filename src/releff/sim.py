@@ -32,11 +32,6 @@ __all__ = [
     "write_result_rows",
 ]
 
-# Read "N(0, v)" as variance v throughout (bivariate blocks are covariance
-# matrices); replace with the identity to reinterpret v as a standard deviation.
-def _var_to_sd(v: float) -> float:
-    return float(np.sqrt(v))
-
 CENSOR_BOUNDS = (10.0, 15.0)
 
 SHAPES = {"I": (2.0, 3.0), "II": (3.0, 3.0)}
@@ -169,7 +164,8 @@ def _covariates(group: int, p: int, normal: np.ndarray, uniform: np.ndarray) -> 
     or (N, n, 2), and its Bernoulli uniforms (N, k, n)."""
     Z = np.empty(normal.shape[:2] + (p,))
     if p == 2:
-        Z[..., 0] = normal if group == 1 else normal * _var_to_sd(1.2)
+        # "N(0, 1.2)" is a variance, as the bivariate blocks are covariances
+        Z[..., 0] = normal if group == 1 else normal * np.sqrt(1.2)
         prob = (0.5 + 0.1 * np.sign(Z[..., 0]) if group == 1
                 else 0.7 - 0.05 * np.sign(Z[..., 0]))
         Z[..., 1] = uniform[:, 0] < prob

@@ -1,9 +1,8 @@
-"""Step-function survival curves, Kaplan-Meier estimation and Stieltjes sums.
+"""The two-sample survival data: per-group times, event flags and covariates
+and the horizon tau.
 
-All curves are right-continuous step functions starting at 1 before the
-first jump.  Jumps occur only at distinct uncensored event times.  Beyond
-the largest observation the curve is carried flat at its last value, even
-when that observation is censored.
+The Kaplan-Meier curves built from them live in ``pseudo``, as prefix
+products of per-subject product-limit factors.
 """
 
 from __future__ import annotations
@@ -12,55 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "SurvivalCurve",
-    "TwoSampleDataset",
-    "kaplan_meier",
-    "theta_integral",
-]
-
-
-@dataclass(frozen=True)
-class SurvivalCurve:
-    """Right-continuous step function with value 1 before the first jump.
-
-    ``values[i]`` is the value immediately after ``jump_times[i]``; values
-    are non-increasing and lie in [0, 1].
-    """
-
-    jump_times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.jump_times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.shape != v.shape or t.ndim != 1:
-            raise ValueError("jump_times and values must be 1-d arrays of equal length")
-        if t.size and np.any(np.diff(t) <= 0):
-            raise ValueError("jump times must be strictly increasing")
-        if t.size and (np.any(v < -1e-15) or np.any(v > 1 + 1e-15)):
-            raise ValueError("curve values must lie in [0, 1]")
-        if t.size and np.any(np.diff(v) > 1e-15):
-            raise ValueError("curve values must be non-increasing")
-        object.__setattr__(self, "jump_times", t)
-        object.__setattr__(self, "values", np.clip(v, 0.0, 1.0))
-
-    def __call__(self, t):
-        """Right-continuous evaluation S(t)."""
-        idx = np.searchsorted(self.jump_times, t, side="right")
-        padded = np.concatenate(([1.0], self.values))
-        return padded[idx]
-
-    def left_limit(self, t):
-        """Pre-jump value S(t-); equals S(t) off the jump set."""
-        idx = np.searchsorted(self.jump_times, t, side="left")
-        padded = np.concatenate(([1.0], self.values))
-        return padded[idx]
-
-    def jumps(self):
-        """Jump sizes S(t-) - S(t) >= 0 aligned with ``jump_times``."""
-        pre = np.concatenate(([1.0], self.values[:-1]))
-        return pre - self.values
+__all__ = ["TwoSampleDataset"]
 
 
 @dataclass(frozen=True)
@@ -126,41 +77,3 @@ class TwoSampleDataset:
     def uncensored(self) -> bool:
         return bool(np.all(self.events1 == 1) and np.all(self.events2 == 1))
 
-
-def kaplan_meier(times, events=None) -> SurvivalCurve:
-    """Product-limit estimator; ``events=None`` means fully observed.
-
-    Events at a tied time are evaluated against a risk set that includes
-    subjects censored at that same time.
-    """
-    t = np.asarray(times, dtype=float)
-    if t.size == 0:
-        raise ValueError("cannot estimate a survival curve from an empty sample")
-    if events is None:
-        e = np.ones_like(t)
-    else:
-        e = np.asarray(events, dtype=float)
-        if e.shape != t.shape:
-            raise ValueError("times and events differ in length")
-    order = np.argsort(t, kind="stable")
-    ts, es = t[order], e[order]
-    uniq, start = np.unique(ts, return_index=True)
-    at_risk = ts.size - start
-    deaths = np.add.reduceat(es, start)
-    has_event = deaths > 0
-    factors = 1.0 - deaths[has_event] / at_risk[has_event]
-    return SurvivalCurve(uniq[has_event], np.cumprod(factors))
-
-
-def theta_integral(S1: SurvivalCurve, S2: SurvivalCurve, tau: float = np.inf) -> float:
-    """Stieltjes sum of -S1 dS2 over the open interval below ``tau``.
-
-    Sums S1(t) * (S2(t-) - S2(t)) over jump points t of S2 with t < tau;
-    jumps at exactly ``tau`` are excluded.
-    """
-    jt = S2.jump_times
-    delta = S2.jumps()
-    mask = jt < tau
-    if not np.any(mask):
-        return 0.0
-    return float(np.dot(S1(jt[mask]), delta[mask]))

@@ -1,22 +1,31 @@
 """Slow reference implementations that the production code is checked against.
 
 Each oracle recomputes a quantity from its definition, independently of the
-fast path in ``releff``: the plug-in estimate from the two Kaplan-Meier
-curves, the pseudo-observation matrix by re-estimating all four Kaplan-Meier
-curves per pair (each leave-one-out curve by refitting the reduced sample),
-the potential whose gradient is the estimating function, the Weibull
-relative effect by numerical quadrature, the estimating function and its
-Jacobian over an explicit design with one row per pair and with mu, mu'
-and mu'' of each link from ``LINK_TERMS``, a table of its own built on
-``scipy.special.expit``, the damped Newton fit by re-evaluating the
-public estimating function and Jacobian at every iterate, the identity-link
-fit from the means of the full pseudo matrix and the fit of one dataset
-through that matrix,
-the prediction interval one profile at a time (on the scale of beta'z,
-then mapped through mu), the warp-speed Monte
-Carlo engine one run and one full pseudo matrix at a time, and a scenario
-dataset one generator call per draw.  ``PerRun`` turns a per-dataset maker
-into the chunk simulator ``inference.warp_speed`` takes.
+fast path in ``releff``:
+
+- the Kaplan-Meier curve as a step function (``SurvivalCurve``,
+  ``kaplan_meier``, one factor 1 - d / r per distinct event time), the
+  Stieltjes sum ``theta_integral`` and the plug-in estimate built on them,
+  and the tie correction from the common jumps of two such curves;
+- the pseudo-observation matrix by re-estimating all four Kaplan-Meier
+  curves per pair (each leave-one-out curve by refitting the reduced
+  sample);
+- the potential whose gradient is the estimating function, and the
+  estimating function and its Jacobian over an explicit design with one
+  row per pair, with mu, mu' and mu'' of each link from ``LINK_TERMS``, a
+  table of its own built on ``scipy.special.expit``;
+- the Weibull relative effect by numerical quadrature;
+- the damped Newton fit, evaluating the score of every candidate and the
+  Jacobian of every step afresh;
+- the identity-link fit from the means of the full pseudo matrix, and the
+  fit of one dataset through that matrix;
+- the prediction interval one profile at a time (on the scale of beta'z,
+  then mapped through mu);
+- the warp-speed Monte Carlo engine one run and one full pseudo matrix at a
+  time, and a scenario dataset one generator call per draw.
+
+``PerRun`` turns a per-dataset maker into the chunk simulator
+``inference.warp_speed`` takes.
 """
 
 from dataclasses import dataclass
@@ -40,7 +49,100 @@ from releff.inference import (
 )
 from releff.pseudo import pseudo_matrix
 from releff.sim import Scenario
-from releff.survival import SurvivalCurve, TwoSampleDataset, kaplan_meier, theta_integral
+from releff.survival import TwoSampleDataset
+
+
+@dataclass(frozen=True)
+class SurvivalCurve:
+    """Right-continuous step function with value 1 before the first jump.
+
+    ``values[i]`` is the value immediately after ``jump_times[i]``; values
+    are non-increasing and lie in [0, 1].  Beyond the last jump the curve is
+    carried flat at its last value.
+    """
+
+    jump_times: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        t = np.asarray(self.jump_times, dtype=float)
+        v = np.asarray(self.values, dtype=float)
+        if t.shape != v.shape or t.ndim != 1:
+            raise ValueError("jump_times and values must be 1-d arrays of equal length")
+        if t.size and np.any(np.diff(t) <= 0):
+            raise ValueError("jump times must be strictly increasing")
+        if t.size and (np.any(v < -1e-15) or np.any(v > 1 + 1e-15)):
+            raise ValueError("curve values must lie in [0, 1]")
+        if t.size and np.any(np.diff(v) > 1e-15):
+            raise ValueError("curve values must be non-increasing")
+        object.__setattr__(self, "jump_times", t)
+        object.__setattr__(self, "values", np.clip(v, 0.0, 1.0))
+
+    def __call__(self, t):
+        """Right-continuous evaluation S(t)."""
+        idx = np.searchsorted(self.jump_times, t, side="right")
+        padded = np.concatenate(([1.0], self.values))
+        return padded[idx]
+
+    def jumps(self):
+        """Jump sizes S(t-) - S(t) >= 0 aligned with ``jump_times``."""
+        pre = np.concatenate(([1.0], self.values[:-1]))
+        return pre - self.values
+
+
+def kaplan_meier(times, events=None) -> SurvivalCurve:
+    """Product-limit estimator, one factor 1 - d / r per distinct event time;
+    ``events=None`` means fully observed.
+
+    Events at a tied time are evaluated against a risk set that includes
+    subjects censored at that same time.
+    """
+    t = np.asarray(times, dtype=float)
+    if t.size == 0:
+        raise ValueError("cannot estimate a survival curve from an empty sample")
+    if events is None:
+        e = np.ones_like(t)
+    else:
+        e = np.asarray(events, dtype=float)
+        if e.shape != t.shape:
+            raise ValueError("times and events differ in length")
+    order = np.argsort(t, kind="stable")
+    ts, es = t[order], e[order]
+    uniq, start = np.unique(ts, return_index=True)
+    at_risk = ts.size - start
+    deaths = np.add.reduceat(es, start)
+    has_event = deaths > 0
+    factors = 1.0 - deaths[has_event] / at_risk[has_event]
+    return SurvivalCurve(uniq[has_event], np.cumprod(factors))
+
+
+def theta_integral(S1: SurvivalCurve, S2: SurvivalCurve, tau: float = np.inf) -> float:
+    """Stieltjes sum of -S1 dS2 over the open interval below ``tau``.
+
+    Sums S1(t) * (S2(t-) - S2(t)) over jump points t of S2 with t < tau;
+    jumps at exactly ``tau`` are excluded.
+    """
+    jt = S2.jump_times
+    delta = S2.jumps()
+    mask = jt < tau
+    if not np.any(mask):
+        return 0.0
+    return float(np.dot(S1(jt[mask]), delta[mask]))
+
+
+def tie_correction_term(S1: SurvivalCurve, S2: SurvivalCurve, tau: float) -> float:
+    """Half the estimated tie probability at horizon ``tau`` from two curves:
+    0.5 * [S1(tau) S2(tau) + sum over the common jump times t <= tau of the
+    product of the two jumps] (boundary inclusive)."""
+    if not np.isfinite(tau):
+        raise ValueError("tie correction requires a finite horizon")
+    plateau = float(S1(tau)) * float(S2(tau))
+    t1, d1 = S1.jump_times, S1.jumps()
+    t2, d2 = S2.jump_times, S2.jumps()
+    common, i1, i2 = np.intersect1d(t1, t2, return_indices=True)
+    keep = common <= tau
+    joint = float(np.dot(d1[i1[keep]], d2[i2[keep]])) if np.any(keep) else 0.0
+    return 0.5 * (plateau + joint)
 
 
 def theta_hat(data: TwoSampleDataset) -> float:
@@ -148,8 +250,10 @@ def true_theta_weibull_numeric(lam1, k1, lam2, k2, tau=np.inf) -> float:
 
 def newton_fit(matrix, Z1, Z2, link, x0=None, tol=1e-10, max_iter=50,
                max_halvings=10) -> FitResult:
-    """Damped Newton iteration calling ``gee.estimating_function`` for every
-    candidate and ``gee.jacobian`` for every step."""
+    """Damped Newton iteration on the production evaluator
+    ``gee._Evaluator``: the score of every candidate, and the Jacobian
+    evaluated afresh at every step rather than kept from the accepted
+    candidate as ``solve_newton`` does."""
     Z1 = np.atleast_2d(np.asarray(Z1, dtype=float))
     Z2 = np.atleast_2d(np.asarray(Z2, dtype=float))
     p = 1 + Z1.shape[1] + Z2.shape[1]
@@ -158,13 +262,14 @@ def newton_fit(matrix, Z1, Z2, link, x0=None, tol=1e-10, max_iter=50,
     else:
         beta = np.zeros(p)
 
+    evaluator = gee._Evaluator(matrix, Z1, Z2, link)
     used_pinv = False
-    U = gee.estimating_function(beta, matrix, Z1, Z2, link)
+    U = evaluator.evaluate(beta)[0]
     norm = float(np.max(np.abs(U)))
     for it in range(1, max_iter + 1):
         if norm < tol:
             return FitResult(beta, True, it - 1, norm, "newton", used_pinv=used_pinv)
-        J = gee.jacobian(beta, matrix, Z1, Z2, link)
+        J = evaluator.evaluate(beta)[1]
         try:
             step = np.linalg.solve(J, -U)
         except np.linalg.LinAlgError:
@@ -174,7 +279,7 @@ def newton_fit(matrix, Z1, Z2, link, x0=None, tol=1e-10, max_iter=50,
         improved = False
         for _ in range(max_halvings + 1):
             cand = beta + scale * step
-            U_cand = gee.estimating_function(cand, matrix, Z1, Z2, link)
+            U_cand = evaluator.evaluate(cand)[0]
             cand_norm = float(np.max(np.abs(U_cand)))
             if np.isfinite(cand_norm) and cand_norm < norm:
                 beta, U, norm = cand, U_cand, cand_norm

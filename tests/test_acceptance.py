@@ -9,17 +9,16 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from releff import gee
 from releff.gee import (
     IDENTITY,
     LOGIT,
-    estimating_function,
-    jacobian,
     sandwich_covariance_uncensored,
     solve_newton,
 )
 from releff.inference import FitSpec
-from releff.predict import Predictions, tie_correction_term
-from releff.pseudo import _stieltjes_matrix, pseudo_matrix
+from releff.predict import Predictions
+from releff.pseudo import _stieltjes_matrix, pseudo_matrix, tie_correction_term
 from releff.sim import (
     censoring_rate,
     make_scenario,
@@ -27,7 +26,7 @@ from releff.sim import (
     true_theta_weibull_equal_shapes,
     warp_speed_harness,
 )
-from releff.survival import TwoSampleDataset, kaplan_meier
+from releff.survival import TwoSampleDataset
 
 from conftest import random_dataset
 from oracles import brute_matrix, identity_fit, objective, true_theta_weibull_numeric
@@ -106,8 +105,8 @@ def test_criterion_04_gradient_and_jacobian_checks():
         pm = pseudo_matrix(data)
         Z1, Z2 = data.covariates1, data.covariates2
         beta = rng.uniform(-0.5, 0.5, 5)
-        u = estimating_function(beta, pm, Z1, Z2, LOGIT)
-        J = jacobian(beta, pm, Z1, Z2, LOGIT)
+        evaluate = gee._Evaluator(pm, Z1, Z2, LOGIT).evaluate
+        u, J = evaluate(beta)
         fd_u = np.zeros(5)
         fd_J = np.zeros((5, 5))
         for k in range(5):
@@ -117,10 +116,7 @@ def test_criterion_04_gradient_and_jacobian_checks():
                 objective(beta + e, pm, Z1, Z2, LOGIT)
                 - objective(beta - e, pm, Z1, Z2, LOGIT)
             ) / (2 * h)
-            fd_J[:, k] = (
-                estimating_function(beta + e, pm, Z1, Z2, LOGIT)
-                - estimating_function(beta - e, pm, Z1, Z2, LOGIT)
-            ) / (2 * h)
+            fd_J[:, k] = (evaluate(beta + e)[0] - evaluate(beta - e)[0]) / (2 * h)
         scale_u = max(1.0, float(np.max(np.abs(u))))
         scale_J = max(1.0, float(np.max(np.abs(J))))
         worst_grad = max(worst_grad, float(np.max(np.abs(u - fd_u))) / scale_u)
@@ -241,15 +237,13 @@ def test_criterion_11_tie_correction_and_classification():
     for _ in range(10_000):
         n1 = int(rng.integers(2, 12))
         n2 = int(rng.integers(2, 12))
-        S1 = kaplan_meier(
-            rng.choice([0.5, 1.0, 1.5, 2.0, 3.0], n1),
-            (rng.uniform(size=n1) < 0.8).astype(float),
-        )
-        S2 = kaplan_meier(
-            rng.choice([0.5, 1.0, 1.5, 2.0, 3.0], n2),
-            (rng.uniform(size=n2) < 0.8).astype(float),
-        )
-        c = tie_correction_term(S1, S2, float(rng.uniform(0.3, 4.0)))
+        t1 = rng.choice([0.5, 1.0, 1.5, 2.0, 3.0], n1)
+        e1 = (rng.uniform(size=n1) < 0.8).astype(float)
+        t2 = rng.choice([0.5, 1.0, 1.5, 2.0, 3.0], n2)
+        e2 = (rng.uniform(size=n2) < 0.8).astype(float)
+        data = TwoSampleDataset(t1, e1, np.zeros((n1, 0)), t2, e2, np.zeros((n2, 0)),
+                                tau=float(rng.uniform(0.3, 4.0)))
+        c = tie_correction_term(data)
         if not (0.0 <= c <= 0.5):
             ok_range = False
             break

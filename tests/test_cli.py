@@ -25,9 +25,8 @@ from releff.cli import (
 )
 from releff.gee import FitResult
 from releff.inference import BootstrapEnsemble, FitSpec, bootstrap
-from releff.predict import tie_correction_term
-from releff.pseudo import pseudo_marginals, pseudo_matrix
-from releff.survival import kaplan_meier, theta_integral
+from oracles import theta_hat
+from releff.pseudo import pseudo_marginals, pseudo_matrix, tie_correction_term
 
 
 def write_csv(path, rows, header=("group", "time", "status")):
@@ -84,6 +83,19 @@ class TestConfig:
         cfg.write_text(json.dumps({"taus": 2.0}))
         with pytest.raises(ConfigFailure):
             AnalysisConfig.from_file(cfg)
+
+    @pytest.mark.parametrize("top", ['["link"]', "5", "null", '"abc"'],
+                             ids=["list", "number", "null", "string"])
+    def test_top_level_not_an_object_exits_config(self, four_row_csv, tmp_path, caplog, top):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(top)
+        out = tmp_path / "out"
+        with caplog.at_level("ERROR", logger="releff"):
+            rc = main(["fit", "--data", str(four_row_csv), "--tau", "10",
+                       "--config", str(cfg), "--out-dir", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "must hold a JSON object" in caplog.text
+        assert not out.exists()
 
     def test_negative_seed_rejected(self, four_row_csv, tmp_path):
         with pytest.raises(ConfigFailure, match="seed"):
@@ -207,6 +219,18 @@ class TestIngest:
         data = ingest_csv(path, config)
         assert data.p1 == 1 and data.p2 == 1
 
+    def test_byte_order_mark_is_ignored(self, covariate_csv, tmp_path):
+        bom_csv = tmp_path / "bom.csv"
+        bom_csv.write_bytes(b"\xef\xbb\xbf" + covariate_csv.read_bytes())
+        outs = []
+        for name, path in (("plain", covariate_csv), ("bom", bom_csv)):
+            out = tmp_path / name
+            rc = main(["fit", "--data", str(path), "--tau", "4", "--cov1", "age",
+                       "--cov2", "age", "--out-dir", str(out)])
+            assert rc == EXIT_OK
+            outs.append((out / "coefficients.csv").read_bytes())
+        assert outs[0] == outs[1]
+
     def test_tau_defaults_to_largest_time(self, four_row_csv, caplog):
         with caplog.at_level("WARNING", logger="releff"):
             data = ingest_csv(four_row_csv, AnalysisConfig())
@@ -222,13 +246,11 @@ class TestIngest:
             data = ingest_csv(path, AnalysisConfig())
         assert data.tau == 4.0
         assert "event at exactly tau is not counted" in caplog.text
-        S1 = kaplan_meier(data.times1, data.events1)
-        S2 = kaplan_meier(data.times2, data.events2)
         # theta-hat, the pseudo matrix and its marginals leave out the jump of
         # S2 at tau (counted, theta-hat would be 1/2): they equal their values
         # at a horizon below it
         below = dataclasses.replace(data, tau=3.5)
-        assert theta_integral(S1, S2, data.tau) == pytest.approx(1 / 3)
+        assert theta_hat(data) == pytest.approx(1 / 3)
         np.testing.assert_array_equal(pseudo_matrix(data), pseudo_matrix(below))
         assert not np.array_equal(pseudo_matrix(data),
                                   pseudo_matrix(dataclasses.replace(data, tau=np.inf)))
@@ -237,7 +259,7 @@ class TestIngest:
         assert m.theta_hat[0] == pytest.approx(1 / 3)
         # the tie correction counts the common jump at tau: half of
         # dS1(4) dS2(4) = (1/3)(1/2), where leaving it out would give 0
-        assert tie_correction_term(S1, S2, data.tau) == pytest.approx(1 / 12)
+        assert tie_correction_term(data) == pytest.approx(1 / 12)
 
     def test_non_positive_default_tau_is_a_parse_error(self, tmp_path):
         path = tmp_path / "negative.csv"

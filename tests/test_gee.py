@@ -16,8 +16,6 @@ from releff.gee import (
     _paired_quadratic,
     _shared_row_column_meat,
     design_second_moment,
-    estimating_function,
-    jacobian,
     sandwich_covariance_uncensored,
     solve_identity,
     solve_newton,
@@ -89,63 +87,55 @@ class TestEstimatingFunction:
         pm, _, _ = instance(rng, p1=0, p2=0)
         Z1 = np.zeros((pm.shape[0], 0))
         Z2 = np.zeros((pm.shape[1], 0))
-        u = estimating_function(np.array([pm.mean()]), pm, Z1, Z2, IDENTITY)
+        u, _ = gee._Evaluator(pm, Z1, Z2, IDENTITY).evaluate(np.array([pm.mean()]))
         assert abs(u[0]) < 1e-12
 
     def test_zero_at_closed_form_solution(self, rng):
         pm, Z1, Z2 = instance(rng)
         beta = identity_fit(pm, Z1, Z2).beta
-        u = estimating_function(beta, pm, Z1, Z2, IDENTITY)
+        u, _ = gee._Evaluator(pm, Z1, Z2, IDENTITY).evaluate(beta)
         assert np.max(np.abs(u)) < 1e-10
 
     def test_matches_gradient_of_potential(self, rng):
         for link in (IDENTITY, LOGIT):
             pm, Z1, Z2 = instance(rng)
             beta = rng.uniform(-0.5, 0.5, 5)
-            u = estimating_function(beta, pm, Z1, Z2, link)
+            u, _ = gee._Evaluator(pm, Z1, Z2, link).evaluate(beta)
             g = fd_gradient(lambda b: objective(b, pm, Z1, Z2, link), beta)
             np.testing.assert_allclose(u, g, rtol=1e-6, atol=1e-8)
-
-    def test_dimension_mismatch(self, rng):
-        pm, Z1, Z2 = instance(rng)
-        with pytest.raises(ValueError):
-            estimating_function(np.zeros(3), pm, Z1, Z2, IDENTITY)
 
 
 class TestJacobian:
     def test_identity_is_negative_design_moment(self, rng):
         pm, Z1, Z2 = instance(rng)
-        J = jacobian(rng.uniform(-1, 1, 5), pm, Z1, Z2, IDENTITY)
+        _, J = gee._Evaluator(pm, Z1, Z2, IDENTITY).evaluate(rng.uniform(-1, 1, 5))
         np.testing.assert_allclose(J, -design_second_moment(Z1, Z2), atol=1e-12)
 
     def test_scalar_identity_is_minus_one(self, rng):
         pm, _, _ = instance(rng, p1=0, p2=0)
         Z1 = np.zeros((pm.shape[0], 0))
         Z2 = np.zeros((pm.shape[1], 0))
-        J = jacobian(np.array([0.3]), pm, Z1, Z2, IDENTITY)
+        _, J = gee._Evaluator(pm, Z1, Z2, IDENTITY).evaluate(np.array([0.3]))
         assert J[0, 0] == pytest.approx(-1.0)
 
     def test_logit_matches_finite_differences(self, rng):
         pm, Z1, Z2 = instance(rng)
         beta = rng.uniform(-0.5, 0.5, 5)
-        J = jacobian(beta, pm, Z1, Z2, LOGIT)
+        evaluate = gee._Evaluator(pm, Z1, Z2, LOGIT).evaluate
+        _, J = evaluate(beta)
         h = 1e-6
         fd = np.zeros_like(J)
         for k in range(5):
             e = np.zeros(5)
             e[k] = h
-            fd[:, k] = (
-                estimating_function(beta + e, pm, Z1, Z2, LOGIT)
-                - estimating_function(beta - e, pm, Z1, Z2, LOGIT)
-            ) / (2 * h)
+            fd[:, k] = (evaluate(beta + e)[0] - evaluate(beta - e)[0]) / (2 * h)
         np.testing.assert_allclose(J, fd, rtol=1e-5, atol=1e-8)
         np.testing.assert_allclose(J, J.T, atol=1e-12)
 
 
 class TestWorkspaceMatchesOracle:
-    """The blocked evaluator behind ``estimating_function`` and ``jacobian``
-    against U and J recomputed from the oracle's own link terms over an
-    explicit pair design."""
+    """The blocked evaluator ``gee._Evaluator`` against U and J recomputed
+    from the oracle's own link terms over an explicit pair design."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -162,16 +152,21 @@ class TestWorkspaceMatchesOracle:
         # Newton's two starts; the warm one is also the identity-link root,
         # where U cancels to rounding level, hence the absolute tolerance
         beta = identity_fit(pm, Z1, Z2).beta if warm else np.zeros(5)
+        evaluator = gee._Evaluator(pm, Z1, Z2, link)
         for b in (beta, beta + rng.uniform(-0.5, 0.5, 5)):
-            np.testing.assert_allclose(
-                estimating_function(b, pm, Z1, Z2, link),
-                oracles.score(b, pm, Z1, Z2, link), rtol=1e-10, atol=1e-13)
-            np.testing.assert_allclose(
-                jacobian(b, pm, Z1, Z2, link),
-                oracles.jacobian(b, pm, Z1, Z2, link), rtol=1e-10, atol=1e-13)
+            U, J = evaluator.evaluate(b)
+            np.testing.assert_allclose(U, oracles.score(b, pm, Z1, Z2, link),
+                                       rtol=1e-10, atol=1e-13)
+            np.testing.assert_allclose(J, oracles.jacobian(b, pm, Z1, Z2, link),
+                                       rtol=1e-10, atol=1e-13)
 
 
 class TestSolvers:
+    def test_dimension_mismatch(self, rng):
+        pm, Z1, Z2 = instance(rng)
+        with pytest.raises(ValueError):
+            solve_newton(pm, Z1, Z2, IDENTITY, x0=np.zeros(3))
+
     def test_closed_form_equals_newton(self, rng):
         for censored in (False, True):
             pm, Z1, Z2 = instance(rng, censored=censored)
@@ -259,7 +254,7 @@ class TestSolveIdentity:
         for k, pm in enumerate(pms):
             single = identity_fit(pm, Z1s[k], Z2s[k])
             np.testing.assert_allclose(fits.beta[k], single.beta, rtol=0, atol=1e-12)
-            u = estimating_function(fits.beta[k], pm, Z1s[k], Z2s[k], IDENTITY)
+            u, _ = gee._Evaluator(pm, Z1s[k], Z2s[k], IDENTITY).evaluate(fits.beta[k])
             assert fits.gradient_norm[k] == pytest.approx(np.max(np.abs(u)), abs=1e-13)
 
     def test_strict_singular_leaves_only_singular_rows_unsolved(self, rng):

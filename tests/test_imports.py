@@ -1,4 +1,5 @@
-"""Static check of the package sources: every name a module imports is used."""
+"""Static checks of the package sources: every name a module imports is used,
+and every name its ``__all__`` exports is bound."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,8 @@ import pytest
 
 import releff
 
-MODULES = sorted(p for p in Path(releff.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(releff.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str):
@@ -31,3 +33,36 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def stale_exports(source: str):
+    """Names in the module-level ``__all__`` of ``source`` that the module
+    never binds: not defined, assigned or imported at its top level."""
+    tree = ast.parse(source)
+    bound = set()
+    exported = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names = {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+                bound |= names
+                if names == {"__all__"}:
+                    exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
+def test_checker_finds_stale_exports():
+    source = ('from a import b\nimport c.d\nX, Y = 1, 2\nZ: int = 3\n'
+              'def f(): pass\nclass K: pass\n'
+              '__all__ = ["b", "c", "X", "Y", "Z", "f", "K", "gone"]\n')
+    assert stale_exports(source) == ["gone"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_export_is_bound(path):
+    assert stale_exports(path.read_text(encoding="utf-8")) == []

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import random_dataset
-from oracles import prediction_interval
+from oracles import kaplan_meier, prediction_interval
 from releff.gee import FitResult, IDENTITY, LOGIT
 from releff.inference import BootstrapEnsemble, FitSpec, bootstrap
-from releff.predict import Predictions, predict_profiles, tie_correction_term
-from releff.survival import TwoSampleDataset, kaplan_meier
+from releff.predict import Predictions, predict_profiles
+from releff.pseudo import tie_correction_term
+from releff.survival import TwoSampleDataset
 
 
 def fixed_fit(beta):
@@ -23,31 +25,50 @@ def point_prediction(fit, z1, z2, link=IDENTITY, correction=None):
     return predict_profiles(fit, ens, [z1], [z2], link=link, correction=correction)
 
 
+def two_samples(t1, t2, tau, e1=None, e2=None):
+    """A dataset without covariates; ``e=None`` means fully observed."""
+    n1, n2 = len(t1), len(t2)
+    e1 = np.ones(n1) if e1 is None else e1
+    e2 = np.ones(n2) if e2 is None else e2
+    return TwoSampleDataset(t1, e1, np.zeros((n1, 0)), t2, e2, np.zeros((n2, 0)), tau=tau)
+
+
+TIED_TIMES = (0.5, 1.0, 1.5, 2.0, 3.0)
+
+
+@st.composite
+def tied_samples(draw):
+    """Times on TIED_TIMES, each subject an event or a censoring, so that
+    censorings fall on event times; tau on one of the times (often a common
+    jump), between them, beyond them or below every time."""
+    groups = []
+    for _ in range(2):
+        n = draw(st.integers(2, 12))
+        groups.append((draw(st.lists(st.sampled_from(TIED_TIMES), min_size=n, max_size=n)),
+                       draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))))
+    tau = draw(st.sampled_from(TIED_TIMES + (0.25, 1.75, 4.0)))
+    (t1, e1), (t2, e2) = groups
+    return two_samples(t1, t2, tau, e1, e2)
+
+
 class TestTieCorrection:
     def test_no_events_before_tau_gives_half(self):
-        S1 = kaplan_meier([5.0, 6.0])
-        S2 = kaplan_meier([7.0, 8.0])
-        assert tie_correction_term(S1, S2, 1.0) == pytest.approx(0.5)
+        assert tie_correction_term(two_samples([5.0, 6.0], [7.0, 8.0], 1.0)) == pytest.approx(0.5)
 
     def test_exhausted_curves_without_common_jumps_give_zero(self):
-        S1 = kaplan_meier([1.0, 2.0])
-        S2 = kaplan_meier([1.5, 2.5])
-        assert tie_correction_term(S1, S2, 3.0) == 0.0
+        assert tie_correction_term(two_samples([1.0, 2.0], [1.5, 2.5], 3.0)) == 0.0
 
     def test_identical_samples_split_tie_mass(self):
         # both groups {1, 2}: tie probability 1/2, correction 1/4
-        S = kaplan_meier([1.0, 2.0])
-        assert tie_correction_term(S, S, 3.0) == pytest.approx(0.25)
+        assert tie_correction_term(two_samples([1.0, 2.0], [1.0, 2.0], 3.0)) == pytest.approx(0.25)
 
     def test_boundary_jump_included(self):
-        S = kaplan_meier([1.0, 2.0])
         # tau exactly at the second jump: both jumps counted, plateau zero
-        assert tie_correction_term(S, S, 2.0) == pytest.approx(0.25)
+        assert tie_correction_term(two_samples([1.0, 2.0], [1.0, 2.0], 2.0)) == pytest.approx(0.25)
 
     def test_infinite_tau_rejected(self):
-        S = kaplan_meier([1.0])
         with pytest.raises(ValueError):
-            tie_correction_term(S, S, np.inf)
+            tie_correction_term(two_samples([1.0, 2.0], [1.0, 2.0], np.inf))
 
     @given(
         st.lists(st.floats(0.1, 10), min_size=2, max_size=20),
@@ -56,8 +77,20 @@ class TestTieCorrection:
     )
     @settings(max_examples=200, deadline=None)
     def test_range(self, s1, s2, tau):
-        c = tie_correction_term(kaplan_meier(s1), kaplan_meier(s2), tau)
+        c = tie_correction_term(two_samples(s1, s2, tau))
         assert 0.0 <= c <= 0.5
+
+    @given(tied_samples())
+    # tau on a common jump, with censorings at it in both groups
+    @example(two_samples([1.0, 2.0, 2.0, 2.0], [2.0, 2.0, 3.0], 2.0, [1, 1, 0, 1], [1, 0, 1]))
+    # tau below every time
+    @example(two_samples([1.0, 1.0, 3.0], [0.5, 1.0], 0.25, [1, 0, 1], [1, 1]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_two_curve_oracle_under_heavy_ties(self, data):
+        S1 = kaplan_meier(data.times1, data.events1)
+        S2 = kaplan_meier(data.times2, data.events2)
+        expected = oracles.tie_correction_term(S1, S2, data.tau)
+        assert tie_correction_term(data) == pytest.approx(expected, rel=0, abs=1e-15)
 
 
 class TestPredictProbability:
@@ -120,9 +153,7 @@ class TestPredictWithCI:
     def test_interval_brackets_point(self, rng):
         data = random_dataset(rng, 20, 20, censored=True, tau=3.0)
         ens = bootstrap(data, B=80, seed=4)
-        S1 = kaplan_meier(data.times1, data.events1)
-        S2 = kaplan_meier(data.times2, data.events2)
-        corr = tie_correction_term(S1, S2, data.tau)
+        corr = tie_correction_term(data)
         for method in ("emp", "quantile"):
             pred = predict_profiles(ens.base_fit, ens, [[0.3, -0.2]], [[0.3, -0.2]],
                                     correction=corr, method=method)

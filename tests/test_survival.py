@@ -1,16 +1,15 @@
+"""The Kaplan-Meier oracles (step-function curves, product-limit estimator,
+Stieltjes sums), the prefix-product leave-one-out curves against them, and
+the dataset's validation."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import leave_one_out_km
+from oracles import SurvivalCurve, kaplan_meier, leave_one_out_km, theta_integral
 from releff.pseudo import _SortedLeaveOneOut
-from releff.survival import (
-    SurvivalCurve,
-    TwoSampleDataset,
-    kaplan_meier,
-    theta_integral,
-)
+from releff.survival import TwoSampleDataset
 
 
 def empirical_survivor(sample, t):
@@ -19,14 +18,12 @@ def empirical_survivor(sample, t):
 
 
 class TestSurvivalCurve:
-    def test_right_continuity_and_left_limit(self):
+    def test_right_continuity(self):
         S = SurvivalCurve(np.array([1.0, 2.0]), np.array([0.5, 0.0]))
         assert S(0.5) == 1.0
         assert S(1.0) == 0.5          # value after the jump
-        assert S.left_limit(1.0) == 1.0
         assert S(1.5) == 0.5
         assert S(2.0) == 0.0
-        assert S.left_limit(2.0) == 0.5
         assert S(10.0) == 0.0
 
     def test_jump_sizes(self):
