@@ -3,20 +3,35 @@
 Produces one CSV row per (scenario, setting, sizes, censoring, hypothesis)
 combination with the four bootstrap-test rejection rates, the number of
 failed Monte Carlo runs and the degenerate-scale flag, mirroring the layout
-used by `releff simulate`.  Quick by default; pass --reps 10000 with
---long-run for a full-scale run (minutes: --reps 200 takes about 4 s per
-censoring half on a 2-vCPU Xeon VM).
+used by `releff simulate`.  Each cell's wall seconds and runs per second are
+printed, and a manifest (the command line, seed, reps, library versions and
+per-cell seconds and failure counts) is written beside the CSV as
+`<out stem>.manifest.json`.  Quick by default; pass --reps 10000 with
+--long-run for a full-scale run.  On a 2-vCPU Xeon VM with one BLAS thread
+a censoring half takes about 2.3 s at --reps 200, most of it start-up, and
+about 35 s at --reps 10000 (1.0-1.8 s per cell).
 """
 
 import argparse
+import json
+import platform
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
+import scipy
+
+import releff
 from releff.sim import check_reps, make_scenario, run_scenario, write_result_rows
 
 SIZES = [(40, 60), (50, 50), (80, 50)]
 GRID = [("i", "I"), ("i", "II"), ("ii", "I"), ("ii", "II"),
         ("iii", "I"), ("iii", "II"), ("iv", "I"), ("iv", "II")]
+
+
+def manifest_path(out: Path) -> Path:
+    return out.with_name(out.stem + ".manifest.json")
 
 
 def main(argv=None):
@@ -33,11 +48,19 @@ def main(argv=None):
         ap.error(str(exc))
 
     rows = []
+    cells = []
     for scenario_id, setting in GRID:
         for n1, n2 in SIZES:
             sc = make_scenario(scenario_id, setting, n1, n2, args.censored)
-            new_rows, _ = run_scenario(sc, M=args.reps, seed=args.seed)
+            start = time.perf_counter()
+            new_rows, result = run_scenario(sc, M=args.reps, seed=args.seed)
+            seconds = time.perf_counter() - start
             rows.extend(new_rows)
+            cells.append({
+                "scenario": scenario_id, "setting": setting, "n1": n1, "n2": n2,
+                "seconds": seconds, "failed": result.failed,
+                "singular": result.singular, "nonconverged": result.nonconverged,
+            })
             for r in new_rows:
                 print(
                     f"{r['scenario']:>3} {r['setting']:>2} ({n1},{n2}) "
@@ -46,8 +69,21 @@ def main(argv=None):
                     f"quant={r['rate_quantile']:.3f} "
                     f"failed={r['failed']} degenerate={r['degenerate']}"
                 )
-    write_result_rows(rows, Path(args.out))
-    print(f"wrote {args.out}")
+            print(f"{scenario_id:>3} {setting:>2} ({n1},{n2}): {seconds:.2f} s, "
+                  f"{args.reps / seconds:.0f} runs/s")
+    out = Path(args.out)
+    write_result_rows(rows, out)
+    manifest = {
+        "argv": sys.argv[1:] if argv is None else list(argv),
+        "seed": args.seed,
+        "reps": args.reps,
+        "censored": args.censored,
+        "versions": {"releff": releff.__version__, "python": platform.python_version(),
+                     "numpy": np.__version__, "scipy": scipy.__version__},
+        "cells": cells,
+    }
+    manifest_path(out).write_text(json.dumps(manifest, indent=2) + "\n")
+    print(f"wrote {out} and {manifest_path(out)}")
 
 
 if __name__ == "__main__":

@@ -111,9 +111,9 @@ class AnalysisConfig:
     @classmethod
     def from_file(cls, path) -> "AnalysisConfig":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigFailure(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigFailure(f"config {path} must hold a JSON object")

@@ -9,9 +9,12 @@ the resampled (and simulated) datasets of a chunk are stacked on a leading
 axis and, for the identity link, fitted by one ``pseudo_marginals`` and one
 ``gee.solve_identity`` call.  The logit link fits the chunk's datasets one
 by one through the full pseudo matrix.  A chunk holds at most
-``STACK_ELEMENTS // (n1 + n2 + 2)`` datasets, so memory does not grow with
-B or M.  Warp-speed runs are simulated straight into a chunk's stacked
-arrays by a chunk simulator; no dataset object is built per run.
+``STACK_ELEMENTS // (n1 + n2 + 2)`` datasets (160 at n1 = n2 = 50), so
+memory does not grow with B or M, and a Monte Carlo task of a few hundred
+runs at that size pays the fixed cost of a stacked fit once or twice.
+Warp-speed runs are simulated straight into a chunk's stacked arrays by a
+chunk simulator; no dataset object is built per run.  Each run or
+replicate draws its whole resample, both groups, in one generator call.
 
 ``decide`` turns one coefficient's centered replicates into the four test
 decisions; ``test_coefficient`` applies it to one estimate and
@@ -20,6 +23,7 @@ decisions; ``test_coefficient`` applies it to one estimate and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Protocol, Sequence
@@ -55,8 +59,9 @@ METHODS = ("emp", "iqr", "mad", "quantile")
 MAX_FAILURE_FRACTION = 0.05
 
 # element budget of one stacked fit: a chunk holds at most
-# STACK_ELEMENTS // (n1 + n2 + 2) datasets (40 at n1 = n2 = 50)
-STACK_ELEMENTS = 1 << 12
+# STACK_ELEMENTS // (n1 + n2 + 2) datasets (160 at n1 = n2 = 50, a few MB
+# of working set)
+STACK_ELEMENTS = 1 << 14
 
 
 def _chunk_size(n1: int, n2: int) -> int:
@@ -86,13 +91,10 @@ class DatasetStack:
     def resampled(self, idx1: np.ndarray, idx2: np.ndarray) -> "DatasetStack":
         """Dataset k resampled with rows idx1[k] and idx2[k]; a stack of one
         dataset is resampled once per row of idx1 and idx2."""
-        def take(values, idx):
-            return np.take_along_axis(values, idx.reshape(idx.shape + (1,) * (values.ndim - 2)),
-                                      axis=1)
-
+        k = np.arange(len(self))[:, None]
         return DatasetStack(
-            take(self.times1, idx1), take(self.events1, idx1), take(self.covariates1, idx1),
-            take(self.times2, idx2), take(self.events2, idx2), take(self.covariates2, idx2),
+            self.times1[k, idx1], self.events1[k, idx1], self.covariates1[k, idx1],
+            self.times2[k, idx2], self.events2[k, idx2], self.covariates2[k, idx2],
             np.broadcast_to(self.tau, idx1.shape[:1]),
         )
 
@@ -201,8 +203,16 @@ def _replicate_rng(seed: int, b: int) -> np.random.Generator:
 
 
 def resample_indices(rng: np.random.Generator, n1: int, n2: int):
-    """Within-group resampling with replacement; group 1 drawn first."""
-    return rng.integers(0, n1, size=n1), rng.integers(0, n2, size=n2)
+    """Within-group resampling with replacement; group 1 drawn first.
+
+    Both groups come from one call with the bound n1 for the first n1 draws
+    and n2 for the rest, which gives the stream of
+    ``rng.integers(0, n1, size=n1)`` followed by
+    ``rng.integers(0, n2, size=n2)``."""
+    high = np.full(n1 + n2, n2)
+    high[:n1] = n1
+    idx = rng.integers(0, high)
+    return idx[:n1], idx[n1:]
 
 
 def bootstrap(
@@ -258,6 +268,11 @@ def scale_estimates(values: np.ndarray):
     return emp, iqr, mad
 
 
+@functools.lru_cache(maxsize=16)
+def _two_sided_z(alpha: float) -> float:
+    return float(norm.ppf(1 - alpha / 2))
+
+
 def decide(estimates, centered: np.ndarray, alpha: float = 0.05) -> dict:
     """The four bootstrap tests of H0: beta = 0 at ``estimates`` (one float
     or an array) from the 1-D centered replicates of that coefficient.
@@ -271,7 +286,7 @@ def decide(estimates, centered: np.ndarray, alpha: float = 0.05) -> dict:
     with the interval (estimate - q_hi, estimate - q_lo).  For one float the
     flags are bools, for an array boolean arrays.
     """
-    z = float(norm.ppf(1 - alpha / 2))
+    z = _two_sided_z(alpha)
     decisions = {}
     for name, scale in zip(METHODS, scale_estimates(centered)):
         if scale <= 0:

@@ -44,7 +44,6 @@ from releff.inference import (
     FitSpec,
     WarpSpeedResult,
     _replicate_rng,
-    resample_indices,
     scale_estimates,
 )
 from releff.pseudo import pseudo_matrix
@@ -327,6 +326,12 @@ def resampled(data: TwoSampleDataset, idx1, idx2) -> TwoSampleDataset:
         data.times2[idx2], data.events2[idx2], data.covariates2[idx2],
         tau=data.tau,
     )
+
+
+def resample_indices(rng, n1, n2):
+    """Within-group resampling with replacement, one generator call per
+    group, group 1 first."""
+    return rng.integers(0, n1, size=n1), rng.integers(0, n2, size=n2)
 
 
 def identity_fit(matrix, Z1, Z2, strict_singular=False) -> FitResult:

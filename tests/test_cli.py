@@ -84,6 +84,24 @@ class TestConfig:
         with pytest.raises(ConfigFailure):
             AnalysisConfig.from_file(cfg)
 
+    def test_config_with_byte_order_mark_is_read(self, tmp_path):
+        # editors such as Notepad save UTF-8 with a leading byte-order mark
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"alpha": 0.1, "seed": 3}).encode())
+        config = AnalysisConfig.from_file(cfg)
+        assert (config.alpha, config.seed) == (0.1, 3)
+
+    def test_config_not_utf8_exits_config(self, four_row_csv, tmp_path, caplog):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"link": "identity\xff"}')
+        out = tmp_path / "out"
+        with caplog.at_level("ERROR", logger="releff"):
+            rc = main(["fit", "--data", str(four_row_csv), "--tau", "10",
+                       "--config", str(cfg), "--out-dir", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "cannot read config" in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize("top", ['["link"]', "5", "null", '"abc"'],
                              ids=["list", "number", "null", "string"])
     def test_top_level_not_an_object_exits_config(self, four_row_csv, tmp_path, caplog, top):

@@ -6,6 +6,7 @@ from scipy.stats import norm
 
 import oracles
 from conftest import random_dataset
+from releff import inference
 from oracles import PerRun, resampled
 from releff.gee import IDENTITY, LOGIT, FitResult
 from releff.inference import (
@@ -52,11 +53,27 @@ def test_replicate_streams_are_order_independent():
         np.testing.assert_array_equal(draws_forward[b], draws_reversed[4 - b])
 
 
+@pytest.mark.parametrize("n1, n2", [(2, 2), (13, 17), (40, 60), (50, 50), (3, 1000)])
+def test_one_call_resample_is_the_two_call_stream(n1, n2):
+    # one bounded-integer call over both groups must draw what one call per
+    # group draws and leave the generator in the same state, so the pinned
+    # Monte Carlo and bootstrap streams do not move
+    for seed in range(3):
+        got_rng, want_rng = _replicate_rng(seed, 5), _replicate_rng(seed, 5)
+        got = resample_indices(got_rng, n1, n2)
+        want = oracles.resample_indices(want_rng, n1, n2)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+        assert got_rng.integers(0, 2**40) == want_rng.integers(0, 2**40)
+        np.testing.assert_array_equal(got_rng.random(3), want_rng.random(3))
+
+
 def test_single_replicate_matches_manual_refit(rng):
     data = random_dataset(rng, 10, 10, censored=True)
     spec = FitSpec()
     ens = bootstrap(data, spec=spec, B=1, seed=3)
-    idx1, idx2 = resample_indices(_replicate_rng(3, 0), data.n1, data.n2)
+    idx1, idx2 = oracles.resample_indices(_replicate_rng(3, 0), data.n1, data.n2)
     manual = spec.fit(resampled(data, idx1, idx2))
     np.testing.assert_allclose(ens.replicates[0], manual.beta)
 
@@ -414,10 +431,32 @@ def test_bootstrap_matches_per_replicate_refits():
         data = simulator.make_dataset(np.random.default_rng(8))
         ens = bootstrap(data, spec=spec, B=30, seed=2)
         for b in range(30):
-            idx1, idx2 = resample_indices(_replicate_rng(2, b), data.n1, data.n2)
+            idx1, idx2 = oracles.resample_indices(_replicate_rng(2, b), data.n1, data.n2)
             want = oracles.matrix_fit(spec, resampled(data, idx1, idx2))
             want = want.beta if want.converged else np.full(want.beta.shape, np.nan)
             np.testing.assert_allclose(ens.replicates[b], want, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 7], ids=["one-per-chunk", "with-remainder"])
+def test_chunking_does_not_change_identity_results(monkeypatch, per_chunk):
+    # every identity case, warp-speed and bootstrap, chunked per_chunk at a
+    # time (60 = 8 * 7 + 4) against the whole task in one chunk
+    def outputs(simulator, spec, per_chunk):
+        size = simulator.n1 + simulator.n2 + 2
+        monkeypatch.setattr(inference, "STACK_ELEMENTS", per_chunk * size)
+        assert inference._chunk_size(simulator.n1, simulator.n2) == per_chunk
+        res = warp_speed(simulator, M=60, seed=4, spec=spec)
+        ens = bootstrap(simulator.make_dataset(np.random.default_rng(8)), spec=spec, B=60, seed=2)
+        return [res.estimates, res.centered_replicates, *res.rejection_rates.values(),
+                res.failed, res.singular, res.nonconverged, res.degenerate,
+                ens.replicates, ens.failed, ens.singular, ens.nonconverged]
+
+    cases = [(simulator, spec) for simulator, spec in oracle_cases() if spec.link == IDENTITY]
+    assert len(cases) == 4
+    for simulator, spec in cases:
+        whole = outputs(simulator, spec, 60)
+        for got, want in zip(outputs(simulator, spec, per_chunk), whole, strict=True):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_warp_speed_memory_does_not_grow_with_runs():
@@ -432,8 +471,10 @@ def test_warp_speed_memory_does_not_grow_with_runs():
         finally:
             tracemalloc.stop()
 
-    small, _ = peak(200)
-    large, res = peak(2000)
+    # whole chunks at both sizes, so both peaks hold one full chunk
+    chunk = inference._chunk_size(10, 10)
+    small, _ = peak(2 * chunk)
+    large, res = peak(6 * chunk)
     # beyond the (M, p) results themselves, which warp_speed returns
     results = res.estimates.nbytes + res.centered_replicates.nbytes
     assert large - small < 2 * results

@@ -11,7 +11,6 @@ from releff.inference import (
     FitSpec,
     _replicate_rng,
     _simulated_chunk,
-    resample_indices,
     warp_speed,
 )
 from releff.sim import (
@@ -228,7 +227,7 @@ class TestStackSimulation:
             for k, m in enumerate(runs):
                 rng = _replicate_rng(7, m)
                 data = simulate_dataset(sc, rng)
-                want1, want2 = resample_indices(rng, sc.n1, sc.n2)
+                want1, want2 = oracles.resample_indices(rng, sc.n1, sc.n2)
                 drawn = oracles.simulate_dataset(sc, _replicate_rng(7, m))
                 for f in fields(DatasetStack):
                     got = getattr(stack, f.name)[k]
