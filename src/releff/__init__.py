@@ -25,7 +25,6 @@ from .sim import (
     make_scenario,
     simulate_dataset,
     true_theta_weibull_equal_shapes,
-    warp_speed_harness,
     run_scenario,
 )
 

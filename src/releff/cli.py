@@ -45,6 +45,10 @@ EXIT_CONFIG = 4
 # residual); a larger working set is refused before any fit
 WORKING_SET_BYTES = 2 << 30
 
+# the configuration fields ``simulate`` reads; it refuses a config file that
+# sets any other away from its default
+SIMULATE_FIELDS = ("seed", "alpha", "out_dir")
+
 
 class ParseFailure(Exception):
     pass
@@ -244,19 +248,20 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_dir: Path, command: str, config: AnalysisConfig,
+def write_manifest(out_dir: Path, command: str, settings: dict,
                    inputs=(), outputs=(), data=None, ensemble=None, fit=None,
                    predictions=None, montecarlo=None):
-    """Record the command, the library versions, its configuration and what
-    the run actually used: the horizon of ``data``, the failures by cause of
-    the bootstrap ``ensemble`` or of the ``montecarlo`` runs, how the base
-    ``fit`` was solved and how many ``predictions`` fell outside [0, 1]."""
+    """Record the command, the library versions, the configuration
+    ``settings`` it read and what the run actually used: the horizon of
+    ``data``, the failures by cause of the bootstrap ``ensemble`` or of the
+    ``montecarlo`` runs, how the base ``fit`` was solved and how many
+    ``predictions`` fell outside [0, 1]."""
     lines = [
         f"command={command}", f"version={__version__}",
         f"python={platform.python_version()}", f"numpy={np.__version__}",
         f"scipy={scipy.__version__}",
     ]
-    for key, value in asdict(config).items():
+    for key, value in settings.items():
         lines.append(f"config.{key}={value}")
     if data is not None:
         lines.append(f"data.tau={data.tau}")
@@ -316,11 +321,13 @@ def _prepare(args, resample=True, predict=False):
     and fits the model.  With ``resample`` a seed is required and the
     bootstrap is run, and the base fit is its ``base_fit``.  The base fit
     must converge to finite coefficients.  For ``predict`` both groups must
-    name the same covariate columns and the horizon must be finite.  Returns
-    (config, data, out_dir, ensemble, fit); ``ensemble`` is None without
-    ``resample``.
+    name the same covariate columns, the horizon must be finite and the
+    interval method is emp or quantile.  Returns (config, data, out_dir,
+    ensemble, fit); ``ensemble`` is None without ``resample``.
     """
     config = _build_config(args, require_seed=resample)
+    if not args.data:
+        raise ConfigFailure("an input data file is required (use --data)")
     if predict and config.covariates1 != config.covariates2:
         raise ConfigFailure(
             "predict uses each subject's covariates for both groups; "
@@ -329,6 +336,9 @@ def _prepare(args, resample=True, predict=False):
     if predict and config.tau == math.inf:
         raise ConfigFailure("predict needs a finite horizon for the tie correction; "
                             "set a finite --tau")
+    if predict and config.method in ("iqr", "mad"):
+        raise ConfigFailure(f"predict has no {config.method} interval; "
+                            "use --method emp or quantile")
     data = ingest_csv(args.data, config)
     _check_working_set(config, data, sandwich=not resample)
     out_dir = Path(config.out_dir)
@@ -384,7 +394,7 @@ def cmd_fit(args) -> int:
         writer = csv.DictWriter(fh, fieldnames=header)
         writer.writeheader()
         writer.writerows(rows)
-    write_manifest(out_dir, "fit", config, inputs=[args.data], outputs=[out_path],
+    write_manifest(out_dir, "fit", asdict(config), inputs=[args.data], outputs=[out_path],
                    data=data, ensemble=ensemble, fit=result)
     print(f"wrote {out_path}")
     return EXIT_OK
@@ -403,7 +413,7 @@ def cmd_test(args) -> int:
             for method in methods:
                 scale, ci, reject = rep.decisions[method]   # csv writes None as ""
                 writer.writerow([name, rep.estimate, method, scale, ci[0], ci[1], reject])
-    write_manifest(out_dir, "test", config, inputs=[args.data], outputs=[out_path],
+    write_manifest(out_dir, "test", asdict(config), inputs=[args.data], outputs=[out_path],
                    data=data, ensemble=ensemble, fit=fit)
     print(f"wrote {out_path}")
     return EXIT_OK
@@ -433,14 +443,19 @@ def cmd_predict(args) -> int:
         )
         for i, row in enumerate(columns):
             writer.writerow([i, *row, correction])
-    write_manifest(out_dir, "predict", config, inputs=[args.data], outputs=[out_path],
+    write_manifest(out_dir, "predict", asdict(config), inputs=[args.data], outputs=[out_path],
                    data=data, ensemble=ensemble, fit=fit, predictions=preds)
     print(f"wrote {out_path} (tie correction {correction:.4f})")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    config = _build_config(args, require_seed=True, need_data=False)
+    config = _build_config(args, require_seed=True)
+    settings, defaults = asdict(config), asdict(AnalysisConfig())
+    unread = [k for k, v in settings.items() if k not in SIMULATE_FIELDS and v != defaults[k]]
+    if unread:
+        raise ConfigFailure(f"simulate does not read {', '.join(unread)}; "
+                            "remove them from the configuration")
     try:
         check_reps(args.reps, args.long_run)
         scenario = make_scenario(args.scenario, args.setting, args.n1, args.n2, args.censored)
@@ -455,13 +470,13 @@ def cmd_simulate(args) -> int:
     np.savetxt(dump_path, result.estimates, delimiter=",",
                header=",".join(f"beta{k}" for k in range(result.estimates.shape[1])),
                comments="")
-    write_manifest(out_dir, "simulate", config, outputs=[out_path, dump_path],
-                   montecarlo=result)
+    write_manifest(out_dir, "simulate", {k: settings[k] for k in SIMULATE_FIELDS},
+                   outputs=[out_path, dump_path], montecarlo=result)
     print(f"wrote {out_path}")
     return EXIT_OK
 
 
-def _build_config(args, require_seed=False, need_data=True) -> AnalysisConfig:
+def _build_config(args, require_seed=False) -> AnalysisConfig:
     if getattr(args, "config", None):
         config = AnalysisConfig.from_file(args.config)
     else:
@@ -472,8 +487,6 @@ def _build_config(args, require_seed=False, need_data=True) -> AnalysisConfig:
     config = AnalysisConfig(**{**asdict(config), **overrides})
     if require_seed and config.seed is None:
         raise ConfigFailure("a seed is required for this command (use --seed)")
-    if need_data and not getattr(args, "data", None):
-        raise ConfigFailure("an input data file is required (use --data)")
     return config
 
 
@@ -489,17 +502,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=True):
+    def common(p, func):
         p.add_argument("--config", help="JSON configuration file")
-        if data:
-            p.add_argument("--data", help="input CSV (group,time,status,covariates)")
         p.add_argument("--out-dir", dest="out_dir", help="output directory")
         p.add_argument("--seed", type=int)
+        p.add_argument("--alpha", type=float)
+        p.set_defaults(func=func)
+
+    for name, func, text in (
+        ("fit", cmd_fit, "fit the model, optionally with bootstrap SEs"),
+        ("test", cmd_test, "bootstrap hypothesis tests per coefficient"),
+        ("predict", cmd_predict, "tie-corrected per-subject predictions"),
+    ):
+        p = sub.add_parser(name, help=text)
+        common(p, func)
+        p.add_argument("--data", help="input CSV (group,time,status,covariates)")
         p.add_argument("--tau", type=float,
                        help="horizon; inf for none (default: the largest observed time)")
         p.add_argument("--link", choices=LINKS)
         p.add_argument("--bootstrap", dest="B", type=int, help="number of bootstrap replicates")
-        p.add_argument("--alpha", type=float)
         p.add_argument("--method", choices=[*METHODS, "all"])
         p.add_argument("--cov1", dest="covariates1", type=_csv_list,
                        help="group-1 covariate columns, comma separated")
@@ -507,20 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="group-2 covariate columns, comma separated")
         p.add_argument("--strict-singular", dest="strict_singular", action="store_const", const=True)
 
-    p_fit = sub.add_parser("fit", help="fit the model, optionally with bootstrap SEs")
-    common(p_fit)
-    p_fit.set_defaults(func=cmd_fit)
-
-    p_test = sub.add_parser("test", help="bootstrap hypothesis tests per coefficient")
-    common(p_test)
-    p_test.set_defaults(func=cmd_test)
-
-    p_pred = sub.add_parser("predict", help="tie-corrected per-subject predictions")
-    common(p_pred)
-    p_pred.set_defaults(func=cmd_predict)
-
     p_sim = sub.add_parser("simulate", help="Monte Carlo rejection-rate study")
-    common(p_sim, data=False)
+    common(p_sim, cmd_simulate)
     p_sim.add_argument("--scenario", required=True, choices=["i", "ii", "iii", "iv"])
     p_sim.add_argument("--setting", default="II", choices=["I", "II"])
     p_sim.add_argument("--n1", type=int, default=50)
@@ -529,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=int, default=1000)
     p_sim.add_argument("--long-run", dest="long_run", action="store_true",
                        help="allow full-scale replication counts")
-    p_sim.set_defaults(func=cmd_simulate)
     return parser
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pseudo import _indicator_matrix, matrix_working_set
+from .pseudo import matrix_working_set, pseudo_matrix
 from .survival import TwoSampleDataset
 
 log = logging.getLogger("releff")
@@ -418,7 +418,7 @@ def sandwich_covariance_uncensored(data: TwoSampleDataset) -> np.ndarray:
         )
     Z1, Z2 = data.covariates1, data.covariates2
     n1, n2 = data.n1, data.n2
-    D = _indicator_matrix(data)
+    D = pseudo_matrix(data)
     beta = solve_identity(D.mean(axis=1)[None], D.mean(axis=0)[None], Z1[None], Z2[None]).beta[0]
     left, right = _eta_factors(*_group_parts(beta, Z1, Z2))
     R = D - left @ right

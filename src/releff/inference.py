@@ -184,10 +184,6 @@ class BootstrapEnsemble:
     def ok(self) -> np.ndarray:
         return ~np.any(np.isnan(self.replicates), axis=1)
 
-    @property
-    def centered(self) -> np.ndarray:
-        return self.replicates[self.ok] - self.base_fit.beta
-
 
 def require_finite(fit: gee.FitResult) -> None:
     """Raise RuntimeError when ``fit`` has a non-finite coefficient."""

@@ -60,8 +60,6 @@ def pseudo_matrix(data: TwoSampleDataset) -> np.ndarray:
     inclusion-exclusion); under censoring all leave-one-out curves are
     evaluated on a shared grid of group-2 event times.
     """
-    if data.n1 < 2 or data.n2 < 2:
-        raise ValueError("pseudo-observations need at least 2 subjects per group")
     if data.uncensored:
         return _indicator_matrix(data)
     return _stieltjes_matrix(data)

@@ -1,46 +1,48 @@
-"""Data-generating processes and the Monte Carlo scenario runner.
+"""The data-generating process and the Monte Carlo scenario runner.
 
 Event times are Weibull with subject-specific scale exp(g0 + g'Z) and a
-group-specific shape; censoring times are uniform on [0, b_j].  Scenario
-runs report rejection rates of the bootstrap tests for the first covariate
-coefficient of each group at the 5% level, with the number of failed Monte
-Carlo runs and whether a bootstrap scale was degenerate.
+group-specific shape; censoring times are uniform on [0, b_j] with
+(b_1, b_2) = CENSOR_BOUNDS, and there is no horizon (TAU = inf).
+``Scenario.simulate`` is the one data-generating process: it draws a chunk
+of datasets straight into a stack.  ``simulate_dataset`` is one dataset of
+it, and ``censoring_rates`` reads the event flags of one large dataset.
+``run_scenario`` runs warp-speed Monte Carlo and reports rejection rates of
+the bootstrap tests for the first covariate coefficient of each group, with
+the number of failed runs and whether a bootstrap scale was degenerate.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .inference import DatasetStack, FitSpec, WarpSpeedResult, warp_speed
+from .inference import DatasetStack, warp_speed
 from .survival import TwoSampleDataset
 
 __all__ = [
     "Scenario",
     "make_scenario",
-    "gen_covariates",
-    "gen_event_times",
-    "gen_censoring",
     "simulate_dataset",
     "true_theta_weibull_equal_shapes",
-    "warp_speed_harness",
     "run_scenario",
-    "censoring_rate",
+    "censoring_rates",
     "check_reps",
     "write_result_rows",
 ]
 
 CENSOR_BOUNDS = (10.0, 15.0)
+TAU = np.inf
 
 SHAPES = {"I": (2.0, 3.0), "II": (3.0, 3.0)}
 
+# (gamma10, gamma20, gamma1, gamma2) per scenario
 _SCENARIO_GAMMAS = {
-    "i": (2, 0.0, 0.0, (0.0, 0.0), (0.0, 0.0)),
-    "ii": (2, 0.0, 0.0, (0.2, 0.0), (0.0, 0.5)),
-    "iii": (4, 0.0, 0.0, (0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)),
-    "iv": (4, 0.0, 0.0, (0.0, 0.2, 0.4, 0.6), (-0.2, 0.4, -0.6, 0.0)),
+    "i": (0.0, 0.0, (0.0, 0.0), (0.0, 0.0)),
+    "ii": (0.0, 0.0, (0.2, 0.0), (0.0, 0.5)),
+    "iii": (0.0, 0.0, (0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)),
+    "iv": (0.0, 0.0, (0.0, 0.2, 0.4, 0.6), (-0.2, 0.4, -0.6, 0.0)),
 }
 
 # which alternative holds per scenario: (group-1 first coefficient, group-2 first)
@@ -65,8 +67,6 @@ class Scenario:
     gamma2: np.ndarray
     k1: float
     k2: float
-    censor_bounds: tuple = CENSOR_BOUNDS
-    tau: float = np.inf
 
     @property
     def p(self) -> int:
@@ -88,32 +88,34 @@ class Scenario:
         Every transform then runs once on the whole chunk.
         """
         N, n1, n2, p = len(rngs), self.n1, self.n2, self.p
-        (block1, k1), (block2, k2) = _draws(1, p), _draws(2, p)
-        normal1 = np.empty((N, n1) + block1)
-        uniform1 = np.empty((N, k1, n1))
-        normal2 = np.empty((N, n2) + block2)
+        if p not in _DRAWS:
+            raise ValueError(f"no covariate design for p={p}")
+        block, k = _DRAWS[p]
+        normal1 = np.empty((N, n1) + block)
+        uniform1 = np.empty((N, k, n1))
+        normal2 = np.empty((N, n2) + block)
         # group 2's Bernoulli uniforms, then those of T1, T2 and maybe C1, C2
         times = (2 if self.censored else 1) * (n1 + n2)
-        uniform2 = np.empty((N, k2 * n2 + times))
+        uniform2 = np.empty((N, k * n2 + times))
         for rng, a, b, c, d in zip(rngs, normal1, uniform1, normal2, uniform2):
             rng.standard_normal(out=a)
             rng.random(out=b)
             rng.standard_normal(out=c)
             rng.random(out=d)
         Z1 = _covariates(1, p, normal1, uniform1)
-        Z2 = _covariates(2, p, normal2, uniform2[:, : k2 * n2].reshape(N, k2, n2))
-        u = uniform2[:, k2 * n2 :]
+        Z2 = _covariates(2, p, normal2, uniform2[:, : k * n2].reshape(N, k, n2))
+        u = uniform2[:, k * n2 :]
         T1 = _event_times(self.gamma10, self.gamma1, self.k1, Z1, u[:, :n1])
         T2 = _event_times(self.gamma20, self.gamma2, self.k2, Z2, u[:, n1 : n1 + n2])
         if self.censored:
-            C1 = self.censor_bounds[0] * u[:, n1 + n2 : 2 * n1 + n2]
-            C2 = self.censor_bounds[1] * u[:, 2 * n1 + n2 :]
+            C1 = CENSOR_BOUNDS[0] * u[:, n1 + n2 : 2 * n1 + n2]
+            C2 = CENSOR_BOUNDS[1] * u[:, 2 * n1 + n2 :]
             X1, d1 = np.minimum(T1, C1), (T1 <= C1).astype(float)
             X2, d2 = np.minimum(T2, C2), (T2 <= C2).astype(float)
         else:
             X1, d1 = T1, np.ones((N, n1))
             X2, d2 = T2, np.ones((N, n2))
-        return DatasetStack(X1, d1, Z1, X2, d2, Z2, np.full(N, self.tau))
+        return DatasetStack(X1, d1, Z1, X2, d2, Z2, np.full(N, TAU))
 
 
 def make_scenario(scenario_id: str, setting: str, n1: int, n2: int, censored: bool) -> Scenario:
@@ -123,7 +125,7 @@ def make_scenario(scenario_id: str, setting: str, n1: int, n2: int, censored: bo
         raise ValueError(f"unknown setting {setting!r}")
     if min(n1, n2) < 2:
         raise ValueError(f"each group needs at least 2 subjects, got n1 = {n1}, n2 = {n2}")
-    _, g10, g20, g1, g2 = _SCENARIO_GAMMAS[scenario_id]
+    g10, g20, g1, g2 = _SCENARIO_GAMMAS[scenario_id]
     k1, k2 = SHAPES[setting]
     return Scenario(
         scenario_id=scenario_id, setting=setting, n1=n1, n2=n2, censored=censored,
@@ -147,16 +149,10 @@ _NORMAL_FACTORS = {
 }
 
 
-# Per subject, each covariate design draws a block of standard normals (a
-# plain vector, or two columns for the bivariate-normal block of p = 4) and
-# then its Bernoulli uniforms: {(group, p): (normal block shape, uniforms)}.
-_DRAWS = {(1, 2): ((), 1), (2, 2): ((), 1), (1, 4): ((2,), 2), (2, 4): ((2,), 2)}
-
-
-def _draws(group: int, p: int):
-    if (group, p) not in _DRAWS:
-        raise ValueError(f"no covariate design for group {group}, p={p}")
-    return _DRAWS[group, p]
+# Per subject, each group's covariate design draws a block of standard
+# normals (a plain vector, or two columns for the bivariate-normal block of
+# p = 4) and then its Bernoulli uniforms: {p: (normal block shape, uniforms)}.
+_DRAWS = {2: ((), 1), 4: ((2,), 2)}
 
 
 def _covariates(group: int, p: int, normal: np.ndarray, uniform: np.ndarray) -> np.ndarray:
@@ -184,43 +180,17 @@ def _event_times(gamma0, gamma, shape, Z, u) -> np.ndarray:
     return scale * (-np.log(u)) ** (1.0 / shape)
 
 
-def gen_covariates(group: int, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw covariates for one group; see the design constants above."""
-    block, k = _draws(group, p)
-    normal = rng.standard_normal((1, n) + block)
-    return _covariates(group, p, normal, rng.random((1, k, n)))[0]
-
-
-def gen_event_times(gamma0, gamma, shape, Z, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-transform Weibull draws with scale exp(gamma0 + gamma'Z)."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    return _event_times(gamma0, gamma, shape, Z, rng.random(Z.shape[0]))
-
-
-def gen_censoring(bound: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    if not bound > 0:
-        raise ValueError("censoring bound must be positive")
-    return bound * rng.random(n)
-
-
 def simulate_dataset(scenario: Scenario, rng: np.random.Generator) -> TwoSampleDataset:
     """One dataset of ``scenario``: ``Scenario.simulate`` on one generator."""
     return scenario.simulate([rng]).dataset(0)
 
 
-def censoring_rate(scenario: Scenario, group: int, n: int, seed: int = 0) -> float:
-    """Empirical share of censored subjects in one group at sample size n."""
-    rng = np.random.default_rng(seed)
-    p = scenario.p
-    if group == 1:
-        Z = gen_covariates(1, p, n, rng)
-        T = gen_event_times(scenario.gamma10, scenario.gamma1, scenario.k1, Z, rng)
-        C = gen_censoring(scenario.censor_bounds[0], n, rng)
-    else:
-        Z = gen_covariates(2, p, n, rng)
-        T = gen_event_times(scenario.gamma20, scenario.gamma2, scenario.k2, Z, rng)
-        C = gen_censoring(scenario.censor_bounds[1], n, rng)
-    return float(np.mean(T > C))
+def censoring_rates(scenario: Scenario, n: int, seed: int = 0) -> tuple:
+    """Shares of censored subjects (group 1, group 2) in one censored dataset
+    of the design of ``scenario`` at n1 = n2 = n."""
+    design = replace(scenario, n1=n, n2=n, censored=True)
+    data = simulate_dataset(design, np.random.default_rng(seed))
+    return 1.0 - float(data.events1.mean()), 1.0 - float(data.events2.mean())
 
 
 def true_theta_weibull_equal_shapes(
@@ -244,19 +214,6 @@ def true_theta_weibull_equal_shapes(
     return float((1.0 - joint_surv) * logistic)
 
 
-def warp_speed_harness(
-    scenario: Scenario, M: int, seed: int = 0, alpha: float = 0.05
-) -> WarpSpeedResult:
-    """Warp-speed Monte Carlo: one bootstrap replicate per simulated dataset."""
-    if M < MIN_REPS:
-        raise ValueError(f"need at least {MIN_REPS} Monte Carlo runs for stable rates")
-    return warp_speed(
-        scenario,
-        M=M, seed=seed, spec=FitSpec(),
-        coefficients=scenario.coefficient_indices, alpha=alpha,
-    )
-
-
 RESULT_FIELDS = [
     "scenario", "setting", "n1", "n2", "censored", "hypothesis",
     "rate_emp", "rate_iqr", "rate_mad", "rate_quantile",
@@ -273,20 +230,25 @@ def check_reps(reps: int, long_run: bool) -> None:
     """Raise ValueError for fewer than MIN_REPS runs, or for more than
     MAX_REPS_WITHOUT_LONG_RUN unless ``long_run`` is set."""
     if reps < MIN_REPS:
-        raise ValueError(f"--reps {reps} is below {MIN_REPS}; rates need at least that many runs")
+        raise ValueError(f"{reps} Monte Carlo runs is below {MIN_REPS}; "
+                         "rates need at least that many runs")
     if reps > MAX_REPS_WITHOUT_LONG_RUN and not long_run:
         raise ValueError(
-            f"--reps {reps} exceeds {MAX_REPS_WITHOUT_LONG_RUN}; "
+            f"{reps} Monte Carlo runs exceeds {MAX_REPS_WITHOUT_LONG_RUN}; "
             "pass --long-run for full-scale studies"
         )
 
 
 def run_scenario(scenario: Scenario, M: int, seed: int = 0, alpha: float = 0.05):
-    """Rejection-rate rows for the two first-covariate hypotheses."""
-    result = warp_speed_harness(scenario, M=M, seed=seed, alpha=alpha)
+    """Warp-speed Monte Carlo of ``scenario``, one bootstrap replicate per
+    simulated dataset: rejection-rate rows for the two first-covariate
+    hypotheses, and the ``WarpSpeedResult``."""
+    check_reps(M, long_run=True)
+    result = warp_speed(scenario, M=M, seed=seed,
+                        coefficients=scenario.coefficient_indices, alpha=alpha)
     rows = []
-    for label, idx in zip(("1", "2"), scenario.coefficient_indices):
-        truth = SCENARIO_HYPOTHESES[scenario.scenario_id][int(label) - 1]
+    hypotheses = SCENARIO_HYPOTHESES[scenario.scenario_id]
+    for label, idx, truth in zip(("1", "2"), scenario.coefficient_indices, hypotheses):
         rows.append({
             "scenario": scenario.scenario_id,
             "setting": scenario.setting,
@@ -294,10 +256,7 @@ def run_scenario(scenario: Scenario, M: int, seed: int = 0, alpha: float = 0.05)
             "n2": scenario.n2,
             "censored": "yes" if scenario.censored else "no",
             "hypothesis": f"{truth}({label})",
-            "rate_emp": result.rejection_rates["emp"][idx],
-            "rate_iqr": result.rejection_rates["iqr"][idx],
-            "rate_mad": result.rejection_rates["mad"][idx],
-            "rate_quantile": result.rejection_rates["quantile"][idx],
+            **{f"rate_{m}": rates[idx] for m, rates in result.rejection_rates.items()},
             "failed": result.failed,
             "degenerate": result.degenerate,
         })

@@ -66,14 +66,6 @@ class TwoSampleDataset:
         return self.times2.size
 
     @property
-    def p1(self) -> int:
-        return self.covariates1.shape[1]
-
-    @property
-    def p2(self) -> int:
-        return self.covariates2.shape[1]
-
-    @property
     def uncensored(self) -> bool:
         return bool(np.all(self.events1 == 1) and np.all(self.events2 == 1))
 

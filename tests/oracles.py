@@ -47,7 +47,7 @@ from releff.inference import (
     scale_estimates,
 )
 from releff.pseudo import pseudo_matrix
-from releff.sim import Scenario
+from releff.sim import CENSOR_BOUNDS, TAU, Scenario
 from releff.survival import TwoSampleDataset
 
 
@@ -441,9 +441,9 @@ def simulate_dataset(scenario: Scenario, rng) -> TwoSampleDataset:
           * (-np.log(rng.uniform(size=scenario.n2))) ** (1.0 / scenario.k2))
     if not scenario.censored:
         return TwoSampleDataset(T1, np.ones(scenario.n1), Z1, T2, np.ones(scenario.n2), Z2,
-                                tau=scenario.tau)
-    C1 = rng.uniform(0.0, scenario.censor_bounds[0], size=scenario.n1)
-    C2 = rng.uniform(0.0, scenario.censor_bounds[1], size=scenario.n2)
+                                tau=TAU)
+    C1 = rng.uniform(0.0, CENSOR_BOUNDS[0], size=scenario.n1)
+    C2 = rng.uniform(0.0, CENSOR_BOUNDS[1], size=scenario.n2)
     return TwoSampleDataset(np.minimum(T1, C1), (T1 <= C1).astype(float), Z1,
                             np.minimum(T2, C2), (T2 <= C2).astype(float), Z2,
-                            tau=scenario.tau)
+                            tau=TAU)

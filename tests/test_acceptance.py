@@ -20,11 +20,11 @@ from releff.inference import FitSpec
 from releff.predict import Predictions
 from releff.pseudo import _stieltjes_matrix, pseudo_matrix, tie_correction_term
 from releff.sim import (
-    censoring_rate,
+    censoring_rates,
     make_scenario,
+    run_scenario,
     simulate_dataset,
     true_theta_weibull_equal_shapes,
-    warp_speed_harness,
 )
 from releff.survival import TwoSampleDataset
 
@@ -152,7 +152,7 @@ def test_criterion_05_weibull_closed_form():
 def test_criterion_06_type_one_error():
     t0 = time.time()
     sc = make_scenario("i", "II", 50, 50, censored=False)
-    res = warp_speed_harness(sc, M=1000, seed=106)
+    _, res = run_scenario(sc, M=1000, seed=106)
     rate = float(res.rejection_rates["emp"][sc.coefficient_indices[0]])
     elapsed = time.time() - t0
     report(
@@ -164,11 +164,11 @@ def test_criterion_06_type_one_error():
 
 def test_criterion_07_power():
     sc2 = make_scenario("ii", "II", 50, 50, censored=False)
-    res2 = warp_speed_harness(sc2, M=500, seed=107)
+    _, res2 = run_scenario(sc2, M=500, seed=107)
     power_a = float(res2.rejection_rates["emp"][sc2.coefficient_indices[0]])
 
     sc4 = make_scenario("iv", "I", 40, 60, censored=False)
-    res4 = warp_speed_harness(sc4, M=500, seed=107)
+    _, res4 = run_scenario(sc4, M=500, seed=107)
     power_b = float(res4.rejection_rates["emp"][sc4.coefficient_indices[1]])
     report(
         "power against the two alternative designs",
@@ -186,8 +186,7 @@ def test_criterion_08_censoring_rate_bands():
     for sid in ("i", "ii", "iii", "iv"):
         for setting in ("I", "II"):
             sc = make_scenario(sid, setting, 50, 50, censored=True)
-            r1 = round(censoring_rate(sc, 1, n, seed=108), 3)
-            r2 = round(censoring_rate(sc, 2, n, seed=108), 3)
+            r1, r2 = (round(r, 3) for r in censoring_rates(sc, n, seed=108))
             ok = ok and 0.088 <= r1 <= 0.163 and 0.050 <= r2 <= 0.087
             extremes.append((r1, r2))
     r1s = [e[0] for e in extremes]

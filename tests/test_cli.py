@@ -235,7 +235,7 @@ class TestIngest:
         )
         config = AnalysisConfig(tau=9.0, covariates1=["a"], covariates2=["b"])
         data = ingest_csv(path, config)
-        assert data.p1 == 1 and data.p2 == 1
+        assert data.covariates1.shape == (2, 1) and data.covariates2.shape == (2, 1)
 
     def test_byte_order_mark_is_ignored(self, covariate_csv, tmp_path):
         bom_csv = tmp_path / "bom.csv"
@@ -626,6 +626,73 @@ class TestCommands:
         assert rc == EXIT_CONFIG
         assert message in caplog.text
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["iqr", "mad"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_predict_scale_only_methods_refused_before_any_fit(
+            self, covariate_csv, tmp_path, monkeypatch, caplog, method, source):
+        # iqr and mad are test scales; predict has only emp and quantile intervals
+        def no_fit(*args, **kwargs):
+            pytest.fail("a fit ran although the method was refused")
+
+        monkeypatch.setattr(cli, "bootstrap", no_fit)
+        if source == "flag":
+            given = ["--method", method]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"method": method}))
+            given = ["--config", str(cfg)]
+        out = tmp_path / "out"
+        with caplog.at_level("ERROR", logger="releff"):
+            rc = main(["predict", "--data", str(covariate_csv), "--tau", "4", "--cov1", "age",
+                       "--cov2", "age", "--seed", "2", "--bootstrap", "5", *given,
+                       "--out-dir", str(out)])
+        assert rc == EXIT_CONFIG
+        assert f"predict has no {method} interval" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--tau", "0.5"], ["--link", "logit"], ["--bootstrap", "10"], ["--method", "emp"],
+        ["--cov1", "foo"], ["--cov2", "foo"], ["--strict-singular"], ["--data", "x.csv"],
+    ], ids=["tau", "link", "bootstrap", "method", "cov1", "cov2", "strict-singular", "data"])
+    def test_simulate_refuses_options_it_does_not_read(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--scenario", "i", "--n1", "10", "--n2", "10",
+                  "--reps", "100", "--seed", "1", *flags, "--out-dir", str(out)])
+        assert exc.value.code == EXIT_PARSE
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"tau": 0.5}, "tau"), ({"tau": "inf"}, "tau"), ({"link": "logit"}, "link"),
+        ({"B": 10}, "B"), ({"method": "emp"}, "method"), ({"covariates1": ["foo"]}, "covariates1"),
+        ({"covariates2": ["foo"]}, "covariates2"), ({"strict_singular": True}, "strict_singular"),
+    ], ids=["tau", "tau-inf", "link", "B", "method", "covariates1", "covariates2",
+            "strict_singular"])
+    def test_simulate_refuses_config_fields_it_does_not_read(self, tmp_path, caplog, raw, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        with caplog.at_level("ERROR", logger="releff"):
+            rc = main(["simulate", "--scenario", "i", "--n1", "10", "--n2", "10",
+                       "--reps", "100", "--seed", "1", "--config", str(cfg),
+                       "--out-dir", str(out)])
+        assert rc == EXIT_CONFIG
+        assert f"simulate does not read {key}" in caplog.text
+        assert not out.exists()
+
+    def test_simulate_reads_seed_alpha_and_out_dir_from_config(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        # fields at their defaults are not refused
+        cfg.write_text(json.dumps({"seed": 4, "alpha": 0.1, "out_dir": str(out),
+                                   "link": "identity", "B": 2000}))
+        assert main(["simulate", "--scenario", "i", "--n1", "10", "--n2", "10",
+                     "--reps", "100", "--config", str(cfg)]) == EXIT_OK
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        config_lines = [line for line in manifest if line.startswith("config.")]
+        assert config_lines == ["config.seed=4", "config.alpha=0.1", f"config.out_dir={out}"]
 
     def test_predict_requires_matching_columns(self, covariate_csv, tmp_path):
         rc = main(["predict", "--data", str(covariate_csv), "--tau", "4",

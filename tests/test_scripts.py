@@ -5,6 +5,7 @@ import platform
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -35,3 +36,24 @@ def test_rejection_table_writes_rows_and_a_manifest(tmp_path, capsys):
         assert cell["seconds"] > 0
         assert cell["failed"] == int(row["failed"]) == cell["singular"] + cell["nonconverged"]
     assert capsys.readouterr().out.count("runs/s") == cells
+
+
+def test_censoring_rates_prints_every_design(capsys):
+    load_script("run_censoring_rates").main(["--n", "2000", "--seed", "3"])
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["scenario", "setting", "group1", "%", "group2", "%"]
+    assert [r.split()[:2] for r in rows] == [
+        [s, t] for s in ("i", "ii", "iii", "iv") for t in ("I", "II")]
+    for row in rows:
+        assert all(0.0 <= float(x) <= 100.0 for x in row.split()[2:]), row
+
+
+def test_coverage_check_prints_both_coefficients(capsys):
+    load_script("run_coverage_check").main(["--reps", "20", "--seed", "3"])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["beta[1]", "beta[3]"]
+    for line in lines:
+        coverage = float(line.split()[2])
+        # a share of the 20 runs
+        assert 0.0 <= coverage <= 1.0, line
+        assert coverage * 20 == pytest.approx(round(coverage * 20), abs=1e-9), line

@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,17 +13,14 @@ from releff.inference import (
     _simulated_chunk,
     warp_speed,
 )
+from releff import sim
 from releff.sim import (
     SHAPES,
-    censoring_rate,
-    gen_censoring,
-    gen_covariates,
-    gen_event_times,
+    censoring_rates,
     make_scenario,
     run_scenario,
     simulate_dataset,
     true_theta_weibull_equal_shapes,
-    warp_speed_harness,
 )
 
 from oracles import true_theta_weibull_numeric
@@ -62,55 +59,65 @@ class TestScenarioDefinitions:
             make_scenario("i", "III", 10, 10, False)
 
 
+def covariates(scenario_id, group, seed, n=100_000):
+    """One group's covariates from a simulated uncensored dataset."""
+    sc = make_scenario(scenario_id, "II", n, n, censored=False)
+    data = simulate_dataset(sc, np.random.default_rng(seed))
+    return data.covariates1 if group == 1 else data.covariates2
+
+
 class TestCovariateDesigns:
     def test_bivariate_normal_blocks_match_multivariate_normal(self):
-        # the p = 4 designs draw their normal block as the same numbers
-        # Generator.multivariate_normal would
+        # the p = 4 designs turn the standard normals that Scenario.simulate
+        # draws into the same numbers Generator.multivariate_normal would
         for group, cov in ((1, [[1.0, 0.2], [0.2, 1.0]]), (2, [[1.1, 0.3], [0.3, 1.1]])):
             for seed in range(6):
                 for n in (1, 7, 50):
-                    got = gen_covariates(group, 4, n, np.random.default_rng(seed))[:, :2]
+                    rng = np.random.default_rng(seed)
+                    normal = rng.standard_normal((1, n, 2))
+                    got = sim._covariates(group, 4, normal, rng.random((1, 2, n)))[0, :, :2]
                     want = np.random.default_rng(seed).multivariate_normal(
                         np.zeros(2), np.array(cov), size=n)
                     assert np.array_equal(got, want), (group, seed, n)
 
     def test_group1_p2_bernoulli_is_sign_balanced(self):
-        rng = np.random.default_rng(0)
-        Z = gen_covariates(1, 2, 100_000, rng)
+        Z = covariates("i", 1, seed=0)
         assert Z[:, 1].mean() == pytest.approx(0.5, abs=0.01)
         # conditional on the normal's sign the rate moves by +-0.1
         pos = Z[Z[:, 0] > 0, 1].mean()
         assert pos == pytest.approx(0.6, abs=0.01)
 
     def test_group2_p2_normal_variance(self):
-        rng = np.random.default_rng(1)
-        Z = gen_covariates(2, 2, 100_000, rng)
+        Z = covariates("i", 2, seed=1)
         assert Z[:, 0].var() == pytest.approx(1.2, abs=0.03)
 
     def test_group1_p4_correlation(self):
-        rng = np.random.default_rng(2)
-        Z = gen_covariates(1, 4, 100_000, rng)
+        Z = covariates("iii", 1, seed=2)
         assert np.corrcoef(Z[:, 0], Z[:, 1])[0, 1] == pytest.approx(0.2, abs=0.01)
         assert Z[:, 2].mean() == pytest.approx(0.4, abs=0.01)
         assert Z[:, 3].mean() == pytest.approx(0.6, abs=0.01)
 
     def test_group2_p4_covariance(self):
-        rng = np.random.default_rng(3)
-        Z = gen_covariates(2, 4, 100_000, rng)
+        Z = covariates("iii", 2, seed=3)
         assert Z[:, 0].var() == pytest.approx(1.1, abs=0.03)
         assert np.cov(Z[:, 0], Z[:, 1])[0, 1] == pytest.approx(0.3, abs=0.02)
 
     def test_unsupported_design(self):
+        sc = make_scenario("i", "I", 10, 10, censored=False)
+        p3 = replace(sc, gamma1=np.zeros(3), gamma2=np.zeros(3))
         with pytest.raises(ValueError):
-            gen_covariates(1, 3, 10, np.random.default_rng(0))
+            p3.simulate([np.random.default_rng(0)])
 
 
 class TestEventAndCensoringDraws:
     def test_unit_scale_weibull_survival(self):
-        rng = np.random.default_rng(4)
-        Z = np.zeros((1_000_000, 1))
-        T = gen_event_times(0.0, [0.0], 3.0, Z, rng)
-        assert np.mean(T > 1.0) == pytest.approx(np.exp(-1), abs=0.002)
+        # scenario i has unit scale and setting I shapes 2 and 3, so group j
+        # survives past t with probability exp(-t^k_j)
+        sc = make_scenario("i", "I", 500_000, 500_000, censored=False)
+        data = simulate_dataset(sc, np.random.default_rng(4))
+        for times, k in ((data.times1, 2.0), (data.times2, 3.0)):
+            for t in (0.5, 1.0):
+                assert np.mean(times > t) == pytest.approx(np.exp(-(t**k)), abs=0.002), (k, t)
 
     def test_weibull_survival_at_hazard_crossing(self):
         # shapes 2 and 3 at unit scale cross at t = 2/3 (displayed as 0.667)
@@ -118,21 +125,13 @@ class TestEventAndCensoringDraws:
         assert round(float(np.exp(-(t**2))), 3) == 0.641
         assert round(float(np.exp(-(t**3))), 3) == 0.744
 
-    def test_huge_bound_means_no_censoring(self):
-        sc = make_scenario("i", "II", 200, 200, censored=True)
-        rng = np.random.default_rng(5)
-        T = gen_event_times(0.0, np.zeros(2), 3.0, np.zeros((200, 2)), rng)
-        C = gen_censoring(1e9, 200, rng)
-        assert np.all(T <= C)
-
-    def test_invalid_bound(self):
-        with pytest.raises(ValueError):
-            gen_censoring(0.0, 5, np.random.default_rng(0))
-
     def test_censoring_rate_reasonable(self):
         sc = make_scenario("i", "II", 50, 50, censored=True)
-        rate = censoring_rate(sc, 2, 200_000, seed=0)
-        assert 0.050 <= rate <= 0.087
+        rates = censoring_rates(sc, 200_000, seed=0)
+        assert 0.050 <= rates[1] <= 0.087
+        # the rates are those of the censored design whatever the scenario's flag
+        uncensored = replace(sc, censored=False)
+        assert censoring_rates(uncensored, 200_000, seed=0) == rates
 
 
 class TestTrueTheta:
@@ -171,7 +170,7 @@ class TestScenarioRunner:
         sc = make_scenario("iv", "I", 13, 17, censored=True)
         data = simulate_dataset(sc, np.random.default_rng(0))
         assert (data.n1, data.n2) == (13, 17)
-        assert (data.p1, data.p2) == (4, 4)
+        assert (data.covariates1.shape, data.covariates2.shape) == ((13, 4), (17, 4))
         assert not data.uncensored  # overwhelmingly likely at these rates
 
     def test_run_scenario_deterministic(self):
@@ -189,7 +188,7 @@ class TestScenarioRunner:
     def test_minimum_monte_carlo_size(self):
         sc = make_scenario("i", "II", 15, 15, censored=False)
         with pytest.raises(ValueError):
-            warp_speed_harness(sc, M=10)
+            run_scenario(sc, M=10)
 
     def test_null_intercept_concentrates_at_half(self):
         sc = make_scenario("i", "II", 50, 50, censored=False)
@@ -234,21 +233,6 @@ class TestStackSimulation:
                     assert np.array_equal(got, getattr(data, f.name)), (size, m, f.name)
                     assert np.array_equal(got, getattr(drawn, f.name)), (size, m, f.name)
                 assert np.array_equal(idx1[k], want1) and np.array_equal(idx2[k], want2)
-
-    def test_gen_functions_are_the_draw_by_draw_process(self):
-        sc = make_scenario("iv", "I", 9, 11, censored=True)
-        rng = np.random.default_rng(3)
-        Z1 = gen_covariates(1, 4, 9, rng)
-        Z2 = gen_covariates(2, 4, 11, rng)
-        T1 = gen_event_times(sc.gamma10, sc.gamma1, sc.k1, Z1, rng)
-        T2 = gen_event_times(sc.gamma20, sc.gamma2, sc.k2, Z2, rng)
-        C1 = gen_censoring(sc.censor_bounds[0], 9, rng)
-        C2 = gen_censoring(sc.censor_bounds[1], 11, rng)
-        want = oracles.simulate_dataset(sc, np.random.default_rng(3))
-        assert np.array_equal(Z1, want.covariates1) and np.array_equal(Z2, want.covariates2)
-        assert np.array_equal(np.minimum(T1, C1), want.times1)
-        assert np.array_equal(np.minimum(T2, C2), want.times2)
-        assert np.array_equal(T1 <= C1, want.events1 == 1)
 
     def test_scenario_warp_speed_matches_per_run_oracle(self):
         for censored in (True, False):
