@@ -24,7 +24,7 @@ import scipy
 
 from . import __version__
 from .gee import IDENTITY, LINKS, LOGIT, logit_working_set, sandwich_covariance_uncensored
-from .inference import METHODS, FitSpec, bootstrap, require_finite, test_coefficient
+from .inference import METHODS, FitSpec, bootstrap, require_usable, test_coefficient
 from .predict import predict_profiles
 from .pseudo import tie_correction_term
 from .sim import check_reps, make_scenario, run_scenario, write_result_rows
@@ -45,9 +45,17 @@ EXIT_CONFIG = 4
 # residual); a larger working set is refused before any fit
 WORKING_SET_BYTES = 2 << 30
 
-# the configuration fields ``simulate`` reads; it refuses a config file that
-# sets any other away from its default
-SIMULATE_FIELDS = ("seed", "alpha", "out_dir")
+# the configuration fields each command reads, in manifest order: its parser
+# has an option for each, its manifest records each, and it refuses a config
+# file that sets any other away from its default
+_FIT_FIELDS = ("link", "tau", "B", "alpha", "seed", "covariates1", "covariates2",
+               "strict_singular", "out_dir")
+COMMAND_FIELDS = {
+    "fit": _FIT_FIELDS,
+    "test": (*_FIT_FIELDS, "method"),
+    "predict": (*_FIT_FIELDS, "method"),
+    "simulate": ("seed", "alpha", "out_dir"),
+}
 
 
 class ParseFailure(Exception):
@@ -248,21 +256,21 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_dir: Path, command: str, settings: dict,
+def write_manifest(out_dir: Path, command: str, config: AnalysisConfig,
                    inputs=(), outputs=(), data=None, ensemble=None, fit=None,
                    predictions=None, montecarlo=None):
-    """Record the command, the library versions, the configuration
-    ``settings`` it read and what the run actually used: the horizon of
-    ``data``, the failures by cause of the bootstrap ``ensemble`` or of the
-    ``montecarlo`` runs, how the base ``fit`` was solved and how many
-    ``predictions`` fell outside [0, 1]."""
+    """Record the command, the library versions, the fields of ``config``
+    it reads and what the run actually used: the horizon of ``data``, the
+    failures by cause of the bootstrap ``ensemble`` or of the ``montecarlo``
+    runs, how the base ``fit`` was solved, and the interval of the
+    ``predictions`` and how many of them fell outside [0, 1]."""
     lines = [
         f"command={command}", f"version={__version__}",
         f"python={platform.python_version()}", f"numpy={np.__version__}",
         f"scipy={scipy.__version__}",
     ]
-    for key, value in settings.items():
-        lines.append(f"config.{key}={value}")
+    for key in COMMAND_FIELDS[command]:
+        lines.append(f"config.{key}={getattr(config, key)}")
     if data is not None:
         lines.append(f"data.tau={data.tau}")
     if fit is not None:
@@ -279,6 +287,7 @@ def write_manifest(out_dir: Path, command: str, settings: dict,
     if montecarlo is not None:
         lines.append(f"montecarlo.degenerate={montecarlo.degenerate}")
     if predictions is not None:
+        lines.append(f"predict.interval={predictions.interval}")
         lines.append(f"predict.out_of_range={int(np.sum(predictions.out_of_range))}")
     for p in inputs:
         lines.append(f"input.{Path(p).name}.sha256={_sha256(p)}")
@@ -320,10 +329,11 @@ def _prepare(args, resample=True, predict=False):
     Builds the configuration, ingests the CSV, creates the output directory
     and fits the model.  With ``resample`` a seed is required and the
     bootstrap is run, and the base fit is its ``base_fit``.  The base fit
-    must converge to finite coefficients.  For ``predict`` both groups must
-    name the same covariate columns, the horizon must be finite and the
-    interval method is emp or quantile.  Returns (config, data, out_dir,
-    ensemble, fit); ``ensemble`` is None without ``resample``.
+    must converge to finite coefficients (``require_usable``).  For
+    ``predict`` both groups must name the same covariate columns, the
+    horizon must be finite and the interval method is emp or quantile.
+    Returns (config, data, out_dir, ensemble, fit); ``ensemble`` is None
+    without ``resample``.
     """
     config = _build_config(args, require_seed=resample)
     if not args.data:
@@ -350,9 +360,7 @@ def _prepare(args, resample=True, predict=False):
         fit = ensemble.base_fit
     else:
         fit = spec.fit(data)
-    if not fit.converged:
-        raise RuntimeError(f"fit did not converge: {fit.message}")
-    require_finite(fit)
+    require_usable(fit)
     if ensemble is not None and ensemble.unreliable:
         log.warning("bootstrap unreliable: %d of %d replicates failed",
                     ensemble.failed, ensemble.B)
@@ -394,7 +402,7 @@ def cmd_fit(args) -> int:
         writer = csv.DictWriter(fh, fieldnames=header)
         writer.writeheader()
         writer.writerows(rows)
-    write_manifest(out_dir, "fit", asdict(config), inputs=[args.data], outputs=[out_path],
+    write_manifest(out_dir, "fit", config, inputs=[args.data], outputs=[out_path],
                    data=data, ensemble=ensemble, fit=result)
     print(f"wrote {out_path}")
     return EXIT_OK
@@ -413,7 +421,7 @@ def cmd_test(args) -> int:
             for method in methods:
                 scale, ci, reject = rep.decisions[method]   # csv writes None as ""
                 writer.writerow([name, rep.estimate, method, scale, ci[0], ci[1], reject])
-    write_manifest(out_dir, "test", asdict(config), inputs=[args.data], outputs=[out_path],
+    write_manifest(out_dir, "test", config, inputs=[args.data], outputs=[out_path],
                    data=data, ensemble=ensemble, fit=fit)
     print(f"wrote {out_path}")
     return EXIT_OK
@@ -443,7 +451,7 @@ def cmd_predict(args) -> int:
         )
         for i, row in enumerate(columns):
             writer.writerow([i, *row, correction])
-    write_manifest(out_dir, "predict", asdict(config), inputs=[args.data], outputs=[out_path],
+    write_manifest(out_dir, "predict", config, inputs=[args.data], outputs=[out_path],
                    data=data, ensemble=ensemble, fit=fit, predictions=preds)
     print(f"wrote {out_path} (tie correction {correction:.4f})")
     return EXIT_OK
@@ -451,11 +459,6 @@ def cmd_predict(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _build_config(args, require_seed=True)
-    settings, defaults = asdict(config), asdict(AnalysisConfig())
-    unread = [k for k, v in settings.items() if k not in SIMULATE_FIELDS and v != defaults[k]]
-    if unread:
-        raise ConfigFailure(f"simulate does not read {', '.join(unread)}; "
-                            "remove them from the configuration")
     try:
         check_reps(args.reps, args.long_run)
         scenario = make_scenario(args.scenario, args.setting, args.n1, args.n2, args.censored)
@@ -470,20 +473,23 @@ def cmd_simulate(args) -> int:
     np.savetxt(dump_path, result.estimates, delimiter=",",
                header=",".join(f"beta{k}" for k in range(result.estimates.shape[1])),
                comments="")
-    write_manifest(out_dir, "simulate", {k: settings[k] for k in SIMULATE_FIELDS},
-                   outputs=[out_path, dump_path], montecarlo=result)
+    write_manifest(out_dir, "simulate", config, outputs=[out_path, dump_path], montecarlo=result)
     print(f"wrote {out_path}")
     return EXIT_OK
 
 
 def _build_config(args, require_seed=False) -> AnalysisConfig:
-    if getattr(args, "config", None):
-        config = AnalysisConfig.from_file(args.config)
-    else:
-        config = AnalysisConfig()
+    """The configuration of ``args.command``: its config file, in which a
+    field the command does not read must keep its default, then its options."""
+    reads = COMMAND_FIELDS[args.command]
+    config = AnalysisConfig.from_file(args.config) if args.config else AnalysisConfig()
+    defaults = asdict(AnalysisConfig())
+    unread = [k for k, v in asdict(config).items() if k not in reads and v != defaults[k]]
+    if unread:
+        raise ConfigFailure(f"{args.command} does not read {', '.join(unread)}; "
+                            "remove them from the configuration")
     # every option that overrides the configuration has its field as dest
-    overrides = {key: getattr(args, key) for key in AnalysisConfig.__dataclass_fields__
-                 if getattr(args, key, None) is not None}
+    overrides = {k: getattr(args, k) for k in reads if getattr(args, k) is not None}
     config = AnalysisConfig(**{**asdict(config), **overrides})
     if require_seed and config.seed is None:
         raise ConfigFailure("a seed is required for this command (use --seed)")
@@ -502,34 +508,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, func):
-        p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--out-dir", dest="out_dir", help="output directory")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--alpha", type=float)
-        p.set_defaults(func=func)
-
+    options = {   # configuration field: (option, add_argument keywords)
+        "link": ("--link", {"choices": LINKS}),
+        "tau": ("--tau", {"type": float, "help": "horizon; inf for none "
+                          "(default: the largest observed time)"}),
+        "B": ("--bootstrap", {"type": int, "help": "number of bootstrap replicates"}),
+        "alpha": ("--alpha", {"type": float}),
+        "seed": ("--seed", {"type": int}),
+        "method": ("--method", {"choices": [*METHODS, "all"]}),
+        "covariates1": ("--cov1", {"type": _csv_list, "help": "comma-separated group-1 columns"}),
+        "covariates2": ("--cov2", {"type": _csv_list, "help": "comma-separated group-2 columns"}),
+        "strict_singular": ("--strict-singular", {"action": "store_const", "const": True}),
+        "out_dir": ("--out-dir", {"help": "output directory"}),
+    }
     for name, func, text in (
         ("fit", cmd_fit, "fit the model, optionally with bootstrap SEs"),
         ("test", cmd_test, "bootstrap hypothesis tests per coefficient"),
         ("predict", cmd_predict, "tie-corrected per-subject predictions"),
+        ("simulate", cmd_simulate, "Monte Carlo rejection-rate study"),
     ):
         p = sub.add_parser(name, help=text)
-        common(p, func)
-        p.add_argument("--data", help="input CSV (group,time,status,covariates)")
-        p.add_argument("--tau", type=float,
-                       help="horizon; inf for none (default: the largest observed time)")
-        p.add_argument("--link", choices=LINKS)
-        p.add_argument("--bootstrap", dest="B", type=int, help="number of bootstrap replicates")
-        p.add_argument("--method", choices=[*METHODS, "all"])
-        p.add_argument("--cov1", dest="covariates1", type=_csv_list,
-                       help="group-1 covariate columns, comma separated")
-        p.add_argument("--cov2", dest="covariates2", type=_csv_list,
-                       help="group-2 covariate columns, comma separated")
-        p.add_argument("--strict-singular", dest="strict_singular", action="store_const", const=True)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="JSON configuration file")
+        if name != "simulate":
+            p.add_argument("--data", help="input CSV (group,time,status,covariates)")
+        for key in COMMAND_FIELDS[name]:
+            p.add_argument(options[key][0], dest=key, **options[key][1])
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo rejection-rate study")
-    common(p_sim, cmd_simulate)
+    p_sim = sub.choices["simulate"]
     p_sim.add_argument("--scenario", required=True, choices=["i", "ii", "iii", "iv"])
     p_sim.add_argument("--setting", default="II", choices=["I", "II"])
     p_sim.add_argument("--n1", type=int, default=50)

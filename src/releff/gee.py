@@ -275,24 +275,15 @@ class IdentityFits:
         )
 
 
-def _rank(Sigma: np.ndarray) -> np.ndarray:
-    """Ranks of a stack of symmetric matrices, as ``np.linalg.matrix_rank``
-    counts them (singular values above max * size * eps), from the
-    eigenvalues, whose magnitudes are the singular values of a symmetric
-    matrix."""
-    lam = np.abs(np.linalg.eigvalsh(Sigma))
-    tol = lam.max(axis=-1, keepdims=True) * Sigma.shape[-1] * np.finfo(Sigma.dtype).eps
-    return np.count_nonzero(lam > tol, axis=-1)
-
-
 def solve_identity(row_means, col_means, Z1, Z2, strict_singular: bool = False) -> IdentityFits:
     """Exact identity-link solutions of N datasets from their pseudo-matrix
     marginals: row means (N, n1), column means (N, n2), covariates (N, n1, p1)
     and (N, n2, p2).
 
-    A rank-deficient design is solved by pseudo-inverse, or with
-    ``strict_singular`` left unsolved and flagged.  A design whose second
-    moments overflow is left unsolved: its coefficients are NaN.
+    A rank-deficient design, as ``np.linalg.matrix_rank`` counts ranks, is
+    solved by pseudo-inverse, or with ``strict_singular`` left unsolved and
+    flagged.  A design whose second moments overflow is left unsolved: its
+    coefficients are NaN.
     """
     n1, n2 = row_means.shape[-1], col_means.shape[-1]
     Sigma = design_second_moment(Z1, Z2)
@@ -306,7 +297,7 @@ def solve_identity(row_means, col_means, Z1, Z2, strict_singular: bool = False) 
     )
     finite = np.isfinite(Sigma).all(axis=(-2, -1))
     deficient = np.zeros(finite.shape, dtype=bool)
-    deficient[finite] = _rank(Sigma[finite]) < psi.shape[-1]
+    deficient[finite] = np.linalg.matrix_rank(Sigma[finite], hermitian=True) < psi.shape[-1]
     beta = np.full(psi.shape, np.nan)
     full = finite & ~deficient
     if full.any():
@@ -323,18 +314,14 @@ def solve_identity(row_means, col_means, Z1, Z2, strict_singular: bool = False) 
     )
 
 
-def solve_newton(
-    matrix: np.ndarray,
-    Z1,
-    Z2,
-    link: str,
-    x0=None,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-    max_halvings: int = 10,
-) -> FitResult:
+# Newton's limits: max |U| below TOL, MAX_ITER iterations, MAX_HALVINGS halvings a step
+TOL, MAX_ITER, MAX_HALVINGS = 1e-10, 50, 10
+
+
+def solve_newton(matrix: np.ndarray, Z1, Z2, link: str, x0=None) -> FitResult:
     """Damped Newton iteration on the estimating function of the n1 x n2
-    pseudo-observation array ``matrix``.
+    pseudo-observation array ``matrix`` from ``x0`` (zeros if None), within
+    the fixed limits TOL, MAX_ITER and MAX_HALVINGS.
 
     Non-convergence is reported honestly: the last iterate is returned with
     ``converged=False``.  A link not in LINKS raises ValueError.
@@ -342,10 +329,7 @@ def solve_newton(
     Z1 = np.atleast_2d(np.asarray(Z1, dtype=float))
     Z2 = np.atleast_2d(np.asarray(Z2, dtype=float))
     p = 1 + Z1.shape[1] + Z2.shape[1]
-    if x0 is not None:
-        beta = np.asarray(x0, dtype=float).copy()
-    else:
-        beta = np.zeros(p)
+    beta = np.zeros(p) if x0 is None else np.array(x0, dtype=float)
 
     _check_dims(beta, matrix, Z1, Z2)
     evaluator = _Evaluator(matrix, Z1, Z2, link)
@@ -353,8 +337,8 @@ def solve_newton(
     used_pinv = False
     U, J = evaluator.evaluate(beta)
     norm = float(np.max(np.abs(U)))
-    for it in range(1, max_iter + 1):
-        if norm < tol:
+    for it in range(1, MAX_ITER + 1):
+        if norm < TOL:
             return FitResult(beta, True, it - 1, norm, "newton", used_pinv=used_pinv)
         try:
             step = np.linalg.solve(J, -U)
@@ -363,7 +347,7 @@ def solve_newton(
             used_pinv = True
         scale = 1.0
         improved = False
-        for _ in range(max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             cand = beta + scale * step
             U_cand, J_cand = evaluator.evaluate(cand)
             cand_norm = float(np.max(np.abs(U_cand)))
@@ -378,9 +362,9 @@ def solve_newton(
                 beta, False, it, norm, "newton",
                 used_pinv=used_pinv, message="line search stalled",
             )
-    converged = norm < tol
+    converged = norm < TOL
     return FitResult(
-        beta, converged, max_iter, norm, "newton",
+        beta, converged, MAX_ITER, norm, "newton",
         used_pinv=used_pinv, message="" if converged else "max iterations reached",
     )
 

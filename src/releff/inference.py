@@ -14,7 +14,8 @@ memory does not grow with B or M, and a Monte Carlo task of a few hundred
 runs at that size pays the fixed cost of a stacked fit once or twice.
 Warp-speed runs are simulated straight into a chunk's stacked arrays by a
 chunk simulator; no dataset object is built per run.  Each run or
-replicate draws its whole resample, both groups, in one generator call.
+replicate draws its whole resample, both groups, in one generator call;
+``_simulated_chunk`` draws the streams of a chunk for both loops.
 
 ``decide`` turns one coefficient's centered replicates into the four test
 decisions; ``test_coefficient`` applies it to one estimate and
@@ -43,7 +44,7 @@ __all__ = [
     "TestReport",
     "bootstrap",
     "decide",
-    "require_finite",
+    "require_usable",
     "test_coefficient",
     "warp_speed",
 ]
@@ -145,15 +146,14 @@ class FitSpec:
         fit failed, and the failed rows by cause: (beta, singular,
         nonconverged).  A LinAlgError of one fit marks it singular; a fit
         with non-finite coefficients counts as not converged."""
+        nonconverged = np.zeros(len(stack), dtype=bool)
         if self.link == gee.IDENTITY:
             fits = self._identity(stack)
             beta, singular = fits.beta, fits.singular
-            nonconverged = np.zeros(len(stack), dtype=bool)
         else:
             p = 1 + stack.covariates1.shape[2] + stack.covariates2.shape[2]
             beta = np.full((len(stack), p), np.nan)
             singular = np.zeros(len(stack), dtype=bool)
-            nonconverged = np.zeros(len(stack), dtype=bool)
             for k in range(len(stack)):
                 try:
                     result = self.fit(stack.dataset(k))
@@ -185,8 +185,10 @@ class BootstrapEnsemble:
         return ~np.any(np.isnan(self.replicates), axis=1)
 
 
-def require_finite(fit: gee.FitResult) -> None:
-    """Raise RuntimeError when ``fit`` has a non-finite coefficient."""
+def require_usable(fit: gee.FitResult) -> None:
+    """Raise RuntimeError unless ``fit`` converged to finite coefficients."""
+    if not fit.converged:
+        raise RuntimeError(f"fit did not converge: {fit.message}")
     if not np.all(np.isfinite(fit.beta)):
         raise RuntimeError(
             "fit has non-finite coefficients; covariates this large in magnitude "
@@ -217,22 +219,22 @@ def bootstrap(
     B: int = 2000,
     seed: int = 0,
 ) -> BootstrapEnsemble:
-    """Nonparametric bootstrap of the full pipeline."""
+    """Nonparametric bootstrap of the full pipeline; a base fit that
+    ``require_usable`` refuses stops it before any refit."""
     if B < 1:
         raise ValueError("B must be at least 1")
     spec = spec or FitSpec()
     base = spec.fit(data)
-    require_finite(base)
+    require_usable(base)
     whole = DatasetStack.of([data])
     replicates = np.full((B, base.beta.size), np.nan)
     singular = nonconverged = 0
     step = _chunk_size(data.n1, data.n2)
     for start in range(0, B, step):
-        draws = [resample_indices(_replicate_rng(seed, b), data.n1, data.n2)
-                 for b in range(start, min(start + step, B))]
-        idx1, idx2 = (np.stack(idx) for idx in zip(*draws))
+        runs = range(start, min(start + step, B))
+        _, idx1, idx2 = _simulated_chunk(lambda rngs: whole, seed, runs)
         beta, sing, nonconv = spec._fit_stack(whole.resampled(idx1, idx2))
-        replicates[start : start + len(draws)] = beta
+        replicates[runs.start : runs.stop] = beta
         singular += int(sing.sum())
         nonconverged += int(nonconv.sum())
     failed = singular + nonconverged
@@ -338,13 +340,14 @@ class ChunkSimulator(Protocol):
         """Dataset k of the stack drawn from ``rngs[k]`` alone."""
 
 
-def _simulated_chunk(simulator: ChunkSimulator, seed: int, runs: range):
-    """The datasets of Monte Carlo runs ``runs`` as one stack, with each
-    run's resample (idx1, idx2).  Run m draws its dataset and then its
-    resample from the stream (seed, m)."""
+def _simulated_chunk(draw, seed: int, runs: range):
+    """The stack ``draw(rngs)``, one generator per run in ``runs``, and each
+    run's resample (idx1, idx2): run m draws its dataset, then its resample,
+    from the stream (seed, m).  The bootstrap's ``draw`` draws nothing."""
     rngs = [_replicate_rng(seed, m) for m in runs]
-    stack = simulator.simulate(rngs)
-    draws = [resample_indices(rng, simulator.n1, simulator.n2) for rng in rngs]
+    stack = draw(rngs)
+    n1, n2 = stack.times1.shape[-1], stack.times2.shape[-1]
+    draws = [resample_indices(rng, n1, n2) for rng in rngs]
     idx1, idx2 = (np.stack(idx) for idx in zip(*draws))
     return stack, idx1, idx2
 
@@ -373,7 +376,8 @@ def warp_speed(
     singular = nonconverged = 0
     step = _chunk_size(simulator.n1, simulator.n2)
     for start in range(0, M, step):
-        stack, idx1, idx2 = _simulated_chunk(simulator, seed, range(start, min(start + step, M)))
+        runs = range(start, min(start + step, M))
+        stack, idx1, idx2 = _simulated_chunk(simulator.simulate, seed, runs)
         base, base_singular, base_nonconv = spec._fit_stack(stack)
         star, star_singular, star_nonconv = spec._fit_stack(stack.resampled(idx1, idx2))
         sing = base_singular | star_singular

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
 
 from .gee import IDENTITY, LOGIT, FitResult, _expit, check_link
-from .inference import BootstrapEnsemble
+from .inference import BootstrapEnsemble, _two_sided_z
 
 __all__ = ["Predictions", "predict_profiles"]
 
@@ -27,6 +26,7 @@ class Predictions:
     point: np.ndarray
     ci_low: np.ndarray
     ci_high: np.ndarray
+    interval: str                 # the CI built: emp or quantile
 
     @property
     def out_of_range(self) -> np.ndarray:
@@ -87,11 +87,11 @@ def predict_profiles(
     slopes = reps[:, 1 : 1 + p1] @ Z1.T + reps[:, 1 + p1 : 1 + p1 + p2] @ Z2.T  # (B_ok, N)
     if method == "emp":
         sd = np.std(slopes, axis=0, ddof=1) if slopes.shape[0] > 1 else np.zeros(center.shape)
-        half = float(norm.ppf(1 - alpha / 2)) * sd
+        half = _two_sided_z(alpha) * sd
         low, high = center - half, center + half
     else:
         q_lo, q_hi = np.quantile(slopes - base_slope, [alpha / 2, 1 - alpha / 2], axis=0)
         low, high = center - q_hi, center - q_lo
     if link == LOGIT:
         center, low, high = _expit(center), _expit(low), _expit(high)
-    return Predictions(point=center, ci_low=low, ci_high=high)
+    return Predictions(point=center, ci_low=low, ci_high=high, interval=method)

@@ -435,9 +435,9 @@ def simulate_dataset(scenario: Scenario, rng) -> TwoSampleDataset:
     censoring C1 and C2."""
     Z1 = _covariates(1, scenario.p, scenario.n1, rng)
     Z2 = _covariates(2, scenario.p, scenario.n2, rng)
-    T1 = (np.exp(scenario.gamma10 + Z1 @ scenario.gamma1)
+    T1 = (np.exp(Z1 @ scenario.gamma1)
           * (-np.log(rng.uniform(size=scenario.n1))) ** (1.0 / scenario.k1))
-    T2 = (np.exp(scenario.gamma20 + Z2 @ scenario.gamma2)
+    T2 = (np.exp(Z2 @ scenario.gamma2)
           * (-np.log(rng.uniform(size=scenario.n2))) ** (1.0 / scenario.k2))
     if not scenario.censored:
         return TwoSampleDataset(T1, np.ones(scenario.n1), Z1, T2, np.ones(scenario.n2), Z2,

@@ -256,7 +256,8 @@ def test_criterion_11_tie_correction_and_classification():
     ]
     intervals, labels = zip(*rules)
     lo, hi = np.array(intervals).T
-    fixtures = Predictions(point=np.full(len(rules), 0.5), ci_low=lo, ci_high=hi)
+    fixtures = Predictions(point=np.full(len(rules), 0.5), ci_low=lo, ci_high=hi,
+                           interval="emp")
     ok_rule = fixtures.classification.tolist() == list(labels)
     report(
         "tie correction bounded; classification rule exact",

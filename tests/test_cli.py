@@ -682,6 +682,44 @@ class TestCommands:
         assert f"simulate does not read {key}" in caplog.text
         assert not out.exists()
 
+    def test_fit_has_no_method_option(self, four_row_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--data", str(four_row_csv), "--method", "emp", "--out-dir", str(out)])
+        assert exc.value.code == EXIT_PARSE
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fit_refuses_method_in_config(self, four_row_csv, tmp_path, caplog):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "emp"}))
+        out = tmp_path / "out"
+        with caplog.at_level("ERROR", logger="releff"):
+            rc = main(["fit", "--data", str(four_row_csv), "--config", str(cfg),
+                       "--out-dir", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "fit does not read method" in caplog.text
+        assert not out.exists()
+
+    def test_fit_manifest_records_only_the_fields_fit_reads(self, four_row_csv, tmp_path):
+        assert main(["fit", "--data", str(four_row_csv), "--out-dir", str(tmp_path)]) == EXIT_OK
+        manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+        keys = [line.split("=")[0] for line in manifest if line.startswith("config.")]
+        assert keys == [f"config.{k}" for k in ("link", "tau", "B", "alpha", "seed", "covariates1",
+                                                "covariates2", "strict_singular", "out_dir")]
+
+    @pytest.mark.parametrize("flags, interval", [
+        ([], "emp"), (["--method", "quantile"], "quantile"),
+    ], ids=["default", "quantile"])
+    def test_predict_manifest_records_the_interval_built(self, covariate_csv, tmp_path,
+                                                         flags, interval):
+        out = tmp_path / "out"
+        assert main(["predict", "--data", str(covariate_csv), "--tau", "4", "--cov1", "age",
+                     "--cov2", "age", "--seed", "2", "--bootstrap", "10", *flags,
+                     "--out-dir", str(out)]) == EXIT_OK
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert f"predict.interval={interval}" in manifest
+
     def test_simulate_reads_seed_alpha_and_out_dir_from_config(self, tmp_path):
         out = tmp_path / "out"
         cfg = tmp_path / "cfg.json"

@@ -350,9 +350,10 @@ class TestNewtonMatchesOracle:
             assert got.used_pinv
             assert_same_fit(got, newton_fit(pm, Z, Z2, LOGIT))
 
-    def test_iteration_cap(self, rng):
+    def test_iteration_cap(self, rng, monkeypatch):
         pm, Z1, Z2 = instance(rng)
-        got = solve_newton(pm, Z1, Z2, LOGIT, max_iter=1)
+        monkeypatch.setattr(gee, "MAX_ITER", 1)
+        got = solve_newton(pm, Z1, Z2, LOGIT)
         assert not got.converged and got.message == "max iterations reached"
         assert_same_fit(got, newton_fit(pm, Z1, Z2, LOGIT, max_iter=1))
 

@@ -1,5 +1,6 @@
 """Static checks of the package sources: every name a module imports is used,
-and every name its ``__all__`` exports is bound."""
+every name its ``__all__`` exports is bound, and every module-level private
+name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -66,3 +67,47 @@ def test_checker_finds_stale_exports():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_export_is_bound(path):
     assert stale_exports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources: dict):
+    """(module, name) of each module-level private name (one leading
+    underscore: a function, class or assigned constant) that no statement
+    of ``sources`` (module name -> source) reads outside its own top-level
+    definition.  A read is a loaded name, an attribute or an imported name."""
+    defined, reads = [], []
+    for module, source in sources.items():
+        for k, node in enumerate(ast.parse(source).body):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            where = (module, k)
+            defined += [(where, n) for n in names if n.startswith("_") and not n.startswith("__")]
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    reads.append((where, n.id))
+                elif isinstance(n, ast.Attribute):
+                    reads.append((where, n.attr))
+                elif isinstance(n, ast.alias):
+                    reads.append((where, n.name))
+    return [(where[0], name) for where, name in defined
+            if not any(r == name and w != where for w, r in reads)]
+
+
+def test_checker_finds_unread_private_names():
+    sources = {
+        "a": ("_LIMIT = 3\n_UNUSED = 4\n__dunder__ = 5\n"
+              "def _helper(x):\n    return _helper(x - 1) if x else _LIMIT\n"
+              "class _Alone: pass\ndef public(): return _Used()\n"),
+        "b": "from .a import _imported\nclass _Used:\n    def go(self): return self._private\n",
+    }
+    assert unread_private_names(sources) == [
+        ("a", "_UNUSED"), ("a", "_helper"), ("a", "_Alone")]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []

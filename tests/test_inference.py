@@ -353,6 +353,26 @@ def test_overflowing_base_fit_stops_the_bootstrap_before_any_refit(monkeypatch):
             bootstrap(data, B=20, seed=0)
 
 
+def test_nonconverged_base_fit_stops_the_bootstrap_before_any_refit(monkeypatch, rng):
+    from releff import gee
+
+    data = random_dataset(rng, 10, 10, censored=True)
+    real = gee.solve_newton
+
+    def stalled(*args, **kwargs):
+        result = real(*args, **kwargs)
+        result.converged, result.message = False, "line search stalled"
+        return result
+
+    def no_refit(*args, **kwargs):
+        pytest.fail("a refit ran after a base fit that did not converge")
+
+    monkeypatch.setattr(gee, "solve_newton", stalled)
+    monkeypatch.setattr(FitSpec, "_fit_stack", no_refit)
+    with pytest.raises(RuntimeError, match="did not converge: line search stalled"):
+        bootstrap(data, spec=FitSpec(link=LOGIT), B=20, seed=0)
+
+
 def non_finite_rows(monkeypatch, calls, row):
     """Make ``row`` of the given 0-based ``gee.solve_identity`` calls
     infinite, as an overflowing design would."""

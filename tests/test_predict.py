@@ -143,7 +143,7 @@ class TestClassify:
         ]
         intervals, expected = zip(*cases)
         lo, hi = np.array(intervals).T
-        preds = Predictions(point=(lo + hi) / 2, ci_low=lo, ci_high=hi)
+        preds = Predictions(point=(lo + hi) / 2, ci_low=lo, ci_high=hi, interval="emp")
         assert preds.classification.tolist() == list(expected)
 
 

@@ -33,7 +33,6 @@ class TestScenarioDefinitions:
         sc = make_scenario("ii", "II", 50, 50, censored=False)
         np.testing.assert_array_equal(sc.gamma1, [0.2, 0.0])
         np.testing.assert_array_equal(sc.gamma2, [0.0, 0.5])
-        assert sc.gamma10 == sc.gamma20 == 0.0
         assert (sc.k1, sc.k2) == (3.0, 3.0)
 
         sc4 = make_scenario("iv", "I", 40, 60, censored=True)
@@ -181,9 +180,13 @@ class TestScenarioRunner:
         np.testing.assert_array_equal(res_a.estimates, res_b.estimates)
 
     def test_hypothesis_labels(self):
-        sc = make_scenario("ii", "II", 15, 15, censored=False)
-        rows, _ = run_scenario(sc, M=100, seed=0)
-        assert [r["hypothesis"] for r in rows] == ["H1(1)", "H0(2)"]
+        for scenario_id, labels in (
+            ("i", ["H0(1)", "H0(2)"]), ("ii", ["H1(1)", "H0(2)"]),
+            ("iii", ["H0(1)", "H0(2)"]), ("iv", ["H0(1)", "H1(2)"]),
+        ):
+            sc = make_scenario(scenario_id, "II", 15, 15, censored=False)
+            rows, _ = run_scenario(sc, M=100, seed=0)
+            assert [r["hypothesis"] for r in rows] == labels, scenario_id
 
     def test_minimum_monte_carlo_size(self):
         sc = make_scenario("i", "II", 15, 15, censored=False)
@@ -222,7 +225,7 @@ class TestStackSimulation:
         sc = make_scenario(scenario_id, setting, 13, 17, censored)
         for size in (1, 7, 40):
             runs = range(5, 5 + size)
-            stack, idx1, idx2 = _simulated_chunk(sc, 7, runs)
+            stack, idx1, idx2 = _simulated_chunk(sc.simulate, 7, runs)
             for k, m in enumerate(runs):
                 rng = _replicate_rng(7, m)
                 data = simulate_dataset(sc, rng)
