@@ -40,9 +40,7 @@ EXIT_CONFIG = 4
 # a logit fit peaks while it builds the pseudo matrix, at up to three
 # n x K or n1 x n2 float arrays under censoring (K the group-2 jump grid),
 # or then holds the matrix and the three block buffers of Newton's evaluator
-# (``gee.logit_working_set``); the uncensored sandwich covariance holds about
-# three n1 x n2 arrays (the indicator matrix, the linear predictor and the
-# residual); a larger working set is refused before any fit
+# (``gee.logit_working_set``); a larger working set is refused before any fit
 WORKING_SET_BYTES = 2 << 30
 
 # the configuration fields each command reads, in manifest order: its parser
@@ -120,22 +118,22 @@ class AnalysisConfig:
             if not ok:
                 raise ConfigFailure(f"{name} must be {what}, got {getattr(self, name)!r}")
 
-    @classmethod
-    def from_file(cls, path) -> "AnalysisConfig":
-        try:
-            with open(path, encoding="utf-8-sig") as fh:
-                raw = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigFailure(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigFailure(f"config {path} must hold a JSON object")
-        if "tau" in raw and raw["tau"] == "inf":
-            raw["tau"] = float("inf")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigFailure(f"unknown config keys: {sorted(unknown)}")
-        return cls(**raw)
+
+def _read_config(path) -> dict:
+    """The fields a JSON config file sets, by name."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            raw = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigFailure(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigFailure(f"config {path} must hold a JSON object")
+    if "tau" in raw and raw["tau"] == "inf":
+        raw["tau"] = float("inf")
+    unknown = set(raw) - set(AnalysisConfig.__dataclass_fields__)
+    if unknown:
+        raise ConfigFailure(f"unknown config keys: {sorted(unknown)}")
+    return raw
 
 
 def _parse_float(text, row, column):
@@ -306,36 +304,20 @@ def _coefficient_names(config: AnalysisConfig):
     )
 
 
-def _check_working_set(config: AnalysisConfig, data: TwoSampleDataset, sandwich: bool):
-    """Refuse a logit fit, or an uncensored identity fit whose ``sandwich``
-    covariance is asked for, that needs more than WORKING_SET_BYTES."""
-    if config.link == LOGIT:
-        what, working_set = "the logit link", logit_working_set(data)
-    elif sandwich and data.uncensored:
-        what, working_set = "the sandwich covariance", 3 * 8 * data.n1 * data.n2
-    else:
-        return
-    if working_set > WORKING_SET_BYTES:
-        raise ConfigFailure(
-            f"{what} needs about {working_set / 2**30:.2f} GiB of working memory "
-            f"for n1 = {data.n1}, n2 = {data.n2}; the limit is "
-            f"{WORKING_SET_BYTES / 2**30:.2f} GiB"
-        )
-
-
-def _prepare(args, resample=True, predict=False):
+def _prepare(args, predict=False):
     """Shared preamble of fit, test and predict.
 
-    Builds the configuration, ingests the CSV, creates the output directory
-    and fits the model.  With ``resample`` a seed is required and the
-    bootstrap is run, and the base fit is its ``base_fit``.  The base fit
+    Builds the configuration, ingests the CSV, refuses a logit fit that
+    needs more than WORKING_SET_BYTES, creates the output directory and
+    fits the model.  Test and predict always run the bootstrap, fit when B
+    is set; the base fit is then the bootstrap's ``base_fit``.  The base fit
     must converge to finite coefficients (``require_usable``).  For
     ``predict`` both groups must name the same covariate columns, the
     horizon must be finite and the interval method is emp or quantile.
     Returns (config, data, out_dir, ensemble, fit); ``ensemble`` is None
-    without ``resample``.
+    without a bootstrap.
     """
-    config = _build_config(args, require_seed=resample)
+    config, resample = _build_config(args)
     if not args.data:
         raise ConfigFailure("an input data file is required (use --data)")
     if predict and config.covariates1 != config.covariates2:
@@ -350,16 +332,16 @@ def _prepare(args, resample=True, predict=False):
         raise ConfigFailure(f"predict has no {config.method} interval; "
                             "use --method emp or quantile")
     data = ingest_csv(args.data, config)
-    _check_working_set(config, data, sandwich=not resample)
+    working_set = logit_working_set(data) if config.link == LOGIT else 0
+    if working_set > WORKING_SET_BYTES:
+        raise ConfigFailure(f"the logit link needs about {working_set / 2**30:.2f} GiB of working "
+                            f"memory for n1 = {data.n1}, n2 = {data.n2}; the limit is "
+                            f"{WORKING_SET_BYTES / 2**30:.2f} GiB")
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = FitSpec(link=config.link, strict_singular=config.strict_singular)
-    ensemble = None
-    if resample:
-        ensemble = bootstrap(data, spec=spec, B=config.B, seed=config.seed)
-        fit = ensemble.base_fit
-    else:
-        fit = spec.fit(data)
+    ensemble = bootstrap(data, spec=spec, B=config.B, seed=config.seed) if resample else None
+    fit = spec.fit(data) if ensemble is None else ensemble.base_fit
     require_usable(fit)
     if ensemble is not None and ensemble.unreliable:
         log.warning("bootstrap unreliable: %d of %d replicates failed",
@@ -368,9 +350,7 @@ def _prepare(args, resample=True, predict=False):
 
 
 def cmd_fit(args) -> int:
-    config, data, out_dir, ensemble, result = _prepare(
-        args, resample=args.B is not None
-    )
+    config, data, out_dir, ensemble, result = _prepare(args)
     names = _coefficient_names(config)
     rows = [{"coefficient": name, "estimate": b} for name, b in zip(names, result.beta)]
     header = ["coefficient", "estimate"]
@@ -458,7 +438,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = _build_config(args, require_seed=True)
+    config, _ = _build_config(args)
     try:
         check_reps(args.reps, args.long_run)
         scenario = make_scenario(args.scenario, args.setting, args.n1, args.n2, args.censored)
@@ -478,11 +458,13 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _build_config(args, require_seed=False) -> AnalysisConfig:
-    """The configuration of ``args.command``: its config file, in which a
-    field the command does not read must keep its default, then its options."""
+def _build_config(args):
+    """The configuration of ``args.command`` (its config file, in which a field
+    the command does not read must keep its default, then its options) and
+    whether it draws random numbers, needing a seed: all but a fit without B."""
     reads = COMMAND_FIELDS[args.command]
-    config = AnalysisConfig.from_file(args.config) if args.config else AnalysisConfig()
+    raw = _read_config(args.config) if args.config else {}
+    config = AnalysisConfig(**raw)
     defaults = asdict(AnalysisConfig())
     unread = [k for k, v in asdict(config).items() if k not in reads and v != defaults[k]]
     if unread:
@@ -491,9 +473,10 @@ def _build_config(args, require_seed=False) -> AnalysisConfig:
     # every option that overrides the configuration has its field as dest
     overrides = {k: getattr(args, k) for k in reads if getattr(args, k) is not None}
     config = AnalysisConfig(**{**asdict(config), **overrides})
-    if require_seed and config.seed is None:
+    draws = args.command != "fit" or "B" in raw or "B" in overrides
+    if draws and config.seed is None:
         raise ConfigFailure("a seed is required for this command (use --seed)")
-    return config
+    return config, draws
 
 
 def _csv_list(text):

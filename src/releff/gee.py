@@ -19,7 +19,8 @@ u[i1] v[i2], so a candidate takes n1 + n2 exps, and 1 + exp(-eta) is one
 rank-2 BLAS product per block; mu = 1 / (1 + exp(-eta)), then mu' = mu (1 - mu)
 and mu'' = mu' (1 - 2 mu) follow from mu.  A candidate whose balanced factors
 would leave exp(+-EXP_FACTOR_LIMIT), which only a saturated fit reaches,
-takes one exp per pair instead.
+takes one exp per pair instead.  The uncensored sandwich covariance reads
+the pair indicators through sorted prefix sums, without any n1 x n2 array.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pseudo import matrix_working_set, pseudo_matrix
+from .pseudo import matrix_working_set
 from .survival import TwoSampleDataset
 
 log = logging.getLogger("releff")
@@ -369,15 +370,30 @@ def solve_newton(matrix: np.ndarray, Z1, Z2, link: str, x0=None) -> FitResult:
     )
 
 
-def _shared_row_column_meat(R, Z1, Z2):
+def _indicator_products(data: TwoSampleDataset, X1, X2):
+    """D X2 and D' X1 for the pair indicators D = 1{T1 > T2, T2 < tau} of
+    fully observed ``data``, without building D: row i1 of D X2 sums X2 over
+    T2 < min(T1[i1], tau), a prefix sum over group 2 sorted by time, and row
+    i2 of D' X1 sums X1 over T1 > T2[i2], a suffix sum over group 1 sorted
+    by time, or is 0 where T2[i2] >= tau."""
+    o1, o2 = np.argsort(data.times1, kind="stable"), np.argsort(data.times2, kind="stable")
+    prefix = np.concatenate((np.zeros((1, X2.shape[1])), np.cumsum(X2[o2], axis=0)))
+    suffix = np.concatenate((np.cumsum(X1[o1][::-1], axis=0)[::-1], np.zeros((1, X1.shape[1]))))
+    DX2 = prefix[np.searchsorted(data.times2[o2], np.minimum(data.times1, data.tau))]
+    DtX1 = suffix[np.searchsorted(data.times1[o1], data.times2, side="right")]
+    DtX1[data.times2 >= data.tau] = 0.0
+    return DX2, DtX1
+
+
+def _shared_row_column_meat(RX2, RtX1, Z1, Z2):
     """Covariance blocks of pair contributions R[i1,i2] * z sharing a row
-    (same group-1 subject) or a column (same group-2 subject)."""
-    n1, n2 = R.shape
-    rs = R.sum(axis=1)
-    cs = R.sum(axis=0)
-    m = np.concatenate(([R.sum()], Z1.T @ rs, Z2.T @ cs)) / (n1 * n2)
-    U = np.concatenate((rs[:, None], rs[:, None] * Z1, R @ Z2), axis=1)
-    V = np.concatenate((cs[:, None], R.T @ Z1, cs[:, None] * Z2), axis=1)
+    (same group-1 subject) or a column (same group-2 subject), from
+    RX2 = R (1, Z2) and RtX1 = R' (1, Z1)."""
+    n1, n2 = RX2.shape[0], RtX1.shape[0]
+    rs, cs = RX2[:, :1], RtX1[:, :1]   # the row and column sums of R
+    m = np.concatenate(([rs.sum()], Z1.T @ rs[:, 0], Z2.T @ cs[:, 0])) / (n1 * n2)
+    U = np.concatenate((rs, rs * Z1, RX2[:, 1:]), axis=1)
+    V = np.concatenate((cs, RtX1[:, 1:], cs * Z2), axis=1)
     omega1 = U.T @ U / (n1 * n2**2) - np.outer(m, m)
     omega2 = V.T @ V / (n1**2 * n2) - np.outer(m, m)
     return omega1, omega2
@@ -387,31 +403,32 @@ def sandwich_covariance_uncensored(data: TwoSampleDataset) -> np.ndarray:
     """Plug-in asymptotic covariance of the identity-link coefficients.
 
     Valid only on fully observed data, where each pair contribution is the
-    indicator 1{T1 > T2, T2 < tau}.  The meat matrices are built from the
-    fitted residuals, which is what the linearization
+    indicator D = 1{T1 > T2, T2 < tau}.  The meat matrices are built from
+    the fitted residuals R = D - eta, which is what the linearization
     beta_hat - beta = Sigma_hat^{-1}(Psi_hat - Sigma_hat beta) calls for;
     building them from raw indicators ignores the coupling between
     Sigma_hat and Psi_hat through the covariates and badly overestimates
     the variance whenever the covariates have nonzero second moments.
-    Under censoring use bootstrap inference instead.
+    They need only R (1, Z2) and R' (1, Z1): sorted prefix sums for D and
+    rank-one terms for eta = a[i1] + b[i2], in O(n log n) time and O(n)
+    memory.  Under censoring use bootstrap inference instead.
     """
     if not data.uncensored:
-        raise ValueError(
-            "analytic covariance requires fully observed data; "
-            "use bootstrap inference under censoring"
-        )
+        raise ValueError("analytic covariance requires fully observed data; "
+                         "use bootstrap inference under censoring")
     Z1, Z2 = data.covariates1, data.covariates2
     n1, n2 = data.n1, data.n2
-    D = pseudo_matrix(data)
-    beta = solve_identity(D.mean(axis=1)[None], D.mean(axis=0)[None], Z1[None], Z2[None]).beta[0]
-    left, right = _eta_factors(*_group_parts(beta, Z1, Z2))
-    R = D - left @ right
-
-    omega1, omega2 = _shared_row_column_meat(R, Z1, Z2)
+    X1, X2 = np.column_stack((np.ones(n1), Z1)), np.column_stack((np.ones(n2), Z2))
+    DX2, DtX1 = _indicator_products(data, X1, X2)
+    # exact counts, so these are D's row and column means bit for bit
+    beta = solve_identity(DX2[None, :, 0] / n2, DtX1[None, :, 0] / n1, Z1[None], Z2[None]).beta[0]
+    a, b = _group_parts(beta, Z1, Z2)
+    RX2 = DX2 - (np.outer(a, X2.sum(axis=0)) + b @ X2)
+    RtX1 = DtX1 - (np.outer(b, X1.sum(axis=0)) + a @ X1)
+    omega1, omega2 = _shared_row_column_meat(RX2, RtX1, Z1, Z2)
     lam = n1 / (n1 + n2)
     omega = (1.0 - lam) * omega1 + lam * omega2
 
-    Sigma = design_second_moment(Z1, Z2)
-    Sigma_inv = np.linalg.pinv(Sigma)
+    Sigma_inv = np.linalg.pinv(design_second_moment(Z1, Z2))
     cov = Sigma_inv @ omega @ Sigma_inv.T * (n1 + n2) / (n1 * n2)
     return 0.5 * (cov + cov.T)

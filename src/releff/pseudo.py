@@ -130,12 +130,11 @@ def _stieltjes_matrix(data: TwoSampleDataset) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PseudoMarginals:
-    """Row means (N, n1), column means (N, n2) and plug-in estimates (N,) of
-    the pseudo-observation matrices of N datasets."""
+    """Row means (N, n1) and column means (N, n2) of the pseudo-observation
+    matrices of N datasets."""
 
     row_means: np.ndarray
     col_means: np.ndarray
-    theta_hat: np.ndarray
 
 
 def _cumprod_from_one(factors: np.ndarray) -> np.ndarray:
@@ -255,7 +254,7 @@ def pseudo_marginals(times1, events1, times2, events2, tau) -> PseudoMarginals:
     np.put_along_axis(row_means, g1.order, rows, axis=-1)
     col_means = np.empty_like(cols)
     np.put_along_axis(col_means, g2.order, cols, axis=-1)
-    return PseudoMarginals(row_means=row_means, col_means=col_means, theta_hat=th)
+    return PseudoMarginals(row_means=row_means, col_means=col_means)
 
 
 def tie_correction_term(data: TwoSampleDataset) -> float:

@@ -19,6 +19,8 @@ fast path in ``releff``:
   Jacobian of every step afresh;
 - the identity-link fit from the means of the full pseudo matrix, and the
   fit of one dataset through that matrix;
+- the uncensored sandwich covariance from the full indicator and residual
+  matrices;
 - the prediction interval one profile at a time (on the scale of beta'z,
   then mapped through mu);
 - the warp-speed Monte Carlo engine one run and one full pseudo matrix at a
@@ -351,6 +353,47 @@ def matrix_fit(spec: FitSpec, data: TwoSampleDataset) -> FitResult:
         return start
     return gee.solve_newton(matrix, data.covariates1, data.covariates2, spec.link,
                             x0=start.beta)
+
+
+def shared_row_column_meat(R, Z1, Z2):
+    """Covariance blocks of pair contributions R[i1,i2] * z sharing a row
+    (same group-1 subject) or a column (same group-2 subject)."""
+    n1, n2 = R.shape
+    rs = R.sum(axis=1)
+    cs = R.sum(axis=0)
+    m = np.concatenate(([R.sum()], Z1.T @ rs, Z2.T @ cs)) / (n1 * n2)
+    U = np.concatenate((rs[:, None], rs[:, None] * Z1, R @ Z2), axis=1)
+    V = np.concatenate((cs[:, None], R.T @ Z1, cs[:, None] * Z2), axis=1)
+    omega1 = U.T @ U / (n1 * n2**2) - np.outer(m, m)
+    omega2 = V.T @ V / (n1**2 * n2) - np.outer(m, m)
+    return omega1, omega2
+
+
+def sandwich_covariance_uncensored(data: TwoSampleDataset) -> np.ndarray:
+    """The sandwich covariance of the identity-link coefficients on fully
+    observed data from the full indicator matrix D and residual matrix
+    R = D - eta, with beta fitted from D's row and column means."""
+    if not data.uncensored:
+        raise ValueError(
+            "analytic covariance requires fully observed data; "
+            "use bootstrap inference under censoring"
+        )
+    Z1, Z2 = data.covariates1, data.covariates2
+    n1, n2 = data.n1, data.n2
+    D = pseudo_matrix(data)
+    beta = gee.solve_identity(D.mean(axis=1)[None], D.mean(axis=0)[None],
+                              Z1[None], Z2[None]).beta[0]
+    left, right = gee._eta_factors(*gee._group_parts(beta, Z1, Z2))
+    R = D - left @ right
+
+    omega1, omega2 = shared_row_column_meat(R, Z1, Z2)
+    lam = n1 / (n1 + n2)
+    omega = (1.0 - lam) * omega1 + lam * omega2
+
+    Sigma = gee.design_second_moment(Z1, Z2)
+    Sigma_inv = np.linalg.pinv(Sigma)
+    cov = Sigma_inv @ omega @ Sigma_inv.T * (n1 + n2) / (n1 * n2)
+    return 0.5 * (cov + cov.T)
 
 
 def warp_speed(make_dataset, M, seed=0, spec=None, coefficients=None, alpha=0.05):

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import platform
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +75,7 @@ class TestConfig:
     def test_from_file_with_inf_tau(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"tau": "inf", "alpha": 0.1, "seed": 3}))
-        config = AnalysisConfig.from_file(cfg)
+        config = AnalysisConfig(**cli._read_config(cfg))
         assert np.isinf(config.tau)
         assert config.alpha == 0.1
 
@@ -82,13 +83,13 @@ class TestConfig:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"taus": 2.0}))
         with pytest.raises(ConfigFailure):
-            AnalysisConfig.from_file(cfg)
+            AnalysisConfig(**cli._read_config(cfg))
 
     def test_config_with_byte_order_mark_is_read(self, tmp_path):
         # editors such as Notepad save UTF-8 with a leading byte-order mark
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"alpha": 0.1, "seed": 3}).encode())
-        config = AnalysisConfig.from_file(cfg)
+        config = AnalysisConfig(**cli._read_config(cfg))
         assert (config.alpha, config.seed) == (0.1, 3)
 
     def test_config_not_utf8_exits_config(self, four_row_csv, tmp_path, caplog):
@@ -274,7 +275,7 @@ class TestIngest:
                                   pseudo_matrix(dataclasses.replace(data, tau=np.inf)))
         m = pseudo_marginals(data.times1[None], data.events1[None], data.times2[None],
                              data.events2[None], np.array([data.tau]))
-        assert m.theta_hat[0] == pytest.approx(1 / 3)
+        assert m.row_means[0].mean() == pytest.approx(1 / 3)
         # the tie correction counts the common jump at tau: half of
         # dS1(4) dS2(4) = (1/3)(1/2), where leaving it out would give 0
         assert tie_correction_term(data) == pytest.approx(1 / 12)
@@ -568,32 +569,61 @@ class TestCommands:
             assert "n1 = 20, n2 = 22" in caplog.text, command
             assert not out.exists(), command
 
-    def test_sandwich_working_set_refused_before_any_fit(self, covariate_csv, tmp_path,
-                                                         monkeypatch, caplog):
-        # fully observed identity fit without --bootstrap: the sandwich
-        # covariance holds about three n1 x n2 arrays
-        needed = 3 * 8 * 20 * 22
+    def test_large_sandwich_fit_holds_no_pair_array(self, tmp_path):
+        # fully observed, n1 = n2 = 10 000: one n1 x n2 float array is 800 MB
+        n = 10_000
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal(2 * n)
+        t = np.exp(0.3 * z) * rng.weibull(2, 2 * n)
+        path = tmp_path / "large.csv"
+        write_csv(path, [[1 + i // n, f"{t[i]:.6f}", 1, f"{z[i]:.6f}"] for i in range(2 * n)],
+                  header=("group", "time", "status", "age"))
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            rc = main(["fit", "--data", str(path), "--tau", "inf", "--cov1", "age",
+                       "--cov2", "age", "--out-dir", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_OK
+        with open(out / "coefficients.csv") as fh:
+            ses = [float(r["se_sandwich"]) for r in csv.DictReader(fh)]
+        assert len(ses) == 3 and np.all(np.isfinite(ses))
+        assert peak < 8 * n * n / 10
+
+    def test_fit_bootstraps_when_the_config_sets_B(self, covariate_csv, tmp_path, caplog):
+        def header_and_text(out):
+            text = (out / "coefficients.csv").read_text()
+            return text.splitlines()[0].split(","), text
+
+        bootstrap_columns = (
+            [f"se_{m}" for m in ("emp", "iqr", "mad")]
+            + [f"ci_{m}_{end}" for m in ("emp", "iqr", "mad", "quantile")
+               for end in ("low", "high")]
+            + [f"reject_{m}" for m in ("emp", "iqr", "mad", "quantile")]
+        )
         argv = ["fit", "--data", str(covariate_csv), "--tau", "4", "--cov1", "age",
                 "--cov2", "age"]
-        monkeypatch.setattr(cli, "WORKING_SET_BYTES", needed)
-        assert main([*argv, "--out-dir", str(tmp_path / "at_limit")]) == EXIT_OK
-
-        monkeypatch.setattr(cli, "WORKING_SET_BYTES", needed - 1)
-        # with a bootstrap instead of the sandwich the fit is not refused
-        assert main([*argv, "--seed", "2", "--bootstrap", "5",
-                     "--out-dir", str(tmp_path / "bootstrap")]) == EXIT_OK
-
-        def no_fit(*args, **kwargs):
-            pytest.fail("a fit ran although the working set was refused")
-
-        monkeypatch.setattr(FitSpec, "fit", no_fit)
-        monkeypatch.setattr(cli, "sandwich_covariance_uncensored", no_fit)
-        out = tmp_path / "refused"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"B": 50, "seed": 1}))
+        assert main([*argv, "--config", str(config), "--out-dir", str(tmp_path / "c")]) == EXIT_OK
+        header, text = header_and_text(tmp_path / "c")
+        assert header == ["coefficient", "estimate", *bootstrap_columns]
+        # the same run as with the options
+        assert main([*argv, "--bootstrap", "50", "--seed", "1",
+                     "--out-dir", str(tmp_path / "o")]) == EXIT_OK
+        assert header_and_text(tmp_path / "o")[1] == text
+        # with B set a seed is required, as with --bootstrap
+        config.write_text(json.dumps({"B": 50}))
         with caplog.at_level("ERROR", logger="releff"):
-            rc = main([*argv, "--out-dir", str(out)])
-        assert rc == EXIT_CONFIG
-        assert "sandwich covariance" in caplog.text and "n1 = 20, n2 = 22" in caplog.text
-        assert not out.exists()
+            assert main([*argv, "--config", str(config),
+                         "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
+        assert "seed is required" in caplog.text
+        # no B anywhere: the sandwich
+        config.write_text(json.dumps({"seed": 1}))
+        assert main([*argv, "--config", str(config), "--out-dir", str(tmp_path / "s")]) == EXIT_OK
+        assert header_and_text(tmp_path / "s")[0] == ["coefficient", "estimate", "se_sandwich"]
 
     def test_predict_infinite_tau_refused_before_any_fit(self, covariate_csv, tmp_path,
                                                          monkeypatch, caplog):

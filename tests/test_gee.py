@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -457,7 +458,109 @@ class TestBlockedEvaluator:
         np.testing.assert_allclose(np.outer(u, v), np.exp(-(a[:, None] + b)), rtol=1e-12)
 
 
+def sandwich_case(times, tau, covariates, seed=0):
+    """A fully observed dataset for the sandwich tests.
+
+    ``times``: "continuous" normal times, some negative, or "tied" integer
+    times from -1 to 6 with T1 = T2 ties.  ``tau``: "inf", "inside" the
+    data or "low", below most times; a finite tau is also a group-2 time.
+    ``covariates``: "normal" or "binary", two in group 1 and one in group 2.
+    """
+    rng = np.random.default_rng(seed)
+    n1, n2 = 23, 17
+    if times == "continuous":
+        T1, T2 = rng.standard_normal(n1) + 1.5, rng.standard_normal(n2) + 1.5
+        tau = {"inf": np.inf, "inside": 1.5, "low": 0.3}[tau]
+    else:
+        T1, T2 = (rng.integers(-1, 7, n).astype(float) for n in (n1, n2))
+        tau = {"inf": np.inf, "inside": 3.0, "low": 1.0}[tau]
+    if np.isfinite(tau):
+        T2[0] = tau
+    if covariates == "normal":
+        Z1, Z2 = rng.standard_normal((n1, 2)), rng.standard_normal((n2, 1))
+    else:
+        Z1, Z2 = ((rng.uniform(size=(n, p)) < 0.4).astype(float) for n, p in ((n1, 2), (n2, 1)))
+    return TwoSampleDataset(T1, np.ones(n1), Z1, T2, np.ones(n2), Z2, tau=tau)
+
+
+SANDWICH_CASES = [(t, tau, z) for t in ("continuous", "tied") for tau in ("inf", "inside", "low")
+                  for z in ("normal", "binary")]
+
+
+@st.composite
+def sandwich_datasets(draw):
+    """Fully observed datasets on a grid of eighths, so that exp and affine
+    maps keep distinct times distinct, with heavy ties and tau infinite or
+    an observed time.  At least five subjects a group keep the design of
+    one group-1 and two group-2 covariates well conditioned (at three, its
+    condition number reaches 1e7 and the covariance carries its rounding)."""
+    n1, n2 = draw(st.integers(5, 12)), draw(st.integers(5, 12))
+    ticks = st.integers(-16, 48)
+    T1 = np.array(draw(st.lists(ticks, min_size=n1, max_size=n1))) / 8
+    T2 = np.array(draw(st.lists(ticks, min_size=n2, max_size=n2))) / 8
+    positive = np.concatenate((T1, T2))
+    positive = positive[positive > 0]
+    tau = draw(st.sampled_from([np.inf, *positive]))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    Z1, Z2 = rng.standard_normal((n1, 1)), rng.standard_normal((n2, 2))
+    return TwoSampleDataset(T1, np.ones(n1), Z1, T2, np.ones(n2), Z2, tau=tau)
+
+
 class TestSandwich:
+    @pytest.mark.parametrize("times, tau, covariates", SANDWICH_CASES)
+    def test_matches_matrix_oracle(self, times, tau, covariates):
+        for seed in range(3):
+            data = sandwich_case(times, tau, covariates, seed)
+            ref = oracles.sandwich_covariance_uncensored(data)
+            np.testing.assert_allclose(sandwich_covariance_uncensored(data), ref,
+                                       rtol=0, atol=1e-10 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("times, tau, covariates", SANDWICH_CASES)
+    def test_indicator_products_match_brute_products(self, times, tau, covariates):
+        data = sandwich_case(times, tau, covariates)
+        X1 = np.column_stack((np.ones(data.n1), data.covariates1))
+        X2 = np.column_stack((np.ones(data.n2), data.covariates2))
+        D = _indicator_matrix(data)
+        DX2, DtX1 = gee._indicator_products(data, X1, X2)
+        np.testing.assert_allclose(DX2, D @ X2, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(DtX1, D.T @ X1, rtol=0, atol=1e-12)
+        # the counts are exact, so beta is fitted from D's means bit for bit
+        np.testing.assert_array_equal(DX2[:, 0] / data.n2, D.mean(axis=1))
+        np.testing.assert_array_equal(DtX1[:, 0] / data.n1, D.mean(axis=0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=sandwich_datasets(), permutation_seed=st.integers(0, 2**16))
+    def test_permuting_subjects_within_groups(self, data, permutation_seed):
+        """Metamorphic gate (ROADMAP item 7) of the matrix-free sandwich:
+        relabelling the subjects of each group leaves the covariance
+        unchanged up to rounding."""
+        rng = np.random.default_rng(permutation_seed)
+        p1, p2 = rng.permutation(data.n1), rng.permutation(data.n2)
+        permuted = TwoSampleDataset(data.times1[p1], data.events1, data.covariates1[p1],
+                                    data.times2[p2], data.events2, data.covariates2[p2],
+                                    tau=data.tau)
+        cov = sandwich_covariance_uncensored(data)
+        # residuals that vanish in exact arithmetic (e.g. every T1 beyond
+        # every T2) leave a covariance of pure rounding; its scale is then
+        # that of unit residuals, the bread times (n1 + n2) / (n1 n2)
+        bread = np.linalg.pinv(design_second_moment(data.covariates1, data.covariates2))
+        scale = max(np.abs(cov).max(),
+                    np.abs(bread).max() * (data.n1 + data.n2) / (data.n1 * data.n2))
+        np.testing.assert_allclose(sandwich_covariance_uncensored(permuted), cov,
+                                   rtol=0, atol=1e-12 * scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=sandwich_datasets(), transform=st.sampled_from([np.exp, lambda t: 2 * t + 5]))
+    def test_increasing_time_transform(self, data, transform):
+        """Metamorphic gate (ROADMAP item 7) of the matrix-free sandwich: a
+        strictly increasing map of time, with tau mapped alike, leaves the
+        covariance bitwise equal."""
+        mapped = dataclasses.replace(data, times1=transform(data.times1),
+                                     times2=transform(data.times2), tau=transform(data.tau))
+        np.testing.assert_array_equal(sandwich_covariance_uncensored(mapped),
+                                      sandwich_covariance_uncensored(data))
+
     def test_symmetric_psd(self, rng):
         data = random_dataset(rng, 25, 30, censored=False)
         cov = sandwich_covariance_uncensored(data)
@@ -494,9 +597,12 @@ class TestSandwich:
         o0 = o0 / (n1 * n2) - np.outer(m, m)
         o1 = o1 / (n1 * n2**2) - np.outer(m, m)
         o2 = o2 / (n1**2 * n2) - np.outer(m, m)
-        # the production blocks with raw indicators in place of residuals
+        # the production blocks with raw indicators in place of residuals,
+        # the row and column blocks from the loop's D (1, Z2) and D' (1, Z1)
+        X1 = np.column_stack((np.ones(n1), Z1))
+        X2 = np.column_stack((np.ones(n2), Z2))
         got0 = paired_quadratic(D, Z1, Z2) / (n1 * n2) - np.outer(m, m)
-        got1, got2 = _shared_row_column_meat(D, Z1, Z2)
+        got1, got2 = _shared_row_column_meat(D @ X2, D.T @ X1, Z1, Z2)
         np.testing.assert_allclose(got0, o0, atol=1e-12)
         np.testing.assert_allclose(got1, o1, atol=1e-12)
         np.testing.assert_allclose(got2, o2, atol=1e-12)
