@@ -60,6 +60,7 @@ def main(argv=None):
                 "scenario": scenario_id, "setting": setting, "n1": n1, "n2": n2,
                 "seconds": seconds, "failed": result.failed,
                 "singular": result.singular, "nonconverged": result.nonconverged,
+                "saturated": result.saturated,
             })
             for r in new_rows:
                 print(

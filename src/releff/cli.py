@@ -258,17 +258,19 @@ def write_manifest(out_dir: Path, command: str, config: AnalysisConfig,
                    inputs=(), outputs=(), data=None, ensemble=None, fit=None,
                    predictions=None, montecarlo=None):
     """Record the command, the library versions, the fields of ``config``
-    it reads and what the run actually used: the horizon of ``data``, the
-    failures by cause of the bootstrap ``ensemble`` or of the ``montecarlo``
-    runs, how the base ``fit`` was solved, and the interval of the
-    ``predictions`` and how many of them fell outside [0, 1]."""
+    it reads (B only when a bootstrap ran) and what the run actually used:
+    the horizon of ``data``, the failures by cause of the bootstrap
+    ``ensemble`` or of the ``montecarlo`` runs, how the base ``fit`` was
+    solved, and the interval of the ``predictions`` and how many of them
+    fell outside [0, 1]."""
     lines = [
         f"command={command}", f"version={__version__}",
         f"python={platform.python_version()}", f"numpy={np.__version__}",
         f"scipy={scipy.__version__}",
     ]
     for key in COMMAND_FIELDS[command]:
-        lines.append(f"config.{key}={getattr(config, key)}")
+        if key != "B" or ensemble is not None:
+            lines.append(f"config.{key}={getattr(config, key)}")
     if data is not None:
         lines.append(f"data.tau={data.tau}")
     if fit is not None:
@@ -280,6 +282,7 @@ def write_manifest(out_dir: Path, command: str, config: AnalysisConfig,
             lines.append(f"{prefix}.failed={runs.failed}")
             lines.append(f"{prefix}.singular={runs.singular}")
             lines.append(f"{prefix}.nonconverged={runs.nonconverged}")
+            lines.append(f"{prefix}.saturated={runs.saturated}")
     if ensemble is not None:
         lines.append(f"bootstrap.unreliable={ensemble.unreliable}")
     if montecarlo is not None:

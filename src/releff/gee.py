@@ -8,10 +8,13 @@ with z = (1, Z1[i1], Z2[i2]) and eta = beta' z.  For the identity link U is
 psi - Sigma beta, where Sigma is the pair average of z z' and psi that of
 z * pseudo, which needs only the grand, row and column means of the pseudo
 matrix; ``solve_identity`` solves it for a stack of datasets at once.  The
-logit link goes through ``solve_newton``, a damped Newton iteration on the
-full matrix.  A link is one of the two names in ``LINKS``.
-``inference.FitSpec.fit`` is the one place that picks the solver, and it
-starts Newton at the identity-link solution.  Every Newton candidate is
+logit link goes through ``solve_newton``, a damped Newton iteration on a
+pseudo matrix whose rows and columns may carry multiplicities, so that a
+resample is fitted on its distinct subjects.  A link is one of the two
+names in ``LINKS``.  ``inference.FitSpec`` is the one place that picks the
+solver, and it starts Newton at the identity-link solution.  A logit fit
+with some |beta'z| beyond SATURATED_ETA is saturated (``max_abs_eta``).
+Every Newton candidate is
 evaluated as (U, J) in one sweep over row blocks of the pseudo matrix, with
 three block buffers of at most BLOCK_ELEMENTS each, allocated once per fit;
 no other n1 x n2 array is held.  For the logit link exp(-eta) factors as
@@ -44,6 +47,8 @@ __all__ = [
     "IdentityFits",
     "solve_identity",
     "solve_newton",
+    "SATURATED_ETA",
+    "max_abs_eta",
     "logit_working_set",
     "sandwich_covariance_uncensored",
     "design_second_moment",
@@ -99,10 +104,12 @@ def _eta_factors(a, b):
     return np.column_stack((a, np.ones(a.size))), np.vstack((np.ones(b.size), b))
 
 
-def _check_dims(beta, matrix, Z1, Z2):
+def _check_dims(beta, matrix, Z1, Z2, weights):
     n1, n2 = matrix.shape
     if Z1.shape[0] != n1 or Z2.shape[0] != n2:
         raise ValueError("covariate rows do not match pseudo-matrix dimensions")
+    if weights is not None and (np.shape(weights[0]) != (n1,) or np.shape(weights[1]) != (n2,)):
+        raise ValueError("weights do not match pseudo-matrix dimensions")
     p = 1 + Z1.shape[1] + Z2.shape[1]
     if beta.shape != (p,):
         raise ValueError(f"beta must have length {p}, got {beta.shape}")
@@ -171,22 +178,31 @@ class _Evaluator:
     weight, which first holds mu.  The sweep accumulates the row and column
     sums of W and G and Z1' G; nothing of size n1 x n2 is allocated.  The
     identity link has mu = eta, mu' = 1 and G = -1.
+
+    With ``weights`` = (w1, w2), row i1 of Y stands for w1[i1] rows and
+    column i2 for w2[i2] columns of a larger matrix, whose U and J it
+    returns: every row and column sum is weighted by the multiplicities of
+    the other axis, the margins then by their own, and the pair mean divides
+    by sum(w1) * sum(w2).  Without weights every multiplicity is 1, which
+    leaves every product exact.
     """
 
-    def __init__(self, values, Z1, Z2, link: str):
+    def __init__(self, values, Z1, Z2, link: str, weights=None):
         check_link(link)
         n1, n2 = values.shape
         self.values, self.Z1, self.Z2, self.link = values, Z1, Z2, link
-        self.X1 = np.column_stack((np.ones(n1), Z1))
+        self.ones = np.ones(max(n1, n2))
+        self.w1, self.w2 = (self.ones[:n1], self.ones[:n2]) if weights is None else weights
+        self.pairs = self.w1.sum() * self.w2.sum()
+        self.X1 = np.column_stack((self.w1, Z1 * self.w1[:, None]))   # the rows of (1, Z1), weighted
         self.blocks = np.empty((3, _block_rows(n1, n2), n2))
         self.row_sums = np.empty((2, n1))   # of W and G
-        self.ones = np.ones(max(n1, n2))
 
     def evaluate(self, beta):
         """(U, J): the normalized score and its Jacobian at beta."""
         values, Z1, Z2, X1 = self.values, self.Z1, self.Z2, self.X1
         n1, n2 = values.shape
-        ones = self.ones
+        ones, w1, w2 = self.ones, self.w1, self.w2
         a, b = _group_parts(beta, Z1, Z2)
         factors = _exp_factors(a, b) if self.link == LOGIT else None
         if factors is None:
@@ -219,13 +235,14 @@ class _Evaluator:
                 mu -= mu_prime
                 mu *= mu_prime
                 W *= mu_prime
-            np.matmul(W, ones[:n2], out=rs_w[start:stop])
-            np.matmul(G, ones[:n2], out=rs_g[start:stop])
-            cs_w += ones[: stop - start] @ W
+            np.matmul(W, w2, out=rs_w[start:stop])
+            np.matmul(G, w2, out=rs_g[start:stop])
+            cs_w += w1[start:stop] @ W
             x1_g += X1[start:stop].T @ G
-        U = np.concatenate(([rs_w.sum()], Z1.T @ rs_w, Z2.T @ cs_w))
-        J = _paired_quadratic(rs_g, x1_g[0], x1_g[1:] @ Z2, Z1, Z2)
-        return U / values.size, J / values.size
+        rs_w = w1 * rs_w
+        U = np.concatenate(([rs_w.sum()], Z1.T @ rs_w, Z2.T @ (w2 * cs_w)))
+        J = _paired_quadratic(w1 * rs_g, w2 * x1_g[0], (x1_g[1:] * w2) @ Z2, Z1, Z2)
+        return U / self.pairs, J / self.pairs
 
 
 def design_second_moment(Z1, Z2) -> np.ndarray:
@@ -317,14 +334,28 @@ def solve_identity(row_means, col_means, Z1, Z2, strict_singular: bool = False) 
 
 # Newton's limits: max |U| below TOL, MAX_ITER iterations, MAX_HALVINGS halvings a step
 TOL, MAX_ITER, MAX_HALVINGS = 1e-10, 50, 10
+# a logit fit with some |beta'z| beyond this is saturated: there mu' < 1e-13,
+# three orders below TOL, so the score no longer pins beta (the data are
+# (quasi-)separated and the MLE does not exist)
+SATURATED_ETA = 30.0
 
 
-def solve_newton(matrix: np.ndarray, Z1, Z2, link: str, x0=None) -> FitResult:
+def max_abs_eta(beta, Z1, Z2) -> float:
+    """max over all pairs of |beta'z|, from the extremes of the two group
+    parts of eta = a[i1] + b[i2] in O(n1 + n2)."""
+    a, b = _group_parts(beta, Z1, Z2)
+    return float(max(abs(a.max() + b.max()), abs(a.min() + b.min())))
+
+
+def solve_newton(matrix: np.ndarray, Z1, Z2, link: str, x0=None, weights=None) -> FitResult:
     """Damped Newton iteration on the estimating function of the n1 x n2
     pseudo-observation array ``matrix`` from ``x0`` (zeros if None), within
     the fixed limits TOL, MAX_ITER and MAX_HALVINGS.
 
-    Non-convergence is reported honestly: the last iterate is returned with
+    ``weights`` = (w1, w2), if given, are the multiplicities of the rows and
+    columns: the fit is that of the matrix with row i1 repeated w1[i1] times
+    and column i2 w2[i2] times (see ``_Evaluator``).  Non-convergence is
+    reported honestly: the last iterate is returned with
     ``converged=False``.  A link not in LINKS raises ValueError.
     """
     Z1 = np.atleast_2d(np.asarray(Z1, dtype=float))
@@ -332,8 +363,8 @@ def solve_newton(matrix: np.ndarray, Z1, Z2, link: str, x0=None) -> FitResult:
     p = 1 + Z1.shape[1] + Z2.shape[1]
     beta = np.zeros(p) if x0 is None else np.array(x0, dtype=float)
 
-    _check_dims(beta, matrix, Z1, Z2)
-    evaluator = _Evaluator(matrix, Z1, Z2, link)
+    _check_dims(beta, matrix, Z1, Z2, weights)
+    evaluator = _Evaluator(matrix, Z1, Z2, link, weights)
 
     used_pinv = False
     U, J = evaluator.evaluate(beta)

@@ -7,8 +7,11 @@ identical no matter in which order replicates are computed.
 Bootstrap replicates and warp-speed Monte Carlo runs are fitted in chunks:
 the resampled (and simulated) datasets of a chunk are stacked on a leading
 axis and, for the identity link, fitted by one ``pseudo_marginals`` and one
-``gee.solve_identity`` call.  The logit link fits the chunk's datasets one
-by one through the full pseudo matrix.  A chunk holds at most
+``gee.solve_identity`` call.  For the logit link that call gives every
+dataset's Newton start, and each dataset is then fitted on its distinct
+subjects: rows equal in time, status and covariates are copies of one
+subject, so the pseudo matrix is built for one row or column per distinct
+subject and Newton weights them by their numbers of copies.  A chunk holds at most
 ``STACK_ELEMENTS // (n1 + n2 + 2)`` datasets (160 at n1 = n2 = 50), so
 memory does not grow with B or M, and a Monte Carlo task of a few hundred
 runs at that size pays the fixed cost of a stacked fit once or twice.
@@ -106,14 +109,34 @@ class DatasetStack:
         )
 
 
+def _distinct_subjects(times, events, covariates):
+    """The first row of each distinct subject of one group, in input order,
+    and its number of copies (float): rows equal in time, status and
+    covariates are copies of one subject."""
+    rows = np.column_stack((times, events, covariates))
+    order = np.lexsort(rows.T)      # stable, so each run of copies starts at its first row
+    ranked = rows[order]
+    new = np.empty(len(rows), dtype=bool)
+    new[0] = True
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    starts = np.flatnonzero(new)
+    first = order[starts]
+    keep = np.argsort(first)
+    return first[keep], np.diff(starts, append=len(rows))[keep].astype(float)
+
+
 @dataclass(frozen=True)
 class FitSpec:
     """Everything needed to refit the model on a resampled dataset.
 
-    ``fit`` is the one link dispatch: the identity link in closed form from
-    the pseudo-matrix marginals, the logit link by ``gee.solve_newton`` on
-    the full matrix, started at that matrix's identity-link solution.  A
-    link not in ``gee.LINKS`` raises ValueError."""
+    ``fit`` and ``_fit_stack`` are the one link dispatch.  Both solve the
+    identity link in closed form from the pseudo-matrix marginals
+    (``_identity``).  For the logit link that solution starts
+    ``gee.solve_newton``, which runs on the distinct subjects of the
+    dataset: the pseudo matrix restricted to one row or column per distinct
+    subject, each weighted by its number of copies, has the score and
+    Jacobian of the whole matrix.  A link not in ``gee.LINKS`` raises
+    ValueError."""
 
     link: str = gee.IDENTITY
     strict_singular: bool = False
@@ -123,16 +146,9 @@ class FitSpec:
 
     def fit(self, data: TwoSampleDataset) -> gee.FitResult:
         """Fit one dataset; a singular design under ``strict_singular``
-        raises LinAlgError."""
-        if self.link == gee.IDENTITY:
-            return self._identity(DatasetStack.of([data])).result(0)
-        matrix = pseudo_matrix(data)
-        Z1, Z2 = data.covariates1, data.covariates2
-        start = gee.solve_identity(
-            matrix.mean(axis=1)[None], matrix.mean(axis=0)[None], Z1[None], Z2[None],
-            strict_singular=self.strict_singular,
-        ).result(0)
-        return gee.solve_newton(matrix, Z1, Z2, self.link, x0=start.beta)
+        raises LinAlgError.  A saturated logit fit is returned as it is."""
+        start = self._identity(DatasetStack.of([data])).result(0)
+        return start if self.link == gee.IDENTITY else self._newton(data, start.beta)
 
     def _identity(self, stack: DatasetStack) -> gee.IdentityFits:
         m = pseudo_marginals(stack.times1, stack.events1, stack.times2, stack.events2, stack.tau)
@@ -141,32 +157,37 @@ class FitSpec:
             strict_singular=self.strict_singular,
         )
 
+    def _newton(self, data: TwoSampleDataset, start) -> gee.FitResult:
+        """Newton fit of ``data`` from ``start`` on its distinct subjects."""
+        rows, w1 = _distinct_subjects(data.times1, data.events1, data.covariates1)
+        cols, w2 = _distinct_subjects(data.times2, data.events2, data.covariates2)
+        matrix = pseudo_matrix(data, rows=rows, cols=cols)
+        return gee.solve_newton(matrix, data.covariates1[rows], data.covariates2[cols],
+                                self.link, x0=start, weights=(w1, w2))
+
     def _fit_stack(self, stack: DatasetStack):
         """Coefficients (N, p) of every dataset in ``stack``, NaN where the
-        fit failed, and the failed rows by cause: (beta, singular,
-        nonconverged).  A LinAlgError of one fit marks it singular; a fit
-        with non-finite coefficients counts as not converged."""
+        fit failed, and the failed rows by cause, each counted under the
+        first that applies: (beta, singular, nonconverged, saturated).  A
+        singular design under ``strict_singular`` is refused; a fit that
+        does not converge or has non-finite coefficients counts as not
+        converged; a converged logit fit with some |beta'z| beyond
+        ``gee.SATURATED_ETA`` is saturated."""
+        fits = self._identity(stack)
+        beta, singular = fits.beta, fits.singular
         nonconverged = np.zeros(len(stack), dtype=bool)
-        if self.link == gee.IDENTITY:
-            fits = self._identity(stack)
-            beta, singular = fits.beta, fits.singular
-        else:
-            p = 1 + stack.covariates1.shape[2] + stack.covariates2.shape[2]
-            beta = np.full((len(stack), p), np.nan)
-            singular = np.zeros(len(stack), dtype=bool)
-            for k in range(len(stack)):
-                try:
-                    result = self.fit(stack.dataset(k))
-                except np.linalg.LinAlgError:
-                    singular[k] = True
-                    continue
-                if result.converged:
-                    beta[k] = result.beta
-                else:
-                    nonconverged[k] = True
-        non_finite = ~(singular | nonconverged | np.isfinite(beta).all(axis=1))
-        beta[non_finite] = np.nan
-        return beta, singular, nonconverged | non_finite
+        saturated = np.zeros(len(stack), dtype=bool)
+        if self.link == gee.LOGIT:
+            for k in np.flatnonzero(~singular):
+                result = self._newton(stack.dataset(k), beta[k])
+                beta[k] = result.beta
+                nonconverged[k] = not result.converged
+                saturated[k] = gee.max_abs_eta(
+                    result.beta, stack.covariates1[k], stack.covariates2[k]) > gee.SATURATED_ETA
+        nonconverged |= ~(singular | np.isfinite(beta).all(axis=1))
+        saturated &= ~nonconverged
+        beta[nonconverged | saturated] = np.nan
+        return beta, singular, nonconverged, saturated
 
 
 @dataclass
@@ -175,10 +196,11 @@ class BootstrapEnsemble:
     B: int
     seed: int
     base_fit: gee.FitResult
-    failed: int = 0               # singular + nonconverged
+    failed: int = 0               # singular + nonconverged + saturated
     unreliable: bool = False
     singular: int = 0             # refits with a singular design (strict_singular)
     nonconverged: int = 0         # refits that did not converge to finite coefficients
+    saturated: int = 0            # logit refits with some |beta'z| > gee.SATURATED_ETA
 
     @property
     def ok(self) -> np.ndarray:
@@ -220,7 +242,9 @@ def bootstrap(
     seed: int = 0,
 ) -> BootstrapEnsemble:
     """Nonparametric bootstrap of the full pipeline; a base fit that
-    ``require_usable`` refuses stops it before any refit."""
+    ``require_usable`` refuses stops it before any refit.  A refit fails
+    by the causes of ``FitSpec._fit_stack``; a saturated base fit is not
+    refused."""
     if B < 1:
         raise ValueError("B must be at least 1")
     spec = spec or FitSpec()
@@ -228,22 +252,22 @@ def bootstrap(
     require_usable(base)
     whole = DatasetStack.of([data])
     replicates = np.full((B, base.beta.size), np.nan)
-    singular = nonconverged = 0
+    causes = np.zeros(3, dtype=int)     # singular, nonconverged, saturated
     step = _chunk_size(data.n1, data.n2)
     for start in range(0, B, step):
         runs = range(start, min(start + step, B))
         _, idx1, idx2 = _simulated_chunk(lambda rngs: whole, seed, runs)
-        beta, sing, nonconv = spec._fit_stack(whole.resampled(idx1, idx2))
+        beta, *failures = spec._fit_stack(whole.resampled(idx1, idx2))
         replicates[runs.start : runs.stop] = beta
-        singular += int(sing.sum())
-        nonconverged += int(nonconv.sum())
-    failed = singular + nonconverged
+        causes += [int(f.sum()) for f in failures]
+    failed = int(causes.sum())
     if failed == B:
-        raise RuntimeError("all bootstrap replicates failed to converge")
+        raise RuntimeError("all bootstrap replicates failed")
+    singular, nonconverged, saturated = causes.tolist()
     return BootstrapEnsemble(
         replicates=replicates, B=B, seed=seed, base_fit=base,
         failed=failed, unreliable=failed > MAX_FAILURE_FRACTION * B,
-        singular=singular, nonconverged=nonconverged,
+        singular=singular, nonconverged=nonconverged, saturated=saturated,
     )
 
 
@@ -324,10 +348,11 @@ class WarpSpeedResult:
     estimates: np.ndarray          # (M_ok, p)
     centered_replicates: np.ndarray  # (M_ok, p)
     degenerate: bool = False       # a pooled scale of a tested coefficient is <= 0
-    failed: int = 0                # singular + nonconverged
+    failed: int = 0                # singular + nonconverged + saturated
     singular: int = 0              # runs with a singular design (strict_singular)
     nonconverged: int = 0          # runs whose base fit or refit did not converge to
                                    # finite coefficients
+    saturated: int = 0             # runs whose logit base fit or refit is saturated
 
 
 class ChunkSimulator(Protocol):
@@ -366,25 +391,26 @@ def warp_speed(
     the bootstrap scales and quantiles, which are then applied to each run's
     estimate.  A run fails when its base fit or its refit has a singular
     design (under ``strict_singular``), does not converge or has non-finite
-    coefficients.
+    coefficients, or is a saturated logit fit; it is counted under the
+    first of these causes that applies to either fit.
     """
     if M < 1:
         raise ValueError("M must be at least 1")
     spec = spec or FitSpec()
     estimates = []
     centered = []
-    singular = nonconverged = 0
+    causes = np.zeros(3, dtype=int)     # singular, nonconverged, saturated
     step = _chunk_size(simulator.n1, simulator.n2)
     for start in range(0, M, step):
         runs = range(start, min(start + step, M))
         stack, idx1, idx2 = _simulated_chunk(simulator.simulate, seed, runs)
-        base, base_singular, base_nonconv = spec._fit_stack(stack)
-        star, star_singular, star_nonconv = spec._fit_stack(stack.resampled(idx1, idx2))
-        sing = base_singular | star_singular
-        nonconv = (base_nonconv | star_nonconv) & ~sing
-        ok = ~(sing | nonconv)
-        singular += int(sing.sum())
-        nonconverged += int(nonconv.sum())
+        base, *base_failures = spec._fit_stack(stack)
+        star, *star_failures = spec._fit_stack(stack.resampled(idx1, idx2))
+        ok = np.ones(len(stack), dtype=bool)
+        for k, (b, s) in enumerate(zip(base_failures, star_failures)):
+            failing = (b | s) & ok
+            causes[k] += int(failing.sum())
+            ok &= ~failing
         estimates.append(base[ok])
         centered.append(star[ok] - base[ok])
     estimates = np.concatenate(estimates)
@@ -402,12 +428,14 @@ def warp_speed(
                 degenerate = True
             else:
                 rates[name][k] = float(np.mean(reject))
+    singular, nonconverged, saturated = causes.tolist()
     return WarpSpeedResult(
         rejection_rates=rates,
         estimates=estimates,
         centered_replicates=centered,
         degenerate=degenerate,
-        failed=singular + nonconverged,
+        failed=singular + nonconverged + saturated,
         singular=singular,
         nonconverged=nonconverged,
+        saturated=saturated,
     )

@@ -25,6 +25,9 @@ This one engine serves all three consumers.  ``pseudo_matrix`` gathers the
 curves at the K group-2 event times below tau and combines them in one
 (n1, K) by (K, n2) matrix product; it writes the leave-one-out curves in row
 blocks, and ``matrix_working_set`` counts what the build holds at its peak.
+Given some rows and columns it builds only those entries, from the
+leave-one-out curves of the subjects they name in the whole dataset, so a
+logit fit of a resample builds one row or column per distinct subject.
 The identity-link fit needs only the matrix's row and column means; every
 sum over the leave-one-out curves is a prefix or suffix sum, so
 ``pseudo_marginals`` computes them in O(n log n) per dataset, for a stack
@@ -53,22 +56,26 @@ __all__ = [
 CURVE_BLOCK_ELEMENTS = 1 << 15
 
 
-def pseudo_matrix(data: TwoSampleDataset) -> np.ndarray:
-    """The n1 x n2 pseudo-observation matrix.
+def pseudo_matrix(data: TwoSampleDataset, *, rows=None, cols=None) -> np.ndarray:
+    """The n1 x n2 pseudo-observation matrix, or only its entries in the
+    group-1 ``rows`` and group-2 ``cols`` (index arrays; None takes all).
 
     On fully observed data the entries are the pair indicators (exact by
     inclusion-exclusion); under censoring all leave-one-out curves are
-    evaluated on a shared grid of group-2 event times.
+    evaluated on a shared grid of group-2 event times.  A restricted entry
+    is the entry of the whole matrix: the full estimate and the sample sizes
+    are those of ``data``, and only the leave-one-out curves of the named
+    subjects are built.
     """
     if data.uncensored:
-        return _indicator_matrix(data)
-    return _stieltjes_matrix(data)
+        return _indicator_matrix(data, rows, cols)
+    return _stieltjes_matrix(data, rows, cols)
 
 
-def _indicator_matrix(data: TwoSampleDataset) -> np.ndarray:
-    """Pair indicators 1{T1 > T2, T2 < tau}."""
-    t1 = data.times1[:, None]
-    t2 = data.times2[None, :]
+def _indicator_matrix(data: TwoSampleDataset, rows=None, cols=None) -> np.ndarray:
+    """Pair indicators 1{T1 > T2, T2 < tau} of the given rows and columns."""
+    t1 = (data.times1 if rows is None else data.times1[rows])[:, None]
+    t2 = (data.times2 if cols is None else data.times2[cols])[None, :]
     return ((t1 > t2) & (t2 < data.tau)).astype(float)
 
 
@@ -97,18 +104,18 @@ def matrix_working_set(data: TwoSampleDataset) -> int:
     return 8 * (held + 5 * CURVE_BLOCK_ELEMENTS)
 
 
-def _stieltjes_matrix(data: TwoSampleDataset) -> np.ndarray:
+def _stieltjes_matrix(data: TwoSampleDataset, rows=None, cols=None) -> np.ndarray:
     n1, n2 = data.n1, data.n2
     grid = _jump_grid(data)
 
     if grid.size == 0:
         # no group-2 jumps below tau anywhere: all Stieltjes sums vanish
-        return np.zeros((n1, n2))
+        return np.zeros((n1 if rows is None else len(rows), n2 if cols is None else len(cols)))
 
-    F1 = _SortedLeaveOneOut(data.times1, data.events1).curves(grid)
+    F1 = _SortedLeaveOneOut(data.times1, data.events1).curves(grid, rows)
     # every group-2 jump below tau, with or without a subject, lies on the
     # grid, so the jump at grid[k] is the step from the value at grid[k-1]
-    S2 = _SortedLeaveOneOut(data.times2, data.events2).curves(grid)
+    S2 = _SortedLeaveOneOut(data.times2, data.events2).curves(grid, cols)
     D2 = np.empty_like(S2)
     np.subtract(1.0, S2[:, 0], out=D2[:, 0])
     np.subtract(S2[:, :-1], S2[:, 1:], out=D2[:, 1:])
@@ -116,11 +123,11 @@ def _stieltjes_matrix(data: TwoSampleDataset) -> np.ndarray:
     d_full = D2[0]
 
     th = float(F1[0] @ d_full)
-    th1 = F1[1:] @ d_full            # (n1,)
-    th2 = D2[1:] @ F1[0]             # (n2,)
+    th1 = F1[1:] @ d_full            # one per row
+    th2 = D2[1:] @ F1[0]             # one per column
 
-    # the (n1, n2) product th12 becomes the matrix: scaled, then the row and
-    # column terms added in place
+    # the product th12 becomes the matrix: scaled, then the row and column
+    # terms added in place
     values = F1[1:] @ D2[1:].T
     values *= (n1 - 1) * (n2 - 1)
     values += (n1 * n2 * th - (n1 - 1) * n2 * th1)[:, None]
@@ -163,24 +170,28 @@ class _SortedLeaveOneOut:
         # L uses the factor at j only for j < i <= n - 1, never the last one
         self.L = _cumprod_from_one(1.0 - e / np.maximum(n - 1 - j, 1))
 
-    def curves(self, grid: np.ndarray) -> np.ndarray:
+    def curves(self, grid: np.ndarray, subjects=None) -> np.ndarray:
         """Full and leave-one-out curves of one dataset (1-D times) at
-        ``grid``, right-continuous, shape (n+1, grid.size): row 0 is the
-        full-sample curve and row i+1 the curve without input subject i.
-        The leave-one-out rows are built in blocks of sorted positions,
-        each of at most CURVE_BLOCK_ELEMENTS entries."""
+        ``grid``, right-continuous, shape (1 + m, grid.size): row 0 is the
+        full-sample curve and row k+1 the curve without input subject
+        subjects[k] (every subject, m = n, if None).  The leave-one-out rows
+        are built in blocks of at most CURVE_BLOCK_ELEMENTS entries."""
         P, L, n = self.P, self.L, self.n
+        position = np.empty(n, dtype=np.intp)
+        position[self.order] = np.arange(n)
+        if subjects is not None:
+            position = position[subjects]
         c = np.searchsorted(self.times, grid, side="right")
         Pc = P[c]
-        out = np.empty((n + 1, c.size))
+        out = np.empty((1 + position.size, c.size))
         out[0] = Pc
         rows = max(1, CURVE_BLOCK_ELEMENTS // max(c.size, 1))
-        for start in range(0, n, rows):
-            i = np.arange(start, min(start + rows, n))[:, None]
+        for start in range(0, position.size, rows):
+            i = position[start : start + rows, None]
             # P_{i+1} = 0 only for i = n - 1, where the ratio is an empty product
             beyond = (c > i) & (i < n - 1)
             ratio = np.divide(Pc, P[i + 1], out=np.ones(beyond.shape), where=beyond)
-            out[1 + self.order[start : start + rows]] = L[np.minimum(c, i)] * ratio
+            out[1 + start : 1 + start + i.shape[0]] = L[np.minimum(c, i)] * ratio
         return out
 
     def curve(self, t, side: str = "right"):

@@ -18,7 +18,9 @@ fast path in ``releff``:
 - the damped Newton fit, evaluating the score of every candidate and the
   Jacobian of every step afresh;
 - the identity-link fit from the means of the full pseudo matrix, and the
-  fit of one dataset through that matrix;
+  fit of one dataset through that matrix, copies of a subject included,
+  the logit link by unweighted Newton from those means;
+- the saturation rule over the explicit pair design;
 - the uncensored sandwich covariance from the full indicator and residual
   matrices;
 - the prediction interval one profile at a time (on the scale of beta'z,
@@ -344,8 +346,9 @@ def identity_fit(matrix, Z1, Z2, strict_singular=False) -> FitResult:
 
 
 def matrix_fit(spec: FitSpec, data: TwoSampleDataset) -> FitResult:
-    """One dataset fitted through its full pseudo-observation matrix: the
-    identity link in closed form from the matrix's means, the logit link by
+    """One dataset fitted through its full pseudo-observation matrix, one
+    row and column per subject, copies included: the identity link in
+    closed form from the matrix's means, the logit link by unweighted
     Newton started at that closed form."""
     matrix = pseudo_matrix(data)
     start = identity_fit(matrix, data.covariates1, data.covariates2, spec.strict_singular)
@@ -353,6 +356,15 @@ def matrix_fit(spec: FitSpec, data: TwoSampleDataset) -> FitResult:
         return start
     return gee.solve_newton(matrix, data.covariates1, data.covariates2, spec.link,
                             x0=start.beta)
+
+
+def saturated(spec: FitSpec, fit: FitResult, data: TwoSampleDataset) -> bool:
+    """Whether ``fit`` of ``data`` is a saturated logit fit: some |beta'z|
+    over the explicit pair design beyond ``gee.SATURATED_ETA``."""
+    if spec.link != "logit":
+        return False
+    eta = _pair_design(data.covariates1, data.covariates2) @ fit.beta
+    return bool(np.abs(eta).max() > gee.SATURATED_ETA)
 
 
 def shared_row_column_meat(R, Z1, Z2):
@@ -399,25 +411,30 @@ def sandwich_covariance_uncensored(data: TwoSampleDataset) -> np.ndarray:
 def warp_speed(make_dataset, M, seed=0, spec=None, coefficients=None, alpha=0.05):
     """Warp-speed Monte Carlo one run at a time: fit the run's dataset, draw
     one resample from the same stream and fit it, each through the full
-    pseudo matrix; a run fails on a singular design, a fit that does not
-    converge or non-finite coefficients."""
+    pseudo matrix.  A run fails, counted under the first cause that applies,
+    on a singular design, a fit that does not converge or has non-finite
+    coefficients, or a saturated logit fit (``saturated``)."""
     spec = spec or FitSpec()
     estimates = []
     centered = []
-    failed = 0
+    singular = nonconverged = saturated_runs = 0
     for m in range(M):
         rng = _replicate_rng(seed, m)
         data = make_dataset(rng)
         try:
             base = matrix_fit(spec, data)
             idx1, idx2 = resample_indices(rng, data.n1, data.n2)
-            star = matrix_fit(spec, resampled(data, idx1, idx2))
+            star_data = resampled(data, idx1, idx2)
+            star = matrix_fit(spec, star_data)
         except np.linalg.LinAlgError:
-            failed += 1
+            singular += 1
             continue
         if not (base.converged and star.converged
                 and np.isfinite(base.beta).all() and np.isfinite(star.beta).all()):
-            failed += 1
+            nonconverged += 1
+            continue
+        if saturated(spec, base, data) or saturated(spec, star, star_data):
+            saturated_runs += 1
             continue
         estimates.append(base.beta)
         centered.append(star.beta - base.beta)
@@ -439,7 +456,9 @@ def warp_speed(make_dataset, M, seed=0, spec=None, coefficients=None, alpha=0.05
         q_lo, q_hi = np.quantile(centered[:, k], [alpha / 2, 1 - alpha / 2])
         rates["quantile"][k] = float(np.mean((est < q_lo) | (est > q_hi)))
     return WarpSpeedResult(rejection_rates=rates, estimates=estimates,
-                           centered_replicates=centered, degenerate=degenerate, failed=failed)
+                           centered_replicates=centered, degenerate=degenerate,
+                           failed=singular + nonconverged + saturated_runs, singular=singular,
+                           nonconverged=nonconverged, saturated=saturated_runs)
 
 
 @dataclass(frozen=True)

@@ -378,7 +378,8 @@ class TestCommands:
         assert (out / "estimates.csv").exists()
         manifest = (out / "manifest.txt").read_text().splitlines()
         for line in ("montecarlo.failed=0", "montecarlo.singular=0",
-                     "montecarlo.nonconverged=0", "montecarlo.degenerate=False"):
+                     "montecarlo.nonconverged=0", "montecarlo.saturated=0",
+                     "montecarlo.degenerate=False"):
             assert line in manifest
 
     def test_simulate_manifest_records_degenerate_runs(self, tmp_path, monkeypatch):
@@ -396,7 +397,8 @@ class TestCommands:
                      "--reps", "100", "--seed", "0", "--out-dir", str(out)]) == EXIT_OK
         manifest = (out / "manifest.txt").read_text().splitlines()
         for line in ("montecarlo.failed=3", "montecarlo.singular=3",
-                     "montecarlo.nonconverged=0", "montecarlo.degenerate=True"):
+                     "montecarlo.nonconverged=0", "montecarlo.saturated=0",
+                     "montecarlo.degenerate=True"):
             assert line in manifest
 
     def test_manifest_records_library_versions(self, four_row_csv, tmp_path):
@@ -427,6 +429,7 @@ class TestCommands:
             assert f"bootstrap.failed={want.failed}" in manifest, command
             assert f"bootstrap.singular={want.singular}" in manifest, command
             assert "bootstrap.nonconverged=0" in manifest, command
+            assert "bootstrap.saturated=0" in manifest, command
 
     def test_exit_codes_distinct(self, four_row_csv, tmp_path):
         assert main(["fit", "--data", str(tmp_path / "nope.csv")]) == EXIT_PARSE
@@ -732,11 +735,23 @@ class TestCommands:
         assert not out.exists()
 
     def test_fit_manifest_records_only_the_fields_fit_reads(self, four_row_csv, tmp_path):
+        # a fit without a bootstrap uses no B, so its manifest names none
         assert main(["fit", "--data", str(four_row_csv), "--out-dir", str(tmp_path)]) == EXIT_OK
+        manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+        keys = [line.split("=")[0] for line in manifest if line.startswith("config.")]
+        assert keys == [f"config.{k}" for k in ("link", "tau", "alpha", "seed", "covariates1",
+                                                "covariates2", "strict_singular", "out_dir")]
+
+    def test_fit_manifest_records_B_when_a_bootstrap_ran(self, covariate_csv, tmp_path):
+        assert main(["fit", "--data", str(covariate_csv), "--tau", "4", "--cov1", "age",
+                     "--cov2", "age", "--seed", "1", "--bootstrap", "20",
+                     "--out-dir", str(tmp_path)]) == EXIT_OK
         manifest = (tmp_path / "manifest.txt").read_text().splitlines()
         keys = [line.split("=")[0] for line in manifest if line.startswith("config.")]
         assert keys == [f"config.{k}" for k in ("link", "tau", "B", "alpha", "seed", "covariates1",
                                                 "covariates2", "strict_singular", "out_dir")]
+        assert "config.B=20" in manifest
+        assert "bootstrap.saturated=0" in manifest
 
     @pytest.mark.parametrize("flags, interval", [
         ([], "emp"), (["--method", "quantile"], "quantile"),

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import unittest.mock
 import warnings
 
 import numpy as np
@@ -456,6 +457,48 @@ class TestBlockedEvaluator:
         b = -750.0 + np.array([-0.5, 0.2])
         u, v = gee._exp_factors(a, b)
         np.testing.assert_allclose(np.outer(u, v), np.exp(-(a[:, None] + b)), rtol=1e-12)
+
+
+class TestMultiplicityWeights:
+    """Resample-as-weights gate (ROADMAP item 7, for item 6): distinct rows
+    and columns weighted by their numbers of copies give the score and
+    Jacobian of the expanded matrix."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n1=st.integers(1, 12),
+        n2=st.integers(1, 12),
+        link=st.sampled_from([IDENTITY, LOGIT]),
+        block_rows=st.integers(1, 12),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_weighted_evaluator_is_the_expanded_evaluator(self, seed, n1, n2, link, block_rows):
+        rng = np.random.default_rng(seed)
+        Y = rng.uniform(-0.5, 1.5, (n1, n2))
+        Z1, Z2 = rng.standard_normal((n1, 2)), rng.standard_normal((n2, 1))
+        w1, w2 = rng.integers(1, 5, n1), rng.integers(1, 5, n2)
+        beta = rng.uniform(-1, 1, 4)
+        expanded = np.repeat(np.repeat(Y, w1, axis=0), w2, axis=1)
+        with unittest.mock.patch.object(gee, "BLOCK_ELEMENTS", block_rows * max(n2, w2.sum())):
+            got = gee._Evaluator(Y, Z1, Z2, link, (w1.astype(float), w2.astype(float)))
+            want = gee._Evaluator(expanded, np.repeat(Z1, w1, axis=0), np.repeat(Z2, w2, axis=0),
+                                  link)
+            for g, w in zip(got.evaluate(beta), want.evaluate(beta)):
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+
+    @given(seed=st.integers(0, 2**32 - 1), n1=st.integers(1, 9), n2=st.integers(1, 9))
+    @settings(max_examples=50, deadline=None)
+    def test_max_abs_eta_is_the_pair_maximum(self, seed, n1, n2):
+        rng = np.random.default_rng(seed)
+        Z1, Z2 = rng.standard_normal((n1, 2)), rng.standard_normal((n2, 2))
+        beta = rng.uniform(-20, 20, 5)
+        pairs = np.abs(oracles._pair_design(Z1, Z2) @ beta).max()
+        assert gee.max_abs_eta(beta, Z1, Z2) == pytest.approx(pairs, rel=1e-14, abs=1e-13)
+
+    def test_weights_must_match_the_matrix(self, rng):
+        pm, Z1, Z2 = instance(rng, 6, 5)
+        with pytest.raises(ValueError, match="weights"):
+            solve_newton(pm, Z1, Z2, LOGIT, weights=(np.ones(6), np.ones(4)))
 
 
 def sandwich_case(times, tau, covariates, seed=0):

@@ -2,11 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 import oracles
 from conftest import random_dataset
-from releff import inference
+from releff import gee, inference
 from oracles import PerRun, resampled
 from releff.gee import IDENTITY, LOGIT, FitResult
 from releff.inference import (
@@ -19,6 +21,7 @@ from releff.inference import (
     resample_indices,
 )
 from releff.inference import test_coefficient as coefficient_report
+from releff.pseudo import pseudo_matrix
 
 # keep pytest from collecting the imported library function as a test
 coefficient_report.__test__ = False
@@ -309,7 +312,10 @@ def test_nonconverged_bootstrap_refit_counts_as_failed(monkeypatch, rng):
     ens = bootstrap(data, spec=spec, B=10, seed=0)
     stalled = np.isin(np.arange(10), [2, 6])
     assert ens.ok.tolist() == (unpatched.ok & ~stalled).tolist()
-    assert (ens.failed, ens.singular, ens.nonconverged) == (10 - ens.ok.sum(), 0, ens.failed)
+    # a stalled refit counts as not converged even where it is saturated
+    assert (ens.failed, ens.singular, ens.nonconverged + ens.saturated) == (
+        10 - ens.ok.sum(), 0, ens.failed)
+    assert ens.saturated <= unpatched.saturated
 
 
 def test_error_inside_a_warp_speed_fit_propagates(monkeypatch, rng):
@@ -435,7 +441,8 @@ def test_warp_speed_matches_per_run_oracle():
     for simulator, spec in oracle_cases():
         got = warp_speed(simulator, M=60, seed=4, spec=spec)
         want = oracles.warp_speed(simulator.make_dataset, M=60, seed=4, spec=spec)
-        assert got.failed == want.failed
+        assert (got.failed, got.singular, got.nonconverged, got.saturated) == (
+            want.failed, want.singular, want.nonconverged, want.saturated)
         assert got.degenerate == want.degenerate
         np.testing.assert_allclose(got.estimates, want.estimates, rtol=0, atol=1e-10)
         np.testing.assert_allclose(got.centered_replicates, want.centered_replicates,
@@ -452,9 +459,60 @@ def test_bootstrap_matches_per_replicate_refits():
         ens = bootstrap(data, spec=spec, B=30, seed=2)
         for b in range(30):
             idx1, idx2 = oracles.resample_indices(_replicate_rng(2, b), data.n1, data.n2)
-            want = oracles.matrix_fit(spec, resampled(data, idx1, idx2))
-            want = want.beta if want.converged else np.full(want.beta.shape, np.nan)
+            star = resampled(data, idx1, idx2)
+            want = oracles.matrix_fit(spec, star)
+            usable = want.converged and not oracles.saturated(spec, want, star)
+            want = want.beta if usable else np.full(want.beta.shape, np.nan)
             np.testing.assert_allclose(ens.replicates[b], want, rtol=0, atol=1e-10)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n1=st.integers(5, 30), n2=st.integers(5, 30),
+       censored=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_logit_fit_on_distinct_subjects_matches_full_matrix_oracle(seed, n1, n2, censored):
+    """Resample-as-weights gate (ROADMAP item 7, for item 6): the logit fit
+    of a resample, run on its distinct subjects, equals the unweighted
+    Newton fit of its full matrix within 1e-10 where that fit converged, is
+    not saturated and has a determined root.  Newton stops at max |U| below
+    gee.TOL, so two runs may differ by up to ||J^-1|| * TOL: where J at the
+    root is nearly singular (a resample with a rank-deficient design, or
+    near-separation) beta is not determined at 1e-10, and such fits are not
+    compared."""
+    rng = np.random.default_rng(seed)
+    base = random_dataset(rng, n1, n2, censored=censored)
+    data = resampled(base, rng.integers(0, n1, n1), rng.integers(0, n2, n2))
+    spec = FitSpec(link=LOGIT)
+    want = oracles.matrix_fit(spec, data)
+    if not want.converged or oracles.saturated(spec, want, data):
+        return
+    J = oracles.jacobian(want.beta, pseudo_matrix(data), data.covariates1, data.covariates2, LOGIT)
+    if np.abs(np.linalg.eigvalsh(J)).min() < 1e-8:
+        return
+    got = spec.fit(data)
+    assert got.converged
+    np.testing.assert_allclose(got.beta, want.beta, rtol=0, atol=1e-10)
+
+
+def test_logit_refits_run_newton_on_distinct_subjects(monkeypatch, rng):
+    # each refit hands Newton one row per distinct group-1 subject and one
+    # column per distinct group-2 subject of its resample; the base fit has
+    # no repeats
+    data = random_dataset(rng, 15, 12, p1=1, p2=1, censored=True)
+    real = gee.solve_newton
+    shapes = []
+
+    def recording(matrix, *args, **kwargs):
+        shapes.append(matrix.shape)
+        return real(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(gee, "solve_newton", recording)
+    bootstrap(data, spec=FitSpec(link=LOGIT), B=5, seed=1)
+    want = [(15, 12)]
+    for b in range(5):
+        idx1, idx2 = oracles.resample_indices(_replicate_rng(1, b), 15, 12)
+        want.append((np.unique(idx1).size, np.unique(idx2).size))
+    assert shapes == want
+    assert all(n1 < 15 and n2 < 12 for n1, n2 in want[1:])
 
 
 @pytest.mark.parametrize("per_chunk", [1, 7], ids=["one-per-chunk", "with-remainder"])

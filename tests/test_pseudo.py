@@ -200,3 +200,17 @@ def test_stacked_marginals_match_each_pseudo_matrix(rng):
     assert m.row_means.shape == (24, 9) and m.col_means.shape == (24, 6)
     for k, data in enumerate(datasets):
         assert_marginals_match_matrix(m, k, data)
+
+
+@given(st.one_of(heavy_tie_datasets(), heavy_tie_datasets(status=st.just(1))), st.data())
+@settings(max_examples=150, deadline=None)
+def test_restricted_matrix_is_the_full_matrix_entries(data, draw):
+    """Resample-as-weights gate (ROADMAP item 7, for item 6): the entries in
+    any group-1 rows and group-2 columns, repeats included, are those of
+    the whole matrix, within the brute-oracle tolerance."""
+    index = lambda n: st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)
+    rows = np.array(draw.draw(index(data.n1)))
+    cols = np.array(draw.draw(index(data.n2)))
+    restricted = pseudo_matrix(data, rows=rows, cols=cols)
+    assert restricted.shape == (rows.size, cols.size)
+    np.testing.assert_allclose(restricted, pseudo_matrix(data)[np.ix_(rows, cols)], atol=1e-10)

@@ -34,7 +34,8 @@ def test_rejection_table_writes_rows_and_a_manifest(tmp_path, capsys):
     for cell, row in zip(manifest["cells"], rows[::2]):
         assert (cell["scenario"], cell["setting"]) == (row["scenario"], row["setting"])
         assert cell["seconds"] > 0
-        assert cell["failed"] == int(row["failed"]) == cell["singular"] + cell["nonconverged"]
+        assert cell["failed"] == int(row["failed"]) == (
+            cell["singular"] + cell["nonconverged"] + cell["saturated"])
     assert capsys.readouterr().out.count("runs/s") == cells
 
 
