@@ -9,7 +9,7 @@ import argparse
 import sys
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from releff.gee import sandwich_covariance_uncensored
 from releff.inference import FitSpec
@@ -27,7 +27,7 @@ def main(argv=None):
 
     scenario = make_scenario("i", "II", args.n1, args.n2, censored=False)
     spec = FitSpec()
-    z = norm.ppf(1 - args.alpha / 2)
+    z = ndtri(1 - args.alpha / 2)
     idx = list(scenario.coefficient_indices)
     covered = np.zeros(len(idx))
     for m in range(args.reps):

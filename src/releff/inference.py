@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 from typing import Protocol, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import gee
 from .pseudo import pseudo_marginals, pseudo_matrix
@@ -292,7 +292,8 @@ def scale_estimates(values: np.ndarray):
 
 @functools.lru_cache(maxsize=16)
 def _two_sided_z(alpha: float) -> float:
-    return float(norm.ppf(1 - alpha / 2))
+    """z at 1 - alpha/2 from ``ndtri``, which is what ``norm.ppf`` evaluates."""
+    return float(ndtri(1 - alpha / 2))
 
 
 def decide(estimates, centered: np.ndarray, alpha: float = 0.05) -> dict:

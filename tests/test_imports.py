@@ -1,8 +1,12 @@
 """Static checks of the package sources: every name a module imports is used,
 every name its ``__all__`` exports is bound, and every module-level private
-name is read somewhere in the package."""
+name is read somewhere in the package.  A fresh interpreter that imports the
+package and its CLI does not load ``scipy.stats``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,3 +115,13 @@ def test_checker_finds_unread_private_names():
 def test_every_private_name_is_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def test_package_does_not_import_scipy_stats():
+    # in a fresh interpreter: the test modules import scipy.stats themselves.
+    # scipy.stats is most of the start-up time and memory of each CLI process
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = "import sys, releff, releff.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -18,6 +18,7 @@ from releff.inference import (
     scale_estimates,
     warp_speed,
     _replicate_rng,
+    _two_sided_z,
     resample_indices,
 )
 from releff.inference import test_coefficient as coefficient_report
@@ -140,6 +141,13 @@ def test_scale_reject_flag_matches_definition():
     assert reject == (abs(0.5) / scale > z)
     assert lo == pytest.approx(0.5 - z * scale)
     assert hi == pytest.approx(0.5 + z * scale)
+
+
+def test_two_sided_z_is_the_normal_quantile_bit_for_bit():
+    # ndtri is what norm.ppf evaluates, so every CI and decision is unchanged
+    grid = np.linspace(1e-6, 0.999, 2001).tolist()
+    for alpha in [0.05, 0.1, 0.01, 0.001, 1e-10, 0.5, 0.999] + grid:
+        assert _two_sided_z(alpha) == float(norm.ppf(1 - alpha / 2)), alpha
 
 
 def test_rejection_monotone_in_alpha():
