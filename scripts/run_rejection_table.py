@@ -58,9 +58,7 @@ def main(argv=None):
             rows.extend(new_rows)
             cells.append({
                 "scenario": scenario_id, "setting": setting, "n1": n1, "n2": n2,
-                "seconds": seconds, "failed": result.failed,
-                "singular": result.singular, "nonconverged": result.nonconverged,
-                "saturated": result.saturated,
+                "seconds": seconds, "failed": result.failed, **result.failures,
             })
             for r in new_rows:
                 print(

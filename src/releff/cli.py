@@ -280,9 +280,7 @@ def write_manifest(out_dir: Path, command: str, config: AnalysisConfig,
     for prefix, runs in (("bootstrap", ensemble), ("montecarlo", montecarlo)):
         if runs is not None:
             lines.append(f"{prefix}.failed={runs.failed}")
-            lines.append(f"{prefix}.singular={runs.singular}")
-            lines.append(f"{prefix}.nonconverged={runs.nonconverged}")
-            lines.append(f"{prefix}.saturated={runs.saturated}")
+            lines += [f"{prefix}.{cause}={count}" for cause, count in runs.failures.items()]
     if ensemble is not None:
         lines.append(f"bootstrap.unreliable={ensemble.unreliable}")
     if montecarlo is not None:

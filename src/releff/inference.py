@@ -15,10 +15,11 @@ subject and Newton weights them by their numbers of copies.  A chunk holds at mo
 ``STACK_ELEMENTS // (n1 + n2 + 2)`` datasets (160 at n1 = n2 = 50), so
 memory does not grow with B or M, and a Monte Carlo task of a few hundred
 runs at that size pays the fixed cost of a stacked fit once or twice.
-Warp-speed runs are simulated straight into a chunk's stacked arrays by a
-chunk simulator; no dataset object is built per run.  Each run or
+A chunk is one ``TwoSampleDataset`` stack: warp-speed runs are simulated
+straight into it, and no dataset object is built per run.  Each run or
 replicate draws its whole resample, both groups, in one generator call;
-``_simulated_chunk`` draws the streams of a chunk for both loops.
+``_simulated_chunk`` draws the streams of a chunk for both loops.  A failed
+fit is counted under the first of ``FAILURE_CAUSES`` that applies to it.
 
 ``decide`` turns one coefficient's centered replicates into the four test
 decisions; ``test_coefficient`` applies it to one estimate and
@@ -27,21 +28,19 @@ decisions; ``test_coefficient`` applies it to one estimate and
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, fields
-from typing import Protocol, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
 
 from . import gee
 from .pseudo import pseudo_marginals, pseudo_matrix
-from .survival import TwoSampleDataset
+from .survival import TwoSampleDataset, stack_datasets
 
 __all__ = [
     "METHODS",
-    "DatasetStack",
+    "FAILURE_CAUSES",
     "FitSpec",
     "BootstrapEnsemble",
     "TestReport",
@@ -59,6 +58,10 @@ MAD_TO_SD = 1.4826
 # the four coefficient tests: three scale-based, one percentile
 METHODS = ("emp", "iqr", "mad", "quantile")
 
+# why a fit fails, in order of precedence: a singular design (strict_singular),
+# no convergence to finite coefficients, some |beta'z| > gee.SATURATED_ETA
+FAILURE_CAUSES = ("singular", "nonconverged", "saturated")
+
 # more than this fraction of failed replicates marks the ensemble unreliable
 MAX_FAILURE_FRACTION = 0.05
 
@@ -70,43 +73,6 @@ STACK_ELEMENTS = 1 << 14
 
 def _chunk_size(n1: int, n2: int) -> int:
     return max(1, STACK_ELEMENTS // (n1 + n2 + 2))
-
-
-@dataclass(frozen=True)
-class DatasetStack:
-    """N datasets of one shape, each field of ``TwoSampleDataset`` stacked
-    on a leading axis: times and events (N, n), covariates (N, n, p), tau (N,)."""
-
-    times1: np.ndarray
-    events1: np.ndarray
-    covariates1: np.ndarray
-    times2: np.ndarray
-    events2: np.ndarray
-    covariates2: np.ndarray
-    tau: np.ndarray
-
-    @classmethod
-    def of(cls, datasets) -> "DatasetStack":
-        return cls(*(np.stack([getattr(d, f.name) for d in datasets]) for f in fields(cls)))
-
-    def __len__(self) -> int:
-        return self.tau.shape[0]
-
-    def resampled(self, idx1: np.ndarray, idx2: np.ndarray) -> "DatasetStack":
-        """Dataset k resampled with rows idx1[k] and idx2[k]; a stack of one
-        dataset is resampled once per row of idx1 and idx2."""
-        k = np.arange(len(self))[:, None]
-        return DatasetStack(
-            self.times1[k, idx1], self.events1[k, idx1], self.covariates1[k, idx1],
-            self.times2[k, idx2], self.events2[k, idx2], self.covariates2[k, idx2],
-            np.broadcast_to(self.tau, idx1.shape[:1]),
-        )
-
-    def dataset(self, k: int) -> TwoSampleDataset:
-        return TwoSampleDataset(
-            self.times1[k], self.events1[k], self.covariates1[k],
-            self.times2[k], self.events2[k], self.covariates2[k], tau=float(self.tau[k]),
-        )
 
 
 def _distinct_subjects(times, events, covariates):
@@ -147,11 +113,11 @@ class FitSpec:
     def fit(self, data: TwoSampleDataset) -> gee.FitResult:
         """Fit one dataset; a singular design under ``strict_singular``
         raises LinAlgError.  A saturated logit fit is returned as it is."""
-        start = self._identity(DatasetStack.of([data])).result(0)
+        start = self._identity(stack_datasets([data])).result(0)
         return start if self.link == gee.IDENTITY else self._newton(data, start.beta)
 
-    def _identity(self, stack: DatasetStack) -> gee.IdentityFits:
-        m = pseudo_marginals(stack.times1, stack.events1, stack.times2, stack.events2, stack.tau)
+    def _identity(self, stack: TwoSampleDataset) -> gee.IdentityFits:
+        m = pseudo_marginals(stack)
         return gee.solve_identity(
             m.row_means, m.col_means, stack.covariates1, stack.covariates2,
             strict_singular=self.strict_singular,
@@ -165,29 +131,33 @@ class FitSpec:
         return gee.solve_newton(matrix, data.covariates1[rows], data.covariates2[cols],
                                 self.link, x0=start, weights=(w1, w2))
 
-    def _fit_stack(self, stack: DatasetStack):
-        """Coefficients (N, p) of every dataset in ``stack``, NaN where the
-        fit failed, and the failed rows by cause, each counted under the
-        first that applies: (beta, singular, nonconverged, saturated).  A
-        singular design under ``strict_singular`` is refused; a fit that
-        does not converge or has non-finite coefficients counts as not
-        converged; a converged logit fit with some |beta'z| beyond
-        ``gee.SATURATED_ETA`` is saturated."""
+    def _fit_stack(self, stack: TwoSampleDataset):
+        """Coefficients (N, p) of every dataset of ``stack``, NaN where the
+        fit failed, and each fit's outcome: the index in FAILURE_CAUSES of
+        the first cause that applies, or len(FAILURE_CAUSES) for a usable
+        fit.  A fit with non-finite coefficients counts as not converged."""
         fits = self._identity(stack)
-        beta, singular = fits.beta, fits.singular
-        nonconverged = np.zeros(len(stack), dtype=bool)
-        saturated = np.zeros(len(stack), dtype=bool)
+        beta = fits.beta
+        nonconverged = np.zeros(len(beta), dtype=bool)
+        saturated = np.zeros(len(beta), dtype=bool)
         if self.link == gee.LOGIT:
-            for k in np.flatnonzero(~singular):
-                result = self._newton(stack.dataset(k), beta[k])
+            for k in np.flatnonzero(~fits.singular):
+                result = self._newton(stack[k], beta[k])
                 beta[k] = result.beta
                 nonconverged[k] = not result.converged
                 saturated[k] = gee.max_abs_eta(
                     result.beta, stack.covariates1[k], stack.covariates2[k]) > gee.SATURATED_ETA
-        nonconverged |= ~(singular | np.isfinite(beta).all(axis=1))
-        saturated &= ~nonconverged
-        beta[nonconverged | saturated] = np.nan
-        return beta, singular, nonconverged, saturated
+        nonconverged |= ~np.isfinite(beta).all(axis=1)
+        usable = np.ones_like(saturated)    # the rows below follow FAILURE_CAUSES
+        outcome = np.argmax([fits.singular, nonconverged, saturated, usable], axis=0)
+        beta[outcome < len(FAILURE_CAUSES)] = np.nan
+        return beta, outcome
+
+
+def _failures(outcomes=()) -> dict:
+    """Cause -> number of failed fits among the ``_fit_stack`` outcomes."""
+    counts = np.bincount(np.asarray(outcomes, dtype=int), minlength=len(FAILURE_CAUSES))
+    return dict(zip(FAILURE_CAUSES, counts.tolist()))
 
 
 @dataclass
@@ -196,11 +166,15 @@ class BootstrapEnsemble:
     B: int
     seed: int
     base_fit: gee.FitResult
-    failed: int = 0               # singular + nonconverged + saturated
-    unreliable: bool = False
-    singular: int = 0             # refits with a singular design (strict_singular)
-    nonconverged: int = 0         # refits that did not converge to finite coefficients
-    saturated: int = 0            # logit refits with some |beta'z| > gee.SATURATED_ETA
+    failures: dict = field(default_factory=_failures)   # cause -> failed refits
+
+    @property
+    def failed(self) -> int:
+        return sum(self.failures.values())
+
+    @property
+    def unreliable(self) -> bool:
+        return self.failed > MAX_FAILURE_FRACTION * self.B
 
     @property
     def ok(self) -> np.ndarray:
@@ -250,32 +224,25 @@ def bootstrap(
     spec = spec or FitSpec()
     base = spec.fit(data)
     require_usable(base)
-    whole = DatasetStack.of([data])
+    whole = stack_datasets([data])
     replicates = np.full((B, base.beta.size), np.nan)
-    causes = np.zeros(3, dtype=int)     # singular, nonconverged, saturated
+    outcomes = np.empty(B, dtype=int)
     step = _chunk_size(data.n1, data.n2)
     for start in range(0, B, step):
         runs = range(start, min(start + step, B))
         _, idx1, idx2 = _simulated_chunk(lambda rngs: whole, seed, runs)
-        beta, *failures = spec._fit_stack(whole.resampled(idx1, idx2))
-        replicates[runs.start : runs.stop] = beta
-        causes += [int(f.sum()) for f in failures]
-    failed = int(causes.sum())
-    if failed == B:
+        replicates[start : runs.stop], outcomes[start : runs.stop] = spec._fit_stack(
+            whole.resampled(idx1, idx2))
+    ensemble = BootstrapEnsemble(replicates=replicates, B=B, seed=seed, base_fit=base,
+                                 failures=_failures(outcomes))
+    if ensemble.failed == B:
         raise RuntimeError("all bootstrap replicates failed")
-    singular, nonconverged, saturated = causes.tolist()
-    return BootstrapEnsemble(
-        replicates=replicates, B=B, seed=seed, base_fit=base,
-        failed=failed, unreliable=failed > MAX_FAILURE_FRACTION * B,
-        singular=singular, nonconverged=nonconverged, saturated=saturated,
-    )
+    return ensemble
 
 
 @dataclass
 class TestReport:
-    coefficient: int
     estimate: float
-    alpha: float
     decisions: dict               # method -> (scale, ci, reject), see ``decide``
     degenerate: bool = False      # the empirical SD is not positive
 
@@ -290,7 +257,6 @@ def scale_estimates(values: np.ndarray):
     return emp, iqr, mad
 
 
-@functools.lru_cache(maxsize=16)
 def _two_sided_z(alpha: float) -> float:
     """z at 1 - alpha/2 from ``ndtri``, which is what ``norm.ppf`` evaluates."""
     return float(ndtri(1 - alpha / 2))
@@ -334,13 +300,8 @@ def test_coefficient(
     if reps.size == 0:
         raise RuntimeError("no successful bootstrap replicates")
     decisions = decide(estimate, reps - estimate, alpha)
-    return TestReport(
-        coefficient=coefficient,
-        estimate=estimate,
-        alpha=alpha,
-        decisions=decisions,
-        degenerate=decisions["emp"][0] <= 0,
-    )
+    return TestReport(estimate=estimate, decisions=decisions,
+                      degenerate=decisions["emp"][0] <= 0)
 
 
 @dataclass
@@ -349,21 +310,11 @@ class WarpSpeedResult:
     estimates: np.ndarray          # (M_ok, p)
     centered_replicates: np.ndarray  # (M_ok, p)
     degenerate: bool = False       # a pooled scale of a tested coefficient is <= 0
-    failed: int = 0                # singular + nonconverged + saturated
-    singular: int = 0              # runs with a singular design (strict_singular)
-    nonconverged: int = 0          # runs whose base fit or refit did not converge to
-                                   # finite coefficients
-    saturated: int = 0             # runs whose logit base fit or refit is saturated
+    failures: dict = field(default_factory=_failures)   # cause -> failed runs
 
-
-class ChunkSimulator(Protocol):
-    """Simulates Monte Carlo datasets of one shape straight into a stack."""
-
-    n1: int
-    n2: int
-
-    def simulate(self, rngs: Sequence[np.random.Generator]) -> DatasetStack:
-        """Dataset k of the stack drawn from ``rngs[k]`` alone."""
+    @property
+    def failed(self) -> int:
+        return sum(self.failures.values())
 
 
 def _simulated_chunk(draw, seed: int, runs: range):
@@ -372,14 +323,13 @@ def _simulated_chunk(draw, seed: int, runs: range):
     from the stream (seed, m).  The bootstrap's ``draw`` draws nothing."""
     rngs = [_replicate_rng(seed, m) for m in runs]
     stack = draw(rngs)
-    n1, n2 = stack.times1.shape[-1], stack.times2.shape[-1]
-    draws = [resample_indices(rng, n1, n2) for rng in rngs]
+    draws = [resample_indices(rng, stack.n1, stack.n2) for rng in rngs]
     idx1, idx2 = (np.stack(idx) for idx in zip(*draws))
     return stack, idx1, idx2
 
 
 def warp_speed(
-    simulator: ChunkSimulator,
+    simulator,
     M: int,
     seed: int = 0,
     spec: FitSpec | None = None,
@@ -390,28 +340,26 @@ def warp_speed(
 
     The centered replicates from all Monte Carlo runs are pooled to estimate
     the bootstrap scales and quantiles, which are then applied to each run's
-    estimate.  A run fails when its base fit or its refit has a singular
-    design (under ``strict_singular``), does not converge or has non-finite
-    coefficients, or is a saturated logit fit; it is counted under the
-    first of these causes that applies to either fit.
+    estimate.  ``simulator`` has the sizes ``n1`` and ``n2`` and
+    ``simulate(rngs)``, which returns a stacked ``TwoSampleDataset`` whose
+    dataset k is drawn from ``rngs[k]`` alone.  A run fails, counted under
+    the first of FAILURE_CAUSES that applies to its base fit or its refit,
+    when either fit fails.
     """
     if M < 1:
         raise ValueError("M must be at least 1")
     spec = spec or FitSpec()
     estimates = []
     centered = []
-    causes = np.zeros(3, dtype=int)     # singular, nonconverged, saturated
+    outcomes = []
     step = _chunk_size(simulator.n1, simulator.n2)
     for start in range(0, M, step):
         runs = range(start, min(start + step, M))
         stack, idx1, idx2 = _simulated_chunk(simulator.simulate, seed, runs)
-        base, *base_failures = spec._fit_stack(stack)
-        star, *star_failures = spec._fit_stack(stack.resampled(idx1, idx2))
-        ok = np.ones(len(stack), dtype=bool)
-        for k, (b, s) in enumerate(zip(base_failures, star_failures)):
-            failing = (b | s) & ok
-            causes[k] += int(failing.sum())
-            ok &= ~failing
+        base, base_outcome = spec._fit_stack(stack)
+        star, star_outcome = spec._fit_stack(stack.resampled(idx1, idx2))
+        outcomes.append(np.minimum(base_outcome, star_outcome))
+        ok = outcomes[-1] == len(FAILURE_CAUSES)
         estimates.append(base[ok])
         centered.append(star[ok] - base[ok])
     estimates = np.concatenate(estimates)
@@ -429,14 +377,5 @@ def warp_speed(
                 degenerate = True
             else:
                 rates[name][k] = float(np.mean(reject))
-    singular, nonconverged, saturated = causes.tolist()
-    return WarpSpeedResult(
-        rejection_rates=rates,
-        estimates=estimates,
-        centered_replicates=centered,
-        degenerate=degenerate,
-        failed=singular + nonconverged + saturated,
-        singular=singular,
-        nonconverged=nonconverged,
-        saturated=saturated,
-    )
+    return WarpSpeedResult(rejection_rates=rates, estimates=estimates, centered_replicates=centered,
+                           degenerate=degenerate, failures=_failures(np.concatenate(outcomes)))

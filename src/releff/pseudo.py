@@ -220,28 +220,27 @@ class _SortedLeaveOneOut:
         return G / n
 
 
-def pseudo_marginals(times1, events1, times2, events2, tau) -> PseudoMarginals:
-    """Marginals of the pseudo-observation matrices of N datasets of one
-    shape, without building the matrices.
+def pseudo_marginals(stack: TwoSampleDataset) -> PseudoMarginals:
+    """Marginals of the pseudo-observation matrices of the N datasets of
+    ``stack``, without building the matrices.
 
-    ``times*`` and ``events*`` are (N, n1) and (N, n2) arrays, ``tau`` an (N,)
-    array of horizons.  Entry (i1, i2) of a matrix is
+    Entry (i1, i2) of a matrix is
     n1 n2 th - (n1-1) n2 th1[i1] - n1 (n2-1) th2[i2] + (n1-1)(n2-1) th12[i1, i2]
     with th12[i1, i2] = sum_g F1^{-i1}(g) dS2^{-i2}(g) over the group-2 event
     times g < tau, so a row mean needs th1[i1] and F1^{-i1} against the mean
     group-2 jump, and a column mean th2[i2] and dS2^{-i2} against the mean
     group-1 curve.  Fully observed data take the same path.
     """
-    n_sets, n1 = times1.shape
-    n2 = times2.shape[1]
-    g1 = _SortedLeaveOneOut(times1, events1)
-    g2 = _SortedLeaveOneOut(times2, events2)
+    n_sets, n1 = stack.times1.shape
+    n2 = stack.n2
+    g1 = _SortedLeaveOneOut(stack.times1, stack.events1)
+    g2 = _SortedLeaveOneOut(stack.times2, stack.events2)
     # at[k]: the number of group-1 times <= the k-th group-2 time, i.e. the
     # column of the group-1 curves at that time (a stable merge puts group 1
     # first among equal times)
     merged = np.argsort(np.concatenate((g1.times, g2.times), axis=-1), axis=-1, kind="stable")
     at = np.cumsum(merged < n1, axis=-1)[merged >= n1].reshape(n_sets, n2)
-    below_tau = g2.times < np.asarray(tau, dtype=float)[:, None]
+    below_tau = g2.times < stack.tau
 
     f = np.take_along_axis(g1.P, at, axis=-1)                    # S1 at group-2 times
     d = (g2.P[:, :-1] - g2.P[:, 1:]) * below_tau                 # jumps of S2

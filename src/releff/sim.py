@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .inference import DatasetStack, warp_speed
+from .inference import warp_speed
 from .survival import TwoSampleDataset
 
 __all__ = [
@@ -68,7 +68,7 @@ class Scenario:
         """Positions of the first covariate coefficient of each group in beta."""
         return 1, 1 + self.p
 
-    def simulate(self, rngs) -> DatasetStack:
+    def simulate(self, rngs) -> TwoSampleDataset:
         """One dataset per generator, straight into a stack: the chunk
         simulator of ``warp_speed``.
 
@@ -106,7 +106,7 @@ class Scenario:
         else:
             X1, d1 = T1, np.ones((N, n1))
             X2, d2 = T2, np.ones((N, n2))
-        return DatasetStack(X1, d1, Z1, X2, d2, Z2, np.full(N, TAU))
+        return TwoSampleDataset(X1, d1, Z1, X2, d2, Z2, tau=TAU)
 
 
 def make_scenario(scenario_id: str, setting: str, n1: int, n2: int, censored: bool) -> Scenario:
@@ -172,7 +172,7 @@ def _event_times(gamma, shape, Z, u) -> np.ndarray:
 
 def simulate_dataset(scenario: Scenario, rng: np.random.Generator) -> TwoSampleDataset:
     """One dataset of ``scenario``: ``Scenario.simulate`` on one generator."""
-    return scenario.simulate([rng]).dataset(0)
+    return scenario.simulate([rng])[0]
 
 
 def censoring_rates(scenario: Scenario, n: int, seed: int = 0) -> tuple:

@@ -43,8 +43,8 @@ from scipy.stats import norm
 from releff import gee
 from releff.gee import FitResult
 from releff.inference import (
+    FAILURE_CAUSES,
     METHODS,
-    DatasetStack,
     FitSpec,
     WarpSpeedResult,
     _replicate_rng,
@@ -52,7 +52,7 @@ from releff.inference import (
 )
 from releff.pseudo import pseudo_matrix
 from releff.sim import CENSOR_BOUNDS, TAU, Scenario
-from releff.survival import TwoSampleDataset
+from releff.survival import TwoSampleDataset, stack_datasets
 
 
 @dataclass(frozen=True)
@@ -455,10 +455,10 @@ def warp_speed(make_dataset, M, seed=0, spec=None, coefficients=None, alpha=0.05
                 rates[name][k] = float(np.mean(np.abs(est) / scale > z))
         q_lo, q_hi = np.quantile(centered[:, k], [alpha / 2, 1 - alpha / 2])
         rates["quantile"][k] = float(np.mean((est < q_lo) | (est > q_hi)))
+    failures = dict(zip(FAILURE_CAUSES, (singular, nonconverged, saturated_runs)))
     return WarpSpeedResult(rejection_rates=rates, estimates=estimates,
                            centered_replicates=centered, degenerate=degenerate,
-                           failed=singular + nonconverged + saturated_runs, singular=singular,
-                           nonconverged=nonconverged, saturated=saturated_runs)
+                           failures=failures)
 
 
 @dataclass(frozen=True)
@@ -470,8 +470,8 @@ class PerRun:
     n1: int
     n2: int
 
-    def simulate(self, rngs) -> DatasetStack:
-        return DatasetStack.of([self.make_dataset(rng) for rng in rngs])
+    def simulate(self, rngs) -> TwoSampleDataset:
+        return stack_datasets([self.make_dataset(rng) for rng in rngs])
 
 
 _BIVARIATE_NORMAL = {1: [[1.0, 0.2], [0.2, 1.0]], 2: [[1.1, 0.3], [0.3, 1.1]]}

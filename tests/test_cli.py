@@ -28,6 +28,7 @@ from releff.gee import FitResult
 from releff.inference import BootstrapEnsemble, FitSpec, bootstrap
 from oracles import theta_hat
 from releff.pseudo import pseudo_marginals, pseudo_matrix, tie_correction_term
+from releff.survival import stack_datasets
 
 
 def write_csv(path, rows, header=("group", "time", "status")):
@@ -273,8 +274,7 @@ class TestIngest:
         np.testing.assert_array_equal(pseudo_matrix(data), pseudo_matrix(below))
         assert not np.array_equal(pseudo_matrix(data),
                                   pseudo_matrix(dataclasses.replace(data, tau=np.inf)))
-        m = pseudo_marginals(data.times1[None], data.events1[None], data.times2[None],
-                             data.events2[None], np.array([data.tau]))
+        m = pseudo_marginals(stack_datasets([data]))
         assert m.row_means[0].mean() == pytest.approx(1 / 3)
         # the tie correction counts the common jump at tau: half of
         # dS1(4) dS2(4) = (1/3)(1/2), where leaving it out would give 0
@@ -389,7 +389,8 @@ class TestCommands:
 
         def degenerate(*args, **kwargs):
             rows, result = real(*args, **kwargs)
-            return rows, dataclasses.replace(result, degenerate=True, failed=3, singular=3)
+            return rows, dataclasses.replace(result, degenerate=True,
+                                             failures=dict(result.failures, singular=3))
 
         monkeypatch.setattr(cli, "run_scenario", degenerate)
         out = tmp_path / "out"
@@ -419,7 +420,7 @@ class TestCommands:
         config = AnalysisConfig(tau=9.0, covariates1=["flag"], covariates2=["flag"])
         want = bootstrap(ingest_csv(path, config), spec=FitSpec(strict_singular=True),
                          B=40, seed=3)
-        assert want.singular > 0
+        assert want.failures["singular"] > 0
         for command in ("fit", "test", "predict"):
             out = tmp_path / command
             assert main([command, "--data", str(path), "--tau", "9", "--cov1", "flag",
@@ -427,7 +428,7 @@ class TestCommands:
                          "--bootstrap", "40", "--out-dir", str(out)]) == EXIT_OK, command
             manifest = (out / "manifest.txt").read_text().splitlines()
             assert f"bootstrap.failed={want.failed}" in manifest, command
-            assert f"bootstrap.singular={want.singular}" in manifest, command
+            assert f"bootstrap.singular={want.failures['singular']}" in manifest, command
             assert "bootstrap.nonconverged=0" in manifest, command
             assert "bootstrap.saturated=0" in manifest, command
 
@@ -462,8 +463,8 @@ class TestCommands:
             ensemble = real_bootstrap(data, spec=spec, B=B, seed=seed)
             replicates = ensemble.replicates.copy()
             replicates[:2] = np.nan
-            return dataclasses.replace(ensemble, replicates=replicates, failed=2,
-                                       unreliable=True)
+            return dataclasses.replace(ensemble, replicates=replicates,
+                                       failures=dict(ensemble.failures, nonconverged=2))
 
         monkeypatch.setattr(cli, "bootstrap", fake_bootstrap)
         for command in ("fit", "test", "predict"):

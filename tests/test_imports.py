@@ -1,7 +1,9 @@
 """Static checks of the package sources: every name a module imports is used,
-every name its ``__all__`` exports is bound, and every module-level private
-name is read somewhere in the package.  A fresh interpreter that imports the
-package and its CLI does not load ``scipy.stats``."""
+every name its ``__all__`` exports is bound, every module-level private
+name is read somewhere in the package, and no module reads an attribute of
+a name that the benchmark's tracer replaces with a plain function.  A fresh
+interpreter that imports the package and its CLI does not load
+``scipy.stats``."""
 
 import ast
 import os
@@ -15,6 +17,7 @@ import releff
 
 PACKAGE = Path(releff.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+BENCH_LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
 
 def unused_imports(source: str):
@@ -115,6 +118,37 @@ def test_checker_finds_unread_private_names():
 def test_every_private_name_is_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def traced_entry_points():
+    """(module, attribute) of each entry of ``ENTRY_POINTS`` in the
+    benchmark's ``layers.py``: under ``--trace 1`` the tracer replaces
+    ``releff.<module>.<attribute>`` with a plain function that calls it."""
+    for node in ast.parse(BENCH_LAYERS.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "ENTRY_POINTS":
+            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+    raise AssertionError("no ENTRY_POINTS in " + str(BENCH_LAYERS))
+
+
+def attribute_reads(source: str, name: str):
+    """Lines on which ``source`` reads an attribute of the bare name ``name``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == name]
+
+
+def test_checker_finds_attribute_reads():
+    source = "X.stack([])\nX(1)\ny.X\nX.a.b\nx = X\n"
+    assert attribute_reads(source, "X") == [1, 4]
+
+
+@pytest.mark.parametrize("module, attribute", traced_entry_points(),
+                         ids=lambda v: v if isinstance(v, str) else None)
+def test_traced_entry_points_are_only_called(module, attribute):
+    # a traced name is a function, so an attribute read through it (a
+    # classmethod, a constant) works untraced and fails under tracing
+    path = PACKAGE / f"{module}.py"
+    assert attribute_reads(path.read_text(encoding="utf-8"), attribute) == []
 
 
 def test_package_does_not_import_scipy_stats():

@@ -166,11 +166,34 @@ def test_failed_replicates_are_nan_and_flagged():
                      gradient_norm=0.0, method="closed-form")
     reps = np.array([[0.1, 0.2], [np.nan, np.nan], [0.3, 0.1]])
     ens = BootstrapEnsemble(replicates=reps, B=3, seed=0, base_fit=base,
-                            failed=1, unreliable=True)
+                            failures={"singular": 0, "nonconverged": 1, "saturated": 0})
+    assert (ens.failed, ens.unreliable) == (1, True)
     assert ens.ok.tolist() == [True, False, True]
     rep = test_coefficient(ens, 0)
     # the failed row drops out of the scale
     assert rep.decisions["emp"][0] == pytest.approx(np.std([0.1, 0.3], ddof=1))
+
+
+@pytest.mark.parametrize("failed, unreliable", [(5, False), (6, True)])
+def test_unreliable_beyond_five_percent_failed(failed, unreliable):
+    # MAX_FAILURE_FRACTION = 0.05: at B = 100, 5 failed refits are tolerated
+    base = FitResult(beta=np.zeros(1), converged=True, iterations=0,
+                     gradient_norm=0.0, method="closed-form")
+    reps = np.where(np.arange(100)[:, None] < failed, np.nan, 0.1)
+    ens = BootstrapEnsemble(replicates=reps, B=100, seed=0, base_fit=base,
+                            failures={"singular": 2, "nonconverged": failed - 3, "saturated": 1})
+    assert ens.failed == failed
+    assert ens.unreliable is unreliable
+
+
+def test_failed_is_the_sum_of_the_failure_counts(monkeypatch, rng):
+    data = random_dataset(rng, 10, 10, censored=True)
+    degenerate_resamples(monkeypatch, {2, 6})
+    non_finite_rows(monkeypatch, {1}, 3)        # call 0 is the base fit
+    ens = bootstrap(data, spec=FitSpec(strict_singular=True), B=10, seed=0)
+    assert list(ens.failures) == list(inference.FAILURE_CAUSES)
+    assert ens.failures == {"singular": 2, "nonconverged": 1, "saturated": 0}
+    assert ens.failed == sum(ens.failures.values()) == (~ens.ok).sum()
 
 
 def test_bootstrap_alpha_validation(rng):
@@ -273,7 +296,7 @@ def test_singular_bootstrap_refit_counts_as_failed(monkeypatch, rng):
     data = random_dataset(rng, 10, 10, censored=True)
     degenerate_resamples(monkeypatch, {2, 6})
     ens = bootstrap(data, spec=FitSpec(strict_singular=True), B=10, seed=0)
-    assert (ens.failed, ens.singular, ens.nonconverged) == (2, 2, 0)
+    assert (ens.failed, ens.failures["singular"], ens.failures["nonconverged"]) == (2, 2, 0)
     assert ens.ok.tolist() == [True, True, False, True, True, True, False, True, True, True]
 
 
@@ -295,9 +318,10 @@ def test_singular_logit_bootstrap_refit_counts_as_failed(monkeypatch, rng):
     degenerate_resamples(monkeypatch, {2, 6})
     ens = bootstrap(data, spec=spec, B=10, seed=0)
     forced = np.isin(np.arange(10), [2, 6])
-    assert ens.singular == 2
+    assert ens.failures["singular"] == 2
     assert ens.ok.tolist() == (unpatched.ok & ~forced).tolist()
-    assert ens.nonconverged == unpatched.nonconverged - int((~unpatched.ok & forced).sum())
+    assert ens.failures["nonconverged"] == (
+        unpatched.failures["nonconverged"] - int((~unpatched.ok & forced).sum()))
 
 
 def test_nonconverged_bootstrap_refit_counts_as_failed(monkeypatch, rng):
@@ -321,9 +345,10 @@ def test_nonconverged_bootstrap_refit_counts_as_failed(monkeypatch, rng):
     stalled = np.isin(np.arange(10), [2, 6])
     assert ens.ok.tolist() == (unpatched.ok & ~stalled).tolist()
     # a stalled refit counts as not converged even where it is saturated
-    assert (ens.failed, ens.singular, ens.nonconverged + ens.saturated) == (
+    failures = ens.failures
+    assert (ens.failed, failures["singular"], failures["nonconverged"] + failures["saturated"]) == (
         10 - ens.ok.sum(), 0, ens.failed)
-    assert ens.saturated <= unpatched.saturated
+    assert ens.failures["saturated"] <= unpatched.failures["saturated"]
 
 
 def test_error_inside_a_warp_speed_fit_propagates(monkeypatch, rng):
@@ -347,7 +372,7 @@ def test_singular_warp_speed_fit_counts_as_failed(monkeypatch, rng):
         return data
 
     res = warp_speed(PerRun(make, 10, 10), M=5, seed=0, spec=FitSpec(strict_singular=True))
-    assert (res.failed, res.singular, res.nonconverged) == (2, 2, 0)
+    assert (res.failed, res.failures["singular"], res.failures["nonconverged"]) == (2, 2, 0)
     assert res.estimates.shape == (3, 5)
 
 
@@ -409,7 +434,7 @@ def test_non_finite_bootstrap_refit_counts_as_failed(monkeypatch, rng):
     data = random_dataset(rng, 10, 10, censored=True)
     non_finite_rows(monkeypatch, {1}, 3)        # call 0 is the base fit
     ens = bootstrap(data, B=10, seed=0)
-    assert (ens.failed, ens.singular, ens.nonconverged) == (1, 0, 1)
+    assert (ens.failed, ens.failures["singular"], ens.failures["nonconverged"]) == (1, 0, 1)
     assert ens.ok.tolist() == [k != 3 for k in range(10)]
     assert np.isnan(ens.replicates[3]).all()
 
@@ -421,7 +446,7 @@ def test_non_finite_warp_speed_fit_counts_as_failed(monkeypatch):
     non_finite_rows(monkeypatch, {0}, 1)
     non_finite_rows(monkeypatch, {1}, 3)
     res = warp_speed(make, M=5, seed=0)
-    assert (res.failed, res.singular, res.nonconverged) == (2, 0, 2)
+    assert (res.failed, res.failures["singular"], res.failures["nonconverged"]) == (2, 0, 2)
     np.testing.assert_array_equal(res.estimates, want.estimates[[0, 2, 4]])
     assert np.isfinite(res.centered_replicates).all()
 
@@ -449,8 +474,7 @@ def test_warp_speed_matches_per_run_oracle():
     for simulator, spec in oracle_cases():
         got = warp_speed(simulator, M=60, seed=4, spec=spec)
         want = oracles.warp_speed(simulator.make_dataset, M=60, seed=4, spec=spec)
-        assert (got.failed, got.singular, got.nonconverged, got.saturated) == (
-            want.failed, want.singular, want.nonconverged, want.saturated)
+        assert (got.failed, got.failures) == (want.failed, want.failures)
         assert got.degenerate == want.degenerate
         np.testing.assert_allclose(got.estimates, want.estimates, rtol=0, atol=1e-10)
         np.testing.assert_allclose(got.centered_replicates, want.centered_replicates,
@@ -458,7 +482,7 @@ def test_warp_speed_matches_per_run_oracle():
         for name in want.rejection_rates:
             np.testing.assert_array_equal(got.rejection_rates[name], want.rejection_rates[name])
     # the often-singular design did fail some runs, and by cause
-    assert got.failed > 0 and got.singular == got.failed
+    assert got.failed > 0 and got.failures["singular"] == got.failed
 
 
 def test_bootstrap_matches_per_replicate_refits():
@@ -534,8 +558,8 @@ def test_chunking_does_not_change_identity_results(monkeypatch, per_chunk):
         res = warp_speed(simulator, M=60, seed=4, spec=spec)
         ens = bootstrap(simulator.make_dataset(np.random.default_rng(8)), spec=spec, B=60, seed=2)
         return [res.estimates, res.centered_replicates, *res.rejection_rates.values(),
-                res.failed, res.singular, res.nonconverged, res.degenerate,
-                ens.replicates, ens.failed, ens.singular, ens.nonconverged]
+                res.failed, *res.failures.values(), res.degenerate,
+                ens.replicates, ens.failed, *ens.failures.values()]
 
     cases = [(simulator, spec) for simulator, spec in oracle_cases() if spec.link == IDENTITY]
     assert len(cases) == 4

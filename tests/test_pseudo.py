@@ -13,7 +13,7 @@ from releff.pseudo import (
     pseudo_marginals,
     pseudo_matrix,
 )
-from releff.survival import TwoSampleDataset
+from releff.survival import TwoSampleDataset, stack_datasets
 
 
 def make(t1, e1, t2, e2, tau=np.inf):
@@ -161,9 +161,7 @@ def test_uncensored_theta_hat_is_indicator_mean(data):
 
 
 def stacked_marginals(datasets):
-    stack = [np.stack([getattr(d, name) for d in datasets])
-             for name in ("times1", "events1", "times2", "events2")]
-    return pseudo_marginals(*stack, np.array([d.tau for d in datasets]))
+    return pseudo_marginals(stack_datasets(datasets))
 
 
 def assert_marginals_match_matrix(m, k, data):
@@ -196,10 +194,12 @@ def test_stacked_marginals_match_each_pseudo_matrix(rng):
         datasets.append(TwoSampleDataset(
             np.round(data.times1, 1), data.events1, data.covariates1,
             np.round(data.times2, 1), data.events2, data.covariates2, tau=data.tau))
-    m = stacked_marginals(datasets)
-    assert m.row_means.shape == (24, 9) and m.col_means.shape == (24, 6)
-    for k, data in enumerate(datasets):
-        assert_marginals_match_matrix(m, k, data)
+    # a stack has one horizon: the datasets at tau = inf, then those at tau = 1
+    for same_tau in (datasets[0::2], datasets[1::2]):
+        m = stacked_marginals(same_tau)
+        assert m.row_means.shape == (12, 9) and m.col_means.shape == (12, 6)
+        for k, data in enumerate(same_tau):
+            assert_marginals_match_matrix(m, k, data)
 
 
 @given(st.one_of(heavy_tie_datasets(), heavy_tie_datasets(status=st.just(1))), st.data())

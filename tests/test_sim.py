@@ -7,7 +7,6 @@ import pytest
 
 import oracles
 from releff.inference import (
-    DatasetStack,
     FitSpec,
     _replicate_rng,
     _simulated_chunk,
@@ -22,6 +21,7 @@ from releff.sim import (
     simulate_dataset,
     true_theta_weibull_equal_shapes,
 )
+from releff.survival import TwoSampleDataset
 
 from oracles import true_theta_weibull_numeric
 
@@ -231,8 +231,8 @@ class TestStackSimulation:
                 data = simulate_dataset(sc, rng)
                 want1, want2 = oracles.resample_indices(rng, sc.n1, sc.n2)
                 drawn = oracles.simulate_dataset(sc, _replicate_rng(7, m))
-                for f in fields(DatasetStack):
-                    got = getattr(stack, f.name)[k]
+                for f in fields(TwoSampleDataset):
+                    got = getattr(stack[k], f.name)
                     assert np.array_equal(got, getattr(data, f.name)), (size, m, f.name)
                     assert np.array_equal(got, getattr(drawn, f.name)), (size, m, f.name)
                 assert np.array_equal(idx1[k], want1) and np.array_equal(idx2[k], want2)

@@ -1,6 +1,8 @@
 """The Kaplan-Meier oracles (step-function curves, product-limit estimator,
 Stieltjes sums), the prefix-product leave-one-out curves against them, and
-the dataset's validation."""
+the dataset's validation and stacking."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 
 from oracles import SurvivalCurve, kaplan_meier, leave_one_out_km, theta_integral
 from releff.pseudo import _SortedLeaveOneOut
-from releff.survival import TwoSampleDataset
+from conftest import random_dataset
+from releff.survival import TwoSampleDataset, stack_datasets
 
 
 def empirical_survivor(sample, t):
@@ -159,3 +162,53 @@ class TestTwoSampleDataset:
             TwoSampleDataset([-1, 2], [1, 0], np.zeros((2, 0)), [1, 2], [1, 1], np.zeros((2, 0)))
         d = TwoSampleDataset([-1, 2], [1, 1], np.zeros((2, 0)), [1, 2], [1, 1], np.zeros((2, 0)))
         assert d.uncensored
+
+
+class TestStack:
+    @staticmethod
+    def datasets(rng, tau=1.5):
+        return [random_dataset(rng, 7, 5, p1=2, p2=1, censored=k % 2 == 0, tau=tau)
+                for k in range(4)]
+
+    def test_item_k_is_dataset_k(self, rng):
+        datasets = self.datasets(rng)
+        stack = stack_datasets(datasets)
+        for k, data in enumerate(datasets):
+            for f in fields(TwoSampleDataset):
+                assert np.array_equal(getattr(stack[k], f.name), getattr(data, f.name)), f.name
+            assert stack[k].tau == stack.tau == 1.5
+
+    def test_sizes_are_per_dataset(self, rng):
+        stack = stack_datasets(self.datasets(rng))
+        assert (stack.n1, stack.n2) == (7, 5)
+        assert stack.times1.shape == (4, 7) and stack.covariates2.shape == (4, 5, 1)
+
+    def test_covariate_rows_must_match_the_stacked_times(self, rng):
+        stack = stack_datasets(self.datasets(rng))
+        with pytest.raises(ValueError, match="covariate rows"):
+            TwoSampleDataset(stack.times1, stack.events1, stack.covariates1[:3],
+                             stack.times2, stack.events2, stack.covariates2)
+
+    def test_status_two_in_one_dataset_is_rejected(self, rng):
+        stack = stack_datasets(self.datasets(rng))
+        events2 = stack.events2.copy()
+        events2[2, 1] = 2.0
+        with pytest.raises(ValueError, match="status"):
+            TwoSampleDataset(stack.times1, stack.events1, stack.covariates1,
+                             stack.times2, events2, stack.covariates2)
+
+    def test_horizons_must_agree(self, rng):
+        datasets = self.datasets(rng)
+        with pytest.raises(ValueError, match="horizon"):
+            stack_datasets(datasets[:2] + self.datasets(rng, tau=np.inf)[:1])
+
+    def test_negative_times_are_checked_per_dataset(self):
+        observed = TwoSampleDataset([-1, 2], [1, 1], np.zeros((2, 0)), [1, 2], [1, 1],
+                                    np.zeros((2, 0)))
+        censored = TwoSampleDataset([1, 2], [1, 0], np.zeros((2, 0)), [1, 2], [1, 1],
+                                    np.zeros((2, 0)))
+        stack = stack_datasets([observed, censored])
+        assert not stack.uncensored
+        with pytest.raises(ValueError, match="negative"):
+            TwoSampleDataset(stack.times1, stack.events1[::-1], stack.covariates1,
+                             stack.times2, stack.events2, stack.covariates2)
