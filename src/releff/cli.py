@@ -305,6 +305,15 @@ def _coefficient_names(config: AnalysisConfig):
     )
 
 
+def _output_dir(config: AnalysisConfig) -> Path:
+    """``config.out_dir``, created if missing; ConfigFailure if it cannot be."""
+    try:
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigFailure(f"cannot create output directory: {exc}") from exc
+    return Path(config.out_dir)
+
+
 def _prepare(args, predict=False):
     """Shared preamble of fit, test and predict.
 
@@ -338,8 +347,7 @@ def _prepare(args, predict=False):
         raise ConfigFailure(f"the logit link needs about {working_set / 2**30:.2f} GiB of working "
                             f"memory for n1 = {data.n1}, n2 = {data.n2}; the limit is "
                             f"{WORKING_SET_BYTES / 2**30:.2f} GiB")
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(config)
     spec = FitSpec(link=config.link, strict_singular=config.strict_singular)
     ensemble = bootstrap(data, spec=spec, B=config.B, seed=config.seed) if resample else None
     fit = spec.fit(data) if ensemble is None else ensemble.base_fit
@@ -445,8 +453,7 @@ def cmd_simulate(args) -> int:
         scenario = make_scenario(args.scenario, args.setting, args.n1, args.n2, args.censored)
     except ValueError as exc:
         raise ConfigFailure(str(exc)) from exc
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(config)
     rows, result = run_scenario(scenario, M=args.reps, seed=config.seed, alpha=config.alpha)
     out_path = out_dir / "rejection_rates.csv"
     write_result_rows(rows, out_path)

@@ -44,7 +44,6 @@ __all__ = [
     "LINKS",
     "check_link",
     "FitResult",
-    "IdentityFits",
     "solve_identity",
     "solve_newton",
     "SATURATED_ETA",
@@ -81,6 +80,9 @@ def check_link(link: str) -> None:
 
 @dataclass
 class FitResult:
+    """One fit, or a stack of N fits with a leading axis on every field but
+    ``method`` and ``message``; ``fits[k]`` is fit k, as Python bool/int/float."""
+
     beta: np.ndarray
     converged: bool
     iterations: int
@@ -88,6 +90,11 @@ class FitResult:
     method: str
     used_pinv: bool = False
     message: str = ""
+
+    def __getitem__(self, k: int) -> FitResult:
+        return FitResult(self.beta[k], bool(self.converged[k]), int(self.iterations[k]),
+                         float(self.gradient_norm[k]), self.method, bool(self.used_pinv[k]),
+                         self.message)
 
 
 def _group_parts(beta, Z1, Z2):
@@ -268,40 +275,15 @@ def design_second_moment(Z1, Z2) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class IdentityFits:
-    """Closed-form identity-link fits of N datasets, one row each."""
-
-    beta: np.ndarray            # (N, p); NaN where ``singular``
-    gradient_norm: np.ndarray   # (N,) max |psi - Sigma beta|, the exact |U(beta)|
-    used_pinv: np.ndarray       # (N,) singular design solved by pseudo-inverse
-    singular: np.ndarray        # (N,) singular design left unsolved (strict)
-
-    def result(self, k: int = 0) -> FitResult:
-        """Fit k as a FitResult; LinAlgError if its design was refused."""
-        if self.singular[k]:
-            raise np.linalg.LinAlgError("design second-moment matrix is singular")
-        used_pinv = bool(self.used_pinv[k])
-        return FitResult(
-            beta=self.beta[k],
-            converged=True,
-            iterations=0,
-            gradient_norm=float(self.gradient_norm[k]),
-            method="closed-form",
-            used_pinv=used_pinv,
-            message="singular design, pseudo-inverse used" if used_pinv else "",
-        )
-
-
-def solve_identity(row_means, col_means, Z1, Z2, strict_singular: bool = False) -> IdentityFits:
-    """Exact identity-link solutions of N datasets from their pseudo-matrix
-    marginals: row means (N, n1), column means (N, n2), covariates (N, n1, p1)
-    and (N, n2, p2).
+def solve_identity(row_means, col_means, Z1, Z2, strict_singular: bool = False) -> FitResult:
+    """Exact identity-link fits of N datasets, as a stack of fits, from their
+    pseudo-matrix marginals: row means (N, n1), column means (N, n2) and
+    covariates (N, n1, p1), (N, n2, p2); ``gradient_norm`` is max |psi - Sigma beta|.
 
     A rank-deficient design, as ``np.linalg.matrix_rank`` counts ranks, is
-    solved by pseudo-inverse, or with ``strict_singular`` left unsolved and
-    flagged.  A design whose second moments overflow is left unsolved: its
-    coefficients are NaN.
+    solved by pseudo-inverse (``used_pinv``), or with ``strict_singular`` left
+    unsolved: NaN coefficients, ``converged`` False.  A design whose second
+    moments overflow is left unsolved with NaN coefficients.
     """
     n1, n2 = row_means.shape[-1], col_means.shape[-1]
     Sigma = design_second_moment(Z1, Z2)
@@ -324,12 +306,8 @@ def solve_identity(row_means, col_means, Z1, Z2, strict_singular: bool = False) 
     if used_pinv.any():
         beta[used_pinv] = (np.linalg.pinv(Sigma[used_pinv]) @ psi[used_pinv][..., None])[..., 0]
     residual = psi - (Sigma @ beta[..., None])[..., 0]
-    return IdentityFits(
-        beta=beta,
-        gradient_norm=np.max(np.abs(residual), axis=-1),
-        used_pinv=used_pinv,
-        singular=deficient & strict_singular,
-    )
+    return FitResult(beta, ~(deficient & strict_singular), np.zeros(len(beta), dtype=int),
+                     np.max(np.abs(residual), axis=-1), "closed-form", used_pinv)
 
 
 # Newton's limits: max |U| below TOL, MAX_ITER iterations, MAX_HALVINGS halvings a step

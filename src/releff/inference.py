@@ -113,15 +113,14 @@ class FitSpec:
     def fit(self, data: TwoSampleDataset) -> gee.FitResult:
         """Fit one dataset; a singular design under ``strict_singular``
         raises LinAlgError.  A saturated logit fit is returned as it is."""
-        start = self._identity(stack_datasets([data])).result(0)
+        start = self._identity(stack_datasets([data]))[0]
+        if not start.converged:
+            raise np.linalg.LinAlgError("design second-moment matrix is singular")
         return start if self.link == gee.IDENTITY else self._newton(data, start.beta)
 
-    def _identity(self, stack: TwoSampleDataset) -> gee.IdentityFits:
-        m = pseudo_marginals(stack)
-        return gee.solve_identity(
-            m.row_means, m.col_means, stack.covariates1, stack.covariates2,
-            strict_singular=self.strict_singular,
-        )
+    def _identity(self, stack: TwoSampleDataset) -> gee.FitResult:
+        return gee.solve_identity(*pseudo_marginals(stack), stack.covariates1,
+                                  stack.covariates2, strict_singular=self.strict_singular)
 
     def _newton(self, data: TwoSampleDataset, start) -> gee.FitResult:
         """Newton fit of ``data`` from ``start`` on its distinct subjects."""
@@ -137,11 +136,11 @@ class FitSpec:
         the first cause that applies, or len(FAILURE_CAUSES) for a usable
         fit.  A fit with non-finite coefficients counts as not converged."""
         fits = self._identity(stack)
-        beta = fits.beta
+        beta, singular = fits.beta, ~fits.converged
         nonconverged = np.zeros(len(beta), dtype=bool)
         saturated = np.zeros(len(beta), dtype=bool)
         if self.link == gee.LOGIT:
-            for k in np.flatnonzero(~fits.singular):
+            for k in np.flatnonzero(fits.converged):
                 result = self._newton(stack[k], beta[k])
                 beta[k] = result.beta
                 nonconverged[k] = not result.converged
@@ -149,7 +148,7 @@ class FitSpec:
                     result.beta, stack.covariates1[k], stack.covariates2[k]) > gee.SATURATED_ETA
         nonconverged |= ~np.isfinite(beta).all(axis=1)
         usable = np.ones_like(saturated)    # the rows below follow FAILURE_CAUSES
-        outcome = np.argmax([fits.singular, nonconverged, saturated, usable], axis=0)
+        outcome = np.argmax([singular, nonconverged, saturated, usable], axis=0)
         beta[outcome < len(FAILURE_CAUSES)] = np.nan
         return beta, outcome
 

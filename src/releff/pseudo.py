@@ -38,14 +38,11 @@ times <= t, S(t-) P before the first position at t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .survival import TwoSampleDataset
 
 __all__ = [
-    "PseudoMarginals",
     "pseudo_matrix",
     "pseudo_marginals",
     "matrix_working_set",
@@ -135,15 +132,6 @@ def _stieltjes_matrix(data: TwoSampleDataset, rows=None, cols=None) -> np.ndarra
     return values
 
 
-@dataclass(frozen=True)
-class PseudoMarginals:
-    """Row means (N, n1) and column means (N, n2) of the pseudo-observation
-    matrices of N datasets."""
-
-    row_means: np.ndarray
-    col_means: np.ndarray
-
-
 def _cumprod_from_one(factors: np.ndarray) -> np.ndarray:
     out = np.ones(factors.shape[:-1] + (factors.shape[-1] + 1,))
     np.cumprod(factors, axis=-1, out=out[..., 1:])
@@ -220,9 +208,9 @@ class _SortedLeaveOneOut:
         return G / n
 
 
-def pseudo_marginals(stack: TwoSampleDataset) -> PseudoMarginals:
-    """Marginals of the pseudo-observation matrices of the N datasets of
-    ``stack``, without building the matrices.
+def pseudo_marginals(stack: TwoSampleDataset) -> tuple:
+    """Row means (N, n1) and column means (N, n2) of the pseudo-observation
+    matrices of the N datasets of ``stack``, without building the matrices.
 
     Entry (i1, i2) of a matrix is
     n1 n2 th - (n1-1) n2 th1[i1] - n1 (n2-1) th2[i2] + (n1-1)(n2-1) th12[i1, i2]
@@ -264,7 +252,7 @@ def pseudo_marginals(stack: TwoSampleDataset) -> PseudoMarginals:
     np.put_along_axis(row_means, g1.order, rows, axis=-1)
     col_means = np.empty_like(cols)
     np.put_along_axis(col_means, g2.order, cols, axis=-1)
-    return PseudoMarginals(row_means=row_means, col_means=col_means)
+    return row_means, col_means
 
 
 def tie_correction_term(data: TwoSampleDataset) -> float:

@@ -341,8 +341,11 @@ def resample_indices(rng, n1, n2):
 def identity_fit(matrix, Z1, Z2, strict_singular=False) -> FitResult:
     """Closed-form identity-link fit from the row and column means of a full
     pseudo matrix; LinAlgError for a design refused under ``strict_singular``."""
-    return gee.solve_identity(matrix.mean(axis=1)[None], matrix.mean(axis=0)[None],
-                              Z1[None], Z2[None], strict_singular=strict_singular).result(0)
+    fit = gee.solve_identity(matrix.mean(axis=1)[None], matrix.mean(axis=0)[None],
+                             Z1[None], Z2[None], strict_singular=strict_singular)[0]
+    if not fit.converged:
+        raise np.linalg.LinAlgError("design second-moment matrix is singular")
+    return fit
 
 
 def matrix_fit(spec: FitSpec, data: TwoSampleDataset) -> FitResult:

@@ -274,8 +274,8 @@ class TestIngest:
         np.testing.assert_array_equal(pseudo_matrix(data), pseudo_matrix(below))
         assert not np.array_equal(pseudo_matrix(data),
                                   pseudo_matrix(dataclasses.replace(data, tau=np.inf)))
-        m = pseudo_marginals(stack_datasets([data]))
-        assert m.row_means[0].mean() == pytest.approx(1 / 3)
+        row_means, _ = pseudo_marginals(stack_datasets([data]))
+        assert row_means[0].mean() == pytest.approx(1 / 3)
         # the tie correction counts the common jump at tau: half of
         # dS1(4) dS2(4) = (1/3)(1/2), where leaving it out would give 0
         assert tie_correction_term(data) == pytest.approx(1 / 12)
@@ -438,6 +438,52 @@ class TestCommands:
         assert main(["fit", "--data", str(four_row_csv), "--alpha", "2"]) == EXIT_CONFIG
         assert main(["simulate", "--scenario", "i", "--seed", "1",
                      "--reps", "5000", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("data, flags, code, message", [
+        ("group,time,status\n1,abc,1\n1,2,1\n2,1,1\n2,2,1\n", [], EXIT_PARSE,
+         "row 2, column 'time': not a number: 'abc'"),
+        ("group,time,status\n1,-1,1\n1,2,1\n2,1,0\n2,2,1\n", [], EXIT_PARSE,
+         "negative times require fully observed data"),
+        ("", [], EXIT_PARSE, "empty file, header row required"),
+        ("fixture", ["--cov1", "weight"], EXIT_PARSE, "missing covariate column 'weight'"),
+        (None, [], EXIT_CONFIG, "an input data file is required"),
+        ("fixture", ["--cov1", "age,age", "--cov2", "age", "--strict-singular"],
+         EXIT_CONVERGENCE, "numerical failure: design second-moment matrix is singular"),
+    ], ids=["time-not-a-number", "negative-time-censored", "empty-file", "missing-covariate",
+            "no-data", "strict-singular"])
+    def test_fit_exit_paths(self, covariate_csv, tmp_path, caplog, data, flags, code, message):
+        given = []
+        if data is not None:
+            path = covariate_csv if data == "fixture" else tmp_path / "input.csv"
+            if data != "fixture":
+                path.write_text(data)
+            given = ["--data", str(path)]
+        with caplog.at_level("ERROR", logger="releff"):
+            rc = main(["fit", *given, "--tau", "4", *flags, "--out-dir", str(tmp_path / "out")])
+        assert rc == code
+        assert message in caplog.text
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    def test_out_dir_that_cannot_be_a_directory_exits_config(
+            self, covariate_csv, tmp_path, monkeypatch, caplog, command, under):
+        def no_run(*args, **kwargs):
+            pytest.fail("the run started although its output directory was refused")
+
+        monkeypatch.setattr(cli, "FitSpec", no_run)
+        monkeypatch.setattr(cli, "run_scenario", no_run)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        if command == "fit":
+            argv = ["fit", "--data", str(covariate_csv), "--tau", "4", "--cov1", "age"]
+        else:
+            argv = ["simulate", "--scenario", "i", "--n1", "10", "--n2", "10",
+                    "--reps", "100", "--seed", "1"]
+        with caplog.at_level("ERROR", logger="releff"):
+            rc = main([*argv, "--out-dir", str(taken / "out" if under else taken)])
+        assert rc == EXIT_CONFIG
+        assert "cannot create output directory" in caplog.text
+        assert taken.read_text() == ""
 
     def test_nonconverged_base_fit_exits_convergence(self, covariate_csv, tmp_path,
                                                      monkeypatch):

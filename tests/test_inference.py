@@ -205,6 +205,25 @@ def test_bootstrap_alpha_validation(rng):
         bootstrap(data, B=0, seed=0)
 
 
+def test_coefficient_test_needs_a_usable_replicate():
+    with pytest.raises(RuntimeError, match="no successful bootstrap replicates"):
+        test_coefficient(synthetic_ensemble(np.full((5, 2), np.nan)), 0)
+
+
+def test_warp_speed_needs_a_run_and_a_usable_one():
+    with pytest.raises(ValueError, match="M must be at least 1"):
+        warp_speed(PerRun(lambda r: random_dataset(r, 8, 8), 8, 8), M=0)
+
+    def singular(r):
+        # a group-1 covariate repeated: every design is singular
+        data = random_dataset(r, 8, 8, censored=False)
+        data.covariates1[:, 1] = data.covariates1[:, 0]
+        return data
+
+    with pytest.raises(RuntimeError, match="all Monte Carlo runs failed"):
+        warp_speed(PerRun(singular, 8, 8), M=5, seed=0, spec=FitSpec(strict_singular=True))
+
+
 def test_warp_speed_flags_degenerate_dgp():
     data = TwoSampleDataset(
         np.full(4, 2.0), np.ones(4), np.zeros((4, 0)),

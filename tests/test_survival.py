@@ -163,6 +163,24 @@ class TestTwoSampleDataset:
         d = TwoSampleDataset([-1, 2], [1, 1], np.zeros((2, 0)), [1, 2], [1, 1], np.zeros((2, 0)))
         assert d.uncensored
 
+    def test_one_dimensional_covariates_are_one_column(self):
+        d = TwoSampleDataset([1, 2], [1, 1], [0.5, 0.7], [1, 2], [1, 1], [])
+        assert d.covariates1.shape == (2, 1) and d.covariates2.shape == (2, 0)
+        np.testing.assert_array_equal(d.covariates1[:, 0], [0.5, 0.7])
+
+    @pytest.mark.parametrize("times1, tau, message", [
+        ([1, 2, 3], np.inf, "group 1: times and events differ in length"),
+        ([1, np.inf], np.inf, "group 1: times must be finite"),
+        ([1, np.nan], np.inf, "group 1: times must be finite"),
+        ([1, 2], 0.0, "tau must be positive"),
+        ([1, 2], -1.0, "tau must be positive"),
+        ([1, 2], np.nan, "tau must be positive"),
+    ], ids=["lengths", "inf-time", "nan-time", "tau-zero", "tau-negative", "tau-nan"])
+    def test_rejects_malformed_times_and_horizon(self, times1, tau, message):
+        with pytest.raises(ValueError, match=message):
+            TwoSampleDataset(times1, [1, 1], np.zeros((len(times1), 0)),
+                             [1, 2], [1, 1], np.zeros((2, 0)), tau=tau)
+
 
 class TestStack:
     @staticmethod
