@@ -38,8 +38,9 @@ EXIT_CONVERGENCE = 3
 EXIT_CONFIG = 4
 
 # a logit fit peaks while it builds the pseudo matrix, at up to three
-# n x K or n1 x n2 float arrays under censoring (K the group-2 jump grid),
-# or then holds the matrix and the three block buffers of Newton's evaluator
+# (n + 1) x (K + 2) or n1 x n2 float arrays under censoring (K the size of
+# the group-2 jump grid), or then holds the matrix and the three block
+# buffers of Newton's evaluator
 # (``gee.logit_working_set``); a larger working set is refused before any fit
 WORKING_SET_BYTES = 2 << 30
 
@@ -260,7 +261,8 @@ def write_manifest(out_dir: Path, command: str, config: AnalysisConfig,
     """Record the command, the library versions, the fields of ``config``
     it reads (B only when a bootstrap ran) and what the run actually used:
     the horizon of ``data``, the failures by cause of the bootstrap
-    ``ensemble`` or of the ``montecarlo`` runs, how the base ``fit`` was
+    ``ensemble`` or of the ``montecarlo`` runs, the Newton iterations of
+    the ensemble's refits, how the base ``fit`` was
     solved, and the interval of the ``predictions`` and how many of them
     fell outside [0, 1]."""
     lines = [
@@ -283,6 +285,7 @@ def write_manifest(out_dir: Path, command: str, config: AnalysisConfig,
             lines += [f"{prefix}.{cause}={count}" for cause, count in runs.failures.items()]
     if ensemble is not None:
         lines.append(f"bootstrap.unreliable={ensemble.unreliable}")
+        lines.append(f"bootstrap.newton_iterations={ensemble.newton_iterations}")
     if montecarlo is not None:
         lines.append(f"montecarlo.degenerate={montecarlo.degenerate}")
     if predictions is not None:

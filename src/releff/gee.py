@@ -12,7 +12,8 @@ logit link goes through ``solve_newton``, a damped Newton iteration on a
 pseudo matrix whose rows and columns may carry multiplicities, so that a
 resample is fitted on its distinct subjects.  A link is one of the two
 names in ``LINKS``.  ``inference.FitSpec`` is the one place that picks the
-solver, and it starts Newton at the identity-link solution.  A logit fit
+solver, and it starts Newton at the identity-link solution mapped onto the
+logit scale (``inference._logit_start``).  A logit fit
 with some |beta'z| beyond SATURATED_ETA is saturated (``max_abs_eta``).
 Every Newton candidate is
 evaluated as (U, J) in one sweep over row blocks of the pseudo matrix, with
@@ -81,7 +82,10 @@ def check_link(link: str) -> None:
 @dataclass
 class FitResult:
     """One fit, or a stack of N fits with a leading axis on every field but
-    ``method`` and ``message``; ``fits[k]`` is fit k, as Python bool/int/float."""
+    ``method`` and ``message``; ``fits[k]`` is fit k, as Python bool/int/float.
+    A Newton fit also keeps ``jacobian``, the p x p Jacobian J of U at
+    ``beta``; a root of U is a maximum of the fit's potential where J is
+    negative definite."""
 
     beta: np.ndarray
     converged: bool
@@ -90,6 +94,7 @@ class FitResult:
     method: str
     used_pinv: bool = False
     message: str = ""
+    jacobian: np.ndarray | None = None
 
     def __getitem__(self, k: int) -> FitResult:
         return FitResult(self.beta[k], bool(self.converged[k]), int(self.iterations[k]),
@@ -349,7 +354,7 @@ def solve_newton(matrix: np.ndarray, Z1, Z2, link: str, x0=None, weights=None) -
     norm = float(np.max(np.abs(U)))
     for it in range(1, MAX_ITER + 1):
         if norm < TOL:
-            return FitResult(beta, True, it - 1, norm, "newton", used_pinv=used_pinv)
+            return FitResult(beta, True, it - 1, norm, "newton", used_pinv=used_pinv, jacobian=J)
         try:
             step = np.linalg.solve(J, -U)
         except np.linalg.LinAlgError:
@@ -370,12 +375,13 @@ def solve_newton(matrix: np.ndarray, Z1, Z2, link: str, x0=None, weights=None) -
         if not improved:
             return FitResult(
                 beta, False, it, norm, "newton",
-                used_pinv=used_pinv, message="line search stalled",
+                used_pinv=used_pinv, message="line search stalled", jacobian=J,
             )
     converged = norm < TOL
     return FitResult(
         beta, converged, MAX_ITER, norm, "newton",
         used_pinv=used_pinv, message="" if converged else "max iterations reached",
+        jacobian=J,
     )
 
 

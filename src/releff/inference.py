@@ -8,10 +8,12 @@ Bootstrap replicates and warp-speed Monte Carlo runs are fitted in chunks:
 the resampled (and simulated) datasets of a chunk are stacked on a leading
 axis and, for the identity link, fitted by one ``pseudo_marginals`` and one
 ``gee.solve_identity`` call.  For the logit link that call gives every
-dataset's Newton start, and each dataset is then fitted on its distinct
-subjects: rows equal in time, status and covariates are copies of one
-subject, so the pseudo matrix is built for one row or column per distinct
-subject and Newton weights them by their numbers of copies.  A chunk holds at most
+dataset's Newton start, its identity fit mapped onto the logit scale next
+to a reference fit (``_logit_start``; a bootstrap refit's reference is the
+base fit), and each dataset is then fitted on its distinct subjects: rows
+equal in time, status and covariates are copies of one subject, so the
+pseudo matrix is built for one row or column per distinct subject and
+Newton weights them by their numbers of copies.  A chunk holds at most
 ``STACK_ELEMENTS // (n1 + n2 + 2)`` datasets (160 at n1 = n2 = 50), so
 memory does not grow with B or M, and a Monte Carlo task of a few hundred
 runs at that size pays the fixed cost of a stacked fit once or twice.
@@ -65,6 +67,12 @@ FAILURE_CAUSES = ("singular", "nonconverged", "saturated")
 # more than this fraction of failed replicates marks the ensemble unreliable
 MAX_FAILURE_FRACTION = 0.05
 
+# a reference fit's mean pair prediction theta is clipped to this interval
+# before the logit start takes logit(theta) and divides by theta (1 - theta):
+# a (quasi-)separated dataset has theta 0 or 1, where both are infinite,
+# and a start only has to be finite for Newton to run
+THETA_CLIP = (0.02, 0.98)
+
 # element budget of one stacked fit: a chunk holds at most
 # STACK_ELEMENTS // (n1 + n2 + 2) datasets (160 at n1 = n2 = 50, a few MB
 # of working set)
@@ -91,17 +99,48 @@ def _distinct_subjects(times, events, covariates):
     return first[keep], np.diff(starts, append=len(rows))[keep].astype(float)
 
 
+def _logit_reference(identity_beta, Z1, Z2, logit_beta=None):
+    """The reference (beta_L, beta_I, theta) of ``_logit_start``: the logit
+    fit ``logit_beta`` and the closed-form identity fit ``identity_beta`` of
+    a dataset with covariates Z1, Z2, and the mean pair prediction theta of
+    the identity fit, clipped to THETA_CLIP.  Without a logit fit the
+    reference is the dataset's constant model, beta_L = (logit theta, 0,
+    ...) and beta_I = (theta, 0, ...)."""
+    a, b = gee._group_parts(identity_beta, Z1, Z2)
+    theta = min(max(float(a.mean() + b.mean()), THETA_CLIP[0]), THETA_CLIP[1])
+    if logit_beta is None:
+        identity_beta, logit_beta = np.zeros((2, identity_beta.size))
+        identity_beta[0], logit_beta[0] = theta, math.log(theta / (1.0 - theta))
+    return logit_beta, identity_beta, theta
+
+
+def _logit_start(identity_beta, reference):
+    """Newton's start for the logit fit of a dataset whose closed-form
+    identity fit is ``identity_beta``, next to ``reference`` = (beta_L,
+    beta_I, theta) of ``_logit_reference``:
+
+        x0 = beta_L + (identity_beta - beta_I) / (theta (1 - theta)).
+
+    From a dataset's own constant model this maps its identity fit linearly
+    onto the logit scale; from a bootstrap's base fit a refit starts next
+    to the base estimate."""
+    logit_ref, identity_ref, theta = reference
+    return logit_ref + (identity_beta - identity_ref) / (theta * (1.0 - theta))
+
+
 @dataclass(frozen=True)
 class FitSpec:
     """Everything needed to refit the model on a resampled dataset.
 
     ``fit`` and ``_fit_stack`` are the one link dispatch.  Both solve the
     identity link in closed form from the pseudo-matrix marginals
-    (``_identity``).  For the logit link that solution starts
-    ``gee.solve_newton``, which runs on the distinct subjects of the
-    dataset: the pseudo matrix restricted to one row or column per distinct
-    subject, each weighted by its number of copies, has the score and
-    Jacobian of the whole matrix.  A link not in ``gee.LINKS`` raises
+    (``_identity``).  For the logit link that solution, mapped onto the
+    logit scale by ``_logit_start``, starts ``gee.solve_newton``: from a
+    reference given to ``_fit_stack`` (a bootstrap passes its base fit), or
+    else from the constant model.  Newton runs on the distinct subjects of
+    the dataset: the pseudo matrix restricted to one row or column per
+    distinct subject, each weighted by its number of copies, has the score
+    and Jacobian of the whole matrix.  A link not in ``gee.LINKS`` raises
     ValueError."""
 
     link: str = gee.IDENTITY
@@ -116,7 +155,10 @@ class FitSpec:
         start = self._identity(stack_datasets([data]))[0]
         if not start.converged:
             raise np.linalg.LinAlgError("design second-moment matrix is singular")
-        return start if self.link == gee.IDENTITY else self._newton(data, start.beta)
+        if self.link == gee.IDENTITY:
+            return start
+        reference = _logit_reference(start.beta, data.covariates1, data.covariates2)
+        return self._newton(data, _logit_start(start.beta, reference))
 
     def _identity(self, stack: TwoSampleDataset) -> gee.FitResult:
         return gee.solve_identity(*pseudo_marginals(stack), stack.covariates1,
@@ -130,27 +172,44 @@ class FitSpec:
         return gee.solve_newton(matrix, data.covariates1[rows], data.covariates2[cols],
                                 self.link, x0=start, weights=(w1, w2))
 
-    def _fit_stack(self, stack: TwoSampleDataset):
+    def _fit_stack(self, stack: TwoSampleDataset, reference=None):
         """Coefficients (N, p) of every dataset of ``stack``, NaN where the
-        fit failed, and each fit's outcome: the index in FAILURE_CAUSES of
-        the first cause that applies, or len(FAILURE_CAUSES) for a usable
-        fit.  A fit with non-finite coefficients counts as not converged."""
+        fit failed, each fit's outcome and the Newton iterations summed over
+        the stack.  An outcome is the index in FAILURE_CAUSES of the first
+        cause that applies, or len(FAILURE_CAUSES) for a usable fit.  A fit
+        with non-finite coefficients counts as not converged.  Logit fits
+        start at ``_logit_start`` next to ``reference``, or else next to
+        their own constant model.  The reference only saves iterations, so
+        a fit from it that fails, or that stops at a root of U other than a
+        maximum (J at the root not negative definite), is done again from
+        its identity fit as it is, a start that no reference moves."""
         fits = self._identity(stack)
         beta, singular = fits.beta, ~fits.converged
         nonconverged = np.zeros(len(beta), dtype=bool)
         saturated = np.zeros(len(beta), dtype=bool)
+        iterations = 0
         if self.link == gee.LOGIT:
             for k in np.flatnonzero(fits.converged):
-                result = self._newton(stack[k], beta[k])
+                data = stack[k]
+                Z1, Z2 = data.covariates1, data.covariates2
+                if reference is None:
+                    starts = [_logit_start(beta[k], _logit_reference(beta[k], Z1, Z2))]
+                else:
+                    starts = [_logit_start(beta[k], reference), beta[k].copy()]
+                for start in starts:
+                    result = self._newton(data, start)
+                    iterations += result.iterations
+                    nonconverged[k] = not (result.converged and np.isfinite(result.beta).all())
+                    saturated[k] = gee.max_abs_eta(result.beta, Z1, Z2) > gee.SATURATED_ETA
+                    if not (nonconverged[k] or saturated[k]
+                            or np.linalg.eigvalsh(result.jacobian).max() >= 0):
+                        break
                 beta[k] = result.beta
-                nonconverged[k] = not result.converged
-                saturated[k] = gee.max_abs_eta(
-                    result.beta, stack.covariates1[k], stack.covariates2[k]) > gee.SATURATED_ETA
         nonconverged |= ~np.isfinite(beta).all(axis=1)
         usable = np.ones_like(saturated)    # the rows below follow FAILURE_CAUSES
         outcome = np.argmax([singular, nonconverged, saturated, usable], axis=0)
         beta[outcome < len(FAILURE_CAUSES)] = np.nan
-        return beta, outcome
+        return beta, outcome, iterations
 
 
 def _failures(outcomes=()) -> dict:
@@ -166,6 +225,7 @@ class BootstrapEnsemble:
     seed: int
     base_fit: gee.FitResult
     failures: dict = field(default_factory=_failures)   # cause -> failed refits
+    newton_iterations: int = 0    # summed over the refits; 0 for the identity link
 
     @property
     def failed(self) -> int:
@@ -217,23 +277,31 @@ def bootstrap(
     """Nonparametric bootstrap of the full pipeline; a base fit that
     ``require_usable`` refuses stops it before any refit.  A refit fails
     by the causes of ``FitSpec._fit_stack``; a saturated base fit is not
-    refused."""
+    refused.  Logit refits start next to the base fit, the reference of
+    ``_logit_start`` with the identity fit of ``data``."""
     if B < 1:
         raise ValueError("B must be at least 1")
     spec = spec or FitSpec()
     base = spec.fit(data)
     require_usable(base)
     whole = stack_datasets([data])
+    reference = None
+    if spec.link == gee.LOGIT:
+        reference = _logit_reference(spec._identity(whole).beta[0], data.covariates1,
+                                     data.covariates2, base.beta)
     replicates = np.full((B, base.beta.size), np.nan)
     outcomes = np.empty(B, dtype=int)
+    newton_iterations = 0
     step = _chunk_size(data.n1, data.n2)
     for start in range(0, B, step):
         runs = range(start, min(start + step, B))
         _, idx1, idx2 = _simulated_chunk(lambda rngs: whole, seed, runs)
-        replicates[start : runs.stop], outcomes[start : runs.stop] = spec._fit_stack(
-            whole.resampled(idx1, idx2))
+        replicates[start : runs.stop], outcomes[start : runs.stop], iterations = spec._fit_stack(
+            whole.resampled(idx1, idx2), reference)
+        newton_iterations += iterations
     ensemble = BootstrapEnsemble(replicates=replicates, B=B, seed=seed, base_fit=base,
-                                 failures=_failures(outcomes))
+                                 failures=_failures(outcomes),
+                                 newton_iterations=newton_iterations)
     if ensemble.failed == B:
         raise RuntimeError("all bootstrap replicates failed")
     return ensemble
@@ -355,8 +423,8 @@ def warp_speed(
     for start in range(0, M, step):
         runs = range(start, min(start + step, M))
         stack, idx1, idx2 = _simulated_chunk(simulator.simulate, seed, runs)
-        base, base_outcome = spec._fit_stack(stack)
-        star, star_outcome = spec._fit_stack(stack.resampled(idx1, idx2))
+        base, base_outcome, _ = spec._fit_stack(stack)
+        star, star_outcome, _ = spec._fit_stack(stack.resampled(idx1, idx2))
         outcomes.append(np.minimum(base_outcome, star_outcome))
         ok = outcomes[-1] == len(FAILURE_CAUSES)
         estimates.append(base[ok])

@@ -22,9 +22,10 @@ subject alone at risk has an event), and it is a denominator only for
 i = n - 1, where the ratio is an empty product, 1.
 
 This one engine serves all three consumers.  ``pseudo_matrix`` gathers the
-curves at the K group-2 event times below tau and combines them in one
-(n1, K) by (K, n2) matrix product; it writes the leave-one-out curves in row
-blocks, and ``matrix_working_set`` counts what the build holds at its peak.
+curves at the K group-2 event times below tau and writes the matrix as one
+product of rank K + 2, the scaled curves with the row and column terms
+appended; it writes the leave-one-out curves in row blocks, and
+``matrix_working_set`` counts what the build holds at its peak.
 Given some rows and columns it builds only those entries, from the
 leave-one-out curves of the subjects they name in the whole dataset, so a
 logit fit of a resample builds one row or column per distinct subject.
@@ -88,16 +89,17 @@ def matrix_working_set(data: TwoSampleDataset) -> int:
 
     Fully observed data take the matrix and two boolean n1 x n2 arrays.
     Under censoring, with K the size of the jump grid, the group-1 curves
-    (n1 + 1, K) are held throughout; then either the group-2 curves and
-    their jumps, each (n2 + 1, K), or the jumps and the matrix; and the
-    row blocks of ``_SortedLeaveOneOut.curves``, at most five of
-    CURVE_BLOCK_ELEMENTS each.
+    (n1 + 1, K + 2), two columns spare for the product's factors, are held
+    throughout; then either the group-2 curves (n2 + 1, K) and their jumps
+    (n2 + 1, K + 2), or the jumps and the matrix; and the row blocks of
+    ``_SortedLeaveOneOut.curves``, at most five of CURVE_BLOCK_ELEMENTS
+    each.
     """
     n1, n2 = data.n1, data.n2
     if data.uncensored:
         return 10 * n1 * n2
     K = _jump_grid(data).size
-    held = (n1 + 1) * K + (n2 + 1) * K + max((n2 + 1) * K, n1 * n2)
+    held = (n1 + 1) * (K + 2) + (n2 + 1) * (K + 2) + max((n2 + 1) * K, n1 * n2)
     return 8 * (held + 5 * CURVE_BLOCK_ELEMENTS)
 
 
@@ -109,27 +111,31 @@ def _stieltjes_matrix(data: TwoSampleDataset, rows=None, cols=None) -> np.ndarra
         # no group-2 jumps below tau anywhere: all Stieltjes sums vanish
         return np.zeros((n1 if rows is None else len(rows), n2 if cols is None else len(cols)))
 
-    F1 = _SortedLeaveOneOut(data.times1, data.events1).curves(grid, rows)
+    # the matrix is one rank-(K + 2) product, as in ``gee._eta_factors``:
+    # left = ((n1-1)(n2-1) F1, the row term, 1), right = (D2, 1, the column
+    # term).  F1 and D2 carry two spare columns for the extra terms, so the
+    # factors are their rows written in place and the build holds no array
+    # beyond the curves, their jumps and the matrix
+    K = grid.size
+    F1 = _SortedLeaveOneOut(data.times1, data.events1).curves(grid, rows, spare=2)
     # every group-2 jump below tau, with or without a subject, lies on the
     # grid, so the jump at grid[k] is the step from the value at grid[k-1]
     S2 = _SortedLeaveOneOut(data.times2, data.events2).curves(grid, cols)
-    D2 = np.empty_like(S2)
+    D2 = np.empty((S2.shape[0], K + 2))
     np.subtract(1.0, S2[:, 0], out=D2[:, 0])
-    np.subtract(S2[:, :-1], S2[:, 1:], out=D2[:, 1:])
+    np.subtract(S2[:, :-1], S2[:, 1:], out=D2[:, 1:K])
     del S2
-    d_full = D2[0]
+    th = float(F1[0, :K] @ D2[0, :K])
+    th1 = F1[1:, :K] @ D2[0, :K]     # one per row
+    th2 = D2[1:, :K] @ F1[0, :K]     # one per column
 
-    th = float(F1[0] @ d_full)
-    th1 = F1[1:] @ d_full            # one per row
-    th2 = D2[1:] @ F1[0]             # one per column
-
-    # the product th12 becomes the matrix: scaled, then the row and column
-    # terms added in place
-    values = F1[1:] @ D2[1:].T
-    values *= (n1 - 1) * (n2 - 1)
-    values += (n1 * n2 * th - (n1 - 1) * n2 * th1)[:, None]
-    values -= (n1 * (n2 - 1) * th2)[None, :]
-    return values
+    left, right = F1[1:], D2[1:]
+    left[:, :K] *= (n1 - 1) * (n2 - 1)
+    left[:, K] = n1 * n2 * th - (n1 - 1) * n2 * th1
+    left[:, K + 1] = 1.0
+    right[:, K] = 1.0
+    right[:, K + 1] = -(n1 * (n2 - 1) * th2)
+    return left @ right.T
 
 
 def _cumprod_from_one(factors: np.ndarray) -> np.ndarray:
@@ -158,12 +164,13 @@ class _SortedLeaveOneOut:
         # L uses the factor at j only for j < i <= n - 1, never the last one
         self.L = _cumprod_from_one(1.0 - e / np.maximum(n - 1 - j, 1))
 
-    def curves(self, grid: np.ndarray, subjects=None) -> np.ndarray:
+    def curves(self, grid: np.ndarray, subjects=None, spare: int = 0) -> np.ndarray:
         """Full and leave-one-out curves of one dataset (1-D times) at
-        ``grid``, right-continuous, shape (1 + m, grid.size): row 0 is the
-        full-sample curve and row k+1 the curve without input subject
-        subjects[k] (every subject, m = n, if None).  The leave-one-out rows
-        are built in blocks of at most CURVE_BLOCK_ELEMENTS entries."""
+        ``grid``, right-continuous, shape (1 + m, grid.size + spare): row 0
+        is the full-sample curve and row k+1 the curve without input subject
+        subjects[k] (every subject, m = n, if None); the ``spare`` columns
+        after the curves are left unset.  The leave-one-out rows are built
+        in blocks of at most CURVE_BLOCK_ELEMENTS entries."""
         P, L, n = self.P, self.L, self.n
         position = np.empty(n, dtype=np.intp)
         position[self.order] = np.arange(n)
@@ -171,15 +178,15 @@ class _SortedLeaveOneOut:
             position = position[subjects]
         c = np.searchsorted(self.times, grid, side="right")
         Pc = P[c]
-        out = np.empty((1 + position.size, c.size))
-        out[0] = Pc
+        out = np.empty((1 + position.size, c.size + spare))
+        out[0, : c.size] = Pc
         rows = max(1, CURVE_BLOCK_ELEMENTS // max(c.size, 1))
         for start in range(0, position.size, rows):
             i = position[start : start + rows, None]
             # P_{i+1} = 0 only for i = n - 1, where the ratio is an empty product
             beyond = (c > i) & (i < n - 1)
             ratio = np.divide(Pc, P[i + 1], out=np.ones(beyond.shape), where=beyond)
-            out[1 + start : 1 + start + i.shape[0]] = L[np.minimum(c, i)] * ratio
+            out[1 + start : 1 + start + i.shape[0], : c.size] = L[np.minimum(c, i)] * ratio
         return out
 
     def curve(self, t, side: str = "right"):

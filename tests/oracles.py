@@ -19,7 +19,7 @@ fast path in ``releff``:
   Jacobian of every step afresh;
 - the identity-link fit from the means of the full pseudo matrix, and the
   fit of one dataset through that matrix, copies of a subject included,
-  the logit link by unweighted Newton from those means;
+  the logit link by unweighted Newton from the library's start;
 - the saturation rule over the explicit pair design;
 - the uncensored sandwich covariance from the full indicator and residual
   matrices;
@@ -47,6 +47,8 @@ from releff.inference import (
     METHODS,
     FitSpec,
     WarpSpeedResult,
+    _logit_reference,
+    _logit_start,
     _replicate_rng,
     scale_estimates,
 )
@@ -348,17 +350,20 @@ def identity_fit(matrix, Z1, Z2, strict_singular=False) -> FitResult:
     return fit
 
 
-def matrix_fit(spec: FitSpec, data: TwoSampleDataset) -> FitResult:
+def matrix_fit(spec: FitSpec, data: TwoSampleDataset, reference=None) -> FitResult:
     """One dataset fitted through its full pseudo-observation matrix, one
     row and column per subject, copies included: the identity link in
     closed form from the matrix's means, the logit link by unweighted
-    Newton started at that closed form."""
+    Newton started where the library starts it, at that closed form mapped
+    onto the logit scale by ``inference._logit_start`` next to
+    ``reference`` (the dataset's constant model if None)."""
     matrix = pseudo_matrix(data)
     start = identity_fit(matrix, data.covariates1, data.covariates2, spec.strict_singular)
     if spec.link == "identity":
         return start
-    return gee.solve_newton(matrix, data.covariates1, data.covariates2, spec.link,
-                            x0=start.beta)
+    reference = reference or _logit_reference(start.beta, data.covariates1, data.covariates2)
+    x0 = _logit_start(start.beta, reference)
+    return gee.solve_newton(matrix, data.covariates1, data.covariates2, spec.link, x0=x0)
 
 
 def saturated(spec: FitSpec, fit: FitResult, data: TwoSampleDataset) -> bool:

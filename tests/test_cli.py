@@ -1,7 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
 import platform
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -540,6 +543,11 @@ class TestCommands:
             assert f"fit.iterations={base.iterations}" in manifest, command
             assert f"fit.gradient_norm={base.gradient_norm!r}" in manifest, command
             assert "fit.used_pinv=False" in manifest, command
+            # the refits' Newton iterations, none for the closed-form identity link
+            ensemble = bootstrap(data, spec=FitSpec(link=link), B=10, seed=2)
+            assert (ensemble.newton_iterations > 0) == (link == "logit"), command
+            line = f"bootstrap.newton_iterations={ensemble.newton_iterations}"
+            assert line in manifest, command
         with open(tmp_path / "predict" / "predictions.csv") as fh:
             flagged = sum(r["out_of_range"] == "True" for r in csv.DictReader(fh))
         assert f"predict.out_of_range={flagged}" in manifest
@@ -881,3 +889,36 @@ def test_fit_on_garbage_csv_exits_cleanly(table, covariates, command):
         rc = main([*command, "--data", str(path), "--out-dir", str(Path(tmp) / "out"),
                    *covariates])
     assert rc in (EXIT_OK, EXIT_PARSE, EXIT_CONVERGENCE, EXIT_CONFIG)
+
+
+def test_identity_and_simulate_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # fit and test with the identity link and simulate write the same bytes
+    # at one and two BLAS threads; one process per thread count runs all
+    # three commands, since the thread count is read when numpy loads
+    rng = np.random.default_rng(11)
+    rows = []
+    for g, n in ((1, 60), (2, 55)):
+        z = rng.standard_normal(n)
+        t = np.ceil(np.exp(0.3 * z) * rng.weibull(1.5, n) / 0.05) * 0.05
+        for i in range(n):
+            rows.append([g, f"{t[i]:.2f}", int(rng.uniform() < 0.75), f"{z[i]:.4f}"])
+    data = tmp_path / "small.csv"
+    write_csv(data, rows, header=("group", "time", "status", "age"))
+    argv = ["--data", str(data), "--cov1", "age", "--cov2", "age", "--tau", "2",
+            "--link", "identity", "--seed", "4", "--bootstrap", "50"]
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        commands = [["fit", *argv, "--out-dir", str(out / "fit")],
+                    ["test", *argv, "--out-dir", str(out / "test")],
+                    ["simulate", "--scenario", "iv", "--censored", "--reps", "100",
+                     "--seed", "4", "--out-dir", str(out / "simulate")]]
+        code = ("import sys; from releff.cli import main; "
+                f"sys.exit(max(main(argv) for argv in {commands!r}))")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True)
+        outputs[threads] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.csv"))}
+    assert len(outputs["1"]) == 4      # coefficients, tests, estimates, rejection rates
+    assert outputs["1"] == outputs["2"]

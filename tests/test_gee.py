@@ -389,12 +389,15 @@ class TestNewtonMatchesOracle:
         assert peak <= blocks + 16 * 8 * (n + n)
 
     @pytest.mark.parametrize("n1, n2, censored", [
-        (400, 400, True), (120, 720, True), (720, 120, True), (400, 400, False),
-    ], ids=["censored", "censored-wide", "censored-tall", "uncensored"])
+        (400, 400, True), (120, 720, True), (720, 120, True), (700, 700, True),
+        (400, 400, False),
+    ], ids=["censored", "censored-wide", "censored-tall", "censored-large", "uncensored"])
     def test_working_set_bounds_the_whole_fit(self, n1, n2, censored):
         # the guard's figure covers the build of the pseudo matrix too, whose
         # leave-one-out curves take several (n + 1) x K arrays; about 0.8 of
-        # the group-2 times here are distinct events (K ~ n2)
+        # the group-2 times here are distinct events (K ~ n2); at 700 x 700
+        # the (n1 + n2) x K arrays of the build weigh about as much as the
+        # n1 x n2 matrix
         data = random_dataset(np.random.default_rng(5), n1, n2, censored=censored)
         tracemalloc.start()
         try:

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from releff.inference import (
     bootstrap,
     scale_estimates,
     warp_speed,
+    _logit_reference,
     _replicate_rng,
     _two_sided_z,
     resample_indices,
@@ -27,7 +29,7 @@ from releff.pseudo import pseudo_matrix
 # keep pytest from collecting the imported library function as a test
 coefficient_report.__test__ = False
 test_coefficient = coefficient_report
-from releff.survival import TwoSampleDataset
+from releff.survival import TwoSampleDataset, stack_datasets
 
 
 def synthetic_ensemble(replicates, beta=None):
@@ -344,22 +346,22 @@ def test_singular_logit_bootstrap_refit_counts_as_failed(monkeypatch, rng):
 
 
 def test_nonconverged_bootstrap_refit_counts_as_failed(monkeypatch, rng):
-    from releff import gee
-
     data = random_dataset(rng, 10, 10, censored=True)
-    real = gee.solve_newton
-    seen = []
+    real = FitSpec._newton
+    # resamples 2 and 6 stall from every start, the fallback's included
+    stalling_data = [resampled(data, *oracles.resample_indices(_replicate_rng(0, b), 10, 10))
+                     for b in (2, 6)]
 
-    def stalling(*args, **kwargs):
-        seen.append(None)
-        result = real(*args, **kwargs)
-        if len(seen) - 1 in {3, 7}:     # call 0 is the base fit
+    def stalling(self, star, start):
+        result = real(self, star, start)
+        if any(np.array_equal(star.times1, s.times1) and np.array_equal(star.times2, s.times2)
+               for s in stalling_data):
             result.converged = False
         return result
 
     spec = FitSpec(link=LOGIT)
     unpatched = bootstrap(data, spec=spec, B=10, seed=0)
-    monkeypatch.setattr(gee, "solve_newton", stalling)
+    monkeypatch.setattr(FitSpec, "_newton", stalling)
     ens = bootstrap(data, spec=spec, B=10, seed=0)
     stalled = np.isin(np.arange(10), [2, 6])
     assert ens.ok.tolist() == (unpatched.ok & ~stalled).tolist()
@@ -508,10 +510,14 @@ def test_bootstrap_matches_per_replicate_refits():
     for simulator, spec in oracle_cases()[:4]:
         data = simulator.make_dataset(np.random.default_rng(8))
         ens = bootstrap(data, spec=spec, B=30, seed=2)
+        # logit refits start from the base fit and the data's identity fit
+        identity = oracles.identity_fit(pseudo_matrix(data), data.covariates1, data.covariates2)
+        reference = _logit_reference(identity.beta, data.covariates1, data.covariates2,
+                                     ens.base_fit.beta)
         for b in range(30):
             idx1, idx2 = oracles.resample_indices(_replicate_rng(2, b), data.n1, data.n2)
             star = resampled(data, idx1, idx2)
-            want = oracles.matrix_fit(spec, star)
+            want = oracles.matrix_fit(spec, star, reference)
             usable = want.converged and not oracles.saturated(spec, want, star)
             want = want.beta if usable else np.full(want.beta.shape, np.nan)
             np.testing.assert_allclose(ens.replicates[b], want, rtol=0, atol=1e-10)
@@ -562,8 +568,83 @@ def test_logit_refits_run_newton_on_distinct_subjects(monkeypatch, rng):
     for b in range(5):
         idx1, idx2 = oracles.resample_indices(_replicate_rng(1, b), 15, 12)
         want.append((np.unique(idx1).size, np.unique(idx2).size))
-    assert shapes == want
+    # a refit that fails from next to the base fit, or stops at a root that
+    # is not a maximum, is fitted once more on the same subjects
+    assert shapes[0] == want[0] and len(want) <= len(shapes) <= 2 * len(want) - 1
+    assert [s for s, _ in itertools.groupby(shapes)] == [s for s, _ in itertools.groupby(want)]
     assert all(n1 < 15 and n2 < 12 for n1, n2 in want[1:])
+
+
+@pytest.mark.parametrize("censored", [True, False], ids=["censored", "uncensored"])
+@pytest.mark.parametrize("seed", range(15))
+def test_anchored_refits_stay_within_the_determination_of_the_cold_root(seed, censored):
+    # logit refits start next to the base fit, not at their own identity
+    # fit; Newton stops at max |U| < gee.TOL, so two starts may stop up to
+    # about ||J^-1|| * TOL apart, J at the root: the start moves no refit by
+    # more than that and does not change which refits are usable
+    spec = FitSpec(link=LOGIT)
+    rng = np.random.default_rng(seed)
+    n1, n2 = rng.integers(20, 81, size=2)
+    data = random_dataset(rng, n1, n2, censored=censored)
+    ens = bootstrap(data, spec=spec, B=20, seed=seed)
+    for b in range(20):
+        idx1, idx2 = oracles.resample_indices(_replicate_rng(seed, b), n1, n2)
+        star = resampled(data, idx1, idx2)
+        cold = spec._newton(star, spec._identity(stack_datasets([star])).beta[0])
+        usable = (cold.converged and np.isfinite(cold.beta).all()
+                  and not oracles.saturated(spec, cold, star))
+        assert ens.ok[b] == usable, b
+        if usable:
+            J = oracles.jacobian(cold.beta, pseudo_matrix(star), star.covariates1,
+                                 star.covariates2, LOGIT)
+            bound = 2 * np.linalg.norm(np.linalg.inv(J), np.inf) * gee.TOL + 1e-12
+            assert np.abs(ens.replicates[b] - cold.beta).max() <= bound, b
+
+
+@pytest.mark.parametrize("censored", [False, True], ids=["uncensored", "censored"])
+@pytest.mark.parametrize("later", [1, 2], ids=["group-1-later", "group-2-later"])
+def test_separated_data_start_logit_fits_at_a_finite_point(monkeypatch, later, censored):
+    # every time of one group lies above every time of the other, whose last
+    # time is an event, so the mean pair prediction of the identity fit is 0
+    # or 1 and the logit start clips it.  The logit MLE does not exist, so
+    # where Newton stops depends on its start, but every start is finite and
+    # nothing raises.  The fits end as from the identity start: the base fit
+    # converged and not saturated, no refit singular or saturated (a refit
+    # that fails from next to the base fit is fitted again from there), and
+    # without censoring, where the pseudo matrix is constant, none failed
+    starts = []
+    real = gee.solve_newton
+
+    def recording(matrix, Z1, Z2, link, x0=None, weights=None):
+        starts.append(x0)
+        return real(matrix, Z1, Z2, link, x0=x0, weights=weights)
+
+    monkeypatch.setattr(gee, "solve_newton", recording)
+    spec = FitSpec(link=LOGIT)
+    for seed in range(4):
+        d = random_dataset(np.random.default_rng(seed), 15, 12, censored=censored)
+        # the last time of the earlier group is an event, so its curve ends at 0
+        events1, events2 = d.events1.copy(), d.events2.copy()
+        if later == 1:
+            shift1, shift2 = d.times2.max(), 0.0
+            events2[np.argmax(d.times2)] = 1.0
+        else:
+            shift1, shift2 = 0.0, d.times1.max()
+            events1[np.argmax(d.times1)] = 1.0
+        data = TwoSampleDataset(d.times1 + shift1, events1, d.covariates1,
+                                d.times2 + shift2, events2, d.covariates2)
+        identity = spec._identity(stack_datasets([data])).beta[0]
+        a, b = gee._group_parts(identity, data.covariates1, data.covariates2)
+        assert not inference.THETA_CLIP[0] <= a.mean() + b.mean() <= inference.THETA_CLIP[1]
+        fit = spec.fit(data)
+        assert fit.converged and np.isfinite(fit.beta).all()
+        assert not oracles.saturated(spec, fit, data)
+        ens = bootstrap(data, spec=spec, B=20, seed=1)
+        assert ens.failures["singular"] == ens.failures["saturated"] == 0
+        if not censored:
+            assert ens.failed == 0
+    assert all(np.isfinite(x0).all() for x0 in starts)
+    assert len(starts) >= 4 * 21
 
 
 @pytest.mark.parametrize("per_chunk", [1, 7], ids=["one-per-chunk", "with-remainder"])
