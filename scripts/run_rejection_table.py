@@ -4,25 +4,21 @@ Produces one CSV row per (scenario, setting, sizes, censoring, hypothesis)
 combination with the four bootstrap-test rejection rates, the number of
 failed Monte Carlo runs and the degenerate-scale flag, mirroring the layout
 used by `releff simulate`.  Each cell's wall seconds and runs per second are
-printed, and a manifest (the command line, seed, reps, library versions and
-per-cell seconds and failure counts) is written beside the CSV as
-`<out stem>.manifest.json`.  Quick by default; pass --reps 10000 with
---long-run for a full-scale run.  On a 2-vCPU Xeon VM with one BLAS thread
-a censoring half takes about 2.3 s at --reps 200, most of it start-up, and
-about 35 s at --reps 10000 (1.0-1.8 s per cell).
+printed, and a manifest (the command line, seed, reps, library versions,
+BLAS thread variables and per-cell seconds and failure counts) is written
+beside the CSV as `<out stem>.manifest.json`.  Quick by default; pass
+--reps 10000 with --long-run for a full-scale run.  On a 2-vCPU Xeon VM
+with one BLAS thread a censoring half takes about 2.3 s at --reps 200,
+most of it start-up, and about 35 s at --reps 10000 (1.0-1.8 s per cell).
 """
 
 import argparse
 import json
-import platform
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-import scipy
-
-import releff
+from releff.cli import library_versions
 from releff.sim import check_reps, make_scenario, run_scenario, write_result_rows
 
 SIZES = [(40, 60), (50, 50), (80, 50)]
@@ -77,8 +73,7 @@ def main(argv=None):
         "seed": args.seed,
         "reps": args.reps,
         "censored": args.censored,
-        "versions": {"releff": releff.__version__, "python": platform.python_version(),
-                     "numpy": np.__version__, "scipy": scipy.__version__},
+        "versions": library_versions(),
         "cells": cells,
     }
     manifest_path(out).write_text(json.dumps(manifest, indent=2) + "\n")

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .gee import IDENTITY, LINKS, LOGIT, logit_working_set, sandwich_covariance_uncensored
@@ -43,6 +42,10 @@ EXIT_CONFIG = 4
 # buffers of Newton's evaluator
 # (``gee.logit_working_set``); a larger working set is refused before any fit
 WORKING_SET_BYTES = 2 << 30
+
+# the environment variables that set the BLAS thread count, which can move
+# the last bits of a logit fit; every manifest records their values
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # the configuration fields each command reads, in manifest order: its parser
 # has an option for each, its manifest records each, and it refuses a config
@@ -255,21 +258,39 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def library_versions() -> dict:
+    """The releff, python, numpy, scipy and BLAS versions and the BLAS thread
+    variables (``unset`` when absent), keyed as a manifest records them.
+
+    The BLAS is ``unknown`` when numpy cannot name it (before numpy 1.25,
+    ``show_config`` has no ``mode``)."""
+    import scipy   # the small package: scipy.special loads only at the first z
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError):
+        blas = "unknown"
+    return {
+        "releff": __version__, "python": platform.python_version(),
+        "numpy": np.__version__, "scipy": scipy.__version__, "blas": blas,
+        **{f"env.{name}": os.environ.get(name, "unset") for name in BLAS_THREAD_VARIABLES},
+    }
+
+
 def write_manifest(out_dir: Path, command: str, config: AnalysisConfig,
                    inputs=(), outputs=(), data=None, ensemble=None, fit=None,
                    predictions=None, montecarlo=None):
-    """Record the command, the library versions, the fields of ``config``
+    """Record the command, ``library_versions()``, the fields of ``config``
     it reads (B only when a bootstrap ran) and what the run actually used:
     the horizon of ``data``, the failures by cause of the bootstrap
     ``ensemble`` or of the ``montecarlo`` runs, the Newton iterations of
     the ensemble's refits, how the base ``fit`` was
     solved, and the interval of the ``predictions`` and how many of them
     fell outside [0, 1]."""
-    lines = [
-        f"command={command}", f"version={__version__}",
-        f"python={platform.python_version()}", f"numpy={np.__version__}",
-        f"scipy={scipy.__version__}",
-    ]
+    versions = library_versions()
+    lines = [f"command={command}", f"version={versions.pop('releff')}",
+             *(f"{key}={value}" for key, value in versions.items())]
     for key in COMMAND_FIELDS[command]:
         if key != "B" or ensemble is not None:
             lines.append(f"config.{key}={getattr(config, key)}")

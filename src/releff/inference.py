@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import gee
 from .pseudo import pseudo_marginals, pseudo_matrix
@@ -325,7 +324,11 @@ def scale_estimates(values: np.ndarray):
 
 
 def _two_sided_z(alpha: float) -> float:
-    """z at 1 - alpha/2 from ``ndtri``, which is what ``norm.ppf`` evaluates."""
+    """z at 1 - alpha/2 from ``ndtri``, which is what ``norm.ppf`` evaluates.
+
+    Imported here, as only the bootstrap tests read z: ``scipy.special`` is most of start-up."""
+    from scipy.special import ndtri
+
     return float(ndtri(1 - alpha / 2))
 
 

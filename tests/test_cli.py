@@ -15,6 +15,7 @@ import scipy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import releff
 from releff import cli, gee
 from releff.cli import (
     EXIT_CONFIG,
@@ -405,12 +406,28 @@ class TestCommands:
                      "montecarlo.degenerate=True"):
             assert line in manifest
 
-    def test_manifest_records_library_versions(self, four_row_csv, tmp_path):
+    def test_manifest_records_library_versions(self, four_row_csv, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         assert main(["fit", "--data", str(four_row_csv), "--out-dir", str(tmp_path)]) == EXIT_OK
         manifest = (tmp_path / "manifest.txt").read_text().splitlines()
-        for line in (f"python={platform.python_version()}", f"numpy={np.__version__}",
-                     f"scipy={scipy.__version__}"):
-            assert line in manifest
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        openblas = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+        assert manifest[:9] == [
+            "command=fit", f"version={releff.__version__}",
+            f"python={platform.python_version()}", f"numpy={np.__version__}",
+            f"scipy={scipy.__version__}", f"blas={blas['name']} {blas['version']}",
+            f"env.OPENBLAS_NUM_THREADS={openblas}", "env.OMP_NUM_THREADS=3",
+            "env.MKL_NUM_THREADS=unset",
+        ]
+
+    @pytest.mark.parametrize("show_config", [lambda: None, lambda mode: {}],
+                             ids=["numpy-without-mode", "no-blas-entry"])
+    def test_manifest_names_an_unknown_blas(self, show_config, four_row_csv, tmp_path,
+                                            monkeypatch):
+        monkeypatch.setattr(np, "show_config", show_config)
+        assert main(["fit", "--data", str(four_row_csv), "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert "blas=unknown" in (tmp_path / "manifest.txt").read_text().splitlines()
 
     def test_manifest_records_bootstrap_failures_by_cause(self, tmp_path):
         # a binary covariate in groups of 6: some resamples make it constant,
@@ -891,28 +908,48 @@ def test_fit_on_garbage_csv_exits_cleanly(table, covariates, command):
     assert rc in (EXIT_OK, EXIT_PARSE, EXIT_CONVERGENCE, EXIT_CONFIG)
 
 
-def test_identity_and_simulate_outputs_do_not_depend_on_blas_threads(tmp_path):
-    # fit and test with the identity link and simulate write the same bytes
-    # at one and two BLAS threads; one process per thread count runs all
-    # three commands, since the thread count is read when numpy loads
-    rng = np.random.default_rng(11)
+# at one and two BLAS threads, every number in the tests.csv of a logit fit
+# agrees within this bound times max(1, |number|); the README states it
+LOGIT_BLAS_THREAD_BOUND = 1e-10
+
+
+def tied_censored_rows(rng, n1, n2):
+    """Rows (group, time, status, age): times on a 0.05 grid, so tied, and
+    about a quarter of them censored."""
     rows = []
-    for g, n in ((1, 60), (2, 55)):
+    for g, n in ((1, n1), (2, n2)):
         z = rng.standard_normal(n)
         t = np.ceil(np.exp(0.3 * z) * rng.weibull(1.5, n) / 0.05) * 0.05
         for i in range(n):
             rows.append([g, f"{t[i]:.2f}", int(rng.uniform() < 0.75), f"{z[i]:.4f}"])
-    data = tmp_path / "small.csv"
-    write_csv(data, rows, header=("group", "time", "status", "age"))
-    argv = ["--data", str(data), "--cov1", "age", "--cov2", "age", "--tau", "2",
-            "--link", "identity", "--seed", "4", "--bootstrap", "50"]
+    return rows
+
+
+def test_blas_threads_move_no_output_beyond_the_logit_bound(tmp_path):
+    # fit and test with the identity link and simulate write the same bytes
+    # at one and two BLAS threads, and a logit test the same decisions with
+    # numbers within LOGIT_BLAS_THREAD_BOUND.  The logit CSV repeats one
+    # group-2 subject, so its distinct-subject pseudo matrix is 400 x 399: a
+    # shape at which OpenBLAS's threaded GEMM can differ in the last bits.
+    # One process per thread count runs every command, since the thread
+    # count is read when numpy loads
+    small, large = tmp_path / "small.csv", tmp_path / "large.csv"
+    write_csv(small, tied_censored_rows(np.random.default_rng(11), 60, 55),
+              header=("group", "time", "status", "age"))
+    rows = tied_censored_rows(np.random.default_rng(12), 400, 400)
+    rows[-1] = rows[-2]
+    write_csv(large, rows, header=("group", "time", "status", "age"))
+    argv = ["--cov1", "age", "--cov2", "age", "--tau", "2", "--seed", "4", "--bootstrap", "50"]
+    identity = ["--data", str(small), "--link", "identity", *argv]
     outputs = {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        commands = [["fit", *argv, "--out-dir", str(out / "fit")],
-                    ["test", *argv, "--out-dir", str(out / "test")],
+        commands = [["fit", *identity, "--out-dir", str(out / "fit")],
+                    ["test", *identity, "--out-dir", str(out / "test")],
                     ["simulate", "--scenario", "iv", "--censored", "--reps", "100",
-                     "--seed", "4", "--out-dir", str(out / "simulate")]]
+                     "--seed", "4", "--out-dir", str(out / "simulate")],
+                    ["test", "--data", str(large), "--link", "logit", *argv,
+                     "--out-dir", str(out / "logit")]]
         code = ("import sys; from releff.cli import main; "
                 f"sys.exit(max(main(argv) for argv in {commands!r}))")
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
@@ -920,5 +957,16 @@ def test_identity_and_simulate_outputs_do_not_depend_on_blas_threads(tmp_path):
                    MKL_NUM_THREADS=threads)
         subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True)
         outputs[threads] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.csv"))}
+    one, two = (list(csv.reader(outputs[t].pop(Path("logit", "tests.csv")).decode().splitlines()))
+                for t in ("1", "2"))
     assert len(outputs["1"]) == 4      # coefficients, tests, estimates, rejection rates
     assert outputs["1"] == outputs["2"]
+    header = one[0]
+    assert two[0] == header and len(one) == len(two) == 1 + 3 * 4
+    for row1, row2 in zip(one[1:], two[1:]):
+        for name, a, b in zip(header, row1, row2):
+            if name in ("coefficient", "method", "reject") or "" in (a, b):
+                assert a == b, name
+            else:
+                bound = LOGIT_BLAS_THREAD_BOUND * max(1.0, abs(float(a)))
+                assert abs(float(a) - float(b)) <= bound, (name, a, b)

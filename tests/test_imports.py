@@ -1,9 +1,10 @@
 """Static checks of the package sources: every name a module imports is used,
 every name its ``__all__`` exports is bound, every module-level private
 name is read somewhere in the package, and no module reads an attribute of
-a name that the benchmark's tracer replaces with a plain function.  A fresh
-interpreter that imports the package and its CLI does not load
-``scipy.stats``."""
+a name that the benchmark's tracer replaces with a plain function.  In a
+fresh interpreter, importing the package and its CLI loads neither
+``scipy.stats`` nor ``scipy.special``, a fit without a bootstrap leaves
+``scipy.special`` unloaded, and the first bootstrap test loads it."""
 
 import ast
 import os
@@ -151,11 +152,46 @@ def test_traced_entry_points_are_only_called(module, attribute):
     assert attribute_reads(path.read_text(encoding="utf-8"), attribute) == []
 
 
-def test_package_does_not_import_scipy_stats():
-    # in a fresh interpreter: the test modules import scipy.stats themselves.
-    # scipy.stats is most of the start-up time and memory of each CLI process
+def fresh_interpreter(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter; the test modules load
+    scipy.stats and scipy.special themselves."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    code = "import sys, releff, releff.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def run_cli(argv) -> str:
+    """Code that runs ``releff`` with ``argv`` and then prints its exit code
+    and whether scipy.special was loaded."""
+    return ("import sys; from releff.cli import main; "
+            f"print(main({argv!r}), 'scipy.special' in sys.modules)")
+
+
+@pytest.fixture
+def small_csv(tmp_path):
+    path = tmp_path / "small.csv"
+    rows = [(g, 0.5 * k + g / 10, k % 3 > 0) for g in (1, 2) for k in range(1, 9)]
+    path.write_text("group,time,status\n" + "".join(f"{g},{t},{int(e)}\n" for g, t, e in rows))
+    return path
+
+
+def test_package_import_loads_neither_scipy_stats_nor_scipy_special():
+    # scipy.stats and scipy.special are most of the start-up time and memory
+    # of each CLI process
+    code = ("import sys, releff, releff.cli; "
+            "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
+    assert fresh_interpreter(code).split() == ["False", "False"]
+
+
+def test_fit_without_bootstrap_leaves_scipy_special_unloaded(small_csv, tmp_path):
+    argv = ["fit", "--data", str(small_csv), "--out-dir", str(tmp_path / "out")]
+    assert fresh_interpreter(run_cli(argv)).split()[-2:] == ["0", "False"]
+
+
+def test_bootstrap_test_loads_scipy_special_for_the_exact_z(small_csv, tmp_path):
+    argv = ["test", "--data", str(small_csv), "--out-dir", str(tmp_path / "out"),
+            "--seed", "1", "--bootstrap", "20"]
+    code = (run_cli(argv) + "; from scipy.special import ndtri; "
+            "from releff.inference import _two_sided_z; "
+            "print(_two_sided_z(0.05).hex() == float(ndtri(0.975)).hex())")
+    assert fresh_interpreter(code).split()[-3:] == ["0", "True", "True"]

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from releff.cli import library_versions
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -30,6 +32,7 @@ def test_rejection_table_writes_rows_and_a_manifest(tmp_path, capsys):
     assert (manifest["argv"], manifest["seed"], manifest["reps"]) == (argv, 3, 100)
     assert manifest["versions"]["python"] == platform.python_version()
     assert manifest["versions"]["numpy"] == np.__version__
+    assert manifest["versions"] == library_versions()
     assert len(manifest["cells"]) == cells
     for cell, row in zip(manifest["cells"], rows[::2]):
         assert (cell["scenario"], cell["setting"]) == (row["scenario"], row["setting"])
