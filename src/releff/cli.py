@@ -1,5 +1,11 @@
 """Command-line front end: CSV ingestion, fit/test/predict/simulate workflows.
 
+CSV ingestion reads the rows in blocks of BLOCK_ROWS and checks each block
+in column passes, one pass over a column per check (``_column_pass``), not
+row by row.  It keeps and drops the same rows as a reader that checks one
+row at a time, and the first failing row in file order raises the message
+that reader would raise.
+
 Exit codes: 0 success, 2 parse failure, 3 convergence failure,
 4 configuration failure.
 """
@@ -17,6 +23,8 @@ import os
 import platform
 import sys
 from dataclasses import dataclass, field, asdict
+from itertools import compress, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +50,14 @@ EXIT_CONFIG = 4
 # buffers of Newton's evaluator
 # (``gee.logit_working_set``); a larger working set is refused before any fit
 WORKING_SET_BYTES = 2 << 30
+
+# rows per block of CSV ingestion: the rows of one block are the only text
+# held at once (at 1 << 14 a 20 000-row file peaked above a row-by-row read)
+BLOCK_ROWS = 1 << 12
+
+# the cells that read as a group label or a status; any other reads 0 or -1
+_GROUP_CODES = {"1": 1, "2": 2}
+_STATUS_CODES = {"0": 0, "1": 1}
 
 # the environment variables that set the BLAS thread count, which can move
 # the last bits of a logit fit; every manifest records their values
@@ -150,9 +166,24 @@ def _parse_float(text, row, column):
     return value
 
 
+def _float_or_nan(text):
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def _floats(cells):
+    """The cells read by Python's ``float``, NaN where it reads no number."""
+    try:
+        return np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return np.fromiter(map(_float_or_nan, cells), float, len(cells))
+
+
 def ingest_csv(path, config: AnalysisConfig) -> TwoSampleDataset:
-    """Read a two-group dataset; rows with missing used values are dropped
-    with row-numbered diagnostics."""
+    """Read a two-group dataset (``_read_groups``); rows with missing used
+    values are dropped with row-numbered diagnostics."""
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet programs write
         fh = open(path, newline="", encoding="utf-8-sig")
@@ -168,8 +199,8 @@ def ingest_csv(path, config: AnalysisConfig) -> TwoSampleDataset:
     for g in (1, 2):
         if len(groups[g]["t"]) < 2:
             raise ParseFailure(f"group {g} has fewer than 2 usable rows")
-    t1 = np.array(groups[1]["t"])
-    t2 = np.array(groups[2]["t"])
+    t1 = np.asarray(groups[1]["t"])
+    t2 = np.asarray(groups[2]["t"])
     if (np.concatenate((t1, t2)) < 0).any() and (
         0.0 in groups[1]["e"] or 0.0 in groups[2]["e"]
     ):
@@ -183,13 +214,8 @@ def ingest_csv(path, config: AnalysisConfig) -> TwoSampleDataset:
             )
         log.warning("tau not set; defaulting to the largest observed time %.6g "
                     "(a group-2 event at exactly tau is not counted)", tau)
-    z1 = np.array(groups[1]["z"]) if config.covariates1 else np.empty((t1.size, 0))
-    z2 = np.array(groups[2]["z"]) if config.covariates2 else np.empty((t2.size, 0))
-    return TwoSampleDataset(
-        t1, np.array(groups[1]["e"]), z1,
-        t2, np.array(groups[2]["e"]), z2,
-        tau=tau,
-    )
+    return TwoSampleDataset(t1, groups[1]["e"], groups[1]["z"],
+                            t2, groups[2]["e"], groups[2]["z"], tau=tau)
 
 
 def _read_groups(path, fh, config: AnalysisConfig):
@@ -198,7 +224,10 @@ def _read_groups(path, fh, config: AnalysisConfig):
 
     Rows are numbered from 1 at the header, blank lines not counted; a cell
     beyond the end of a short row is missing, and of two columns with the
-    same name the last one is read.
+    same name the last one is read.  Rows are read in blocks of BLOCK_ROWS,
+    each checked and converted by ``_column_pass``, so one block is all the
+    text held at once.  A read error inside a block is raised after the
+    rows before it are checked, as when rows are checked one at a time.
     """
     reader = csv.reader(fh)
     header = next(reader, None)
@@ -209,45 +238,114 @@ def _read_groups(path, fh, config: AnalysisConfig):
     if missing:
         raise ParseFailure(f"{path}: missing required columns {sorted(missing)}")
     index = {name: k for k, name in enumerate(header)}
-    i_group, i_time, i_status = index["group"], index["time"], index["status"]
     covariates = {1: config.covariates1, 2: config.covariates2}
     absent = {g: [c for c in cols if c not in index] for g, cols in covariates.items()}
-    cov_index = {g: [index.get(c) for c in cols] for g, cols in covariates.items()}
-    groups = {1: {"t": [], "e": [], "z": []}, 2: {"t": [], "e": [], "z": []}}
-    dropped = []
-    row_no = 1
-    for row in reader:
-        if not row:
-            continue
-        row_no += 1
-        if len(row) < len(header):
-            row += [None] * (len(header) - len(row))
-        label = row[i_group]
-        if label not in ("1", "2"):
-            raise ParseFailure(f"row {row_no}, column 'group': expected 1 or 2, got {label!r}")
-        g = int(label)
-        if absent[g]:
-            raise ParseFailure(f"missing covariate column {absent[g][0]!r}")
-        time, status = row[i_time], row[i_status]
-        cells = [row[k] for k in cov_index[g]]
-        if any(c is None or c.strip() == "" for c in (time, status, *cells)):
-            dropped.append(row_no)
-            continue
-        time = _parse_float(time, row_no, "time")
-        if status not in ("0", "1"):
-            raise ParseFailure(
-                f"row {row_no}, column 'status': expected 0 or 1, got {status!r}"
-            )
-        status = int(status)
-        if status == 0 and time < 0:
-            raise ParseFailure(
-                f"row {row_no}, column 'time': negative time on a censored record"
-            )
-        z = [_parse_float(c, row_no, name) for c, name in zip(cells, covariates[g])]
-        groups[g]["t"].append(time)
-        groups[g]["e"].append(float(status))
-        groups[g]["z"].append(z)
+    rows = filter(None, reader)     # a blank line is no row
+    parts, dropped, first = [], [], 2
+    while True:
+        block, error = [], None
+        try:
+            block.extend(islice(rows, BLOCK_ROWS))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            error = exc
+        parts.append(_column_pass(block, first, len(header), index, covariates, absent, dropped))
+        if error is not None:
+            raise error
+        if len(block) < BLOCK_ROWS:
+            break
+        first += len(block)
+    groups = {g: {key: np.concatenate([part[g][key] for part in parts]) for key in "tez"}
+              for g in (1, 2)}
     return groups, dropped
+
+
+def _column_pass(block, first, width, index, covariates, absent, dropped):
+    """Per-group times, status and covariates of the rows ``block``, the
+    first of them row ``first``; appends the numbers of its incomplete rows
+    to ``dropped``.
+
+    Each check is a pass over one column: a group label other than 1 or 2,
+    a group with an absent covariate column, an empty used cell (the row is
+    dropped), and on the rows kept a time or covariate that Python's
+    ``float`` does not read or that is not finite, a status other than 0 or
+    1 and a negative censored time.  The first row that fails one raises,
+    worded by ``_raise_row_failure``."""
+    n = len(block)
+    lengths = np.fromiter(map(len, block), np.intp, n)
+    for k in np.flatnonzero(lengths < width):
+        block[k] = block[k] + [""] * (width - lengths[k])
+
+    def cells(name, rows):
+        return list(compress(map(itemgetter(index[name]), block), rows))
+
+    labels = map(itemgetter(index["group"]), block)
+    group = np.fromiter(map(_GROUP_CODES.get, labels, repeat(0)), np.int8, n)
+    failing = group == 0
+    readers = {}                # covariate name -> the rows whose group reads it
+    for g in (1, 2):
+        if absent[g]:
+            failing |= group == g
+        else:
+            for name in covariates[g]:
+                readers[name] = readers.get(name, False) | (group == g)
+    labelled = ~failing
+    text = cells("status", labelled)
+    status = np.fromiter(map(_STATUS_CODES.get, text, repeat(-1)), np.int8, len(text))
+    empty = np.zeros(n, dtype=bool)
+    empty[labelled] = _blank(text, status < 0)
+    text = cells("time", labelled)
+    time = _floats(text)
+    empty[labelled] |= _blank(text, np.isnan(time))
+    values = {}
+    for name, rows in readers.items():
+        text = cells(name, rows)
+        values[name] = _floats(text)
+        empty[rows] |= _blank(text, np.isnan(values[name]))
+    kept = labelled & ~empty
+    failing[labelled] = kept[labelled] & (
+        ~np.isfinite(time) | (status < 0) | ((status == 0) & (time < 0)))
+    for name, rows in readers.items():
+        failing[rows] |= kept[rows] & ~np.isfinite(values[name])
+    if failing.any():
+        r = int(np.argmax(failing))
+        label = block[r][index["group"]] if lengths[r] > index["group"] else None
+        _raise_row_failure(block[r], first + r, label, index, covariates, absent)
+    dropped.extend((first + np.flatnonzero(labelled & empty)).tolist())
+    part = {}
+    for g in (1, 2):
+        mine = kept[labelled] & (group[labelled] == g)
+        z = np.empty((np.count_nonzero(mine), len(covariates[g])))
+        for j, name in enumerate([] if absent[g] else covariates[g]):
+            rows = readers[name]
+            z[:, j] = values[name][kept[rows] & (group[rows] == g)]
+        part[g] = {"t": time[mine], "e": status[mine].astype(float), "z": z}
+    return part
+
+
+def _blank(cells, suspect):
+    """Which of ``cells`` are empty or white space, looked at only where
+    ``suspect``: a cell that reads as a value is not blank."""
+    if not suspect.any():
+        return suspect
+    return suspect & (np.fromiter(map(len, map(str.strip, cells)), np.intp, len(cells)) == 0)
+
+
+def _raise_row_failure(row, row_no, label, index, covariates, absent):
+    """Raise the ParseFailure of row ``row_no``, with group label ``label``,
+    for the first check it fails in the order they apply to one row."""
+    if label not in ("1", "2"):
+        raise ParseFailure(f"row {row_no}, column 'group': expected 1 or 2, got {label!r}")
+    g = int(label)
+    if absent[g]:
+        raise ParseFailure(f"missing covariate column {absent[g][0]!r}")
+    time = _parse_float(row[index["time"]], row_no, "time")
+    status = row[index["status"]]
+    if status not in ("0", "1"):
+        raise ParseFailure(f"row {row_no}, column 'status': expected 0 or 1, got {status!r}")
+    if status == "0" and time < 0:
+        raise ParseFailure(f"row {row_no}, column 'time': negative time on a censored record")
+    for name in covariates[g]:
+        _parse_float(row[index[name]], row_no, name)
 
 
 def _sha256(path) -> str:
@@ -454,16 +552,17 @@ def cmd_predict(args) -> int:
         link=config.link, correction=link_correction,
         alpha=config.alpha, method=ci_method,
     )
-    columns = zip(preds.point.tolist(), preds.ci_low.tolist(), preds.ci_high.tolist(),
-                  preds.classification.tolist(), preds.out_of_range.tolist())
+    # the correction is one number, formatted once as csv formats a float
+    rows = zip(range(len(Z_all)), preds.point.tolist(), preds.ci_low.tolist(),
+               preds.ci_high.tolist(), preds.classification.tolist(),
+               preds.out_of_range.tolist(), repeat(str(correction)))
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["subject", "probability", "ci_low", "ci_high", "classification",
              "out_of_range", "tie_correction"]
         )
-        for i, row in enumerate(columns):
-            writer.writerow([i, *row, correction])
+        writer.writerows(rows)
     write_manifest(out_dir, "predict", config, inputs=[args.data], outputs=[out_path],
                    data=data, ensemble=ensemble, fit=fit, predictions=preds)
     print(f"wrote {out_path} (tie correction {correction:.4f})")

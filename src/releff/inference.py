@@ -13,7 +13,11 @@ to a reference fit (``_logit_start``; a bootstrap refit's reference is the
 base fit), and each dataset is then fitted on its distinct subjects: rows
 equal in time, status and covariates are copies of one subject, so the
 pseudo matrix is built for one row or column per distinct subject and
-Newton weights them by their numbers of copies.  A chunk holds at most
+Newton weights them by their numbers of copies.  A bootstrap labels the
+subjects of its data once (``_subject_labels``, a sort of each group's
+rows), and a refit reads its distinct subjects and their copies from the
+labels at its resample's indices (``_distinct_subjects``); a fit with no
+bootstrap behind it labels its own rows.  A chunk holds at most
 ``STACK_ELEMENTS // (n1 + n2 + 2)`` datasets (160 at n1 = n2 = 50), so
 memory does not grow with B or M, and a Monte Carlo task of a few hundred
 runs at that size pays the fixed cost of a stacked fit once or twice.
@@ -82,20 +86,30 @@ def _chunk_size(n1: int, n2: int) -> int:
     return max(1, STACK_ELEMENTS // (n1 + n2 + 2))
 
 
-def _distinct_subjects(times, events, covariates):
-    """The first row of each distinct subject of one group, in input order,
-    and its number of copies (float): rows equal in time, status and
-    covariates are copies of one subject."""
-    rows = np.column_stack((times, events, covariates))
-    order = np.lexsort(rows.T)      # stable, so each run of copies starts at its first row
-    ranked = rows[order]
-    new = np.empty(len(rows), dtype=bool)
-    new[0] = True
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
-    starts = np.flatnonzero(new)
-    first = order[starts]
-    keep = np.argsort(first)
-    return first[keep], np.diff(starts, append=len(rows))[keep].astype(float)
+def _subject_labels(data: TwoSampleDataset):
+    """The subject of each row of ``data``, one label array per group: rows
+    equal in time, status and covariates are copies of one subject and
+    share its label.  Labels number the subjects in the order their rows
+    sort."""
+    labels = []
+    for rows in (np.column_stack((data.times1, data.events1, data.covariates1)),
+                 np.column_stack((data.times2, data.events2, data.covariates2))):
+        order = np.lexsort(rows.T)
+        ranked = rows[order]
+        new = np.empty(len(rows), dtype=bool)
+        new[0] = True
+        np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+        labels.append(np.empty(len(rows), dtype=np.intp))
+        labels[-1][order] = np.cumsum(new) - 1
+    return tuple(labels)
+
+
+def _distinct_subjects(labels):
+    """The first row of each distinct subject, in row order, and its number
+    of copies (float), from the subject label of every row of one group."""
+    _, first, copies = np.unique(labels, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return first[order], copies[order].astype(float)
 
 
 def _logit_reference(identity_beta, Z1, Z2, logit_beta=None):
@@ -151,27 +165,35 @@ class FitSpec:
     def fit(self, data: TwoSampleDataset) -> gee.FitResult:
         """Fit one dataset; a singular design under ``strict_singular``
         raises LinAlgError.  A saturated logit fit is returned as it is."""
+        return self._fit(data)[1]
+
+    def _fit(self, data: TwoSampleDataset, labels=None):
+        """The closed-form identity fit of ``data`` and its fit on this link,
+        the same fit for the identity link.  The logit fit runs on the
+        distinct subjects of ``labels`` (``_subject_labels``; found here if
+        None), started next to the dataset's constant model."""
         start = self._identity(stack_datasets([data]))[0]
         if not start.converged:
             raise np.linalg.LinAlgError("design second-moment matrix is singular")
         if self.link == gee.IDENTITY:
-            return start
+            return start, start
         reference = _logit_reference(start.beta, data.covariates1, data.covariates2)
-        return self._newton(data, _logit_start(start.beta, reference))
+        return start, self._newton(data, _logit_start(start.beta, reference), labels)
 
     def _identity(self, stack: TwoSampleDataset) -> gee.FitResult:
         return gee.solve_identity(*pseudo_marginals(stack), stack.covariates1,
                                   stack.covariates2, strict_singular=self.strict_singular)
 
-    def _newton(self, data: TwoSampleDataset, start) -> gee.FitResult:
-        """Newton fit of ``data`` from ``start`` on its distinct subjects."""
-        rows, w1 = _distinct_subjects(data.times1, data.events1, data.covariates1)
-        cols, w2 = _distinct_subjects(data.times2, data.events2, data.covariates2)
+    def _newton(self, data: TwoSampleDataset, start, labels=None) -> gee.FitResult:
+        """Newton fit of ``data`` from ``start`` on its distinct subjects,
+        read from ``labels``, the subject label of each row per group
+        (``_subject_labels`` of ``data`` if None)."""
+        (rows, w1), (cols, w2) = map(_distinct_subjects, labels or _subject_labels(data))
         matrix = pseudo_matrix(data, rows=rows, cols=cols)
         return gee.solve_newton(matrix, data.covariates1[rows], data.covariates2[cols],
                                 self.link, x0=start, weights=(w1, w2))
 
-    def _fit_stack(self, stack: TwoSampleDataset, reference=None):
+    def _fit_stack(self, stack: TwoSampleDataset, reference=None, labels=None):
         """Coefficients (N, p) of every dataset of ``stack``, NaN where the
         fit failed, each fit's outcome and the Newton iterations summed over
         the stack.  An outcome is the index in FAILURE_CAUSES of the first
@@ -181,7 +203,11 @@ class FitSpec:
         their own constant model.  The reference only saves iterations, so
         a fit from it that fails, or that stops at a root of U other than a
         maximum (J at the root not negative definite), is done again from
-        its identity fit as it is, a start that no reference moves."""
+        its identity fit as it is, a start that no reference moves.  Logit
+        fits run on the distinct subjects of ``labels``, the subject labels
+        (N, n1) and (N, n2) of the rows of the stack (a bootstrap passes its
+        data's labels at each resample's indices); without them each
+        dataset labels its own rows."""
         fits = self._identity(stack)
         beta, singular = fits.beta, ~fits.converged
         nonconverged = np.zeros(len(beta), dtype=bool)
@@ -191,12 +217,13 @@ class FitSpec:
             for k in np.flatnonzero(fits.converged):
                 data = stack[k]
                 Z1, Z2 = data.covariates1, data.covariates2
+                subjects = None if labels is None else (labels[0][k], labels[1][k])
                 if reference is None:
                     starts = [_logit_start(beta[k], _logit_reference(beta[k], Z1, Z2))]
                 else:
                     starts = [_logit_start(beta[k], reference), beta[k].copy()]
                 for start in starts:
-                    result = self._newton(data, start)
+                    result = self._newton(data, start, subjects)
                     iterations += result.iterations
                     nonconverged[k] = not (result.converged and np.isfinite(result.beta).all())
                     saturated[k] = gee.max_abs_eta(result.beta, Z1, Z2) > gee.SATURATED_ETA
@@ -277,17 +304,20 @@ def bootstrap(
     ``require_usable`` refuses stops it before any refit.  A refit fails
     by the causes of ``FitSpec._fit_stack``; a saturated base fit is not
     refused.  Logit refits start next to the base fit, the reference of
-    ``_logit_start`` with the identity fit of ``data``."""
+    ``_logit_start`` with the identity fit of ``data`` that started it.
+    The subjects of ``data`` are labelled once, and a logit refit reads its
+    distinct subjects and their copies from the labels of its resample."""
     if B < 1:
         raise ValueError("B must be at least 1")
     spec = spec or FitSpec()
-    base = spec.fit(data)
+    labels = _subject_labels(data) if spec.link == gee.LOGIT else None
+    identity, base = spec._fit(data, labels)
     require_usable(base)
-    whole = stack_datasets([data])
     reference = None
-    if spec.link == gee.LOGIT:
-        reference = _logit_reference(spec._identity(whole).beta[0], data.covariates1,
-                                     data.covariates2, base.beta)
+    if labels is not None:
+        reference = _logit_reference(identity.beta, data.covariates1, data.covariates2,
+                                     base.beta)
+    whole = stack_datasets([data])
     replicates = np.full((B, base.beta.size), np.nan)
     outcomes = np.empty(B, dtype=int)
     newton_iterations = 0
@@ -295,8 +325,9 @@ def bootstrap(
     for start in range(0, B, step):
         runs = range(start, min(start + step, B))
         _, idx1, idx2 = _simulated_chunk(lambda rngs: whole, seed, runs)
+        resampled = None if labels is None else (labels[0][idx1], labels[1][idx2])
         replicates[start : runs.stop], outcomes[start : runs.stop], iterations = spec._fit_stack(
-            whole.resampled(idx1, idx2), reference)
+            whole.resampled(idx1, idx2), reference, resampled)
         newton_iterations += iterations
     ensemble = BootstrapEnsemble(replicates=replicates, B=B, seed=seed, base_fit=base,
                                  failures=_failures(outcomes),

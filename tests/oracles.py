@@ -26,12 +26,18 @@ fast path in ``releff``:
 - the prediction interval one profile at a time (on the scale of beta'z,
   then mapped through mu);
 - the warp-speed Monte Carlo engine one run and one full pseudo matrix at a
-  time, and a scenario dataset one generator call per draw.
+  time, and a scenario dataset one generator call per draw;
+- the distinct subjects of one group of a dataset, found by sorting its
+  rows (``distinct_subjects``);
+- the CLI's CSV ingestion one row at a time (``read_groups``, which
+  ``cli._read_groups`` replaces in a test).
 
 ``PerRun`` turns a per-dataset maker into the chunk simulator
 ``inference.warp_speed`` takes.
 """
 
+import csv
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,6 +47,7 @@ from scipy.special import expit
 from scipy.stats import norm
 
 from releff import gee
+from releff.cli import ParseFailure
 from releff.gee import FitResult
 from releff.inference import (
     FAILURE_CAUSES,
@@ -517,3 +524,88 @@ def simulate_dataset(scenario: Scenario, rng) -> TwoSampleDataset:
     return TwoSampleDataset(np.minimum(T1, C1), (T1 <= C1).astype(float), Z1,
                             np.minimum(T2, C2), (T2 <= C2).astype(float), Z2,
                             tau=TAU)
+
+
+def distinct_subjects(times, events, covariates):
+    """The first row of each distinct subject of one group, in input order,
+    and its number of copies (float): rows equal in time, status and
+    covariates are copies of one subject."""
+    rows = np.column_stack((times, events, covariates))
+    order = np.lexsort(rows.T)      # stable, so each run of copies starts at its first row
+    ranked = rows[order]
+    new = np.empty(len(rows), dtype=bool)
+    new[0] = True
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    starts = np.flatnonzero(new)
+    first = order[starts]
+    keep = np.argsort(first)
+    return first[keep], np.diff(starts, append=len(rows))[keep].astype(float)
+
+
+def _parse_float(text, row, column):
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseFailure(f"row {row}, column {column!r}: not a number: {text!r}")
+    if not math.isfinite(value):
+        raise ParseFailure(f"row {row}, column {column!r}: not a finite number: {text!r}")
+    return value
+
+
+def read_groups(path, fh, config):
+    """``cli._read_groups`` one row at a time: per-group lists of times,
+    status and covariate rows of an open CSV file, and the numbers of the
+    rows dropped as incomplete.
+
+    Rows are numbered from 1 at the header, blank lines not counted; a cell
+    beyond the end of a short row is missing, and of two columns with the
+    same name the last one is read.
+    """
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None:
+        raise ParseFailure(f"{path}: empty file, header row required")
+    required = {"group", "time", "status"}
+    missing = required - set(header)
+    if missing:
+        raise ParseFailure(f"{path}: missing required columns {sorted(missing)}")
+    index = {name: k for k, name in enumerate(header)}
+    i_group, i_time, i_status = index["group"], index["time"], index["status"]
+    covariates = {1: config.covariates1, 2: config.covariates2}
+    absent = {g: [c for c in cols if c not in index] for g, cols in covariates.items()}
+    cov_index = {g: [index.get(c) for c in cols] for g, cols in covariates.items()}
+    groups = {1: {"t": [], "e": [], "z": []}, 2: {"t": [], "e": [], "z": []}}
+    dropped = []
+    row_no = 1
+    for row in reader:
+        if not row:
+            continue
+        row_no += 1
+        if len(row) < len(header):
+            row += [None] * (len(header) - len(row))
+        label = row[i_group]
+        if label not in ("1", "2"):
+            raise ParseFailure(f"row {row_no}, column 'group': expected 1 or 2, got {label!r}")
+        g = int(label)
+        if absent[g]:
+            raise ParseFailure(f"missing covariate column {absent[g][0]!r}")
+        time, status = row[i_time], row[i_status]
+        cells = [row[k] for k in cov_index[g]]
+        if any(c is None or c.strip() == "" for c in (time, status, *cells)):
+            dropped.append(row_no)
+            continue
+        time = _parse_float(time, row_no, "time")
+        if status not in ("0", "1"):
+            raise ParseFailure(
+                f"row {row_no}, column 'status': expected 0 or 1, got {status!r}"
+            )
+        status = int(status)
+        if status == 0 and time < 0:
+            raise ParseFailure(
+                f"row {row_no}, column 'time': negative time on a censored record"
+            )
+        z = [_parse_float(c, row_no, name) for c, name in zip(cells, covariates[g])]
+        groups[g]["t"].append(time)
+        groups[g]["e"].append(float(status))
+        groups[g]["z"].append(z)
+    return groups, dropped

@@ -352,8 +352,8 @@ def test_nonconverged_bootstrap_refit_counts_as_failed(monkeypatch, rng):
     stalling_data = [resampled(data, *oracles.resample_indices(_replicate_rng(0, b), 10, 10))
                      for b in (2, 6)]
 
-    def stalling(self, star, start):
-        result = real(self, star, start)
+    def stalling(self, star, start, labels=None):
+        result = real(self, star, start, labels)
         if any(np.array_equal(star.times1, s.times1) and np.array_equal(star.times2, s.times2)
                for s in stalling_data):
             result.converged = False
@@ -573,6 +573,69 @@ def test_logit_refits_run_newton_on_distinct_subjects(monkeypatch, rng):
     assert shapes[0] == want[0] and len(want) <= len(shapes) <= 2 * len(want) - 1
     assert [s for s, _ in itertools.groupby(shapes)] == [s for s, _ in itertools.groupby(want)]
     assert all(n1 < 15 and n2 < 12 for n1, n2 in want[1:])
+
+
+def repeated_subjects(rng):
+    """A censored dataset that repeats subjects in both groups: a resample
+    of a random one."""
+    data = random_dataset(rng, 20, 16, censored=True)
+    return resampled(data, rng.integers(0, 20, 20), rng.integers(0, 16, 16))
+
+
+def test_refits_read_their_distinct_subjects_from_the_labels_of_the_data(rng):
+    # a bootstrap labels the subjects of its data once; the rows and copies
+    # a refit reads from the labels at its resample's indices are those of
+    # grouping the resample itself, in the same order
+    data = repeated_subjects(rng)
+    labels = inference._subject_labels(data)
+    assert all(np.unique(label).size < label.size for label in labels)
+    groups = ((data.times1, data.events1, data.covariates1),
+              (data.times2, data.events2, data.covariates2))
+    draws = [(np.arange(data.n1), np.arange(data.n2))]
+    draws += [oracles.resample_indices(_replicate_rng(3, b), data.n1, data.n2) for b in range(30)]
+    for idx in draws:
+        for label, index, columns in zip(labels, idx, groups):
+            got = inference._distinct_subjects(label[index])
+            want = oracles.distinct_subjects(*(x[index] for x in columns))
+            for g, w in zip(got, want, strict=True):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+
+
+def test_logit_bootstrap_equals_refits_that_group_their_own_resamples(monkeypatch, rng):
+    data = repeated_subjects(rng)
+    spec = FitSpec(link=LOGIT)
+    real = FitSpec._fit_stack
+    passed = []
+
+    def recording(self, stack, reference=None, labels=None):
+        passed.append(labels)
+        return real(self, stack, reference, labels)
+
+    monkeypatch.setattr(FitSpec, "_fit_stack", recording)
+    got = bootstrap(data, spec=spec, B=40, seed=3)
+    assert passed and all(labels is not None for labels in passed)
+    monkeypatch.setattr(FitSpec, "_fit_stack",
+                        lambda self, stack, reference=None, labels=None: real(self, stack, reference))
+    want = bootstrap(data, spec=spec, B=40, seed=3)
+    np.testing.assert_array_equal(got.replicates, want.replicates)
+    assert (got.failures, got.newton_iterations) == (want.failures, want.newton_iterations)
+
+
+def test_logit_bootstrap_solves_the_identity_fit_of_its_data_once(monkeypatch, rng):
+    # the base fit's identity solution is both its Newton start and the
+    # refits' reference; then one stacked solve per chunk of refits
+    data = random_dataset(rng, 15, 12, censored=True)
+    real = gee.solve_identity
+    sizes = []
+
+    def counting(row_means, *args, **kwargs):
+        sizes.append(len(row_means))
+        return real(row_means, *args, **kwargs)
+
+    monkeypatch.setattr(gee, "solve_identity", counting)
+    bootstrap(data, spec=FitSpec(link=LOGIT), B=10, seed=0)
+    assert sizes == [1, 10]
 
 
 @pytest.mark.parametrize("censored", [True, False], ids=["censored", "uncensored"])
