@@ -1,8 +1,9 @@
 """Bootstrap resampling of the fitting pipeline and coefficient tests.
 
 Subjects are resampled with replacement within each group.  Replicate b of
-a run with seed s uses an RNG stream derived from (s, b), so results are
-identical no matter in which order replicates are computed.
+a run with seed s uses the stream of ``SeedSequence(s, spawn_key=(b,))``, so
+results are identical no matter in which order replicates are computed;
+``_replicate_rngs`` seeds the generators of a whole chunk in one pass.
 
 Bootstrap replicates and warp-speed Monte Carlo runs are fitted in chunks:
 the resampled (and simulated) datasets of a chunk are stacked on a leading
@@ -35,6 +36,7 @@ decisions; ``test_coefficient`` applies it to one estimate and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -277,8 +279,69 @@ def require_usable(fit: gee.FitResult) -> None:
         )
 
 
-def _replicate_rng(seed: int, b: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe, pool of four uint32 words)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+class _StateWords:
+    """A seed sequence that has already generated ``words``, the state a
+    PCG64 asks it for (registered as an ``ISeedSequence`` at first use)."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _replicate_rngs(seed: int, runs: range) -> list:
+    """One generator per run m in ``runs``, on the stream of
+    ``default_rng(SeedSequence(seed, spawn_key=(m,)))``.
+
+    SeedSequence hashes its entropy, the 32-bit words of ``seed`` padded
+    with zeros to four and then the one or two words of m (m < 2**64), into
+    a pool of four words, and PCG64 takes the four 64-bit words that
+    ``generate_state`` draws from that pool.  The hash is uint32
+    arithmetic: the seed's words are hashed once, as Python ints, and each
+    spawn word for all runs at once, as arrays.  A negative seed raises
+    ValueError, as SeedSequence does."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    ISeedSequence.register(_StateWords)
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value, const = value ^ const, const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = (_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32) & _MASK32
+        return x ^ x >> 16
+
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    pool = [hashmix(word) for word in words[:4]]
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                pool[j] = mix(pool[j], hashmix(pool[i]))
+    m = np.asarray(runs, dtype=np.uint64)
+    high = (m >> 32).astype(np.uint32)
+    for word in words[4:] + [(m & _MASK32).astype(np.uint32), high]:
+        previous, pool = pool, [mix(p, hashmix(word)) for p in pool]
+    pool = np.where(high > 0, pool, previous).T     # m < 2**32 has no second word
+    hash_b = np.array([_INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK32 for i in range(9)], np.uint32)
+    state = (np.tile(pool, 2) ^ hash_b[:8]) * hash_b[1:]
+    state ^= state >> 16
+    state = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_StateWords(row))) for row in state]
 
 
 def resample_indices(rng: np.random.Generator, n1: int, n2: int):
@@ -422,7 +485,7 @@ def _simulated_chunk(draw, seed: int, runs: range):
     """The stack ``draw(rngs)``, one generator per run in ``runs``, and each
     run's resample (idx1, idx2): run m draws its dataset, then its resample,
     from the stream (seed, m).  The bootstrap's ``draw`` draws nothing."""
-    rngs = [_replicate_rng(seed, m) for m in runs]
+    rngs = _replicate_rngs(seed, runs)
     stack = draw(rngs)
     draws = [resample_indices(rng, stack.n1, stack.n2) for rng in rngs]
     idx1, idx2 = (np.stack(idx) for idx in zip(*draws))

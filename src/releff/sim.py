@@ -88,21 +88,25 @@ class Scenario:
         # group 2's Bernoulli uniforms, then those of T1, T2 and maybe C1, C2
         times = (2 if self.censored else 1) * (n1 + n2)
         uniform2 = np.empty((N, k * n2 + times))
-        for rng, a, b, c, d in zip(rngs, normal1, uniform1, normal2, uniform2):
-            rng.standard_normal(out=a)
-            rng.random(out=b)
-            rng.standard_normal(out=c)
-            rng.random(out=d)
+        for i, rng in enumerate(rngs):
+            rng.standard_normal(out=normal1[i])
+            rng.random(out=uniform1[i])
+            rng.standard_normal(out=normal2[i])
+            rng.random(out=uniform2[i])
         Z1 = _covariates(1, p, normal1, uniform1)
         Z2 = _covariates(2, p, normal2, uniform2[:, : k * n2].reshape(N, k, n2))
+        del normal1, uniform1, normal2     # read; a draw of 10**6 subjects is large
         u = uniform2[:, k * n2 :]
         T1 = _event_times(self.gamma1, self.k1, Z1, u[:, :n1])
         T2 = _event_times(self.gamma2, self.k2, Z2, u[:, n1 : n1 + n2])
         if self.censored:
-            C1 = CENSOR_BOUNDS[0] * u[:, n1 + n2 : 2 * n1 + n2]
-            C2 = CENSOR_BOUNDS[1] * u[:, 2 * n1 + n2 :]
-            X1, d1 = np.minimum(T1, C1), (T1 <= C1).astype(float)
-            X2, d2 = np.minimum(T2, C2), (T2 <= C2).astype(float)
+            # C is scaled in place in the uniforms; X overwrites T once the
+            # event flags are taken
+            C1, C2 = u[:, n1 + n2 : 2 * n1 + n2], u[:, 2 * n1 + n2 :]
+            C1 *= CENSOR_BOUNDS[0]
+            C2 *= CENSOR_BOUNDS[1]
+            d1, d2 = (T1 <= C1).astype(float), (T2 <= C2).astype(float)
+            X1, X2 = np.minimum(T1, C1, out=T1), np.minimum(T2, C2, out=T2)
         else:
             X1, d1 = T1, np.ones((N, n1))
             X2, d2 = T2, np.ones((N, n2))
@@ -166,8 +170,11 @@ def _covariates(group: int, p: int, normal: np.ndarray, uniform: np.ndarray) -> 
 def _event_times(gamma, shape, Z, u) -> np.ndarray:
     """Inverse-transform Weibull times with scale exp(gamma'Z) from uniforms
     ``u`` shaped like Z without its last axis."""
-    scale = np.exp(Z @ np.asarray(gamma, dtype=float))
-    return scale * (-np.log(u)) ** (1.0 / shape)
+    t = np.log(u)
+    np.negative(t, out=t)
+    t **= 1.0 / shape
+    t *= np.exp(Z @ np.asarray(gamma, dtype=float))
+    return t
 
 
 def simulate_dataset(scenario: Scenario, rng: np.random.Generator) -> TwoSampleDataset:

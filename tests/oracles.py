@@ -56,7 +56,6 @@ from releff.inference import (
     WarpSpeedResult,
     _logit_reference,
     _logit_start,
-    _replicate_rng,
     scale_estimates,
 )
 from releff.pseudo import pseudo_matrix
@@ -341,6 +340,12 @@ def resampled(data: TwoSampleDataset, idx1, idx2) -> TwoSampleDataset:
     )
 
 
+def replicate_rng(seed, m):
+    """The generator of run or replicate m of a loop seeded with ``seed``,
+    built by numpy's own SeedSequence."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m,)))
+
+
 def resample_indices(rng, n1, n2):
     """Within-group resampling with replacement, one generator call per
     group, group 1 first."""
@@ -434,7 +439,7 @@ def warp_speed(make_dataset, M, seed=0, spec=None, coefficients=None, alpha=0.05
     centered = []
     singular = nonconverged = saturated_runs = 0
     for m in range(M):
-        rng = _replicate_rng(seed, m)
+        rng = replicate_rng(seed, m)
         data = make_dataset(rng)
         try:
             base = matrix_fit(spec, data)

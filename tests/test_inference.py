@@ -19,7 +19,6 @@ from releff.inference import (
     scale_estimates,
     warp_speed,
     _logit_reference,
-    _replicate_rng,
     _two_sided_z,
     resample_indices,
 )
@@ -53,10 +52,48 @@ def test_bootstrap_is_deterministic(rng):
 
 def test_replicate_streams_are_order_independent():
     # stream b must not depend on how many replicates ran before it
-    draws_forward = [_replicate_rng(9, b).integers(0, 1000, 4) for b in range(5)]
-    draws_reversed = [_replicate_rng(9, b).integers(0, 1000, 4) for b in reversed(range(5))]
+    draws_forward = [oracles.replicate_rng(9, b).integers(0, 1000, 4) for b in range(5)]
+    draws_reversed = [oracles.replicate_rng(9, b).integers(0, 1000, 4) for b in reversed(range(5))]
     for b in range(5):
         np.testing.assert_array_equal(draws_forward[b], draws_reversed[4 - b])
+
+
+@pytest.mark.parametrize("runs", [range(0, 5), range(160, 320), range(2**32 - 3, 2**32 + 3)],
+                         ids=["0-4", "160-319", "2**32-3..2**32+2"])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**70, 3**80, 20260117,
+                                  np.int64(7)], ids=repr)
+def test_chunk_generators_are_seed_sequence_streams(seed, runs):
+    # a chunk's generators, seeded in one pass, are numpy's
+    # default_rng(SeedSequence(seed, spawn_key=(m,))) bit for bit; runs from
+    # 2**32 on take a second spawn word
+    got = inference._replicate_rngs(seed, runs)
+    assert len(got) == len(runs)
+    for rng, m in zip(got, runs):
+        want = oracles.replicate_rng(seed, m)
+        assert rng.bit_generator.state == want.bit_generator.state, m
+        np.testing.assert_array_equal(rng.integers(0, 2**63, 5), want.integers(0, 2**63, 5))
+        assert rng.random() == want.random()
+
+
+@pytest.mark.parametrize("seed", [3, 2**70])
+def test_run_generator_does_not_depend_on_its_chunk(seed):
+    runs = range(2**32 - 4, 2**32 + 4)
+    whole = inference._replicate_rngs(seed, runs)
+    halves = inference._replicate_rngs(seed, runs[:3]) + inference._replicate_rngs(seed, runs[3:])
+    for rng, half, m in zip(whole, halves, runs):
+        (alone,) = inference._replicate_rngs(seed, range(m, m + 1))
+        assert rng.bit_generator.state == alone.bit_generator.state == half.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-3), -(2**70)], ids=repr)
+def test_negative_seed_is_refused(rng, seed):
+    from releff.sim import make_scenario
+
+    data = random_dataset(rng, 8, 8, censored=True)
+    with pytest.raises(ValueError, match="non-negative"):
+        bootstrap(data, B=5, seed=seed)
+    with pytest.raises(ValueError, match="non-negative"):
+        warp_speed(make_scenario("i", "II", 10, 10, censored=False), M=5, seed=seed)
 
 
 @pytest.mark.parametrize("n1, n2", [(2, 2), (13, 17), (40, 60), (50, 50), (3, 1000)])
@@ -65,7 +102,7 @@ def test_one_call_resample_is_the_two_call_stream(n1, n2):
     # group draws and leave the generator in the same state, so the pinned
     # Monte Carlo and bootstrap streams do not move
     for seed in range(3):
-        got_rng, want_rng = _replicate_rng(seed, 5), _replicate_rng(seed, 5)
+        got_rng, want_rng = oracles.replicate_rng(seed, 5), oracles.replicate_rng(seed, 5)
         got = resample_indices(got_rng, n1, n2)
         want = oracles.resample_indices(want_rng, n1, n2)
         for g, w in zip(got, want):
@@ -79,7 +116,7 @@ def test_single_replicate_matches_manual_refit(rng):
     data = random_dataset(rng, 10, 10, censored=True)
     spec = FitSpec()
     ens = bootstrap(data, spec=spec, B=1, seed=3)
-    idx1, idx2 = oracles.resample_indices(_replicate_rng(3, 0), data.n1, data.n2)
+    idx1, idx2 = oracles.resample_indices(oracles.replicate_rng(3, 0), data.n1, data.n2)
     manual = spec.fit(resampled(data, idx1, idx2))
     np.testing.assert_allclose(ens.replicates[0], manual.beta)
 
@@ -349,7 +386,7 @@ def test_nonconverged_bootstrap_refit_counts_as_failed(monkeypatch, rng):
     data = random_dataset(rng, 10, 10, censored=True)
     real = FitSpec._newton
     # resamples 2 and 6 stall from every start, the fallback's included
-    stalling_data = [resampled(data, *oracles.resample_indices(_replicate_rng(0, b), 10, 10))
+    stalling_data = [resampled(data, *oracles.resample_indices(oracles.replicate_rng(0, b), 10, 10))
                      for b in (2, 6)]
 
     def stalling(self, star, start, labels=None):
@@ -515,7 +552,7 @@ def test_bootstrap_matches_per_replicate_refits():
         reference = _logit_reference(identity.beta, data.covariates1, data.covariates2,
                                      ens.base_fit.beta)
         for b in range(30):
-            idx1, idx2 = oracles.resample_indices(_replicate_rng(2, b), data.n1, data.n2)
+            idx1, idx2 = oracles.resample_indices(oracles.replicate_rng(2, b), data.n1, data.n2)
             star = resampled(data, idx1, idx2)
             want = oracles.matrix_fit(spec, star, reference)
             usable = want.converged and not oracles.saturated(spec, want, star)
@@ -566,7 +603,7 @@ def test_logit_refits_run_newton_on_distinct_subjects(monkeypatch, rng):
     bootstrap(data, spec=FitSpec(link=LOGIT), B=5, seed=1)
     want = [(15, 12)]
     for b in range(5):
-        idx1, idx2 = oracles.resample_indices(_replicate_rng(1, b), 15, 12)
+        idx1, idx2 = oracles.resample_indices(oracles.replicate_rng(1, b), 15, 12)
         want.append((np.unique(idx1).size, np.unique(idx2).size))
     # a refit that fails from next to the base fit, or stops at a root that
     # is not a maximum, is fitted once more on the same subjects
@@ -592,7 +629,7 @@ def test_refits_read_their_distinct_subjects_from_the_labels_of_the_data(rng):
     groups = ((data.times1, data.events1, data.covariates1),
               (data.times2, data.events2, data.covariates2))
     draws = [(np.arange(data.n1), np.arange(data.n2))]
-    draws += [oracles.resample_indices(_replicate_rng(3, b), data.n1, data.n2) for b in range(30)]
+    draws += [oracles.resample_indices(oracles.replicate_rng(3, b), data.n1, data.n2) for b in range(30)]
     for idx in draws:
         for label, index, columns in zip(labels, idx, groups):
             got = inference._distinct_subjects(label[index])
@@ -651,7 +688,7 @@ def test_anchored_refits_stay_within_the_determination_of_the_cold_root(seed, ce
     data = random_dataset(rng, n1, n2, censored=censored)
     ens = bootstrap(data, spec=spec, B=20, seed=seed)
     for b in range(20):
-        idx1, idx2 = oracles.resample_indices(_replicate_rng(seed, b), n1, n2)
+        idx1, idx2 = oracles.resample_indices(oracles.replicate_rng(seed, b), n1, n2)
         star = resampled(data, idx1, idx2)
         cold = spec._newton(star, spec._identity(stack_datasets([star])).beta[0])
         usable = (cold.converged and np.isfinite(cold.beta).all()

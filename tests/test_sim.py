@@ -8,7 +8,6 @@ import pytest
 import oracles
 from releff.inference import (
     FitSpec,
-    _replicate_rng,
     _simulated_chunk,
     warp_speed,
 )
@@ -227,10 +226,10 @@ class TestStackSimulation:
             runs = range(5, 5 + size)
             stack, idx1, idx2 = _simulated_chunk(sc.simulate, 7, runs)
             for k, m in enumerate(runs):
-                rng = _replicate_rng(7, m)
+                rng = oracles.replicate_rng(7, m)
                 data = simulate_dataset(sc, rng)
                 want1, want2 = oracles.resample_indices(rng, sc.n1, sc.n2)
-                drawn = oracles.simulate_dataset(sc, _replicate_rng(7, m))
+                drawn = oracles.simulate_dataset(sc, oracles.replicate_rng(7, m))
                 for f in fields(TwoSampleDataset):
                     got = getattr(stack[k], f.name)
                     assert np.array_equal(got, getattr(data, f.name)), (size, m, f.name)
