@@ -9,8 +9,8 @@ BLAS thread variables and per-cell seconds and failure counts) is written
 beside the CSV as `<out stem>.manifest.json`.  Quick by default; pass
 --reps 10000 with --long-run for a full-scale run.  On a 2-vCPU Xeon VM
 with one BLAS thread a censoring half takes about 1.2-1.5 s at --reps 200,
-most of it start-up, and about 24-30 s at --reps 10000 (0.8-1.7 s per
-cell).
+most of it start-up, and about 35-38 s at --reps 10000 on a busy host
+(1.2-2.3 s per cell).
 """
 
 import argparse

@@ -280,14 +280,45 @@ def design_second_moment(Z1, Z2) -> np.ndarray:
     return out
 
 
+# a design is certified full rank when its lower bound on the smallest
+# eigenvalue clears matrix_rank's tolerance by this factor, which absorbs the
+# rounding of the LU determinant and of eigvalsh
+RANK_CERTIFICATE_MARGIN = 1e6
+
+
+def _full_rank_certified(Sigma) -> np.ndarray:
+    """Which of the finite p x p second moments ``Sigma`` (N, p, p) are full
+    rank as ``np.linalg.matrix_rank(Sigma, hermitian=True)`` counts ranks,
+    certified without eigenvalues; False means undecided.
+
+    For a PSD Sigma every eigenvalue is at most tr Sigma, and by AM-GM on
+    the other p - 1 the smallest is at least det Sigma ((p - 1) / tr Sigma)^(p - 1).
+    matrix_rank's tolerance is at most p eps tr Sigma, so a bound above
+    RANK_CERTIFICATE_MARGIN times that certifies full rank.  The test is taken
+    in logs, so nothing overflows."""
+    p = Sigma.shape[-1]
+    # an exactly singular Sigma has sign 0 and logdet -inf, and a trace that
+    # overflows or is not positive gives a bound that is not finite: neither
+    # certifies anything
+    with np.errstate(all="ignore"):
+        sign, logdet = np.linalg.slogdet(Sigma)
+        log_trace = np.log(np.trace(Sigma, axis1=-2, axis2=-1))
+        # (p - 1) log(p - 1) is 0 at p = 1 and p = 2
+        log_bound = logdet + (p - 1) * np.log(max(p - 1, 1)) - p * log_trace
+    return (sign > 0) & (log_bound > np.log(RANK_CERTIFICATE_MARGIN * p * np.finfo(float).eps))
+
+
 def solve_identity(row_means, col_means, Z1, Z2, strict_singular: bool = False) -> FitResult:
     """Exact identity-link fits of N datasets, as a stack of fits, from their
     pseudo-matrix marginals: row means (N, n1), column means (N, n2) and
     covariates (N, n1, p1), (N, n2, p2); ``gradient_norm`` is max |psi - Sigma beta|.
 
-    A rank-deficient design, as ``np.linalg.matrix_rank`` counts ranks, is
-    solved by pseudo-inverse (``used_pinv``), or with ``strict_singular`` left
-    unsolved: NaN coefficients, ``converged`` False.  A design whose second
+    A rank-deficient design, as ``np.linalg.matrix_rank(Sigma,
+    hermitian=True)`` counts ranks, is solved by pseudo-inverse
+    (``used_pinv``), or with ``strict_singular`` left unsolved: NaN
+    coefficients, ``converged`` False.  Only designs that a determinant
+    bound (``_full_rank_certified``) does not certify full rank go to
+    ``matrix_rank``; the decisions are the same.  A design whose second
     moments overflow is left unsolved with NaN coefficients.
     """
     n1, n2 = row_means.shape[-1], col_means.shape[-1]
@@ -302,7 +333,11 @@ def solve_identity(row_means, col_means, Z1, Z2, strict_singular: bool = False) 
     )
     finite = np.isfinite(Sigma).all(axis=(-2, -1))
     deficient = np.zeros(finite.shape, dtype=bool)
-    deficient[finite] = np.linalg.matrix_rank(Sigma[finite], hermitian=True) < psi.shape[-1]
+    uncertain = np.flatnonzero(finite)
+    uncertain = uncertain[~_full_rank_certified(Sigma[uncertain])]
+    if uncertain.size:
+        deficient[uncertain] = (np.linalg.matrix_rank(Sigma[uncertain], hermitian=True)
+                                < psi.shape[-1])
     beta = np.full(psi.shape, np.nan)
     full = finite & ~deficient
     if full.any():

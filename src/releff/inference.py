@@ -24,9 +24,11 @@ memory does not grow with B or M, and a Monte Carlo task of a few hundred
 runs at that size pays the fixed cost of a stacked fit once or twice.
 A chunk is one ``TwoSampleDataset`` stack: warp-speed runs are simulated
 straight into it, and no dataset object is built per run.  Each run or
-replicate draws its whole resample, both groups, in one generator call;
-``_simulated_chunk`` draws the streams of a chunk for both loops.  A failed
-fit is counted under the first of ``FAILURE_CAUSES`` that applies to it.
+replicate draws its resample with scalar bounds, one generator call for
+both groups when they are equal and one per group otherwise, into the
+chunk's index blocks; ``_simulated_chunk`` draws the streams of a chunk for
+both loops.  A failed fit is counted under the first of ``FAILURE_CAUSES``
+that applies to it.
 
 ``decide`` turns one coefficient's centered replicates into the four test
 decisions; ``test_coefficient`` applies it to one estimate and
@@ -345,16 +347,16 @@ def _replicate_rngs(seed: int, runs: range) -> list:
 
 
 def resample_indices(rng: np.random.Generator, n1: int, n2: int):
-    """Within-group resampling with replacement; group 1 drawn first.
-
-    Both groups come from one call with the bound n1 for the first n1 draws
-    and n2 for the rest, which gives the stream of
-    ``rng.integers(0, n1, size=n1)`` followed by
-    ``rng.integers(0, n2, size=n2)``."""
-    high = np.full(n1 + n2, n2)
-    high[:n1] = n1
-    idx = rng.integers(0, high)
-    return idx[:n1], idx[n1:]
+    """Within-group resampling with replacement; group 1 drawn first, as
+    ``rng.integers(0, n1, size=n1)`` followed by ``rng.integers(0, n2,
+    size=n2)``.  Equal groups take one call of size n1 + n2, which draws
+    that same stream: PCG64 keeps a spare 32-bit half from one call to the
+    next.  The bounds are scalars, as ``integers`` checks array bounds in
+    Python on every call."""
+    if n1 == n2:
+        idx = rng.integers(0, n1, size=n1 + n2)
+        return idx[:n1], idx[n1:]
+    return rng.integers(0, n1, size=n1), rng.integers(0, n2, size=n2)
 
 
 def bootstrap(
@@ -483,12 +485,15 @@ class WarpSpeedResult:
 
 def _simulated_chunk(draw, seed: int, runs: range):
     """The stack ``draw(rngs)``, one generator per run in ``runs``, and each
-    run's resample (idx1, idx2): run m draws its dataset, then its resample,
-    from the stream (seed, m).  The bootstrap's ``draw`` draws nothing."""
+    run's resample as rows of two int64 blocks (idx1, idx2): run m draws its
+    dataset, then its resample, from the stream (seed, m).  The bootstrap's
+    ``draw`` draws nothing."""
     rngs = _replicate_rngs(seed, runs)
     stack = draw(rngs)
-    draws = [resample_indices(rng, stack.n1, stack.n2) for rng in rngs]
-    idx1, idx2 = (np.stack(idx) for idx in zip(*draws))
+    idx1 = np.empty((len(rngs), stack.n1), dtype=np.int64)
+    idx2 = np.empty((len(rngs), stack.n2), dtype=np.int64)
+    for k, rng in enumerate(rngs):
+        idx1[k], idx2[k] = resample_indices(rng, stack.n1, stack.n2)
     return stack, idx1, idx2
 
 

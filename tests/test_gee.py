@@ -309,6 +309,90 @@ class TestSolveIdentity:
         assert (~strict.converged).tolist() == deficient.tolist()
         assert not strict.used_pinv.any()
 
+    @staticmethod
+    def rank_edge_designs(rng):
+        """(Z1, Z2) stacks at the edge of the rank rule: a second group-1
+        column equal to the first plus delta times noise, for delta from
+        1e-2 to 1e-14; covariates scaled by 1e-100 and 1e100; and no
+        covariates at all (p = 1)."""
+        Z1 = rng.standard_normal((13, 4, 20, 2))
+        Z1[..., 1] = Z1[..., 0] + 10.0 ** -np.arange(2, 15)[:, None, None] * Z1[..., 1]
+        yield Z1.reshape(52, 20, 2), rng.standard_normal((52, 15, 1))
+        for scale in (1e-100, 1e100):
+            Z1, Z2 = rng.standard_normal((4, 20, 2)), rng.standard_normal((4, 15, 1))
+            yield scale * Z1, scale * Z2
+            yield scale * Z1, Z2
+        yield np.zeros((4, 20, 0)), np.zeros((4, 15, 0))
+
+    def test_rank_decisions_at_the_edges_match_matrix_rank(self, rng):
+        certified, deficient_all = [], []
+        for Z1, Z2 in self.rank_edge_designs(rng):
+            Sigma = design_second_moment(Z1, Z2)
+            deficient = np.linalg.matrix_rank(Sigma, hermitian=True) < Sigma.shape[-1]
+            rows, cols = rng.random((len(Z1), Z1.shape[1])), rng.random((len(Z2), Z2.shape[1]))
+            loose = solve_identity(rows, cols, Z1, Z2)
+            strict = solve_identity(rows, cols, Z1, Z2, strict_singular=True)
+            assert loose.used_pinv.tolist() == deficient.tolist()
+            assert loose.converged.all()
+            assert (~strict.converged).tolist() == deficient.tolist()
+            assert not strict.used_pinv.any()
+            certified.append(gee._full_rank_certified(Sigma))
+            deficient_all.append(deficient)
+            assert not (certified[-1] & deficient).any()
+        certified, deficient = np.concatenate(certified), np.concatenate(deficient_all)
+        # both paths are taken: some designs are certified, and both full-rank
+        # and deficient designs fall back to matrix_rank
+        assert certified.any()
+        assert (~certified & ~deficient).any() and deficient.any()
+
+    def test_underflowing_singular_design_is_not_certified(self, rng):
+        # a group-1 covariate of about 1e-307 squares to exactly 0, so Sigma
+        # is singular and slogdet takes the log of a zero pivot; that must not
+        # warn, and the design must reach matrix_rank
+        tiny = 3.051345044157546e-307
+        Z1 = np.array([tiny, tiny, 0.0])[None, :, None]
+        Z2 = np.array([-1.5, -2.98046875, -0.75, -0.75, -1.5, -0.75, 0.0, 0.0])[None, :, None]
+        Sigma = design_second_moment(Z1, Z2)
+        assert Sigma[0, 1, 1] == 0.0
+        assert not gee._full_rank_certified(Sigma).any()
+        fits = solve_identity(rng.random((1, 3)), rng.random((1, 8)), Z1, Z2)
+        assert fits.used_pinv.tolist() == [True]
+
+    @staticmethod
+    def designs_handed_to_matrix_rank(monkeypatch):
+        handed = []
+        real = np.linalg.matrix_rank
+
+        def counted(A, *args, **kwargs):
+            handed.extend(A)
+            return real(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+        return handed
+
+    @pytest.mark.parametrize("censored", [True, False], ids=["censored", "uncensored"])
+    def test_simulated_chunk_designs_are_all_certified(self, monkeypatch, censored):
+        from releff.inference import _chunk_size, warp_speed
+        from releff.sim import make_scenario
+
+        assert _chunk_size(50, 50) == 160
+        handed = self.designs_handed_to_matrix_rank(monkeypatch)
+        # one chunk: 160 base fits and 160 refits of their resamples
+        result = warp_speed(make_scenario("iv", "II", 50, 50, censored), M=160, seed=3)
+        assert result.failed == 0
+        assert handed == []
+
+    def test_deficient_designs_all_reach_matrix_rank(self, monkeypatch, rng):
+        handed = self.designs_handed_to_matrix_rank(monkeypatch)
+        deficient = []
+        for Z1, Z2 in self.rank_edge_designs(rng):
+            Sigma = design_second_moment(Z1, Z2)
+            fits = solve_identity(rng.random(Z1.shape[:2]), rng.random(Z2.shape[:2]), Z1, Z2)
+            deficient += list(Sigma[fits.used_pinv])
+        assert len(deficient) > 0
+        for S in deficient:
+            assert any(np.array_equal(S, h) for h in handed)
+
     def test_overflowing_design_is_left_unsolved(self):
         Z1 = np.array([[[1e200], [2e200], [3e200]], [[0.1], [0.5], [0.2]]])
         Z2 = np.array([[[1e200], [2.5e200], [3e200]], [[0.3], [0.9], [0.4]]])

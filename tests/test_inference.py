@@ -96,11 +96,13 @@ def test_negative_seed_is_refused(rng, seed):
         warp_speed(make_scenario("i", "II", 10, 10, censored=False), M=5, seed=seed)
 
 
-@pytest.mark.parametrize("n1, n2", [(2, 2), (13, 17), (40, 60), (50, 50), (3, 1000)])
-def test_one_call_resample_is_the_two_call_stream(n1, n2):
-    # one bounded-integer call over both groups must draw what one call per
-    # group draws and leave the generator in the same state, so the pinned
-    # Monte Carlo and bootstrap streams do not move
+@pytest.mark.parametrize("n1, n2", [(2, 2), (7, 7), (11, 11), (13, 17), (40, 60), (50, 50),
+                                    (3, 1000)])
+def test_scalar_bound_resample_is_the_per_group_stream(n1, n2):
+    # equal groups draw both in one scalar-bound call, unequal ones in one
+    # call per group; either must draw what one call per group draws and
+    # leave the generator in the same state, so the pinned Monte Carlo and
+    # bootstrap streams do not move
     for seed in range(3):
         got_rng, want_rng = oracles.replicate_rng(seed, 5), oracles.replicate_rng(seed, 5)
         got = resample_indices(got_rng, n1, n2)
@@ -110,6 +112,18 @@ def test_one_call_resample_is_the_two_call_stream(n1, n2):
             np.testing.assert_array_equal(g, w)
         assert got_rng.integers(0, 2**40) == want_rng.integers(0, 2**40)
         np.testing.assert_array_equal(got_rng.random(3), want_rng.random(3))
+
+
+@pytest.mark.parametrize("n1, n2", [(7, 7), (11, 17), (50, 50)])
+def test_chunk_index_blocks_stack_the_per_run_draws(n1, n2):
+    whole = stack_datasets([random_dataset(np.random.default_rng(n1), n1, n2)])
+    runs = range(3, 43)
+    stack, idx1, idx2 = inference._simulated_chunk(lambda rngs: whole, 5, runs)
+    assert stack is whole
+    want = [oracles.resample_indices(oracles.replicate_rng(5, m), n1, n2) for m in runs]
+    for got, per_run in zip((idx1, idx2), zip(*want)):
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, np.stack(per_run))
 
 
 def test_single_replicate_matches_manual_refit(rng):
