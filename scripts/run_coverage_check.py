@@ -9,10 +9,9 @@ import argparse
 import sys
 
 import numpy as np
-from scipy.special import ndtri
 
 from releff.gee import sandwich_covariance_uncensored
-from releff.inference import FitSpec
+from releff.inference import FitSpec, _two_sided_z
 from releff.sim import make_scenario, simulate_dataset
 
 
@@ -27,7 +26,7 @@ def main(argv=None):
 
     scenario = make_scenario("i", "II", args.n1, args.n2, censored=False)
     spec = FitSpec()
-    z = ndtri(1 - args.alpha / 2)
+    z = _two_sided_z(args.alpha)
     idx = list(scenario.coefficient_indices)
     covered = np.zeros(len(idx))
     for m in range(args.reps):

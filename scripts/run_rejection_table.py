@@ -8,9 +8,10 @@ printed, and a manifest (the command line, seed, reps, library versions,
 BLAS thread variables and per-cell seconds and failure counts) is written
 beside the CSV as `<out stem>.manifest.json`.  Quick by default; pass
 --reps 10000 with --long-run for a full-scale run.  On a 2-vCPU Xeon VM
-with one BLAS thread a censoring half takes about 1.2-1.5 s at --reps 200,
-most of it start-up, and about 35-38 s at --reps 10000 on a busy host
-(1.2-2.3 s per cell).
+with one BLAS thread a censoring half takes about 0.9-1.1 s at --reps 200,
+most of it start-up, and 23.3 s for
+`OPENBLAS_NUM_THREADS=1 python scripts/run_rejection_table.py --reps 10000
+--long-run --censored` (0.8-1.3 s per cell).
 """
 
 import argparse

@@ -357,13 +357,11 @@ def _sha256(path) -> str:
 
 
 def library_versions() -> dict:
-    """The releff, python, numpy, scipy and BLAS versions and the BLAS thread
+    """The releff, python, numpy and BLAS versions and the BLAS thread
     variables (``unset`` when absent), keyed as a manifest records them.
 
     The BLAS is ``unknown`` when numpy cannot name it (before numpy 1.25,
     ``show_config`` has no ``mode``)."""
-    import scipy   # the small package: scipy.special loads only at the first z
-
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
@@ -371,7 +369,7 @@ def library_versions() -> dict:
         blas = "unknown"
     return {
         "releff": __version__, "python": platform.python_version(),
-        "numpy": np.__version__, "scipy": scipy.__version__, "blas": blas,
+        "numpy": np.__version__, "blas": blas,
         **{f"env.{name}": os.environ.get(name, "unset") for name in BLAS_THREAD_VARIABLES},
     }
 

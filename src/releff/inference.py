@@ -24,11 +24,11 @@ memory does not grow with B or M, and a Monte Carlo task of a few hundred
 runs at that size pays the fixed cost of a stacked fit once or twice.
 A chunk is one ``TwoSampleDataset`` stack: warp-speed runs are simulated
 straight into it, and no dataset object is built per run.  Each run or
-replicate draws its resample with scalar bounds, one generator call for
-both groups when they are equal and one per group otherwise, into the
-chunk's index blocks; ``_simulated_chunk`` draws the streams of a chunk for
-both loops.  A failed fit is counted under the first of ``FAILURE_CAUSES``
-that applies to it.
+replicate draws its resample of both groups in one generator call, with a
+scalar bound when they are equal and an array bound built once per chunk
+otherwise, into the chunk's index blocks; ``_simulated_chunk`` draws the
+streams of a chunk for both loops.  A failed fit is counted under the first
+of ``FAILURE_CAUSES`` that applies to it.
 
 ``decide`` turns one coefficient's centered replicates into the four test
 decisions; ``test_coefficient`` applies it to one estimate and
@@ -84,6 +84,42 @@ THETA_CLIP = (0.02, 0.98)
 # STACK_ELEMENTS // (n1 + n2 + 2) datasets (160 at n1 = n2 = 50, a few MB
 # of working set)
 STACK_ELEMENTS = 1 << 14
+
+
+# Cephes ndtri: sqrt(2 pi), exp(-2), and the (numerator, denominator)
+# coefficients of the centre, |y - 1/2| <= 1/2 - exp(-2), and of the tails
+# with x = sqrt(-2 log y) below and from 8 (y = exp(-32))
+_SQRT_2PI, _EXP_M2 = 2.50662827463100050242E0, 0.13533528323661269189
+_NDTRI_CENTRE = (
+    (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+     1.39312609387279679503E1, -1.23916583867381258016E0),
+    (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+     -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+     1.59056225126211695515E1, -1.18331621121330003142E0),
+)
+_NDTRI_TAIL = (
+    (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+     4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+     -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4),
+    (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+     1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+     -3.80806407691578277194E-2, -9.33259480895457427372E-4),
+)
+_NDTRI_FAR = (
+    (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+     1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+     3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9),
+    (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+     2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+     2.89247864745380683936E-6, 6.79019408009981274425E-9),
+)
+
+# glibc raises its mmap and trim thresholds (mallopt(3)) to the size of the
+# largest mmap'd block freed so far.  Freeing this 8 MiB block, never
+# written and so never resident, lifts them for the whole process: the
+# temporaries of a stacked Monte Carlo chunk are then reused from the heap
+# instead of being unmapped and faulted back in on every task.
+np.empty(1 << 20)
 
 
 def _chunk_size(n1: int, n2: int) -> int:
@@ -346,17 +382,25 @@ def _replicate_rngs(seed: int, runs: range) -> list:
     return [np.random.Generator(np.random.PCG64(_StateWords(row))) for row in state]
 
 
-def resample_indices(rng: np.random.Generator, n1: int, n2: int):
+def _resample_bound(n1: int, n2: int) -> np.ndarray:
+    """The array bound of an unequal-size resample: n1 n1 times, then n2 n2 times."""
+    return np.repeat(np.array([n1, n2]), (n1, n2))
+
+
+def resample_indices(rng: np.random.Generator, n1: int, n2: int, high=None):
     """Within-group resampling with replacement; group 1 drawn first, as
     ``rng.integers(0, n1, size=n1)`` followed by ``rng.integers(0, n2,
-    size=n2)``.  Equal groups take one call of size n1 + n2, which draws
-    that same stream: PCG64 keeps a spare 32-bit half from one call to the
-    next.  The bounds are scalars, as ``integers`` checks array bounds in
-    Python on every call."""
+    size=n2)``.  Both groups take one call, which draws that same stream
+    and leaves the generator in the same state: PCG64 keeps a spare 32-bit
+    half from one call to the next.  Equal groups take the scalar bound n1
+    and size n1 + n2; unequal ones the array bound ``high`` of
+    ``_resample_bound``, which a caller drawing many resamples builds once,
+    as ``integers`` checks array bounds in Python on every call."""
     if n1 == n2:
         idx = rng.integers(0, n1, size=n1 + n2)
-        return idx[:n1], idx[n1:]
-    return rng.integers(0, n1, size=n1), rng.integers(0, n2, size=n2)
+    else:
+        idx = rng.integers(0, _resample_bound(n1, n2) if high is None else high)
+    return idx[:n1], idx[n1:]
 
 
 def bootstrap(
@@ -419,13 +463,42 @@ def scale_estimates(values: np.ndarray):
     return emp, iqr, mad
 
 
+def _polynomial_ratio(x: float, p, q) -> float:
+    """x * polevl(x, p) / p1evl(x, q) in Cephes' order of operations; the
+    denominator's leading coefficient 1 is implicit."""
+    num = p[0]
+    for c in p[1:]:
+        num = num * x + c
+    den = x + q[0]
+    for c in q[1:]:
+        den = den * x + c
+    return x * num / den
+
+
+def _ndtri(y0: float) -> float:
+    """The standard normal quantile at y0 by Cephes' ``ndtri`` (Moshier,
+    *Methods and Programs for Mathematical Functions*, 1989), the algorithm
+    of ``scipy.special.ndtri``: the same coefficients, branch points and
+    order of operations give the same bits.  -inf at 0, inf at 1, NaN at
+    NaN and off [0, 1]."""
+    if y0 == 0:
+        return -math.inf
+    if y0 == 1:
+        return math.inf
+    if not 0 < y0 < 1:
+        return math.nan
+    y, negate = (1 - y0, False) if y0 > 1 - _EXP_M2 else (y0, True)
+    if y > _EXP_M2:
+        y -= 0.5
+        return (y + y * _polynomial_ratio(y * y, *_NDTRI_CENTRE)) * _SQRT_2PI
+    x = math.sqrt(-2 * math.log(y))
+    x = x - math.log(x) / x - _polynomial_ratio(1 / x, *(_NDTRI_TAIL if x < 8 else _NDTRI_FAR))
+    return -x if negate else x
+
+
 def _two_sided_z(alpha: float) -> float:
-    """z at 1 - alpha/2 from ``ndtri``, which is what ``norm.ppf`` evaluates.
-
-    Imported here, as only the bootstrap tests read z: ``scipy.special`` is most of start-up."""
-    from scipy.special import ndtri
-
-    return float(ndtri(1 - alpha / 2))
+    """z at 1 - alpha/2, bit for bit what ``scipy.stats.norm.ppf`` gives."""
+    return _ndtri(1 - alpha / 2)
 
 
 def decide(estimates, centered: np.ndarray, alpha: float = 0.05) -> dict:
@@ -492,8 +565,9 @@ def _simulated_chunk(draw, seed: int, runs: range):
     stack = draw(rngs)
     idx1 = np.empty((len(rngs), stack.n1), dtype=np.int64)
     idx2 = np.empty((len(rngs), stack.n2), dtype=np.int64)
+    high = _resample_bound(stack.n1, stack.n2)
     for k, rng in enumerate(rngs):
-        idx1[k], idx2[k] = resample_indices(rng, stack.n1, stack.n2)
+        idx1[k], idx2[k] = resample_indices(rng, stack.n1, stack.n2, high)
     return stack, idx1, idx2
 
 

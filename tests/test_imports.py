@@ -2,12 +2,12 @@
 every name its ``__all__`` exports is bound, every module-level private
 name is read somewhere in the package, and no module reads an attribute of
 a name that the benchmark's tracer replaces with a plain function.  In a
-fresh interpreter, importing the package and its CLI loads neither
-``scipy.stats`` nor ``scipy.special``, a fit without a bootstrap leaves
-``scipy.special`` unloaded, and the first bootstrap test loads it."""
+fresh interpreter, importing the package and running each command loads no
+scipy module, and on glibc a warm Monte Carlo task faults in few pages."""
 
 import ast
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -154,17 +154,10 @@ def test_traced_entry_points_are_only_called(module, attribute):
 
 def fresh_interpreter(code: str) -> str:
     """What ``code`` prints in a fresh interpreter; the test modules load
-    scipy.stats and scipy.special themselves."""
+    scipy themselves."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True).stdout
-
-
-def run_cli(argv) -> str:
-    """Code that runs ``releff`` with ``argv`` and then prints its exit code
-    and whether scipy.special was loaded."""
-    return ("import sys; from releff.cli import main; "
-            f"print(main({argv!r}), 'scipy.special' in sys.modules)")
 
 
 @pytest.fixture
@@ -175,23 +168,47 @@ def small_csv(tmp_path):
     return path
 
 
-def test_package_import_loads_neither_scipy_stats_nor_scipy_special():
-    # scipy.stats and scipy.special are most of the start-up time and memory
-    # of each CLI process
-    code = ("import sys, releff, releff.cli; "
-            "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
-    assert fresh_interpreter(code).split() == ["False", "False"]
+COMMANDS = {   # None: import the package and its CLI only
+    "import": None,
+    "fit": ["fit"],
+    "fit-bootstrap": ["fit", "--bootstrap", "20", "--seed", "1"],
+    "test": ["test", "--bootstrap", "20", "--seed", "1"],
+    "predict": ["predict", "--bootstrap", "20", "--seed", "1"],
+    "simulate": ["simulate", "--scenario", "i", "--n1", "10", "--n2", "12", "--reps", "100",
+                 "--seed", "1"],
+}
 
 
-def test_fit_without_bootstrap_leaves_scipy_special_unloaded(small_csv, tmp_path):
-    argv = ["fit", "--data", str(small_csv), "--out-dir", str(tmp_path / "out")]
-    assert fresh_interpreter(run_cli(argv)).split()[-2:] == ["0", "False"]
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_command_loads_scipy(command, small_csv, tmp_path):
+    # releff runs on numpy alone: z comes from inference._ndtri, and the
+    # scipy.special import was most of the start-up time and memory of each
+    # CLI process
+    argv = COMMANDS[command]
+    code = "import sys, releff, releff.cli; "
+    if argv is not None:
+        if command != "simulate":
+            argv = [*argv, "--data", str(small_csv)]
+        argv = [*argv, "--out-dir", str(tmp_path / "out")]
+        code += f"print(releff.cli.main({argv!r})); "
+    code += "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    printed = fresh_interpreter(code).splitlines()
+    assert printed[-1] == "[]"
+    if argv is not None:
+        assert printed[-2] == "0"
 
 
-def test_bootstrap_test_loads_scipy_special_for_the_exact_z(small_csv, tmp_path):
-    argv = ["test", "--data", str(small_csv), "--out-dir", str(tmp_path / "out"),
-            "--seed", "1", "--bootstrap", "20"]
-    code = (run_cli(argv) + "; from scipy.special import ndtri; "
-            "from releff.inference import _two_sided_z; "
-            "print(_two_sided_z(0.05).hex() == float(ndtri(0.975)).hex())")
-    assert fresh_interpreter(code).split()[-3:] == ["0", "True", "True"]
+def test_warm_monte_carlo_tasks_fault_in_few_pages():
+    # the 8 MiB block inference frees at import lifts glibc's mmap and trim
+    # thresholds, so a warm task reuses its chunk's temporaries instead of
+    # faulting them back in: about 4 faults per task with the block, about
+    # 550 without it
+    if not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc":
+        pytest.skip("glibc malloc thresholds")
+    code = ("import resource; from releff import sim; "
+            "sc = sim.make_scenario('iv', 'II', 50, 50, censored=False); "
+            "[sim.run_scenario(sc, M=100, seed=k) for k in range(5)]; "
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+            "[sim.run_scenario(sc, M=100, seed=k) for k in range(5, 35)]; "
+            "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 30)")
+    assert float(fresh_interpreter(code)) < 50

@@ -1,10 +1,12 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 from scipy.stats import norm
 
 import oracles
@@ -19,6 +21,7 @@ from releff.inference import (
     scale_estimates,
     warp_speed,
     _logit_reference,
+    _ndtri,
     _two_sided_z,
     resample_indices,
 )
@@ -97,21 +100,22 @@ def test_negative_seed_is_refused(rng, seed):
 
 
 @pytest.mark.parametrize("n1, n2", [(2, 2), (7, 7), (11, 11), (13, 17), (40, 60), (50, 50),
-                                    (3, 1000)])
+                                    (3, 1000), (80, 50), (3, 2)])
 def test_scalar_bound_resample_is_the_per_group_stream(n1, n2):
-    # equal groups draw both in one scalar-bound call, unequal ones in one
-    # call per group; either must draw what one call per group draws and
-    # leave the generator in the same state, so the pinned Monte Carlo and
+    # both groups are drawn in one call, scalar-bound for equal groups and
+    # array-bound otherwise (the bound built per call or once per chunk);
+    # either must draw what one scalar-bound call per group draws and leave
+    # the generator in the same state, so the pinned Monte Carlo and
     # bootstrap streams do not move
-    for seed in range(3):
-        got_rng, want_rng = oracles.replicate_rng(seed, 5), oracles.replicate_rng(seed, 5)
-        got = resample_indices(got_rng, n1, n2)
-        want = oracles.resample_indices(want_rng, n1, n2)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype
-            np.testing.assert_array_equal(g, w)
-        assert got_rng.integers(0, 2**40) == want_rng.integers(0, 2**40)
-        np.testing.assert_array_equal(got_rng.random(3), want_rng.random(3))
+    for seed in range(200):
+        for high in (None, inference._resample_bound(n1, n2)):
+            got_rng, want_rng = oracles.replicate_rng(seed, 5), oracles.replicate_rng(seed, 5)
+            got = resample_indices(got_rng, n1, n2, high)
+            want = oracles.resample_indices(want_rng, n1, n2)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("n1, n2", [(7, 7), (11, 17), (50, 50)])
@@ -197,10 +201,29 @@ def test_scale_reject_flag_matches_definition():
 
 
 def test_two_sided_z_is_the_normal_quantile_bit_for_bit():
-    # ndtri is what norm.ppf evaluates, so every CI and decision is unchanged
+    # _ndtri ports Cephes' ndtri, which scipy.special.ndtri and norm.ppf
+    # evaluate, so every CI and decision is unchanged; inputs cover both
+    # tails, the branch points exp(-2), 1 - exp(-2) and exp(-32) with their
+    # neighbours, subnormals and the values with no finite quantile
     grid = np.linspace(1e-6, 0.999, 2001).tolist()
     for alpha in [0.05, 0.1, 0.01, 0.001, 1e-10, 0.5, 0.999] + grid:
         assert _two_sided_z(alpha) == float(norm.ppf(1 - alpha / 2)), alpha
+    rng = np.random.default_rng(20)
+    edges = [math.exp(-2), 1 - math.exp(-2), math.exp(-32), 0.5, 5e-324, 2.2e-308, 1e-300]
+    y = np.concatenate([
+        rng.random(10**5),
+        10.0 ** rng.uniform(-300, 0, 10**4),
+        1 - 10.0 ** -rng.uniform(0, 16, 10**4),
+        1 - 10.0 ** -np.arange(1, 17),
+        edges, np.nextafter(edges, 0), np.nextafter(edges, 1),
+        [0.0, -0.0, 1.0, math.nan, -1e-300, -1.0, 1 + 2**-52, 2.0, math.inf, -math.inf],
+    ])
+    got = np.array([_ndtri(v) for v in y.tolist()])
+    np.testing.assert_array_equal(got.view(np.uint64)[~np.isnan(got)],
+                                  ndtri(y).view(np.uint64)[~np.isnan(got)])
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(ndtri(y)))
+    assert got[-10:-7].tolist() == [-math.inf, -math.inf, math.inf]
+    assert np.isnan(got[-7:]).all()     # NaN, below 0 and above 1
 
 
 def test_rejection_monotone_in_alpha():
@@ -343,8 +366,8 @@ def degenerate_resamples(monkeypatch, draws):
     real = inference.resample_indices
     seen = []
 
-    def draw(rng, n1, n2):
-        idx1, idx2 = real(rng, n1, n2)
+    def draw(rng, n1, n2, high=None):
+        idx1, idx2 = real(rng, n1, n2, high)
         seen.append(None)
         if len(seen) - 1 in draws:
             idx1 = np.zeros_like(idx1)
