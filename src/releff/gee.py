@@ -23,8 +23,8 @@ u[i1] v[i2], so a candidate takes n1 + n2 exps, and 1 + exp(-eta) is one
 rank-2 BLAS product per block; mu = 1 / (1 + exp(-eta)), then mu' = mu (1 - mu)
 and mu'' = mu' (1 - 2 mu) follow from mu.  A candidate whose balanced factors
 would leave exp(+-EXP_FACTOR_LIMIT), which only a saturated fit reaches,
-takes one exp per pair instead.  The uncensored sandwich covariance reads
-the pair indicators through sorted prefix sums, without any n1 x n2 array.
+takes one exp per pair instead.  The uncensored sandwich covariance sums
+the pair indicators along ``pseudo._indicator_ranks``, no n1 x n2 array.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pseudo import matrix_working_set
+from .pseudo import _indicator_ranks, matrix_working_set
 from .survival import TwoSampleDataset
 
 log = logging.getLogger("releff")
@@ -425,14 +425,12 @@ def _indicator_products(data: TwoSampleDataset, X1, X2):
     fully observed ``data``, without building D: row i1 of D X2 sums X2 over
     T2 < min(T1[i1], tau), a prefix sum over group 2 sorted by time, and row
     i2 of D' X1 sums X1 over T1 > T2[i2], a suffix sum over group 1 sorted
-    by time, or is 0 where T2[i2] >= tau."""
-    o1, o2 = np.argsort(data.times1, kind="stable"), np.argsort(data.times2, kind="stable")
+    by time, or is 0 where T2[i2] >= tau (``pseudo._indicator_ranks``)."""
+    merged, rows, cols = _indicator_ranks(data.times1, data.times2, data.tau)
+    o1, o2 = merged[merged < data.n1], merged[merged >= data.n1] - data.n1
     prefix = np.concatenate((np.zeros((1, X2.shape[1])), np.cumsum(X2[o2], axis=0)))
     suffix = np.concatenate((np.cumsum(X1[o1][::-1], axis=0)[::-1], np.zeros((1, X1.shape[1]))))
-    DX2 = prefix[np.searchsorted(data.times2[o2], np.minimum(data.times1, data.tau))]
-    DtX1 = suffix[np.searchsorted(data.times1[o1], data.times2, side="right")]
-    DtX1[data.times2 >= data.tau] = 0.0
-    return DX2, DtX1
+    return prefix[rows], suffix[data.n1 - cols]
 
 
 def _shared_row_column_meat(RX2, RtX1, Z1, Z2):

@@ -29,12 +29,13 @@ appended; it writes the leave-one-out curves in row blocks, and
 Given some rows and columns it builds only those entries, from the
 leave-one-out curves of the subjects they name in the whole dataset, so a
 logit fit of a resample builds one row or column per distinct subject.
-The identity-link fit needs only the matrix's row and column means; every
-sum over the leave-one-out curves is a prefix or suffix sum, so
-``pseudo_marginals`` computes them in O(n log n) per dataset, for a stack
-of datasets at once, without any n1 x n2 array.  ``tie_correction_term``
-reads only the full-sample curves P: S(t) is P after the positions with
-times <= t, S(t-) P before the first position at t.
+The identity-link fit needs only the matrix's row and column means: exact
+pair-indicator counts on fully observed data (``_indicator_ranks``, which
+the ``gee`` sandwich reads too), else prefix and suffix sums over the
+leave-one-out curves, so ``pseudo_marginals`` computes them in O(n log n)
+per dataset, for a stack at once, without any n1 x n2 array.
+``tie_correction_term`` reads only the full-sample curves P: S(t) is P
+after the positions with times <= t, S(t-) P before the first one at t.
 """
 
 from __future__ import annotations
@@ -75,6 +76,24 @@ def _indicator_matrix(data: TwoSampleDataset, rows=None, cols=None) -> np.ndarra
     t1 = (data.times1 if rows is None else data.times1[rows])[:, None]
     t2 = (data.times2 if cols is None else data.times2[cols])[None, :]
     return ((t1 > t2) & (t2 < data.tau)).astype(float)
+
+
+def _indicator_ranks(times1: np.ndarray, times2: np.ndarray, tau: float) -> tuple:
+    """One stable argsort of the merged times, (n1 + n2,) or (N, n1 + n2) with
+    group 1 first among ties, and from it the pair indicators' row and column
+    sums in input order: #{T2 < min(T1, tau)} and #{T1 > T2} 1{T2 < tau}."""
+    n1 = times1.shape[-1]
+    merged = np.argsort(np.concatenate((times1, times2), axis=-1), axis=-1, kind="stable")
+    in2 = merged >= n1
+    # c[p] group-2 subjects up to merged position p: a group-1 subject there has
+    # c[p] of them before it, a group-2 one n1 - 1 - p + c[p] group-1 ones after
+    c = np.cumsum(in2, axis=-1)
+    c += in2 * np.arange(n1 - 1, n1 - 1 - in2.shape[-1], -1)
+    counts = np.empty_like(merged)
+    np.put_along_axis(counts, merged, c, axis=-1)
+    below_tau = times2 < tau
+    rows = np.minimum(counts[..., :n1], np.count_nonzero(below_tau, axis=-1)[..., None])
+    return merged, rows, counts[..., n1:] * below_tau
 
 
 def _jump_grid(data: TwoSampleDataset) -> np.ndarray:
@@ -224,17 +243,17 @@ def pseudo_marginals(stack: TwoSampleDataset) -> tuple:
     with th12[i1, i2] = sum_g F1^{-i1}(g) dS2^{-i2}(g) over the group-2 event
     times g < tau, so a row mean needs th1[i1] and F1^{-i1} against the mean
     group-2 jump, and a column mean th2[i2] and dS2^{-i2} against the mean
-    group-1 curve.  Fully observed data take the same path.
+    group-1 curve.  A fully observed dataset takes exact counts (``_indicator_ranks``).
     """
+    if stack.uncensored:
+        _, rows, cols = _indicator_ranks(stack.times1, stack.times2, stack.tau)
+        return rows / stack.n2, cols / stack.n1
     n_sets, n1 = stack.times1.shape
     n2 = stack.n2
     g1 = _SortedLeaveOneOut(stack.times1, stack.events1)
     g2 = _SortedLeaveOneOut(stack.times2, stack.events2)
-    # at[k]: the number of group-1 times <= the k-th group-2 time, i.e. the
-    # column of the group-1 curves at that time (a stable merge puts group 1
-    # first among equal times)
-    merged = np.argsort(np.concatenate((g1.times, g2.times), axis=-1), axis=-1, kind="stable")
-    at = np.cumsum(merged < n1, axis=-1)[merged >= n1].reshape(n_sets, n2)
+    # at[k]: group-1 times <= the k-th group-2 time, the column of the group-1 curves there
+    at = n1 - _indicator_ranks(g1.times, g2.times, np.inf)[2]
     below_tau = g2.times < stack.tau
 
     f = np.take_along_axis(g1.P, at, axis=-1)                    # S1 at group-2 times
@@ -259,6 +278,9 @@ def pseudo_marginals(stack: TwoSampleDataset) -> tuple:
     np.put_along_axis(row_means, g1.order, rows, axis=-1)
     col_means = np.empty_like(cols)
     np.put_along_axis(col_means, g2.order, cols, axis=-1)
+    observed = stack.events1.all(axis=-1) & stack.events2.all(axis=-1)
+    if observed.any():
+        row_means[observed], col_means[observed] = pseudo_marginals(stack[observed])
     return row_means, col_means
 
 

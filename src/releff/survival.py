@@ -72,7 +72,7 @@ class TwoSampleDataset:
 
     @property
     def uncensored(self) -> bool:
-        return bool(np.all(self.events1 == 1) and np.all(self.events2 == 1))
+        return bool(self.events1.all() and self.events2.all())
 
     def __getitem__(self, k: int) -> TwoSampleDataset:
         """Dataset k of a stack."""

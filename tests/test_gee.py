@@ -661,6 +661,18 @@ class TestSandwich:
         np.testing.assert_array_equal(DtX1[:, 0] / data.n1, D.mean(axis=0))
 
     @settings(max_examples=100, deadline=None)
+    @given(data=sandwich_datasets())
+    def test_identity_fit_is_the_fit_on_exact_counts(self, data):
+        """The closed-form fit of fully observed data is ``solve_identity`` on
+        the sandwich's exact indicator counts, bit for bit."""
+        X1 = np.column_stack((np.ones(data.n1), data.covariates1))
+        X2 = np.column_stack((np.ones(data.n2), data.covariates2))
+        DX2, DtX1 = gee._indicator_products(data, X1, X2)
+        counts = solve_identity(DX2[None, :, 0] / data.n2, DtX1[None, :, 0] / data.n1,
+                                data.covariates1[None], data.covariates2[None])
+        np.testing.assert_array_equal(FitSpec().fit(data).beta, counts.beta[0])
+
+    @settings(max_examples=100, deadline=None)
     @given(data=sandwich_datasets(), permutation_seed=st.integers(0, 2**16))
     def test_permuting_subjects_within_groups(self, data, permutation_seed):
         """Metamorphic gate (ROADMAP item 7) of the matrix-free sandwich:

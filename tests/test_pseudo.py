@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -185,6 +187,35 @@ def assert_marginals_match_matrix(m, k, data):
 @example(make([1, 2, 2, 3], [1, 1, 1, 1], [2, 2, 3], [1, 1, 1], tau=2.0))
 def test_marginals_match_pseudo_matrix_under_heavy_ties(data):
     assert_marginals_match_matrix(stacked_marginals([data]), 0, data)
+
+
+@given(heavy_tie_datasets(status=st.just(1)), st.sampled_from([0.0, 3.0]))
+@settings(max_examples=150, deadline=None)
+# negative times, tau on a time both groups hold, n1 != n2
+@example(make([-1, 2, 2, 3], [1, 1, 1, 1], [2, 2, -1], [1, 1, 1], tau=2.0), 0.0)
+def test_fully_observed_marginals_are_exact_indicator_means(data, shift):
+    """Fully observed marginals are the pair-indicator means bit for bit.  A
+    shift of 3 puts the times on -2..2; tau moves with them where it stays
+    positive and is kept otherwise."""
+    data = dataclasses.replace(data, times1=data.times1 - shift, times2=data.times2 - shift,
+                               tau=data.tau - shift if data.tau > shift else data.tau)
+    D = _indicator_matrix(data)
+    row_means, col_means = stacked_marginals([data])
+    np.testing.assert_array_equal(row_means[0], D.mean(axis=1))
+    np.testing.assert_array_equal(col_means[0], D.mean(axis=0))
+
+
+def test_mixed_stack_gives_each_dataset_its_own_marginals(rng):
+    """Each dataset of a stack mixing censored and fully observed datasets
+    gets exactly the marginals of its own one-dataset stack, in either order."""
+    datasets = [random_dataset(rng, 7, 5, censored=k % 3 == 0, tau=1.0) for k in range(12)]
+    assert {d.uncensored for d in datasets} == {False, True}
+    for order in (datasets, datasets[::-1]):
+        row_means, col_means = stacked_marginals(order)
+        for k, data in enumerate(order):
+            alone = stacked_marginals([data])
+            np.testing.assert_array_equal(row_means[k], alone[0][0])
+            np.testing.assert_array_equal(col_means[k], alone[1][0])
 
 
 def test_stacked_marginals_match_each_pseudo_matrix(rng):
