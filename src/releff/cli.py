@@ -381,7 +381,7 @@ def write_manifest(out_dir: Path, command: str, config: AnalysisConfig,
     it reads (B only when a bootstrap ran) and what the run actually used:
     the horizon of ``data``, the failures by cause of the bootstrap
     ``ensemble`` or of the ``montecarlo`` runs, the Newton iterations of
-    the ensemble's refits, how the base ``fit`` was
+    the ensemble's refits and their evaluator sweeps, how the base ``fit`` was
     solved, and the interval of the ``predictions`` and how many of them
     fell outside [0, 1]."""
     versions = library_versions()
@@ -403,6 +403,7 @@ def write_manifest(out_dir: Path, command: str, config: AnalysisConfig,
     if ensemble is not None:
         lines.append(f"bootstrap.unreliable={ensemble.unreliable}")
         lines.append(f"bootstrap.newton_iterations={ensemble.newton_iterations}")
+        lines.append(f"bootstrap.newton_sweeps={ensemble.newton_sweeps}")
     if montecarlo is not None:
         lines.append(f"montecarlo.degenerate={montecarlo.degenerate}")
     if predictions is not None:
@@ -472,6 +473,9 @@ def _prepare(args, predict=False):
     ensemble = bootstrap(data, spec=spec, B=config.B, seed=config.seed) if resample else None
     fit = spec.fit(data) if ensemble is None else ensemble.base_fit
     require_usable(fit)
+    if fit.used_pinv:
+        log.warning("the base fit solved a singular system by pseudo-inverse: a covariate is "
+                    "collinear with others or far off the scale of the rest")
     if ensemble is not None and ensemble.unreliable:
         log.warning("bootstrap unreliable: %d of %d replicates failed",
                     ensemble.failed, ensemble.B)

@@ -23,7 +23,11 @@ u[i1] v[i2], so a candidate takes n1 + n2 exps, and 1 + exp(-eta) is one
 rank-2 BLAS product per block; mu = 1 / (1 + exp(-eta)), then mu' = mu (1 - mu)
 and mu'' = mu' (1 - 2 mu) follow from mu.  A candidate whose balanced factors
 would leave exp(+-EXP_FACTOR_LIMIT), which only a saturated fit reaches,
-takes one exp per pair instead.  The uncensored sandwich covariance sums
+takes one exp per pair instead.  Before Newton evaluates a full step,
+``_step_bound`` bounds the score there from O(n1 + n2) moments of the
+step by Taylor's theorem; when the bound certifies that max |U| would fall
+below TOL, the step is taken without its sweep (``FitResult.sweeps``
+counts the sweeps taken).  The uncensored sandwich covariance sums
 the pair indicators along ``pseudo._indicator_ranks``, no n1 x n2 array.
 """
 
@@ -84,8 +88,12 @@ class FitResult:
     """One fit, or a stack of N fits with a leading axis on every field but
     ``method`` and ``message``; ``fits[k]`` is fit k, as Python bool/int/float.
     A Newton fit also keeps ``jacobian``, the p x p Jacobian J of U at
-    ``beta``; a root of U is a maximum of the fit's potential where J is
-    negative definite."""
+    ``beta``, and ``sweeps``, the evaluations of (U, J) it took; a root of U
+    is a maximum of the fit's potential where J is negative definite.  When
+    Newton's last step is certified (``_step_bound``), ``gradient_norm`` is
+    the certified upper bound on max |U(beta)| and ``jacobian`` is J at the
+    previous iterate, whose largest eigenvalue has the sign of J's at
+    ``beta``."""
 
     beta: np.ndarray
     converged: bool
@@ -95,6 +103,7 @@ class FitResult:
     used_pinv: bool = False
     message: str = ""
     jacobian: np.ndarray | None = None
+    sweeps: int = 0
 
     def __getitem__(self, k: int) -> FitResult:
         return FitResult(self.beta[k], bool(self.converged[k]), int(self.iterations[k]),
@@ -205,13 +214,20 @@ class _Evaluator:
         self.values, self.Z1, self.Z2, self.link = values, Z1, Z2, link
         self.ones = np.ones(max(n1, n2))
         self.w1, self.w2 = (self.ones[:n1], self.ones[:n2]) if weights is None else weights
-        self.pairs = self.w1.sum() * self.w2.sum()
+        self.sizes = self.w1.sum(), self.w2.sum()
+        self.pairs = self.sizes[0] * self.sizes[1]
         self.X1 = np.column_stack((self.w1, Z1 * self.w1[:, None]))   # the rows of (1, Z1), weighted
+        # pairmean(w z), for ``_step_bound``
+        self.mean_z = np.concatenate((self.X1.sum(axis=0) / self.sizes[0],
+                                      self.w2 @ Z2 / self.sizes[1]))
         self.blocks = np.empty((3, _block_rows(n1, n2), n2))
         self.row_sums = np.empty((2, n1))   # of W and G
+        self.sweeps = 0
+        self.extremes = None   # of Y and z, once ``_step_bound`` needs them
 
     def evaluate(self, beta):
         """(U, J): the normalized score and its Jacobian at beta."""
+        self.sweeps += 1
         values, Z1, Z2, X1 = self.values, self.Z1, self.Z2, self.X1
         n1, n2 = values.shape
         ones, w1, w2 = self.ones, self.w1, self.w2
@@ -255,6 +271,68 @@ class _Evaluator:
         U = np.concatenate(([rs_w.sum()], Z1.T @ rs_w, Z2.T @ (w2 * cs_w)))
         J = _paired_quadratic(w1 * rs_g, w2 * x1_g[0], (x1_g[1:] * w2) @ Z2, Z1, Z2)
         return U / self.pairs, J / self.pairs
+
+
+# |d^2/d eta^2 mu'(eta) (y - mu(eta))| = |mu''' (y - mu) - 3 mu' mu''| for the
+# logit link, where max |mu'''| = 1/8 and 3 max |mu' mu''| = 3 (1/5)^2 sqrt(1/5)
+# < LOGIT_CURVATURE (at mu (1 - mu) = 1/5)
+LOGIT_CURVATURE = 0.0537
+# a step is certified when its bound is below this share of TOL
+CERTIFIED_SHARE = 0.9
+
+
+def _step_bound(evaluator: _Evaluator, beta, U, J, step):
+    """An a posteriori bound on max |U(beta + step)| for Newton's full step
+    from beta, in O(n1 + n2) (Kantorovich, 1948; Ortega & Rheinboldt,
+    1970), if it is below CERTIFIED_SHARE * TOL and the sign of J's largest
+    eigenvalue holds over the step, else None.
+
+    Along the step eta moves by a[i1] + b[i2] (``_group_parts`` of the
+    step).  With |f''| <= g for the summand f = mu'(eta) (y - mu(eta)) of U,
+    where g = max(max Y, 1 - min Y) / 8 + LOGIT_CURVATURE for the logit link
+    and 0 for the identity link, Taylor's theorem gives
+
+        |U_k(beta + step)| <= |U + J step|_k + g/2 max |z_k| pairmean(w (a + b)^2),
+        ||J(beta + step) - J|| <= g max ||z||^2 pairmean(w (|a| + |b|)),
+
+    where both pair means are sums of group moments.  The score bound also
+    carries the rounding of the two sweeps that U and U(beta + step) stand
+    for, each at most (n1 + n2 + 16) eps max |z_k| max |f|, so that it
+    bounds the evaluated score too.  A step is first tested in O(p), on
+    max_k |U + J step|_k and on the intercept's bound with g at its least
+    and pairmean(w (a + b)^2) at least (pairmean(w z)' step)^2 (Jensen);
+    the extremes of Y and z are read once per evaluator, for the first step
+    that passes."""
+    ev = evaluator
+    margin = CERTIFIED_SHARE * TOL
+    lowest = LOGIT_CURVATURE if ev.link == LOGIT else 0.0
+    # a step that overflows gives a bound that is not finite and certifies nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.abs(U + J @ step)
+        if not max(residual.max(), residual[0] + 0.5 * lowest * (ev.mean_z @ step) ** 2) < margin:
+            return None
+        (W1, W2), w1, w2 = ev.sizes, ev.w1, ev.w2
+        a, b = _group_parts(step, ev.Z1, ev.Z2)
+        square = w1 @ (a * a) / W1 + 2 * (w1 @ a / W1) * (w2 @ b / W2) + w2 @ (b * b) / W2
+        drift = w1 @ np.abs(a) / W1 + w2 @ np.abs(b) / W2
+    if ev.extremes is None:
+        z_max = np.concatenate(([1.0], *(np.abs(Z).max(axis=0) for Z in (ev.Z1, ev.Z2))))
+        ev.extremes = float(ev.values.min()), float(ev.values.max()), z_max
+    y_min, y_max, z_max = ev.extremes
+    if ev.link == LOGIT:
+        spread = max(y_max, 1.0 - y_min)     # bounds |y - mu|
+        curvature, f_max = spread / 8 + LOGIT_CURVATURE, spread / 4
+    else:
+        eta = max(max_abs_eta(beta, ev.Z1, ev.Z2), max_abs_eta(beta + step, ev.Z1, ev.Z2))
+        curvature, f_max = 0.0, max(-y_min, y_max) + eta
+    rounding = 2 * (len(w1) + len(w2) + 16) * np.finfo(float).eps * f_max
+    bound = float(np.max(residual + z_max * (0.5 * curvature * square + rounding)))
+    if not bound < margin:
+        return None
+    # ||z||^2 is at most z_max' z_max
+    if not abs(np.linalg.eigvalsh(J)[-1]) > 2 * curvature * (z_max @ z_max) * drift + 1e-12:
+        return None
+    return bound
 
 
 def design_second_moment(Z1, Z2) -> np.ndarray:
@@ -389,12 +467,19 @@ def solve_newton(matrix: np.ndarray, Z1, Z2, link: str, x0=None, weights=None) -
     norm = float(np.max(np.abs(U)))
     for it in range(1, MAX_ITER + 1):
         if norm < TOL:
-            return FitResult(beta, True, it - 1, norm, "newton", used_pinv=used_pinv, jacobian=J)
+            return FitResult(beta, True, it - 1, norm, "newton", used_pinv=used_pinv,
+                             jacobian=J, sweeps=evaluator.sweeps)
         try:
             step = np.linalg.solve(J, -U)
         except np.linalg.LinAlgError:
             step = np.linalg.pinv(J) @ (-U)
             used_pinv = True
+        bound = _step_bound(evaluator, beta, U, J, step)
+        if bound is not None:
+            # the full step, as the line search below would take it and stop
+            log.debug("newton iterate %d: norm %.3e certified, step scale 1", it, bound)
+            return FitResult(beta + step, True, it, bound, "newton", used_pinv=used_pinv,
+                             jacobian=J, sweeps=evaluator.sweeps)
         scale = 1.0
         improved = False
         for _ in range(MAX_HALVINGS + 1):
@@ -409,14 +494,14 @@ def solve_newton(matrix: np.ndarray, Z1, Z2, link: str, x0=None, weights=None) -
             scale *= 0.5
         if not improved:
             return FitResult(
-                beta, False, it, norm, "newton",
-                used_pinv=used_pinv, message="line search stalled", jacobian=J,
+                beta, False, it, norm, "newton", used_pinv=used_pinv,
+                message="line search stalled", jacobian=J, sweeps=evaluator.sweeps,
             )
     converged = norm < TOL
     return FitResult(
         beta, converged, MAX_ITER, norm, "newton",
         used_pinv=used_pinv, message="" if converged else "max iterations reached",
-        jacobian=J,
+        jacobian=J, sweeps=evaluator.sweeps,
     )
 
 

@@ -146,10 +146,15 @@ def _subject_labels(data: TwoSampleDataset):
 
 def _distinct_subjects(labels):
     """The first row of each distinct subject, in row order, and its number
-    of copies (float), from the subject label of every row of one group."""
-    _, first, copies = np.unique(labels, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return first[order], copies[order].astype(float)
+    of copies (float), from the subject label of every row of one group:
+    labels are counted, and a row is first when it is its label's least
+    row."""
+    copies = np.bincount(labels)
+    index = np.arange(len(labels))
+    first = np.full(copies.size, len(labels))
+    np.minimum.at(first, labels, index)
+    rows = index[first[labels] == index]
+    return rows, copies[labels[rows]].astype(float)
 
 
 def _logit_reference(identity_beta, Z1, Z2, logit_beta=None):
@@ -235,24 +240,25 @@ class FitSpec:
 
     def _fit_stack(self, stack: TwoSampleDataset, reference=None, labels=None):
         """Coefficients (N, p) of every dataset of ``stack``, NaN where the
-        fit failed, each fit's outcome and the Newton iterations summed over
-        the stack.  An outcome is the index in FAILURE_CAUSES of the first
-        cause that applies, or len(FAILURE_CAUSES) for a usable fit.  A fit
-        with non-finite coefficients counts as not converged.  Logit fits
-        start at ``_logit_start`` next to ``reference``, or else next to
-        their own constant model.  The reference only saves iterations, so
-        a fit from it that fails, or that stops at a root of U other than a
-        maximum (J at the root not negative definite), is done again from
-        its identity fit as it is, a start that no reference moves.  Logit
-        fits run on the distinct subjects of ``labels``, the subject labels
-        (N, n1) and (N, n2) of the rows of the stack (a bootstrap passes its
-        data's labels at each resample's indices); without them each
-        dataset labels its own rows."""
+        fit failed, each fit's outcome, and the Newton iterations and
+        evaluator sweeps summed over the stack.  An outcome is the index in
+        FAILURE_CAUSES of the first cause that applies, or len(FAILURE_CAUSES)
+        for a usable fit.  A fit with non-finite coefficients counts as not
+        converged.  Logit fits start at ``_logit_start`` next to
+        ``reference``, or else next to their own constant model.  The
+        reference only saves iterations, so a fit from it that fails, or
+        that stops at a root of U other than a maximum (J at the root not
+        negative definite), is done again from its identity fit as it is, a
+        start that no reference moves.  Logit fits run on the distinct
+        subjects of ``labels``, the subject labels (N, n1) and (N, n2) of
+        the rows of the stack (a bootstrap passes its data's labels at each
+        resample's indices); without them each dataset labels its own
+        rows."""
         fits = self._identity(stack)
         beta, singular = fits.beta, ~fits.converged
         nonconverged = np.zeros(len(beta), dtype=bool)
         saturated = np.zeros(len(beta), dtype=bool)
-        iterations = 0
+        iterations = sweeps = 0
         if self.link == gee.LOGIT:
             for k in np.flatnonzero(fits.converged):
                 data = stack[k]
@@ -265,6 +271,7 @@ class FitSpec:
                 for start in starts:
                     result = self._newton(data, start, subjects)
                     iterations += result.iterations
+                    sweeps += result.sweeps
                     nonconverged[k] = not (result.converged and np.isfinite(result.beta).all())
                     saturated[k] = gee.max_abs_eta(result.beta, Z1, Z2) > gee.SATURATED_ETA
                     if not (nonconverged[k] or saturated[k]
@@ -275,7 +282,7 @@ class FitSpec:
         usable = np.ones_like(saturated)    # the rows below follow FAILURE_CAUSES
         outcome = np.argmax([singular, nonconverged, saturated, usable], axis=0)
         beta[outcome < len(FAILURE_CAUSES)] = np.nan
-        return beta, outcome, iterations
+        return beta, outcome, iterations, sweeps
 
 
 def _failures(outcomes=()) -> dict:
@@ -292,6 +299,7 @@ class BootstrapEnsemble:
     base_fit: gee.FitResult
     failures: dict = field(default_factory=_failures)   # cause -> failed refits
     newton_iterations: int = 0    # summed over the refits; 0 for the identity link
+    newton_sweeps: int = 0        # evaluations of (U, J), summed as newton_iterations
 
     @property
     def failed(self) -> int:
@@ -429,18 +437,19 @@ def bootstrap(
     whole = stack_datasets([data])
     replicates = np.full((B, base.beta.size), np.nan)
     outcomes = np.empty(B, dtype=int)
-    newton_iterations = 0
+    newton_iterations = newton_sweeps = 0
     step = _chunk_size(data.n1, data.n2)
     for start in range(0, B, step):
         runs = range(start, min(start + step, B))
         _, idx1, idx2 = _simulated_chunk(lambda rngs: whole, seed, runs)
         resampled = None if labels is None else (labels[0][idx1], labels[1][idx2])
-        replicates[start : runs.stop], outcomes[start : runs.stop], iterations = spec._fit_stack(
-            whole.resampled(idx1, idx2), reference, resampled)
+        replicates[start : runs.stop], outcomes[start : runs.stop], iterations, sweeps = (
+            spec._fit_stack(whole.resampled(idx1, idx2), reference, resampled))
         newton_iterations += iterations
+        newton_sweeps += sweeps
     ensemble = BootstrapEnsemble(replicates=replicates, B=B, seed=seed, base_fit=base,
                                  failures=_failures(outcomes),
-                                 newton_iterations=newton_iterations)
+                                 newton_iterations=newton_iterations, newton_sweeps=newton_sweeps)
     if ensemble.failed == B:
         raise RuntimeError("all bootstrap replicates failed")
     return ensemble
@@ -599,8 +608,8 @@ def warp_speed(
     for start in range(0, M, step):
         runs = range(start, min(start + step, M))
         stack, idx1, idx2 = _simulated_chunk(simulator.simulate, seed, runs)
-        base, base_outcome, _ = spec._fit_stack(stack)
-        star, star_outcome, _ = spec._fit_stack(stack.resampled(idx1, idx2))
+        base, base_outcome, *_ = spec._fit_stack(stack)
+        star, star_outcome, *_ = spec._fit_stack(stack.resampled(idx1, idx2))
         outcomes.append(np.minimum(base_outcome, star_outcome))
         ok = outcomes[-1] == len(FAILURE_CAUSES)
         estimates.append(base[ok])

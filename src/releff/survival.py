@@ -74,20 +74,35 @@ class TwoSampleDataset:
     def uncensored(self) -> bool:
         return bool(self.events1.all() and self.events2.all())
 
-    def __getitem__(self, k: int) -> TwoSampleDataset:
-        """Dataset k of a stack."""
-        return TwoSampleDataset(self.times1[k], self.events1[k], self.covariates1[k],
-                                self.times2[k], self.events2[k], self.covariates2[k], self.tau)
+    def __getitem__(self, k) -> TwoSampleDataset:
+        """Dataset k of a stack, or the stack of the datasets that an index
+        array or a mask ``k`` picks.  Every dataset of a checked stack is
+        valid, so the result skips the checks of ``__post_init__``."""
+        return _from_checked(self.times1[k], self.events1[k], self.covariates1[k],
+                             self.times2[k], self.events2[k], self.covariates2[k], self.tau)
 
     def resampled(self, idx1: np.ndarray, idx2: np.ndarray) -> TwoSampleDataset:
         """The stack whose dataset k is dataset k of this stack with rows
         idx1[k] of group 1 and idx2[k] of group 2; a stack of one dataset is
-        resampled once per row of idx1 and idx2."""
+        resampled once per row of idx1 and idx2.  Rows of a valid dataset
+        make a valid dataset, given at least two per group, so the result
+        skips the checks of ``__post_init__``."""
         k = np.arange(len(self.times1))[:, None]
-        return TwoSampleDataset(
+        return _from_checked(
             self.times1[k, idx1], self.events1[k, idx1], self.covariates1[k, idx1],
             self.times2[k, idx2], self.events2[k, idx2], self.covariates2[k, idx2], self.tau,
         )
+
+
+_FIELDS = tuple(f.name for f in fields(TwoSampleDataset))
+
+
+def _from_checked(*values) -> TwoSampleDataset:
+    """The dataset of ``values``, in field order, arrays taken from a checked
+    dataset: built as they are, without ``__post_init__``."""
+    data = object.__new__(TwoSampleDataset)
+    data.__dict__.update(zip(_FIELDS, values))
+    return data
 
 
 def stack_datasets(datasets) -> TwoSampleDataset:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib.util
 import json
 import os
 import platform
@@ -32,6 +33,9 @@ from releff.inference import BootstrapEnsemble, FitSpec, bootstrap
 from oracles import theta_hat
 from releff.pseudo import pseudo_marginals, pseudo_matrix, tie_correction_term
 from releff.survival import stack_datasets
+
+
+STUDY_DATA = Path(__file__).resolve().parents[1] / "bench" / "study_data.py"
 
 
 def write_csv(path, rows, header=("group", "time", "status")):
@@ -564,9 +568,48 @@ class TestCommands:
             assert (ensemble.newton_iterations > 0) == (link == "logit"), command
             line = f"bootstrap.newton_iterations={ensemble.newton_iterations}"
             assert line in manifest, command
+            # their evaluator sweeps, next to the iterations
+            sweeps = f"bootstrap.newton_sweeps={ensemble.newton_sweeps}"
+            assert manifest[manifest.index(line) + 1] == sweeps, command
+            assert (ensemble.newton_sweeps > 0) == (link == "logit"), command
         with open(tmp_path / "predict" / "predictions.csv") as fh:
             flagged = sum(r["out_of_range"] == "True" for r in csv.DictReader(fh))
         assert f"predict.out_of_range={flagged}" in manifest
+
+    def test_pseudo_inverse_base_fit_warns(self, tmp_path, caplog, capsys):
+        # the n = 400 study CSV of the benchmark, and the same with age in
+        # units 1e8 times smaller, which the rank test reads as collinear
+        spec = importlib.util.spec_from_file_location("study_data", STUDY_DATA)
+        study = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(study)
+        plain, scaled = tmp_path / "study.csv", tmp_path / "scaled.csv"
+        study.write_csv(study.generate(3), plain)
+        with open(plain, newline="") as fh:
+            rows = list(csv.reader(fh))
+        write_csv(scaled, [[*r[:3], repr(float(r[3]) * 1e8), r[4]] for r in rows[1:]],
+                  header=rows[0])
+        config = AnalysisConfig(covariates1=["age", "marker"], covariates2=["age", "marker"],
+                                tau=2.0)
+        for path, pinv in ((plain, False), (scaled, True)):
+            out = tmp_path / path.stem
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="releff"):
+                rc = main(["fit", "--data", str(path), "--cov1", "age,marker",
+                           "--cov2", "age,marker", "--tau", "2", "--out-dir", str(out)])
+            assert rc == EXIT_OK
+            warned = [r.getMessage() for r in caplog.records if r.name == "releff"]
+            assert warned == (["the base fit solved a singular system by pseudo-inverse: a "
+                               "covariate is collinear with others or far off the scale of "
+                               "the rest"] if pinv else [])
+            assert capsys.readouterr().out == f"wrote {out / 'coefficients.csv'}\n"
+            fit = FitSpec().fit(ingest_csv(path, config))
+            assert fit.used_pinv == pinv
+            assert f"fit.used_pinv={pinv}" in (out / "manifest.txt").read_text().splitlines()
+            with open(out / "coefficients.csv", newline="") as fh:
+                table = list(csv.reader(fh))
+            names = ["intercept", "g1:age", "g1:marker", "g2:age", "g2:marker"]
+            assert table == [["coefficient", "estimate"],
+                             *([n, repr(b)] for n, b in zip(names, fit.beta.tolist()))]
 
     def test_fit_and_test_tables_agree_per_method(self, covariate_csv, tmp_path):
         argv = ["--data", str(covariate_csv), "--tau", "4", "--cov1", "age", "--cov2", "age",

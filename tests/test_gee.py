@@ -404,14 +404,15 @@ class TestSolveIdentity:
 
 
 def assert_same_fit(got, want):
-    np.testing.assert_allclose(got.beta, want.beta, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(got.beta, want.beta)
     assert (got.iterations, got.converged, got.used_pinv, got.message) == (
         want.iterations, want.converged, want.used_pinv, want.message)
 
 
 class TestNewtonMatchesOracle:
-    """``solve_newton`` reuses one link evaluation per iterate; the oracle
-    re-evaluates the public estimating function and Jacobian instead."""
+    """``solve_newton`` reuses one link evaluation per iterate and takes a
+    certified last step without evaluating it; the oracle re-evaluates the
+    public estimating function and Jacobian, at every candidate, instead."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -453,6 +454,15 @@ class TestNewtonMatchesOracle:
         assert lines[0].startswith("newton iterate 1: norm ")
         assert "step scale" in lines[-1]
 
+    def test_certified_step_is_logged_as_an_iterate(self, rng, caplog):
+        pm, Z1, Z2 = instance(rng, 30, 30)
+        with caplog.at_level("DEBUG", logger="releff"):
+            res = solve_newton(pm, Z1, Z2, LOGIT)
+        lines = [r.getMessage() for r in caplog.records if r.name == "releff"]
+        assert len(lines) == res.iterations and res.sweeps == res.iterations
+        assert lines[-1] == (f"newton iterate {res.iterations}: "
+                             f"norm {res.gradient_norm:.3e} certified, step scale 1")
+
     def test_peak_memory_of_a_logit_fit(self):
         # above the held pseudo matrix: the evaluator's three block buffers
         # (40 of the 800 rows each here) and vectors of length n1 or n2; no
@@ -492,6 +502,76 @@ class TestNewtonMatchesOracle:
         assert res.converged
         figure = gee.logit_working_set(data)
         assert 0.5 * figure <= peak <= figure
+
+
+class TestCertifiedStep:
+    """A last Newton step that ``gee._step_bound`` certifies is taken without
+    the sweep that would evaluate it.  The fit is the one that evaluates
+    every candidate; its ``gradient_norm`` bounds the score evaluated at
+    ``beta`` and stays below TOL, and the largest eigenvalue of the Jacobian
+    at ``beta`` has the sign of the returned ``jacobian``'s."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n1=st.integers(3, 25),
+        n2=st.integers(3, 25),
+        censored=st.booleans(),
+        link=st.sampled_from([IDENTITY, LOGIT]),
+        weighted=st.booleans(),
+        warm=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_certified_fits_bound_the_evaluated_score(self, seed, n1, n2, censored, link,
+                                                      weighted, warm):
+        rng = np.random.default_rng(seed)
+        pm, Z1, Z2 = instance(rng, n1, n2, censored=censored)
+        weights = None
+        if weighted:
+            weights = (rng.integers(1, 5, n1).astype(float), rng.integers(1, 5, n2).astype(float))
+        x0 = identity_fit(pm, Z1, Z2).beta if warm else None
+        bounds = []
+        real = gee._step_bound
+
+        def recording(*args):
+            bounds.append(real(*args))
+            return bounds[-1]
+
+        with unittest.mock.patch.object(gee, "_step_bound", recording):
+            got = solve_newton(pm, Z1, Z2, link, x0=x0, weights=weights)
+        with unittest.mock.patch.object(gee, "_step_bound", lambda *args: None):
+            want = solve_newton(pm, Z1, Z2, link, x0=x0, weights=weights)
+        assert_same_fit(got, want)
+        if bounds and bounds[-1] is not None:
+            assert got.gradient_norm == bounds[-1] and got.sweeps == want.sweeps - 1
+            U, J = gee._Evaluator(pm, Z1, Z2, link, weights).evaluate(got.beta)
+            assert np.max(np.abs(U)) <= got.gradient_norm < gee.TOL
+            assert np.sign(np.linalg.eigvalsh(J)[-1]) == np.sign(
+                np.linalg.eigvalsh(got.jacobian)[-1])
+        else:
+            assert (got.gradient_norm, got.sweeps) == (want.gradient_norm, want.sweeps)
+            np.testing.assert_array_equal(got.jacobian, want.jacobian)
+
+    @pytest.mark.parametrize("link", [IDENTITY, LOGIT])
+    def test_a_converging_fit_certifies_its_last_step(self, rng, link):
+        pm, Z1, Z2 = instance(rng, 40, 30)
+        res = solve_newton(pm, Z1, Z2, link)
+        U, J = gee._Evaluator(pm, Z1, Z2, link).evaluate(res.beta)
+        assert res.converged and res.sweeps == res.iterations >= 1
+        assert np.max(np.abs(U)) <= res.gradient_norm < gee.CERTIFIED_SHARE * gee.TOL
+
+    def test_jacobian_with_a_zero_eigenvalue_is_not_certified(self, rng):
+        # the sign of a zero eigenvalue can change over any step
+        pm, Z1, Z2 = instance(rng, 20, 20)
+        evaluator = gee._Evaluator(pm, Z1, Z2, LOGIT)
+        beta = solve_newton(pm, Z1, Z2, LOGIT).beta
+        U, J = evaluator.evaluate(beta)
+        assert gee._step_bound(evaluator, beta, U, J, np.linalg.solve(J, -U)) is not None
+        values, vectors = np.linalg.eigh(J)
+        values[-1] = 0.0
+        flat = (vectors * values) @ vectors.T
+        step = np.linalg.lstsq(flat, -U, rcond=None)[0]
+        assert np.max(np.abs(U + flat @ step)) < 0.1 * gee.TOL
+        assert gee._step_bound(evaluator, beta, U, flat, step) is None
 
 
 class TestBlockedEvaluator:

@@ -676,6 +676,46 @@ def test_refits_read_their_distinct_subjects_from_the_labels_of_the_data(rng):
                 np.testing.assert_array_equal(g, w)
 
 
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), distinct=st.integers(1, 60))
+@settings(max_examples=100, deadline=None)
+def test_distinct_subjects_are_the_unique_labels_in_row_order(seed, n, distinct):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, distinct, n)
+    _, first, copies = np.unique(labels, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    rows, got = inference._distinct_subjects(labels)
+    assert rows.dtype == first.dtype and got.dtype == float
+    np.testing.assert_array_equal(rows, first[order])
+    np.testing.assert_array_equal(got, copies[order].astype(float))
+
+
+# evaluations of (U, J) in the fixed logit bootstrap below, the base fit and
+# 30 refits: with certified last steps, and with every candidate evaluated
+PINNED_SWEEPS = (152, 170)
+
+
+def test_certified_steps_save_sweeps_and_change_no_replicate(monkeypatch):
+    data = random_dataset(np.random.default_rng(8), 40, 36, censored=True, tau=2.0)
+    spec = FitSpec(link=LOGIT)
+    calls = []
+    evaluate = gee._Evaluator.evaluate
+
+    def counting(self, beta):
+        calls.append(None)
+        return evaluate(self, beta)
+
+    monkeypatch.setattr(gee._Evaluator, "evaluate", counting)
+    got = bootstrap(data, spec=spec, B=30, seed=4)
+    assert len(calls) == got.base_fit.sweeps + got.newton_sweeps == PINNED_SWEEPS[0]
+    calls.clear()
+    monkeypatch.setattr(gee, "_step_bound", lambda *args: None)
+    want = bootstrap(data, spec=spec, B=30, seed=4)
+    assert len(calls) == want.base_fit.sweeps + want.newton_sweeps == PINNED_SWEEPS[1]
+    np.testing.assert_array_equal(got.replicates, want.replicates)
+    np.testing.assert_array_equal(got.base_fit.beta, want.base_fit.beta)
+    assert (got.failures, got.newton_iterations) == (want.failures, want.newton_iterations)
+
+
 def test_logit_bootstrap_equals_refits_that_group_their_own_resamples(monkeypatch, rng):
     data = repeated_subjects(rng)
     spec = FitSpec(link=LOGIT)
@@ -693,7 +733,8 @@ def test_logit_bootstrap_equals_refits_that_group_their_own_resamples(monkeypatc
                         lambda self, stack, reference=None, labels=None: real(self, stack, reference))
     want = bootstrap(data, spec=spec, B=40, seed=3)
     np.testing.assert_array_equal(got.replicates, want.replicates)
-    assert (got.failures, got.newton_iterations) == (want.failures, want.newton_iterations)
+    assert (got.failures, got.newton_iterations, got.newton_sweeps) == (
+        want.failures, want.newton_iterations, want.newton_sweeps)
 
 
 def test_logit_bootstrap_solves_the_identity_fit_of_its_data_once(monkeypatch, rng):

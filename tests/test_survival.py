@@ -2,6 +2,7 @@
 Stieltjes sums), the prefix-product leave-one-out curves against them, and
 the dataset's validation and stacking."""
 
+import dataclasses
 from dataclasses import fields
 
 import numpy as np
@@ -195,6 +196,44 @@ class TestStack:
             for f in fields(TwoSampleDataset):
                 assert np.array_equal(getattr(stack[k], f.name), getattr(data, f.name)), f.name
             assert stack[k].tau == stack.tau == 1.5
+
+    @given(seed=st.integers(0, 2**32 - 1), n_sets=st.integers(1, 6), n1=st.integers(2, 9),
+           n2=st.integers(2, 9), negative=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_of_a_stack_are_the_checked_datasets(self, seed, n_sets, n1, n2, negative):
+        # stack[k], stack[mask] and stack.resampled skip the constructor's
+        # checks; each is the dataset that the checked constructor builds
+        rng = np.random.default_rng(seed)
+        p1 = int(rng.integers(0, 3))
+        datasets = [random_dataset(rng, n1, n2, p1=p1, p2=1, tau=1.5,
+                                   censored=bool(rng.integers(0, 2)) and not negative)
+                    for _ in range(n_sets)]
+        if negative:
+            datasets = [dataclasses.replace(d, times1=d.times1 - 1.0, times2=d.times2 - 1.0)
+                        for d in datasets]
+        stack = stack_datasets(datasets)
+
+        def checked(data):
+            return TwoSampleDataset(*(getattr(data, f.name) for f in fields(TwoSampleDataset)))
+
+        def assert_same(got, want):
+            assert type(got) is TwoSampleDataset
+            for f in fields(TwoSampleDataset):
+                g, w = getattr(got, f.name), getattr(want, f.name)
+                assert np.shape(g) == np.shape(w) and np.asarray(g).dtype == np.asarray(w).dtype
+                assert np.array_equal(g, w), f.name
+            assert (got.n1, got.n2, got.uncensored) == (want.n1, want.n2, want.uncensored)
+
+        mask = rng.integers(0, 2, n_sets).astype(bool)
+        for k in [*range(n_sets), mask, np.flatnonzero(mask)]:
+            assert_same(stack[k], checked(stack[k]))
+        idx1 = rng.integers(0, n1, (n_sets, n1 + int(rng.integers(0, 3))))
+        idx2 = rng.integers(0, n2, (n_sets, n2))
+        resampled = stack.resampled(idx1, idx2)
+        assert_same(resampled, checked(resampled))
+        for k, data in enumerate(datasets):
+            assert_same(resampled[k], checked(stack_datasets([data]).resampled(
+                idx1[k : k + 1], idx2[k : k + 1])[0]))
 
     def test_sizes_are_per_dataset(self, rng):
         stack = stack_datasets(self.datasets(rng))
