@@ -25,10 +25,11 @@ and mu'' = mu' (1 - 2 mu) follow from mu.  A candidate whose balanced factors
 would leave exp(+-EXP_FACTOR_LIMIT), which only a saturated fit reaches,
 takes one exp per pair instead.  Before Newton evaluates a full step,
 ``_step_bound`` bounds the score there from O(n1 + n2) moments of the
-step by Taylor's theorem; when the bound certifies that max |U| would fall
-below TOL, the step is taken without its sweep (``FitResult.sweeps``
-counts the sweeps taken).  The uncensored sandwich covariance sums
-the pair indicators along ``pseudo._indicator_ranks``, no n1 x n2 array.
+step and of |z| by Taylor's theorem; when the bound certifies that max |U|
+would fall below TOL and J stays negative definite, the step is taken
+without its sweep (``FitResult.sweeps`` counts the sweeps taken).  The
+uncensored sandwich covariance sums the pair indicators along
+``pseudo._indicator_ranks``, no n1 x n2 array.
 """
 
 from __future__ import annotations
@@ -92,8 +93,7 @@ class FitResult:
     is a maximum of the fit's potential where J is negative definite.  When
     Newton's last step is certified (``_step_bound``), ``gradient_norm`` is
     the certified upper bound on max |U(beta)| and ``jacobian`` is J at the
-    previous iterate, whose largest eigenvalue has the sign of J's at
-    ``beta``."""
+    previous iterate; both that J and J at ``beta`` are negative definite."""
 
     beta: np.ndarray
     converged: bool
@@ -217,13 +217,16 @@ class _Evaluator:
         self.sizes = self.w1.sum(), self.w2.sum()
         self.pairs = self.sizes[0] * self.sizes[1]
         self.X1 = np.column_stack((self.w1, Z1 * self.w1[:, None]))   # the rows of (1, Z1), weighted
-        # pairmean(w z), for ``_step_bound``
-        self.mean_z = np.concatenate((self.X1.sum(axis=0) / self.sizes[0],
-                                      self.w2 @ Z2 / self.sizes[1]))
         self.blocks = np.empty((3, _block_rows(n1, n2), n2))
         self.row_sums = np.empty((2, n1))   # of W and G
         self.sweeps = 0
-        self.extremes = None   # of Y and z, once ``_step_bound`` needs them
+        # for ``_step_bound``: the weighted rows of (1, |Z1|) and (1, |Z2|),
+        # the pair mean of x x' for x = (1, z1, z2), max |x| and Y's range
+        self.abs_rows = np.abs(self.X1), np.column_stack((self.w2, np.abs(Z2) * self.w2[:, None]))
+        self.design = _paired_quadratic(self.w1 * self.sizes[1], self.w2 * self.sizes[0],
+                                        np.outer(self.w1 @ Z1, self.w2 @ Z2), Z1, Z2) / self.pairs
+        self.x_max = np.concatenate(([1.0], *(np.abs(Z).max(axis=0) for Z in (Z1, Z2))))
+        self.y_range = float(values.min()), float(values.max())
 
     def evaluate(self, beta):
         """(U, J): the normalized score and its Jacobian at beta."""
@@ -281,57 +284,79 @@ LOGIT_CURVATURE = 0.0537
 CERTIFIED_SHARE = 0.9
 
 
+def _abs_design_means(evaluator: _Evaluator, a, b):
+    """pairmean(w |x_k|) and pairmean(w |x_k| (a[i1] + b[i2])^2) for each
+    entry k of x = (1, z1, z2), from the group means of |x_k|, |x_k| a^2
+    and |x_k| a over the columns of (1, |Z1|), and of |x_k|, |x_k| b^2 and
+    |x_k| b over those of (1, |Z2|)."""
+    (W1, W2), (abs1, abs2), ones = evaluator.sizes, evaluator.abs_rows, evaluator.ones
+    m1, A2, A1 = (abs1.T @ np.column_stack((ones[: a.size], a * a, a))).T / W1
+    m2, B2, B1 = (abs2.T @ np.column_stack((ones[: b.size], b * b, b))).T / W2
+    return (np.concatenate((m1, m2[1:])),
+            np.concatenate((A2 + 2 * A1 * B1[0] + m1 * B2[0],
+                            A2[0] * m2[1:] + 2 * A1[0] * B1[1:] + B2[1:])))
+
+
 def _step_bound(evaluator: _Evaluator, beta, U, J, step):
     """An a posteriori bound on max |U(beta + step)| for Newton's full step
     from beta, in O(n1 + n2) (Kantorovich, 1948; Ortega & Rheinboldt,
-    1970), if it is below CERTIFIED_SHARE * TOL and the sign of J's largest
-    eigenvalue holds over the step, else None.
+    1970), if it is below CERTIFIED_SHARE * TOL and J is negative definite
+    at beta and at beta + step, else None.
 
-    Along the step eta moves by a[i1] + b[i2] (``_group_parts`` of the
-    step).  With |f''| <= g for the summand f = mu'(eta) (y - mu(eta)) of U,
-    where g = max(max Y, 1 - min Y) / 8 + LOGIT_CURVATURE for the logit link
-    and 0 for the identity link, Taylor's theorem gives
+    Along the step eta moves by d = a[i1] + b[i2] (``_group_parts`` of the
+    step).  The summand f = mu'(eta) (y - mu(eta)) of U has |f| <= F,
+    |f'| <= S and |f''| <= g: F = s/4, S = s/8 + 1/16, g = s/8 +
+    LOGIT_CURVATURE for the logit link, with s = max(max Y, 1 - min Y) >=
+    |y - mu|, and F = max|Y| + max|eta|, S = 1, g = 0 for the identity
+    link.  With x = (1, z1, z2) and D = pairmean(w x x'), Taylor gives
 
-        |U_k(beta + step)| <= |U + J step|_k + g/2 max |z_k| pairmean(w (a + b)^2),
-        ||J(beta + step) - J|| <= g max ||z||^2 pairmean(w (|a| + |b|)),
+        |U_k(beta + step)| <= |U + J step|_k + g/2 pairmean(w |x_k| d^2),
+        -g max|d| D <= J(beta + step) - J <= g max|d| D,
 
-    where both pair means are sums of group moments.  The score bound also
-    carries the rounding of the two sweeps that U and U(beta + step) stand
-    for, each at most (n1 + n2 + 16) eps max |z_k| max |f|, so that it
-    bounds the evaluated score too.  A step is first tested in O(p), on
-    max_k |U + J step|_k and on the intercept's bound with g at its least
-    and pairmean(w (a + b)^2) at least (pairmean(w z)' step)^2 (Jensen);
-    the extremes of Y and z are read once per evaluator, for the first step
-    that passes."""
+    with the pair mean from group means (``_abs_design_means``) and
+    max|d| <= max|a| + max|b|.  Both carry the rounding of the sweeps behind
+    U and J and behind their values at beta + step: a pair mean of n1 n2
+    terms rounds by at most (n1 + n2 + 32) eps times their mean magnitude,
+    and eta by (p + 2) eps max|x|'|beta|, which moves f by S and f' by g
+    times that; a Jacobian entry (k, l) so rounds by a share of
+    sqrt(D_kk D_ll), which is at most p times that share of diag(D) as a
+    quadratic form.  Where -J - g max|d| D less that rounding has a Cholesky
+    factor, both evaluated Jacobians are negative definite.  A score bound
+    scales with its own covariate and the Cholesky test with none.  A step
+    whose intercept bound fails already with pairmean(w d^2) >=
+    (pairmean(w x)' step)^2 (Jensen) stops after O(p) work."""
     ev = evaluator
     margin = CERTIFIED_SHARE * TOL
-    lowest = LOGIT_CURVATURE if ev.link == LOGIT else 0.0
+    y_min, y_max = ev.y_range
+    if ev.link == LOGIT:
+        spread = max(y_max, 1.0 - y_min)
+        f_max, slope, curvature = spread / 4, spread / 8 + 1 / 16, spread / 8 + LOGIT_CURVATURE
+    else:
+        slope, curvature = 1.0, 0.0
     # a step that overflows gives a bound that is not finite and certifies nothing
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.abs(U + J @ step)
-        if not max(residual.max(), residual[0] + 0.5 * lowest * (ev.mean_z @ step) ** 2) < margin:
+        if not max(residual.max(),
+                   residual[0] + 0.5 * curvature * (ev.design[0] @ step) ** 2) < margin:
             return None
-        (W1, W2), w1, w2 = ev.sizes, ev.w1, ev.w2
         a, b = _group_parts(step, ev.Z1, ev.Z2)
-        square = w1 @ (a * a) / W1 + 2 * (w1 @ a / W1) * (w2 @ b / W2) + w2 @ (b * b) / W2
-        drift = w1 @ np.abs(a) / W1 + w2 @ np.abs(b) / W2
-    if ev.extremes is None:
-        z_max = np.concatenate(([1.0], *(np.abs(Z).max(axis=0) for Z in (ev.Z1, ev.Z2))))
-        ev.extremes = float(ev.values.min()), float(ev.values.max()), z_max
-    y_min, y_max, z_max = ev.extremes
-    if ev.link == LOGIT:
-        spread = max(y_max, 1.0 - y_min)     # bounds |y - mu|
-        curvature, f_max = spread / 8 + LOGIT_CURVATURE, spread / 4
-    else:
-        eta = max(max_abs_eta(beta, ev.Z1, ev.Z2), max_abs_eta(beta + step, ev.Z1, ev.Z2))
-        curvature, f_max = 0.0, max(-y_min, y_max) + eta
-    rounding = 2 * (len(w1) + len(w2) + 16) * np.finfo(float).eps * f_max
-    bound = float(np.max(residual + z_max * (0.5 * curvature * square + rounding)))
-    if not bound < margin:
-        return None
-    # ||z||^2 is at most z_max' z_max
-    if not abs(np.linalg.eigvalsh(J)[-1]) > 2 * curvature * (z_max @ z_max) * drift + 1e-12:
-        return None
+        means, square = _abs_design_means(ev, a, b)
+        eta_max = ev.x_max @ np.maximum(np.abs(beta), np.abs(beta + step))
+        if ev.link == IDENTITY:
+            f_max = max(-y_min, y_max) + eta_max
+        sweep = (a.size + b.size + 32) * np.finfo(float).eps
+        eta_error = (beta.size + 2) * np.finfo(float).eps * eta_max
+        rounding = 2 * (sweep * f_max + slope * eta_error) * means
+        bound = float(np.max(residual + 0.5 * curvature * square + rounding))
+        if not bound < margin:
+            return None
+        drift = curvature * (np.abs(a).max() + np.abs(b).max())
+        jacobian_rounding = 2 * beta.size * (sweep * slope + curvature * eta_error)
+        try:
+            np.linalg.cholesky(-J - drift * ev.design
+                               - jacobian_rounding * np.diag(np.diag(ev.design)))
+        except np.linalg.LinAlgError:
+            return None
     return bound
 
 

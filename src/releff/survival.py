@@ -74,10 +74,15 @@ class TwoSampleDataset:
     def uncensored(self) -> bool:
         return bool(self.events1.all() and self.events2.all())
 
+    def _require_stack(self) -> None:
+        if self.times1.ndim != 2:
+            raise ValueError("not a stack of datasets; stack_datasets([data]) makes one")
+
     def __getitem__(self, k) -> TwoSampleDataset:
         """Dataset k of a stack, or the stack of the datasets that an index
         array or a mask ``k`` picks.  Every dataset of a checked stack is
         valid, so the result skips the checks of ``__post_init__``."""
+        self._require_stack()
         return _from_checked(self.times1[k], self.events1[k], self.covariates1[k],
                              self.times2[k], self.events2[k], self.covariates2[k], self.tau)
 
@@ -85,8 +90,11 @@ class TwoSampleDataset:
         """The stack whose dataset k is dataset k of this stack with rows
         idx1[k] of group 1 and idx2[k] of group 2; a stack of one dataset is
         resampled once per row of idx1 and idx2.  Rows of a valid dataset
-        make a valid dataset, given at least two per group, so the result
-        skips the checks of ``__post_init__``."""
+        make a valid dataset, so the result is checked for at least two rows
+        per group and skips the other checks of ``__post_init__``."""
+        self._require_stack()
+        if any(np.ndim(idx) == 0 or np.shape(idx)[-1] < 2 for idx in (idx1, idx2)):
+            raise ValueError("each group needs at least 2 subjects")
         k = np.arange(len(self.times1))[:, None]
         return _from_checked(
             self.times1[k, idx1], self.events1[k, idx1], self.covariates1[k, idx1],

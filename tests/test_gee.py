@@ -559,16 +559,54 @@ class TestCertifiedStep:
         assert res.converged and res.sweeps == res.iterations >= 1
         assert np.max(np.abs(U)) <= res.gradient_norm < gee.CERTIFIED_SHARE * gee.TOL
 
-    def test_jacobian_with_a_zero_eigenvalue_is_not_certified(self, rng):
-        # the sign of a zero eigenvalue can change over any step
+    @pytest.mark.parametrize("scale, shift", [(60.0, 0.0), (10.0, 60.0)],
+                             ids=["times-60", "years"])
+    def test_a_covariate_in_raw_units_certifies_as_a_standardised_one(self, rng, scale, shift):
+        # every covariate z as scale * z + shift, as age in years would be: the
+        # same fit in other coordinates, whose last step moves eta alike
+        pm, Z1, Z2 = instance(rng, 40, 30)
+        R1, R2 = Z1 * scale + shift, Z2 * scale + shift
+
+        def in_raw_units(beta):
+            return np.concatenate(([beta[0] - shift * beta[1:].sum() / scale], beta[1:] / scale))
+
+        for raw in (False, True):
+            res = solve_newton(pm, *((R1, R2) if raw else (Z1, Z2)), LOGIT)
+            assert res.converged and res.sweeps == res.iterations
+        root = solve_newton(pm, Z1, Z2, LOGIT).beta
+        np.testing.assert_allclose(in_raw_units(root), res.beta, rtol=1e-6, atol=1e-9)
+        # a step of about 1e-7 in eta certifies at any scale and shift, also
+        # where the intercept is nearly collinear with the covariates
+        evaluator = gee._Evaluator(pm, R1, R2, LOGIT)
+        beta = in_raw_units(root + 1e-7)
+        U, J = evaluator.evaluate(beta)
+        assert gee._step_bound(evaluator, beta, U, J, np.linalg.solve(J, -U)) is not None
+
+    def test_abs_design_means_are_the_pair_means(self, rng):
+        pm, Z1, Z2 = instance(rng, 9, 7, p1=2, p2=3)
+        w1, w2 = rng.integers(1, 5, 9).astype(float), rng.integers(1, 5, 7).astype(float)
+        a, b = rng.normal(size=9), rng.normal(size=7)
+        X = np.concatenate((np.ones((9, 7, 1)), np.broadcast_to(Z1[:, None], (9, 7, 2)),
+                            np.broadcast_to(Z2[None], (9, 7, 3))), axis=2)
+        w, d = np.outer(w1, w2)[..., None], (a[:, None] + b)[..., None]
+        means, square = gee._abs_design_means(gee._Evaluator(pm, Z1, Z2, LOGIT, (w1, w2)), a, b)
+        np.testing.assert_allclose(means, (w * np.abs(X)).sum(axis=(0, 1)) / w.sum(), rtol=1e-13)
+        np.testing.assert_allclose(square, (w * np.abs(X) * d**2).sum(axis=(0, 1)) / w.sum(),
+                                   rtol=1e-13)
+
+    @pytest.mark.parametrize("top", [0.0, -1e-11], ids=["zero", "near-zero"])
+    def test_jacobian_that_may_turn_over_the_step_is_not_certified(self, rng, top):
+        # an eigenvalue of J at 0, or nearer 0 than the step may move it, can
+        # change sign over the step
         pm, Z1, Z2 = instance(rng, 20, 20)
         evaluator = gee._Evaluator(pm, Z1, Z2, LOGIT)
         beta = solve_newton(pm, Z1, Z2, LOGIT).beta
         U, J = evaluator.evaluate(beta)
         assert gee._step_bound(evaluator, beta, U, J, np.linalg.solve(J, -U)) is not None
         values, vectors = np.linalg.eigh(J)
-        values[-1] = 0.0
+        values[-1] = top
         flat = (vectors * values) @ vectors.T
+        U = U - vectors[:, -1] * (vectors[:, -1] @ U)
         step = np.linalg.lstsq(flat, -U, rcond=None)[0]
         assert np.max(np.abs(U + flat @ step)) < 0.1 * gee.TOL
         assert gee._step_bound(evaluator, beta, U, flat, step) is None

@@ -235,6 +235,18 @@ class TestStack:
             assert_same(resampled[k], checked(stack_datasets([data]).resampled(
                 idx1[k : k + 1], idx2[k : k + 1])[0]))
 
+    def test_rows_and_resamples_need_a_stack_and_two_subjects_per_group(self, rng):
+        data = random_dataset(rng, 7, 5)
+        stack = stack_datasets([data])
+        for call in (lambda: data[0], lambda: data.resampled(np.zeros((1, 7), int),
+                                                             np.zeros((1, 5), int))):
+            with pytest.raises(ValueError, match="not a stack"):
+                call()
+        for idx1, idx2 in (([[0]], [[0, 1]]), ([[0, 1]], [[4]]), (0, [[0, 1]])):
+            with pytest.raises(ValueError, match="at least 2 subjects"):
+                stack.resampled(np.array(idx1), np.array(idx2))
+        assert stack.resampled(np.array([0, 1]), np.array([3, 4])).times1.shape == (1, 2)
+
     def test_sizes_are_per_dataset(self, rng):
         stack = stack_datasets(self.datasets(rng))
         assert (stack.n1, stack.n2) == (7, 5)
