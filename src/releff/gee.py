@@ -11,11 +11,11 @@ matrix; ``solve_identity`` solves it for a stack of datasets at once.  The
 logit link goes through ``solve_newton``, a damped Newton iteration on a
 pseudo matrix whose rows and columns may carry multiplicities, so that a
 resample is fitted on its distinct subjects.  A link is one of the two
-names in ``LINKS``.  ``inference.FitSpec`` is the one place that picks the
-solver, and it starts Newton at the identity-link solution mapped onto the
-logit scale (``inference._logit_start``).  A logit fit
-with some |beta'z| beyond SATURATED_ETA is saturated (``max_abs_eta``).
-Every Newton candidate is
+names in ``LINKS``.  ``inference.FitSpec._fit_stack`` is the one place
+that picks the solver, for every fit: it starts Newton at the identity-link
+solution mapped onto the logit scale (``inference._logit_start``) and
+judges the root Newton stops at.  A logit fit with some |beta'z| beyond
+SATURATED_ETA is saturated (``max_abs_eta``).  Every Newton candidate is
 evaluated as (U, J) in one sweep over row blocks of the pseudo matrix, with
 three block buffers of at most BLOCK_ELEMENTS each, allocated once per fit;
 no other n1 x n2 array is held.  For the logit link exp(-eta) factors as
@@ -322,11 +322,8 @@ def _step_bound(evaluator: _Evaluator, beta, U, J, step):
     sqrt(D_kk D_ll), which is at most p times that share of diag(D) as a
     quadratic form.  Where -J - g max|d| D less that rounding has a Cholesky
     factor, both evaluated Jacobians are negative definite.  A score bound
-    scales with its own covariate and the Cholesky test with none.  A step
-    whose intercept bound fails already with pairmean(w d^2) >=
-    (pairmean(w x)' step)^2 (Jensen) stops after O(p) work."""
+    scales with its own covariate and the Cholesky test with none."""
     ev = evaluator
-    margin = CERTIFIED_SHARE * TOL
     y_min, y_max = ev.y_range
     if ev.link == LOGIT:
         spread = max(y_max, 1.0 - y_min)
@@ -336,9 +333,6 @@ def _step_bound(evaluator: _Evaluator, beta, U, J, step):
     # a step that overflows gives a bound that is not finite and certifies nothing
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.abs(U + J @ step)
-        if not max(residual.max(),
-                   residual[0] + 0.5 * curvature * (ev.design[0] @ step) ** 2) < margin:
-            return None
         a, b = _group_parts(step, ev.Z1, ev.Z2)
         means, square = _abs_design_means(ev, a, b)
         eta_max = ev.x_max @ np.maximum(np.abs(beta), np.abs(beta + step))
@@ -348,7 +342,7 @@ def _step_bound(evaluator: _Evaluator, beta, U, J, step):
         eta_error = (beta.size + 2) * np.finfo(float).eps * eta_max
         rounding = 2 * (sweep * f_max + slope * eta_error) * means
         bound = float(np.max(residual + 0.5 * curvature * square + rounding))
-        if not bound < margin:
+        if not bound < CERTIFIED_SHARE * TOL:
             return None
         drift = curvature * (np.abs(a).max() + np.abs(b).max())
         jacobian_rounding = 2 * beta.size * (sweep * slope + curvature * eta_error)

@@ -5,9 +5,11 @@ a run with seed s uses the stream of ``SeedSequence(s, spawn_key=(b,))``, so
 results are identical no matter in which order replicates are computed;
 ``_replicate_rngs`` seeds the generators of a whole chunk in one pass.
 
-Bootstrap replicates and warp-speed Monte Carlo runs are fitted in chunks:
-the resampled (and simulated) datasets of a chunk are stacked on a leading
-axis and, for the identity link, fitted by one ``pseudo_marginals`` and one
+Every fit is a fit of a stack (``FitSpec._fit_stack``): ``FitSpec.fit``
+and a bootstrap's base fit fit a stack of one dataset, and bootstrap
+replicates and warp-speed Monte Carlo runs are fitted in chunks, the
+resampled (and simulated) datasets of a chunk stacked on a leading axis.
+For the identity link a stack is fitted by one ``pseudo_marginals`` and one
 ``gee.solve_identity`` call.  For the logit link that call gives every
 dataset's Newton start, its identity fit mapped onto the logit scale next
 to a reference fit (``_logit_start``; a bootstrap refit's reference is the
@@ -190,10 +192,11 @@ def _logit_start(identity_beta, reference):
 class FitSpec:
     """Everything needed to refit the model on a resampled dataset.
 
-    ``fit`` and ``_fit_stack`` are the one link dispatch.  Both solve the
-    identity link in closed form from the pseudo-matrix marginals
-    (``_identity``).  For the logit link that solution, mapped onto the
-    logit scale by ``_logit_start``, starts ``gee.solve_newton``: from a
+    ``_fit_stack`` is the one link dispatch: ``fit`` is its fit of a stack
+    of one dataset, and a bootstrap and warp-speed take every fit from it.
+    It solves the identity link in closed form from the pseudo-matrix
+    marginals.  For the logit link that solution, mapped onto the logit
+    scale by ``_logit_start``, starts ``gee.solve_newton``: from a
     reference given to ``_fit_stack`` (a bootstrap passes its base fit), or
     else from the constant model.  Newton runs on the distinct subjects of
     the dataset: the pseudo matrix restricted to one row or column per
@@ -209,41 +212,21 @@ class FitSpec:
 
     def fit(self, data: TwoSampleDataset) -> gee.FitResult:
         """Fit one dataset; a singular design under ``strict_singular``
-        raises LinAlgError.  A saturated logit fit is returned as it is."""
-        return self._fit(data)[1]
-
-    def _fit(self, data: TwoSampleDataset, labels=None):
-        """The closed-form identity fit of ``data`` and its fit on this link,
-        the same fit for the identity link.  The logit fit runs on the
-        distinct subjects of ``labels`` (``_subject_labels``; found here if
-        None), started next to the dataset's constant model."""
-        start = self._identity(stack_datasets([data]))[0]
-        if not start.converged:
-            raise np.linalg.LinAlgError("design second-moment matrix is singular")
-        if self.link == gee.IDENTITY:
-            return start, start
-        reference = _logit_reference(start.beta, data.covariates1, data.covariates2)
-        return start, self._newton(data, _logit_start(start.beta, reference), labels)
-
-    def _identity(self, stack: TwoSampleDataset) -> gee.FitResult:
-        return gee.solve_identity(*pseudo_marginals(stack), stack.covariates1,
-                                  stack.covariates2, strict_singular=self.strict_singular)
-
-    def _newton(self, data: TwoSampleDataset, start, labels=None) -> gee.FitResult:
-        """Newton fit of ``data`` from ``start`` on its distinct subjects,
-        read from ``labels``, the subject label of each row per group
-        (``_subject_labels`` of ``data`` if None)."""
-        (rows, w1), (cols, w2) = map(_distinct_subjects, labels or _subject_labels(data))
-        matrix = pseudo_matrix(data, rows=rows, cols=cols)
-        return gee.solve_newton(matrix, data.covariates1[rows], data.covariates2[cols],
-                                self.link, x0=start, weights=(w1, w2))
+        raises LinAlgError.  A saturated or non-converged logit fit is
+        returned as it is."""
+        _, outcome, _, _, _, fits = self._fit_stack(stack_datasets([data]))
+        return _own_fit(outcome, fits)
 
     def _fit_stack(self, stack: TwoSampleDataset, reference=None, labels=None):
-        """Coefficients (N, p) of every dataset of ``stack``, NaN where the
-        fit failed, each fit's outcome, and the Newton iterations and
-        evaluator sweeps summed over the stack.  An outcome is the index in
-        FAILURE_CAUSES of the first cause that applies, or len(FAILURE_CAUSES)
-        for a usable fit.  A fit with non-finite coefficients counts as not
+        """Fit every dataset of ``stack``.  Returns the coefficients (N, p),
+        NaN where the fit failed; each fit's outcome, the index in
+        FAILURE_CAUSES of the first cause that applies, or
+        len(FAILURE_CAUSES) for a usable fit; the Newton iterations and
+        evaluator sweeps summed over every Newton run; the closed-form
+        identity fits as one stacked FitResult; and each dataset's fit on
+        this link, indexed by dataset: that stack for the identity link, a
+        list of Newton fits (None where the design is singular) for the
+        logit link.  A fit with non-finite coefficients counts as not
         converged.  Logit fits start at ``_logit_start`` next to
         ``reference``, or else next to their own constant model.  The
         reference only saves iterations, so a fit from it that fails, or
@@ -254,22 +237,27 @@ class FitSpec:
         the rows of the stack (a bootstrap passes its data's labels at each
         resample's indices); without them each dataset labels its own
         rows."""
-        fits = self._identity(stack)
-        beta, singular = fits.beta, ~fits.converged
+        identity = gee.solve_identity(*pseudo_marginals(stack), stack.covariates1,
+                                      stack.covariates2, strict_singular=self.strict_singular)
+        beta, singular, fits = identity.beta.copy(), ~identity.converged, identity
         nonconverged = np.zeros(len(beta), dtype=bool)
         saturated = np.zeros(len(beta), dtype=bool)
         iterations = sweeps = 0
         if self.link == gee.LOGIT:
-            for k in np.flatnonzero(fits.converged):
+            fits = [None] * len(beta)
+            for k in np.flatnonzero(identity.converged):
                 data = stack[k]
                 Z1, Z2 = data.covariates1, data.covariates2
-                subjects = None if labels is None else (labels[0][k], labels[1][k])
+                subjects = _subject_labels(data) if labels is None else (labels[0][k], labels[1][k])
+                (rows, w1), (cols, w2) = map(_distinct_subjects, subjects)
+                matrix = pseudo_matrix(data, rows=rows, cols=cols)
                 if reference is None:
                     starts = [_logit_start(beta[k], _logit_reference(beta[k], Z1, Z2))]
                 else:
                     starts = [_logit_start(beta[k], reference), beta[k].copy()]
                 for start in starts:
-                    result = self._newton(data, start, subjects)
+                    fits[k] = result = gee.solve_newton(matrix, Z1[rows], Z2[cols], self.link,
+                                                        x0=start, weights=(w1, w2))
                     iterations += result.iterations
                     sweeps += result.sweeps
                     nonconverged[k] = not (result.converged and np.isfinite(result.beta).all())
@@ -282,7 +270,16 @@ class FitSpec:
         usable = np.ones_like(saturated)    # the rows below follow FAILURE_CAUSES
         outcome = np.argmax([singular, nonconverged, saturated, usable], axis=0)
         beta[outcome < len(FAILURE_CAUSES)] = np.nan
-        return beta, outcome, iterations, sweeps
+        return beta, outcome, iterations, sweeps, identity, fits
+
+
+def _own_fit(outcome, fits) -> gee.FitResult:
+    """The link fit of the one dataset that ``FitSpec._fit_stack`` fitted
+    to ``outcome`` and ``fits``, as it is; a singular design raises
+    LinAlgError."""
+    if outcome[0] == FAILURE_CAUSES.index("singular"):
+        raise np.linalg.LinAlgError("design second-moment matrix is singular")
+    return fits[0]
 
 
 def _failures(outcomes=()) -> dict:
@@ -420,21 +417,24 @@ def bootstrap(
     """Nonparametric bootstrap of the full pipeline; a base fit that
     ``require_usable`` refuses stops it before any refit.  A refit fails
     by the causes of ``FitSpec._fit_stack``; a saturated base fit is not
-    refused.  Logit refits start next to the base fit, the reference of
-    ``_logit_start`` with the identity fit of ``data`` that started it.
+    refused.  The base fit is ``_fit_stack`` of ``data`` as a stack of one,
+    and logit refits start next to it, the reference of ``_logit_start``
+    with the identity fit of ``data`` that started it.
     The subjects of ``data`` are labelled once, and a logit refit reads its
     distinct subjects and their copies from the labels of its resample."""
     if B < 1:
         raise ValueError("B must be at least 1")
     spec = spec or FitSpec()
     labels = _subject_labels(data) if spec.link == gee.LOGIT else None
-    identity, base = spec._fit(data, labels)
+    whole = stack_datasets([data])
+    _, outcome, _, _, identity, fits = spec._fit_stack(
+        whole, labels=None if labels is None else (labels[0][None], labels[1][None]))
+    base = _own_fit(outcome, fits)
     require_usable(base)
     reference = None
     if labels is not None:
-        reference = _logit_reference(identity.beta, data.covariates1, data.covariates2,
+        reference = _logit_reference(identity.beta[0], data.covariates1, data.covariates2,
                                      base.beta)
-    whole = stack_datasets([data])
     replicates = np.full((B, base.beta.size), np.nan)
     outcomes = np.empty(B, dtype=int)
     newton_iterations = newton_sweeps = 0
@@ -443,7 +443,7 @@ def bootstrap(
         runs = range(start, min(start + step, B))
         _, idx1, idx2 = _simulated_chunk(lambda rngs: whole, seed, runs)
         resampled = None if labels is None else (labels[0][idx1], labels[1][idx2])
-        replicates[start : runs.stop], outcomes[start : runs.stop], iterations, sweeps = (
+        replicates[start : runs.stop], outcomes[start : runs.stop], iterations, sweeps, *_ = (
             spec._fit_stack(whole.resampled(idx1, idx2), reference, resampled))
         newton_iterations += iterations
         newton_sweeps += sweeps

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import os
@@ -35,7 +36,17 @@ from releff.pseudo import pseudo_marginals, pseudo_matrix, tie_correction_term
 from releff.survival import stack_datasets
 
 
-STUDY_DATA = Path(__file__).resolve().parents[1] / "bench" / "study_data.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+STUDY_DATA = BENCH / "study_data.py"
+STUDY_REFERENCE = BENCH / "references" / "study_logit_n400"
+
+
+def study_data():
+    """The benchmark's study CSV generator, ``bench/study_data.py``."""
+    spec = importlib.util.spec_from_file_location("study_data", STUDY_DATA)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def write_csv(path, rows, header=("group", "time", "status")):
@@ -579,9 +590,7 @@ class TestCommands:
     def test_pseudo_inverse_base_fit_warns(self, tmp_path, caplog, capsys):
         # the n = 400 study CSV of the benchmark, and the same with age in
         # units 1e8 times smaller, which the rank test reads as collinear
-        spec = importlib.util.spec_from_file_location("study_data", STUDY_DATA)
-        study = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(study)
+        study = study_data()
         plain, scaled = tmp_path / "study.csv", tmp_path / "scaled.csv"
         study.write_csv(study.generate(3), plain)
         with open(plain, newline="") as fh:
@@ -1012,3 +1021,41 @@ def test_blas_threads_move_no_output_beyond_the_logit_bound(tmp_path):
             else:
                 bound = LOGIT_BLAS_THREAD_BOUND * max(1.0, abs(float(a)))
                 assert abs(float(a) - float(b)) <= bound, (name, a, b)
+
+
+# numbers in the study CSVs agree with the benchmark's pinned outputs to this
+# absolute bound, the benchmark's own TOL; text agrees exactly
+STUDY_TOL = 1e-8
+
+
+def same_cell(pinned: str, got: str) -> bool:
+    try:
+        a, b = float(pinned), float(got)
+    except ValueError:
+        return pinned == got
+    return (np.isnan(a) and np.isnan(b)) or abs(a - b) <= STUDY_TOL
+
+
+def test_study_commands_match_the_pinned_benchmark_outputs(tmp_path):
+    # the benchmark's study workload at its reference seed: fit and test
+    # with the logit link (the base fit, then B = 10 refits started next to
+    # it) and predict with the identity link, against its pinned CSVs
+    meta = json.loads((STUDY_REFERENCE / "input.json").read_text())
+    study, data = study_data(), tmp_path / "study.csv"
+    study.write_csv(study.generate(meta["seed"]), data)
+    assert hashlib.sha256(data.read_bytes()).hexdigest() == meta["csv_sha256"]
+    argv = ["--data", str(data), "--cov1", "age,marker", "--cov2", "age,marker",
+            "--tau", str(study.TAU), "--out-dir", str(tmp_path / "out")]
+    bootstrap_argv = ["--seed", str(meta["seed"]), "--bootstrap", "10"]
+    assert main(["fit", *argv, "--link", "logit"]) == EXIT_OK
+    assert main(["test", *argv, "--link", "logit", *bootstrap_argv]) == EXIT_OK
+    assert main(["predict", *argv, "--link", "identity", *bootstrap_argv]) == EXIT_OK
+    for name in ("coefficients.csv", "tests.csv", "predictions.csv"):
+        with open(STUDY_REFERENCE / name, newline="") as fh:
+            pinned = list(csv.reader(fh))
+        with open(tmp_path / "out" / name, newline="") as fh:
+            got = list(csv.reader(fh))
+        assert [len(row) for row in got] == [len(row) for row in pinned], name
+        bad = [(i, j, p, g) for i, (prow, grow) in enumerate(zip(pinned, got))
+               for j, (p, g) in enumerate(zip(prow, grow)) if not same_cell(p, g)]
+        assert bad == [], name

@@ -1,7 +1,8 @@
 """Static checks of the package sources: every name a module imports is used,
 every name its ``__all__`` exports is bound, every module-level private
-name is read somewhere in the package, and no module reads an attribute of
-a name that the benchmark's tracer replaces with a plain function.  In a
+name is read somewhere in the package, one function runs Newton and
+builds its start, and no module reads an attribute of a name that the
+benchmark's tracer replaces with a plain function.  In a
 fresh interpreter, importing the package and running each command loads no
 scipy module, and on glibc a warm Monte Carlo task faults in few pages."""
 
@@ -150,6 +151,43 @@ def test_traced_entry_points_are_only_called(module, attribute):
     # classmethod, a constant) works untraced and fails under tracing
     path = PACKAGE / f"{module}.py"
     assert attribute_reads(path.read_text(encoding="utf-8"), attribute) == []
+
+
+def callers(sources: dict, callee: str):
+    """(module, function) of each innermost function or method of
+    ``sources`` (module name -> source) that calls ``callee``, by name or as
+    an attribute (``gee.solve_newton``)."""
+    found = set()
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            inner = function
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == callee:
+                    found.add((module, function))
+            visit(child, module, inner)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, None)
+    return found
+
+
+def test_checker_finds_callers():
+    sources = {"a": "def f():\n    g.solve(1)\n    def h(): solve(2)\nsolve(3)\n",
+               "b": "class K:\n    def m(self): return [solve]\n"}
+    assert callers(sources, "solve") == {("a", "f"), ("a", "h"), ("a", None)}
+
+
+@pytest.mark.parametrize("callee", ["solve_newton", "_logit_start"])
+def test_one_function_starts_and_judges_newton(callee):
+    # FitSpec._fit_stack alone builds a logit start, runs Newton and judges
+    # the root it stops at, so a second start or root rule cannot come back
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert callers(sources, callee) == {("inference.py", "_fit_stack")}
 
 
 def fresh_interpreter(code: str) -> str:

@@ -395,15 +395,32 @@ def test_singular_bootstrap_refit_counts_as_failed(monkeypatch, rng):
     assert ens.ok.tolist() == [True, True, False, True, True, True, False, True, True, True]
 
 
-def test_strict_singular_logit_fit_is_refused(rng):
+@pytest.mark.parametrize("link", [IDENTITY, LOGIT])
+def test_strict_singular_fit_is_refused(rng, link):
     # a second group-1 covariate twice the first: the design is singular
     data = random_dataset(rng, 10, 10, p1=1, censored=True)
     z = data.covariates1
     collinear = TwoSampleDataset(data.times1, data.events1, np.column_stack((z, 2 * z)),
                                  data.times2, data.events2, data.covariates2)
     with pytest.raises(np.linalg.LinAlgError):
-        FitSpec(link=LOGIT, strict_singular=True).fit(collinear)
-    assert FitSpec(link=LOGIT).fit(collinear).used_pinv
+        FitSpec(link=link, strict_singular=True).fit(collinear)
+    assert FitSpec(link=link).fit(collinear).used_pinv
+
+
+@pytest.mark.parametrize("censored", [True, False], ids=["censored", "uncensored"])
+@pytest.mark.parametrize("link", [IDENTITY, LOGIT])
+def test_fit_is_the_bootstrap_base_fit(rng, link, censored):
+    # both are _fit_stack of the data as a stack of one, returned as it is
+    data = random_dataset(rng, 25, 20, censored=censored)
+    spec = FitSpec(link=link)
+    got, want = spec.fit(data), bootstrap(data, spec, B=5).base_fit
+    for name in ("converged", "iterations", "gradient_norm", "used_pinv", "message", "sweeps"):
+        assert getattr(got, name) == getattr(want, name), name
+    np.testing.assert_array_equal(got.beta, want.beta)
+    if link == IDENTITY:
+        assert got.jacobian is want.jacobian is None
+    else:
+        np.testing.assert_array_equal(got.jacobian, want.jacobian)
 
 
 def test_singular_logit_bootstrap_refit_counts_as_failed(monkeypatch, rng):
@@ -421,21 +438,24 @@ def test_singular_logit_bootstrap_refit_counts_as_failed(monkeypatch, rng):
 
 def test_nonconverged_bootstrap_refit_counts_as_failed(monkeypatch, rng):
     data = random_dataset(rng, 10, 10, censored=True)
-    real = FitSpec._newton
-    # resamples 2 and 6 stall from every start, the fallback's included
+    real = gee.solve_newton
+    # resamples 2 and 6 stall from every start, the fallback's included;
+    # Newton sees a resample's distinct subjects, known by their covariates
+    def subjects(Z1, Z2):
+        return np.unique(Z1, axis=0).tobytes(), np.unique(Z2, axis=0).tobytes()
+
     stalling_data = [resampled(data, *oracles.resample_indices(oracles.replicate_rng(0, b), 10, 10))
                      for b in (2, 6)]
+    stalled_subjects = {subjects(s.covariates1, s.covariates2) for s in stalling_data}
 
-    def stalling(self, star, start, labels=None):
-        result = real(self, star, start, labels)
-        if any(np.array_equal(star.times1, s.times1) and np.array_equal(star.times2, s.times2)
-               for s in stalling_data):
-            result.converged = False
+    def stalling(matrix, Z1, Z2, *args, **kwargs):
+        result = real(matrix, Z1, Z2, *args, **kwargs)
+        result.converged &= subjects(Z1, Z2) not in stalled_subjects
         return result
 
     spec = FitSpec(link=LOGIT)
     unpatched = bootstrap(data, spec=spec, B=10, seed=0)
-    monkeypatch.setattr(FitSpec, "_newton", stalling)
+    monkeypatch.setattr(gee, "solve_newton", stalling)
     ens = bootstrap(data, spec=spec, B=10, seed=0)
     stalled = np.isin(np.arange(10), [2, 6])
     assert ens.ok.tolist() == (unpatched.ok & ~stalled).tolist()
@@ -481,7 +501,9 @@ def test_overflowing_base_fit_stops_the_bootstrap_before_any_refit(monkeypatch):
     def no_refit(*args, **kwargs):
         pytest.fail("a refit ran after a non-finite base fit")
 
-    monkeypatch.setattr(FitSpec, "_fit_stack", no_refit)
+    # the base fit is itself a _fit_stack call; every chunk of refits first
+    # draws its resamples
+    monkeypatch.setattr(inference, "_simulated_chunk", no_refit)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="non-finite coefficients"):
             bootstrap(data, B=20, seed=0)
@@ -502,7 +524,7 @@ def test_nonconverged_base_fit_stops_the_bootstrap_before_any_refit(monkeypatch,
         pytest.fail("a refit ran after a base fit that did not converge")
 
     monkeypatch.setattr(gee, "solve_newton", stalled)
-    monkeypatch.setattr(FitSpec, "_fit_stack", no_refit)
+    monkeypatch.setattr(inference, "_simulated_chunk", no_refit)
     with pytest.raises(RuntimeError, match="did not converge: line search stalled"):
         bootstrap(data, spec=FitSpec(link=LOGIT), B=20, seed=0)
 
@@ -768,7 +790,12 @@ def test_anchored_refits_stay_within_the_determination_of_the_cold_root(seed, ce
     for b in range(20):
         idx1, idx2 = oracles.resample_indices(oracles.replicate_rng(seed, b), n1, n2)
         star = resampled(data, idx1, idx2)
-        cold = spec._newton(star, spec._identity(stack_datasets([star])).beta[0])
+        # Newton on the distinct subjects of the resample from its identity fit
+        (rows, w1), (cols, w2) = map(inference._distinct_subjects,
+                                     inference._subject_labels(star))
+        cold = gee.solve_newton(pseudo_matrix(star, rows=rows, cols=cols),
+                                star.covariates1[rows], star.covariates2[cols], LOGIT,
+                                x0=FitSpec().fit(star).beta, weights=(w1, w2))
         usable = (cold.converged and np.isfinite(cold.beta).all()
                   and not oracles.saturated(spec, cold, star))
         assert ens.ok[b] == usable, b
@@ -811,7 +838,7 @@ def test_separated_data_start_logit_fits_at_a_finite_point(monkeypatch, later, c
             events1[np.argmax(d.times1)] = 1.0
         data = TwoSampleDataset(d.times1 + shift1, events1, d.covariates1,
                                 d.times2 + shift2, events2, d.covariates2)
-        identity = spec._identity(stack_datasets([data])).beta[0]
+        identity = FitSpec().fit(data).beta
         a, b = gee._group_parts(identity, data.covariates1, data.covariates2)
         assert not inference.THETA_CLIP[0] <= a.mean() + b.mean() <= inference.THETA_CLIP[1]
         fit = spec.fit(data)
