@@ -10,26 +10,26 @@ z * pseudo, which needs only the grand, row and column means of the pseudo
 matrix; ``solve_identity`` solves it for a stack of datasets at once.  The
 logit link goes through ``solve_newton``, a damped Newton iteration on a
 pseudo matrix whose rows and columns may carry multiplicities, so that a
-resample is fitted on its distinct subjects.  A link is one of the two
-names in ``LINKS``.  ``inference.FitSpec._fit_stack`` is the one place
-that picks the solver, for every fit: it starts Newton at the identity-link
-solution mapped onto the logit scale (``inference._logit_start``) and
-judges the root Newton stops at.  A logit fit with some |beta'z| beyond
-SATURATED_ETA is saturated (``max_abs_eta``).  Every Newton candidate is
-evaluated as (U, J) in one sweep over row blocks of the pseudo matrix, with
-three block buffers of at most BLOCK_ELEMENTS each, allocated once per fit;
-no other n1 x n2 array is held.  For the logit link exp(-eta) factors as
-u[i1] v[i2], so a candidate takes n1 + n2 exps, and 1 + exp(-eta) is one
-rank-2 BLAS product per block; mu = 1 / (1 + exp(-eta)), then mu' = mu (1 - mu)
-and mu'' = mu' (1 - 2 mu) follow from mu.  A candidate whose balanced factors
-would leave exp(+-EXP_FACTOR_LIMIT), which only a saturated fit reaches,
-takes one exp per pair instead.  Before Newton evaluates a full step,
-``_step_bound`` bounds the score there from O(n1 + n2) moments of the
-step and of |z| by Taylor's theorem; when the bound certifies that max |U|
-would fall below TOL and J stays negative definite, the step is taken
-without its sweep (``FitResult.sweeps`` counts the sweeps taken).  The
-uncensored sandwich covariance sums the pair indicators along
-``pseudo._indicator_ranks``, no n1 x n2 array.
+resample is fitted on its distinct subjects; Newton fits the logit link
+only.  A link is one of the two names in ``LINKS``.
+``inference.FitSpec._fit_stack`` is the one place that picks the solver,
+for every fit: it starts Newton at the identity-link solution mapped onto
+the logit scale (``inference._logit_start``) and judges the root Newton
+stops at.  A logit fit with some |beta'z| beyond SATURATED_ETA is saturated
+(``max_abs_eta``).  Every Newton candidate is evaluated as (U, J) in one
+sweep over row blocks of the pseudo matrix, with three block buffers of at
+most BLOCK_ELEMENTS each, allocated once per fit; no other n1 x n2 array is
+held.  exp(-eta) factors as u[i1] v[i2], so a candidate takes n1 + n2 exps,
+and 1 + exp(-eta) is one rank-2 BLAS product per block; mu = 1 / (1 +
+exp(-eta)), then mu' = mu (1 - mu) and mu'' = mu' (1 - 2 mu) follow from
+mu.  A candidate whose balanced factors would leave exp(+-EXP_FACTOR_LIMIT),
+which only a saturated fit reaches, takes one exp per pair instead.  Before
+Newton evaluates a full step, ``_step_bound`` bounds the score there from
+O(n1 + n2) moments of the step and of |z| by Taylor's theorem; when the
+bound certifies that max |U| would fall below TOL and J stays negative
+definite, the step is taken without its sweep (``FitResult.sweeps`` counts
+the sweeps taken).  The uncensored sandwich covariance sums the pair
+indicators along ``pseudo._indicator_ranks``, no n1 x n2 array.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def check_link(link: str) -> None:
 @dataclass
 class FitResult:
     """One fit, or a stack of N fits with a leading axis on every field but
-    ``method`` and ``message``; ``fits[k]`` is fit k, as Python bool/int/float.
+    ``message``; ``fits[k]`` is fit k, as Python bool/int/float.
     A Newton fit also keeps ``jacobian``, the p x p Jacobian J of U at
     ``beta``, and ``sweeps``, the evaluations of (U, J) it took; a root of U
     is a maximum of the fit's potential where J is negative definite.  When
@@ -99,7 +99,6 @@ class FitResult:
     converged: bool
     iterations: int
     gradient_norm: float
-    method: str
     used_pinv: bool = False
     message: str = ""
     jacobian: np.ndarray | None = None
@@ -107,8 +106,7 @@ class FitResult:
 
     def __getitem__(self, k: int) -> FitResult:
         return FitResult(self.beta[k], bool(self.converged[k]), int(self.iterations[k]),
-                         float(self.gradient_norm[k]), self.method, bool(self.used_pinv[k]),
-                         self.message)
+                         float(self.gradient_norm[k]), bool(self.used_pinv[k]), self.message)
 
 
 def _group_parts(beta, Z1, Z2):
@@ -154,7 +152,7 @@ def _paired_quadratic(rs, cs, cross, Z1, Z2):
 # elements of one block buffer: a block is as many whole rows of the pseudo
 # matrix as fit, at least one
 BLOCK_ELEMENTS = 1 << 15
-# the logit link factors exp(-eta) while every factor's exponent stays
+# the evaluator factors exp(-eta) while every factor's exponent stays
 # within +-EXP_FACTOR_LIMIT, so that products of two factors neither
 # overflow nor underflow
 EXP_FACTOR_LIMIT = 300.0
@@ -191,14 +189,13 @@ def _exp_factors(a, b):
 
 
 class _Evaluator:
-    """Score and Jacobian of one pseudo matrix Y at any beta, in one sweep
-    over row blocks of Y.
+    """Logit-link score and Jacobian of one pseudo matrix Y at any beta, in
+    one sweep over row blocks of Y.
 
     A block of k rows lives in three k x n2 buffers, allocated once: mu',
     W = mu' (Y - mu) and G = mu' ((1 - 2 mu)(Y - mu) - mu'), the Jacobian
     weight, which first holds mu.  The sweep accumulates the row and column
-    sums of W and G and Z1' G; nothing of size n1 x n2 is allocated.  The
-    identity link has mu = eta, mu' = 1 and G = -1.
+    sums of W and G and Z1' G; nothing of size n1 x n2 is allocated.
 
     With ``weights`` = (w1, w2), row i1 of Y stands for w1[i1] rows and
     column i2 for w2[i2] columns of a larger matrix, whose U and J it
@@ -208,10 +205,9 @@ class _Evaluator:
     leaves every product exact.
     """
 
-    def __init__(self, values, Z1, Z2, link: str, weights=None):
-        check_link(link)
+    def __init__(self, values, Z1, Z2, weights=None):
         n1, n2 = values.shape
-        self.values, self.Z1, self.Z2, self.link = values, Z1, Z2, link
+        self.values, self.Z1, self.Z2 = values, Z1, Z2
         self.ones = np.ones(max(n1, n2))
         self.w1, self.w2 = (self.ones[:n1], self.ones[:n2]) if weights is None else weights
         self.sizes = self.w1.sum(), self.w2.sum()
@@ -221,12 +217,13 @@ class _Evaluator:
         self.row_sums = np.empty((2, n1))   # of W and G
         self.sweeps = 0
         # for ``_step_bound``: the weighted rows of (1, |Z1|) and (1, |Z2|),
-        # the pair mean of x x' for x = (1, z1, z2), max |x| and Y's range
+        # the pair mean of x x' for x = (1, z1, z2), max |x| and
+        # s = max(max Y, 1 - min Y)
         self.abs_rows = np.abs(self.X1), np.column_stack((self.w2, np.abs(Z2) * self.w2[:, None]))
         self.design = _paired_quadratic(self.w1 * self.sizes[1], self.w2 * self.sizes[0],
                                         np.outer(self.w1 @ Z1, self.w2 @ Z2), Z1, Z2) / self.pairs
         self.x_max = np.concatenate(([1.0], *(np.abs(Z).max(axis=0) for Z in (Z1, Z2))))
-        self.y_range = float(values.min()), float(values.max())
+        self.spread = max(float(values.max()), 1.0 - float(values.min()))
 
     def evaluate(self, beta):
         """(U, J): the normalized score and its Jacobian at beta."""
@@ -235,7 +232,7 @@ class _Evaluator:
         n1, n2 = values.shape
         ones, w1, w2 = self.ones, self.w1, self.w2
         a, b = _group_parts(beta, Z1, Z2)
-        factors = _exp_factors(a, b) if self.link == LOGIT else None
+        factors = _exp_factors(a, b)
         if factors is None:
             left, right = _eta_factors(a, b)
         else:
@@ -252,20 +249,16 @@ class _Evaluator:
             W, G, mu_prime = self.blocks[:, : stop - start]
             Y = values[start:stop]
             np.matmul(left[start:stop], right, out=G)
-            if self.link == IDENTITY:
-                np.subtract(Y, G, out=W)
-                G.fill(-1.0)
-            else:
-                mu = _expit(G, out=G) if factors is None else np.reciprocal(G, out=G)
-                np.subtract(1.0, mu, out=mu_prime)
-                mu_prime *= mu
-                residual = np.subtract(Y, mu, out=W)
-                mu *= -2.0
-                mu += 1.0
-                mu *= residual
-                mu -= mu_prime
-                mu *= mu_prime
-                W *= mu_prime
+            mu = _expit(G, out=G) if factors is None else np.reciprocal(G, out=G)
+            np.subtract(1.0, mu, out=mu_prime)
+            mu_prime *= mu
+            residual = np.subtract(Y, mu, out=W)
+            mu *= -2.0
+            mu += 1.0
+            mu *= residual
+            mu -= mu_prime
+            mu *= mu_prime
+            W *= mu_prime
             np.matmul(W, w2, out=rs_w[start:stop])
             np.matmul(G, w2, out=rs_g[start:stop])
             cs_w += w1[start:stop] @ W
@@ -276,9 +269,9 @@ class _Evaluator:
         return U / self.pairs, J / self.pairs
 
 
-# |d^2/d eta^2 mu'(eta) (y - mu(eta))| = |mu''' (y - mu) - 3 mu' mu''| for the
-# logit link, where max |mu'''| = 1/8 and 3 max |mu' mu''| = 3 (1/5)^2 sqrt(1/5)
-# < LOGIT_CURVATURE (at mu (1 - mu) = 1/5)
+# |d^2/d eta^2 mu'(eta) (y - mu(eta))| = |mu''' (y - mu) - 3 mu' mu''|, where
+# max |mu'''| = 1/8 and 3 max |mu' mu''| = 3 (1/5)^2 sqrt(1/5) < LOGIT_CURVATURE
+# (at mu (1 - mu) = 1/5)
 LOGIT_CURVATURE = 0.0537
 # a step is certified when its bound is below this share of TOL
 CERTIFIED_SHARE = 0.9
@@ -305,10 +298,9 @@ def _step_bound(evaluator: _Evaluator, beta, U, J, step):
 
     Along the step eta moves by d = a[i1] + b[i2] (``_group_parts`` of the
     step).  The summand f = mu'(eta) (y - mu(eta)) of U has |f| <= F,
-    |f'| <= S and |f''| <= g: F = s/4, S = s/8 + 1/16, g = s/8 +
-    LOGIT_CURVATURE for the logit link, with s = max(max Y, 1 - min Y) >=
-    |y - mu|, and F = max|Y| + max|eta|, S = 1, g = 0 for the identity
-    link.  With x = (1, z1, z2) and D = pairmean(w x x'), Taylor gives
+    |f'| <= S and |f''| <= g: F = s/4, S = s/8 + 1/16 and g = s/8 +
+    LOGIT_CURVATURE, with s = max(max Y, 1 - min Y) >= |y - mu|.  With
+    x = (1, z1, z2) and D = pairmean(w x x'), Taylor gives
 
         |U_k(beta + step)| <= |U + J step|_k + g/2 pairmean(w |x_k| d^2),
         -g max|d| D <= J(beta + step) - J <= g max|d| D,
@@ -324,20 +316,14 @@ def _step_bound(evaluator: _Evaluator, beta, U, J, step):
     factor, both evaluated Jacobians are negative definite.  A score bound
     scales with its own covariate and the Cholesky test with none."""
     ev = evaluator
-    y_min, y_max = ev.y_range
-    if ev.link == LOGIT:
-        spread = max(y_max, 1.0 - y_min)
-        f_max, slope, curvature = spread / 4, spread / 8 + 1 / 16, spread / 8 + LOGIT_CURVATURE
-    else:
-        slope, curvature = 1.0, 0.0
+    spread = ev.spread
+    f_max, slope, curvature = spread / 4, spread / 8 + 1 / 16, spread / 8 + LOGIT_CURVATURE
     # a step that overflows gives a bound that is not finite and certifies nothing
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.abs(U + J @ step)
         a, b = _group_parts(step, ev.Z1, ev.Z2)
         means, square = _abs_design_means(ev, a, b)
         eta_max = ev.x_max @ np.maximum(np.abs(beta), np.abs(beta + step))
-        if ev.link == IDENTITY:
-            f_max = max(-y_min, y_max) + eta_max
         sweep = (a.size + b.size + 32) * np.finfo(float).eps
         eta_error = (beta.size + 2) * np.finfo(float).eps * eta_max
         rounding = 2 * (sweep * f_max + slope * eta_error) * means
@@ -444,7 +430,7 @@ def solve_identity(row_means, col_means, Z1, Z2, strict_singular: bool = False) 
         beta[used_pinv] = (np.linalg.pinv(Sigma[used_pinv]) @ psi[used_pinv][..., None])[..., 0]
     residual = psi - (Sigma @ beta[..., None])[..., 0]
     return FitResult(beta, ~(deficient & strict_singular), np.zeros(len(beta), dtype=int),
-                     np.max(np.abs(residual), axis=-1), "closed-form", used_pinv)
+                     np.max(np.abs(residual), axis=-1), used_pinv)
 
 
 # Newton's limits: max |U| below TOL, MAX_ITER iterations, MAX_HALVINGS halvings a step
@@ -462,16 +448,16 @@ def max_abs_eta(beta, Z1, Z2) -> float:
     return float(max(abs(a.max() + b.max()), abs(a.min() + b.min())))
 
 
-def solve_newton(matrix: np.ndarray, Z1, Z2, link: str, x0=None, weights=None) -> FitResult:
-    """Damped Newton iteration on the estimating function of the n1 x n2
-    pseudo-observation array ``matrix`` from ``x0`` (zeros if None), within
-    the fixed limits TOL, MAX_ITER and MAX_HALVINGS.
+def solve_newton(matrix: np.ndarray, Z1, Z2, *, x0=None, weights=None) -> FitResult:
+    """Damped Newton iteration on the logit-link estimating function of the
+    n1 x n2 pseudo-observation array ``matrix`` from ``x0`` (zeros if None),
+    within the fixed limits TOL, MAX_ITER and MAX_HALVINGS.
 
     ``weights`` = (w1, w2), if given, are the multiplicities of the rows and
     columns: the fit is that of the matrix with row i1 repeated w1[i1] times
     and column i2 w2[i2] times (see ``_Evaluator``).  Non-convergence is
     reported honestly: the last iterate is returned with
-    ``converged=False``.  A link not in LINKS raises ValueError.
+    ``converged=False``.
     """
     Z1 = np.atleast_2d(np.asarray(Z1, dtype=float))
     Z2 = np.atleast_2d(np.asarray(Z2, dtype=float))
@@ -479,14 +465,14 @@ def solve_newton(matrix: np.ndarray, Z1, Z2, link: str, x0=None, weights=None) -
     beta = np.zeros(p) if x0 is None else np.array(x0, dtype=float)
 
     _check_dims(beta, matrix, Z1, Z2, weights)
-    evaluator = _Evaluator(matrix, Z1, Z2, link, weights)
+    evaluator = _Evaluator(matrix, Z1, Z2, weights)
 
     used_pinv = False
     U, J = evaluator.evaluate(beta)
     norm = float(np.max(np.abs(U)))
     for it in range(1, MAX_ITER + 1):
         if norm < TOL:
-            return FitResult(beta, True, it - 1, norm, "newton", used_pinv=used_pinv,
+            return FitResult(beta, True, it - 1, norm, used_pinv=used_pinv,
                              jacobian=J, sweeps=evaluator.sweeps)
         try:
             step = np.linalg.solve(J, -U)
@@ -497,7 +483,7 @@ def solve_newton(matrix: np.ndarray, Z1, Z2, link: str, x0=None, weights=None) -
         if bound is not None:
             # the full step, as the line search below would take it and stop
             log.debug("newton iterate %d: norm %.3e certified, step scale 1", it, bound)
-            return FitResult(beta + step, True, it, bound, "newton", used_pinv=used_pinv,
+            return FitResult(beta + step, True, it, bound, used_pinv=used_pinv,
                              jacobian=J, sweeps=evaluator.sweeps)
         scale = 1.0
         improved = False
@@ -513,12 +499,12 @@ def solve_newton(matrix: np.ndarray, Z1, Z2, link: str, x0=None, weights=None) -
             scale *= 0.5
         if not improved:
             return FitResult(
-                beta, False, it, norm, "newton", used_pinv=used_pinv,
+                beta, False, it, norm, used_pinv=used_pinv,
                 message="line search stalled", jacobian=J, sweeps=evaluator.sweeps,
             )
     converged = norm < TOL
     return FitResult(
-        beta, converged, MAX_ITER, norm, "newton",
+        beta, converged, MAX_ITER, norm,
         used_pinv=used_pinv, message="" if converged else "max iterations reached",
         jacobian=J, sweeps=evaluator.sweeps,
     )

@@ -225,10 +225,11 @@ class FitSpec:
         evaluator sweeps summed over every Newton run; the closed-form
         identity fits as one stacked FitResult; and each dataset's fit on
         this link, indexed by dataset: that stack for the identity link, a
-        list of Newton fits (None where the design is singular) for the
-        logit link.  A fit with non-finite coefficients counts as not
-        converged.  Logit fits start at ``_logit_start`` next to
-        ``reference``, or else next to their own constant model.  The
+        list of Newton fits (None where the design is singular, the NaN
+        identity fit where the design moments overflow) for the logit link.
+        A fit with non-finite coefficients counts as not converged.  Newton
+        starts only from a finite identity fit, at ``_logit_start`` next to
+        ``reference``, or else next to the dataset's own constant model.  The
         reference only saves iterations, so a fit from it that fails, or
         that stops at a root of U other than a maximum (J at the root not
         negative definite), is done again from its identity fit as it is, a
@@ -246,6 +247,9 @@ class FitSpec:
         if self.link == gee.LOGIT:
             fits = [None] * len(beta)
             for k in np.flatnonzero(identity.converged):
+                if not np.isfinite(beta[k]).all():
+                    fits[k] = identity[k]    # design moments overflowed: no start
+                    continue
                 data = stack[k]
                 Z1, Z2 = data.covariates1, data.covariates2
                 subjects = _subject_labels(data) if labels is None else (labels[0][k], labels[1][k])
@@ -256,8 +260,8 @@ class FitSpec:
                 else:
                     starts = [_logit_start(beta[k], reference), beta[k].copy()]
                 for start in starts:
-                    fits[k] = result = gee.solve_newton(matrix, Z1[rows], Z2[cols], self.link,
-                                                        x0=start, weights=(w1, w2))
+                    fits[k] = result = gee.solve_newton(matrix, Z1[rows], Z2[cols], x0=start,
+                                                        weights=(w1, w2))
                     iterations += result.iterations
                     sweeps += result.sweeps
                     nonconverged[k] = not (result.converged and np.isfinite(result.beta).all())

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .survival import TwoSampleDataset, stack_datasets
+from .survival import TwoSampleDataset
 
 __all__ = [
     "pseudo_matrix",
@@ -244,11 +244,9 @@ def pseudo_marginals(stack: TwoSampleDataset) -> tuple:
     times g < tau, so a row mean needs th1[i1] and F1^{-i1} against the mean
     group-2 jump, and a column mean th2[i2] and dS2^{-i2} against the mean
     group-1 curve.  A fully observed dataset takes exact counts (``_indicator_ranks``).
-    One dataset (1-D times) is taken as a stack of one, with means (n1,) and (n2,).
+    A dataset that is not a stack raises ValueError.
     """
-    if stack.times1.ndim == 1:
-        row_means, col_means = pseudo_marginals(stack_datasets([stack]))
-        return row_means[0], col_means[0]
+    stack._require_stack()
     if stack.uncensored:
         _, rows, cols = _indicator_ranks(stack.times1, stack.times2, stack.tau)
         return rows / stack.n2, cols / stack.n1

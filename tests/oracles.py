@@ -15,7 +15,7 @@ fast path in ``releff``:
   row per pair, with mu, mu' and mu'' of each link from ``LINK_TERMS``, a
   table of its own built on ``scipy.special.expit``;
 - the Weibull relative effect by numerical quadrature;
-- the damped Newton fit, evaluating the score of every candidate and the
+- the damped logit Newton fit, evaluating the score of every candidate and the
   Jacobian of every step afresh;
 - the identity-link fit from the means of the full pseudo matrix, and the
   fit of one dataset through that matrix, copies of a subject included,
@@ -259,12 +259,12 @@ def true_theta_weibull_numeric(lam1, k1, lam2, k2, tau=np.inf) -> float:
     return float(val)
 
 
-def newton_fit(matrix, Z1, Z2, link, x0=None, tol=1e-10, max_iter=50,
+def newton_fit(matrix, Z1, Z2, x0=None, tol=1e-10, max_iter=50,
                max_halvings=10) -> FitResult:
-    """Damped Newton iteration on the production evaluator
-    ``gee._Evaluator``: the score of every candidate, and the Jacobian
-    evaluated afresh at every step rather than kept from the accepted
-    candidate as ``solve_newton`` does."""
+    """Damped Newton iteration for the logit link on the production
+    evaluator ``gee._Evaluator``: the score of every candidate, and the
+    Jacobian evaluated afresh at every step rather than kept from the
+    accepted candidate as ``solve_newton`` does."""
     Z1 = np.atleast_2d(np.asarray(Z1, dtype=float))
     Z2 = np.atleast_2d(np.asarray(Z2, dtype=float))
     p = 1 + Z1.shape[1] + Z2.shape[1]
@@ -273,13 +273,13 @@ def newton_fit(matrix, Z1, Z2, link, x0=None, tol=1e-10, max_iter=50,
     else:
         beta = np.zeros(p)
 
-    evaluator = gee._Evaluator(matrix, Z1, Z2, link)
+    evaluator = gee._Evaluator(matrix, Z1, Z2)
     used_pinv = False
     U = evaluator.evaluate(beta)[0]
     norm = float(np.max(np.abs(U)))
     for it in range(1, max_iter + 1):
         if norm < tol:
-            return FitResult(beta, True, it - 1, norm, "newton", used_pinv=used_pinv)
+            return FitResult(beta, True, it - 1, norm, used_pinv=used_pinv)
         J = evaluator.evaluate(beta)[1]
         try:
             step = np.linalg.solve(J, -U)
@@ -298,10 +298,10 @@ def newton_fit(matrix, Z1, Z2, link, x0=None, tol=1e-10, max_iter=50,
                 break
             scale *= 0.5
         if not improved:
-            return FitResult(beta, False, it, norm, "newton", used_pinv=used_pinv,
+            return FitResult(beta, False, it, norm, used_pinv=used_pinv,
                              message="line search stalled")
     converged = norm < tol
-    return FitResult(beta, converged, max_iter, norm, "newton", used_pinv=used_pinv,
+    return FitResult(beta, converged, max_iter, norm, used_pinv=used_pinv,
                      message="" if converged else "max iterations reached")
 
 
@@ -375,7 +375,7 @@ def matrix_fit(spec: FitSpec, data: TwoSampleDataset, reference=None) -> FitResu
         return start
     reference = reference or _logit_reference(start.beta, data.covariates1, data.covariates2)
     x0 = _logit_start(start.beta, reference)
-    return gee.solve_newton(matrix, data.covariates1, data.covariates2, spec.link, x0=x0)
+    return gee.solve_newton(matrix, data.covariates1, data.covariates2, x0=x0)
 
 
 def saturated(spec: FitSpec, fit: FitResult, data: TwoSampleDataset) -> bool:

@@ -522,7 +522,7 @@ class TestCommands:
     def test_nonconverged_base_fit_exits_convergence(self, covariate_csv, tmp_path,
                                                      monkeypatch):
         stalled = FitResult(beta=np.zeros(3), converged=False, iterations=50,
-                            gradient_norm=1.0, method="newton", message="stalled")
+                            gradient_norm=1.0, message="stalled")
 
         def fake_bootstrap(data, spec=None, B=2000, seed=0):
             return BootstrapEnsemble(replicates=np.zeros((B, 3)), B=B, seed=seed,
@@ -639,10 +639,15 @@ class TestCommands:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("command", [
         ["fit"], ["fit", "--bootstrap", "5"], ["test", "--bootstrap", "5"],
-        ["predict", "--bootstrap", "5"],
-    ], ids=["fit", "fit-bootstrap", "test", "predict"])
+        ["predict", "--bootstrap", "5"], ["fit", "--link", "logit"],
+        ["fit", "--bootstrap", "5", "--link", "logit"],
+        ["test", "--bootstrap", "5", "--link", "logit"],
+        ["predict", "--bootstrap", "5", "--link", "logit"],
+    ], ids=["fit", "fit-bootstrap", "test", "predict",
+            "fit-logit", "fit-bootstrap-logit", "test-logit", "predict-logit"])
     def test_non_finite_fit_exits_convergence(self, tmp_path, caplog, command):
-        # covariates near 1e200 overflow the design second moments to inf
+        # covariates near 1e200 overflow the design second moments to inf; a
+        # logit fit is then refused as the identity fit it would start from
         path = tmp_path / "huge.csv"
         write_csv(path, [[1, 1.0, 1, 1e200], [1, 2.0, 1, 2e200], [1, 3.0, 0, 3e200],
                          [2, 1.5, 1, 1e200], [2, 2.5, 1, 2.5e200], [2, 0.5, 1, 3e200]],

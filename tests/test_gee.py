@@ -77,7 +77,6 @@ class TestLinks:
         ens = BootstrapEnsemble(replicates=np.tile(fit.beta, (2, 1)), B=2, seed=0, base_fit=fit)
         for refused in (
             lambda: FitSpec(link="probit"),
-            lambda: solve_newton(pm, Z1, Z2, "probit"),
             lambda: predict_profiles(fit, ens, Z1, Z1, link="probit"),
         ):
             with pytest.raises(ValueError, match="unknown link 'probit'"):
@@ -89,41 +88,30 @@ class TestEstimatingFunction:
         pm, _, _ = instance(rng, p1=0, p2=0)
         Z1 = np.zeros((pm.shape[0], 0))
         Z2 = np.zeros((pm.shape[1], 0))
-        u, _ = gee._Evaluator(pm, Z1, Z2, IDENTITY).evaluate(np.array([pm.mean()]))
+        beta = identity_fit(pm, Z1, Z2).beta
+        assert beta[0] == pytest.approx(pm.mean(), abs=1e-12)
+        u = oracles.score(beta, pm, Z1, Z2, IDENTITY)
         assert abs(u[0]) < 1e-12
 
     def test_zero_at_closed_form_solution(self, rng):
         pm, Z1, Z2 = instance(rng)
         beta = identity_fit(pm, Z1, Z2).beta
-        u, _ = gee._Evaluator(pm, Z1, Z2, IDENTITY).evaluate(beta)
+        u = oracles.score(beta, pm, Z1, Z2, IDENTITY)
         assert np.max(np.abs(u)) < 1e-10
 
     def test_matches_gradient_of_potential(self, rng):
-        for link in (IDENTITY, LOGIT):
-            pm, Z1, Z2 = instance(rng)
-            beta = rng.uniform(-0.5, 0.5, 5)
-            u, _ = gee._Evaluator(pm, Z1, Z2, link).evaluate(beta)
-            g = fd_gradient(lambda b: objective(b, pm, Z1, Z2, link), beta)
-            np.testing.assert_allclose(u, g, rtol=1e-6, atol=1e-8)
+        pm, Z1, Z2 = instance(rng)
+        beta = rng.uniform(-0.5, 0.5, 5)
+        u, _ = gee._Evaluator(pm, Z1, Z2).evaluate(beta)
+        g = fd_gradient(lambda b: objective(b, pm, Z1, Z2, LOGIT), beta)
+        np.testing.assert_allclose(u, g, rtol=1e-6, atol=1e-8)
 
 
 class TestJacobian:
-    def test_identity_is_negative_design_moment(self, rng):
-        pm, Z1, Z2 = instance(rng)
-        _, J = gee._Evaluator(pm, Z1, Z2, IDENTITY).evaluate(rng.uniform(-1, 1, 5))
-        np.testing.assert_allclose(J, -design_second_moment(Z1, Z2), atol=1e-12)
-
-    def test_scalar_identity_is_minus_one(self, rng):
-        pm, _, _ = instance(rng, p1=0, p2=0)
-        Z1 = np.zeros((pm.shape[0], 0))
-        Z2 = np.zeros((pm.shape[1], 0))
-        _, J = gee._Evaluator(pm, Z1, Z2, IDENTITY).evaluate(np.array([0.3]))
-        assert J[0, 0] == pytest.approx(-1.0)
-
     def test_logit_matches_finite_differences(self, rng):
         pm, Z1, Z2 = instance(rng)
         beta = rng.uniform(-0.5, 0.5, 5)
-        evaluate = gee._Evaluator(pm, Z1, Z2, LOGIT).evaluate
+        evaluate = gee._Evaluator(pm, Z1, Z2).evaluate
         _, J = evaluate(beta)
         h = 1e-6
         fd = np.zeros_like(J)
@@ -144,22 +132,21 @@ class TestWorkspaceMatchesOracle:
         n1=st.integers(3, 25),
         n2=st.integers(3, 25),
         censored=st.booleans(),
-        link=st.sampled_from([IDENTITY, LOGIT]),
         warm=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_score_and_jacobian(self, seed, n1, n2, censored, link, warm):
+    def test_score_and_jacobian(self, seed, n1, n2, censored, warm):
         rng = np.random.default_rng(seed)
         pm, Z1, Z2 = instance(rng, n1, n2, censored=censored)
-        # Newton's two starts; the warm one is also the identity-link root,
-        # where U cancels to rounding level, hence the absolute tolerance
+        # two starts: zero, and the identity-link root, where U may cancel to
+        # rounding level, hence the absolute tolerance
         beta = identity_fit(pm, Z1, Z2).beta if warm else np.zeros(5)
-        evaluator = gee._Evaluator(pm, Z1, Z2, link)
+        evaluator = gee._Evaluator(pm, Z1, Z2)
         for b in (beta, beta + rng.uniform(-0.5, 0.5, 5)):
             U, J = evaluator.evaluate(b)
-            np.testing.assert_allclose(U, oracles.score(b, pm, Z1, Z2, link),
+            np.testing.assert_allclose(U, oracles.score(b, pm, Z1, Z2, LOGIT),
                                        rtol=1e-10, atol=1e-13)
-            np.testing.assert_allclose(J, oracles.jacobian(b, pm, Z1, Z2, link),
+            np.testing.assert_allclose(J, oracles.jacobian(b, pm, Z1, Z2, LOGIT),
                                        rtol=1e-10, atol=1e-13)
 
 
@@ -167,30 +154,33 @@ class TestSolvers:
     def test_dimension_mismatch(self, rng):
         pm, Z1, Z2 = instance(rng)
         with pytest.raises(ValueError):
-            solve_newton(pm, Z1, Z2, IDENTITY, x0=np.zeros(3))
+            solve_newton(pm, Z1, Z2, x0=np.zeros(3))
         for rows in ((Z1[:-1], Z2), (Z1, Z2[:-1])):
             with pytest.raises(ValueError, match="covariate rows do not match"):
-                solve_newton(pm, *rows, IDENTITY)
+                solve_newton(pm, *rows)
+
+    def test_a_link_is_no_argument(self, rng):
+        pm, Z1, Z2 = instance(rng)
+        with pytest.raises(TypeError):
+            solve_newton(pm, Z1, Z2, LOGIT)
 
     def test_closed_form_equals_newton(self, rng):
+        # U is linear in beta for the identity link, so one dense Newton step
+        # from 0 is its root
         for censored in (False, True):
             pm, Z1, Z2 = instance(rng, censored=censored)
             cf = identity_fit(pm, Z1, Z2)
-            nt = solve_newton(pm, Z1, Z2, IDENTITY)
-            assert nt.converged
-            np.testing.assert_allclose(cf.beta, nt.beta, atol=1e-8)
-
-    def test_newton_one_step_on_identity(self, rng):
-        pm, Z1, Z2 = instance(rng)
-        nt = solve_newton(pm, Z1, Z2, IDENTITY)
-        assert nt.iterations <= 1
+            zero = np.zeros(5)
+            nt = -np.linalg.solve(oracles.jacobian(zero, pm, Z1, Z2, IDENTITY),
+                                  oracles.score(zero, pm, Z1, Z2, IDENTITY))
+            np.testing.assert_allclose(cf.beta, nt, atol=1e-8)
 
     def test_scalar_logit_root_inverts_grand_mean(self, rng):
         pm, _, _ = instance(rng, censored=False, p1=0, p2=0)
         Z1 = np.zeros((pm.shape[0], 0))
         Z2 = np.zeros((pm.shape[1], 0))
         assert 0 < pm.mean() < 1
-        nt = solve_newton(pm, Z1, Z2, LOGIT)
+        nt = solve_newton(pm, Z1, Z2)
         assert nt.converged
         mu = 1 / (1 + np.exp(-nt.beta[0]))
         assert mu == pytest.approx(pm.mean(), abs=1e-9)
@@ -218,9 +208,11 @@ class TestSolvers:
         np.testing.assert_allclose(mu_base, mu_moved, atol=1e-8)
 
     def test_fit_dispatches(self, rng):
+        # the closed form takes no sweep of the evaluator and keeps no Jacobian
         data = random_dataset(rng, 12, 10, censored=True)
-        assert FitSpec(link=IDENTITY).fit(data).method == "closed-form"
-        assert FitSpec(link=LOGIT).fit(data).method == "newton"
+        identity, logit = (FitSpec(link=link).fit(data) for link in (IDENTITY, LOGIT))
+        assert (identity.iterations, identity.sweeps, identity.jacobian) == (0, 0, None)
+        assert logit.sweeps >= 1 and logit.jacobian.shape == (5, 5)
 
     def test_logit_recovers_limiting_logistic_model(self):
         # equal Weibull shapes with tau = inf induce an exact logistic model
@@ -258,7 +250,7 @@ class TestSolveIdentity:
         for k, pm in enumerate(pms):
             single = identity_fit(pm, Z1s[k], Z2s[k])
             np.testing.assert_allclose(fits.beta[k], single.beta, rtol=0, atol=1e-12)
-            u, _ = gee._Evaluator(pm, Z1s[k], Z2s[k], IDENTITY).evaluate(fits.beta[k])
+            u = oracles.score(fits.beta[k], pm, Z1s[k], Z2s[k], IDENTITY)
             assert fits.gradient_norm[k] == pytest.approx(np.max(np.abs(u)), abs=1e-13)
 
     def test_strict_singular_leaves_only_singular_rows_unsolved(self, rng):
@@ -271,7 +263,6 @@ class TestSolveIdentity:
         keep = np.arange(6) != 2
         np.testing.assert_array_equal(strict.beta[keep], loose.beta[keep])
         assert not strict[2].converged
-        assert strict[0].method == "closed-form"
 
 
     @given(
@@ -419,36 +410,35 @@ class TestNewtonMatchesOracle:
         n1=st.integers(3, 25),
         n2=st.integers(3, 25),
         censored=st.booleans(),
-        link=st.sampled_from([IDENTITY, LOGIT]),
         warm=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_random_data(self, seed, n1, n2, censored, link, warm):
+    def test_random_data(self, seed, n1, n2, censored, warm):
         rng = np.random.default_rng(seed)
         pm, Z1, Z2 = instance(rng, n1, n2, censored=censored)
         x0 = identity_fit(pm, Z1, Z2).beta if warm else None
-        assert_same_fit(solve_newton(pm, Z1, Z2, link, x0=x0), newton_fit(pm, Z1, Z2, link, x0=x0))
+        assert_same_fit(solve_newton(pm, Z1, Z2, x0=x0), newton_fit(pm, Z1, Z2, x0=x0))
 
     def test_duplicate_column_takes_pinv_step(self, rng):
         pm, Z1, Z2 = instance(rng)
         Z1zero = np.column_stack((Z1, np.zeros(pm.shape[0])))
         Z1dup = np.column_stack((Z1, Z1[:, 0]))
         for Z in (Z1zero, Z1dup):
-            got = solve_newton(pm, Z, Z2, LOGIT)
+            got = solve_newton(pm, Z, Z2)
             assert got.used_pinv
-            assert_same_fit(got, newton_fit(pm, Z, Z2, LOGIT))
+            assert_same_fit(got, newton_fit(pm, Z, Z2))
 
     def test_iteration_cap(self, rng, monkeypatch):
         pm, Z1, Z2 = instance(rng)
         monkeypatch.setattr(gee, "MAX_ITER", 1)
-        got = solve_newton(pm, Z1, Z2, LOGIT)
+        got = solve_newton(pm, Z1, Z2)
         assert not got.converged and got.message == "max iterations reached"
-        assert_same_fit(got, newton_fit(pm, Z1, Z2, LOGIT, max_iter=1))
+        assert_same_fit(got, newton_fit(pm, Z1, Z2, max_iter=1))
 
     def test_accepted_iterates_logged_at_debug(self, rng, caplog):
         pm, Z1, Z2 = instance(rng)
         with caplog.at_level("DEBUG", logger="releff"):
-            res = solve_newton(pm, Z1, Z2, LOGIT)
+            res = solve_newton(pm, Z1, Z2)
         lines = [r.getMessage() for r in caplog.records if r.name == "releff"]
         assert len(lines) == res.iterations
         assert lines[0].startswith("newton iterate 1: norm ")
@@ -457,7 +447,7 @@ class TestNewtonMatchesOracle:
     def test_certified_step_is_logged_as_an_iterate(self, rng, caplog):
         pm, Z1, Z2 = instance(rng, 30, 30)
         with caplog.at_level("DEBUG", logger="releff"):
-            res = solve_newton(pm, Z1, Z2, LOGIT)
+            res = solve_newton(pm, Z1, Z2)
         lines = [r.getMessage() for r in caplog.records if r.name == "releff"]
         assert len(lines) == res.iterations and res.sweeps == res.iterations
         assert lines[-1] == (f"newton iterate {res.iterations}: "
@@ -474,7 +464,7 @@ class TestNewtonMatchesOracle:
         tracemalloc.start()
         try:
             Z1, Z2 = data.covariates1, data.covariates2
-            res = solve_newton(pm, Z1, Z2, LOGIT, x0=identity_fit(pm, Z1, Z2).beta)
+            res = solve_newton(pm, Z1, Z2, x0=identity_fit(pm, Z1, Z2).beta)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -516,13 +506,12 @@ class TestCertifiedStep:
         n1=st.integers(3, 25),
         n2=st.integers(3, 25),
         censored=st.booleans(),
-        link=st.sampled_from([IDENTITY, LOGIT]),
         weighted=st.booleans(),
         warm=st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_certified_fits_bound_the_evaluated_score(self, seed, n1, n2, censored, link,
-                                                      weighted, warm):
+    def test_certified_fits_bound_the_evaluated_score(self, seed, n1, n2, censored, weighted,
+                                                      warm):
         rng = np.random.default_rng(seed)
         pm, Z1, Z2 = instance(rng, n1, n2, censored=censored)
         weights = None
@@ -537,13 +526,13 @@ class TestCertifiedStep:
             return bounds[-1]
 
         with unittest.mock.patch.object(gee, "_step_bound", recording):
-            got = solve_newton(pm, Z1, Z2, link, x0=x0, weights=weights)
+            got = solve_newton(pm, Z1, Z2, x0=x0, weights=weights)
         with unittest.mock.patch.object(gee, "_step_bound", lambda *args: None):
-            want = solve_newton(pm, Z1, Z2, link, x0=x0, weights=weights)
+            want = solve_newton(pm, Z1, Z2, x0=x0, weights=weights)
         assert_same_fit(got, want)
         if bounds and bounds[-1] is not None:
             assert got.gradient_norm == bounds[-1] and got.sweeps == want.sweeps - 1
-            U, J = gee._Evaluator(pm, Z1, Z2, link, weights).evaluate(got.beta)
+            U, J = gee._Evaluator(pm, Z1, Z2, weights).evaluate(got.beta)
             assert np.max(np.abs(U)) <= got.gradient_norm < gee.TOL
             assert np.sign(np.linalg.eigvalsh(J)[-1]) == np.sign(
                 np.linalg.eigvalsh(got.jacobian)[-1])
@@ -551,11 +540,10 @@ class TestCertifiedStep:
             assert (got.gradient_norm, got.sweeps) == (want.gradient_norm, want.sweeps)
             np.testing.assert_array_equal(got.jacobian, want.jacobian)
 
-    @pytest.mark.parametrize("link", [IDENTITY, LOGIT])
-    def test_a_converging_fit_certifies_its_last_step(self, rng, link):
+    def test_a_converging_fit_certifies_its_last_step(self, rng):
         pm, Z1, Z2 = instance(rng, 40, 30)
-        res = solve_newton(pm, Z1, Z2, link)
-        U, J = gee._Evaluator(pm, Z1, Z2, link).evaluate(res.beta)
+        res = solve_newton(pm, Z1, Z2)
+        U, J = gee._Evaluator(pm, Z1, Z2).evaluate(res.beta)
         assert res.converged and res.sweeps == res.iterations >= 1
         assert np.max(np.abs(U)) <= res.gradient_norm < gee.CERTIFIED_SHARE * gee.TOL
 
@@ -571,13 +559,13 @@ class TestCertifiedStep:
             return np.concatenate(([beta[0] - shift * beta[1:].sum() / scale], beta[1:] / scale))
 
         for raw in (False, True):
-            res = solve_newton(pm, *((R1, R2) if raw else (Z1, Z2)), LOGIT)
+            res = solve_newton(pm, *((R1, R2) if raw else (Z1, Z2)))
             assert res.converged and res.sweeps == res.iterations
-        root = solve_newton(pm, Z1, Z2, LOGIT).beta
+        root = solve_newton(pm, Z1, Z2).beta
         np.testing.assert_allclose(in_raw_units(root), res.beta, rtol=1e-6, atol=1e-9)
         # a step of about 1e-7 in eta certifies at any scale and shift, also
         # where the intercept is nearly collinear with the covariates
-        evaluator = gee._Evaluator(pm, R1, R2, LOGIT)
+        evaluator = gee._Evaluator(pm, R1, R2)
         beta = in_raw_units(root + 1e-7)
         U, J = evaluator.evaluate(beta)
         assert gee._step_bound(evaluator, beta, U, J, np.linalg.solve(J, -U)) is not None
@@ -589,7 +577,7 @@ class TestCertifiedStep:
         X = np.concatenate((np.ones((9, 7, 1)), np.broadcast_to(Z1[:, None], (9, 7, 2)),
                             np.broadcast_to(Z2[None], (9, 7, 3))), axis=2)
         w, d = np.outer(w1, w2)[..., None], (a[:, None] + b)[..., None]
-        means, square = gee._abs_design_means(gee._Evaluator(pm, Z1, Z2, LOGIT, (w1, w2)), a, b)
+        means, square = gee._abs_design_means(gee._Evaluator(pm, Z1, Z2, (w1, w2)), a, b)
         np.testing.assert_allclose(means, (w * np.abs(X)).sum(axis=(0, 1)) / w.sum(), rtol=1e-13)
         np.testing.assert_allclose(square, (w * np.abs(X) * d**2).sum(axis=(0, 1)) / w.sum(),
                                    rtol=1e-13)
@@ -599,8 +587,8 @@ class TestCertifiedStep:
         # an eigenvalue of J at 0, or nearer 0 than the step may move it, can
         # change sign over the step
         pm, Z1, Z2 = instance(rng, 20, 20)
-        evaluator = gee._Evaluator(pm, Z1, Z2, LOGIT)
-        beta = solve_newton(pm, Z1, Z2, LOGIT).beta
+        evaluator = gee._Evaluator(pm, Z1, Z2)
+        beta = solve_newton(pm, Z1, Z2).beta
         U, J = evaluator.evaluate(beta)
         assert gee._step_bound(evaluator, beta, U, J, np.linalg.solve(J, -U)) is not None
         values, vectors = np.linalg.eigh(J)
@@ -616,20 +604,19 @@ class TestBlockedEvaluator:
     """The row-blocked evaluator against the oracle's U and J across block
     boundaries and on both sides of the factored exp's limit."""
 
-    @pytest.mark.parametrize("link", [IDENTITY, LOGIT])
     @pytest.mark.parametrize("n1", [3, 4, 11], ids=["below-one-block", "one-block",
                                                    "blocks-and-remainder"])
-    def test_block_boundaries(self, monkeypatch, rng, n1, link):
+    def test_block_boundaries(self, monkeypatch, rng, n1):
         n2 = 7
         monkeypatch.setattr(gee, "BLOCK_ELEMENTS", 4 * n2)   # blocks of 4 rows
         pm, Z1, Z2 = instance(rng, n1, n2)
         beta = identity_fit(pm, Z1, Z2).beta + rng.uniform(-0.5, 0.5, 5)
-        evaluator = gee._Evaluator(pm, Z1, Z2, link)
+        evaluator = gee._Evaluator(pm, Z1, Z2)
         assert evaluator.blocks.shape == (3, min(n1, 4), n2)
         U, J = evaluator.evaluate(beta)
-        np.testing.assert_allclose(U, oracles.score(beta, pm, Z1, Z2, link),
+        np.testing.assert_allclose(U, oracles.score(beta, pm, Z1, Z2, LOGIT),
                                    rtol=1e-10, atol=1e-13)
-        np.testing.assert_allclose(J, oracles.jacobian(beta, pm, Z1, Z2, link),
+        np.testing.assert_allclose(J, oracles.jacobian(beta, pm, Z1, Z2, LOGIT),
                                    rtol=1e-10, atol=1e-13)
 
     @pytest.mark.parametrize("beta, factored", [
@@ -650,7 +637,7 @@ class TestBlockedEvaluator:
         assert (gee._exp_factors(a, b) is not None) == factored
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            U, J = gee._Evaluator(Y, Z1, Z2, LOGIT).evaluate(beta)
+            U, J = gee._Evaluator(Y, Z1, Z2).evaluate(beta)
         np.testing.assert_allclose(U, oracles.score(beta, Y, Z1, Z2, LOGIT), rtol=1e-10, atol=0)
         np.testing.assert_allclose(J, oracles.jacobian(beta, Y, Z1, Z2, LOGIT),
                                    rtol=1e-10, atol=0)
@@ -674,11 +661,10 @@ class TestMultiplicityWeights:
         seed=st.integers(0, 2**32 - 1),
         n1=st.integers(1, 12),
         n2=st.integers(1, 12),
-        link=st.sampled_from([IDENTITY, LOGIT]),
         block_rows=st.integers(1, 12),
     )
     @settings(max_examples=100, deadline=None)
-    def test_weighted_evaluator_is_the_expanded_evaluator(self, seed, n1, n2, link, block_rows):
+    def test_weighted_evaluator_is_the_expanded_evaluator(self, seed, n1, n2, block_rows):
         rng = np.random.default_rng(seed)
         Y = rng.uniform(-0.5, 1.5, (n1, n2))
         Z1, Z2 = rng.standard_normal((n1, 2)), rng.standard_normal((n2, 1))
@@ -686,9 +672,8 @@ class TestMultiplicityWeights:
         beta = rng.uniform(-1, 1, 4)
         expanded = np.repeat(np.repeat(Y, w1, axis=0), w2, axis=1)
         with unittest.mock.patch.object(gee, "BLOCK_ELEMENTS", block_rows * max(n2, w2.sum())):
-            got = gee._Evaluator(Y, Z1, Z2, link, (w1.astype(float), w2.astype(float)))
-            want = gee._Evaluator(expanded, np.repeat(Z1, w1, axis=0), np.repeat(Z2, w2, axis=0),
-                                  link)
+            got = gee._Evaluator(Y, Z1, Z2, (w1.astype(float), w2.astype(float)))
+            want = gee._Evaluator(expanded, np.repeat(Z1, w1, axis=0), np.repeat(Z2, w2, axis=0))
             for g, w in zip(got.evaluate(beta), want.evaluate(beta)):
                 np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
 
@@ -704,7 +689,7 @@ class TestMultiplicityWeights:
     def test_weights_must_match_the_matrix(self, rng):
         pm, Z1, Z2 = instance(rng, 6, 5)
         with pytest.raises(ValueError, match="weights"):
-            solve_newton(pm, Z1, Z2, LOGIT, weights=(np.ones(6), np.ones(4)))
+            solve_newton(pm, Z1, Z2, weights=(np.ones(6), np.ones(4)))
 
 
 def sandwich_case(times, tau, covariates, seed=0):

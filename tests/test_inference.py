@@ -40,8 +40,7 @@ def synthetic_ensemble(replicates, beta=None):
         replicates = replicates[:, None]
     p = replicates.shape[1]
     beta = np.zeros(p) if beta is None else np.asarray(beta, dtype=float)
-    base = FitResult(beta=beta, converged=True, iterations=0,
-                     gradient_norm=0.0, method="closed-form")
+    base = FitResult(beta=beta, converged=True, iterations=0, gradient_norm=0.0)
     return BootstrapEnsemble(replicates=replicates, B=replicates.shape[0],
                              seed=0, base_fit=base)
 
@@ -238,8 +237,7 @@ def test_rejection_monotone_in_alpha():
 
 
 def test_failed_replicates_are_nan_and_flagged():
-    base = FitResult(beta=np.zeros(2), converged=True, iterations=0,
-                     gradient_norm=0.0, method="closed-form")
+    base = FitResult(beta=np.zeros(2), converged=True, iterations=0, gradient_norm=0.0)
     reps = np.array([[0.1, 0.2], [np.nan, np.nan], [0.3, 0.1]])
     ens = BootstrapEnsemble(replicates=reps, B=3, seed=0, base_fit=base,
                             failures={"singular": 0, "nonconverged": 1, "saturated": 0})
@@ -253,8 +251,7 @@ def test_failed_replicates_are_nan_and_flagged():
 @pytest.mark.parametrize("failed, unreliable", [(5, False), (6, True)])
 def test_unreliable_beyond_five_percent_failed(failed, unreliable):
     # MAX_FAILURE_FRACTION = 0.05: at B = 100, 5 failed refits are tolerated
-    base = FitResult(beta=np.zeros(1), converged=True, iterations=0,
-                     gradient_norm=0.0, method="closed-form")
+    base = FitResult(beta=np.zeros(1), converged=True, iterations=0, gradient_norm=0.0)
     reps = np.where(np.arange(100)[:, None] < failed, np.nan, 0.1)
     ens = BootstrapEnsemble(replicates=reps, B=100, seed=0, base_fit=base,
                             failures={"singular": 2, "nonconverged": failed - 3, "saturated": 1})
@@ -491,8 +488,10 @@ def test_singular_warp_speed_fit_counts_as_failed(monkeypatch, rng):
     assert res.estimates.shape == (3, 5)
 
 
-def test_overflowing_base_fit_stops_the_bootstrap_before_any_refit(monkeypatch):
-    # covariates near 1e200 overflow the design moments: the base fit is NaN
+@pytest.mark.parametrize("link", [IDENTITY, LOGIT])
+def test_overflowing_base_fit_stops_the_bootstrap_before_any_refit(monkeypatch, link):
+    # covariates near 1e200 overflow the design moments: the identity fit is
+    # NaN, and the logit base fit is that fit, with no Newton run from it
     data = TwoSampleDataset(
         [1.0, 2.0, 3.0], [1, 1, 0], [[1e200], [2e200], [3e200]],
         [1.5, 2.5, 0.5], [1, 1, 1], [[1e200], [2.5e200], [3e200]],
@@ -501,12 +500,16 @@ def test_overflowing_base_fit_stops_the_bootstrap_before_any_refit(monkeypatch):
     def no_refit(*args, **kwargs):
         pytest.fail("a refit ran after a non-finite base fit")
 
+    def no_newton(*args, **kwargs):
+        pytest.fail("Newton ran from a non-finite identity fit")
+
     # the base fit is itself a _fit_stack call; every chunk of refits first
     # draws its resamples
     monkeypatch.setattr(inference, "_simulated_chunk", no_refit)
+    monkeypatch.setattr(gee, "solve_newton", no_newton)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="non-finite coefficients"):
-            bootstrap(data, B=20, seed=0)
+            bootstrap(data, spec=FitSpec(link=link), B=20, seed=0)
 
 
 def test_nonconverged_base_fit_stops_the_bootstrap_before_any_refit(monkeypatch, rng):
@@ -794,7 +797,7 @@ def test_anchored_refits_stay_within_the_determination_of_the_cold_root(seed, ce
         (rows, w1), (cols, w2) = map(inference._distinct_subjects,
                                      inference._subject_labels(star))
         cold = gee.solve_newton(pseudo_matrix(star, rows=rows, cols=cols),
-                                star.covariates1[rows], star.covariates2[cols], LOGIT,
+                                star.covariates1[rows], star.covariates2[cols],
                                 x0=FitSpec().fit(star).beta, weights=(w1, w2))
         usable = (cold.converged and np.isfinite(cold.beta).all()
                   and not oracles.saturated(spec, cold, star))
@@ -820,9 +823,9 @@ def test_separated_data_start_logit_fits_at_a_finite_point(monkeypatch, later, c
     starts = []
     real = gee.solve_newton
 
-    def recording(matrix, Z1, Z2, link, x0=None, weights=None):
+    def recording(matrix, Z1, Z2, *, x0=None, weights=None):
         starts.append(x0)
-        return real(matrix, Z1, Z2, link, x0=x0, weights=weights)
+        return real(matrix, Z1, Z2, x0=x0, weights=weights)
 
     monkeypatch.setattr(gee, "solve_newton", recording)
     spec = FitSpec(link=LOGIT)

@@ -15,7 +15,7 @@ from releff.survival import TwoSampleDataset
 
 def fixed_fit(beta):
     return FitResult(beta=np.asarray(beta, dtype=float), converged=True,
-                     iterations=0, gradient_norm=0.0, method="closed-form")
+                     iterations=0, gradient_norm=0.0)
 
 
 def point_prediction(fit, z1, z2, link=IDENTITY, correction=None):
@@ -97,8 +97,7 @@ class TestPredictProbability:
     """Point predictions of one profile through ``predict_profiles``."""
 
     def test_requires_converged_fit(self):
-        bad = FitResult(beta=np.zeros(3), converged=False, iterations=50,
-                        gradient_norm=1.0, method="newton")
+        bad = FitResult(beta=np.zeros(3), converged=False, iterations=50, gradient_norm=1.0)
         with pytest.raises(ValueError):
             point_prediction(bad, [0.0], [0.0])
 

@@ -219,14 +219,11 @@ def test_mixed_stack_gives_each_dataset_its_own_marginals(rng):
 
 
 @pytest.mark.parametrize("censored", [True, False])
-def test_one_dataset_is_a_stack_of_one(rng, censored):
+def test_one_dataset_that_is_not_a_stack_is_refused(rng, censored):
     data = random_dataset(rng, 8, 5, censored=censored, tau=1.5)
     assert data.times1.ndim == 1 and data.uncensored != censored
-    row_means, col_means = pseudo_marginals(data)
-    stacked = stacked_marginals([data])
-    np.testing.assert_array_equal(row_means, stacked[0][0])
-    np.testing.assert_array_equal(col_means, stacked[1][0])
-    assert row_means.shape == (8,) and col_means.shape == (5,)
+    with pytest.raises(ValueError, match="not a stack of datasets"):
+        pseudo_marginals(data)
 
 
 def test_stacked_marginals_match_each_pseudo_matrix(rng):
