@@ -23,13 +23,16 @@ held.  exp(-eta) factors as u[i1] v[i2], so a candidate takes n1 + n2 exps,
 and 1 + exp(-eta) is one rank-2 BLAS product per block; mu = 1 / (1 +
 exp(-eta)), then mu' = mu (1 - mu) and mu'' = mu' (1 - 2 mu) follow from
 mu.  A candidate whose balanced factors would leave exp(+-EXP_FACTOR_LIMIT),
-which only a saturated fit reaches, takes one exp per pair instead.  Before
-Newton evaluates a full step, ``_step_bound`` bounds the score there from
-O(n1 + n2) moments of the step and of |z| by Taylor's theorem; when the
-bound certifies that max |U| would fall below TOL and J stays negative
-definite, the step is taken without its sweep (``FitResult.sweeps`` counts
-the sweeps taken).  The uncensored sandwich covariance sums the pair
-indicators along ``pseudo._indicator_ranks``, no n1 x n2 array.
+which only a saturated fit reaches, is not evaluated: its score is NaN, so
+the line search halves the step, and a start there ends the fit not
+converged; every iterate Newton accepts has max |beta'z| <= 2
+EXP_FACTOR_LIMIT = 600.  Before Newton evaluates a full step,
+``_step_bound`` bounds the score there from O(n1 + n2) moments of the step
+and of |z| by Taylor's theorem; when the bound certifies that max |U| would
+fall below TOL and J stays negative definite, the step is taken without its
+sweep (``FitResult.sweeps`` counts the sweeps taken).  The uncensored
+sandwich covariance sums the pair indicators along
+``pseudo._indicator_ranks``, no n1 x n2 array.
 """
 
 from __future__ import annotations
@@ -58,18 +61,6 @@ __all__ = [
     "sandwich_covariance_uncensored",
     "design_second_moment",
 ]
-
-
-def _expit(x, out=None):
-    """1 / (1 + exp(-x)) with one exp, into ``out`` if given (``x`` itself may
-    be ``out``).  exp(-x) overflows to inf for x below about -709, which gives
-    the correct limit 0, so that overflow is not warned about."""
-    out = np.empty(np.shape(x)) if out is None else out
-    with np.errstate(over="ignore"):
-        np.negative(x, out=out)
-        np.exp(out, out=out)
-    out += 1.0
-    return np.reciprocal(out, out=out)
 
 
 # the two links, by name: mu(eta) = eta or 1 / (1 + exp(-eta))
@@ -113,14 +104,6 @@ def _group_parts(beta, Z1, Z2):
     """The two parts of eta = a[i1] + b[i2]: a = b0 + Z1 b1 and b = Z2 b2."""
     p1 = Z1.shape[1]
     return beta[0] + Z1 @ beta[1 : 1 + p1], Z2 @ beta[1 + p1 : 1 + p1 + Z2.shape[1]]
-
-
-def _eta_factors(a, b):
-    """(left, right) with left @ right = eta = a[i1] + b[i2], the rank-2
-    factors (a, 1) and (1, b)'.  Their products are by 1, so the product
-    rounds as the broadcast sum a + b does, and one BLAS call writes it
-    several times faster."""
-    return np.column_stack((a, np.ones(a.size))), np.vstack((np.ones(b.size), b))
 
 
 def _check_dims(beta, matrix, Z1, Z2, weights):
@@ -226,20 +209,20 @@ class _Evaluator:
         self.spread = max(float(values.max()), 1.0 - float(values.min()))
 
     def evaluate(self, beta):
-        """(U, J): the normalized score and its Jacobian at beta."""
-        self.sweeps += 1
+        """(U, J): the normalized score and its Jacobian at beta, or a NaN U
+        and J, without a sweep, where ``_exp_factors`` cannot factor
+        exp(-eta)."""
         values, Z1, Z2, X1 = self.values, self.Z1, self.Z2, self.X1
         n1, n2 = values.shape
         ones, w1, w2 = self.ones, self.w1, self.w2
-        a, b = _group_parts(beta, Z1, Z2)
-        factors = _exp_factors(a, b)
+        factors = _exp_factors(*_group_parts(beta, Z1, Z2))
         if factors is None:
-            left, right = _eta_factors(a, b)
-        else:
-            # 1 + exp(-eta), as the rank-2 product (u, 1)(v, 1)'
-            u, v = factors
-            left = np.column_stack((u, ones[:n1]))
-            right = np.vstack((v, ones[:n2]))
+            return np.full(beta.size, np.nan), np.full((beta.size, beta.size), np.nan)
+        self.sweeps += 1
+        # 1 + exp(-eta), as the rank-2 product (u, 1)(v, 1)'
+        u, v = factors
+        left = np.column_stack((u, ones[:n1]))
+        right = np.vstack((v, ones[:n2]))
         rs_w, rs_g = self.row_sums
         cs_w = np.zeros(n2)
         x1_g = np.zeros((X1.shape[1], n2))   # X1' G: the column sums of G, then Z1' G
@@ -249,7 +232,7 @@ class _Evaluator:
             W, G, mu_prime = self.blocks[:, : stop - start]
             Y = values[start:stop]
             np.matmul(left[start:stop], right, out=G)
-            mu = _expit(G, out=G) if factors is None else np.reciprocal(G, out=G)
+            mu = np.reciprocal(G, out=G)
             np.subtract(1.0, mu, out=mu_prime)
             mu_prime *= mu
             residual = np.subtract(Y, mu, out=W)
@@ -347,17 +330,20 @@ def design_second_moment(Z1, Z2) -> np.ndarray:
     Z2 = np.atleast_2d(np.asarray(Z2, dtype=float))
     n1, p1 = Z1.shape[-2:]
     n2, p2 = Z2.shape[-2:]
-    m1 = Z1.mean(axis=-2)
-    m2 = Z2.mean(axis=-2)
-    g1 = slice(1, 1 + p1)
-    g2 = slice(1 + p1, 1 + p1 + p2)
-    out = np.empty(m1.shape[:-1] + (1 + p1 + p2, 1 + p1 + p2))
-    out[..., 0, 0] = 1.0
-    out[..., 0, g1] = out[..., g1, 0] = m1
-    out[..., 0, g2] = out[..., g2, 0] = m2
-    out[..., g1, g1] = np.swapaxes(Z1, -1, -2) @ Z1 / n1
-    out[..., g2, g2] = np.swapaxes(Z2, -1, -2) @ Z2 / n2
-    cross = m1[..., :, None] * m2[..., None, :]
+    # moments that overflow are inf or NaN, which ``solve_identity`` leaves
+    # unsolved; numpy is not let warn about them
+    with np.errstate(over="ignore", invalid="ignore"):
+        m1 = Z1.mean(axis=-2)
+        m2 = Z2.mean(axis=-2)
+        g1 = slice(1, 1 + p1)
+        g2 = slice(1 + p1, 1 + p1 + p2)
+        out = np.empty(m1.shape[:-1] + (1 + p1 + p2, 1 + p1 + p2))
+        out[..., 0, 0] = 1.0
+        out[..., 0, g1] = out[..., g1, 0] = m1
+        out[..., 0, g2] = out[..., g2, 0] = m2
+        out[..., g1, g1] = np.swapaxes(Z1, -1, -2) @ Z1 / n1
+        out[..., g2, g2] = np.swapaxes(Z2, -1, -2) @ Z2 / n2
+        cross = m1[..., :, None] * m2[..., None, :]
     out[..., g1, g2] = cross
     out[..., g2, g1] = np.swapaxes(cross, -1, -2)
     return out
@@ -457,7 +443,10 @@ def solve_newton(matrix: np.ndarray, Z1, Z2, *, x0=None, weights=None) -> FitRes
     columns: the fit is that of the matrix with row i1 repeated w1[i1] times
     and column i2 w2[i2] times (see ``_Evaluator``).  Non-convergence is
     reported honestly: the last iterate is returned with
-    ``converged=False``.
+    ``converged=False``.  A candidate whose exp(-eta) ``_exp_factors``
+    cannot factor, as at any |beta'z| above 2 EXP_FACTOR_LIMIT, is rejected
+    as one that does not lower max |U| is; a start there is returned not
+    converged after 0 sweeps.
     """
     Z1 = np.atleast_2d(np.asarray(Z1, dtype=float))
     Z2 = np.atleast_2d(np.asarray(Z2, dtype=float))
@@ -470,6 +459,8 @@ def solve_newton(matrix: np.ndarray, Z1, Z2, *, x0=None, weights=None) -> FitRes
     used_pinv = False
     U, J = evaluator.evaluate(beta)
     norm = float(np.max(np.abs(U)))
+    if not np.isfinite(norm):
+        return FitResult(beta, False, 0, norm, message="start out of range")
     for it in range(1, MAX_ITER + 1):
         if norm < TOL:
             return FitResult(beta, True, it - 1, norm, used_pinv=used_pinv,

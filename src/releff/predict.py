@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gee import IDENTITY, LOGIT, FitResult, _expit, check_link
+from .gee import IDENTITY, LOGIT, FitResult, check_link
 from .inference import BootstrapEnsemble, _two_sided_z
 
 __all__ = ["Predictions", "predict_profiles"]
@@ -93,5 +93,8 @@ def predict_profiles(
         q_lo, q_hi = np.quantile(slopes - base_slope, [alpha / 2, 1 - alpha / 2], axis=0)
         low, high = center - q_hi, center - q_lo
     if link == LOGIT:
-        center, low, high = _expit(center), _expit(low), _expit(high)
+        # mu = 1 / (1 + exp(-x)); exp(-x) overflows to inf for x below about
+        # -709, which gives the correct limit 0, so that is not warned about
+        with np.errstate(over="ignore"):
+            center, low, high = (1.0 / (1.0 + np.exp(-x)) for x in (center, low, high))
     return Predictions(point=center, ci_low=low, ci_high=high, interval=method)

@@ -130,7 +130,7 @@ def _stieltjes_matrix(data: TwoSampleDataset, rows=None, cols=None) -> np.ndarra
         # no group-2 jumps below tau anywhere: all Stieltjes sums vanish
         return np.zeros((n1 if rows is None else len(rows), n2 if cols is None else len(cols)))
 
-    # the matrix is one rank-(K + 2) product, as in ``gee._eta_factors``:
+    # the matrix is one rank-(K + 2) product (its products by 1 are exact):
     # left = ((n1-1)(n2-1) F1, the row term, 1), right = (D2, 1, the column
     # term).  F1 and D2 carry two spare columns for the extra terms, so the
     # factors are their rows written in place and the build holds no array

@@ -24,3 +24,22 @@ def random_dataset(rng, n1, n2, p1=2, p2=2, censored=True, tau=np.inf):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def degenerate_resamples(monkeypatch, draws):
+    """Make the given 0-based resample draws take group-1 subject 0 n1
+    times, so the resampled group-1 covariates are constant and the design
+    is singular."""
+    from releff import inference
+
+    real = inference.resample_indices
+    seen = []
+
+    def draw(rng, n1, n2, high=None):
+        idx1, idx2 = real(rng, n1, n2, high)
+        seen.append(None)
+        if len(seen) - 1 in draws:
+            idx1 = np.zeros_like(idx1)
+        return idx1, idx2
+
+    monkeypatch.setattr(inference, "resample_indices", draw)

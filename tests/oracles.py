@@ -415,8 +415,8 @@ def sandwich_covariance_uncensored(data: TwoSampleDataset) -> np.ndarray:
     D = pseudo_matrix(data)
     beta = gee.solve_identity(D.mean(axis=1)[None], D.mean(axis=0)[None],
                               Z1[None], Z2[None]).beta[0]
-    left, right = gee._eta_factors(*gee._group_parts(beta, Z1, Z2))
-    R = D - left @ right
+    a, b = gee._group_parts(beta, Z1, Z2)
+    R = D - (a[:, None] + b)
 
     omega1, omega2 = shared_row_column_meat(R, Z1, Z2)
     lam = n1 / (n1 + n2)

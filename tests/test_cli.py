@@ -31,6 +31,7 @@ from releff.cli import (
 )
 from releff.gee import FitResult
 from releff.inference import BootstrapEnsemble, FitSpec, bootstrap
+from conftest import degenerate_resamples
 from oracles import theta_hat
 from releff.pseudo import pseudo_marginals, pseudo_matrix, tie_correction_term
 from releff.survival import stack_datasets
@@ -466,6 +467,19 @@ class TestCommands:
             assert "bootstrap.nonconverged=0" in manifest, command
             assert "bootstrap.saturated=0" in manifest, command
 
+    def test_test_with_every_replicate_failed_exits_convergence(self, covariate_csv, tmp_path,
+                                                                monkeypatch, caplog, capsys):
+        degenerate_resamples(monkeypatch, range(5))
+        out = tmp_path / "out"
+        with caplog.at_level("ERROR", logger="releff"):
+            rc = main(["test", "--data", str(covariate_csv), "--tau", "4", "--cov1", "age",
+                       "--cov2", "age", "--strict-singular", "--seed", "2", "--bootstrap", "5",
+                       "--out-dir", str(out)])
+        assert rc == EXIT_CONVERGENCE
+        assert "all bootstrap replicates failed" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (out / "tests.csv").exists()
+
     def test_exit_codes_distinct(self, four_row_csv, tmp_path):
         assert main(["fit", "--data", str(tmp_path / "nope.csv")]) == EXIT_PARSE
         assert main(["test", "--data", str(four_row_csv)]) == EXIT_CONFIG
@@ -636,7 +650,6 @@ class TestCommands:
             assert (r["ci_low"], r["ci_high"]) == (row[f"ci_{m}_low"], row[f"ci_{m}_high"])
             assert r["reject"] == row[f"reject_{m}"]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("command", [
         ["fit"], ["fit", "--bootstrap", "5"], ["test", "--bootstrap", "5"],
         ["predict", "--bootstrap", "5"], ["fit", "--link", "logit"],

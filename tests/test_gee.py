@@ -12,9 +12,11 @@ from conftest import random_dataset
 import oracles
 from oracles import identity_fit, newton_fit, objective
 from releff import gee
+from releff.cli import EXIT_CONVERGENCE, main
 from releff.gee import (
     IDENTITY,
     LOGIT,
+    FitResult,
     _paired_quadratic,
     _shared_row_column_meat,
     design_second_moment,
@@ -49,11 +51,11 @@ def fd_gradient(f, x, h=1e-6):
 
 
 class TestLinks:
-    def test_logit_overflow_is_quiet_and_finite(self):
+    def test_logit_overflow_is_quiet_and_finite(self, tmp_path):
         # the pair indicator is 1 only in the column of the earliest group-2
         # time and there only for the group-1 rows beyond it: the data are
-        # separated, and the fit ends with eta below -900 on some pairs,
-        # where exp(-eta) overflows to inf for mu = 0
+        # separated and the MLE does not exist; Newton's line search stalls
+        # where every shorter step leaves the evaluator's range
         Z1 = np.array([[-0.7], [-0.5], [-1.1], [0.4]])
         Z2 = np.array([[-0.4], [0.9], [1.0]])
         data = TwoSampleDataset(np.array([0.35, 0.25, 0.15, 0.45]), np.ones(4), Z1,
@@ -61,14 +63,30 @@ class TestLinks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = FitSpec(link=LOGIT).fit(data)
-            ens = BootstrapEnsemble(replicates=np.tile(res.beta, (2, 1)), B=2, seed=0,
-                                    base_fit=res)
-            pred = predict_profiles(res, ens, [[-1.1], [0.4]], [[-0.4], [2.5]], link=LOGIT)
-        assert res.converged and np.isfinite(res.beta).all()
-        eta = res.beta @ [[1.0, 1.0], [-1.1, 0.4], [-0.4, 2.5]]
+        assert not res.converged and res.message == "line search stalled"
+        assert np.isfinite(res.beta).all()
+        assert gee.max_abs_eta(res.beta, Z1, Z2) <= 2 * gee.EXP_FACTOR_LIMIT
+        path = tmp_path / "separated.csv"
+        path.write_text("group,time,status,z\n" + "".join(
+            f"{g},{t},1,{z}\n" for g, T, Z in ((1, data.times1, Z1), (2, data.times2, Z2))
+            for t, (z,) in zip(T, Z)))
+        assert main(["fit", "--link", "logit", "--data", str(path), "--tau", "inf",
+                     "--cov1", "z", "--cov2", "z",
+                     "--out-dir", str(tmp_path / "out")]) == EXIT_CONVERGENCE
+
+    def test_logit_prediction_overflow_is_quiet(self):
+        # a fit saturated beyond the evaluator's range: exp(-eta) overflows
+        # to inf where mu = 0
+        fit = FitResult(np.array([-702.10, 49.38, 746.43]), True, 27, 0.0)
+        ens = BootstrapEnsemble(replicates=np.tile(fit.beta, (2, 1)), B=2, seed=0, base_fit=fit)
+        eta = fit.beta @ [[1.0, 1.0], [-1.1, 0.4], [-0.4, 2.5]]
         assert eta[0] < -800 and eta[1] > 800
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pred = predict_profiles(fit, ens, [[-1.1], [0.4]], [[-0.4], [2.5]], link=LOGIT)
         np.testing.assert_array_equal(pred.point, [0.0, 1.0])
-        assert np.isfinite(pred.ci_low).all() and np.isfinite(pred.ci_high).all()
+        np.testing.assert_array_equal(pred.ci_low, [0.0, 1.0])
+        np.testing.assert_array_equal(pred.ci_high, [0.0, 1.0])
 
     def test_unknown_link_refused(self, rng):
         data = random_dataset(rng, 8, 6, censored=True)
@@ -388,8 +406,7 @@ class TestSolveIdentity:
         Z1 = np.array([[[1e200], [2e200], [3e200]], [[0.1], [0.5], [0.2]]])
         Z2 = np.array([[[1e200], [2.5e200], [3e200]], [[0.3], [0.9], [0.4]]])
         rows, cols = np.full((2, 3), 0.5), np.full((2, 3), 0.5)
-        with np.errstate(over="ignore", invalid="ignore"):
-            fits = solve_identity(rows, cols, Z1, Z2)
+        fits = solve_identity(rows, cols, Z1, Z2)
         assert np.isnan(fits.beta[0]).all() and np.isfinite(fits.beta[1]).all()
         assert not fits.used_pinv.any() and fits.converged.all()
 
@@ -602,7 +619,8 @@ class TestCertifiedStep:
 
 class TestBlockedEvaluator:
     """The row-blocked evaluator against the oracle's U and J across block
-    boundaries and on both sides of the factored exp's limit."""
+    boundaries and below the factored exp's limit; beyond the limit it
+    returns a NaN score without a sweep."""
 
     @pytest.mark.parametrize("n1", [3, 4, 11], ids=["below-one-block", "one-block",
                                                    "blocks-and-remainder"])
@@ -635,13 +653,27 @@ class TestBlockedEvaluator:
         Y = rng.uniform(-0.5, 1.5, (5, 4))
         a, b = gee._group_parts(beta, Z1, Z2)
         assert (gee._exp_factors(a, b) is not None) == factored
+        evaluator = gee._Evaluator(Y, Z1, Z2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            U, J = gee._Evaluator(Y, Z1, Z2).evaluate(beta)
+            U, J = evaluator.evaluate(beta)
+        if not factored:
+            assert not np.isfinite(U).any() and evaluator.sweeps == 0
+            return
+        assert evaluator.sweeps == 1
         np.testing.assert_allclose(U, oracles.score(beta, Y, Z1, Z2, LOGIT), rtol=1e-10, atol=0)
         np.testing.assert_allclose(J, oracles.jacobian(beta, Y, Z1, Z2, LOGIT),
                                    rtol=1e-10, atol=0)
 
+    def test_start_beyond_the_limit_is_not_converged(self, rng):
+        pm, Z1, Z2 = instance(rng, 6, 5, p1=1, p2=1)
+        x0 = np.array([0.0, 700.0 / np.abs(Z1).max(), 0.0])   # |eta| 700 on some pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve_newton(pm, Z1, Z2, x0=x0)
+        assert not res.converged and res.message == "start out of range"
+        assert (res.iterations, res.sweeps) == (0, 0)
+        np.testing.assert_array_equal(res.beta, x0)
 
     def test_factors_balance_an_offset_between_the_groups(self):
         # uncentered covariates: a and b near +-750, beyond the range of exp,

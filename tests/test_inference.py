@@ -10,7 +10,7 @@ from scipy.special import ndtri
 from scipy.stats import norm
 
 import oracles
-from conftest import random_dataset
+from conftest import degenerate_resamples, random_dataset
 from releff import gee, inference
 from oracles import PerRun, resampled
 from releff.gee import IDENTITY, LOGIT, FitResult
@@ -354,25 +354,6 @@ def raising_on_calls(monkeypatch, name, calls, exc=ValueError):
     monkeypatch.setattr(inference, name, flaky)
 
 
-def degenerate_resamples(monkeypatch, draws):
-    """Make the given 0-based resample draws take group-1 subject 0 n1
-    times, so the resampled group-1 covariates are constant and the design
-    is singular."""
-    from releff import inference
-
-    real = inference.resample_indices
-    seen = []
-
-    def draw(rng, n1, n2, high=None):
-        idx1, idx2 = real(rng, n1, n2, high)
-        seen.append(None)
-        if len(seen) - 1 in draws:
-            idx1 = np.zeros_like(idx1)
-        return idx1, idx2
-
-    monkeypatch.setattr(inference, "resample_indices", draw)
-
-
 def test_error_inside_a_bootstrap_refit_propagates(monkeypatch, rng):
     data = random_dataset(rng, 10, 10, censored=True)
     # identity refits run as one stacked call per chunk (call 0 is the base
@@ -382,6 +363,13 @@ def test_error_inside_a_bootstrap_refit_propagates(monkeypatch, rng):
             raising_on_calls(patch, name, {call})
             with pytest.raises(ValueError, match="injected"):
                 bootstrap(data, spec=FitSpec(link=link), B=10, seed=0)
+
+
+def test_bootstrap_with_every_refit_failed_raises(monkeypatch, rng):
+    data = random_dataset(rng, 10, 10, censored=True)
+    degenerate_resamples(monkeypatch, range(10))
+    with pytest.raises(RuntimeError, match="all bootstrap replicates failed"):
+        bootstrap(data, spec=FitSpec(strict_singular=True), B=10, seed=0)
 
 
 def test_singular_bootstrap_refit_counts_as_failed(monkeypatch, rng):
