@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -472,7 +473,7 @@ def _prepare(args, predict=False):
     spec = FitSpec(link=config.link, strict_singular=config.strict_singular)
     ensemble = bootstrap(data, spec=spec, B=config.B, seed=config.seed) if resample else None
     fit = spec.fit(data) if ensemble is None else ensemble.base_fit
-    require_usable(fit)
+    require_usable(fit, data)
     if fit.used_pinv:
         log.warning("the base fit solved a singular system by pseudo-inverse: a covariate is "
                     "collinear with others or far off the scale of the rest")
@@ -637,14 +638,13 @@ def build_parser() -> argparse.ArgumentParser:
         "strict_singular": ("--strict-singular", {"action": "store_const", "const": True}),
         "out_dir": ("--out-dir", {"help": "output directory"}),
     }
-    for name, func, text in (
-        ("fit", cmd_fit, "fit the model, optionally with bootstrap SEs"),
-        ("test", cmd_test, "bootstrap hypothesis tests per coefficient"),
-        ("predict", cmd_predict, "tie-corrected per-subject predictions"),
-        ("simulate", cmd_simulate, "Monte Carlo rejection-rate study"),
+    for name, text in (
+        ("fit", "fit the model, optionally with bootstrap SEs"),
+        ("test", "bootstrap hypothesis tests per coefficient"),
+        ("predict", "tie-corrected per-subject predictions"),
+        ("simulate", "Monte Carlo rejection-rate study"),
     ):
         p = sub.add_parser(name, help=text)
-        p.set_defaults(func=func)
         p.add_argument("--config", help="JSON configuration file")
         if name != "simulate":
             p.add_argument("--data", help="input CSV (group,time,status,covariates)")
@@ -663,12 +663,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser of ``main``, built once per process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the command is looked up by name at each call, not held by the parser
+        return globals()[f"cmd_{args.command}"](args)
     except ParseFailure as exc:
         log.error("parse error: %s", exc)
         return EXIT_PARSE

@@ -30,7 +30,8 @@ EXP_FACTOR_LIMIT = 600.  Before Newton evaluates a full step,
 ``_step_bound`` bounds the score there from O(n1 + n2) moments of the step
 and of |z| by Taylor's theorem; when the bound certifies that max |U| would
 fall below TOL and J stays negative definite, the step is taken without its
-sweep (``FitResult.sweeps`` counts the sweeps taken).  The uncensored
+sweep (``FitResult.sweeps`` counts the sweeps taken); a step that an O(p)
+Jensen pre-test already refuses costs nothing more.  The uncensored
 sandwich covariance sums the pair indicators along
 ``pseudo._indicator_ranks``, no n1 x n2 array.
 """
@@ -106,32 +107,24 @@ def _group_parts(beta, Z1, Z2):
     return beta[0] + Z1 @ beta[1 : 1 + p1], Z2 @ beta[1 + p1 : 1 + p1 + Z2.shape[1]]
 
 
-def _check_dims(beta, matrix, Z1, Z2, weights):
-    n1, n2 = matrix.shape
-    if Z1.shape[0] != n1 or Z2.shape[0] != n2:
-        raise ValueError("covariate rows do not match pseudo-matrix dimensions")
-    if weights is not None and (np.shape(weights[0]) != (n1,) or np.shape(weights[1]) != (n2,)):
-        raise ValueError("weights do not match pseudo-matrix dimensions")
-    p = 1 + Z1.shape[1] + Z2.shape[1]
-    if beta.shape != (p,):
-        raise ValueError(f"beta must have length {p}, got {beta.shape}")
-
-
-def _paired_quadratic(rs, cs, cross, Z1, Z2):
+def _paired_quadratic(rs, cs, cross, Z1, Z2, scratch=None):
     """sum_{i1,i2} G[i1,i2] * z z' for z = (1, Z1[i1], Z2[i2]), unnormalized,
     from the row sums ``rs``, the column sums ``cs`` and ``cross`` = Z1' G Z2
-    of G."""
-    s = rs.sum()
-    a1 = Z1.T @ rs
-    a2 = Z2.T @ cs
-    B11 = (Z1 * rs[:, None]).T @ Z1
-    B22 = (Z2 * cs[:, None]).T @ Z2
-    top = np.concatenate(([s], a1, a2))
-    mid = np.concatenate((a1[:, None], B11, cross), axis=1)
-    bot = np.concatenate((a2[:, None], cross.T, B22), axis=1)
-    return np.vstack((top, mid, bot))
+    of G; ``scratch``, if given, holds Z1 * rs and then Z2 * cs."""
+    g1, g2 = slice(1, 1 + Z1.shape[1]), slice(1 + Z1.shape[1], None)
+    out = np.empty((g2.start + Z2.shape[1],) * 2)
+    out[0, 0] = rs.sum()
+    out[g1, g2], out[g2, g1] = cross, cross.T
+    for g, Z, w in ((g1, Z1, rs), (g2, Z2, cs)):
+        out[0, g] = out[g, 0] = Z.T @ w
+        weighted = np.empty_like(Z) if scratch is None else scratch[: Z.size].reshape(Z.shape)
+        for j in range(Z.shape[1]):   # by columns: Z * w[:, None] takes a buffer of numpy's
+            np.multiply(Z[:, j], w, out=weighted[:, j])
+        out[g, g] = weighted.T @ Z
+    return out
 
 
+EPS = np.finfo(float).eps
 # elements of one block buffer: a block is as many whole rows of the pseudo
 # matrix as fit, at least one
 BLOCK_ELEMENTS = 1 << 15
@@ -178,7 +171,8 @@ class _Evaluator:
     A block of k rows lives in three k x n2 buffers, allocated once: mu',
     W = mu' (Y - mu) and G = mu' ((1 - 2 mu)(Y - mu) - mu'), the Jacobian
     weight, which first holds mu.  The sweep accumulates the row and column
-    sums of W and G and Z1' G; nothing of size n1 x n2 is allocated.
+    sums of W and G and Z1' G into buffers allocated once too; beyond the
+    factors of exp(-eta) an evaluation allocates nothing of length n1 or n2.
 
     With ``weights`` = (w1, w2), row i1 of Y stands for w1[i1] rows and
     column i2 for w2[i2] columns of a larger matrix, whose U and J it
@@ -191,13 +185,18 @@ class _Evaluator:
     def __init__(self, values, Z1, Z2, weights=None):
         n1, n2 = values.shape
         self.values, self.Z1, self.Z2 = values, Z1, Z2
-        self.ones = np.ones(max(n1, n2))
-        self.w1, self.w2 = (self.ones[:n1], self.ones[:n2]) if weights is None else weights
+        ones = np.ones(max(n1, n2))
+        self.w1, self.w2 = (ones[:n1], ones[:n2]) if weights is None else weights
         self.sizes = self.w1.sum(), self.w2.sum()
         self.pairs = self.sizes[0] * self.sizes[1]
         self.X1 = np.column_stack((self.w1, Z1 * self.w1[:, None]))   # the rows of (1, Z1), weighted
         self.blocks = np.empty((3, _block_rows(n1, n2), n2))
         self.row_sums = np.empty((2, n1))   # of W and G
+        # (u, 1) and (v, 1)' of 1 + exp(-eta), the column sums of W and of X1' G, and
+        # a scratch for a block's share of those, for J's Z * w and ``_abs_design_means``
+        self.left, self.right = np.ones((n1, 2)), np.ones((2, n2))
+        self.columns = np.empty((self.X1.shape[1] + 1, n2))
+        self.scratch = np.empty(max(self.columns.size, Z1.size, Z2.size, 3 * max(n1, n2)))
         self.sweeps = 0
         # for ``_step_bound``: the weighted rows of (1, |Z1|) and (1, |Z2|),
         # the pair mean of x x' for x = (1, z1, z2), max |x| and
@@ -213,25 +212,21 @@ class _Evaluator:
         and J, without a sweep, where ``_exp_factors`` cannot factor
         exp(-eta)."""
         values, Z1, Z2, X1 = self.values, self.Z1, self.Z2, self.X1
-        n1, n2 = values.shape
-        ones, w1, w2 = self.ones, self.w1, self.w2
+        w1, w2, columns = self.w1, self.w2, self.columns
         factors = _exp_factors(*_group_parts(beta, Z1, Z2))
         if factors is None:
             return np.full(beta.size, np.nan), np.full((beta.size, beta.size), np.nan)
         self.sweeps += 1
-        # 1 + exp(-eta), as the rank-2 product (u, 1)(v, 1)'
-        u, v = factors
-        left = np.column_stack((u, ones[:n1]))
-        right = np.vstack((v, ones[:n2]))
+        self.left[:, 0], self.right[0] = factors
         rs_w, rs_g = self.row_sums
-        cs_w = np.zeros(n2)
-        x1_g = np.zeros((X1.shape[1], n2))   # X1' G: the column sums of G, then Z1' G
+        columns.fill(0.0)
+        block_columns = self.scratch[: columns.size].reshape(columns.shape)
         rows = self.blocks.shape[1]
-        for start in range(0, n1, rows):
-            stop = min(start + rows, n1)
+        for start in range(0, values.shape[0], rows):
+            stop = min(start + rows, values.shape[0])
             W, G, mu_prime = self.blocks[:, : stop - start]
             Y = values[start:stop]
-            np.matmul(left[start:stop], right, out=G)
+            np.matmul(self.left[start:stop], self.right, out=G)
             mu = np.reciprocal(G, out=G)
             np.subtract(1.0, mu, out=mu_prime)
             mu_prime *= mu
@@ -244,11 +239,16 @@ class _Evaluator:
             W *= mu_prime
             np.matmul(W, w2, out=rs_w[start:stop])
             np.matmul(G, w2, out=rs_g[start:stop])
-            cs_w += w1[start:stop] @ W
-            x1_g += X1[start:stop].T @ G
-        rs_w = w1 * rs_w
-        U = np.concatenate(([rs_w.sum()], Z1.T @ rs_w, Z2.T @ (w2 * cs_w)))
-        J = _paired_quadratic(w1 * rs_g, w2 * x1_g[0], (x1_g[1:] * w2) @ Z2, Z1, Z2)
+            np.matmul(w1[start:stop], W, out=block_columns[0])
+            np.matmul(X1[start:stop].T, G, out=block_columns[1:])
+            columns += block_columns
+        rs_w *= w1
+        rs_g *= w1
+        for row in columns:   # row by row: columns * w2 takes a buffer of numpy's
+            row *= w2
+        U = np.empty(beta.size)
+        U[0], U[1 : X1.shape[1]], U[X1.shape[1] :] = rs_w.sum(), Z1.T @ rs_w, Z2.T @ columns[0]
+        J = _paired_quadratic(rs_g, columns[1], columns[2:] @ Z2, Z1, Z2, self.scratch)
         return U / self.pairs, J / self.pairs
 
 
@@ -265,9 +265,12 @@ def _abs_design_means(evaluator: _Evaluator, a, b):
     entry k of x = (1, z1, z2), from the group means of |x_k|, |x_k| a^2
     and |x_k| a over the columns of (1, |Z1|), and of |x_k|, |x_k| b^2 and
     |x_k| b over those of (1, |Z2|)."""
-    (W1, W2), (abs1, abs2), ones = evaluator.sizes, evaluator.abs_rows, evaluator.ones
-    m1, A2, A1 = (abs1.T @ np.column_stack((ones[: a.size], a * a, a))).T / W1
-    m2, B2, B1 = (abs2.T @ np.column_stack((ones[: b.size], b * b, b))).T / W2
+    means = []
+    for abs_rows, x, size in zip(evaluator.abs_rows, (a, b), evaluator.sizes):
+        moments = evaluator.scratch[: 3 * x.size].reshape(x.size, 3)   # (1, x^2, x)
+        moments[:, 0], moments[:, 1], moments[:, 2] = 1.0, x * x, x
+        means.append((abs_rows.T @ moments).T / size)
+    (m1, A2, A1), (m2, B2, B1) = means
     return (np.concatenate((m1, m2[1:])),
             np.concatenate((A2 + 2 * A1 * B1[0] + m1 * B2[0],
                             A2[0] * m2[1:] + 2 * A1[0] * B1[1:] + B2[1:])))
@@ -297,21 +300,26 @@ def _step_bound(evaluator: _Evaluator, beta, U, J, step):
     sqrt(D_kk D_ll), which is at most p times that share of diag(D) as a
     quadratic form.  Where -J - g max|d| D less that rounding has a Cholesky
     factor, both evaluated Jacobians are negative definite.  A score bound
-    scales with its own covariate and the Cholesky test with none."""
-    ev = evaluator
+    scales with its own covariate and the Cholesky test with none.  A step
+    whose intercept bound fails already with pairmean(w d^2) >=
+    (pairmean(w x)' step)^2 (Jensen) stops after O(p) work."""
+    ev, margin = evaluator, CERTIFIED_SHARE * TOL
     spread = ev.spread
     f_max, slope, curvature = spread / 4, spread / 8 + 1 / 16, spread / 8 + LOGIT_CURVATURE
     # a step that overflows gives a bound that is not finite and certifies nothing
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.abs(U + J @ step)
+        if not max(residual.max(),
+                   residual[0] + 0.5 * curvature * (ev.design[0] @ step) ** 2) < margin:
+            return None
         a, b = _group_parts(step, ev.Z1, ev.Z2)
         means, square = _abs_design_means(ev, a, b)
         eta_max = ev.x_max @ np.maximum(np.abs(beta), np.abs(beta + step))
-        sweep = (a.size + b.size + 32) * np.finfo(float).eps
-        eta_error = (beta.size + 2) * np.finfo(float).eps * eta_max
+        sweep = (a.size + b.size + 32) * EPS
+        eta_error = (beta.size + 2) * EPS * eta_max
         rounding = 2 * (sweep * f_max + slope * eta_error) * means
         bound = float(np.max(residual + 0.5 * curvature * square + rounding))
-        if not bound < CERTIFIED_SHARE * TOL:
+        if not bound < margin:
             return None
         drift = curvature * (np.abs(a).max() + np.abs(b).max())
         jacobian_rounding = 2 * beta.size * (sweep * slope + curvature * eta_error)
@@ -374,7 +382,7 @@ def _full_rank_certified(Sigma) -> np.ndarray:
         log_trace = np.log(np.trace(Sigma, axis1=-2, axis2=-1))
         # (p - 1) log(p - 1) is 0 at p = 1 and p = 2
         log_bound = logdet + (p - 1) * np.log(max(p - 1, 1)) - p * log_trace
-    return (sign > 0) & (log_bound > np.log(RANK_CERTIFICATE_MARGIN * p * np.finfo(float).eps))
+    return (sign > 0) & (log_bound > np.log(RANK_CERTIFICATE_MARGIN * p * EPS))
 
 
 def solve_identity(row_means, col_means, Z1, Z2, strict_singular: bool = False) -> FitResult:
@@ -452,8 +460,13 @@ def solve_newton(matrix: np.ndarray, Z1, Z2, *, x0=None, weights=None) -> FitRes
     Z2 = np.atleast_2d(np.asarray(Z2, dtype=float))
     p = 1 + Z1.shape[1] + Z2.shape[1]
     beta = np.zeros(p) if x0 is None else np.array(x0, dtype=float)
-
-    _check_dims(beta, matrix, Z1, Z2, weights)
+    n1, n2 = matrix.shape
+    if Z1.shape[0] != n1 or Z2.shape[0] != n2:
+        raise ValueError("covariate rows do not match pseudo-matrix dimensions")
+    if weights is not None and (np.shape(weights[0]) != (n1,) or np.shape(weights[1]) != (n2,)):
+        raise ValueError("weights do not match pseudo-matrix dimensions")
+    if beta.shape != (p,):
+        raise ValueError(f"beta must have length {p}, got {beta.shape}")
     evaluator = _Evaluator(matrix, Z1, Z2, weights)
 
     used_pinv = False
@@ -477,28 +490,21 @@ def solve_newton(matrix: np.ndarray, Z1, Z2, *, x0=None, weights=None) -> FitRes
             return FitResult(beta + step, True, it, bound, used_pinv=used_pinv,
                              jacobian=J, sweeps=evaluator.sweeps)
         scale = 1.0
-        improved = False
         for _ in range(MAX_HALVINGS + 1):
             cand = beta + scale * step
             U_cand, J_cand = evaluator.evaluate(cand)
             cand_norm = float(np.max(np.abs(U_cand)))
             if np.isfinite(cand_norm) and cand_norm < norm:
                 beta, U, J, norm = cand, U_cand, J_cand, cand_norm
-                improved = True
                 log.debug("newton iterate %d: norm %.3e, step scale %g", it, norm, scale)
                 break
             scale *= 0.5
-        if not improved:
-            return FitResult(
-                beta, False, it, norm, used_pinv=used_pinv,
-                message="line search stalled", jacobian=J, sweeps=evaluator.sweeps,
-            )
+        else:
+            return FitResult(beta, False, it, norm, used_pinv=used_pinv, jacobian=J,
+                             sweeps=evaluator.sweeps, message="line search stalled")
     converged = norm < TOL
-    return FitResult(
-        beta, converged, MAX_ITER, norm,
-        used_pinv=used_pinv, message="" if converged else "max iterations reached",
-        jacobian=J, sweeps=evaluator.sweeps,
-    )
+    return FitResult(beta, converged, MAX_ITER, norm, used_pinv=used_pinv, jacobian=J,
+                     sweeps=evaluator.sweeps, message="" if converged else "max iterations reached")
 
 
 def _indicator_products(data: TwoSampleDataset, X1, X2):

@@ -315,10 +315,14 @@ class BootstrapEnsemble:
         return ~np.any(np.isnan(self.replicates), axis=1)
 
 
-def require_usable(fit: gee.FitResult) -> None:
-    """Raise RuntimeError unless ``fit`` converged to finite coefficients."""
+def require_usable(fit: gee.FitResult, data: TwoSampleDataset) -> None:
+    """Raise RuntimeError unless ``fit`` of ``data`` converged to finite
+    coefficients; the message names a fit that stopped saturated."""
     if not fit.converged:
-        raise RuntimeError(f"fit did not converge: {fit.message}")
+        eta = gee.max_abs_eta(fit.beta, data.covariates1, data.covariates2)
+        raise RuntimeError(f"fit did not converge: {fit.message}" + (
+            f"; some |beta'z| exceeds {gee.SATURATED_ETA:g}: the fit is saturated, the data "
+            "look separated" if eta > gee.SATURATED_ETA else ""))
     if not np.all(np.isfinite(fit.beta)):
         raise RuntimeError(
             "fit has non-finite coefficients; covariates this large in magnitude "
@@ -434,7 +438,7 @@ def bootstrap(
     _, outcome, _, _, identity, fits = spec._fit_stack(
         whole, labels=None if labels is None else (labels[0][None], labels[1][None]))
     base = _own_fit(outcome, fits)
-    require_usable(base)
+    require_usable(base, data)
     reference = None
     if labels is not None:
         reference = _logit_reference(identity.beta[0], data.covariates1, data.covariates2,

@@ -487,6 +487,16 @@ class TestCommands:
         assert main(["simulate", "--scenario", "i", "--seed", "1",
                      "--reps", "5000", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
 
+    def test_main_builds_its_parser_once(self, four_row_csv, tmp_path):
+        # the parser is built once per process, each call still runs the
+        # command its arguments name, and ``build_parser`` builds afresh
+        cli._parser.cache_clear()
+        assert main(["fit", "--data", str(four_row_csv), "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert main(["simulate", "--scenario", "i", "--reps", "5000", "--seed", "1"]) == EXIT_CONFIG
+        assert (cli._parser.cache_info().misses, cli._parser.cache_info().hits) == (1, 1)
+        assert (tmp_path / "coefficients.csv").exists()
+        assert cli.build_parser() is not cli.build_parser()
+
     @pytest.mark.parametrize("data, flags, code, message", [
         ("group,time,status\n1,abc,1\n1,2,1\n2,1,1\n2,2,1\n", [], EXIT_PARSE,
          "row 2, column 'time': not a number: 'abc'"),

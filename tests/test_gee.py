@@ -51,7 +51,7 @@ def fd_gradient(f, x, h=1e-6):
 
 
 class TestLinks:
-    def test_logit_overflow_is_quiet_and_finite(self, tmp_path):
+    def test_logit_overflow_is_quiet_and_finite(self, tmp_path, caplog):
         # the pair indicator is 1 only in the column of the earliest group-2
         # time and there only for the group-1 rows beyond it: the data are
         # separated and the MLE does not exist; Newton's line search stalls
@@ -70,9 +70,17 @@ class TestLinks:
         path.write_text("group,time,status,z\n" + "".join(
             f"{g},{t},1,{z}\n" for g, T, Z in ((1, data.times1, Z1), (2, data.times2, Z2))
             for t, (z,) in zip(T, Z)))
-        assert main(["fit", "--link", "logit", "--data", str(path), "--tau", "inf",
-                     "--cov1", "z", "--cov2", "z",
-                     "--out-dir", str(tmp_path / "out")]) == EXIT_CONVERGENCE
+        # the base fit stops saturated, and the refusal says so, also where
+        # the bootstrap refuses it
+        assert gee.max_abs_eta(res.beta, Z1, Z2) > gee.SATURATED_ETA
+        for command in (["fit"], ["test", "--seed", "1", "--bootstrap", "5"]):
+            caplog.clear()
+            with caplog.at_level("ERROR", logger="releff"):
+                assert main([*command, "--link", "logit", "--data", str(path), "--tau", "inf",
+                             "--cov1", "z", "--cov2", "z",
+                             "--out-dir", str(tmp_path / "out")]) == EXIT_CONVERGENCE
+            assert ("fit did not converge: line search stalled; some |beta'z| exceeds 30: "
+                    "the fit is saturated") in caplog.text
 
     def test_logit_prediction_overflow_is_quiet(self):
         # a fit saturated beyond the evaluator's range: exp(-eta) overflows
@@ -615,6 +623,71 @@ class TestCertifiedStep:
         step = np.linalg.lstsq(flat, -U, rcond=None)[0]
         assert np.max(np.abs(U + flat @ step)) < 0.1 * gee.TOL
         assert gee._step_bound(evaluator, beta, U, flat, step) is None
+
+
+@given(seed=st.integers(0, 2**32 - 1), n1=st.integers(6, 25), n2=st.integers(6, 25),
+       censored=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_step_bound_pre_test_refuses_only_steps_the_full_bound_refuses(seed, n1, n2,
+                                                                      censored):
+    # steps from points ever nearer a weighted root: wherever the O(p)
+    # pre-test refuses a step (no group part of it is computed), the full
+    # bound, taken with no margin to meet, is not below CERTIFIED_SHARE * TOL
+    rng = np.random.default_rng(seed)
+    pm, Z1, Z2 = instance(rng, n1, n2, censored=censored)
+    weights = (rng.integers(1, 5, n1).astype(float), rng.integers(1, 5, n2).astype(float))
+    evaluator = gee._Evaluator(pm, Z1, Z2, weights)
+    root = solve_newton(pm, Z1, Z2, weights=weights).beta
+    real, parts = gee._group_parts, []
+
+    def recording(*args):
+        parts.append(None)
+        return real(*args)
+
+    refused = 0
+    for scale in 10.0 ** np.arange(-10, 0):
+        beta = root + scale * rng.standard_normal(root.size)
+        U, J = evaluator.evaluate(beta)
+        step = np.linalg.solve(J, -U)
+        parts.clear()
+        with unittest.mock.patch.object(gee, "_group_parts", recording):
+            pre_refused = gee._step_bound(evaluator, beta, U, J, step) is None and not parts
+        with unittest.mock.patch.object(gee, "CERTIFIED_SHARE", np.inf):
+            full = gee._step_bound(evaluator, beta, U, J, step)
+        refused += pre_refused
+        if pre_refused and full is not None:
+            assert full >= gee.CERTIFIED_SHARE * gee.TOL
+    assert refused
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_a_second_evaluation_allocates_no_vector(monkeypatch, weighted):
+    # given the factors of exp(-eta) (``_exp_factors``), an evaluation writes
+    # only into the evaluator's buffers: no array of length n1 or n2 beyond
+    # U and J, and the same U and J
+    rng = np.random.default_rng(11)
+    n1, n2 = 700, 1000
+    Y = rng.uniform(-0.5, 1.5, (n1, n2))
+    Z1, Z2 = rng.standard_normal((n1, 2)), rng.standard_normal((n2, 2))
+    weights = None
+    if weighted:
+        weights = (rng.integers(1, 5, n1).astype(float), rng.integers(1, 5, n2).astype(float))
+    evaluator = gee._Evaluator(Y, Z1, Z2, weights)
+    beta = rng.uniform(-0.5, 0.5, 5)
+    want = evaluator.evaluate(beta)
+    factors = gee._exp_factors(*gee._group_parts(beta, Z1, Z2))
+    monkeypatch.setattr(gee, "_group_parts", lambda *args: (None, None))
+    monkeypatch.setattr(gee, "_exp_factors", lambda a, b: factors)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        got = evaluator.evaluate(beta)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    assert evaluator.blocks.shape[1] < n1 and peak < 8 * min(n1, n2)
 
 
 class TestBlockedEvaluator:
