@@ -341,8 +341,10 @@ def design_second_moment(Z1, Z2) -> np.ndarray:
     # moments that overflow are inf or NaN, which ``solve_identity`` leaves
     # unsolved; numpy is not let warn about them
     with np.errstate(over="ignore", invalid="ignore"):
-        m1 = Z1.mean(axis=-2)
-        m2 = Z2.mean(axis=-2)
+        # mean(axis=-2) bit for bit: einsum adds the rows in that order without
+        # its strided reduction; one column is a contiguous pairwise sum
+        m1, m2 = (Z.mean(axis=-2) if Z.shape[-1] == 1 else np.einsum("...ip->...p", Z) / Z.shape[-2]
+                  for Z in (Z1, Z2))
         g1 = slice(1, 1 + p1)
         g2 = slice(1 + p1, 1 + p1 + p2)
         out = np.empty(m1.shape[:-1] + (1 + p1 + p2, 1 + p1 + p2))

@@ -26,11 +26,11 @@ memory does not grow with B or M, and a Monte Carlo task of a few hundred
 runs at that size pays the fixed cost of a stacked fit once or twice.
 A chunk is one ``TwoSampleDataset`` stack: warp-speed runs are simulated
 straight into it, and no dataset object is built per run.  Each run or
-replicate draws its resample of both groups in one generator call, with a
-scalar bound when they are equal and an array bound built once per chunk
-otherwise, into the chunk's index blocks; ``_simulated_chunk`` draws the
-streams of a chunk for both loops.  A failed fit is counted under the first
-of ``FAILURE_CAUSES`` that applies to it.
+replicate takes its resample's raw values in one generator call, and
+``_bounded_draws`` turns a chunk's raw values into its index blocks at once,
+as ``integers`` would; ``_simulated_chunk`` draws the streams of a chunk for
+both loops.  A failed fit is counted under the first of ``FAILURE_CAUSES``
+that applies to it.
 
 ``decide`` turns one coefficient's centered replicates into the four test
 decisions; ``test_coefficient`` applies it to one estimate and
@@ -395,27 +395,6 @@ def _replicate_rngs(seed: int, runs: range) -> list:
     return [np.random.Generator(np.random.PCG64(_StateWords(row))) for row in state]
 
 
-def _resample_bound(n1: int, n2: int) -> np.ndarray:
-    """The array bound of an unequal-size resample: n1 n1 times, then n2 n2 times."""
-    return np.repeat(np.array([n1, n2]), (n1, n2))
-
-
-def resample_indices(rng: np.random.Generator, n1: int, n2: int, high=None):
-    """Within-group resampling with replacement; group 1 drawn first, as
-    ``rng.integers(0, n1, size=n1)`` followed by ``rng.integers(0, n2,
-    size=n2)``.  Both groups take one call, which draws that same stream
-    and leaves the generator in the same state: PCG64 keeps a spare 32-bit
-    half from one call to the next.  Equal groups take the scalar bound n1
-    and size n1 + n2; unequal ones the array bound ``high`` of
-    ``_resample_bound``, which a caller drawing many resamples builds once,
-    as ``integers`` checks array bounds in Python on every call."""
-    if n1 == n2:
-        idx = rng.integers(0, n1, size=n1 + n2)
-    else:
-        idx = rng.integers(0, _resample_bound(n1, n2) if high is None else high)
-    return idx[:n1], idx[n1:]
-
-
 def bootstrap(
     data: TwoSampleDataset,
     spec: FitSpec | None = None,
@@ -573,19 +552,41 @@ class WarpSpeedResult:
         return sum(self.failures.values())
 
 
+def _bounded_draws(rngs, bound) -> np.ndarray:
+    """The int64 block (N, len(bound)) whose row k is what
+    ``rngs[k].integers(0, bound)`` draws for uint64 bounds b from 2 to
+    2**32 - 1, by numpy's method: Lemire's multiply-shift w b >> 32 on the
+    32-bit words w of the raw values, low half first, where a word is
+    rejected while the low half of w b is below (2**32 - b) mod b.  It runs
+    on ceil(len(bound) / 2) raw values per generator at once.  A row that
+    meets a rejected word rewinds its generator (PCG64 has period 2**128)
+    and is drawn again by ``integers``.  A generator must hold no spare
+    32-bit half when it starts; a spare half after an odd number of words is
+    dropped."""
+    raw = np.empty((len(rngs), (len(bound) + 1) // 2), dtype="<u8")
+    for k, rng in enumerate(rngs):
+        raw[k] = rng.bit_generator.random_raw(raw.shape[1])
+    idx = np.multiply(raw.view("<u4")[:, : len(bound)], bound,
+                      out=np.empty((len(rngs), len(bound)), dtype="<u8"))
+    rejected = idx.view("<u4")[:, ::2] < (2**32 - bound) % bound
+    idx >>= 32
+    for k in np.flatnonzero(rejected.any(axis=1)):
+        rngs[k].bit_generator.advance(2**128 - raw.shape[1])
+        idx[k] = rngs[k].integers(0, bound)
+    return idx.view("<i8")
+
+
 def _simulated_chunk(draw, seed: int, runs: range):
     """The stack ``draw(rngs)``, one generator per run in ``runs``, and each
     run's resample as rows of two int64 blocks (idx1, idx2): run m draws its
-    dataset, then its resample, from the stream (seed, m).  The bootstrap's
-    ``draw`` draws nothing."""
+    dataset, then its resample, from the stream (seed, m), as
+    ``rng.integers(0, n1, size=n1)`` and ``rng.integers(0, n2, size=n2)``
+    would.  The bootstrap's ``draw`` draws nothing."""
     rngs = _replicate_rngs(seed, runs)
     stack = draw(rngs)
-    idx1 = np.empty((len(rngs), stack.n1), dtype=np.int64)
-    idx2 = np.empty((len(rngs), stack.n2), dtype=np.int64)
-    high = _resample_bound(stack.n1, stack.n2)
-    for k, rng in enumerate(rngs):
-        idx1[k], idx2[k] = resample_indices(rng, stack.n1, stack.n2, high)
-    return stack, idx1, idx2
+    n1, n2 = stack.n1, stack.n2
+    idx = _bounded_draws(rngs, np.repeat(np.array([n1, n2], dtype=np.uint64), (n1, n2)))
+    return stack, idx[:, :n1], idx[:, n1:]
 
 
 def warp_speed(

@@ -88,18 +88,21 @@ class TwoSampleDataset:
 
     def resampled(self, idx1: np.ndarray, idx2: np.ndarray) -> TwoSampleDataset:
         """The stack whose dataset k is dataset k of this stack with rows
-        idx1[k] of group 1 and idx2[k] of group 2; a stack of one dataset is
+        idx1[k] of group 1 and idx2[k] of group 2, each from 0 to n - 1,
+        taken by one flat index per group; a stack of one dataset is
         resampled once per row of idx1 and idx2.  Rows of a valid dataset
         make a valid dataset, so the result is checked for at least two rows
         per group and skips the other checks of ``__post_init__``."""
         self._require_stack()
         if any(np.ndim(idx) == 0 or np.shape(idx)[-1] < 2 for idx in (idx1, idx2)):
             raise ValueError("each group needs at least 2 subjects")
-        k = np.arange(len(self.times1))[:, None]
-        return _from_checked(
-            self.times1[k, idx1], self.events1[k, idx1], self.covariates1[k, idx1],
-            self.times2[k, idx2], self.events2[k, idx2], self.covariates2[k, idx2], self.tau,
-        )
+        rows = []
+        for group, idx in (((self.times1, self.events1, self.covariates1), idx1),
+                           ((self.times2, self.events2, self.covariates2), idx2)):
+            N, n = group[0].shape
+            flat = idx + n * np.arange(N)[:, None]    # into the (N n, ...) views
+            rows += [x.reshape((N * n,) + x.shape[2:]).take(flat, axis=0) for x in group]
+        return _from_checked(*rows, self.tau)
 
 
 _FIELDS = tuple(f.name for f in fields(TwoSampleDataset))

@@ -27,19 +27,18 @@ def rng():
 
 
 def degenerate_resamples(monkeypatch, draws):
-    """Make the given 0-based resample draws take group-1 subject 0 n1
-    times, so the resampled group-1 covariates are constant and the design
-    is singular."""
+    """Make the resamples of the given 0-based replicates or runs take
+    group-1 subject 0 n1 times, so the resampled group-1 covariates are
+    constant and the design is singular."""
     from releff import inference
 
-    real = inference.resample_indices
-    seen = []
+    real = inference._simulated_chunk
 
-    def draw(rng, n1, n2, high=None):
-        idx1, idx2 = real(rng, n1, n2, high)
-        seen.append(None)
-        if len(seen) - 1 in draws:
-            idx1 = np.zeros_like(idx1)
-        return idx1, idx2
+    def chunk(draw, seed, runs):
+        stack, idx1, idx2 = real(draw, seed, runs)
+        for k, m in enumerate(runs):
+            if m in draws:
+                idx1[k] = 0
+        return stack, idx1, idx2
 
-    monkeypatch.setattr(inference, "resample_indices", draw)
+    monkeypatch.setattr(inference, "_simulated_chunk", chunk)

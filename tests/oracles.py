@@ -340,6 +340,35 @@ def resampled(data: TwoSampleDataset, idx1, idx2) -> TwoSampleDataset:
     )
 
 
+def stack_resampled(stack: TwoSampleDataset, idx1, idx2) -> TwoSampleDataset:
+    """``stack.resampled`` by 2-D fancy indexing: dataset k takes rows
+    idx1[k] and idx2[k], a stack of one once per row of the indices."""
+    k = np.arange(len(stack.times1))[:, None]
+    return TwoSampleDataset(
+        stack.times1[k, idx1], stack.events1[k, idx1], stack.covariates1[k, idx1],
+        stack.times2[k, idx2], stack.events2[k, idx2], stack.covariates2[k, idx2],
+        tau=stack.tau,
+    )
+
+
+def design_second_moment(Z1, Z2) -> np.ndarray:
+    """Average over all pairs of the outer product of (1, z1, z2), the
+    column means taken by ``mean(axis=-2)``."""
+    Z1, Z2 = np.atleast_2d(Z1), np.atleast_2d(Z2)
+    m1, m2 = Z1.mean(axis=-2), Z2.mean(axis=-2)
+    p1, p2 = m1.shape[-1], m2.shape[-1]
+    g1, g2 = slice(1, 1 + p1), slice(1 + p1, 1 + p1 + p2)
+    out = np.empty(m1.shape[:-1] + (1 + p1 + p2, 1 + p1 + p2))
+    out[..., 0, 0] = 1.0
+    out[..., 0, g1] = out[..., g1, 0] = m1
+    out[..., 0, g2] = out[..., g2, 0] = m2
+    out[..., g1, g1] = np.swapaxes(Z1, -1, -2) @ Z1 / Z1.shape[-2]
+    out[..., g2, g2] = np.swapaxes(Z2, -1, -2) @ Z2 / Z2.shape[-2]
+    out[..., g1, g2] = m1[..., :, None] * m2[..., None, :]
+    out[..., g2, g1] = np.swapaxes(out[..., g1, g2], -1, -2)
+    return out
+
+
 def replicate_rng(seed, m):
     """The generator of run or replicate m of a loop seeded with ``seed``,
     built by numpy's own SeedSequence."""

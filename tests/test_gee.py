@@ -973,3 +973,17 @@ class TestSandwich:
         o0 = paired_quadratic(D, Z1, Z2) / D.size - np.outer(m, m)
         expected = design_second_moment(Z1, Z2) - np.outer(m, m)
         np.testing.assert_allclose(o0, expected, atol=1e-12)
+
+
+@given(seed=st.integers(0, 2**32 - 1), p1=st.integers(0, 6), p2=st.integers(0, 6),
+       n1=st.integers(2, 3000), n2=st.integers(2, 3000), stack=st.sampled_from([None, 1, 3]))
+@settings(max_examples=80, deadline=None)
+def test_design_second_moment_is_the_mean_form_bit_for_bit(seed, p1, p2, n1, n2, stack):
+    # the column means of p >= 2 columns are summed without mean(axis=-2)'s
+    # strided reduction, in its order of rows; 2-D and stacked 3-D designs,
+    # columns scaled from 1e-5 to 1e5
+    rng = np.random.default_rng(seed)
+    lead = () if stack is None else (stack,)
+    Z1, Z2 = (rng.standard_normal(lead + (n, p)) * 10.0 ** rng.uniform(-5, 5, p) + rng.uniform(-3, 3, p)
+              for n, p in ((n1, p1), (n2, p2)))
+    assert np.array_equal(design_second_moment(Z1, Z2), oracles.design_second_moment(Z1, Z2))

@@ -23,7 +23,6 @@ from releff.inference import (
     _logit_reference,
     _ndtri,
     _two_sided_z,
-    resample_indices,
 )
 from releff.inference import test_coefficient as coefficient_report
 from releff.pseudo import pseudo_matrix
@@ -101,20 +100,46 @@ def test_negative_seed_is_refused(rng, seed):
 @pytest.mark.parametrize("n1, n2", [(2, 2), (7, 7), (11, 11), (13, 17), (40, 60), (50, 50),
                                     (3, 1000), (80, 50), (3, 2)])
 def test_scalar_bound_resample_is_the_per_group_stream(n1, n2):
-    # both groups are drawn in one call, scalar-bound for equal groups and
-    # array-bound otherwise (the bound built per call or once per chunk);
-    # either must draw what one scalar-bound call per group draws and leave
-    # the generator in the same state, so the pinned Monte Carlo and
-    # bootstrap streams do not move
+    # a chunk draws every resample from its runs' raw values at once; each
+    # must be what one scalar-bound integers call per group draws, and the
+    # PCG64 state must be numpy's, so the pinned Monte Carlo and bootstrap
+    # streams do not move.  At odd n1 + n2 numpy keeps a spare 32-bit half
+    # for a next call, which the chunk draw drops: nothing draws after it
+    whole = stack_datasets([random_dataset(np.random.default_rng(n1), n1, n2)])
+    runs = range(5, 8)
     for seed in range(200):
-        for high in (None, inference._resample_bound(n1, n2)):
-            got_rng, want_rng = oracles.replicate_rng(seed, 5), oracles.replicate_rng(seed, 5)
-            got = resample_indices(got_rng, n1, n2, high)
+        rngs = inference._replicate_rngs(seed, runs)
+        block = inference._bounded_draws(rngs, np.repeat(np.array([n1, n2], np.uint64), (n1, n2)))
+        _, idx1, idx2 = inference._simulated_chunk(lambda r: whole, seed, runs)
+        np.testing.assert_array_equal(block, np.hstack((idx1, idx2)))
+        for k, m in enumerate(runs):
+            want_rng = oracles.replicate_rng(seed, m)
             want = oracles.resample_indices(want_rng, n1, n2)
-            for g, w in zip(got, want):
+            for g, w in zip((idx1[k], idx2[k]), want):
                 assert g.dtype == w.dtype
                 np.testing.assert_array_equal(g, w)
-            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            assert rngs[k].bit_generator.state["state"] == want_rng.bit_generator.state["state"]
+
+
+@pytest.mark.parametrize("size", [1, 6, 7, 30, 31])
+def test_rejected_words_are_drawn_again_as_integers_draws_them(size):
+    # the word-to-index step at bounds just above 2**31, where numpy rejects
+    # about half of all words, odd and even numbers of words, against
+    # numpy's array-bound integers
+    rejected = 0
+    for seed in range(70):
+        bound = (2**31 + np.random.default_rng(seed).integers(1, 2**20, size)).astype(np.uint64)
+        rngs = inference._replicate_rngs(seed, range(3))
+        got = inference._bounded_draws(rngs, bound)
+        assert got.dtype == np.int64 and got.shape == (3, size)
+        for k, rng in enumerate(rngs):
+            want_rng = oracles.replicate_rng(seed, k)
+            np.testing.assert_array_equal(got[k], want_rng.integers(0, bound.astype(np.int64)))
+            assert rng.bit_generator.state["state"] == want_rng.bit_generator.state["state"]
+            raw = oracles.replicate_rng(seed, k).bit_generator.random_raw((size + 1) // 2)
+            words = raw.astype("<u8").view("<u4")[:size].astype(np.uint64)
+            rejected += bool((words * bound % 2**32 < (2**32 - bound) % bound).any())
+    assert rejected >= 50     # rows that are drawn again
 
 
 @pytest.mark.parametrize("n1, n2", [(7, 7), (11, 17), (50, 50)])

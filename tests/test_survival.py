@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import SurvivalCurve, kaplan_meier, leave_one_out_km, theta_integral
 from releff.pseudo import _SortedLeaveOneOut
 from conftest import random_dataset
@@ -234,6 +235,23 @@ class TestStack:
         for k, data in enumerate(datasets):
             assert_same(resampled[k], checked(stack_datasets([data]).resampled(
                 idx1[k : k + 1], idx2[k : k + 1])[0]))
+
+    @pytest.mark.parametrize("n_sets, p1, p2, n1, n2, rows", [
+        (1, 2, 1, 7, 5, 6), (4, 2, 1, 7, 5, 4), (3, 0, 0, 6, 9, 3), (1, 0, 3, 2, 11, 8),
+        (5, 3, 0, 12, 4, 5)], ids=["one", "many", "p0", "one-p0", "many-p0"])
+    def test_resamples_are_the_fancy_indexed_rows(self, rng, n_sets, p1, p2, n1, n2, rows):
+        # the flat gather takes what 2-D fancy indexing takes: index rows for
+        # each dataset, one 1-D index for all, a stack of one once per row
+        stack = stack_datasets([random_dataset(rng, n1, n2, p1=p1, p2=p2) for _ in range(n_sets)])
+        for lead in ((rows if n_sets == 1 else n_sets,), (1,), ()):
+            idx1 = rng.integers(0, n1, lead + (n1 + 2,))
+            idx2 = rng.integers(0, n2, lead + (n2,))
+            got = stack.resampled(idx1, idx2)
+            want = oracles.stack_resampled(stack, idx1, idx2)
+            for f in fields(TwoSampleDataset):
+                g, w = getattr(got, f.name), getattr(want, f.name)
+                assert np.shape(g) == np.shape(w) and np.asarray(g).dtype == np.asarray(w).dtype
+                assert np.array_equal(g, w), f.name
 
     def test_rows_and_resamples_need_a_stack_and_two_subjects_per_group(self, rng):
         data = random_dataset(rng, 7, 5)
