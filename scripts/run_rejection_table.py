@@ -7,11 +7,11 @@ used by `releff simulate`.  Each cell's wall seconds and runs per second are
 printed, and a manifest (the command line, seed, reps, library versions,
 BLAS thread variables and per-cell seconds and failure counts) is written
 beside the CSV as `<out stem>.manifest.json`.  Quick by default; pass
---reps 10000 with --long-run for a full-scale run.  On a 2-vCPU Xeon VM
-with one BLAS thread a censoring half takes about 0.9-1.1 s at --reps 200,
-most of it start-up, and 23.3 s for
+--reps 10000 for a full-scale run.  On a 2-vCPU Xeon VM with one BLAS
+thread a censoring half takes about 0.9-1.1 s at --reps 200, most of it
+start-up, and 23.3 s for
 `OPENBLAS_NUM_THREADS=1 python scripts/run_rejection_table.py --reps 10000
---long-run --censored` (0.8-1.3 s per cell).  The uncensored half, the same
+--censored` (0.8-1.3 s per cell).  The uncensored half, the same
 command without --censored, takes 16.6-21.0 s summed over its cells in five
 runs; it took 22.1-24.4 s when fully observed marginals still came from the
 leave-one-out jackknife rather than from pair-indicator counts.
@@ -40,11 +40,10 @@ def main(argv=None):
     ap.add_argument("--reps", type=int, default=500)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--censored", action="store_true")
-    ap.add_argument("--long-run", action="store_true")
     ap.add_argument("--out", default="rejection_table.csv")
     args = ap.parse_args(argv)
     try:
-        check_reps(args.reps, args.long_run)
+        check_reps(args.reps)
     except ValueError as exc:
         ap.error(str(exc))
 

@@ -575,7 +575,7 @@ def cmd_predict(args) -> int:
 def cmd_simulate(args) -> int:
     config, _ = _build_config(args)
     try:
-        check_reps(args.reps, args.long_run)
+        check_reps(args.reps)
         scenario = make_scenario(args.scenario, args.setting, args.n1, args.n2, args.censored)
     except ValueError as exc:
         raise ConfigFailure(str(exc)) from exc
@@ -658,8 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n2", type=int, default=50)
     p_sim.add_argument("--censored", action="store_true")
     p_sim.add_argument("--reps", type=int, default=1000)
-    p_sim.add_argument("--long-run", dest="long_run", action="store_true",
-                       help="allow full-scale replication counts")
     return parser
 
 

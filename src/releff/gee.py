@@ -433,7 +433,7 @@ def solve_identity(row_means, col_means, Z1, Z2, strict_singular: bool = False) 
 TOL, MAX_ITER, MAX_HALVINGS = 1e-10, 50, 10
 # a logit fit with some |beta'z| beyond this is saturated: there mu' < 1e-13,
 # three orders below TOL, so the score no longer pins beta (the data are
-# (quasi-)separated and the MLE does not exist)
+# (quasi-)separated and the MLE does not exist; Albert & Anderson, 1984)
 SATURATED_ETA = 30.0
 
 

@@ -603,9 +603,15 @@ def warp_speed(
     the bootstrap scales and quantiles, which are then applied to each run's
     estimate.  ``simulator`` has the sizes ``n1`` and ``n2`` and
     ``simulate(rngs)``, which returns a stacked ``TwoSampleDataset`` whose
-    dataset k is drawn from ``rngs[k]`` alone.  A run fails, counted under
-    the first of FAILURE_CAUSES that applies to its base fit or its refit,
-    when either fit fails.
+    dataset k is drawn from ``rngs[k]`` alone (a ``sim.Scenario`` is one).
+    Run m draws its dataset, then its resample, from the stream (seed, m).
+    The resample is what ``integers`` would draw when the generator holds no
+    spare 32-bit half, as after the 64-bit draws of ``Scenario.simulate``.
+    A ``simulate`` that leaves one (say through ``integers`` with a small
+    bound) still gets resamples that depend only on (seed, m), but not those
+    of ``integers``.
+    A run fails, counted under the first of FAILURE_CAUSES that applies to
+    its base fit or its refit, when either fit fails.
     """
     if M < 1:
         raise ValueError("M must be at least 1")

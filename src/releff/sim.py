@@ -217,30 +217,22 @@ RESULT_FIELDS = [
     "failed", "degenerate",
 ]
 
-# fewer Monte Carlo runs give no stable rates; larger studies take minutes
-# and must be asked for with --long-run
+# fewer Monte Carlo runs give no stable rates
 MIN_REPS = 100
-MAX_REPS_WITHOUT_LONG_RUN = 2000
 
 
-def check_reps(reps: int, long_run: bool) -> None:
-    """Raise ValueError for fewer than MIN_REPS runs, or for more than
-    MAX_REPS_WITHOUT_LONG_RUN unless ``long_run`` is set."""
+def check_reps(reps: int) -> None:
+    """Raise ValueError for fewer than MIN_REPS runs."""
     if reps < MIN_REPS:
         raise ValueError(f"{reps} Monte Carlo runs is below {MIN_REPS}; "
                          "rates need at least that many runs")
-    if reps > MAX_REPS_WITHOUT_LONG_RUN and not long_run:
-        raise ValueError(
-            f"{reps} Monte Carlo runs exceeds {MAX_REPS_WITHOUT_LONG_RUN}; "
-            "pass --long-run for full-scale studies"
-        )
 
 
 def run_scenario(scenario: Scenario, M: int, seed: int = 0, alpha: float = 0.05):
     """Warp-speed Monte Carlo of ``scenario``, one bootstrap replicate per
     simulated dataset: rejection-rate rows for the two first-covariate
     hypotheses, and the ``WarpSpeedResult``."""
-    check_reps(M, long_run=True)
+    check_reps(M)
     result = warp_speed(scenario, M=M, seed=seed,
                         coefficients=scenario.coefficient_indices, alpha=alpha)
     rows = []

@@ -485,14 +485,20 @@ class TestCommands:
         assert main(["test", "--data", str(four_row_csv)]) == EXIT_CONFIG
         assert main(["fit", "--data", str(four_row_csv), "--alpha", "2"]) == EXIT_CONFIG
         assert main(["simulate", "--scenario", "i", "--seed", "1",
-                     "--reps", "5000", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+                     "--reps", "10", "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_simulate_takes_more_than_2000_runs(self, tmp_path):
+        # a full-scale study needs no extra flag: only fewer than 100 runs are refused
+        assert main(["simulate", "--scenario", "i", "--n1", "10", "--n2", "10", "--seed", "1",
+                     "--reps", "2001", "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / "rejection_rates.csv").exists()
 
     def test_main_builds_its_parser_once(self, four_row_csv, tmp_path):
         # the parser is built once per process, each call still runs the
         # command its arguments name, and ``build_parser`` builds afresh
         cli._parser.cache_clear()
         assert main(["fit", "--data", str(four_row_csv), "--out-dir", str(tmp_path)]) == EXIT_OK
-        assert main(["simulate", "--scenario", "i", "--reps", "5000", "--seed", "1"]) == EXIT_CONFIG
+        assert main(["simulate", "--scenario", "i", "--reps", "10", "--seed", "1"]) == EXIT_CONFIG
         assert (cli._parser.cache_info().misses, cli._parser.cache_info().hits) == (1, 1)
         assert (tmp_path / "coefficients.csv").exists()
         assert cli.build_parser() is not cli.build_parser()
