@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .gee import IDENTITY, LINKS, LOGIT, logit_working_set, sandwich_covariance_uncensored
-from .inference import METHODS, FitSpec, bootstrap, require_usable, test_coefficient
+from .inference import METHODS, FitSpec, _test_reports, bootstrap, require_usable
 from .predict import predict_profiles
 from .pseudo import tie_correction_term
 from .sim import check_reps, make_scenario, run_scenario, write_result_rows
@@ -495,8 +495,7 @@ def cmd_fit(args) -> int:
             + [f"ci_{m}_{end}" for m in METHODS for end in ("low", "high")]
             + [f"reject_{m}" for m in METHODS]
         )
-        for k, row in enumerate(rows):
-            rep = test_coefficient(ensemble, k, alpha=config.alpha)
+        for row, rep in zip(rows, _test_reports(ensemble, range(len(rows)), config.alpha)):
             for m, (scale, ci, reject) in rep.decisions.items():
                 if scale is not None:
                     row[f"se_{m}"] = scale
@@ -530,8 +529,7 @@ def cmd_test(args) -> int:
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["coefficient", "estimate", "method", "scale", "ci_low", "ci_high", "reject"])
-        for k, name in enumerate(names):
-            rep = test_coefficient(ensemble, k, alpha=config.alpha)
+        for name, rep in zip(names, _test_reports(ensemble, range(len(names)), config.alpha)):
             for method in methods:
                 scale, ci, reject = rep.decisions[method]   # csv writes None as ""
                 writer.writerow([name, rep.estimate, method, scale, ci[0], ci[1], reject])

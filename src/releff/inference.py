@@ -32,9 +32,10 @@ as ``integers`` would; ``_simulated_chunk`` draws the streams of a chunk for
 both loops.  A failed fit is counted under the first of ``FAILURE_CAUSES``
 that applies to it.
 
-``decide`` turns one coefficient's centered replicates into the four test
-decisions; ``test_coefficient`` applies it to one estimate and
-``warp_speed`` to the estimates of all runs.
+``decide`` turns the centered replicates of a stack of coefficients into
+the four test decisions, one row per coefficient; ``test_coefficient`` is
+its one-row case, and ``warp_speed`` decides the estimates of all runs of
+every tested coefficient in one call.
 """
 
 from __future__ import annotations
@@ -82,9 +83,10 @@ MAX_FAILURE_FRACTION = 0.05
 # and a start only has to be finite for Newton to run
 THETA_CLIP = (0.02, 0.98)
 
-# element budget of one stacked fit: a chunk holds at most
-# STACK_ELEMENTS // (n1 + n2 + 2) datasets (160 at n1 = n2 = 50, a few MB
-# of working set)
+# element budget of one chunk: it holds at most STACK_ELEMENTS // (n1 + n2
+# + 2) bootstrap replicates or warp-speed runs (160 at n1 = n2 = 50, so a
+# task of M = 100 runs is one chunk); a warp-speed fit holds twice that many
+# datasets, each run's own and its resample (a few MB of working set)
 STACK_ELEMENTS = 1 << 14
 
 
@@ -450,12 +452,15 @@ class TestReport:
 
 
 def scale_estimates(values: np.ndarray):
-    """The three bootstrap spread estimates calibrated to a normal SD."""
+    """The three bootstrap spread estimates calibrated to a normal SD, of
+    each row of ``values`` (along its last axis)."""
     values = np.asarray(values, dtype=float)
-    emp = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
-    q25, q75 = np.quantile(values, [0.25, 0.75])
-    iqr = float(abs(q75 - q25) / IQR_TO_SD)
-    mad = float(np.median(np.abs(values - np.median(values))) * MAD_TO_SD)
+    emp = (np.std(values, axis=-1, ddof=1) if values.shape[-1] > 1
+           else np.zeros(values.shape[:-1]))
+    q25, q75 = np.quantile(values, [0.25, 0.75], axis=-1)
+    iqr = abs(q75 - q25) / IQR_TO_SD
+    centre = np.median(values, axis=-1, keepdims=True)
+    mad = np.median(np.abs(values - centre), axis=-1) * MAD_TO_SD
     return emp, iqr, mad
 
 
@@ -493,50 +498,71 @@ def _ndtri(y0: float) -> float:
 
 
 def _two_sided_z(alpha: float) -> float:
-    """z at 1 - alpha/2, bit for bit what ``scipy.stats.norm.ppf`` gives."""
+    """z at 1 - alpha/2, bit for bit what ``scipy.stats.norm.ppf`` gives; the
+    one check of every test level: an alpha off (0, 1) raises ValueError."""
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     return _ndtri(1 - alpha / 2)
 
 
-def decide(estimates, centered: np.ndarray, alpha: float = 0.05) -> dict:
-    """The four bootstrap tests of H0: beta = 0 at ``estimates`` (one float
-    or an array) from the 1-D centered replicates of that coefficient.
+def decide(estimates: np.ndarray, centered: np.ndarray, alpha: float = 0.05) -> dict:
+    """The four bootstrap tests of H0: beta = 0 for k coefficients at once:
+    row i of ``estimates`` (k, m) is tested on the centered replicates in
+    row i of ``centered`` (k, R), each statistic one call along the last
+    axis (a contiguous row is summed in the order of a 1-D call, a strided
+    one is not, so pass contiguous rows).
 
     Returns method -> (scale, (ci_low, ci_high), reject) in the order of
-    METHODS.  A scale-based test rejects when |estimate| / scale > z, with
-    the interval estimate +- z * scale; at a scale <= 0 it decides nothing
-    (reject None, the interval NaN).  The percentile test has no scale
-    (None): with q_lo, q_hi the alpha/2 and 1 - alpha/2 quantiles of the
-    centered replicates it rejects when estimate < q_lo or estimate > q_hi,
-    with the interval (estimate - q_hi, estimate - q_lo).  For one float the
-    flags are bools, for an array boolean arrays.
+    METHODS, a scale per row and intervals and flags (1.0 reject, 0.0 not)
+    shaped as ``estimates``.  A scale-based test rejects when |estimate| /
+    scale > z, with the interval estimate +- z * scale; a row whose scale is
+    <= 0 decides nothing (flags and interval NaN).  The percentile test has
+    no scale (None): with q_lo, q_hi the alpha/2 and 1 - alpha/2 quantiles
+    of a row's centered replicates it rejects when estimate < q_lo or
+    estimate > q_hi, with the interval (estimate - q_hi, estimate - q_lo).
+    An alpha off (0, 1) raises ValueError.
     """
     z = _two_sided_z(alpha)
-    decisions = {}
-    for name, scale in zip(METHODS, scale_estimates(centered)):
-        if scale <= 0:
-            decisions[name] = (scale, (math.nan, math.nan), None)
-        else:
-            ci = (estimates - z * scale, estimates + z * scale)
-            decisions[name] = (scale, ci, abs(estimates) / scale > z)
-    q_lo, q_hi = np.quantile(centered, [alpha / 2, 1 - alpha / 2]).tolist()
-    reject = (estimates < q_lo) | (estimates > q_hi)
+    scales = np.stack(scale_estimates(centered))[..., None]     # (3, k, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rejects = (abs(estimates) / scales > z).astype(float)
+    lows, highs = estimates - z * scales, estimates + z * scales
+    for values in (rejects, lows, highs):
+        np.copyto(values, np.nan, where=scales <= 0)
+    decisions = {name: (scales[j, :, 0], (lows[j], highs[j]), rejects[j])
+                 for j, name in enumerate(METHODS[:3])}
+    q_lo, q_hi = np.quantile(centered, [alpha / 2, 1 - alpha / 2], axis=-1)[..., None]
+    reject = ((estimates < q_lo) | (estimates > q_hi)).astype(float)
     decisions["quantile"] = (None, (estimates - q_hi, estimates - q_lo), reject)
     return decisions
+
+
+def _test_reports(ensemble: BootstrapEnsemble, coefficients, alpha: float) -> list:
+    """The ``TestReport`` of each of ``coefficients``, from one ``decide``
+    call on their estimates and centered replicates."""
+    estimates = ensemble.base_fit.beta[coefficients]
+    reps = ensemble.replicates[ensemble.ok][:, coefficients]
+    if reps.size == 0:
+        raise RuntimeError("no successful bootstrap replicates")
+    decisions = decide(estimates[:, None], (reps - estimates).T.copy(), alpha)
+
+    def row(i):
+        return {name: (None if scale is None else scale.item(i),
+                       (low.item(i, 0), high.item(i, 0)),
+                       None if math.isnan(reject[i, 0]) else bool(reject[i, 0]))
+                for name, (scale, (low, high), reject) in decisions.items()}
+
+    emp = decisions["emp"][0]
+    return [TestReport(estimate=estimate, decisions=row(i), degenerate=bool(emp[i] <= 0))
+            for i, estimate in enumerate(estimates.tolist())]
 
 
 def test_coefficient(
     ensemble: BootstrapEnsemble, coefficient: int, alpha: float = 0.05
 ) -> TestReport:
-    """Four bootstrap tests of H0: beta[coefficient] = 0."""
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
-    estimate = float(ensemble.base_fit.beta[coefficient])
-    reps = ensemble.replicates[ensemble.ok][:, coefficient]
-    if reps.size == 0:
-        raise RuntimeError("no successful bootstrap replicates")
-    decisions = decide(estimate, reps - estimate, alpha)
-    return TestReport(estimate=estimate, decisions=decisions,
-                      degenerate=decisions["emp"][0] <= 0)
+    """Four bootstrap tests of H0: beta[coefficient] = 0, each as in
+    ``decide``: a flag is a bool, or None where the test decides nothing."""
+    return _test_reports(ensemble, [coefficient], alpha)[0]
 
 
 @dataclass
@@ -610,11 +636,16 @@ def warp_speed(
     A ``simulate`` that leaves one (say through ``integers`` with a small
     bound) still gets resamples that depend only on (seed, m), but not those
     of ``integers``.
-    A run fails, counted under the first of FAILURE_CAUSES that applies to
-    its base fit or its refit, when either fit fails.
+    A chunk of N runs is fitted by one ``FitSpec._fit_stack`` call on 2N
+    datasets, taken by one ``resampled`` gather: row m is run m's dataset as
+    drawn, row N + m its resample.  A run fails, counted under the first of
+    FAILURE_CAUSES that applies to its base fit or its refit, when either
+    fit fails.  All tested coefficients are decided by one ``decide`` call.
+    An alpha off (0, 1) raises ValueError before any run.
     """
     if M < 1:
         raise ValueError("M must be at least 1")
+    _two_sided_z(alpha)
     spec = spec or FitSpec()
     estimates = []
     centered = []
@@ -622,27 +653,27 @@ def warp_speed(
     step = _chunk_size(simulator.n1, simulator.n2)
     for start in range(0, M, step):
         runs = range(start, min(start + step, M))
+        N = len(runs)
         stack, idx1, idx2 = _simulated_chunk(simulator.simulate, seed, runs)
-        base, base_outcome, *_ = spec._fit_stack(stack)
-        star, star_outcome, *_ = spec._fit_stack(stack.resampled(idx1, idx2))
-        outcomes.append(np.minimum(base_outcome, star_outcome))
+        # index rows 0..N-1 take each dataset as drawn, N..2N-1 its resample
+        joint = [np.concatenate((np.broadcast_to(np.arange(idx.shape[1]), idx.shape), idx))
+                 for idx in (idx1, idx2)]
+        beta, outcome, *_ = spec._fit_stack(stack.resampled(*joint))
+        outcomes.append(np.minimum(outcome[:N], outcome[N:]))
         ok = outcomes[-1] == len(FAILURE_CAUSES)
-        estimates.append(base[ok])
-        centered.append(star[ok] - base[ok])
+        estimates.append(beta[:N][ok])
+        centered.append(beta[N:][ok] - estimates[-1])
     estimates = np.concatenate(estimates)
     centered = np.concatenate(centered)
     if not len(estimates):
         raise RuntimeError("all Monte Carlo runs failed")
     p = estimates.shape[1]
-    if coefficients is None:
-        coefficients = range(p)
+    tested = list(range(p) if coefficients is None else coefficients)
+    decisions = decide(estimates[:, tested].T.copy(), centered[:, tested].T.copy(), alpha)
     rates = {name: np.full(p, np.nan) for name in METHODS}
-    degenerate = False
-    for k in coefficients:
-        for name, (_, _, reject) in decide(estimates[:, k], centered[:, k], alpha).items():
-            if reject is None:
-                degenerate = True
-            else:
-                rates[name][k] = float(np.mean(reject))
+    for name, (_, _, reject) in decisions.items():
+        rates[name][tested] = reject.mean(axis=-1)
+    degenerate = any((scale <= 0).any() for scale, _, _ in decisions.values()
+                     if scale is not None)
     return WarpSpeedResult(rejection_rates=rates, estimates=estimates, centered_replicates=centered,
                            degenerate=degenerate, failures=_failures(np.concatenate(outcomes)))

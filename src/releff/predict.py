@@ -65,10 +65,11 @@ def predict_profiles(
     the replicate contributions (``emp``) or the basic bootstrap interval of
     their centered quantiles (``quantile``).  For the logit link the point
     and both ends are then mapped through mu, so they lie in [0, 1].
-    A link not in ``gee.LINKS`` raises ValueError.
+    A link not in ``gee.LINKS``, or an alpha off (0, 1), raises ValueError.
     """
     if method not in ("emp", "quantile"):
         raise ValueError(f"unknown CI method {method!r}")
+    z = _two_sided_z(alpha)
     if not fit.converged:
         raise ValueError("cannot predict from a non-converged fit")
     check_link(link)
@@ -87,7 +88,7 @@ def predict_profiles(
     slopes = reps[:, 1 : 1 + p1] @ Z1.T + reps[:, 1 + p1 : 1 + p1 + p2] @ Z2.T  # (B_ok, N)
     if method == "emp":
         sd = np.std(slopes, axis=0, ddof=1) if slopes.shape[0] > 1 else np.zeros(center.shape)
-        half = _two_sided_z(alpha) * sd
+        half = z * sd
         low, high = center - half, center + half
     else:
         q_lo, q_hi = np.quantile(slopes - base_slope, [alpha / 2, 1 - alpha / 2], axis=0)

@@ -89,11 +89,19 @@ def _indicator_ranks(times1: np.ndarray, times2: np.ndarray, tau: float) -> tupl
     # c[p] of them before it, a group-2 one n1 - 1 - p + c[p] group-1 ones after
     c = np.cumsum(in2, axis=-1)
     c += in2 * np.arange(n1 - 1, n1 - 1 - in2.shape[-1], -1)
-    counts = np.empty_like(merged)
-    np.put_along_axis(counts, merged, c, axis=-1)
+    counts = np.empty(merged.shape, dtype=merged.dtype)
+    counts.reshape(-1)[merged + _row_offsets(merged)] = c
     below_tau = times2 < tau
     rows = np.minimum(counts[..., :n1], np.count_nonzero(below_tau, axis=-1)[..., None])
     return merged, rows, counts[..., n1:] * below_tau
+
+
+def _row_offsets(a: np.ndarray) -> np.ndarray:
+    """The offset of each row of ``a`` (..., n) in its C-order flat view, to
+    add to indices along the last axis: a gather along it is then one
+    ``take``, a scatter one assignment to the ``reshape(-1)`` view."""
+    n = a.shape[-1]
+    return n * np.arange(a.size // n).reshape(a.shape[:-1] + (1,))
 
 
 def _jump_grid(data: TwoSampleDataset) -> np.ndarray:
@@ -175,8 +183,9 @@ class _SortedLeaveOneOut:
 
     def __init__(self, times: np.ndarray, events: np.ndarray):
         self.order = np.lexsort((-events, times), axis=-1)
-        self.times = np.take_along_axis(times, self.order, axis=-1)
-        e = np.take_along_axis(events, self.order, axis=-1)
+        flat = self.order + _row_offsets(self.order)
+        self.times = times.take(flat)
+        e = events.take(flat)
         n = self.n = e.shape[-1]
         j = np.arange(n)
         self.P = _cumprod_from_one(1.0 - e / (n - j))
@@ -258,17 +267,17 @@ def pseudo_marginals(stack: TwoSampleDataset) -> tuple:
     at = n1 - _indicator_ranks(g1.times, g2.times, np.inf)[2]
     below_tau = g2.times < stack.tau
 
-    f = np.take_along_axis(g1.P, at, axis=-1)                    # S1 at group-2 times
+    cells = at + _row_offsets(g1.P)                              # flat cells of (N, n1 + 1)
+    f = g1.P.take(cells)                                         # S1 at group-2 times
     d = (g2.P[:, :-1] - g2.P[:, 1:]) * below_tau                 # jumps of S2
-    f_mean = np.take_along_axis(g1.col_means(), at, axis=-1)     # mean of F1^{-i1}
+    f_mean = g1.col_means().take(cells)                          # mean of F1^{-i1}
     S2_mean = g2.col_means()
     d_mean = (S2_mean[:, :-1] - S2_mean[:, 1:]) * below_tau      # mean of dS2^{-i2}
     th = np.einsum("nk,nk->n", f, d)
 
     # rows: weights on group-2 times, gathered onto the group-1 columns
     w1 = (n1 - 1) * ((n2 - 1) * d_mean - n2 * d)
-    cells = (at + (n1 + 1) * np.arange(n_sets)[:, None]).ravel()
-    W1 = np.bincount(cells, weights=w1.ravel(), minlength=n_sets * (n1 + 1))
+    W1 = np.bincount(cells.ravel(), weights=w1.ravel(), minlength=n_sets * (n1 + 1))
     rows = g1.row_sums(W1.reshape(n_sets, n1 + 1))
     rows += (n1 * n2 * th - n1 * (n2 - 1) * np.einsum("nk,nk->n", d_mean, f))[:, None]
     # columns: sum_k (G[i, k] - G[i, k+1]) v_k = sum_c G[i, c] (v_c - v_{c-1})
@@ -276,10 +285,10 @@ def pseudo_marginals(stack: TwoSampleDataset) -> tuple:
     cols = g2.row_sums(np.diff(v, axis=-1, prepend=0.0, append=0.0))
     cols += (n1 * n2 * th - (n1 - 1) * n2 * np.einsum("nk,nk->n", f_mean, d))[:, None]
 
-    row_means = np.empty_like(rows)
-    np.put_along_axis(row_means, g1.order, rows, axis=-1)
-    col_means = np.empty_like(cols)
-    np.put_along_axis(col_means, g2.order, cols, axis=-1)
+    row_means = np.empty(rows.shape)
+    row_means.reshape(-1)[g1.order + _row_offsets(rows)] = rows
+    col_means = np.empty(cols.shape)
+    col_means.reshape(-1)[g2.order + _row_offsets(cols)] = cols
     observed = stack.events1.all(axis=-1) & stack.events2.all(axis=-1)
     if observed.any():
         row_means[observed], col_means[observed] = pseudo_marginals(stack[observed])

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .inference import warp_speed
-from .survival import TwoSampleDataset
+from .survival import TwoSampleDataset, _from_checked
 
 __all__ = [
     "Scenario",
@@ -76,7 +76,9 @@ class Scenario:
         covariates, group-2 covariates, T1, T2 and, censored, C1 and C2, and
         makes four generator calls: consecutive uniform draws are one
         ``random`` call (``uniform(0, b)`` is ``b * random()`` bit for bit).
-        Every transform then runs once on the whole chunk.
+        Every transform then runs once on the whole chunk.  The stack skips
+        the checks of ``TwoSampleDataset``: times are non-negative and flags
+        0 or 1, and a time is infinite only where ``random`` gives 0 (2**-53).
         """
         N, n1, n2, p = len(rngs), self.n1, self.n2, self.p
         if p not in _DRAWS:
@@ -110,7 +112,7 @@ class Scenario:
         else:
             X1, d1 = T1, np.ones((N, n1))
             X2, d2 = T2, np.ones((N, n2))
-        return TwoSampleDataset(X1, d1, Z1, X2, d2, Z2, tau=TAU)
+        return _from_checked(X1, d1, Z1, X2, d2, Z2, TAU)
 
 
 def make_scenario(scenario_id: str, setting: str, n1: int, n2: int, censored: bool) -> Scenario:

@@ -87,12 +87,14 @@ class TwoSampleDataset:
                              self.times2[k], self.events2[k], self.covariates2[k], self.tau)
 
     def resampled(self, idx1: np.ndarray, idx2: np.ndarray) -> TwoSampleDataset:
-        """The stack whose dataset k is dataset k of this stack with rows
-        idx1[k] of group 1 and idx2[k] of group 2, each from 0 to n - 1,
-        taken by one flat index per group; a stack of one dataset is
-        resampled once per row of idx1 and idx2.  Rows of a valid dataset
-        make a valid dataset, so the result is checked for at least two rows
-        per group and skips the other checks of ``__post_init__``."""
+        """The stack of resamples of this stack of N datasets: index row r,
+        rows idx1[r] of group 1 and idx2[r] of group 2, each from 0 to n - 1,
+        resamples dataset r mod N, taken by one flat index per group.  So N
+        rows resample each dataset once, 2N rows twice over (a stack of one
+        is resampled once per row), and one row, or a 1-D index, resamples
+        every dataset alike.  Rows of a valid dataset make a valid dataset,
+        so the result is checked for at least two rows per group and skips
+        the other checks of ``__post_init__``."""
         self._require_stack()
         if any(np.ndim(idx) == 0 or np.shape(idx)[-1] < 2 for idx in (idx1, idx2)):
             raise ValueError("each group needs at least 2 subjects")
@@ -100,7 +102,8 @@ class TwoSampleDataset:
         for group, idx in (((self.times1, self.events1, self.covariates1), idx1),
                            ((self.times2, self.events2, self.covariates2), idx2)):
             N, n = group[0].shape
-            flat = idx + n * np.arange(N)[:, None]    # into the (N n, ...) views
+            runs = max(N, len(idx) if np.ndim(idx) == 2 else 1)
+            flat = idx + n * (np.arange(runs) % N)[:, None]    # into the (N n, ...) views
             rows += [x.reshape((N * n,) + x.shape[2:]).take(flat, axis=0) for x in group]
         return _from_checked(*rows, self.tau)
 

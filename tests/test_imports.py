@@ -1,5 +1,6 @@
 """Static checks of the package sources: every name a module imports is used,
-every name its ``__all__`` exports is bound, every module-level private
+every name its ``__all__`` exports is bound, no module gathers by
+``take_along_axis`` or ``put_along_axis``, every module-level private
 name is read somewhere in the package, one function runs Newton and
 builds its start, and no module reads an attribute of a name that the
 benchmark's tracer replaces with a plain function.  In a
@@ -43,6 +44,30 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def along_axis_calls(source: str):
+    """Lines on which ``source`` calls ``take_along_axis`` or
+    ``put_along_axis``, by name or as an attribute."""
+    names = {"take_along_axis", "put_along_axis"}
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and (getattr(node.func, "attr", None) in names
+                                               or getattr(node.func, "id", None) in names)]
+
+
+def test_checker_finds_along_axis_calls():
+    source = ("np.take_along_axis(a, i, axis=-1)\nx = a.take(i)\n"
+              "numpy.put_along_axis(a, i, v, -1)\nfrom numpy import take_along_axis as t\n"
+              "take_along_axis(a, i, 0)\n")
+    assert along_axis_calls(source) == [1, 3, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_along_axis_gathers(path):
+    # a gather or scatter along the last axis goes through flat indices
+    # (pseudo._row_offsets): the along-axis helpers build an index tuple per
+    # call, two to three times the cost at the sizes of a Monte Carlo chunk
+    assert along_axis_calls(path.read_text(encoding="utf-8")) == []
 
 
 def stale_exports(source: str):

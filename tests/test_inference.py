@@ -308,6 +308,50 @@ def test_coefficient_test_needs_a_usable_replicate():
         test_coefficient(synthetic_ensemble(np.full((5, 2), np.nan)), 0)
 
 
+ALPHAS_OFF_THE_UNIT_INTERVAL = [0.0, 1.0, 1.5, -0.05, math.nan]
+
+
+@pytest.mark.parametrize("alpha", ALPHAS_OFF_THE_UNIT_INTERVAL)
+def test_warp_speed_refuses_alpha_off_the_unit_interval(alpha):
+    # at alpha = 1.5 every rate read 1.0
+    make = PerRun(lambda r: random_dataset(r, 10, 10, censored=True), 10, 10)
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+        warp_speed(make, M=20, seed=0, alpha=alpha)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS_OFF_THE_UNIT_INTERVAL)
+def test_decide_refuses_alpha_off_the_unit_interval(alpha):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+        inference.decide(rng.standard_normal((2, 3)), rng.standard_normal((2, 40)), alpha)
+
+
+@pytest.mark.parametrize("M", [1, 2, 9, 200])
+def test_decide_on_a_stack_equals_one_row_calls(M):
+    # a stack of k coefficients is decided as k one-row calls, bit for bit,
+    # a row with zero scale (nothing decided) included
+    rng = np.random.default_rng(M)
+    centered = rng.standard_normal((5, M)) * rng.uniform(0.01, 3.0, (5, 1))
+    centered[2] = 0.0
+    estimates = rng.standard_normal((5, 4)) * rng.uniform(0.01, 3.0, (5, 1))
+    estimates[3] = 0.0
+    for alpha in (0.05, 0.3):
+        stacked = inference.decide(estimates, centered, alpha)
+        assert list(stacked) == list(inference.METHODS)
+        for i in range(5):
+            row = inference.decide(estimates[i : i + 1], centered[i : i + 1], alpha)
+            for name, (scale, ci, reject) in stacked.items():
+                one_scale, one_ci, one_reject = row[name]
+                assert (scale is None) == (one_scale is None) == (name == "quantile")
+                if scale is not None:
+                    assert scale[i : i + 1].tobytes() == one_scale.tobytes(), (name, i)
+                for got, want in zip((*ci, reject), (*one_ci, one_reject)):
+                    assert got[i : i + 1].tobytes() == want.tobytes(), (name, i)
+        # row 2 has zero scale: the scale-based tests decide nothing there
+        assert all(np.isnan(stacked[name][2][2]).all() for name in ("emp", "iqr", "mad"))
+        assert set(np.unique(stacked["quantile"][2])) <= {0.0, 1.0}
+
+
 def test_warp_speed_needs_a_run_and_a_usable_one():
     with pytest.raises(ValueError, match="M must be at least 1"):
         warp_speed(PerRun(lambda r: random_dataset(r, 8, 8), 8, 8), M=0)
@@ -477,11 +521,15 @@ def test_nonconverged_bootstrap_refit_counts_as_failed(monkeypatch, rng):
 
 
 def test_error_inside_a_warp_speed_fit_propagates(monkeypatch, rng):
-    # call 0 fits the chunk's datasets, call 1 their resamples
+    # call 0 fits the chunk's datasets and their resamples as one stack: an
+    # error inside it propagates, and the chunk makes no second call
+    make = PerRun(lambda r: random_dataset(r, 10, 10, censored=False), 10, 10)
+    with monkeypatch.context() as patch:
+        raising_on_calls(patch, "pseudo_marginals", {0})
+        with pytest.raises(ValueError, match="injected"):
+            warp_speed(make, M=5, seed=0)
     raising_on_calls(monkeypatch, "pseudo_marginals", {1})
-    with pytest.raises(ValueError, match="injected"):
-        warp_speed(PerRun(lambda r: random_dataset(r, 10, 10, censored=False), 10, 10),
-                   M=5, seed=0)
+    assert warp_speed(make, M=5, seed=0).failed == 0
 
 
 def test_singular_warp_speed_fit_counts_as_failed(monkeypatch, rng):
@@ -573,11 +621,12 @@ def test_non_finite_bootstrap_refit_counts_as_failed(monkeypatch, rng):
 
 
 def test_non_finite_warp_speed_fit_counts_as_failed(monkeypatch):
-    # run 1's own fit (call 0) and run 3's refit (call 1) are not finite
+    # run 1's own fit (row 1 of call 0) and run 3's refit (row 5 + 3, after
+    # the chunk's five datasets) are not finite
     make = PerRun(lambda r: random_dataset(r, 10, 10, censored=False), 10, 10)
     want = warp_speed(make, M=5, seed=0)
     non_finite_rows(monkeypatch, {0}, 1)
-    non_finite_rows(monkeypatch, {1}, 3)
+    non_finite_rows(monkeypatch, {0}, 8)
     res = warp_speed(make, M=5, seed=0)
     assert (res.failed, res.failures["singular"], res.failures["nonconverged"]) == (2, 0, 2)
     np.testing.assert_array_equal(res.estimates, want.estimates[[0, 2, 4]])

@@ -210,6 +210,16 @@ class TestPredictProfiles:
             assert batch.out_of_range[i] == row.out_of_range[0]
             assert batch.classification[i] == row.classification[0]
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05])
+    @pytest.mark.parametrize("method", ["emp", "quantile"])
+    def test_alpha_off_the_unit_interval_is_refused(self, rng, method, alpha):
+        # at alpha = 1.5 both intervals came out with ci_low > ci_high
+        data = random_dataset(rng, 20, 20, p1=1, p2=1)
+        ens = bootstrap(data, B=30, seed=0)
+        Z = np.array([[0.0], [1.0]])
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            predict_profiles(ens.base_fit, ens, Z, Z, alpha=alpha, method=method)
+
     @pytest.mark.parametrize("method", ["emp", "quantile"])
     def test_logit_intervals_lie_in_unit_interval_and_contain_point(self, method):
         # built on beta'z and mapped through expit; built as a probability

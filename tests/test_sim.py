@@ -178,6 +178,13 @@ class TestScenarioRunner:
         assert rows_a == rows_b
         np.testing.assert_array_equal(res_a.estimates, res_b.estimates)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05])
+    def test_run_scenario_refuses_alpha_off_the_unit_interval(self, alpha):
+        # rates at alpha = 1.5 all read 1.0, at alpha = 0 some read 0 or 0.4
+        sc = make_scenario("iv", "II", 20, 20, censored=True)
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            run_scenario(sc, M=100, seed=1, alpha=alpha)
+
     def test_hypothesis_labels(self):
         for scenario_id, labels in (
             ("i", ["H0(1)", "H0(2)"]), ("ii", ["H1(1)", "H0(2)"]),
@@ -235,6 +242,20 @@ class TestStackSimulation:
                     assert np.array_equal(got, getattr(data, f.name)), (size, m, f.name)
                     assert np.array_equal(got, getattr(drawn, f.name)), (size, m, f.name)
                 assert np.array_equal(idx1[k], want1) and np.array_equal(idx2[k], want2)
+
+    @pytest.mark.parametrize("censored", [True, False], ids=["censored", "uncensored"])
+    @pytest.mark.parametrize("setting", ["I", "II"])
+    @pytest.mark.parametrize("scenario_id", ["i", "ii", "iii", "iv"])
+    def test_simulated_stacks_pass_the_dataset_checks(self, scenario_id, setting, censored):
+        # simulate skips the checks of TwoSampleDataset; its arrays pass them
+        sc = make_scenario(scenario_id, setting, 13, 17, censored)
+        stack = sc.simulate([oracles.replicate_rng(3, m) for m in range(40)])
+        checked = TwoSampleDataset(*(getattr(stack, f.name) for f in fields(TwoSampleDataset)))
+        for f in fields(TwoSampleDataset):
+            got, want = getattr(stack, f.name), getattr(checked, f.name)
+            assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == np.asarray(want).dtype
+            assert np.array_equal(got, want), f.name
+        assert checked.uncensored == stack.uncensored == (not censored)
 
     def test_scenario_warp_speed_matches_per_run_oracle(self):
         for censored in (True, False):

@@ -241,13 +241,18 @@ class TestStack:
         (5, 3, 0, 12, 4, 5)], ids=["one", "many", "p0", "one-p0", "many-p0"])
     def test_resamples_are_the_fancy_indexed_rows(self, rng, n_sets, p1, p2, n1, n2, rows):
         # the flat gather takes what 2-D fancy indexing takes: index rows for
-        # each dataset, one 1-D index for all, a stack of one once per row
-        stack = stack_datasets([random_dataset(rng, n1, n2, p1=p1, p2=p2) for _ in range(n_sets)])
-        for lead in ((rows if n_sets == 1 else n_sets,), (1,), ()):
+        # each dataset, one 1-D index for all, a stack of one once per row,
+        # and 2N rows over N datasets (row r resamples dataset r mod N) as
+        # the N datasets stacked twice over
+        datasets = [random_dataset(rng, n1, n2, p1=p1, p2=p2) for _ in range(n_sets)]
+        stack = stack_datasets(datasets)
+        twice = stack_datasets(datasets + datasets)
+        for lead in ((rows if n_sets == 1 else n_sets,), (1,), (), (2 * n_sets,)):
             idx1 = rng.integers(0, n1, lead + (n1 + 2,))
             idx2 = rng.integers(0, n2, lead + (n2,))
             got = stack.resampled(idx1, idx2)
-            want = oracles.stack_resampled(stack, idx1, idx2)
+            wrapped = lead == (2 * n_sets,)
+            want = oracles.stack_resampled(twice if wrapped else stack, idx1, idx2)
             for f in fields(TwoSampleDataset):
                 g, w = getattr(got, f.name), getattr(want, f.name)
                 assert np.shape(g) == np.shape(w) and np.asarray(g).dtype == np.asarray(w).dtype
