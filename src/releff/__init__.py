@@ -16,7 +16,7 @@ from .inference import (
     BootstrapEnsemble,
     TestReport,
     bootstrap,
-    test_coefficient,
+    coefficient_tests,
     warp_speed,
 )
 from .predict import Predictions, predict_profiles

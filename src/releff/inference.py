@@ -33,9 +33,9 @@ both loops.  A failed fit is counted under the first of ``FAILURE_CAUSES``
 that applies to it.
 
 ``decide`` turns the centered replicates of a stack of coefficients into
-the four test decisions, one row per coefficient; ``test_coefficient`` is
-its one-row case, and ``warp_speed`` decides the estimates of all runs of
-every tested coefficient in one call.
+the four test decisions, one row per coefficient; ``coefficient_tests``
+reports a bootstrap's coefficients from one call, and ``warp_speed``
+decides the estimates of all runs of every tested coefficient in one call.
 """
 
 from __future__ import annotations
@@ -57,9 +57,9 @@ __all__ = [
     "BootstrapEnsemble",
     "TestReport",
     "bootstrap",
+    "coefficient_tests",
     "decide",
     "require_usable",
-    "test_coefficient",
     "warp_speed",
 ]
 
@@ -537,9 +537,11 @@ def decide(estimates: np.ndarray, centered: np.ndarray, alpha: float = 0.05) -> 
     return decisions
 
 
-def _test_reports(ensemble: BootstrapEnsemble, coefficients, alpha: float) -> list:
-    """The ``TestReport`` of each of ``coefficients``, from one ``decide``
-    call on their estimates and centered replicates."""
+def coefficient_tests(ensemble: BootstrapEnsemble, coefficients, alpha: float = 0.05) -> list:
+    """The four bootstrap tests of H0: beta[k] = 0 for each k in
+    ``coefficients``, as one ``TestReport`` each, from one ``decide`` call
+    on their estimates and centered replicates: a flag is a bool, or None
+    where the test decides nothing."""
     estimates = ensemble.base_fit.beta[coefficients]
     reps = ensemble.replicates[ensemble.ok][:, coefficients]
     if reps.size == 0:
@@ -555,14 +557,6 @@ def _test_reports(ensemble: BootstrapEnsemble, coefficients, alpha: float) -> li
     emp = decisions["emp"][0]
     return [TestReport(estimate=estimate, decisions=row(i), degenerate=bool(emp[i] <= 0))
             for i, estimate in enumerate(estimates.tolist())]
-
-
-def test_coefficient(
-    ensemble: BootstrapEnsemble, coefficient: int, alpha: float = 0.05
-) -> TestReport:
-    """Four bootstrap tests of H0: beta[coefficient] = 0, each as in
-    ``decide``: a flag is a bool, or None where the test decides nothing."""
-    return _test_reports(ensemble, [coefficient], alpha)[0]
 
 
 @dataclass

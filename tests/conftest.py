@@ -26,19 +26,19 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def degenerate_resamples(monkeypatch, draws):
-    """Make the resamples of the given 0-based replicates or runs take
-    group-1 subject 0 n1 times, so the resampled group-1 covariates are
-    constant and the design is singular."""
-    from releff import inference
+def two_subject_group(p2=2):
+    """A censored dataset whose group 1 has two subjects and one covariate:
+    a resample that draws one of them twice has a constant group-1
+    covariate, a singular design.  With two group-2 covariates the logit
+    base fit stalls, saturated."""
+    return random_dataset(np.random.default_rng(12345), 2, 10, p1=1, p2=p2)
 
-    real = inference._simulated_chunk
 
-    def chunk(draw, seed, runs):
-        stack, idx1, idx2 = real(draw, seed, runs)
-        for k, m in enumerate(runs):
-            if m in draws:
-                idx1[k] = 0
-        return stack, idx1, idx2
+def pytest_configure(config):
+    config.addinivalue_line("markers", "given: a hypothesis @given test (select with -m given)")
 
-    monkeypatch.setattr(inference, "_simulated_chunk", chunk)
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if getattr(getattr(item, "obj", None), "is_hypothesis_test", False):
+            item.add_marker("given")

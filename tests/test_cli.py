@@ -29,9 +29,8 @@ from releff.cli import (
     ingest_csv,
     main,
 )
-from releff.gee import FitResult
-from releff.inference import BootstrapEnsemble, FitSpec, bootstrap
-from conftest import degenerate_resamples
+from releff.inference import FitSpec, bootstrap
+from conftest import random_dataset, two_subject_group
 from oracles import theta_hat
 from releff.pseudo import pseudo_marginals, pseudo_matrix, tie_correction_term
 from releff.survival import stack_datasets
@@ -62,6 +61,25 @@ def four_row_csv(tmp_path):
     # groups {3,5} vs {1,4}, fully observed: 3 of 4 pairs ordered
     path = tmp_path / "four.csv"
     write_csv(path, [[1, 3.0, 1], [1, 5.0, 1], [2, 1.0, 1], [2, 4.0, 1]])
+    return path
+
+
+def write_dataset(path, data):
+    """A dataset with one covariate per group as a CSV, every value exact:
+    the covariate is column ``age``."""
+    write_csv(path, [[g, repr(t), int(d), repr(z)] for g, times, events, Z in (
+        (1, data.times1, data.events1, data.covariates1),
+        (2, data.times2, data.events2, data.covariates2))
+        for t, d, (z,) in zip(times.tolist(), events, Z.tolist())],
+        header=("group", "time", "status", "age"))
+
+
+@pytest.fixture
+def two_subject_csv(tmp_path):
+    """``two_subject_group`` with one covariate per group: a resample that
+    draws one group-1 subject twice is singular."""
+    path = tmp_path / "two_subjects.csv"
+    write_dataset(path, two_subject_group(p2=1))
     return path
 
 
@@ -467,13 +485,13 @@ class TestCommands:
             assert "bootstrap.nonconverged=0" in manifest, command
             assert "bootstrap.saturated=0" in manifest, command
 
-    def test_test_with_every_replicate_failed_exits_convergence(self, covariate_csv, tmp_path,
-                                                                monkeypatch, caplog, capsys):
-        degenerate_resamples(monkeypatch, range(5))
+    def test_test_with_every_replicate_failed_exits_convergence(self, two_subject_csv, tmp_path,
+                                                                caplog, capsys):
+        # at seed 10 each of the three replicates draws one group-1 subject twice
         out = tmp_path / "out"
         with caplog.at_level("ERROR", logger="releff"):
-            rc = main(["test", "--data", str(covariate_csv), "--tau", "4", "--cov1", "age",
-                       "--cov2", "age", "--strict-singular", "--seed", "2", "--bootstrap", "5",
+            rc = main(["test", "--data", str(two_subject_csv), "--tau", "4", "--cov1", "age",
+                       "--cov2", "age", "--strict-singular", "--seed", "10", "--bootstrap", "3",
                        "--out-dir", str(out)])
         assert rc == EXIT_CONVERGENCE
         assert "all bootstrap replicates failed" in caplog.text
@@ -549,45 +567,33 @@ class TestCommands:
         assert "cannot create output directory" in caplog.text
         assert taken.read_text() == ""
 
-    def test_nonconverged_base_fit_exits_convergence(self, covariate_csv, tmp_path,
-                                                     monkeypatch):
-        stalled = FitResult(beta=np.zeros(3), converged=False, iterations=50,
-                            gradient_norm=1.0, message="stalled")
-
-        def fake_bootstrap(data, spec=None, B=2000, seed=0):
-            return BootstrapEnsemble(replicates=np.zeros((B, 3)), B=B, seed=seed,
-                                     base_fit=stalled)
-
-        monkeypatch.setattr(cli, "bootstrap", fake_bootstrap)
+    def test_nonconverged_base_fit_exits_convergence(self, tmp_path):
+        # separated data: the pair indicator is 1 only in the column of the
+        # earliest group-2 time, and the logit base fit stalls
+        path = tmp_path / "separated.csv"
+        write_csv(path, [[1, 0.35, 1, -0.7], [1, 0.25, 1, -0.5], [1, 0.15, 1, -1.1],
+                         [1, 0.45, 1, 0.4], [2, 0.7, 1, -0.4], [2, 0.6, 1, 0.9],
+                         [2, 0.2, 1, 1.0]], header=("group", "time", "status", "z"))
         for command in ("test", "predict"):
-            rc = main([command, "--data", str(covariate_csv), "--tau", "4",
-                       "--cov1", "age", "--cov2", "age", "--out-dir", str(tmp_path),
+            rc = main([command, "--data", str(path), "--tau", "1", "--link", "logit",
+                       "--cov1", "z", "--cov2", "z", "--out-dir", str(tmp_path / command),
                        "--seed", "2", "--bootstrap", "5"])
             assert rc == EXIT_CONVERGENCE, command
 
-    def test_unreliable_bootstrap_warns_and_is_recorded(self, covariate_csv, tmp_path,
-                                                       monkeypatch, caplog):
-        real_bootstrap = cli.bootstrap
-
-        def fake_bootstrap(data, spec=None, B=2000, seed=0):
-            ensemble = real_bootstrap(data, spec=spec, B=B, seed=seed)
-            replicates = ensemble.replicates.copy()
-            replicates[:2] = np.nan
-            return dataclasses.replace(ensemble, replicates=replicates,
-                                       failures=dict(ensemble.failures, nonconverged=2))
-
-        monkeypatch.setattr(cli, "bootstrap", fake_bootstrap)
+    def test_unreliable_bootstrap_warns_and_is_recorded(self, two_subject_csv, tmp_path,
+                                                       caplog):
+        # at seed 0 five of ten replicates draw one group-1 subject twice
         for command in ("fit", "test", "predict"):
             out = tmp_path / command
             caplog.clear()
             with caplog.at_level("WARNING", logger="releff"):
-                rc = main([command, "--data", str(covariate_csv), "--tau", "4",
-                           "--cov1", "age", "--cov2", "age", "--out-dir", str(out),
-                           "--seed", "2", "--bootstrap", "10"])
+                rc = main([command, "--data", str(two_subject_csv), "--tau", "4",
+                           "--cov1", "age", "--cov2", "age", "--strict-singular",
+                           "--out-dir", str(out), "--seed", "0", "--bootstrap", "10"])
             assert rc == EXIT_OK, command
-            assert "bootstrap unreliable: 2 of 10 replicates failed" in caplog.text, command
+            assert "bootstrap unreliable: 5 of 10 replicates failed" in caplog.text, command
             manifest = (out / "manifest.txt").read_text().splitlines()
-            assert "bootstrap.failed=2" in manifest, command
+            assert "bootstrap.failed=5" in manifest, command
             assert "bootstrap.unreliable=True" in manifest, command
 
     def test_manifest_records_base_fit_and_out_of_range(self, covariate_csv, tmp_path):
@@ -689,14 +695,18 @@ class TestCommands:
         assert "non-finite coefficients" in caplog.text
         assert not list(out.glob("*.csv"))
 
-    def test_non_finite_sandwich_se_exits_convergence(self, four_row_csv, tmp_path,
-                                                      monkeypatch, caplog):
-        monkeypatch.setattr(cli, "sandwich_covariance_uncensored",
-                            lambda data: np.full((1, 1), np.inf))
+    def test_non_finite_sandwich_se_exits_convergence(self, tmp_path, caplog):
+        # one group-1 covariate at 1e154: the fit is finite (a pseudo-inverse),
+        # and the sandwich's meat overflows; numpy's warnings of it are silenced
+        data = random_dataset(np.random.default_rng(12345), 10, 10, p1=1, p2=1, censored=False)
+        data.covariates1[0, 0] = 1e154
+        path = tmp_path / "huge.csv"
+        write_dataset(path, data)
         out = tmp_path / "out"
         with caplog.at_level("ERROR", logger="releff"):
-            rc = main(["fit", "--data", str(four_row_csv), "--tau", "10",
-                       "--out-dir", str(out)])
+            with np.errstate(over="ignore", invalid="ignore"):
+                rc = main(["fit", "--data", str(path), "--tau", "10", "--cov1", "age",
+                           "--cov2", "age", "--out-dir", str(out)])
         assert rc == EXIT_CONVERGENCE
         assert "standard errors are not finite" in caplog.text
         assert not (out / "coefficients.csv").exists()
@@ -718,8 +728,7 @@ class TestCommands:
             pytest.fail("a fit ran although the working set was refused")
 
         monkeypatch.setattr(cli, "WORKING_SET_BYTES", needed - 1)
-        monkeypatch.setattr(cli, "bootstrap", no_fit)
-        monkeypatch.setattr(FitSpec, "fit", no_fit)
+        monkeypatch.setattr(FitSpec, "_fit_stack", no_fit)
         for command in ("fit", "test"):
             out = tmp_path / command
             caplog.clear()
@@ -791,7 +800,7 @@ class TestCommands:
         def no_fit(*args, **kwargs):
             pytest.fail("a fit ran although the horizon was refused")
 
-        monkeypatch.setattr(cli, "bootstrap", no_fit)
+        monkeypatch.setattr(FitSpec, "_fit_stack", no_fit)
         out = tmp_path / "out"
         with caplog.at_level("ERROR", logger="releff"):
             rc = main(["predict", "--data", str(covariate_csv), "--tau", "inf", "--cov1", "age",
@@ -825,7 +834,7 @@ class TestCommands:
         def no_fit(*args, **kwargs):
             pytest.fail("a fit ran although the method was refused")
 
-        monkeypatch.setattr(cli, "bootstrap", no_fit)
+        monkeypatch.setattr(FitSpec, "_fit_stack", no_fit)
         if source == "flag":
             given = ["--method", method]
         else:

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dataset
@@ -627,17 +627,25 @@ class TestCertifiedStep:
 
 @given(seed=st.integers(0, 2**32 - 1), n1=st.integers(6, 25), n2=st.integers(6, 25),
        censored=st.booleans())
+@example(seed=519165, n1=6, n2=6, censored=False)
+@example(seed=729, n1=6, n2=6, censored=False)
+@example(seed=1139960, n1=6, n2=6, censored=False)
 @settings(max_examples=40, deadline=None)
 def test_step_bound_pre_test_refuses_only_steps_the_full_bound_refuses(seed, n1, n2,
                                                                       censored):
     # steps from points ever nearer a weighted root: wherever the O(p)
     # pre-test refuses a step (no group part of it is computed), the full
-    # bound, taken with no margin to meet, is not below CERTIFIED_SHARE * TOL
+    # bound, taken with no margin to meet, is not below CERTIFIED_SHARE * TOL.
+    # The root is a converged, non-saturated fit: separated data stall with J
+    # numerically zero, where no step is defined (the pinned examples)
     rng = np.random.default_rng(seed)
     pm, Z1, Z2 = instance(rng, n1, n2, censored=censored)
     weights = (rng.integers(1, 5, n1).astype(float), rng.integers(1, 5, n2).astype(float))
     evaluator = gee._Evaluator(pm, Z1, Z2, weights)
-    root = solve_newton(pm, Z1, Z2, weights=weights).beta
+    fit = solve_newton(pm, Z1, Z2, weights=weights)
+    if not fit.converged or gee.max_abs_eta(fit.beta, Z1, Z2) > gee.SATURATED_ETA:
+        return
+    root = fit.beta
     real, parts = gee._group_parts, []
 
     def recording(*args):

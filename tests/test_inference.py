@@ -10,7 +10,7 @@ from scipy.special import ndtri
 from scipy.stats import norm
 
 import oracles
-from conftest import degenerate_resamples, random_dataset
+from conftest import random_dataset, two_subject_group
 from releff import gee, inference
 from oracles import PerRun, resampled
 from releff.gee import IDENTITY, LOGIT, FitResult
@@ -18,18 +18,14 @@ from releff.inference import (
     BootstrapEnsemble,
     FitSpec,
     bootstrap,
+    coefficient_tests,
     scale_estimates,
     warp_speed,
     _logit_reference,
     _ndtri,
     _two_sided_z,
 )
-from releff.inference import test_coefficient as coefficient_report
 from releff.pseudo import pseudo_matrix
-
-# keep pytest from collecting the imported library function as a test
-coefficient_report.__test__ = False
-test_coefficient = coefficient_report
 from releff.survival import TwoSampleDataset, stack_datasets
 
 
@@ -170,7 +166,7 @@ def test_degenerate_groups_give_zero_spread():
     )
     ens = bootstrap(data, B=20, seed=0)
     assert np.allclose(ens.replicates, ens.base_fit.beta)
-    rep = test_coefficient(ens, 0)
+    rep = coefficient_tests(ens, [0])[0]
     scale, (lo, hi), reject = rep.decisions["emp"]
     assert scale == 0.0 and reject is None and np.isnan([lo, hi]).all()
     assert rep.decisions["mad"][2] is None
@@ -187,7 +183,7 @@ def test_degenerate_null_estimate_never_rejected():
         np.full(5, 2.0), np.ones(5), np.zeros((5, 0)),
     )
     ens = bootstrap(data, B=20, seed=0)
-    rep = test_coefficient(ens, 0)
+    rep = coefficient_tests(ens, [0])[0]
     assert rep.estimate == 0.0
     assert not rep.decisions["quantile"][2]
 
@@ -203,7 +199,7 @@ def test_scale_estimates_on_normal_replicates():
 def test_quantile_ci_formula():
     reps = np.array([0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7])
     ens = synthetic_ensemble(reps, beta=[1.0])
-    rep = test_coefficient(ens, 0, alpha=0.10)
+    rep = coefficient_tests(ens, [0], alpha=0.10)[0]
     centered = reps - 1.0
     q_lo, q_hi = np.quantile(centered, [0.05, 0.95])
     scale, ci, reject = rep.decisions["quantile"]
@@ -216,7 +212,7 @@ def test_scale_reject_flag_matches_definition():
     rng = np.random.default_rng(1)
     reps = rng.normal(0.5, 0.1, 500)
     ens = synthetic_ensemble(reps, beta=[0.5])
-    rep = test_coefficient(ens, 0, alpha=0.05)
+    rep = coefficient_tests(ens, [0], alpha=0.05)[0]
     z = norm.ppf(0.975)
     scale, (lo, hi), reject = rep.decisions["emp"]
     assert reject == (abs(0.5) / scale > z)
@@ -256,7 +252,7 @@ def test_rejection_monotone_in_alpha():
     ens = synthetic_ensemble(reps, beta=[0.2])
     previous = False
     for alpha in (0.01, 0.05, 0.10, 0.20, 0.40):
-        rep = test_coefficient(ens, 0, alpha=alpha)
+        rep = coefficient_tests(ens, [0], alpha=alpha)[0]
         assert not (previous and not rep.decisions["emp"][2])
         previous = previous or rep.decisions["emp"][2]
 
@@ -268,7 +264,7 @@ def test_failed_replicates_are_nan_and_flagged():
                             failures={"singular": 0, "nonconverged": 1, "saturated": 0})
     assert (ens.failed, ens.unreliable) == (1, True)
     assert ens.ok.tolist() == [True, False, True]
-    rep = test_coefficient(ens, 0)
+    rep = coefficient_tests(ens, [0])[0]
     # the failed row drops out of the scale
     assert rep.decisions["emp"][0] == pytest.approx(np.std([0.1, 0.3], ddof=1))
 
@@ -284,13 +280,52 @@ def test_unreliable_beyond_five_percent_failed(failed, unreliable):
     assert ens.unreliable is unreliable
 
 
-def test_failed_is_the_sum_of_the_failure_counts(monkeypatch, rng):
-    data = random_dataset(rng, 10, 10, censored=True)
-    degenerate_resamples(monkeypatch, {2, 6})
-    non_finite_rows(monkeypatch, {1}, 3)        # call 0 is the base fit
-    ens = bootstrap(data, spec=FitSpec(strict_singular=True), B=10, seed=0)
+def run_resample(make_dataset, seed, m):
+    """The group-1 and group-2 indices of resample m of a bootstrap or warp
+    speed seeded with ``seed``, drawn from the stream (seed, m) after
+    ``make_dataset`` has drawn run m's dataset from it (a bootstrap
+    replicate draws none: ``lambda r: data``)."""
+    rng = oracles.replicate_rng(seed, m)
+    data = make_dataset(rng)
+    return oracles.resample_indices(rng, data.n1, data.n2)
+
+
+def mixed_failures():
+    """A censored dataset, n1 = 3 and n2 = 8 with one covariate each, whose
+    logit bootstrap at seed 3, B = 10 has refits of each kind: under
+    strict_singular replicate 8 draws one group-1 subject three times; three
+    refits stall where they are saturated, and two converge saturated."""
+    return random_dataset(np.random.default_rng(10), 3, 8, p1=1, p2=1)
+
+
+def oracle_refits(data, spec, B, seed):
+    """Each of the B replicates of ``bootstrap(data, spec, B, seed)`` as
+    (cause, fit, resample): the resample fitted through its full pseudo
+    matrix, a logit fit from next to the base fit (fit None where the
+    design is singular), and the first of FAILURE_CAUSES that applies to
+    the fit, None where it is usable."""
+    identity = oracles.identity_fit(pseudo_matrix(data), data.covariates1, data.covariates2)
+    reference = _logit_reference(identity.beta, data.covariates1, data.covariates2,
+                                 spec.fit(data).beta)
+    refits = []
+    for b in range(B):
+        idx1, idx2 = oracles.resample_indices(oracles.replicate_rng(seed, b), data.n1, data.n2)
+        star = resampled(data, idx1, idx2)
+        try:
+            fit = oracles.matrix_fit(spec, star, reference)
+        except np.linalg.LinAlgError:
+            refits.append(("singular", None, star))
+            continue
+        cause = ("nonconverged" if not (fit.converged and np.isfinite(fit.beta).all())
+                 else "saturated" if oracles.saturated(spec, fit, star) else None)
+        refits.append((cause, fit, star))
+    return refits
+
+
+def test_failed_is_the_sum_of_the_failure_counts():
+    ens = bootstrap(mixed_failures(), spec=FitSpec(link=LOGIT, strict_singular=True), B=10, seed=3)
     assert list(ens.failures) == list(inference.FAILURE_CAUSES)
-    assert ens.failures == {"singular": 2, "nonconverged": 1, "saturated": 0}
+    assert ens.failures == {"singular": 1, "nonconverged": 3, "saturated": 2}
     assert ens.failed == sum(ens.failures.values()) == (~ens.ok).sum()
 
 
@@ -298,14 +333,14 @@ def test_bootstrap_alpha_validation(rng):
     data = random_dataset(rng, 8, 8, censored=False)
     ens = bootstrap(data, B=10, seed=0)
     with pytest.raises(ValueError):
-        test_coefficient(ens, 0, alpha=1.5)
+        coefficient_tests(ens, [0], alpha=1.5)
     with pytest.raises(ValueError):
         bootstrap(data, B=0, seed=0)
 
 
 def test_coefficient_test_needs_a_usable_replicate():
     with pytest.raises(RuntimeError, match="no successful bootstrap replicates"):
-        test_coefficient(synthetic_ensemble(np.full((5, 2), np.nan)), 0)
+        coefficient_tests(synthetic_ensemble(np.full((5, 2), np.nan)), [0])
 
 
 ALPHAS_OFF_THE_UNIT_INTERVAL = [0.0, 1.0, 1.5, -0.05, math.nan]
@@ -402,51 +437,57 @@ def test_bootstrap_empirical_sd_tracks_monte_carlo_sd():
 
     data = simulate_dataset(sc, np.random.default_rng(123))
     ens = bootstrap(data, spec=spec, B=400, seed=9)
-    boot_sd = test_coefficient(ens, 1).decisions["emp"][0]
+    boot_sd = coefficient_tests(ens, [1])[0].decisions["emp"][0]
     assert boot_sd == pytest.approx(mc_sd, rel=0.3)
 
 
-def raising_on_calls(monkeypatch, name, calls, exc=ValueError):
-    """Make ``inference.<name>`` raise ``exc`` on the given 0-based call
-    numbers and work normally otherwise."""
-    from releff import inference
-
+def raising_on(monkeypatch, name, refuses):
+    """Make ``inference.<name>`` raise ValueError on the stack or dataset it
+    receives where ``refuses`` holds, and work normally otherwise."""
     real = getattr(inference, name)
-    seen = []
 
-    def flaky(*args, **kwargs):
-        seen.append(None)
-        if len(seen) - 1 in calls:
-            raise exc("injected")
-        return real(*args, **kwargs)
+    def flaky(data, *args, **kwargs):
+        if refuses(data):
+            raise ValueError("injected")
+        return real(data, *args, **kwargs)
 
     monkeypatch.setattr(inference, name, flaky)
 
 
 def test_error_inside_a_bootstrap_refit_propagates(monkeypatch, rng):
     data = random_dataset(rng, 10, 10, censored=True)
-    # identity refits run as one stacked call per chunk (call 0 is the base
-    # fit); logit refits build one pseudo matrix each
-    for name, link, call in (("pseudo_marginals", IDENTITY, 1), ("pseudo_matrix", LOGIT, 3)):
+    # identity refits build the marginals of one stack of resamples (the
+    # base fit's stack holds the data alone); logit refits build the pseudo
+    # matrix of each resample, whose rows are not the data's
+    def refits(stack):
+        return len(stack.times1) > 1
+
+    def resample(dataset):
+        return not np.array_equal(dataset.times1, data.times1)
+
+    for name, link, refuses in (("pseudo_marginals", IDENTITY, refits),
+                                ("pseudo_matrix", LOGIT, resample)):
         with monkeypatch.context() as patch:
-            raising_on_calls(patch, name, {call})
+            raising_on(patch, name, refuses)
             with pytest.raises(ValueError, match="injected"):
                 bootstrap(data, spec=FitSpec(link=link), B=10, seed=0)
 
 
-def test_bootstrap_with_every_refit_failed_raises(monkeypatch, rng):
-    data = random_dataset(rng, 10, 10, censored=True)
-    degenerate_resamples(monkeypatch, range(10))
+def test_bootstrap_with_every_refit_failed_raises():
+    # at seed 10 each of the three replicates draws one group-1 subject twice
+    data = two_subject_group()
+    assert all(np.unique(run_resample(lambda r: data, 10, b)[0]).size == 1 for b in range(3))
     with pytest.raises(RuntimeError, match="all bootstrap replicates failed"):
-        bootstrap(data, spec=FitSpec(strict_singular=True), B=10, seed=0)
+        bootstrap(data, spec=FitSpec(strict_singular=True), B=3, seed=10)
 
 
-def test_singular_bootstrap_refit_counts_as_failed(monkeypatch, rng):
-    data = random_dataset(rng, 10, 10, censored=True)
-    degenerate_resamples(monkeypatch, {2, 6})
+def test_singular_bootstrap_refit_counts_as_failed():
+    # the replicates that draw one group-1 subject twice fail, and only they
+    data = two_subject_group()
     ens = bootstrap(data, spec=FitSpec(strict_singular=True), B=10, seed=0)
-    assert (ens.failed, ens.failures["singular"], ens.failures["nonconverged"]) == (2, 2, 0)
-    assert ens.ok.tolist() == [True, True, False, True, True, True, False, True, True, True]
+    assert (ens.failed, ens.failures["singular"], ens.failures["nonconverged"]) == (5, 5, 0)
+    assert ens.ok.tolist() == [np.unique(run_resample(lambda r: data, 0, b)[0]).size == 2
+                               for b in range(10)]
 
 
 @pytest.mark.parametrize("link", [IDENTITY, LOGIT])
@@ -477,76 +518,73 @@ def test_fit_is_the_bootstrap_base_fit(rng, link, censored):
         np.testing.assert_array_equal(got.jacobian, want.jacobian)
 
 
-def test_singular_logit_bootstrap_refit_counts_as_failed(monkeypatch, rng):
-    data = random_dataset(rng, 10, 10, censored=True)
+def test_singular_logit_bootstrap_refit_counts_as_failed():
+    # without strict_singular the singular resample is fitted by
+    # pseudo-inverse; with it that refit fails as singular, whatever else
+    # would have become of it, and no other refit changes
+    data = mixed_failures()
     spec = FitSpec(link=LOGIT, strict_singular=True)
-    unpatched = bootstrap(data, spec=spec, B=10, seed=0)
-    degenerate_resamples(monkeypatch, {2, 6})
-    ens = bootstrap(data, spec=spec, B=10, seed=0)
-    forced = np.isin(np.arange(10), [2, 6])
-    assert ens.failures["singular"] == 2
-    assert ens.ok.tolist() == (unpatched.ok & ~forced).tolist()
+    loose = bootstrap(data, spec=FitSpec(link=LOGIT), B=10, seed=3)
+    ens = bootstrap(data, spec=spec, B=10, seed=3)
+    singular = np.array([np.unique(run_resample(lambda r: data, 3, b)[0]).size == 1
+                         for b in range(10)])
+    assert ens.failures["singular"] == singular.sum() == 1
+    assert ens.ok.tolist() == (loose.ok & ~singular).tolist()
     assert ens.failures["nonconverged"] == (
-        unpatched.failures["nonconverged"] - int((~unpatched.ok & forced).sum()))
+        loose.failures["nonconverged"] - int((~loose.ok & singular).sum()))
 
 
-def test_nonconverged_bootstrap_refit_counts_as_failed(monkeypatch, rng):
-    data = random_dataset(rng, 10, 10, censored=True)
-    real = gee.solve_newton
-    # resamples 2 and 6 stall from every start, the fallback's included;
-    # Newton sees a resample's distinct subjects, known by their covariates
-    def subjects(Z1, Z2):
-        return np.unique(Z1, axis=0).tobytes(), np.unique(Z2, axis=0).tobytes()
-
-    stalling_data = [resampled(data, *oracles.resample_indices(oracles.replicate_rng(0, b), 10, 10))
-                     for b in (2, 6)]
-    stalled_subjects = {subjects(s.covariates1, s.covariates2) for s in stalling_data}
-
-    def stalling(matrix, Z1, Z2, *args, **kwargs):
-        result = real(matrix, Z1, Z2, *args, **kwargs)
-        result.converged &= subjects(Z1, Z2) not in stalled_subjects
-        return result
-
+def test_nonconverged_bootstrap_refit_counts_as_failed():
+    # three refits stall where they are saturated, from every start, the
+    # fallback's included: they count as not converged, not as saturated
+    data = mixed_failures()
     spec = FitSpec(link=LOGIT)
-    unpatched = bootstrap(data, spec=spec, B=10, seed=0)
-    monkeypatch.setattr(gee, "solve_newton", stalling)
-    ens = bootstrap(data, spec=spec, B=10, seed=0)
-    stalled = np.isin(np.arange(10), [2, 6])
-    assert ens.ok.tolist() == (unpatched.ok & ~stalled).tolist()
-    # a stalled refit counts as not converged even where it is saturated
+    ens = bootstrap(data, spec=spec, B=10, seed=3)
+    refits = oracle_refits(data, spec, 10, 3)
+    causes = [cause for cause, _, _ in refits]
+    assert causes.count("nonconverged") == 3
+    assert all(oracles.saturated(spec, fit, star) for cause, fit, star in refits
+               if cause == "nonconverged")
+    assert ens.ok.tolist() == [cause is None for cause in causes]
     failures = ens.failures
     assert (ens.failed, failures["singular"], failures["nonconverged"] + failures["saturated"]) == (
         10 - ens.ok.sum(), 0, ens.failed)
-    assert ens.failures["saturated"] <= unpatched.failures["saturated"]
+    assert failures["nonconverged"] == causes.count("nonconverged")
+    assert failures["saturated"] == causes.count("saturated")
 
 
-def test_error_inside_a_warp_speed_fit_propagates(monkeypatch, rng):
-    # call 0 fits the chunk's datasets and their resamples as one stack: an
-    # error inside it propagates, and the chunk makes no second call
+def test_error_inside_a_warp_speed_fit_propagates(monkeypatch):
+    # the chunk's five datasets and their resamples are fitted as one stack
+    # of ten: an error inside it propagates, and no other stack is fitted
     make = PerRun(lambda r: random_dataset(r, 10, 10, censored=False), 10, 10)
     with monkeypatch.context() as patch:
-        raising_on_calls(patch, "pseudo_marginals", {0})
+        raising_on(patch, "pseudo_marginals", lambda stack: len(stack.times1) == 10)
         with pytest.raises(ValueError, match="injected"):
             warp_speed(make, M=5, seed=0)
-    raising_on_calls(monkeypatch, "pseudo_marginals", {1})
+    raising_on(monkeypatch, "pseudo_marginals", lambda stack: len(stack.times1) != 10)
     assert warp_speed(make, M=5, seed=0).failed == 0
 
 
-def test_singular_warp_speed_fit_counts_as_failed(monkeypatch, rng):
-    # run 0's resample and run 2's own dataset have singular designs
-    degenerate_resamples(monkeypatch, {0})
+def test_singular_warp_speed_fit_counts_as_failed():
+    # group 1 holds two subjects: runs 0 and 1 draw one of them twice, a
+    # singular resample, and run 2's own dataset has a constant covariate
+    def two_subjects(r):
+        return random_dataset(r, 2, 10, p1=1, censored=False)
+
     made = []
 
     def make(r):
-        data = random_dataset(r, 10, 10, censored=False)
+        data = two_subjects(r)
         made.append(None)
         if len(made) == 3:
             data.covariates1[:, 0] = 1.0
         return data
 
-    res = warp_speed(PerRun(make, 10, 10), M=5, seed=0, spec=FitSpec(strict_singular=True))
-    assert (res.failed, res.failures["singular"], res.failures["nonconverged"]) == (2, 2, 0)
-    assert res.estimates.shape == (3, 5)
+    repeated = [m for m in range(5) if len(set(run_resample(two_subjects, 0, m)[0])) == 1]
+    assert repeated == [0, 1]
+    res = warp_speed(PerRun(make, 2, 10), M=5, seed=0, spec=FitSpec(strict_singular=True))
+    assert (res.failed, res.failures["singular"], res.failures["nonconverged"]) == (3, 3, 0)
+    assert res.estimates.shape == (2, 4)
 
 
 @pytest.mark.parametrize("link", [IDENTITY, LOGIT])
@@ -564,70 +602,58 @@ def test_overflowing_base_fit_stops_the_bootstrap_before_any_refit(monkeypatch, 
     def no_newton(*args, **kwargs):
         pytest.fail("Newton ran from a non-finite identity fit")
 
-    # the base fit is itself a _fit_stack call; every chunk of refits first
-    # draws its resamples
-    monkeypatch.setattr(inference, "_simulated_chunk", no_refit)
+    # every chunk of refits first seeds the streams of its resamples
+    monkeypatch.setattr(inference, "_replicate_rngs", no_refit)
     monkeypatch.setattr(gee, "solve_newton", no_newton)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="non-finite coefficients"):
             bootstrap(data, spec=FitSpec(link=link), B=20, seed=0)
 
 
-def test_nonconverged_base_fit_stops_the_bootstrap_before_any_refit(monkeypatch, rng):
-    from releff import gee
-
-    data = random_dataset(rng, 10, 10, censored=True)
-    real = gee.solve_newton
-
-    def stalled(*args, **kwargs):
-        result = real(*args, **kwargs)
-        result.converged, result.message = False, "line search stalled"
-        return result
-
+def test_nonconverged_base_fit_stops_the_bootstrap_before_any_refit(monkeypatch):
     def no_refit(*args, **kwargs):
         pytest.fail("a refit ran after a base fit that did not converge")
 
-    monkeypatch.setattr(gee, "solve_newton", stalled)
-    monkeypatch.setattr(inference, "_simulated_chunk", no_refit)
+    monkeypatch.setattr(inference, "_replicate_rngs", no_refit)
     with pytest.raises(RuntimeError, match="did not converge: line search stalled"):
-        bootstrap(data, spec=FitSpec(link=LOGIT), B=20, seed=0)
+        bootstrap(two_subject_group(), spec=FitSpec(link=LOGIT), B=20, seed=0)
 
 
-def non_finite_rows(monkeypatch, calls, row):
-    """Make ``row`` of the given 0-based ``gee.solve_identity`` calls
-    infinite, as an overflowing design would."""
-    from releff import gee
-
-    real = gee.solve_identity
-    seen = []
-
-    def overflowing(*args, **kwargs):
-        fits = real(*args, **kwargs)
-        seen.append(None)
-        if len(seen) - 1 in calls:
-            fits.beta[row] = np.inf
-        return fits
-
-    monkeypatch.setattr(gee, "solve_identity", overflowing)
+def test_non_finite_bootstrap_refit_counts_as_failed(rng):
+    # one group-1 covariate at 1e154: the base fit is finite (a
+    # pseudo-inverse), and a resample that draws that subject twice
+    # overflows its design moments
+    data = random_dataset(rng, 10, 10, p1=1, censored=True)
+    data.covariates1[0, 0] = 1e154
+    ens = bootstrap(data, B=20, seed=0)
+    twice = np.array([np.count_nonzero(run_resample(lambda r: data, 0, b)[0] == 0) >= 2
+                      for b in range(20)])
+    assert (ens.failed, ens.failures["singular"], ens.failures["nonconverged"]) == (3, 0, 3)
+    assert ens.ok.tolist() == (~twice).tolist()
+    assert np.isnan(ens.replicates[twice]).all()
 
 
-def test_non_finite_bootstrap_refit_counts_as_failed(monkeypatch, rng):
-    data = random_dataset(rng, 10, 10, censored=True)
-    non_finite_rows(monkeypatch, {1}, 3)        # call 0 is the base fit
-    ens = bootstrap(data, B=10, seed=0)
-    assert (ens.failed, ens.failures["singular"], ens.failures["nonconverged"]) == (1, 0, 1)
-    assert ens.ok.tolist() == [k != 3 for k in range(10)]
-    assert np.isnan(ens.replicates[3]).all()
+def test_non_finite_warp_speed_fit_counts_as_failed():
+    # run 1's own dataset has two group-1 covariates at 1e154, which
+    # overflow its design moments; run 3's has one, at a subject its
+    # resample draws twice
+    def clean(r):
+        return random_dataset(r, 10, 10, censored=False)
 
+    twice = np.flatnonzero(np.bincount(run_resample(clean, 0, 3)[0]) >= 2)[0]
+    made = []
 
-def test_non_finite_warp_speed_fit_counts_as_failed(monkeypatch):
-    # run 1's own fit (row 1 of call 0) and run 3's refit (row 5 + 3, after
-    # the chunk's five datasets) are not finite
-    make = PerRun(lambda r: random_dataset(r, 10, 10, censored=False), 10, 10)
-    want = warp_speed(make, M=5, seed=0)
-    non_finite_rows(monkeypatch, {0}, 1)
-    non_finite_rows(monkeypatch, {0}, 8)
-    res = warp_speed(make, M=5, seed=0)
+    def make(r):
+        data = clean(r)
+        made.append(None)
+        if len(made) == 2:
+            data.covariates1[:2, 0] = 1e154
+        elif len(made) == 4:
+            data.covariates1[twice, 0] = 1e154
+        return data
+
+    want = warp_speed(PerRun(clean, 10, 10), M=5, seed=0)
+    res = warp_speed(PerRun(make, 10, 10), M=5, seed=0)
     assert (res.failed, res.failures["singular"], res.failures["nonconverged"]) == (2, 0, 2)
     np.testing.assert_array_equal(res.estimates, want.estimates[[0, 2, 4]])
     assert np.isfinite(res.centered_replicates).all()
@@ -671,17 +697,10 @@ def test_bootstrap_matches_per_replicate_refits():
     for simulator, spec in oracle_cases()[:4]:
         data = simulator.make_dataset(np.random.default_rng(8))
         ens = bootstrap(data, spec=spec, B=30, seed=2)
-        # logit refits start from the base fit and the data's identity fit
-        identity = oracles.identity_fit(pseudo_matrix(data), data.covariates1, data.covariates2)
-        reference = _logit_reference(identity.beta, data.covariates1, data.covariates2,
-                                     ens.base_fit.beta)
-        for b in range(30):
-            idx1, idx2 = oracles.resample_indices(oracles.replicate_rng(2, b), data.n1, data.n2)
-            star = resampled(data, idx1, idx2)
-            want = oracles.matrix_fit(spec, star, reference)
-            usable = want.converged and not oracles.saturated(spec, want, star)
-            want = want.beta if usable else np.full(want.beta.shape, np.nan)
-            np.testing.assert_allclose(ens.replicates[b], want, rtol=0, atol=1e-10)
+        for (cause, fit, _), got in zip(oracle_refits(data, spec, 30, 2), ens.replicates,
+                                        strict=True):
+            want = fit.beta if cause is None else np.nan
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n1=st.integers(5, 30), n2=st.integers(5, 30),
@@ -828,14 +847,14 @@ def test_logit_bootstrap_solves_the_identity_fit_of_its_data_once(monkeypatch, r
     # the base fit's identity solution is both its Newton start and the
     # refits' reference; then one stacked solve per chunk of refits
     data = random_dataset(rng, 15, 12, censored=True)
-    real = gee.solve_identity
+    real = inference.pseudo_marginals
     sizes = []
 
-    def counting(row_means, *args, **kwargs):
-        sizes.append(len(row_means))
-        return real(row_means, *args, **kwargs)
+    def counting(stack):
+        sizes.append(len(stack.times1))
+        return real(stack)
 
-    monkeypatch.setattr(gee, "solve_identity", counting)
+    monkeypatch.setattr(inference, "pseudo_marginals", counting)
     bootstrap(data, spec=FitSpec(link=LOGIT), B=10, seed=0)
     assert sizes == [1, 10]
 
